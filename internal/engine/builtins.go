@@ -3,136 +3,144 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"blog/internal/term"
 	"blog/internal/unify"
 )
 
-// builtin evaluates a goal under an environment. It returns one successor
-// environment per solution of the builtin (deterministic builtins return
-// zero or one). A returned error aborts the whole search: it signals a
-// program error such as an unbound arithmetic operand, not mere failure.
-type builtin func(env *term.Env, goal term.Term) ([]*term.Env, error)
+// builtin is the deterministic builtin ABI, shared by all four dispatch
+// paths (trail or Env, VM or tree-walk): it evaluates goal under env and
+// reports at most one solution, allocating nothing of its own. Bindings go
+// through env.Bind, so the contract follows the environment. On a
+// persistent Env the returned environment is the extension and env itself
+// is untouched. On a trail store's distinguished Env the bindings are
+// written in place and the same node comes back; on ok=false whatever was
+// already bound (functor/3 unifies twice) stays bound, and undoing it is
+// the caller's job — TrailRun fails the chain, and backtracking rewinds to
+// the enclosing choice point's trail mark. A returned error aborts the
+// whole search: it signals a program error such as an unbound arithmetic
+// operand, not mere failure.
+type builtin func(env *term.Env, goal term.Term) (*term.Env, bool, error)
 
-// biKey dispatches builtins on the goal's interned functor symbol and
-// arity — an integer map probe, with no string hashing on the hot path.
-type biKey struct {
-	fn    term.Sym
-	arity int
+// altBuiltin is the form the two nondeterministic builtins keep —
+// between/3, and arg/3, which enumerates positions under a free index —
+// returning one successor environment per solution. The alternatives are
+// staged side by side, so env must be immutable: a persistent Env, or a
+// Store.Overlay that TrailRun replays one alternative at a time.
+type altBuiltin func(env *term.Env, goal term.Term) ([]*term.Env, error)
+
+// biEntry is one builtin; exactly one of the two forms is set.
+type biEntry struct {
+	det  builtin
+	alts altBuiltin
+}
+
+// biMaxArity is the largest builtin arity.
+const biMaxArity = 3
+
+// biTable is the dense dispatch table indexed by builtin Sym and arity,
+// and biArities the arity bitmap over the same Syms. Builtins are interned
+// at process init, before any program text, so their Syms are small and
+// both stay a few dozen entries. Every dispatched goal probes the bitmap
+// first: the overwhelmingly common miss costs one bounds check and one
+// byte load, and only a hit touches the table — two indexed loads, no
+// hashing.
+var (
+	biTable   [][biMaxArity + 1]biEntry
+	biArities []uint8
+)
+
+// isBuiltin is the hot-path probe; on true, biTable[fn][arity] is valid.
+func isBuiltin(fn term.Sym, arity int) bool {
+	return int(fn) < len(biArities) && arity <= biMaxArity && biArities[fn]&(1<<arity) != 0
 }
 
 // IsBuiltin reports whether name/arity is an evaluable builtin.
 func IsBuiltin(name string, arity int) bool {
-	_, ok := builtins[biKey{term.Intern(name), arity}]
-	return ok
-}
-
-var builtins map[biKey]builtin
-
-// biArities is a dense arity bitmap indexed by builtin Sym. Builtins are
-// interned at process init, before any program text, so their Syms are
-// small and the table stays a few dozen entries. Expand probes it on
-// every goal; the map above is only consulted after a bitmap hit, so the
-// overwhelmingly common miss costs one bounds check and one load instead
-// of hashing a struct key.
-var biArities []uint8
-
-// isBuiltin is the hot-path probe: it answers "not a builtin" without
-// touching the builtins map.
-func isBuiltin(fn term.Sym, arity int) bool {
-	return int(fn) < len(biArities) && arity < 8 && biArities[fn]&(1<<arity) != 0
+	return isBuiltin(term.Intern(name), arity)
 }
 
 func init() {
-	entries := []struct {
-		name  string
-		arity int
-		fn    builtin
-	}{
-		{"true", 0, biTrue},
-		{"fail", 0, biFail},
-		{"false", 0, biFail},
-		{"!", 0, biCut},
-		{"=", 2, biUnify},
-		{"\\=", 2, biNotUnify},
-		{"==", 2, biStructEq},
-		{"\\==", 2, biStructNeq},
-		{"is", 2, biIs},
-		{"=:=", 2, arithCompare(func(a, b int64) bool { return a == b })},
-		{"=\\=", 2, arithCompare(func(a, b int64) bool { return a != b })},
-		{"<", 2, arithCompare(func(a, b int64) bool { return a < b })},
-		{">", 2, arithCompare(func(a, b int64) bool { return a > b })},
-		{"=<", 2, arithCompare(func(a, b int64) bool { return a <= b })},
-		{">=", 2, arithCompare(func(a, b int64) bool { return a >= b })},
-		{"@<", 2, termCompare(func(c int) bool { return c < 0 })},
-		{"@>", 2, termCompare(func(c int) bool { return c > 0 })},
-		{"@=<", 2, termCompare(func(c int) bool { return c <= 0 })},
-		{"@>=", 2, termCompare(func(c int) bool { return c >= 0 })},
-		{"between", 3, biBetween},
-		{"integer", 1, biInteger},
-		{"atom", 1, biAtom},
-		{"atomic", 1, biAtomic},
-		{"compound", 1, biCompound},
-		{"var", 1, biVar},
-		{"nonvar", 1, biNonvar},
-		{"ground", 1, biGround},
-		{"functor", 3, biFunctor},
-		{"arg", 3, biArg},
-		{"=..", 2, biUniv},
-		{"length", 2, biLength},
-		{"copy_term", 2, biCopyTerm},
-		{"succ", 2, biSucc},
-	}
-	builtins = make(map[biKey]builtin, len(entries))
-	maxSym := term.Sym(0)
-	for _, e := range entries {
-		s := term.Intern(e.name)
-		builtins[biKey{s, e.arity}] = e.fn
-		if s > maxSym {
-			maxSym = s
+	reg := func(name string, arity int, e biEntry) {
+		s := term.Intern(name)
+		for int(s) >= len(biTable) {
+			biTable = append(biTable, [biMaxArity + 1]biEntry{})
+			biArities = append(biArities, 0)
 		}
+		biTable[s][arity] = e
+		biArities[s] |= 1 << arity
 	}
-	biArities = make([]uint8, maxSym+1)
-	for k := range builtins {
-		biArities[k.fn] |= 1 << k.arity
-	}
+	det := func(name string, arity int, fn builtin) { reg(name, arity, biEntry{det: fn}) }
+	det("true", 0, biTrue)
+	det("fail", 0, biFail)
+	det("false", 0, biFail)
+	det("!", 0, biTrue) // see biTrue
+	det("=", 2, biUnify)
+	det("\\=", 2, biNotUnify)
+	det("==", 2, biStructEq)
+	det("\\==", 2, biStructNeq)
+	det("is", 2, biIs)
+	det("=:=", 2, arithCompare(func(a, b int64) bool { return a == b }))
+	det("=\\=", 2, arithCompare(func(a, b int64) bool { return a != b }))
+	det("<", 2, arithCompare(func(a, b int64) bool { return a < b }))
+	det(">", 2, arithCompare(func(a, b int64) bool { return a > b }))
+	det("=<", 2, arithCompare(func(a, b int64) bool { return a <= b }))
+	det(">=", 2, arithCompare(func(a, b int64) bool { return a >= b }))
+	det("@<", 2, termCompare(func(c int) bool { return c < 0 }))
+	det("@>", 2, termCompare(func(c int) bool { return c > 0 }))
+	det("@=<", 2, termCompare(func(c int) bool { return c <= 0 }))
+	det("@>=", 2, termCompare(func(c int) bool { return c >= 0 }))
+	det("integer", 1, typeCheck(func(t term.Term) bool { _, ok := t.(term.Int); return ok }))
+	det("atom", 1, typeCheck(func(t term.Term) bool { _, ok := t.(term.Atom); return ok }))
+	det("atomic", 1, typeCheck(isAtomic))
+	det("compound", 1, typeCheck(func(t term.Term) bool { _, ok := t.(*term.Compound); return ok }))
+	det("var", 1, typeCheck(func(t term.Term) bool { _, ok := t.(*term.Var); return ok }))
+	det("nonvar", 1, typeCheck(func(t term.Term) bool { _, ok := t.(*term.Var); return !ok }))
+	det("ground", 1, biGround)
+	det("functor", 3, biFunctor)
+	det("=..", 2, biUniv)
+	det("length", 2, biLength)
+	det("copy_term", 2, biCopyTerm)
+	det("succ", 2, biSucc)
+	reg("between", 3, biEntry{alts: biBetween})
+	reg("arg", 3, biEntry{alts: biArg})
+	// Registration grew the table by doubling; it lives as long as the
+	// process, so keep an exact-size copy and drop the slack.
+	biTable = slices.Clone(biTable)
 }
 
-func biTrue(env *term.Env, _ term.Term) ([]*term.Env, error) {
-	return []*term.Env{env}, nil
-}
-
-func biFail(*term.Env, term.Term) ([]*term.Env, error) { return nil, nil }
-
-// biCut treats ! as true. B-LOG deliberately has no cut: the paper offers
+// biTrue also serves !/0. B-LOG deliberately has no cut: the paper offers
 // "an alternative to Prolog's sequentially oriented depth-first search,
 // without giving up completeness by incorporating control annotations"
 // (section 8), and a pruning cut is meaningless when siblings expand in
 // best-first order. Accepting it as a no-op lets standard benchmark
 // programs load; their search spaces simply stay unpruned.
-func biCut(env *term.Env, _ term.Term) ([]*term.Env, error) {
-	return []*term.Env{env}, nil
-}
+func biTrue(env *term.Env, _ term.Term) (*term.Env, bool, error) { return env, true, nil }
+
+func biFail(env *term.Env, _ term.Term) (*term.Env, bool, error) { return env, false, nil }
 
 func args2(goal term.Term) (term.Term, term.Term) {
 	c := goal.(*term.Compound)
 	return c.Args[0], c.Args[1]
 }
 
-func biUnify(env *term.Env, goal term.Term) ([]*term.Env, error) {
-	a, b := args2(goal)
-	if e, ok := unify.Unify(env, a, b); ok {
-		return []*term.Env{e}, nil
-	}
-	return nil, nil
+// unifyDet is the tail of most binding builtins: one unification decides
+// the outcome.
+func unifyDet(env *term.Env, a, b term.Term) (*term.Env, bool, error) {
+	e, ok := unify.Unify(env, a, b)
+	return e, ok, nil
 }
 
-func biNotUnify(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biUnify(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	a, b := args2(goal)
-	if unify.CanUnify(env, a, b) {
-		return nil, nil
-	}
-	return []*term.Env{env}, nil
+	return unifyDet(env, a, b)
+}
+
+func biNotUnify(env *term.Env, goal term.Term) (*term.Env, bool, error) {
+	a, b := args2(goal)
+	return env, !unify.CanUnify(env, a, b), nil
 }
 
 // structEq is the shared core of ==/2 and \==/2: structural equality with
@@ -143,63 +151,48 @@ func structEq(env *term.Env, goal term.Term) bool {
 	return term.EqualUnder(env, a, b)
 }
 
-func biStructEq(env *term.Env, goal term.Term) ([]*term.Env, error) {
-	if structEq(env, goal) {
-		return []*term.Env{env}, nil
-	}
-	return nil, nil
+func biStructEq(env *term.Env, goal term.Term) (*term.Env, bool, error) {
+	return env, structEq(env, goal), nil
 }
 
-func biStructNeq(env *term.Env, goal term.Term) ([]*term.Env, error) {
-	if structEq(env, goal) {
-		return nil, nil
-	}
-	return []*term.Env{env}, nil
+func biStructNeq(env *term.Env, goal term.Term) (*term.Env, bool, error) {
+	return env, !structEq(env, goal), nil
 }
 
-func biIs(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biIs(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	lhs, rhs := args2(goal)
 	v, err := Eval(env, rhs)
 	if err != nil {
-		return nil, err
+		return env, false, err
 	}
-	if e, ok := unify.Unify(env, lhs, term.Int(v)); ok {
-		return []*term.Env{e}, nil
-	}
-	return nil, nil
+	return unifyDet(env, lhs, term.Int(v))
 }
 
 func arithCompare(cmp func(a, b int64) bool) builtin {
-	return func(env *term.Env, goal term.Term) ([]*term.Env, error) {
+	return func(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 		lhs, rhs := args2(goal)
 		a, err := Eval(env, lhs)
 		if err != nil {
-			return nil, err
+			return env, false, err
 		}
 		b, err := Eval(env, rhs)
 		if err != nil {
-			return nil, err
+			return env, false, err
 		}
-		if cmp(a, b) {
-			return []*term.Env{env}, nil
-		}
-		return nil, nil
+		return env, cmp(a, b), nil
 	}
 }
 
 func termCompare(ok func(c int) bool) builtin {
-	return func(env *term.Env, goal term.Term) ([]*term.Env, error) {
+	return func(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 		a, b := args2(goal)
-		if ok(term.CompareUnder(env, a, b)) {
-			return []*term.Env{env}, nil
-		}
-		return nil, nil
+		return env, ok(term.CompareUnder(env, a, b)), nil
 	}
 }
 
-// biBetween is the only nondeterministic builtin: between(L,H,X) with
-// integer bounds enumerates X = L..H, giving workload generators a compact
-// way to express OR fan-out.
+// biBetween is between(L,H,X) with integer bounds: a range test for bound
+// X, an enumeration X = L..H for free X — giving workload generators a
+// compact way to express OR fan-out.
 func biBetween(env *term.Env, goal term.Term) ([]*term.Env, error) {
 	c := goal.(*term.Compound)
 	lo, err := Eval(env, c.Args[0])
@@ -224,7 +217,7 @@ func biBetween(env *term.Env, goal term.Term) ([]*term.Env, error) {
 	if hi < lo {
 		return nil, nil
 	}
-	if hi-lo > 1_000_000 {
+	if hi-lo > maxBuiltinTerm {
 		return nil, fmt.Errorf("engine: between(%d,%d,_) range too large", lo, hi)
 	}
 	envs := make([]*term.Env, 0, hi-lo+1)
@@ -235,102 +228,77 @@ func biBetween(env *term.Env, goal term.Term) ([]*term.Env, error) {
 }
 
 func typeCheck(pred func(t term.Term) bool) builtin {
-	return func(env *term.Env, goal term.Term) ([]*term.Env, error) {
-		a := env.Resolve(goal.(*term.Compound).Args[0])
-		if pred(a) {
-			return []*term.Env{env}, nil
-		}
-		return nil, nil
+	return func(env *term.Env, goal term.Term) (*term.Env, bool, error) {
+		return env, pred(env.Resolve(goal.(*term.Compound).Args[0])), nil
 	}
 }
 
-var (
-	biInteger = typeCheck(func(t term.Term) bool { _, ok := t.(term.Int); return ok })
-	biAtom    = typeCheck(func(t term.Term) bool { _, ok := t.(term.Atom); return ok })
-	biAtomic  = typeCheck(func(t term.Term) bool {
-		switch t.(type) {
-		case term.Atom, term.Int:
-			return true
-		}
-		return false
-	})
-	biCompound = typeCheck(func(t term.Term) bool { _, ok := t.(*term.Compound); return ok })
-	biVar      = typeCheck(func(t term.Term) bool { _, ok := t.(*term.Var); return ok })
-	biNonvar   = typeCheck(func(t term.Term) bool { _, ok := t.(*term.Var); return !ok })
-)
-
-func biGround(env *term.Env, goal term.Term) ([]*term.Env, error) {
-	if term.Ground(env, goal.(*term.Compound).Args[0]) {
-		return []*term.Env{env}, nil
+func isAtomic(t term.Term) bool {
+	switch t.(type) {
+	case term.Atom, term.Int:
+		return true
 	}
-	return nil, nil
+	return false
+}
+
+func biGround(env *term.Env, goal term.Term) (*term.Env, bool, error) {
+	return env, term.Ground(env, goal.(*term.Compound).Args[0]), nil
+}
+
+// maxBuiltinTerm caps what one builtin call may materialize from a
+// number in the query: functor/3's argument vector, length/2's list,
+// between/3's range. Goals arrive from POST /query, so an uncapped
+// make([]term.Term, N) is a remote out-of-memory.
+const maxBuiltinTerm = 1_000_000
+
+// freshVars returns n distinct anonymous variables.
+func freshVars(n term.Int) []term.Term {
+	vs := make([]term.Term, n)
+	for i := range vs {
+		vs[i] = term.NewVar("_")
+	}
+	return vs
 }
 
 // biFunctor implements functor/3 in both modes: decomposing a bound term
 // into name and arity, or constructing a most-general term from them.
-func biFunctor(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biFunctor(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	c := goal.(*term.Compound)
-	t := env.Resolve(c.Args[0])
-	switch t := t.(type) {
+	var name, arity term.Term
+	switch t := env.Resolve(c.Args[0]).(type) {
 	case *term.Var:
 		// Construction mode: name and arity must be bound.
-		name := env.Resolve(c.Args[1])
-		arity := env.Resolve(c.Args[2])
-		n, okN := arity.(term.Int)
-		if !okN {
-			return nil, fmt.Errorf("engine: functor/3 arity %s is not an integer", arity)
+		name, arity = env.Resolve(c.Args[1]), env.Resolve(c.Args[2])
+		n, ok := arity.(term.Int)
+		switch {
+		case !ok:
+			return env, false, fmt.Errorf("engine: functor/3 arity %s is not an integer", arity)
+		case !isAtomic(name):
+			return env, false, fmt.Errorf("engine: functor/3 name must be atomic, got %s", name)
+		case n < 0:
+			return env, false, errors.New("engine: functor/3 negative arity")
+		case n > maxBuiltinTerm:
+			return env, false, fmt.Errorf("engine: functor/3 arity %d too large", n)
+		case n == 0:
+			return unifyDet(env, t, name)
 		}
-		switch nm := name.(type) {
-		case term.Atom:
-			if n < 0 {
-				return nil, errors.New("engine: functor/3 negative arity")
-			}
-			if n == 0 {
-				if e, ok := unify.Unify(env, t, nm); ok {
-					return []*term.Env{e}, nil
-				}
-				return nil, nil
-			}
-			args := make([]term.Term, n)
-			for i := range args {
-				args[i] = term.NewVar("_")
-			}
-			if e, ok := unify.Unify(env, t, term.NewCompound(nm.Name(), args...)); ok {
-				return []*term.Env{e}, nil
-			}
-			return nil, nil
-		case term.Int:
-			if n != 0 {
-				return nil, errors.New("engine: functor/3 integer name needs arity 0")
-			}
-			if e, ok := unify.Unify(env, t, nm); ok {
-				return []*term.Env{e}, nil
-			}
-			return nil, nil
-		default:
-			return nil, ErrUnboundArithmetic
+		nm, ok := name.(term.Atom)
+		if !ok {
+			return env, false, errors.New("engine: functor/3 integer name needs arity 0")
 		}
-	case term.Atom:
-		return unifyPair(env, c.Args[1], t, c.Args[2], term.Int(0))
-	case term.Int:
-		return unifyPair(env, c.Args[1], t, c.Args[2], term.Int(0))
+		return unifyDet(env, t, term.NewCompound(nm.Name(), freshVars(n)...))
 	case *term.Compound:
-		return unifyPair(env, c.Args[1], term.AtomOf(t.Functor), c.Args[2], term.Int(int64(len(t.Args))))
+		name, arity = term.AtomOf(t.Functor), term.Int(len(t.Args))
+	default: // atom or int
+		name, arity = t, term.Int(0)
 	}
-	return nil, nil
-}
-
-// unifyPair unifies two (lhs, value) pairs in sequence.
-func unifyPair(env *term.Env, l1, v1, l2, v2 term.Term) ([]*term.Env, error) {
-	e, ok := unify.Unify(env, l1, v1)
+	// Decomposition: two unifications in sequence. When the second fails
+	// on a store, the first one's bindings are the caller's to undo.
+	e, ok := unify.Unify(env, c.Args[1], name)
 	if !ok {
-		return nil, nil
+		return e, false, nil
 	}
-	e, ok = unify.Unify(e, l2, v2)
-	if !ok {
-		return nil, nil
-	}
-	return []*term.Env{e}, nil
+	return unifyDet(e, c.Args[2], arity)
 }
 
 // biArg implements arg/3: argument extraction with a bound index, or
@@ -366,47 +334,33 @@ func biArg(env *term.Env, goal term.Term) ([]*term.Env, error) {
 }
 
 // biUniv implements =../2 (univ) in both directions.
-func biUniv(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biUniv(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	c := goal.(*term.Compound)
-	t := env.Resolve(c.Args[0])
-	switch t := t.(type) {
+	switch t := env.Resolve(c.Args[0]).(type) {
 	case *term.Var:
 		items, proper := listSlice(env, c.Args[1])
 		if !proper || len(items) == 0 {
-			return nil, errors.New("engine: =../2 needs a proper non-empty list on the right")
+			return env, false, errors.New("engine: =../2 needs a proper non-empty list on the right")
 		}
 		head := env.Resolve(items[0])
 		if len(items) == 1 {
-			switch head.(type) {
-			case term.Atom, term.Int:
-				if e, ok := unify.Unify(env, t, head); ok {
-					return []*term.Env{e}, nil
-				}
-				return nil, nil
+			if !isAtomic(head) {
+				return env, false, errors.New("engine: =../2 singleton list must hold an atomic term")
 			}
-			return nil, errors.New("engine: =../2 singleton list must hold an atomic term")
+			return unifyDet(env, t, head)
 		}
 		name, ok := head.(term.Atom)
 		if !ok {
-			return nil, errors.New("engine: =../2 functor must be an atom")
+			return env, false, errors.New("engine: =../2 functor must be an atom")
 		}
-		if e, ok := unify.Unify(env, t, term.NewCompound(name.Name(), items[1:]...)); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return unifyDet(env, t, term.NewCompound(name.Name(), items[1:]...))
 	case *term.Compound:
 		items := make([]term.Term, 0, len(t.Args)+1)
 		items = append(items, term.AtomOf(t.Functor))
 		items = append(items, t.Args...)
-		if e, ok := unify.Unify(env, c.Args[1], term.FromList(items)); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return unifyDet(env, c.Args[1], term.FromList(items))
 	default: // atom or int
-		if e, ok := unify.Unify(env, c.Args[1], term.FromList([]term.Term{t})); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return unifyDet(env, c.Args[1], term.FromList([]term.Term{t}))
 	}
 }
 
@@ -429,70 +383,49 @@ func listSlice(env *term.Env, t term.Term) (items []term.Term, proper bool) {
 // biLength implements length/2: measuring a bound list, or generating a
 // list of fresh variables from a bound length. The doubly-unbound mode is
 // rejected (it would enumerate forever under best-first search).
-func biLength(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biLength(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	c := goal.(*term.Compound)
 	items, proper := listSlice(env, c.Args[0])
 	if proper {
-		if e, ok := unify.Unify(env, c.Args[1], term.Int(int64(len(items)))); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return unifyDet(env, c.Args[1], term.Int(int64(len(items))))
 	}
 	n, ok := env.Resolve(c.Args[1]).(term.Int)
 	if !ok {
-		return nil, errors.New("engine: length/2 needs a proper list or a bound length")
+		return env, false, errors.New("engine: length/2 needs a proper list or a bound length")
 	}
 	if n < 0 {
-		return nil, nil
+		return env, false, nil
 	}
-	if n > 1_000_000 {
-		return nil, fmt.Errorf("engine: length/2 request %d too large", n)
+	if n > maxBuiltinTerm {
+		return env, false, fmt.Errorf("engine: length/2 request %d too large", n)
 	}
-	fresh := make([]term.Term, n)
-	for i := range fresh {
-		fresh[i] = term.NewVar("_")
-	}
-	if e, ok := unify.Unify(env, c.Args[0], term.FromList(fresh)); ok {
-		return []*term.Env{e}, nil
-	}
-	return nil, nil
+	return unifyDet(env, c.Args[0], term.FromList(freshVars(n)))
 }
 
 // biCopyTerm implements copy_term/2: a fresh variant of the first
 // argument unifies with the second.
-func biCopyTerm(env *term.Env, goal term.Term) ([]*term.Env, error) {
-	c := goal.(*term.Compound)
-	cp := term.Refresh(env.ResolveDeep(c.Args[0]))
-	if e, ok := unify.Unify(env, c.Args[1], cp); ok {
-		return []*term.Env{e}, nil
-	}
-	return nil, nil
+func biCopyTerm(env *term.Env, goal term.Term) (*term.Env, bool, error) {
+	a, b := args2(goal)
+	return unifyDet(env, b, term.Refresh(env.ResolveDeep(a)))
 }
 
-// biSucc implements succ/2 over naturals in both directions.
-func biSucc(env *term.Env, goal term.Term) ([]*term.Env, error) {
+// biSucc implements succ/2 over naturals in both directions. The largest
+// int64 has no successor here: the goal fails instead of wrapping.
+func biSucc(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	a, b := args2(goal)
-	ra := env.Resolve(a)
-	rb := env.Resolve(b)
-	if n, ok := ra.(term.Int); ok {
-		if n < 0 {
-			return nil, nil
+	if n, ok := env.Resolve(a).(term.Int); ok {
+		if n < 0 || n == math.MaxInt64 {
+			return env, false, nil
 		}
-		if e, ok := unify.Unify(env, b, n+1); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return unifyDet(env, b, n+1)
 	}
-	if m, ok := rb.(term.Int); ok {
+	if m, ok := env.Resolve(b).(term.Int); ok {
 		if m < 1 {
-			return nil, nil
+			return env, false, nil
 		}
-		if e, ok := unify.Unify(env, a, m-1); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return unifyDet(env, a, m-1)
 	}
-	return nil, errors.New("engine: succ/2 needs at least one bound integer")
+	return env, false, errors.New("engine: succ/2 needs at least one bound integer")
 }
 
 // ErrUnboundArithmetic reports evaluation of an expression containing an

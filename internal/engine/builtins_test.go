@@ -9,44 +9,13 @@ import (
 	"blog/internal/weights"
 )
 
-// run expands a single-goal query to exhaustion with a trivial DFS and
-// returns the solution environments' formatted bindings of X (if present).
+// runBuiltinQuery answers a query exhaustively on the persistent-Env
+// compiled path (see runBiDiff) and returns the formatted solutions.
 func runBuiltinQuery(t *testing.T, src, q string) []string {
 	t.Helper()
-	db := kb.New()
-	if src != "" {
-		loaded, _, err := kb.LoadString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db = loaded
-	}
-	exp := NewExpander(db, weights.NewUniform(weights.DefaultConfig()))
-	gs, err := parse.Query(q)
+	out, err := runBiDiff(t, biDiffConfig{name: "env+vm"}, src, q)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var qvars []*term.Var
-	for _, g := range gs {
-		qvars = term.Vars(g, qvars)
-	}
-	var out []string
-	stack := []*Node{exp.Root(gs)}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.IsSolution() {
-			sol := Extract(n, qvars)
-			out = append(out, sol.Format(qvars))
-			continue
-		}
-		cs, err := exp.Expand(n)
-		if err != nil && err != ErrDepthLimit {
-			t.Fatalf("expand: %v", err)
-		}
-		for i := len(cs) - 1; i >= 0; i-- {
-			stack = append(stack, cs[i])
-		}
+		t.Fatalf("expand: %v", err)
 	}
 	return out
 }

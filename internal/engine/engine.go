@@ -258,7 +258,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 			return e.expandNegation(n, goal)
 		}
 		if isBuiltin(fn, arity) {
-			return e.expandBuiltin(n, entry, goal, builtins[biKey{fn, arity}])
+			return e.expandBuiltin(n, goal, &biTable[fn][arity])
 		}
 		if e.Tabler != nil && e.Tabler.IsTabled(fn, arity) {
 			return e.expandTabled(n, goal)
@@ -462,10 +462,17 @@ func (e *Expander) expandNegation(n *Node, goal term.Term) ([]*Node, error) {
 		stack = append(stack, children...)
 	}
 	// No proof of the inner goal: \+ succeeds like a zero-weight builtin.
+	return []*Node{e.stepChild(n, n.Env, goal)}, nil
+}
+
+// stepChild builds the child of a machine decision — a builtin, \+ or a
+// tabled answer — under env: the goal is consumed, and since no database
+// pointer was followed the child adds no arc, no weight and no depth.
+func (e *Expander) stepChild(n *Node, env *term.Env, goal term.Term) *Node {
 	e.seq++
 	child := &Node{
 		Goals: n.Goals.Pop(),
-		Env:   n.Env,
+		Env:   env,
 		Chain: n.Chain,
 		Bound: n.Bound,
 		Depth: n.Depth,
@@ -473,9 +480,9 @@ func (e *Expander) expandNegation(n *Node, goal term.Term) ([]*Node, error) {
 	}
 	if e.RecordTree {
 		child.Parent = n
-		child.Label = n.Env.Format(goal)
+		child.Label = env.Format(goal)
 	}
-	return []*Node{child}, nil
+	return child
 }
 
 // matchLabel renders the head of the matched clause under the child env,
@@ -504,52 +511,36 @@ func (e *Expander) expandTabled(n *Node, goal term.Term) ([]*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	children := make([]*Node, 0, len(envs))
-	for _, env := range envs {
-		e.seq++
-		child := &Node{
-			Goals: n.Goals.Pop(),
-			Env:   env,
-			Chain: n.Chain,
-			Bound: n.Bound,
-			Depth: n.Depth,
-			Seq:   e.seq,
-		}
-		if e.RecordTree {
-			child.Parent = n
-			child.Label = env.Format(goal)
-		}
-		children = append(children, child)
+	return e.stepChildren(n, envs, goal), nil
+}
+
+// stepChildren is stepChild over staged alternatives, one child each.
+func (e *Expander) stepChildren(n *Node, envs []*term.Env, goal term.Term) []*Node {
+	children := make([]*Node, len(envs))
+	for i, env := range envs {
+		children[i] = e.stepChild(n, env, goal)
 	}
-	return children, nil
+	return children
 }
 
 // expandBuiltin evaluates a builtin goal. Builtins are decisions of the
 // machine, not of the database, so they add no arc and zero weight; a
 // failing builtin fails the whole chain, exactly like an unmatched goal.
-func (e *Expander) expandBuiltin(n *Node, entry GoalEntry, goal term.Term, bi builtin) ([]*Node, error) {
-	envs, err := bi(n.Env, goal)
-	if err != nil {
+// n.Env is persistent here, so a deterministic builtin hands back the
+// extended environment and the node's own is untouched.
+func (e *Expander) expandBuiltin(n *Node, goal term.Term, bi *biEntry) ([]*Node, error) {
+	if bi.det == nil {
+		envs, err := bi.alts(n.Env, goal)
+		if err != nil {
+			return nil, err
+		}
+		return e.stepChildren(n, envs, goal), nil
+	}
+	env, ok, err := bi.det(n.Env, goal)
+	if err != nil || !ok {
 		return nil, err
 	}
-	children := make([]*Node, 0, len(envs))
-	for _, env := range envs {
-		e.seq++
-		child := &Node{
-			Goals: n.Goals.Pop(),
-			Env:   env,
-			Chain: n.Chain,
-			Bound: n.Bound,
-			Depth: n.Depth, // builtins do not consume depth budget
-			Seq:   e.seq,
-		}
-		if e.RecordTree {
-			child.Parent = n
-			child.Label = env.Format(goal)
-		}
-		children = append(children, child)
-	}
-	return children, nil
+	return []*Node{e.stepChild(n, env, goal)}, nil
 }
 
 // Solution extracts the bindings of the given query variables from a

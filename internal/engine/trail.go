@@ -493,13 +493,7 @@ func (r *TrailRun) dispatch() error {
 		return r.dispatchNegation(goal)
 	}
 	if isBuiltin(fn, arity) {
-		base := r.sh.st.Overlay()
-		envs, err := builtins[biKey{fn, arity}](base, goal)
-		if err != nil {
-			return err
-		}
-		r.applyEnvs(base, envs, goal)
-		return nil
+		return r.dispatchBuiltin(&biTable[fn][arity], goal)
 	}
 	if r.cfg.Tabler != nil && !bypass && r.cfg.Tabler.IsTabled(fn, arity) {
 		base := r.sh.st.Overlay()
@@ -554,12 +548,42 @@ func (r *TrailRun) predCode(fn term.Sym, arity int) (*vm.PredCode, bool) {
 	return pc, pc != nil
 }
 
-// applyEnvs commits the outcome of a builtin or tabled resolution, which
-// was staged as overlay environments above the store. One alternative is
-// a deterministic step (its deltas replay destructively under the
-// enclosing choice point's mark); several become a deltas choice point.
-// Like their Expander counterparts, these children add no arc, weight or
-// depth.
+// dispatchBuiltin evaluates a builtin goal. A deterministic builtin runs
+// straight on the store's distinguished Env, binding in place: success is
+// a deterministic step, failure fails the chain, and whatever the builtin
+// had already bound is rewound by backtracking to the enclosing choice
+// point's mark (a run with no choice point left is over, and its store is
+// Reset before reuse). Only the two nondeterministic builtins stage their
+// alternatives on an overlay.
+func (r *TrailRun) dispatchBuiltin(bi *biEntry, goal term.Term) error {
+	if bi.det == nil {
+		base := r.sh.st.Overlay()
+		envs, err := bi.alts(base, goal)
+		if err != nil {
+			return err
+		}
+		r.applyEnvs(base, envs, goal)
+		return nil
+	}
+	_, ok, err := bi.det(r.env, goal)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		r.failChain()
+		return nil
+	}
+	r.goals = r.goals.Pop()
+	r.stats.Generated++
+	return nil
+}
+
+// applyEnvs commits alternatives staged as overlay environments above the
+// store: the answers of a tabled call, or the solutions of between/3 and
+// arg/3. One alternative is a deterministic step (its deltas replay
+// destructively under the enclosing choice point's mark); several become
+// a deltas choice point. Like their Expander counterparts, these children
+// add no arc, weight or depth.
 func (r *TrailRun) applyEnvs(base *term.Env, envs []*term.Env, goal term.Term) {
 	switch len(envs) {
 	case 0:

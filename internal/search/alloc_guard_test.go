@@ -49,6 +49,39 @@ func TestDFSAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestDFSBuiltinAllocationBudget pins the builtin ABI's cost on the trail
+// path: an exhaustive queens(5,Qs) DFS makes ~1480 `=\=`/`is`/`<` calls in
+// 3173 expansions, every one evaluated in place on the store, so what the
+// query allocates is its 10 solutions (bindings map, detached list, chain)
+// plus the run header — nothing per builtin call. One allocation per call
+// would put the count past 1600.
+func TestDFSBuiltinAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	if !vm.Enabled {
+		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
+	}
+	db := load(t, workload.NQueens)
+	goals := q(t, "queens(5,Qs)")
+	ws := uniform()
+	opt := Options{Strategy: DFS}
+	run := func() {
+		res, err := Run(context.Background(), db, ws, goals, opt)
+		if err != nil || len(res.Solutions) != 10 || res.Stats.Expanded != 3173 {
+			t.Fatalf("run: %d solutions, %d expansions, err %v", len(res.Solutions), res.Stats.Expanded, err)
+		}
+	}
+	run() // warm the program cache and the scratch pool
+	// Measured steady state is 148 allocations per query, ~12 per solution
+	// plus the run header; the budget is 1.3x that, slack for pool refills
+	// after a GC cycle empties the sync.Pool mid-measurement.
+	const budget = 195
+	if got := testing.AllocsPerRun(50, run); got > budget {
+		t.Errorf("queens(5,Qs) DFS allocated %.1f times, budget %d", got, budget)
+	}
+}
+
 // TestDFSProfilerAllocationBudget pins the profiler's hot-path cost: with
 // a warm profiler (every predicate's cell already published), a profiled
 // query may allocate only the per-run Meter on top of the unprofiled

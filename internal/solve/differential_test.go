@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ import (
 // first-argument dispatch) and every fallback it must interleave with
 // (builtins, negation as failure, tabled calls).
 func fuzzCase(gen uint8, seed int64) (src string, queries []string, tabled bool) {
-	switch gen % 7 {
+	switch gen % fuzzGens {
 	case 0:
 		return workload.FamilyTree(3, 2), []string{"gf(p0, G)", "anc(p0, X)", "gf(X, Y)", "anc(X, p5)"}, false
 	case 1:
@@ -47,10 +48,61 @@ func fuzzCase(gen uint8, seed int64) (src string, queries []string, tabled bool)
 			small(X) :- num(X), \+(big(X)).
 			samepair(X, Y) :- num(X), num(Y), X =:= Y.
 		`, []string{"big(X)", "double(X, Y)", "small(X)", "samepair(A, B)"}, false
-	default:
+	case 6:
 		return structured(seed), []string{
 			"q(A, B)", "q(g(A), B)", "r(A)", "box(f(A, B), C)", "pair(P)", "pair(mk(A, A))",
 		}, false
+	case 7:
+		// Arithmetic builtins under deep backtracking: on the trail store
+		// every `is`, `<` and `=\=` binds or tests in place.
+		return workload.NQueens, []string{"queens(4, Qs)", "queens(3, Qs)", "perm([1, 2, 3], P)", "range(1, 4, L)"}, false
+	default:
+		return termInspection, termInspectionQueries, false
+	}
+}
+
+// fuzzGens is the number of program generators fuzzCase selects between.
+const fuzzGens = 9
+
+// termInspection drives the term-inspection builtins in both directions
+// from inside compiled clauses: functor/3 (whose decomposition mode
+// unifies twice), arg/3 with a bound and a free index (the latter a
+// deltas choice point re-entered on backtracking), =../2, length/2 and
+// copy_term/2. No query raises a builtin error — the harnesses treat an
+// error as a failed run.
+const termInspection = `
+	item(f(a, b)). item(g(c)). item(h(1, 2, 3)). item(k). item(m(d, e)).
+	parts(T, N, A) :- item(T), functor(T, N, A).
+	build(N, A, T) :- item(S), functor(S, N, A), functor(T, N, A).
+	binary(T) :- item(T), functor(T, _, 2).
+	nth(I, X) :- item(T), arg(I, T, X).
+	second(X) :- item(T), arg(2, T, X).
+	where(I) :- item(T), arg(I, T, X), X == 2.
+	spread(L) :- item(T), T =.. L.
+	glue(T) :- item(S), S =.. [_|As], T =.. [w|As].
+	len(N) :- item(T), T =.. L, length(L, N).
+	mk(L) :- item(T), functor(T, _, N), length(L, N).
+	twin(C) :- item(T), functor(T, _, N), length(L, N), copy_term(p(L, L), C).
+	fresh(A, B) :- copy_term(q(X, X, _), q(A, B, _)), A = 1.
+	differ(S, T) :- item(S), item(T), S \= T, functor(S, _, N), functor(T, _, N).
+`
+
+var termInspectionQueries = []string{
+	"parts(T, N, A)", "build(N, A, T)", "binary(T)", "nth(I, X)", "second(X)", "where(I)",
+	"spread(L)", "glue(T)", "len(N)", "mk(L)", "twin(C)", "fresh(A, B)", "differ(S, T)",
+}
+
+// addFuzzSeeds seeds a differential fuzzer: three (seed, query) picks per
+// generator, plus every query of the two static builtin-heavy programs.
+func addFuzzSeeds(f *testing.F) {
+	for g := uint8(0); g < fuzzGens; g++ {
+		f.Add(g, int64(1), uint8(0))
+		f.Add(g, int64(42), uint8(1))
+		f.Add(g, int64(-7), uint8(2))
+	}
+	f.Add(uint8(7), int64(1), uint8(3))
+	for q := 3; q < len(termInspectionQueries); q++ {
+		f.Add(uint8(8), int64(1), uint8(q))
 	}
 }
 
@@ -174,11 +226,7 @@ func canonAll(resp *Response) []string {
 // on every work counter, because compiled candidate order matches the
 // tree-walker's clause-ID order exactly.
 func FuzzVMResolve(f *testing.F) {
-	for g := uint8(0); g < 7; g++ {
-		f.Add(g, int64(1), uint8(0))
-		f.Add(g, int64(42), uint8(1))
-		f.Add(g, int64(-7), uint8(2))
-	}
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, gen uint8, seed int64, qsel uint8) {
 		if !vm.Enabled {
 			t.Skip("BLOG_COMPILED=off disables the engine under test")
@@ -199,8 +247,12 @@ func FuzzVMResolve(f *testing.F) {
 					continue
 				}
 				a, b := canonAll(oracle), canonAll(compiled)
-				// Response order is already sorted by the solver for
-				// Parallel; canonical renaming preserves comparability.
+				// The solver sorts a Parallel response by the solutions'
+				// printed form, which for an answer with unbound variables
+				// depends on their serial numbers; sort again on the
+				// canonical form.
+				sort.Strings(a)
+				sort.Strings(b)
 				if fmt.Sprint(a) != fmt.Sprint(b) {
 					t.Fatalf("%v: solutions diverge\noracle:   %v\ncompiled: %v", strat, a, b)
 				}

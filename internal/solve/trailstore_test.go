@@ -55,11 +55,7 @@ func runDFSRep(t *testing.T, src, query string, noTrail, tabled, prune bool, max
 // the mode where choice-point bookkeeping (bounds restored on backtrack,
 // prune checks at arrival) is easiest to get subtly wrong.
 func FuzzTrailStore(f *testing.F) {
-	for g := uint8(0); g < 7; g++ {
-		f.Add(g, int64(1), uint8(0))
-		f.Add(g, int64(42), uint8(1))
-		f.Add(g, int64(-7), uint8(2))
-	}
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, gen uint8, seed int64, qsel uint8) {
 		src, queries, tabled := fuzzCase(gen, seed)
 		query := queries[int(qsel)%len(queries)]

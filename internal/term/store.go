@@ -81,12 +81,27 @@ func (s *Store) Undo(mark int) {
 // profiler delta sampling.
 func (s *Store) Counters() (binds, undos uint64) { return s.binds, s.undos }
 
+// InPlace returns the store when e is its distinguished node — the one
+// environment on which Bind is destructive — and nil for persistent
+// environments and overlays. Code that tries a unification it may have to
+// take back (unify.CanUnify) brackets it with Mark/Undo on the result.
+func (e *Env) InPlace() *Store {
+	if e != nil && e.st != nil && e == e.st.env {
+		return e.st
+	}
+	return nil
+}
+
 // Overlay returns a fresh immutable extension point over the store's
-// current state. Code that stages alternative binding sets before the
-// machine commits to one (builtin evaluation, tabled answer resolution)
-// binds against the overlay — producing ordinary immutable Env nodes that
+// current state, for the two callers that stage several alternative
+// binding sets before the machine commits to one: tabled answer
+// resolution and the nondeterministic builtins (between/3, arg/3). They
+// bind against the overlay — producing ordinary immutable Env nodes that
 // never touch the store — and the machine later replays the chosen
-// alternative's Deltas destructively under a trail mark.
+// alternative's Deltas destructively under a choice point's trail mark.
+// Deterministic builtins do not come through here: they run directly on
+// the distinguished node (Env) and bind in place; a failure part-way is
+// undone by ordinary backtracking to the enclosing choice point's mark.
 func (s *Store) Overlay() *Env {
 	return &Env{parent: s.env, depth: s.env.depth, st: s}
 }

@@ -101,9 +101,19 @@ func occurs(env *term.Env, v *term.Var, t term.Term) bool {
 
 // CanUnify reports whether a and b unify under env without keeping the
 // resulting bindings. It backs the \=/2 builtin and the candidate
-// prefiltering done by the first-argument index.
+// prefiltering done by the first-argument index. On a destructive store's
+// own environment the trial bindings are real writes, so they are taken
+// back to an explicit trail mark; on a persistent environment the
+// extension is simply dropped.
 func CanUnify(env *term.Env, a, b term.Term) bool {
+	st := env.InPlace()
+	if st == nil {
+		_, ok := unify(env, a, b, false)
+		return ok
+	}
+	mark := st.Mark()
 	_, ok := unify(env, a, b, false)
+	st.Undo(mark)
 	return ok
 }
 

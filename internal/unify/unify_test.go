@@ -161,6 +161,28 @@ func TestCanUnify(t *testing.T) {
 	}
 }
 
+// On a destructive store the trial unification writes real bindings; both
+// outcomes must leave the store exactly as it was.
+func TestCanUnifyOnStoreLeavesNoBinding(t *testing.T) {
+	st := term.NewStore()
+	env := st.Env()
+	x, y := v("X"), v("Y")
+	env.Bind(y, atom("kept"))
+	mark := st.Mark()
+	if !CanUnify(env, f("p", x, atom("b")), f("p", atom("a"), atom("b"))) {
+		t.Error("p(X,b) should be unifiable with p(a,b)")
+	}
+	if CanUnify(env, f("p", x, atom("b")), f("p", atom("a"), atom("c"))) {
+		t.Error("p(X,b) should not be unifiable with p(a,c)")
+	}
+	if env.Resolve(x) != term.Term(x) || st.Mark() != mark {
+		t.Errorf("trial bindings survived: X = %v, trail %d (want %d)", env.Resolve(x), st.Mark(), mark)
+	}
+	if env.Resolve(y) != atom("kept") {
+		t.Errorf("binding made before the trial was lost: Y = %v", env.Resolve(y))
+	}
+}
+
 func TestMatchOneWay(t *testing.T) {
 	x := v("X")
 	// Pattern variable binds to database term.
