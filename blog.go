@@ -449,25 +449,14 @@ func (s Solution) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Result is the outcome of one Query.
-type Result struct {
-	Solutions []Solution
-	// Expanded, Generated and Failures count search work.
+// Counters are the work counters every query reports, batch (Result) and
+// streaming (IterStats) alike.
+type Counters struct {
+	// Expanded, Generated, Failures and Pruned count search work.
 	Expanded  uint64
 	Generated uint64
 	Failures  uint64
-	// Exhausted reports that the whole tree was searched. It is reported
-	// by the engine that ran the query, for every strategy.
-	Exhausted bool
-	// Tree is the rendered search tree when RecordTree was set.
-	Tree string
-	// Trace holds figure-1 style lines when RecordTrace was set.
-	Trace []string
-	// Spans is the query's span tree when Traced was set: parse, compile
-	// and search phases with table fixpoints and rounds beneath.
-	Spans *Span
-	// Migrations counts network chain acquisitions (Parallel two-level).
-	Migrations uint64
+	Pruned    uint64
 	// VMDispatched counts goals resolved on the compiled bytecode engine
 	// (zero under Compiled(false) or BLOG_COMPILED=off).
 	VMDispatched uint64
@@ -476,8 +465,6 @@ type Result struct {
 	// default) or "persistent-env" (immutable environment chains; every
 	// other strategy, and DFS under TrailStore(false)).
 	Representation string
-	// Groups is the independent-group count of an AndParallel run.
-	Groups int
 	// Tabled-resolution counters (Tabled() runs only): tables this query
 	// materialized, distinct answers it derived, calls served from an
 	// already-complete table, and answers replayed from complete tables
@@ -498,6 +485,47 @@ type Result struct {
 	AnswersImproved uint64
 }
 
+// countersFrom fills Counters from the engine's stats and the run's
+// table counters — the one conversion behind Result and IterStats.
+func countersFrom(st search.Stats, ts table.Stats) Counters {
+	return Counters{
+		Expanded:             st.Expanded,
+		Generated:            st.Generated,
+		Failures:             st.Failures,
+		Pruned:               st.Pruned,
+		VMDispatched:         st.VMDispatched,
+		Representation:       st.Representation,
+		TablesCreated:        ts.Created,
+		TableAnswers:         ts.Answers,
+		TableHits:            ts.Hits,
+		RederivationsAvoided: ts.RederivationsAvoided,
+		TablesTruncated:      ts.TablesTruncated,
+		AnswersSubsumed:      ts.AnswersSubsumed,
+		AnswersImproved:      ts.AnswersImproved,
+	}
+}
+
+// Result is the outcome of one Query.
+type Result struct {
+	Solutions []Solution
+	Counters
+	// Exhausted reports that the whole tree was searched. It is reported
+	// by the engine that ran the query, for every strategy, and is false
+	// for a run stopped by MaxSolutions — it did not look further.
+	Exhausted bool
+	// Tree is the rendered search tree when RecordTree was set.
+	Tree string
+	// Trace holds figure-1 style lines when RecordTrace was set.
+	Trace []string
+	// Spans is the query's span tree when Traced was set: parse, compile
+	// and search phases with table fixpoints and rounds beneath.
+	Spans *Span
+	// Migrations counts network chain acquisitions (Parallel two-level).
+	Migrations uint64
+	// Groups is the independent-group count of an AndParallel run.
+	Groups int
+}
+
 // Query parses and runs a query under the given strategy.
 func (p *Program) Query(query string, strat Strategy, opts ...Option) (*Result, error) {
 	return p.QueryContext(context.Background(), query, strat, opts...)
@@ -507,18 +535,11 @@ func (p *Program) Query(query string, strat Strategy, opts ...Option) (*Result, 
 // aborts the search promptly — under every strategy — and returns the
 // context's error.
 func (p *Program) QueryContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*Result, error) {
-	o, store, err := p.applyOpts(opts)
+	req, err := p.parseRequest(query, strat, opts)
 	if err != nil {
 		return nil, err
 	}
-	tr := o.newTrace()
-	psp := tr.Phase("parse")
-	goals, err := parse.Query(query)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return p.runGoals(ctx, goals, strat, o, store, tr)
+	return runRequest(ctx, req)
 }
 
 // QueryGoals runs pre-parsed goals (shared-variable structure preserved).
@@ -535,20 +556,46 @@ func (p *Program) QueryGoalsContext(ctx context.Context, goals []term.Term, stra
 	if err != nil {
 		return nil, err
 	}
-	return p.runGoals(ctx, goals, strat, o, store, o.newTrace())
+	return runRequest(ctx, p.request(goals, strat, o, store))
 }
 
-// runGoals is the shared back half of every batch query: assemble the
-// solver request, run it, convert the response, finish the trace.
-func (p *Program) runGoals(ctx context.Context, goals []term.Term, strat Strategy, o queryOpts, store weights.Store, tr *obs.Trace) (*Result, error) {
-	req := p.request(goals, strat, o, store)
-	req.Trace = tr
+// parseRequest is the shared front half of QueryContext and IterContext:
+// fold the options, parse the query text under the trace's parse phase,
+// assemble the solver request.
+func (p *Program) parseRequest(query string, strat Strategy, opts []Option) (*solve.Request, error) {
+	o, store, err := p.applyOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	req := p.request(nil, strat, o, store)
+	psp := req.Trace.Phase("parse")
+	req.Goals, err = parse.Query(query)
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// runRequest is the shared back half of every batch query: run the
+// request, convert the response, finish the trace.
+func runRequest(ctx context.Context, req *solve.Request) (*Result, error) {
 	resp, err := solve.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	res := resultFrom(resp)
-	res.Spans = tr.Finish()
+	res := &Result{
+		Solutions:  convertSolutions(resp.Solutions, varNames(resp.QueryVars)),
+		Counters:   countersFrom(resp.Stats.Stats, resp.Stats.Tables),
+		Exhausted:  resp.Exhausted,
+		Trace:      resp.Trace,
+		Spans:      req.Trace.Finish(),
+		Migrations: resp.Stats.Migrations,
+		Groups:     resp.Stats.Groups,
+	}
+	if resp.Tree != nil {
+		res.Tree = resp.Tree.Render()
+	}
 	return res, nil
 }
 
@@ -597,51 +644,33 @@ func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store 
 		D:             o.d,
 		RecordTree:    o.recordTree,
 		RecordTrace:   o.recordTrace,
+		Trace:         o.newTrace(),
 		Prof:          o.prof,
 		Live:          o.live,
 	}
 }
 
-// resultFrom converts the unified solver Response — the same way for every
-// strategy.
-func resultFrom(resp *solve.Response) *Result {
-	res := &Result{
-		Expanded:             resp.Stats.Expanded,
-		Generated:            resp.Stats.Generated,
-		Failures:             resp.Stats.Failures,
-		Exhausted:            resp.Exhausted,
-		Trace:                resp.Trace,
-		Migrations:           resp.Stats.Migrations,
-		VMDispatched:         resp.Stats.VMDispatched,
-		Representation:       resp.Stats.Representation,
-		Groups:               resp.Stats.Groups,
-		TablesCreated:        resp.Stats.TablesCreated,
-		TableAnswers:         resp.Stats.TableAnswers,
-		TableHits:            resp.Stats.TableHits,
-		RederivationsAvoided: resp.Stats.RederivationsAvoided,
-		TablesTruncated:      resp.Stats.TablesTruncated,
-		AnswersSubsumed:      resp.Stats.AnswersSubsumed,
-		AnswersImproved:      resp.Stats.AnswersImproved,
-	}
-	if resp.Tree != nil {
-		res.Tree = resp.Tree.Render()
-	}
-	res.Solutions = convertSolutions(resp.Solutions, resp.QueryVars)
-	return res
-}
-
-func convertSolutions(sols []engine.Solution, qvars []*term.Var) []Solution {
+// varNames renders the query variables in binding-display order.
+func varNames(qvars []*term.Var) []string {
 	names := make([]string, len(qvars))
 	for i, v := range qvars {
 		names[i] = v.String()
 	}
+	return names
+}
+
+func convertSolution(s engine.Solution, names []string) Solution {
+	b := make(map[string]string, len(s.Bindings))
+	for k, v := range s.Bindings {
+		b[k] = v.String()
+	}
+	return Solution{Bindings: b, Bound: s.Bound, Depth: s.Depth, varOrder: names}
+}
+
+func convertSolutions(sols []engine.Solution, names []string) []Solution {
 	out := make([]Solution, 0, len(sols))
 	for _, s := range sols {
-		b := make(map[string]string, len(s.Bindings))
-		for k, v := range s.Bindings {
-			b[k] = v.String()
-		}
-		out = append(out, Solution{Bindings: b, Bound: s.Bound, Depth: s.Depth, varOrder: names})
+		out = append(out, convertSolution(s, names))
 	}
 	return out
 }
@@ -668,28 +697,15 @@ func (p *Program) Iter(query string, strat Strategy, opts ...Option) (*SolutionI
 // IterContext is Iter with cancellation: once ctx is done, Next returns
 // the context's error.
 func (p *Program) IterContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*SolutionIter, error) {
-	o, store, err := p.applyOpts(opts)
+	req, err := p.parseRequest(query, strat, opts)
 	if err != nil {
 		return nil, err
 	}
-	tr := o.newTrace()
-	psp := tr.Phase("parse")
-	goals, err := parse.Query(query)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	req := p.request(goals, strat, o, store)
-	req.Trace = tr
 	it, th, err := solve.NewIter(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0)
-	for _, v := range it.QueryVars() {
-		names = append(names, v.String())
-	}
-	return &SolutionIter{inner: it, tables: th, names: names, trace: tr}, nil
+	return &SolutionIter{inner: it, tables: th, names: varNames(it.QueryVars()), trace: req.Trace}, nil
 }
 
 // Next returns the next solution; ok is false when the stream ends
@@ -702,56 +718,28 @@ func (s *SolutionIter) Next() (Solution, bool, error) {
 		s.trace.Finish()
 		return Solution{}, false, err
 	}
-	b := make(map[string]string, len(sol.Bindings))
-	for k, v := range sol.Bindings {
-		b[k] = v.String()
-	}
-	return Solution{Bindings: b, Bound: sol.Bound, Depth: sol.Depth, varOrder: s.names}, true, nil
+	return convertSolution(sol, s.names), true, nil
 }
 
 // Expanded returns the nodes expanded so far.
 func (s *SolutionIter) Expanded() uint64 { return s.inner.Stats().Expanded }
 
-// IterStats are the work counters of a streaming query so far.
-type IterStats struct {
-	Expanded  uint64
-	Generated uint64
-	Failures  uint64
-	Pruned    uint64
-	// VMDispatched counts goals resolved on the compiled bytecode engine.
-	VMDispatched uint64
-	// Representation names the binding representation running the stream;
-	// see Result.Representation.
-	Representation string
-	// Tabled-resolution counters (Tabled() streams only); see Result.
-	TablesCreated        uint64
-	TableAnswers         uint64
-	TableHits            uint64
-	RederivationsAvoided uint64
-	TablesTruncated      uint64
-	AnswersSubsumed      uint64
-	AnswersImproved      uint64
-}
+// IterStats are the work counters of a streaming query so far: the same
+// Counters a batch Result carries.
+type IterStats struct{ Counters }
 
 // Stats returns the counters accumulated by the iterator so far.
 func (s *SolutionIter) Stats() IterStats {
-	st := s.inner.Stats()
-	out := IterStats{Expanded: st.Expanded, Generated: st.Generated, Failures: st.Failures, Pruned: st.Pruned, VMDispatched: st.VMDispatched, Representation: st.Representation}
+	var ts table.Stats
 	if s.tables != nil {
-		ts := s.tables.Stats()
-		out.TablesCreated = ts.Created
-		out.TableAnswers = ts.Answers
-		out.TableHits = ts.Hits
-		out.RederivationsAvoided = ts.RederivationsAvoided
-		out.TablesTruncated = ts.TablesTruncated
-		out.AnswersSubsumed = ts.AnswersSubsumed
-		out.AnswersImproved = ts.AnswersImproved
+		ts = s.tables.Stats()
 	}
-	return out
+	return IterStats{countersFrom(s.inner.Stats(), ts)}
 }
 
 // Exhausted reports whether the stream ended because the whole tree was
-// searched (meaningful after Next returned ok=false with a nil error).
+// searched (meaningful after Next returned ok=false with a nil error);
+// false for a stream stopped by MaxSolutions, exactly as Result.Exhausted.
 func (s *SolutionIter) Exhausted() bool { return s.inner.Exhausted() }
 
 // Spans returns the stream's span tree when Traced was set, nil

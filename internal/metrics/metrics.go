@@ -1,11 +1,11 @@
-// Package metrics provides the counters, summaries and fixed-width table
-// rendering shared by the benchmark harness and command-line tools.
+// Package metrics provides the counters, latency histograms and
+// fixed-width table rendering shared by the query service, the experiment
+// harness and the command-line tools.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -24,61 +24,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// Summary accumulates a stream of float64 observations.
-type Summary struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
-}
-
-// Observe records one value.
-func (s *Summary) Observe(x float64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
-	if s.n == 0 || x > s.max {
-		s.max = x
-	}
-	s.n++
-	s.sum += x
-	s.sumSq += x * x
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Std returns the population standard deviation (0 when empty).
-func (s *Summary) Std() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// String renders "mean=… min=… max=… n=…".
-func (s *Summary) String() string {
-	return fmt.Sprintf("mean=%.4g min=%.4g max=%.4g n=%d", s.Mean(), s.min, s.max, s.n)
-}
 
 // Table renders aligned fixed-width text tables, the output format of
 // every experiment in EXPERIMENTS.md.
@@ -156,27 +101,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Percentile returns the p-th percentile (0..100) of xs, interpolating
-// between ranks. It sorts a copy; xs is unchanged.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounter(t *testing.T) {
@@ -36,35 +34,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Load() != 8000 {
 		t.Errorf("counter = %d, want 8000", c.Load())
-	}
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{1, 2, 3, 4} {
-		s.Observe(x)
-	}
-	if s.N() != 4 || s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
-		t.Errorf("summary = %s", s.String())
-	}
-	if math.Abs(s.Std()-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("std = %v", s.Std())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Std() != 0 || s.N() != 0 {
-		t.Error("empty summary should be zeros")
-	}
-}
-
-func TestSummaryNegative(t *testing.T) {
-	var s Summary
-	s.Observe(-5)
-	s.Observe(5)
-	if s.Min() != -5 || s.Max() != 5 || s.Mean() != 0 {
-		t.Errorf("summary = %s", s.String())
 	}
 }
 
@@ -107,66 +76,5 @@ func TestTableAlignment(t *testing.T) {
 	}
 	if strings.Index(lines[2], "1") != col2 {
 		t.Errorf("data column misaligned:\n%s", out)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 4 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 2.5 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestPropertySummaryBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		var s Summary
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e150 {
-				return true // avoid float overflow in sum-of-squares
-			}
-			s.Observe(x)
-		}
-		if s.N() == 0 {
-			return true
-		}
-		return s.Min() <= s.Mean()+1e-9 && s.Mean() <= s.Max()+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyPercentileMonotone(t *testing.T) {
-	f := func(xs []float64, a, b uint8) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		p1, p2 := float64(a%101), float64(b%101)
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		return Percentile(clean, p1) <= Percentile(clean, p2)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -10,60 +10,74 @@ import (
 	"blog/internal/weights"
 )
 
-// Iter is a pull-based search: each Next call runs the strategy's loop
-// just far enough to produce one more solution, which is how an
-// interactive Prolog top level behaves ("; for more"). The weight rules
-// still apply per completed chain when Learn is set, so an Iter that the
-// caller abandons after the first answer has still learned from every
-// chain it finished — the incremental setting the paper's sessions
-// target.
+// Iter is the sequential search, pull-based: each Next call runs the
+// strategy's loop just far enough to produce one more solution, which is
+// how an interactive Prolog top level behaves ("; for more"). It is the
+// only sequential run path — Run is this iterator drained — so the loop
+// (pop, prune, solution, budget, expand, push) exists here and nowhere
+// else. The weight rules still apply per completed chain when Learn is
+// set, so an Iter that the caller abandons after the first answer has
+// still learned from every chain it finished — the incremental setting
+// the paper's sessions target.
 type Iter struct {
-	ctx       context.Context
-	exp       *engine.Expander
-	ws        weights.Store
-	frontier  frontier
 	opt       Options
 	queryVars []*term.Var
-	stats     Stats
-	maxExp    uint64
 	served    int
 	done      bool
+	capped    bool // ended by the MaxSolutions cap, not by the tree
 	err       error
 
 	// trail, when non-nil, is the destructive-store DFS machine the Iter
-	// delegates to (DFS without Options.NoTrail); the frontier fields
-	// above are unused then.
+	// delegates to (DFS without NoTrail or recording); the Env-frontier
+	// fields below are unused then.
 	trail *engine.TrailRun
 
+	// exp is held by value so it lives wherever the Iter does; it also
+	// carries the run's context and weight store.
+	exp      engine.Expander
+	frontier frontier
+	stats    Stats
+	maxExp   uint64
+
 	// Branch-and-bound state when Options.Prune is set: open nodes whose
-	// bound exceeds bestBound+PruneSlack are cut, exactly as in Run.
+	// bound exceeds bestBound+PruneSlack are cut.
 	bestBound float64
 	haveBest  bool
 
 	// Figure-1/figure-3 recording state when Options.RecordTree or
-	// RecordTrace is set; like Run, recording routes DFS off the trail
-	// machine onto the persistent-Env frontier.
+	// RecordTrace is set; recording routes DFS off the trail machine onto
+	// the persistent-Env frontier.
 	tb    *treeBuilder
 	trace []string
 }
 
 // NewIter prepares a lazy search; ctx cancels future Next calls. Tree and
-// trace recording route DFS onto the persistent-Env frontier, exactly as
-// Run does (the trail machine keeps no per-node history); results arrive
-// through Tree and Trace as the iteration progresses.
+// trace recording route DFS onto the persistent-Env frontier (the trail
+// machine keeps no per-node history); results arrive through Tree and
+// Trace as the iteration progresses.
 func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Iter, error) {
+	it := new(Iter)
+	if err := it.init(ctx, db, ws, goals, opt); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// init is NewIter on caller-provided storage, so Run can drain an
+// iterator that never leaves its stack frame.
+func (it *Iter) init(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(goals) == 0 {
-		return nil, errors.New("search: empty query")
+		return errors.New("search: empty query")
+	}
+	*it = Iter{opt: opt, maxExp: opt.MaxExpansions}
+	if it.maxExp == 0 {
+		it.maxExp = DefaultMaxExpansions
 	}
 	if opt.Strategy == DFS && !opt.NoTrail && !opt.RecordTree && !opt.RecordTrace {
-		maxExp := opt.MaxExpansions
-		if maxExp == 0 {
-			maxExp = DefaultMaxExpansions
-		}
-		tr := engine.NewTrailRun(engine.TrailConfig{
+		it.trail = engine.NewTrailRun(engine.TrailConfig{
 			DB:            db,
 			Weights:       ws,
 			OccursCheck:   opt.OccursCheck,
@@ -74,14 +88,16 @@ func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term
 			Learn:         opt.Learn,
 			Prune:         opt.Prune,
 			PruneSlack:    opt.PruneSlack,
-			MaxExpansions: maxExp,
+			MaxExpansions: it.maxExp,
 			BudgetErr:     ErrBudget,
 			Prof:          opt.Prof,
 			Live:          opt.Live,
 		}, goals)
-		return &Iter{ctx: ctx, opt: opt, queryVars: tr.QueryVars(), trail: tr}, nil
+		it.queryVars = it.trail.QueryVars()
+		return nil
 	}
-	exp := engine.NewExpander(db, ws)
+	it.exp = *engine.NewExpander(db, ws)
+	exp := &it.exp
 	exp.OccursCheck = opt.OccursCheck
 	exp.Ctx = ctx
 	exp.Tabler = opt.Tabler
@@ -91,27 +107,16 @@ func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term
 	if opt.MaxDepth > 0 {
 		exp.MaxDepth = opt.MaxDepth
 	}
-	var queryVars []*term.Var
 	for _, g := range goals {
-		queryVars = term.Vars(g, queryVars)
+		it.queryVars = term.Vars(g, it.queryVars)
 	}
-	it := &Iter{
-		ctx:       ctx,
-		exp:       exp,
-		ws:        ws,
-		frontier:  newFrontier(opt.Strategy),
-		opt:       opt,
-		queryVars: queryVars,
-		maxExp:    opt.MaxExpansions,
-	}
+	it.stats.Representation = RepPersistentEnv
 	if opt.RecordTree {
 		it.tb = newTreeBuilder(goals)
 	}
-	if it.maxExp == 0 {
-		it.maxExp = DefaultMaxExpansions
-	}
+	it.frontier = newFrontier(opt.Strategy)
 	it.frontier.push(exp.Root(goals))
-	return it, nil
+	return nil
 }
 
 // Tree returns the search tree recorded so far when Options.RecordTree
@@ -137,37 +142,43 @@ func (it *Iter) Stats() Stats {
 	}
 	s := it.stats
 	s.VMDispatched = it.exp.VMDispatched
-	s.Representation = RepPersistentEnv
 	return s
 }
 
 // Next produces the next solution. ok is false when the search is over:
-// either exhausted (err nil) or aborted (err non-nil, e.g. ErrBudget).
-// After ok=false, further calls return the same result.
+// exhausted or capped (err nil), or aborted (err non-nil, e.g. ErrBudget
+// or the context's error). After ok=false, further calls return the same
+// result.
 func (it *Iter) Next() (engine.Solution, bool, error) {
 	if it.done {
 		return engine.Solution{}, false, it.err
 	}
 	if it.opt.MaxSolutions > 0 && it.served >= it.opt.MaxSolutions {
-		it.done = true
-		if it.trail != nil {
-			it.trail.Release()
-		}
-		return engine.Solution{}, false, nil
+		it.capped = true
+		return it.finish(nil)
 	}
 	if it.trail != nil {
-		return it.nextTrail()
+		// The machine checks context, budget and prune bounds itself, in
+		// the same order as the loop below.
+		sol, ok, err := it.trail.Next()
+		if !ok {
+			return it.finish(err)
+		}
+		it.served++
+		return sol, true, nil
 	}
 	for it.frontier.len() > 0 {
-		if err := it.ctx.Err(); err != nil {
-			it.done = true
-			it.err = err
-			return engine.Solution{}, false, err
+		if err := it.exp.Ctx.Err(); err != nil {
+			return it.finish(err)
 		}
 		if it.frontier.len() > it.stats.MaxFrontier {
 			it.stats.MaxFrontier = it.frontier.len()
 		}
 		n := it.frontier.pop()
+		// The prune runs at pop time, before the solution test: a solution
+		// generated before an earlier Next call served a better bound is
+		// cut here and never reaches the caller
+		// (TestIterPruneStaleSolution pins the behavior).
 		if it.opt.Prune && it.haveBest && n.Bound > it.bestBound+it.opt.PruneSlack {
 			it.stats.Pruned++
 			if it.tb != nil {
@@ -176,19 +187,9 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 			continue
 		}
 		if n.IsSolution() {
-			// Guard the yield itself: a solution generated before an earlier
-			// Next call served a better bound must never reach the caller.
-			// The pop-time prune above covers this today; this check is the
-			// invariant stated where it matters, so a future reordering of
-			// the pop path cannot silently start yielding stale bounds
-			// (TestIterPruneStaleSolution pins the behavior).
-			if it.opt.Prune && it.haveBest && n.Bound > it.bestBound+it.opt.PruneSlack {
-				it.stats.Pruned++
-				continue
-			}
 			sol := engine.Extract(n, it.queryVars)
 			if it.opt.Learn {
-				it.ws.RecordSuccess(sol.Chain)
+				it.exp.Weights.RecordSuccess(sol.Chain)
 			}
 			if it.tb != nil {
 				it.tb.status(n, "solution")
@@ -197,14 +198,13 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 				it.bestBound, it.haveBest = n.Bound, true
 			}
 			it.served++
+			// Flush pending profiler attribution at the yield so time the
+			// caller spends between pulls is not charged.
 			it.exp.ProfFlush()
 			return sol, true, nil
 		}
 		if it.stats.Expanded >= it.maxExp {
-			it.done = true
-			it.err = ErrBudget
-			it.exp.ProfFlush()
-			return engine.Solution{}, false, it.err
+			return it.finish(ErrBudget)
 		}
 		it.stats.Expanded++
 		if it.opt.Live != nil && it.stats.Expanded&1023 == 0 {
@@ -215,10 +215,7 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 		}
 		children, err := it.exp.Expand(n)
 		if err != nil && err != engine.ErrDepthLimit {
-			it.done = true
-			it.err = err
-			it.exp.ProfFlush()
-			return engine.Solution{}, false, err
+			return it.finish(err)
 		}
 		if err == engine.ErrDepthLimit {
 			it.stats.DepthCutoffs++
@@ -226,7 +223,7 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 		if len(children) == 0 {
 			it.stats.Failures++
 			if it.opt.Learn {
-				it.ws.RecordFailure(n.Chain.Slice())
+				it.exp.Weights.RecordFailure(n.Chain.Slice())
 			}
 			if it.tb != nil {
 				it.tb.status(n, "fail")
@@ -241,6 +238,7 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 			it.tb.addChildren(n, children)
 		}
 		if it.opt.Strategy == DFS {
+			// Push in reverse so the first clause pops first: source order.
 			for i := len(children) - 1; i >= 0; i-- {
 				it.frontier.push(children[i])
 			}
@@ -250,38 +248,26 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 			}
 		}
 	}
-	it.done = true
-	it.exp.ProfFlush()
-	return engine.Solution{}, false, nil
+	return it.finish(nil)
 }
 
-// nextTrail delegates one Next step to the trail-store machine. The
-// machine checks context, budget and prune bounds itself, in the same
-// order as the loop above.
-func (it *Iter) nextTrail() (engine.Solution, bool, error) {
-	sol, ok, err := it.trail.Next()
-	if err != nil {
-		it.done = true
-		it.err = err
-		it.trail.Release()
-		return engine.Solution{}, false, err
-	}
-	if !ok {
-		it.done = true
-		it.trail.Release()
-		return engine.Solution{}, false, nil
-	}
-	it.served++
-	return sol, true, nil
-}
-
-// Exhausted reports whether the whole tree was searched (meaningful after
-// Next returned ok=false with a nil error). A stream stopped by the
-// MaxSolutions cap with open chains left is not exhausted, matching
-// Run's Result.Exhausted.
-func (it *Iter) Exhausted() bool {
+// finish records the terminal state every later Next call repeats, then
+// recycles the trail machine's scratch (solutions are detached copies) or
+// closes the Env engine's open profiler interval.
+func (it *Iter) finish(err error) (engine.Solution, bool, error) {
+	it.done, it.err = true, err
 	if it.trail != nil {
-		return it.done && it.err == nil && it.trail.Exhausted()
+		it.trail.Release()
+	} else {
+		it.exp.ProfFlush()
 	}
-	return it.done && it.err == nil && it.frontier.len() == 0
+	return engine.Solution{}, false, err
 }
+
+// Exhausted reports whether the whole tree was searched: every chain was
+// followed to a solution or failure, so the solutions served are complete
+// (for non-pruned runs). It is meaningful after Next returned ok=false,
+// and false for a run ended by an error or by the MaxSolutions cap — a
+// capped run did not look further, even when the cap happened to equal
+// the solution count.
+func (it *Iter) Exhausted() bool { return it.done && it.err == nil && !it.capped }

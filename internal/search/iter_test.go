@@ -39,35 +39,134 @@ func TestIterYieldsAllSolutionsLazily(t *testing.T) {
 	}
 }
 
+// pinSrc has four solutions, two failing chains and bound differences, and
+// every strategy reaches a solution last — so a cap equal to the solution
+// count stops each of them on an empty frontier.
+const pinSrc = `
+r(X) :- d(X).
+r(X) :- a(X).
+r(X) :- b(X), c(X).
+a(1).
+b(2). b(3). b(4).
+c(3). c(4).
+d(5) :- e.
+d(6).
+e :- f.
+`
+
+// TestIterMatchesRun pins the single sequential path. Run is a drained
+// Iter, so comparing the two with each other would be a tautology;
+// instead every strategy and representation, under every way a run can
+// end, is held to the solution order, counters, Exhausted flag and learned
+// weight table recorded from Run before the loop was unified — by hand
+// pulls of an Iter and by Run alike. In particular a run stopped by
+// MaxSolutions is never Exhausted, on any row.
 func TestIterMatchesRun(t *testing.T) {
-	db := load(t, workload.FamilyTree(4, 3))
-	for _, strat := range []Strategy{DFS, BFS, BestFirst} {
-		run, err := Run(context.Background(), db, uniform(), q(t, "gf(p0,G)"), Options{Strategy: strat, MaxDepth: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
-		it, err := NewIter(context.Background(), db, uniform(), q(t, "gf(p0,G)"), Options{Strategy: strat, MaxDepth: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var n int
-		for {
-			_, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
-		if n != len(run.Solutions) {
-			t.Errorf("%v: iter %d solutions, run %d", strat, n, len(run.Solutions))
-		}
-		if it.Stats().Expanded != run.Stats.Expanded {
-			t.Errorf("%v: iter expanded %d, run %d", strat, it.Stats().Expanded, run.Stats.Expanded)
-		}
+	configs := map[string]Options{
+		"dfs/trail": {Strategy: DFS},
+		"dfs/env":   {Strategy: DFS, NoTrail: true},
+		"bfs":       {Strategy: BFS},
+		"best":      {Strategy: BestFirst},
 	}
+	endings := map[string]func(*Options){
+		"all":         func(*Options) {},
+		"cap<total":   func(o *Options) { o.MaxSolutions = 2 },
+		"cap==total":  func(o *Options) { o.MaxSolutions = 4 },
+		"budget":      func(o *Options) { o.MaxExpansions = 6 },
+		"prune+learn": func(o *Options) { o.Prune, o.Learn = true, true },
+	}
+	pinned := []struct {
+		config, ending                        string
+		solutions                             string
+		expanded, generated, failures, pruned uint64
+		exhausted, budgetErr                  bool
+		learned                               string // weight-table lines, "; "-joined
+	}{
+		{"dfs/trail", "all", "6 1 3 4", 9, 12, 2, 0, true, false, ""},
+		{"dfs/trail", "cap<total", "6 1", 5, 6, 1, 0, false, false, ""},
+		{"dfs/trail", "cap==total", "6 1 3 4", 9, 12, 2, 0, false, false, ""},
+		{"dfs/trail", "budget", "6 1", 6, 8, 1, 0, false, true, ""},
+		{"dfs/trail", "prune+learn", "6 1", 9, 12, 2, 2, true, false, "-1 0 0 1 8; -1 0 1 1 8; 0 0 10 1 8; 1 0 3 1 8; 2 0 4 2 1024; 9 0 11 2 1024"},
+		{"dfs/env", "all", "6 1 3 4", 9, 12, 2, 0, true, false, ""},
+		{"dfs/env", "cap<total", "6 1", 5, 7, 1, 0, false, false, ""},
+		{"dfs/env", "cap==total", "6 1 3 4", 9, 12, 2, 0, false, false, ""},
+		{"dfs/env", "budget", "6 1", 6, 10, 1, 0, false, true, ""},
+		{"dfs/env", "prune+learn", "6 1", 9, 12, 2, 2, true, false, "-1 0 0 1 8; -1 0 1 1 8; 0 0 10 1 8; 1 0 3 1 8; 2 0 4 2 1024; 9 0 11 2 1024"},
+		{"bfs", "all", "6 1 3 4", 9, 12, 2, 0, true, false, ""},
+		{"bfs", "cap<total", "6 1", 5, 10, 0, 0, false, false, ""},
+		{"bfs", "cap==total", "6 1 3 4", 9, 12, 2, 0, false, false, ""},
+		{"bfs", "budget", "6 1", 6, 10, 1, 0, false, true, ""},
+		{"bfs", "prune+learn", "6 1", 8, 12, 1, 3, true, false, "-1 0 0 1 8; -1 0 1 1 8; 0 0 10 1 8; 1 0 3 1 8; 2 0 4 2 1024"},
+		{"best", "all", "6 1 3 4", 9, 12, 2, 0, true, false, ""},
+		{"best", "cap<total", "6 1", 5, 10, 0, 0, false, false, ""},
+		{"best", "cap==total", "6 1 3 4", 9, 12, 2, 0, false, false, ""},
+		{"best", "budget", "6 1", 6, 10, 1, 0, false, true, ""},
+		{"best", "prune+learn", "6 1", 8, 12, 1, 3, true, false, "-1 0 0 1 8; -1 0 1 1 8; 0 0 10 1 8; 1 0 3 1 8; 2 0 4 2 1024"},
+	}
+	db := load(t, pinSrc)
+	for _, want := range pinned {
+		opt := configs[want.config]
+		endings[want.ending](&opt)
+		check := func(how string, sols []string, st Stats, exhausted bool, err error, tab *weights.Table) {
+			t.Helper()
+			name := want.config + "/" + want.ending + "/" + how
+			if got := strings.Join(sols, " "); got != want.solutions {
+				t.Errorf("%s: solutions %q, want %q", name, got, want.solutions)
+			}
+			if st.Expanded != want.expanded || st.Generated != want.generated || st.Failures != want.failures || st.Pruned != want.pruned {
+				t.Errorf("%s: expanded/generated/failures/pruned = %d/%d/%d/%d, want %d/%d/%d/%d", name,
+					st.Expanded, st.Generated, st.Failures, st.Pruned, want.expanded, want.generated, want.failures, want.pruned)
+			}
+			if exhausted != want.exhausted {
+				t.Errorf("%s: Exhausted = %v, want %v", name, exhausted, want.exhausted)
+			}
+			if (err == ErrBudget) != want.budgetErr || (err != nil && err != ErrBudget) {
+				t.Errorf("%s: err = %v, want budget stop %v", name, err, want.budgetErr)
+			}
+			if got := learnedText(t, tab); got != want.learned {
+				t.Errorf("%s: learned table\n got %s\nwant %s", name, got, want.learned)
+			}
+		}
+		// A learning run writes its store, so each run gets a fresh one.
+		store := func() (weights.Store, *weights.Table) {
+			if !opt.Learn {
+				return uniform(), nil
+			}
+			tab := weights.NewTable(weights.Config{N: 16, A: 64})
+			return tab, tab
+		}
+
+		ws, tab := store()
+		res, err := Run(context.Background(), db, ws, q(t, "r(X)"), opt)
+		check("run", solutionsOf(res, "X"), res.Stats, res.Exhausted, err, tab)
+
+		ws, tab = store()
+		it, err := NewIter(context.Background(), db, ws, q(t, "r(X)"), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sols []string
+		sol, ok, err := it.Next()
+		for ; ok; sol, ok, err = it.Next() {
+			sols = append(sols, sol.Bindings["X"].String())
+		}
+		check("iter", sols, it.Stats(), it.Exhausted(), err, tab)
+	}
+}
+
+// learnedText renders a learned weight table as its persisted arc lines
+// ("" for runs that learned nothing).
+func learnedText(t *testing.T, tab *weights.Table) string {
+	t.Helper()
+	if tab == nil {
+		return ""
+	}
+	var b strings.Builder
+	if _, err := tab.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	return strings.Join(lines[1:], "; ") // drop the format header
 }
 
 func TestIterEarlyAbandonmentDoesLessWork(t *testing.T) {

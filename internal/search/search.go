@@ -124,9 +124,9 @@ type Stats struct {
 type Result struct {
 	Solutions []engine.Solution
 	Stats     Stats
-	// Exhausted is true when the frontier emptied: every chain was
-	// followed to a solution or failure, so the solution list is complete
-	// (for non-pruned runs).
+	// Exhausted is true when every chain was followed to a solution or
+	// failure, so the solution list is complete (for non-pruned runs). A
+	// run stopped by MaxSolutions is never exhausted; see Iter.Exhausted.
 	Exhausted bool
 	// Tree is the recorded search tree when Options.RecordTree was set.
 	Tree *Tree
@@ -139,183 +139,23 @@ type Result struct {
 // ErrBudget is reported when MaxExpansions was hit before exhaustion.
 var ErrBudget = errors.New("search: expansion budget exhausted")
 
-// Run searches for solutions to goals over db guided by ws. A cancelled
-// or deadlined ctx aborts the search between node expansions and returns
-// the context's error with the work done so far.
+// Run searches for solutions to goals over db guided by ws: the batch
+// form of the one sequential path, an Iter drained into a Result. A
+// cancelled or deadlined ctx aborts the search between node expansions
+// and returns the context's error with the work done so far, as do the
+// expansion budget (ErrBudget) and engine errors.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	var it Iter // drained in place: never escapes to the heap
+	if err := it.init(ctx, db, ws, goals, opt); err != nil {
+		return nil, err
 	}
-	if len(goals) == 0 {
-		return nil, errors.New("search: empty query")
-	}
-	if opt.Strategy == DFS && !opt.NoTrail && !opt.RecordTree && !opt.RecordTrace {
-		return runTrail(ctx, db, ws, goals, opt)
-	}
-	exp := engine.NewExpander(db, ws)
-	exp.OccursCheck = opt.OccursCheck
-	exp.Ctx = ctx
-	exp.Tabler = opt.Tabler
-	exp.RecordTree = opt.RecordTree || opt.RecordTrace
-	exp.NoVM = opt.NoVM
-	exp.Prof = opt.Prof
-	defer exp.ProfFlush()
-	if opt.MaxDepth > 0 {
-		exp.MaxDepth = opt.MaxDepth
-	}
-
-	var queryVars []*term.Var
-	for _, g := range goals {
-		queryVars = term.Vars(g, queryVars)
-	}
-
-	res := &Result{QueryVars: queryVars}
-	res.Stats.Representation = RepPersistentEnv
-	defer func() { res.Stats.VMDispatched = exp.VMDispatched }()
-	var tb *treeBuilder
-	if opt.RecordTree {
-		tb = newTreeBuilder(goals)
-		res.Tree = tb.tree
-	}
-
-	f := newFrontier(opt.Strategy)
-	root := exp.Root(goals)
-	f.push(root)
-
-	maxExp := opt.MaxExpansions
-	if maxExp == 0 {
-		maxExp = DefaultMaxExpansions
-	}
-	bestBound := 0.0
-	haveBest := false
-
-	for f.len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if f.len() > res.Stats.MaxFrontier {
-			res.Stats.MaxFrontier = f.len()
-		}
-		n := f.pop()
-
-		if opt.Prune && haveBest && n.Bound > bestBound+opt.PruneSlack {
-			res.Stats.Pruned++
-			if tb != nil {
-				tb.status(n, "pruned")
-			}
-			continue
-		}
-
-		if n.IsSolution() {
-			sol := engine.Extract(n, queryVars)
-			res.Solutions = append(res.Solutions, sol)
-			if opt.Learn {
-				ws.RecordSuccess(sol.Chain)
-			}
-			if tb != nil {
-				tb.status(n, "solution")
-			}
-			if !haveBest || n.Bound < bestBound {
-				bestBound, haveBest = n.Bound, true
-			}
-			if opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions {
-				return res, nil
-			}
-			continue
-		}
-
-		if res.Stats.Expanded >= maxExp {
-			return res, ErrBudget
-		}
-		res.Stats.Expanded++
-		if opt.Live != nil && res.Stats.Expanded&1023 == 0 {
-			opt.Live.Expanded.Store(res.Stats.Expanded)
-		}
-		if n.Depth > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = n.Depth
-		}
-
-		children, err := exp.Expand(n)
-		if err != nil && err != engine.ErrDepthLimit {
-			return res, err
-		}
-		if err == engine.ErrDepthLimit {
-			res.Stats.DepthCutoffs++
-		}
-		if len(children) == 0 {
-			res.Stats.Failures++
-			if opt.Learn {
-				ws.RecordFailure(n.Chain.Slice())
-			}
-			if tb != nil {
-				tb.status(n, "fail")
-			}
-			continue
-		}
-		res.Stats.Generated += uint64(len(children))
-		if opt.RecordTrace {
-			res.Trace = append(res.Trace, traceLine(n, children))
-		}
-		if tb != nil {
-			tb.addChildren(n, children)
-		}
-		if opt.Strategy == DFS {
-			// Push in reverse so the first clause pops first: source order.
-			for i := len(children) - 1; i >= 0; i-- {
-				f.push(children[i])
-			}
-		} else {
-			for _, c := range children {
-				f.push(c)
-			}
-		}
-	}
-	res.Exhausted = true
-	return res, nil
-}
-
-// runTrail is Run's sequential DFS on the destructive trail-store
-// machine (engine.TrailRun). It visits nodes in the same order and keeps
-// the same counters as the persistent-Env DFS at every step, so results
-// are interchangeable; only the binding representation differs.
-func runTrail(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
-	maxExp := opt.MaxExpansions
-	if maxExp == 0 {
-		maxExp = DefaultMaxExpansions
-	}
-	tr := engine.NewTrailRun(engine.TrailConfig{
-		DB:            db,
-		Weights:       ws,
-		OccursCheck:   opt.OccursCheck,
-		MaxDepth:      opt.MaxDepth,
-		Tabler:        opt.Tabler,
-		Ctx:           ctx,
-		NoVM:          opt.NoVM,
-		Learn:         opt.Learn,
-		Prune:         opt.Prune,
-		PruneSlack:    opt.PruneSlack,
-		MaxExpansions: maxExp,
-		BudgetErr:     ErrBudget,
-		Prof:          opt.Prof,
-		Live:          opt.Live,
-	}, goals)
-	res := &Result{QueryVars: tr.QueryVars()}
-	defer tr.Release() // solutions are detached; recycle the run's scratch
-	defer func() { res.Stats = trailStats(tr.Stats()) }()
-	for {
-		sol, ok, err := tr.Next()
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			res.Exhausted = tr.Exhausted()
-			return res, nil
-		}
+	res := &Result{QueryVars: it.queryVars}
+	sol, ok, err := it.Next()
+	for ; ok; sol, ok, err = it.Next() {
 		res.Solutions = append(res.Solutions, sol)
-		if opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions {
-			return res, nil
-		}
 	}
+	res.Stats, res.Exhausted, res.Tree, res.Trace = it.Stats(), it.Exhausted(), it.Tree(), it.Trace()
+	return res, err
 }
 
 // trailStats maps the trail machine's counters onto the search Stats

@@ -1,0 +1,203 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"blog/internal/metrics"
+	"blog/internal/obs"
+	"blog/internal/workload"
+)
+
+// streamQuery posts req to /query/stream and splits the NDJSON reply into
+// its solution lines and the terminal line.
+func streamQuery(t testing.TB, ts string, client *http.Client, req QueryRequest) (int, []Solution, StreamEvent) {
+	t.Helper()
+	resp, data := postJSON(t, client, ts+"/query/stream", req)
+	var sols []Solution
+	var final StreamEvent
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil, final
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev StreamEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		switch {
+		case final.Done:
+			t.Fatalf("line after the terminal line: %q", line)
+		case ev.Solution != nil:
+			sols = append(sols, *ev.Solution)
+		default:
+			final = ev
+		}
+	}
+	if !final.Done {
+		t.Fatalf("stream ended without a terminal line: %s", data)
+	}
+	return resp.StatusCode, sols, final
+}
+
+// TestQueryAndStreamAgree: /query and /query/stream are one lifecycle
+// with two writers, so the same goal must come back with the same
+// solutions in the same order, the same exhausted flag and the same work
+// and table counters — including exhausted=false when max_solutions
+// stopped the run, even on the last solution there was.
+func TestQueryAndStreamAgree(t *testing.T) {
+	src := tabledSrc + "f(a).\nf(b).\n" + workload.FamilyTree(3, 2)
+	cases := []struct {
+		name      string
+		req       QueryRequest
+		exhausted bool
+	}{
+		{"plain", QueryRequest{Goal: "anc(p0,X)", Strategy: "best"}, true},
+		{"tabled", QueryRequest{Goal: "path(a,R)", Strategy: "dfs", Tabled: true}, true},
+		{"capped", QueryRequest{Goal: "anc(p0,X)", Strategy: "dfs", MaxSolutions: 2}, false},
+		{"capped at the total, dfs", QueryRequest{Goal: "f(X)", Strategy: "dfs", MaxSolutions: 2}, false},
+		{"capped at the total, bfs", QueryRequest{Goal: "f(X)", Strategy: "bfs", MaxSolutions: 2}, false},
+		{"capped at the total, best", QueryRequest{Goal: "f(X)", Strategy: "best", MaxSolutions: 2}, false},
+	}
+	for _, c := range cases {
+		// A fresh server per endpoint, so both runs meet cold tables.
+		_, one := newTestServer(t, src, Config{})
+		batch := queryResp(t, one.Client(), one.URL+"/query", c.req)
+		_, two := newTestServer(t, src, Config{})
+		status, sols, final := streamQuery(t, two.URL, two.Client(), c.req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: stream status %d", c.name, status)
+		}
+		if len(batch.Solutions) == 0 || !reflect.DeepEqual(batch.Solutions, sols) || final.Solutions != len(sols) {
+			t.Errorf("%s: /query served %+v, stream %+v (terminal count %d)", c.name, batch.Solutions, sols, final.Solutions)
+		}
+		if batch.Exhausted != c.exhausted || final.Exhausted != c.exhausted {
+			t.Errorf("%s: exhausted = %v (/query) %v (stream), want %v", c.name, batch.Exhausted, final.Exhausted, c.exhausted)
+		}
+		type counters struct{ expanded, vm, created, answers, hits, replayed, truncated, subsumed, improved uint64 }
+		b := counters{batch.Expanded, batch.VMDispatched, batch.TablesCreated, batch.TableAnswers, batch.TableHits,
+			batch.RederivationsAvoided, batch.TablesTruncated, batch.AnswersSubsumed, batch.AnswersImproved}
+		s := counters{final.Expanded, final.VMDispatched, final.TablesCreated, final.TableAnswers, final.TableHits,
+			final.RederivationsAvoided, final.TablesTruncated, final.AnswersSubsumed, final.AnswersImproved}
+		if b != s || b.expanded == 0 || (c.req.Tabled && b.created == 0) {
+			t.Errorf("%s: counters differ: /query %+v, stream %+v", c.name, b, s)
+		}
+	}
+}
+
+// TestQueryErrorClassification drives the one error classifier through
+// both writers: every way a run can fail maps to the same message and the
+// same counter on /query and /query/stream; /query carries the verdict as
+// its HTTP status, the stream (whose 200 is already out) as the terminal
+// line's error.
+func TestQueryErrorClassification(t *testing.T) {
+	src := loopSrc + "bad(X) :- Y is X + Z, Y > 0.\n" + workload.DAG(18, 8, 4, 1)
+	endless := QueryRequest{Goal: "path(n0_0, missing)", Strategy: "dfs", MaxExpansions: 1 << 40}
+	cases := []struct {
+		name    string
+		req     QueryRequest
+		kill    bool
+		status  int
+		msg     string // "" = any non-empty engine message
+		counter func(*serverMetrics) *metrics.Counter
+	}{
+		{"deadline", QueryRequest{Goal: "loop", Strategy: "dfs", TimeoutMs: 30, MaxDepth: 1 << 30, MaxExpansions: 1 << 50}, false,
+			http.StatusGatewayTimeout, "query timed out", func(m *serverMetrics) *metrics.Counter { return &m.timeouts }},
+		{"inspector kill", endless, true,
+			http.StatusGone, obs.ErrKilled.Error(), func(m *serverMetrics) *metrics.Counter { return &m.killed }},
+		{"budget", QueryRequest{Goal: "loop", Strategy: "dfs", MaxDepth: 1 << 30, MaxExpansions: 10}, false,
+			http.StatusUnprocessableEntity, "expansion budget exhausted before completion", func(m *serverMetrics) *metrics.Counter { return &m.budgetStops }},
+		{"engine error", QueryRequest{Goal: "bad(1)", Strategy: "dfs"}, false,
+			http.StatusInternalServerError, "", func(m *serverMetrics) *metrics.Counter { return &m.errors }},
+	}
+	for _, c := range cases {
+		var messages []string
+		for _, endpoint := range []string{"/query", "/query/stream"} {
+			name := c.name + " on " + endpoint
+			s, ts := newTestServer(t, src, Config{DefaultTimeout: time.Minute})
+			killed := make(chan struct{})
+			go func() {
+				defer close(killed)
+				if c.kill {
+					killFirstLiveQuery(t, ts.URL, ts.Client())
+				}
+			}()
+			var msg, requestID string
+			if endpoint == "/query" {
+				resp, data := postJSON(t, ts.Client(), ts.URL+endpoint, c.req)
+				var body ErrorResponse
+				if err := json.Unmarshal(data, &body); err != nil {
+					t.Fatalf("%s: bad body %q: %v", name, data, err)
+				}
+				if resp.StatusCode != c.status {
+					t.Errorf("%s: status %d (%s), want %d", name, resp.StatusCode, data, c.status)
+				}
+				msg, requestID = body.Error, body.RequestID
+			} else {
+				status, sols, final := streamQuery(t, ts.URL, ts.Client(), c.req)
+				if status != http.StatusOK || len(sols) != 0 || final.Exhausted {
+					t.Errorf("%s: status %d, %d solutions, terminal %+v", name, status, len(sols), final)
+				}
+				msg, requestID = final.Error, final.RequestID
+			}
+			if msg == "" || (c.msg != "" && msg != c.msg) {
+				t.Errorf("%s: error %q, want %q", name, msg, c.msg)
+			}
+			if requestID == "" {
+				t.Errorf("%s: failure carries no request_id", name)
+			}
+			if got := c.counter(s.metrics).Load(); got != 1 {
+				t.Errorf("%s: its counter reads %d, want 1", name, got)
+			}
+			if other := s.metrics.timeouts.Load() + s.metrics.killed.Load() + s.metrics.budgetStops.Load() +
+				s.metrics.errors.Load() + s.metrics.cancelled.Load() + s.metrics.badRequests.Load(); other != 1 {
+				t.Errorf("%s: %d outcome counters moved, want exactly one", name, other)
+			}
+			<-killed
+			waitFor(t, func() bool { return s.pool.InFlight() == 0 })
+			messages = append(messages, msg)
+		}
+		if messages[0] != messages[1] {
+			t.Errorf("%s: /query says %q, stream says %q", c.name, messages[0], messages[1])
+		}
+	}
+}
+
+// killFirstLiveQuery waits for a query to show up in the inspector and
+// cancels it the way an operator would.
+func killFirstLiveQuery(t *testing.T, ts string, client *http.Client) {
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := client.Get(ts + "/debug/queries")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var live []LiveQuery
+		err = json.NewDecoder(resp.Body).Decode(&live)
+		resp.Body.Close()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(live) == 0 {
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		req, _ := http.NewRequest(http.MethodDelete, ts+"/debug/queries/"+live[0].ID, nil)
+		resp, err = client.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("DELETE %s: status %d", live[0].ID, resp.StatusCode)
+		}
+		return
+	}
+	t.Error("no query ever appeared in /debug/queries")
+}

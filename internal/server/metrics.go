@@ -3,16 +3,14 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"blog/internal/metrics"
 )
 
 // serverMetrics aggregates the service's operational counters. Counters
 // are atomic (internal/metrics.Counter); the latency distribution is a
-// log-bucketed histogram (internal/metrics.Histogram) covering 100µs to
-// 60s, from which /metrics derives p50/p95 by interpolation and exposes
-// the full Prometheus bucket series.
+// lock-free log-bucketed histogram (internal/metrics.Histogram) covering
+// 100µs to 60s, exposed as the full Prometheus bucket series.
 type serverMetrics struct {
 	queries       metrics.Counter // queries admitted to a worker slot
 	solutions     metrics.Counter // solutions returned (one-shot bodies)
@@ -39,34 +37,12 @@ type serverMetrics struct {
 	// production (zero means every query ran the tree-walking oracle).
 	vmDispatch metrics.Counter
 
-	// latency buckets every completed query's wall time. Observation is
-	// lock-free; the summary (for the mean) keeps the mutex.
+	// latency buckets every completed query's wall time in seconds.
 	latency *metrics.Histogram
-
-	mu      sync.Mutex
-	summary metrics.Summary
 }
 
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{latency: metrics.NewLatencyHistogram()}
-}
-
-// observeLatency records one completed query's wall time in ms.
-func (m *serverMetrics) observeLatency(ms float64) {
-	m.latency.Observe(ms / 1e3)
-	m.mu.Lock()
-	m.summary.Observe(ms)
-	m.mu.Unlock()
-}
-
-// latencySnapshot returns (mean, p50, p95, n); the quantiles are
-// interpolated from the histogram over all observations since start (the
-// old implementation kept only a 2048-sample ring).
-func (m *serverMetrics) latencySnapshot() (mean, p50, p95 float64, n int) {
-	m.mu.Lock()
-	mean, n = m.summary.Mean(), m.summary.N()
-	m.mu.Unlock()
-	return mean, m.latency.Quantile(0.5) * 1e3, m.latency.Quantile(0.95) * 1e3, n
 }
 
 // tableTotals carries the program table space's cumulative counters and
@@ -92,7 +68,6 @@ type tableTotals struct {
 
 // expose renders the Prometheus-style text exposition of GET /metrics.
 func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int, tt tableTotals) string {
-	mean, p50, p95, n := m.latencySnapshot()
 	var b strings.Builder
 	line := func(name string, v any) { fmt.Fprintf(&b, "blogd_%s %v\n", name, v) }
 	line("queries_total", m.queries.Load())
@@ -142,10 +117,5 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	fmt.Fprintf(&b, "blogd_query_duration_seconds_bucket{le=\"+Inf\"} %d\n", m.latency.Count())
 	fmt.Fprintf(&b, "blogd_query_duration_seconds_sum %.6f\n", m.latency.Sum())
 	fmt.Fprintf(&b, "blogd_query_duration_seconds_count %d\n", m.latency.Count())
-	// The legacy ms summary lines, kept for existing dashboards.
-	line("latency_ms_count", n)
-	fmt.Fprintf(&b, "blogd_latency_ms_mean %.3f\n", mean)
-	fmt.Fprintf(&b, "blogd_latency_ms{quantile=\"0.5\"} %.3f\n", p50)
-	fmt.Fprintf(&b, "blogd_latency_ms{quantile=\"0.95\"} %.3f\n", p95)
 	return b.String()
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"blog"
+	"blog/internal/metrics"
 	"blog/internal/obs"
 )
 
@@ -274,43 +275,82 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// finishQueryError maps a query error onto a response and counters. ctx
-// is the query's (possibly kill-cancelled) context: a context.Canceled
-// whose cause is obs.ErrKilled was cancelled through the live inspector,
-// which the victim learns as 410 Gone — distinct from its own client
-// disconnecting, where nobody is left to read a response.
-func (s *Server) finishQueryError(w http.ResponseWriter, ctx context.Context, err error) {
-	// Every body carries the query's request ID, so a client can correlate
-	// its failure with the inspector, the slow-query log and /events.
-	reqID := obs.RequestID(ctx)
-	fail := func(status int, msg string) {
-		writeJSON(w, status, ErrorResponse{Error: msg, RequestID: reqID})
-	}
+// solutionWriter is the one thing the query endpoints differ in: how a
+// run's solutions and its outcome reach the client. oneShot answers with a
+// single JSON body; *streamWriter with NDJSON lines as the engine finds
+// solutions. Everything else about a query is serveQuery.
+type solutionWriter interface {
+	// run executes the query under ctx, delivering solutions however this
+	// writer does. A non-nil Result carries the run's counters even beside
+	// an error.
+	run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, error)
+	// finish writes the outcome serveQuery classified: the success body or
+	// terminal line, or the failure with its status and message.
+	finish(w http.ResponseWriter, end outcome)
+}
+
+// outcome is a finished query as serveQuery hands it to the writer.
+type outcome struct {
+	res *blog.Result // nil when the run failed without counters
+	// status and msg are classify's verdict: 200 and "" on success.
+	status    int
+	msg       string
+	requestID string
+	strategy  string
+	session   string // session id on session-scoped queries
+	trace     bool   // the request asked for its span tree
+	elapsedMs float64
+}
+
+// badRequest marks a run error as the request's fault — a shape the
+// chosen endpoint cannot serve — rather than the engine's.
+type badRequest struct{ error }
+
+// errClientGone ends a stream whose client stopped reading. It wraps
+// context.Canceled so it classifies as what it is: a client cancellation.
+var errClientGone = fmt.Errorf("server: client went away mid-stream: %w", context.Canceled)
+
+// classify is the one mapping from a query's error to what its client is
+// told and which counter records it. ctx is the query's (possibly
+// kill-cancelled) context: a context.Canceled whose cause is obs.ErrKilled
+// was cancelled through the live inspector, which the victim learns as 410
+// Gone — distinct from its own client disconnecting, where nobody is left
+// to read a response (status 0: write nothing).
+func (s *Server) classify(ctx context.Context, err error) (status int, msg string, counter *metrics.Counter) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.timeouts.Inc()
-		fail(http.StatusGatewayTimeout, "query timed out")
+		return http.StatusGatewayTimeout, "query timed out", &s.metrics.timeouts
 	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), obs.ErrKilled):
-		s.metrics.killed.Inc()
-		fail(http.StatusGone, obs.ErrKilled.Error())
+		return http.StatusGone, obs.ErrKilled.Error(), &s.metrics.killed
 	case errors.Is(err, context.Canceled):
-		s.metrics.cancelled.Inc() // client gone; response is moot
+		return 0, "", &s.metrics.cancelled
 	case errors.Is(err, blog.ErrBudget):
-		s.metrics.budgetStops.Inc()
-		fail(http.StatusUnprocessableEntity, "expansion budget exhausted before completion")
+		return http.StatusUnprocessableEntity, "expansion budget exhausted before completion", &s.metrics.budgetStops
+	case errors.As(err, new(badRequest)):
+		return http.StatusBadRequest, err.Error(), &s.metrics.badRequests
 	default:
-		s.metrics.errors.Inc()
-		fail(http.StatusInternalServerError, err.Error())
+		return http.StatusInternalServerError, err.Error(), &s.metrics.errors
 	}
 }
 
 // handleQuery serves POST /query: one-shot query over the shared Program.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.runQuery(w, r, nil)
+	s.serveQuery(w, r, nil, oneShot{})
 }
 
-// runQuery executes a one-shot query, optionally inside a session.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, entry *sessionEntry) {
+// handleStream serves POST /query/stream: solutions as NDJSON lines the
+// moment the engine finds them, ending with one terminal line. Sequential
+// strategies only (the streaming engine's constraint).
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	s.serveQuery(w, r, nil, &streamWriter{})
+}
+
+// serveQuery is the one request lifecycle behind POST /query, session
+// queries and POST /query/stream: decode, admit, count, bound the run by
+// its timeout and the inspector's kill switch, register it live, profile
+// it, run it, account for it and classify how it ended. out is the only
+// difference between the endpoints.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessionEntry, out solutionWriter) {
 	q, strat, maxSol, timeout, ok := s.decodeQuery(w, r)
 	if !ok {
 		return
@@ -319,10 +359,10 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, entry *session
 		return
 	}
 	defer s.pool.Release()
+	// Counted at admission, so queries_total and the tabled/untabled split
+	// mean the same thing on every endpoint regardless of how the query
+	// ends.
 	s.metrics.queries.Inc()
-	// Counted at admission like queries_total (and like the streaming
-	// endpoint), so the tabled/untabled split means the same thing on
-	// every endpoint regardless of how the query ends.
 	if q.Tabled {
 		s.metrics.tabledQueries.Inc()
 	}
@@ -331,53 +371,84 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, entry *session
 	if s.cfg.NoVM {
 		opts = append(opts, blog.Compiled(false))
 	}
-	sessionID := ""
+	end := outcome{status: http.StatusOK, strategy: strat.String(), trace: q.Trace}
 	if entry != nil {
 		opts = append(opts, blog.InSession(entry.s))
-		sessionID = entry.id
+		end.session = entry.id
 	}
 	tctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	// The kill layer sits inside the timeout: DELETE /debug/queries/{id}
-	// cancels with cause obs.ErrKilled, which finishQueryError reads back
-	// through context.Cause to answer this request with 410.
+	// cancels with cause obs.ErrKilled, which classify reads back through
+	// context.Cause to answer this request with 410.
 	ctx, kill := context.WithCancelCause(tctx)
 	defer kill(nil)
-	lv := s.live.Add(q.Goal, strat.String(), kill)
+	lv := s.live.Add(q.Goal, end.strategy, kill)
 	defer s.live.Remove(lv)
+	// Every outcome carries the query's request ID, so a client can
+	// correlate even a failure with the inspector, the slow-query log and
+	// /events.
 	ctx = obs.WithRequestID(ctx, lv.ID)
+	end.requestID = lv.ID
 	// Every query runs with its own profiler, merged into the process-wide
 	// profile at completion; the per-query view feeds the slow-query log.
 	qprof := blog.NewProfiler()
-	traced := q.Trace || s.cfg.SlowQuery > 0
 	opts = append(opts, blog.Profiled(qprof), blog.Monitor(lv))
-	if traced {
+	if q.Trace || s.cfg.SlowQuery > 0 {
 		opts = append(opts, blog.Traced())
 	}
+
 	start := time.Now()
-	res, err := s.program.QueryContext(ctx, q.Goal, strat, opts...)
+	res, err := out.run(ctx, s, w, q.Goal, strat, opts)
 	elapsed := time.Since(start)
-	s.metrics.observeLatency(elapsedMs(start))
+	s.metrics.latency.Observe(elapsed.Seconds())
 	s.prof.Merge(qprof)
+	end.res, end.elapsedMs = res, float64(elapsed)/float64(time.Millisecond)
+	if res != nil {
+		s.metrics.vmDispatch.Add(res.VMDispatched)
+	}
 	if err != nil {
-		s.finishQueryError(w, ctx, err)
+		var counter *metrics.Counter
+		end.status, end.msg, counter = s.classify(ctx, err)
+		counter.Inc()
+		if end.status == 0 {
+			return // client gone; a response is moot
+		}
+	} else {
+		s.logSlowQuery(ctx, q.Goal, end.strategy, elapsed, res.Spans, qprof)
+		if entry != nil {
+			entry.s.NoteQuery(len(res.Solutions) > 0)
+		}
+		s.metrics.solutions.Add(uint64(len(res.Solutions)))
+	}
+	out.finish(w, end)
+}
+
+// oneShot is the batch writer: the run is a drained query, the outcome one
+// JSON body whose HTTP status is the classifier's.
+type oneShot struct{}
+
+func (oneShot) run(ctx context.Context, s *Server, _ http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, error) {
+	return s.program.QueryContext(ctx, goal, strat, opts...)
+}
+
+func (oneShot) finish(w http.ResponseWriter, end outcome) {
+	if end.status != http.StatusOK {
+		writeJSON(w, end.status, ErrorResponse{Error: end.msg, RequestID: end.requestID})
 		return
 	}
-	s.logSlowQuery(ctx, q.Goal, strat.String(), elapsed, res.Spans, qprof)
-	if entry != nil {
-		entry.s.NoteQuery(len(res.Solutions) > 0)
-	}
+	res := end.res
 	resp := QueryResponse{
 		Solutions:            make([]Solution, 0, len(res.Solutions)),
 		Exhausted:            res.Exhausted,
 		Expanded:             res.Expanded,
 		Generated:            res.Generated,
 		Failures:             res.Failures,
-		Strategy:             strat.String(),
-		ElapsedMs:            elapsedMs(start),
-		RequestID:            lv.ID,
+		Strategy:             end.strategy,
+		ElapsedMs:            end.elapsedMs,
+		RequestID:            end.requestID,
 		VMDispatched:         res.VMDispatched,
-		Session:              sessionID,
+		Session:              end.session,
 		TablesCreated:        res.TablesCreated,
 		TableAnswers:         res.TableAnswers,
 		TableHits:            res.TableHits,
@@ -386,144 +457,99 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, entry *session
 		AnswersSubsumed:      res.AnswersSubsumed,
 		AnswersImproved:      res.AnswersImproved,
 	}
-	if q.Trace {
+	if end.trace {
 		resp.Trace = res.Spans
 	}
 	for _, sol := range res.Solutions {
 		resp.Solutions = append(resp.Solutions, wireSolution(sol))
 	}
-	s.metrics.vmDispatch.Add(res.VMDispatched)
-	s.metrics.solutions.Add(uint64(len(resp.Solutions)))
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleStream serves POST /query/stream: solutions as NDJSON lines the
-// moment the engine finds them, ending with one terminal line. Sequential
-// strategies only (the streaming engine's constraint).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	q, strat, maxSol, timeout, ok := s.decodeQuery(w, r)
-	if !ok {
-		return
-	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.pool.Release()
-	s.metrics.queries.Inc()
-	if q.Tabled {
-		s.metrics.tabledQueries.Inc()
-	}
+// streamWriter is the NDJSON writer: the run pulls the query's iterator
+// and writes each solution as its own line; the outcome is the terminal
+// line. A run refused before the first line (a request shape the
+// streaming engine cannot serve) fails exactly as a one-shot does.
+type streamWriter struct {
+	enc     *json.Encoder // nil until the 200 header is out
+	rc      *http.ResponseController
+	flusher http.Flusher
+	served  int
+}
 
-	tctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	ctx, kill := context.WithCancelCause(tctx)
-	defer kill(nil)
-	lv := s.live.Add(q.Goal, strat.String(), kill)
-	defer s.live.Remove(lv)
-	ctx = obs.WithRequestID(ctx, lv.ID)
-	start := time.Now()
-	opts := q.options(maxSol)
-	if s.cfg.NoVM {
-		opts = append(opts, blog.Compiled(false))
-	}
-	qprof := blog.NewProfiler()
-	traced := q.Trace || s.cfg.SlowQuery > 0
-	opts = append(opts, blog.Profiled(qprof), blog.Monitor(lv))
-	if traced {
-		opts = append(opts, blog.Traced())
-	}
-	it, err := s.program.IterContext(ctx, q.Goal, strat, opts...)
+func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, error) {
+	it, err := s.program.IterContext(ctx, goal, strat, opts...)
 	if err != nil {
 		// Everything rejected here is a request shape problem (parallel
 		// strategy, AND-parallel) — the goal already parsed.
-		s.metrics.observeLatency(elapsedMs(start))
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, badRequest{err}
 	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	// A client that stops reading must not pin the worker slot: every
-	// line gets a fresh write deadline set just before the write (never
-	// earlier — the engine may legitimately search longer than the grace
-	// between solutions), so a stalled connection errors out of Encode
-	// and the deferred Release frees the slot. The deadline is cleared on
-	// return so a keep-alive connection is not poisoned for its next
-	// request when the embedding http.Server has no WriteTimeout.
-	rc := http.NewResponseController(w)
-	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	served := 0
-	for {
-		sol, more, err := it.Next()
-		if !more {
-			st := it.Stats()
-			s.metrics.vmDispatch.Add(st.VMDispatched)
-			final := StreamEvent{
-				Done:                 true,
-				Exhausted:            it.Exhausted(),
-				Solutions:            served,
-				Expanded:             st.Expanded,
-				RequestID:            lv.ID,
-				VMDispatched:         st.VMDispatched,
-				TablesCreated:        st.TablesCreated,
-				TableAnswers:         st.TableAnswers,
-				TableHits:            st.TableHits,
-				RederivationsAvoided: st.RederivationsAvoided,
-				TablesTruncated:      st.TablesTruncated,
-				AnswersSubsumed:      st.AnswersSubsumed,
-				AnswersImproved:      st.AnswersImproved,
-			}
-			if q.Trace {
-				final.Trace = it.Spans()
-			}
-			if err != nil {
-				final.Error = err.Error()
-				switch {
-				case errors.Is(err, context.DeadlineExceeded):
-					s.metrics.timeouts.Inc()
-				case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), obs.ErrKilled):
-					s.metrics.killed.Inc()
-					final.Error = obs.ErrKilled.Error()
-				case errors.Is(err, context.Canceled):
-					s.metrics.cancelled.Inc()
-				case errors.Is(err, blog.ErrBudget):
-					s.metrics.budgetStops.Inc()
-				default:
-					s.metrics.errors.Inc()
-				}
-			}
-			_ = rc.SetWriteDeadline(time.Now().Add(streamWriteGrace))
-			_ = enc.Encode(final)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			elapsed := time.Since(start)
-			s.metrics.observeLatency(elapsedMs(start))
-			s.prof.Merge(qprof)
-			if err == nil {
-				s.logSlowQuery(ctx, q.Goal, strat.String(), elapsed, it.Spans(), qprof)
-			}
-			return
-		}
+	sw.flusher, _ = w.(http.Flusher)
+	sw.rc = http.NewResponseController(w)
+	sw.enc = json.NewEncoder(w)
+	sw.enc.SetEscapeHTML(false)
+	sol, more, err := it.Next()
+	for ; more; sol, more, err = it.Next() {
 		ws := wireSolution(sol)
-		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteGrace))
-		if encErr := enc.Encode(StreamEvent{Solution: &ws}); encErr != nil {
-			// Client went away mid-stream; the deferred Release frees the
-			// slot and ctx cancellation stops the engine on the next pull.
-			s.metrics.cancelled.Inc()
-			s.metrics.observeLatency(elapsedMs(start))
-			s.prof.Merge(qprof)
-			return
+		if !sw.line(StreamEvent{Solution: &ws}) {
+			// The deferred Release frees the slot and ctx cancellation
+			// stops the engine on the next pull.
+			err = errClientGone
+			break
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		served++
+		sw.served++
 		s.metrics.streamed.Inc()
 	}
+	return &blog.Result{Counters: it.Stats().Counters, Exhausted: it.Exhausted(), Spans: it.Spans()}, err
+}
+
+// line writes one NDJSON line. A client that stops reading must not pin
+// the worker slot: every line gets a fresh write deadline set just before
+// the write (never earlier — the engine may legitimately search longer
+// than the grace between solutions), so a stalled connection errors out of
+// Encode and ends the run.
+func (sw *streamWriter) line(ev StreamEvent) bool {
+	_ = sw.rc.SetWriteDeadline(time.Now().Add(streamWriteGrace))
+	if err := sw.enc.Encode(ev); err != nil {
+		return false
+	}
+	if sw.flusher != nil {
+		sw.flusher.Flush()
+	}
+	return true
+}
+
+func (sw *streamWriter) finish(w http.ResponseWriter, end outcome) {
+	if sw.enc == nil {
+		oneShot{}.finish(w, end)
+		return
+	}
+	res := end.res
+	final := StreamEvent{
+		Done:                 true,
+		Exhausted:            res.Exhausted,
+		Solutions:            sw.served,
+		Expanded:             res.Expanded,
+		RequestID:            end.requestID,
+		VMDispatched:         res.VMDispatched,
+		Error:                end.msg,
+		TablesCreated:        res.TablesCreated,
+		TableAnswers:         res.TableAnswers,
+		TableHits:            res.TableHits,
+		RederivationsAvoided: res.RederivationsAvoided,
+		TablesTruncated:      res.TablesTruncated,
+		AnswersSubsumed:      res.AnswersSubsumed,
+		AnswersImproved:      res.AnswersImproved,
+	}
+	if end.trace {
+		final.Trace = res.Spans
+	}
+	sw.line(final)
+	// Clear the deadline so a keep-alive connection is not poisoned for
+	// its next request when the embedding http.Server has no WriteTimeout.
+	_ = sw.rc.SetWriteDeadline(time.Time{})
 }
 
 // handleSessionCreate serves POST /sessions. An empty body means
@@ -612,7 +638,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.sessions.release(e)
-	s.runQuery(w, r, e)
+	s.serveQuery(w, r, e, oneShot{})
 }
 
 // handleSessionEnd serves DELETE /sessions/{id}: the conservative

@@ -508,13 +508,17 @@ func TestHealthzMetricsStats(t *testing.T) {
 	for _, want := range []string{
 		"blogd_queries_total 1",
 		"blogd_rejected_total 0",
-		"blogd_latency_ms{quantile=\"0.5\"}",
-		"blogd_latency_ms{quantile=\"0.95\"}",
+		"blogd_query_duration_seconds_bucket{le=\"+Inf\"} 1",
+		"blogd_query_duration_seconds_sum ",
+		"blogd_query_duration_seconds_count 1",
 		"blogd_pool_workers",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "blogd_latency_ms") {
+		t.Errorf("legacy latency summary still exposed in:\n%s", text)
 	}
 	if s.metrics.solutions.Load() == 0 {
 		t.Error("solution counter not bumped")

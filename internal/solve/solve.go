@@ -6,10 +6,12 @@
 // and the section-7 AND-parallel decomposition. This package makes that
 // interchangeability literal: a single Request describes a query run
 // (goals, weight store, strategy, budgets, learning, recording), a single
-// Response carries solutions and unified Stats back, and each engine is a
-// Solver behind the same interface. Every run takes a context.Context and
-// honors cancellation and deadlines, which is what lets callers multiplex
-// heavy concurrent query traffic over one Program.
+// Response carries solutions and unified Stats back, and Do routes the
+// Request to the engine that implements it. The sequential disciplines
+// share one path: search.Run is a drained search.Iter, so Do and NewIter
+// differ only in who pulls. Every run takes a context.Context and honors
+// cancellation and deadlines, which is what lets callers multiplex heavy
+// concurrent query traffic over one Program.
 package solve
 
 import (
@@ -77,18 +79,17 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("solve: unknown strategy %q", name)
 }
 
-// searchStrategy maps the canonical enum onto the sequential engine's; ok
-// is false for strategies the sequential engine does not implement.
-func (s Strategy) searchStrategy() (search.Strategy, bool) {
+// searchStrategy maps a sequential strategy onto the sequential engine's
+// enum (validate has rejected everything outside the canonical four, and
+// the callers route Parallel elsewhere).
+func (s Strategy) searchStrategy() search.Strategy {
 	switch s {
-	case DFS:
-		return search.DFS, true
 	case BFS:
-		return search.BFS, true
+		return search.BFS
 	case BestFirst:
-		return search.BestFirst, true
+		return search.BestFirst
 	}
-	return 0, false
+	return search.DFS
 }
 
 // Request describes one query run: what to solve, over which database and
@@ -157,24 +158,17 @@ type Request struct {
 	Live  *obs.Live
 }
 
-// Stats is the unified work accounting across every engine. Counters not
-// produced by a given engine are zero (e.g. Migrations outside Parallel,
-// Groups outside AND-parallel).
+// Stats is the unified work accounting across every engine: the
+// sequential engine's counters (embedded; a parallel engine fills the ones
+// it keeps) plus the counters only one engine produces, which are zero
+// elsewhere (e.g. Migrations outside Parallel, Groups outside
+// AND-parallel).
 type Stats struct {
-	Expanded     uint64
-	Generated    uint64
-	Failures     uint64
-	DepthCutoffs uint64
-	Pruned       uint64
-	MaxFrontier  int
-	MaxDepth     int
-	// VMDispatched counts goals resolved on the compiled bytecode path
-	// (zero when the run forced the tree-walking oracle).
-	VMDispatched uint64
-	// Representation names the binding representation the run used:
-	// search.RepTrailStore (destructive store; sequential DFS default) or
-	// search.RepPersistentEnv (immutable Env chains; everything else).
-	Representation string
+	// Representation is search.RepTrailStore (destructive store;
+	// sequential DFS default) or search.RepPersistentEnv (immutable Env
+	// chains; everything else). VMDispatched is zero when the run forced
+	// the tree-walking oracle.
+	search.Stats
 
 	// OR-parallel network counters.
 	Migrations        uint64
@@ -187,37 +181,9 @@ type Stats struct {
 	Groups         int
 	GroupSolutions []int
 
-	// Tabled-resolution counters (Request.Tables runs only): tables this
-	// query materialized, distinct answers it derived into them, calls
-	// served from an already-complete table, answers replayed from
-	// complete tables — each replay a subgoal re-derivation avoided —
-	// and consumptions of depth-truncated tables (answer sets cut by the
-	// depth bound, the tabled analogue of DepthCutoffs).
-	TablesCreated        uint64
-	TableAnswers         uint64
-	TableHits            uint64
-	RederivationsAvoided uint64
-	TablesTruncated      uint64
-	// Answer-subsumption counters (min(N) tables only): derivations
-	// dominated by a cheaper memoized answer, and memoized answers
-	// replaced by a strictly cheaper derivation.
-	AnswersSubsumed uint64
-	AnswersImproved uint64
-}
-
-// addTable folds a table handle's per-query counters into the stats.
-func (s *Stats) addTable(h *table.Handle) {
-	if h == nil {
-		return
-	}
-	ts := h.Stats()
-	s.TablesCreated = ts.Created
-	s.TableAnswers = ts.Answers
-	s.TableHits = ts.Hits
-	s.RederivationsAvoided = ts.RederivationsAvoided
-	s.TablesTruncated = ts.TablesTruncated
-	s.AnswersSubsumed = ts.AnswersSubsumed
-	s.AnswersImproved = ts.AnswersImproved
+	// Tables holds the run's tabled-resolution counters (Request.Tables
+	// runs only), read off its table handle; see table.Stats.
+	Tables table.Stats
 }
 
 // Response is the unified outcome of a Request.
@@ -238,76 +204,73 @@ type Response struct {
 	Trace []string
 }
 
-// Solver runs one Request to completion (or cancellation). Implementations
-// must return promptly with ctx.Err() once ctx is done, leaking no
-// goroutines.
-type Solver interface {
-	Solve(ctx context.Context, req *Request) (*Response, error)
-}
-
-// SolverFor returns the engine that handles req: Sequential for DFS, BFS
-// and BestFirst, ORParallel for Parallel, ANDParallel when AndParallel is
-// set on a sequential strategy.
-func SolverFor(req *Request) (Solver, error) {
-	if req.Strategy == Parallel {
-		if req.AndParallel {
-			return nil, errors.New("solve: AndParallel is incompatible with the Parallel strategy")
-		}
-		return ORParallel{}, nil
-	}
-	if _, ok := req.Strategy.searchStrategy(); !ok {
-		return nil, fmt.Errorf("solve: unknown strategy %v", req.Strategy)
-	}
-	if req.AndParallel {
-		return ANDParallel{}, nil
-	}
-	return Sequential{}, nil
-}
-
-// Do validates req, dispatches to the implementing Solver and returns its
-// Response. It is the single entry point the blog facade uses for every
-// strategy.
+// Do validates req, runs it on the engine that implements it — the
+// OR-parallel network for Parallel, independent-group decomposition when
+// AndParallel is set, the sequential engine otherwise — and returns the
+// unified Response. It is the single entry point the blog facade uses for
+// every strategy. The table handle, the trace phases and the table
+// counters wrap every engine the same way.
 func Do(ctx context.Context, req *Request) (*Response, error) {
 	if err := validate(req); err != nil {
-		return nil, err
-	}
-	s, err := SolverFor(req)
-	if err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.Solve(ctx, req)
+	th, tb := tabler(req)
+	compilePhase(req)
+	ssp := searchPhase(req)
+	var resp *Response
+	var err error
+	switch {
+	case req.Strategy == Parallel:
+		resp, err = orParallel(ctx, req, tb)
+	case req.AndParallel:
+		resp, err = andParallel(ctx, req, tb)
+	default:
+		resp, err = sequential(ctx, req, tb)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if th != nil {
+		resp.Stats.Tables = th.Stats()
+	}
+	closeSearch(ssp, resp)
+	return resp, nil
 }
 
 // NewIter prepares a lazy, pull-based run for req — the interactive
-// top-level's "; for more" model. Streaming runs on the sequential engine
-// only; Parallel and AndParallel are rejected. Tree and trace recording
-// work exactly as in Do: recording routes DFS onto the persistent-Env
-// frontier, and the recorded tree/trace grow as solutions are pulled.
-// Prune/PruneSlack are honored: the iterator cuts open nodes against the
-// best solution bound served so far, exactly as the batch engine does.
-// The returned table.Handle carries the stream's tabled-resolution
-// counters (nil for untabled requests). A traced stream's "search" phase
-// stays open across pulls; obs.Trace.Finish closes it when the caller is
-// done.
+// top-level's "; for more" model, and the same path Do's sequential runs
+// drain. Streaming runs on the sequential engine only; Parallel and
+// AndParallel are rejected. Tree and trace recording work exactly as in
+// Do: recording routes DFS onto the persistent-Env frontier, and the
+// recorded tree/trace grow as solutions are pulled. The returned
+// table.Handle carries the stream's tabled-resolution counters (nil for
+// untabled requests). A traced stream's "search" phase stays open across
+// pulls; obs.Trace.Finish closes it when the caller is done.
 func NewIter(ctx context.Context, req *Request) (*search.Iter, *table.Handle, error) {
 	if err := validate(req); err != nil {
 		return nil, nil, err
 	}
-	sstrat, ok := req.Strategy.searchStrategy()
-	if !ok {
-		return nil, nil, fmt.Errorf("solve: streaming requires a sequential strategy, got %v", req.Strategy)
-	}
-	if req.AndParallel {
-		return nil, nil, errors.New("solve: streaming does not support AndParallel")
+	if req.Strategy == Parallel || req.AndParallel {
+		return nil, nil, errors.New("solve: streaming requires a sequential, non-AND-parallel run")
 	}
 	th, tb := tabler(req)
 	compilePhase(req)
 	searchPhase(req) // left open; table fixpoints nest beneath it across pulls
-	it, err := search.NewIter(ctx, req.DB, req.Store, req.Goals, search.Options{
-		Strategy:      sstrat,
+	it, err := search.NewIter(ctx, req.DB, req.Store, req.Goals, searchOptions(req, tb))
+	if err != nil {
+		return nil, nil, err
+	}
+	return it, th, nil
+}
+
+// searchOptions is the one translation of a Request into the sequential
+// engine's options, shared by Do, NewIter and the AND-parallel groups.
+func searchOptions(req *Request, tb engine.Tabler) search.Options {
+	return search.Options{
+		Strategy:      req.Strategy.searchStrategy(),
 		MaxSolutions:  req.MaxSolutions,
 		MaxExpansions: req.MaxExpansions,
 		MaxDepth:      req.MaxDepth,
@@ -322,11 +285,7 @@ func NewIter(ctx context.Context, req *Request) (*search.Iter, *table.Handle, er
 		RecordTrace:   req.RecordTrace,
 		Prof:          req.Prof,
 		Live:          req.Live,
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	return it, th, nil
 }
 
 // tabler returns the per-run table handle for req, as both the concrete
@@ -394,81 +353,42 @@ func validate(req *Request) error {
 	if len(req.Goals) == 0 {
 		return errors.New("solve: empty query")
 	}
+	if req.Strategy < DFS || req.Strategy > Parallel {
+		return fmt.Errorf("solve: unknown strategy %v", req.Strategy)
+	}
+	if req.AndParallel && req.Strategy == Parallel {
+		return errors.New("solve: AndParallel is incompatible with the Parallel strategy")
+	}
 	if (req.RecordTree || req.RecordTrace) && (req.Strategy == Parallel || req.AndParallel) {
 		return errors.New("solve: tree/trace recording requires a sequential, non-AND-parallel run")
 	}
 	return nil
 }
 
-// Sequential is the single-threaded engine: DFS, BFS and BestFirst over
+// sequential runs the single-threaded engine: DFS, BFS and BestFirst over
 // one open list, driven by package search.
-type Sequential struct{}
-
-// Solve implements Solver.
-func (Sequential) Solve(ctx context.Context, req *Request) (*Response, error) {
-	sstrat, ok := req.Strategy.searchStrategy()
-	if !ok {
-		return nil, fmt.Errorf("solve: strategy %v is not sequential", req.Strategy)
-	}
-	th, tb := tabler(req)
-	compilePhase(req)
-	ssp := searchPhase(req)
-	sres, err := search.Run(ctx, req.DB, req.Store, req.Goals, search.Options{
-		Strategy:      sstrat,
-		MaxSolutions:  req.MaxSolutions,
-		MaxExpansions: req.MaxExpansions,
-		MaxDepth:      req.MaxDepth,
-		Learn:         req.Learn,
-		Prune:         req.Prune,
-		PruneSlack:    req.PruneSlack,
-		OccursCheck:   req.OccursCheck,
-		Tabler:        tb,
-		NoVM:          req.NoVM,
-		NoTrail:       req.NoTrail,
-		RecordTree:    req.RecordTree,
-		RecordTrace:   req.RecordTrace,
-		Prof:          req.Prof,
-		Live:          req.Live,
-	})
+func sequential(ctx context.Context, req *Request, tb engine.Tabler) (*Response, error) {
+	sres, err := search.Run(ctx, req.DB, req.Store, req.Goals, searchOptions(req, tb))
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
+	return &Response{
 		Solutions: sres.Solutions,
 		QueryVars: sres.QueryVars,
-		Stats: Stats{
-			Expanded:       sres.Stats.Expanded,
-			Generated:      sres.Stats.Generated,
-			Failures:       sres.Stats.Failures,
-			DepthCutoffs:   sres.Stats.DepthCutoffs,
-			Pruned:         sres.Stats.Pruned,
-			MaxFrontier:    sres.Stats.MaxFrontier,
-			MaxDepth:       sres.Stats.MaxDepth,
-			VMDispatched:   sres.Stats.VMDispatched,
-			Representation: sres.Stats.Representation,
-		},
+		Stats:     Stats{Stats: sres.Stats},
 		Exhausted: sres.Exhausted,
 		Tree:      sres.Tree,
 		Trace:     sres.Trace,
-	}
-	resp.Stats.addTable(th)
-	closeSearch(ssp, resp)
-	return resp, nil
+	}, nil
 }
 
-// ORParallel is the OR-parallel engine of sections 3 and 6: n goroutine
+// orParallel runs the OR-parallel engine of sections 3 and 6: n goroutine
 // workers over a shared or two-level open list, driven by package par.
-type ORParallel struct{}
-
-// Solve implements Solver.
-func (ORParallel) Solve(ctx context.Context, req *Request) (*Response, error) {
+func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response, error) {
 	mode := par.SharedHeap
 	if req.TwoLevel {
 		mode = par.TwoLevel
 	}
-	th, tb := tabler(req)
-	compilePhase(req)
-	ssp := searchPhase(req)
 	pres, err := par.Run(ctx, req.DB, req.Store, req.Goals, par.Options{
 		Workers:       req.Workers,
 		Mode:          mode,
@@ -490,58 +410,37 @@ func (ORParallel) Solve(ctx context.Context, req *Request) (*Response, error) {
 	// Parallel completion order is nondeterministic; present solutions in
 	// a stable order so every engine's Response reads the same way.
 	sortSolutions(pres.Solutions, pres.QueryVars)
-	resp := &Response{
+	return &Response{
 		Solutions: pres.Solutions,
 		QueryVars: pres.QueryVars,
 		Stats: Stats{
-			Expanded:          pres.Stats.Expanded,
-			Generated:         pres.Stats.Generated,
-			Failures:          pres.Stats.Failures,
-			DepthCutoffs:      pres.Stats.DepthCutoffs,
+			Stats: search.Stats{
+				Expanded:       pres.Stats.Expanded,
+				Generated:      pres.Stats.Generated,
+				Failures:       pres.Stats.Failures,
+				DepthCutoffs:   pres.Stats.DepthCutoffs,
+				VMDispatched:   pres.Stats.VMDispatched,
+				Representation: search.RepPersistentEnv,
+			},
 			Migrations:        pres.Stats.Migrations,
 			NetworkAcquires:   pres.Stats.NetworkAcquires,
 			LocalPops:         pres.Stats.LocalPops,
 			Spills:            pres.Stats.Spills,
 			PerWorkerExpanded: pres.Stats.PerWorkerExpanded,
-			VMDispatched:      pres.Stats.VMDispatched,
-			Representation:    search.RepPersistentEnv,
 		},
 		Exhausted: pres.Exhausted,
-	}
-	resp.Stats.addTable(th)
-	closeSearch(ssp, resp)
-	return resp, nil
+	}, nil
 }
 
-// ANDParallel is the section-7 engine: independent (non-variable-sharing)
+// andParallel runs the section-7 engine: independent (non-variable-sharing)
 // goal groups evaluated concurrently under a sequential strategy and
 // combined by cross product, driven by package andpar.
-type ANDParallel struct{}
-
-// Solve implements Solver.
-func (ANDParallel) Solve(ctx context.Context, req *Request) (*Response, error) {
-	sstrat, ok := req.Strategy.searchStrategy()
-	if !ok {
-		return nil, fmt.Errorf("solve: strategy %v is not sequential", req.Strategy)
-	}
-	th, tb := tabler(req)
-	compilePhase(req)
-	ssp := searchPhase(req)
+func andParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response, error) {
+	// The solution cap bounds the combined cross product, not each group.
+	group := searchOptions(req, tb)
+	group.MaxSolutions = 0
 	ares, err := andpar.Solve(ctx, req.DB, req.Store, req.Goals, andpar.Options{
-		Search: search.Options{
-			Strategy:      sstrat,
-			MaxExpansions: req.MaxExpansions,
-			MaxDepth:      req.MaxDepth,
-			Learn:         req.Learn,
-			Prune:         req.Prune,
-			PruneSlack:    req.PruneSlack,
-			OccursCheck:   req.OccursCheck,
-			Tabler:        tb,
-			NoVM:          req.NoVM,
-			NoTrail:       req.NoTrail,
-			Prof:          req.Prof,
-			Live:          req.Live,
-		},
+		Search:       group,
 		Parallel:     true,
 		MaxSolutions: req.MaxSolutions,
 	})
@@ -551,26 +450,13 @@ func (ANDParallel) Solve(ctx context.Context, req *Request) (*Response, error) {
 	resp := &Response{
 		Solutions: ares.Solutions,
 		QueryVars: ares.QueryVars,
-		Stats: Stats{
-			Expanded:       ares.Stats.Expanded,
-			Generated:      ares.Stats.Generated,
-			Failures:       ares.Stats.Failures,
-			DepthCutoffs:   ares.Stats.DepthCutoffs,
-			Pruned:         ares.Stats.Pruned,
-			MaxFrontier:    ares.Stats.MaxFrontier,
-			MaxDepth:       ares.Stats.MaxDepth,
-			VMDispatched:   ares.Stats.VMDispatched,
-			Groups:         ares.GroupCount,
-			GroupSolutions: ares.GroupSolutions,
-			// Group aggregation drops per-group search stats fields that are
-			// not counters; every group ran the same configuration, so the
-			// representation is a function of it.
-			Representation: andparRepresentation(sstrat, req.NoTrail),
-		},
+		Stats:     Stats{Stats: ares.Stats, Groups: ares.GroupCount, GroupSolutions: ares.GroupSolutions},
 		Exhausted: ares.Exhausted,
 	}
-	resp.Stats.addTable(th)
-	closeSearch(ssp, resp)
+	// Group aggregation drops per-group search stats fields that are not
+	// counters; every group ran the same configuration, so the
+	// representation is a function of it.
+	resp.Stats.Representation = andparRepresentation(group.Strategy, req.NoTrail)
 	return resp, nil
 }
 
@@ -595,9 +481,3 @@ func sortSolutions(sols []engine.Solution, qvars []*term.Var) {
 		return sols[i].Bound < sols[j].Bound
 	})
 }
-
-var (
-	_ Solver = Sequential{}
-	_ Solver = ORParallel{}
-	_ Solver = ANDParallel{}
-)

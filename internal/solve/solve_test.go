@@ -63,42 +63,50 @@ func everyStrategy(t testing.TB, db *kb.DB, query string) map[string]*Request {
 	}
 }
 
-func TestSolverForDispatch(t *testing.T) {
+// TestDoDispatch pins which engine Do routes each request shape to, read
+// off what only that engine reports: the binding representation, the
+// AND-parallel group count and the OR-parallel per-worker counters.
+func TestDoDispatch(t *testing.T) {
 	db := load(t, familySrc)
-	cases := []struct {
-		name string
-		req  *Request
-		want Solver
-	}{
-		{"dfs", req(t, db, "gf(sam,G)", DFS), Sequential{}},
-		{"bfs", req(t, db, "gf(sam,G)", BFS), Sequential{}},
-		{"best", req(t, db, "gf(sam,G)", BestFirst), Sequential{}},
-		{"parallel", req(t, db, "gf(sam,G)", Parallel), ORParallel{}},
-	}
-	and := req(t, db, "gf(sam,G)", BestFirst)
+	const query = "f(sam,A), m(sam,B)" // two independent groups
+	and := req(t, db, query, BestFirst)
 	and.AndParallel = true
-	cases = append(cases, struct {
-		name string
-		req  *Request
-		want Solver
-	}{"andpar", and, ANDParallel{}})
-
+	par := req(t, db, query, Parallel)
+	par.Workers = 3
+	cases := []struct {
+		name    string
+		req     *Request
+		rep     string
+		groups  int
+		workers int
+	}{
+		{"dfs", req(t, db, query, DFS), search.RepTrailStore, 0, 0},
+		{"bfs", req(t, db, query, BFS), search.RepPersistentEnv, 0, 0},
+		{"best", req(t, db, query, BestFirst), search.RepPersistentEnv, 0, 0},
+		{"parallel", par, search.RepPersistentEnv, 0, 3},
+		{"andpar", and, search.RepPersistentEnv, 2, 0},
+	}
 	for _, c := range cases {
-		s, err := SolverFor(c.req)
+		resp, err := Do(context.Background(), c.req)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if s != c.want {
-			t.Errorf("%s: solver = %T, want %T", c.name, s, c.want)
+		st := resp.Stats
+		if st.Representation != c.rep || st.Groups != c.groups || len(st.PerWorkerExpanded) != c.workers {
+			t.Errorf("%s: representation %q groups %d workers %d, want %q %d %d",
+				c.name, st.Representation, st.Groups, len(st.PerWorkerExpanded), c.rep, c.groups, c.workers)
+		}
+		if len(resp.Solutions) != 1 || !resp.Exhausted {
+			t.Errorf("%s: %d solutions exhausted=%v, want 1 true", c.name, len(resp.Solutions), resp.Exhausted)
 		}
 	}
 
-	bad := req(t, db, "gf(sam,G)", Parallel)
+	bad := req(t, db, query, Parallel)
 	bad.AndParallel = true
-	if _, err := SolverFor(bad); err == nil {
+	if _, err := Do(context.Background(), bad); err == nil {
 		t.Error("Parallel+AndParallel must be rejected")
 	}
-	if _, err := SolverFor(req(t, db, "gf(sam,G)", Strategy(99))); err == nil {
+	if _, err := Do(context.Background(), req(t, db, query, Strategy(99))); err == nil {
 		t.Error("unknown strategy must be rejected")
 	}
 }
