@@ -72,7 +72,8 @@ const (
 	BFS = solve.BFS
 	// BestFirst is B-LOG's weighted best-first branch and bound.
 	BestFirst = solve.BestFirst
-	// Parallel is the OR-parallel best-first engine (live goroutines).
+	// Parallel is the OR-parallel engine: goroutine workers running
+	// trail-store segments that trade detached chains.
 	Parallel = solve.Parallel
 )
 
@@ -335,8 +336,9 @@ func OccursCheck() Option { return func(o *queryOpts) { o.occursCheck = true } }
 func Workers(n int) Option { return func(o *queryOpts) { o.workers = n } }
 
 // MigrationThreshold sets D and switches the Parallel strategy to the
-// paper's two-level scheduling: a freed worker takes the network chain
-// only when it is at least d cheaper than its local minimum.
+// paper's two-level scheduling: a worker whose local minimum (the least
+// bound among the work it holds) exceeds the network minimum by more than
+// d suspends its run into the network and takes the minimum instead.
 func MigrationThreshold(d float64) Option {
 	return func(o *queryOpts) { o.d = d; o.twoLevel = true }
 }
@@ -379,9 +381,10 @@ func Compiled(on bool) Option { return func(o *queryOpts) { o.noVM = !on } }
 // TrailStore selects the sequential-DFS binding representation: on (the
 // default) runs one destructive trail-disciplined store with undo on
 // backtrack; TrailStore(false) forces the persistent immutable Env
-// chains, kept as the differential oracle. Strategies other than DFS
-// always use Env — their frontiers need persistence — so the option only
-// affects DFS runs; Result.Representation reports which one ran.
+// chains, kept as the differential oracle. BFS and best-first always use
+// Env — their frontiers need persistence — and Parallel always runs
+// trail-store segments, so the option only affects DFS runs;
+// Result.Representation reports which one ran.
 func TrailStore(on bool) Option { return func(o *queryOpts) { o.noTrail = !on } }
 
 // RecordTree records the search tree (Result.Tree); sequential only.
@@ -461,9 +464,9 @@ type Counters struct {
 	// (zero under Compiled(false) or BLOG_COMPILED=off).
 	VMDispatched uint64
 	// Representation names the binding representation that ran:
-	// "trail-store" (destructive store with undo; the sequential DFS
-	// default) or "persistent-env" (immutable environment chains; every
-	// other strategy, and DFS under TrailStore(false)).
+	// "trail-store" (destructive store with undo; DFS by default, and
+	// Parallel) or "persistent-env" (immutable environment chains; BFS,
+	// best-first, and DFS under TrailStore(false)).
 	Representation string
 	// Tabled-resolution counters (Tabled() runs only): tables this query
 	// materialized, distinct answers it derived, calls served from an
@@ -483,6 +486,13 @@ type Counters struct {
 	// strictly cheaper derivation.
 	AnswersSubsumed uint64
 	AnswersImproved uint64
+	// OR-parallel network counters (Parallel runs only): chains workers
+	// took from the network, chains published to it, and migrations — a
+	// worker suspending its run for a cheaper network chain (two-level
+	// scheduling).
+	NetworkAcquires uint64
+	Spills          uint64
+	Migrations      uint64
 }
 
 // countersFrom fills Counters from the engine's stats and the run's
@@ -520,8 +530,6 @@ type Result struct {
 	// Spans is the query's span tree when Traced was set: parse, compile
 	// and search phases with table fixpoints and rounds beneath.
 	Spans *Span
-	// Migrations counts network chain acquisitions (Parallel two-level).
-	Migrations uint64
 	// Groups is the independent-group count of an AndParallel run.
 	Groups int
 }
@@ -585,14 +593,14 @@ func runRequest(ctx context.Context, req *solve.Request) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Solutions:  convertSolutions(resp.Solutions, varNames(resp.QueryVars)),
-		Counters:   countersFrom(resp.Stats.Stats, resp.Stats.Tables),
-		Exhausted:  resp.Exhausted,
-		Trace:      resp.Trace,
-		Spans:      req.Trace.Finish(),
-		Migrations: resp.Stats.Migrations,
-		Groups:     resp.Stats.Groups,
+		Solutions: convertSolutions(resp.Solutions, varNames(resp.QueryVars)),
+		Counters:  countersFrom(resp.Stats.Stats, resp.Stats.Tables),
+		Exhausted: resp.Exhausted,
+		Trace:     resp.Trace,
+		Spans:     req.Trace.Finish(),
+		Groups:    resp.Stats.Groups,
 	}
+	res.NetworkAcquires, res.Spills, res.Migrations = resp.Stats.NetworkAcquires, resp.Stats.Spills, resp.Stats.Migrations
 	if resp.Tree != nil {
 		res.Tree = resp.Tree.Render()
 	}

@@ -136,13 +136,30 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 
 	outs := make([]*search.Result, len(groups))
 	errs := make([]error, len(groups))
+	// A panicking group stops the others through gctx and becomes the
+	// conjunction's error; group goroutines run outside any caller's
+	// recovery, so the panic must not escape them.
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var panicMu sync.Mutex
+	var panicErr error
 	runGroup := func(gi int) {
+		defer func() {
+			if p := recover(); p != nil {
+				panicMu.Lock()
+				if panicErr == nil {
+					panicErr = fmt.Errorf("andpar: group panic: %v", p)
+				}
+				panicMu.Unlock()
+				cancel()
+			}
+		}()
 		idx := groups[gi]
 		sub := make([]term.Term, len(idx))
 		for j, i := range idx {
 			sub[j] = goals[i]
 		}
-		outs[gi], errs[gi] = search.Run(ctx, db, ws, sub, opt.Search)
+		outs[gi], errs[gi] = search.Run(gctx, db, ws, sub, opt.Search)
 	}
 	if opt.Parallel {
 		var wg sync.WaitGroup
@@ -158,6 +175,9 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 		for gi := range groups {
 			runGroup(gi)
 		}
+	}
+	if panicErr != nil {
+		return nil, panicErr
 	}
 	exhausted := true
 	for gi, r := range outs {

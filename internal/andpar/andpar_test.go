@@ -2,7 +2,11 @@ package andpar
 
 import (
 	"context"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blog/internal/kb"
 	"blog/internal/parse"
@@ -301,4 +305,45 @@ func BenchmarkSemiJoinVsNested(b *testing.B) {
 			}
 		}
 	})
+}
+
+// panicStore is a weight store whose nth Weight call panics: a stand-in
+// for any fault inside a group goroutine.
+type panicStore struct {
+	weights.Store
+	n atomic.Int64
+}
+
+func (p *panicStore) Weight(a kb.Arc) float64 {
+	if p.n.Add(-1) == 0 {
+		panic("injected weight-store fault")
+	}
+	return p.Store.Weight(a)
+}
+
+// TestGroupPanicBecomesError: a panic in one group goroutine stops the
+// other groups and comes back as the conjunction's error instead of
+// killing the process; every goroutine is joined, and the database serves
+// the next query.
+func TestGroupPanicBecomesError(t *testing.T) {
+	db := load(t, workload.NQueens)
+	goals := q(t, "queens(5, Qs), queens(4, Ps)")
+	opt := Options{Search: search.Options{Strategy: search.DFS}, Parallel: true}
+	before := runtime.NumGoroutine()
+	ws := &panicStore{Store: uniform()}
+	ws.n.Store(300)
+	_, err := Solve(context.Background(), db, ws, goals, opt)
+	if err == nil || !strings.Contains(err.Error(), "andpar: group panic: injected weight-store fault") {
+		t.Fatalf("err = %v, want the group panic", err)
+	}
+	res, err := Solve(context.Background(), db, uniform(), goals, opt)
+	if err != nil || len(res.Solutions) != 20 {
+		t.Fatalf("next query: %v solutions, err %v", res, err)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -1,0 +1,219 @@
+package engine
+
+import (
+	"blog/internal/kb"
+	"blog/internal/term"
+	"blog/internal/vm"
+)
+
+// Chain is a detached piece of a trail run's OR-tree, for another run on
+// another goroutine's store to resume: the untried alternatives of one
+// choice point, or (RootChain, Suspend) one node not yet expanded. It holds
+// the goal entries with their Caller/Pos — first the goal the candidates
+// resolve, then the goals pending below it — the images of the query
+// variables, the arcs taken to reach it, its bound and depth, the
+// remaining candidates and, under Learn, their captured weights. Its terms
+// share no binding slot with the store they came from: the stack-copying
+// side of the copying-vs-recomputation trade in OR-parallel Prolog.
+type Chain struct {
+	// Bound is B(n) at the choice point; the network orders chains by it.
+	Bound float64
+
+	depth   int
+	kind    cpKind
+	goals   *GoalStack // the chain's own nodes, never pool blocks
+	qvars   []*term.Var
+	vars    []term.Term
+	arcs    []kb.Arc
+	vmCands []*vm.CClause
+	kbCands []*kb.Clause
+	weights []float64 // nil unless captured under Learn
+}
+
+// RootChain is a query's root as a node chain: the goals renamed apart as
+// NewTrailRun renames them, for whichever run resumes it.
+func RootChain(goals []term.Term) *Chain {
+	gs, qvars, m := rootGoals(goals)
+	c := &Chain{goals: gs, qvars: qvars, vars: make([]term.Term, len(qvars))}
+	for i, v := range qvars {
+		c.vars[i] = m[v]
+	}
+	return c
+}
+
+// QueryVars returns the query variables the chain's solutions bind.
+func (c *Chain) QueryVars() []*term.Var { return c.qvars }
+
+// Untried reports the work the run holds: n counts the untried clause
+// alternatives (what Split can export), and least is the lowest bound
+// among the node it is at and every choice point with alternatives left.
+func (r *TrailRun) Untried() (n int, least float64) {
+	least = r.bound
+	for i := range r.cps {
+		cp := &r.cps[i]
+		if left := len(cp.vmCands) + len(cp.kbCands) + len(cp.alts) - cp.next; left > 0 {
+			least = min(least, cp.bound)
+			if cp.kind != cpDeltas {
+				n += left
+			}
+		}
+	}
+	return n, least
+}
+
+// Split exports the untried alternatives of the run's oldest clause choice
+// point that has any, minus those whose heads cannot unify, and truncates
+// its candidate list: the run and the chain divide the subtree. The export
+// reads the store as of the choice point's trail mark — the slots bound
+// since are cleared, the terms copied with every unbound variable renamed,
+// the slots restored; the trail is untouched. Deltas choice points (tabled
+// answers, between/3, arg/3) are never exported. Split is for StepHook,
+// which negation sub-runs do not call; nil means nothing to export.
+func (r *TrailRun) Split() *Chain {
+	for i := range r.cps {
+		if cp := &r.cps[i]; cp.kind != cpDeltas && cp.next < len(cp.vmCands)+len(cp.kbCands) {
+			if c := r.splitCP(cp); c != nil {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
+	sh := r.sh
+	sh.hide = sh.st.Hide(cp.mark, sh.hide)
+	defer sh.st.Unhide(cp.mark, sh.hide)
+	c := &Chain{Bound: cp.bound, depth: cp.depth, kind: cp.kind}
+	n := len(cp.vmCands) + len(cp.kbCands)
+	if cp.kind == cpVM {
+		c.vmCands = make([]*vm.CClause, 0, n-cp.next)
+	} else {
+		c.kbCands = make([]*kb.Clause, 0, n-cp.next)
+	}
+	if cp.weights != nil {
+		c.weights = make([]float64, 0, n-cp.next)
+	}
+	mark, compMark := sh.st.Mark(), sh.cpool.Mark()
+	for j := cp.next; j < n; j++ {
+		var ok bool
+		if cp.kind == cpVM {
+			_, ok = sh.mach.Resolve(r.env, cp.goal, cp.vmCands[j], r.cfg.OccursCheck)
+			sh.st.Undo(mark)
+			sh.cpool.Release(compMark)
+			sh.pool.Put(sh.mach.TakeFrame())
+			if ok {
+				c.vmCands = append(c.vmCands, cp.vmCands[j])
+			}
+		} else {
+			head, _ := cp.kbCands[j].HeadForUnify()
+			if _, ok = r.unify(cp.goal, head); ok {
+				c.kbCands = append(c.kbCands, cp.kbCands[j])
+			}
+			sh.st.Undo(mark)
+		}
+		if ok && cp.weights != nil {
+			c.weights = append(c.weights, cp.weights[j])
+		}
+	}
+	// Candidate lists are shared with the program or the index: reslice.
+	if cp.kind == cpVM {
+		cp.vmCands = cp.vmCands[:cp.next]
+	} else {
+		cp.kbCands = cp.kbCands[:cp.next]
+	}
+	if len(c.vmCands)+len(c.kbCands) == 0 {
+		return nil
+	}
+	r.export(c, cp.entry, cp.tail, cp.chainLen)
+	return c
+}
+
+// Suspend exports all the run's remaining work — the node it is arriving
+// at, then every clause choice point's untried alternatives, oldest first —
+// for a StepHook that then abandons the run with an error, so the node is
+// counted where it resumes. While a deltas choice point still holds
+// alternatives, which never leave their run, it exports nothing (nil).
+func (r *TrailRun) Suspend() []*Chain {
+	for i := range r.cps {
+		if cp := &r.cps[i]; cp.kind == cpDeltas && cp.next < len(cp.alts) {
+			return nil
+		}
+	}
+	node := &Chain{Bound: r.bound, depth: r.depth}
+	r.export(node, r.goals.entry, r.goals.tail, len(r.chain))
+	out := []*Chain{node}
+	for c := r.Split(); c != nil; c = r.Split() {
+		out = append(out, c)
+	}
+	return out
+}
+
+// export fills c with copies of first and the goals of tail (as one
+// goal-stack block), the query variables' images and the first n arcs,
+// read off the store as it stands.
+func (r *TrailRun) export(c *Chain, first GoalEntry, tail *GoalStack, n int) {
+	x := &r.sh.exp
+	x.Reset(r.env)
+	block := make([]GoalStack, 1+tail.Len())
+	block[0].entry = first
+	for i, s := 1, tail; s != nil; i, s = i+1, s.tail {
+		block[i].entry = s.entry
+	}
+	for i := range block {
+		block[i].entry.Goal = x.Copy(block[i].entry.Goal)
+	}
+	c.goals = link(block, nil)
+	c.qvars = r.queryVars
+	c.vars = make([]term.Term, len(r.queryVars))
+	for i := range c.vars {
+		c.vars[i] = x.Copy(r.image(i))
+	}
+	c.arcs = append([]kb.Arc(nil), r.chain[:n]...)
+}
+
+// image is the term query variable i stands for in this run.
+func (r *TrailRun) image(i int) term.Term {
+	if r.images != nil {
+		return r.images[i]
+	}
+	return r.fresh[r.queryVars[i]]
+}
+
+// Resume starts a run of c under cfg on a pooled scratch; see TrailRun.Resume.
+func Resume(cfg TrailConfig, c *Chain) *TrailRun {
+	r := new(TrailRun)
+	r.init(cfg)
+	r.Resume(c)
+	return r
+}
+
+// Resume restarts r — finished, or abandoned by its StepHook — on c with
+// r's configuration and scratch, the store unwound. A choice point's chain
+// gets its choice point back over the exported candidates: the node was
+// counted where it was expanded, and a chain none of whose candidates
+// resolves ends without a failure, as the choice point would have in
+// place. A node chain arrives at its node. Stats accumulate.
+func (r *TrailRun) Resume(c *Chain) {
+	sh := r.sh
+	sh.st.Undo(0)
+	sh.cpool.Release(0)
+	for i := range r.cps {
+		cp := &r.cps[i]
+		sh.pool.Put(cp.frame)
+		if cp.block != nil {
+			sh.blocks.put(cp.block)
+		}
+		cp.frame, cp.block = nil, nil
+	}
+	r.cps = r.cps[:0]
+	r.mode, r.err, r.exhausted = trailArrive, nil, false
+	r.queryVars, r.images, r.fresh = c.qvars, c.vars, nil
+	r.chain = append(r.chain[:0], c.arcs...)
+	r.depth, r.bound, r.goals = c.depth, c.Bound, c.goals
+	if len(c.vmCands)+len(c.kbCands) > 0 {
+		cp := r.pushCP(c.kind, c.goals.entry, c.goals.entry.Goal)
+		cp.vmCands, cp.kbCands, cp.weights = c.vmCands, c.kbCands, c.weights
+		r.mode = trailBacktrack
+	}
+}

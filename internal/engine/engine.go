@@ -52,6 +52,17 @@ func PushGoals(s *GoalStack, entries []GoalEntry) *GoalStack {
 	return s
 }
 
+// link chains the goal entries laid out in block onto s, block[0] on
+// top, and returns the new stack: a body or a chain's goals as one
+// allocation, each node still a distinct struct of the persistent list.
+func link(block []GoalStack, s *GoalStack) *GoalStack {
+	for i := len(block) - 1; i >= 0; i-- {
+		block[i].tail, block[i].size = s, s.Len()+1
+		s = &block[i]
+	}
+	return s
+}
+
 // Top returns the first pending goal; ok is false for the empty stack.
 func (s *GoalStack) Top() (GoalEntry, bool) {
 	if s == nil {
@@ -170,7 +181,7 @@ type NegationTabler interface {
 
 // Expander expands OR-tree nodes against a database and weight store.
 // It carries counters and the bytecode machine's scratch space, so each
-// goroutine must own its Expander (parallel workers allocate one each).
+// goroutine must own its Expander.
 type Expander struct {
 	DB *kb.DB
 	// Weights supplies arc weights for child bounds.
@@ -367,24 +378,14 @@ func (e *Expander) expandCompiled(n *Node, entry GoalEntry, goal term.Term, pc *
 // node is a distinct addressable struct, so the persistent-list sharing
 // contract is unchanged.
 func (e *Expander) pushBody(tail *GoalStack, c *kb.Clause) *GoalStack {
-	nb := len(c.Body)
-	if nb == 0 {
+	if len(c.Body) == 0 {
 		return tail
 	}
-	base := 0
-	if tail != nil {
-		base = tail.size
+	block := make([]GoalStack, len(c.Body))
+	for i := range block {
+		block[i].entry = GoalEntry{Goal: e.mach.BodyGoal(i), Caller: c.ID, Pos: i}
 	}
-	block := make([]GoalStack, nb)
-	for i := nb - 1; i >= 0; i-- {
-		block[i] = GoalStack{
-			entry: GoalEntry{Goal: e.mach.BodyGoal(i), Caller: c.ID, Pos: i},
-			tail:  tail,
-			size:  base + nb - i,
-		}
-		tail = &block[i]
-	}
-	return tail
+	return link(block, tail)
 }
 
 func (e *Expander) unify(env *term.Env, a, b term.Term) (*term.Env, bool) {

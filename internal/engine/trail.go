@@ -59,7 +59,8 @@ type TrailConfig struct {
 	RootBypassTabler bool
 	// StepHook, when set, runs once per non-solution arrival, before the
 	// expansion is counted; a non-nil return aborts the run with that
-	// error. Table generators meter their derivation budget through it.
+	// error. Table generators meter their derivation budget through it;
+	// OR-parallel workers split and suspend the run from it.
 	StepHook func() error
 	// DepHook, when set, observes every predicate the run resolves
 	// against program clauses (compiled or tree-walk, including goals
@@ -125,6 +126,11 @@ type trailShared struct {
 	// field they read) so the next run starts at steady-state capacity.
 	spareCPs   []choicePoint
 	spareChain []kb.Arc
+
+	// exp and hide are Split's scratch: the renaming exporter and the
+	// buffer holding the slots hidden above a choice point's mark.
+	exp  term.Exporter
+	hide []term.Term
 }
 
 // sharedPool recycles trailShared scratch across runs. A recycled scratch
@@ -286,6 +292,7 @@ type TrailRun struct {
 
 	queryVars []*term.Var
 	fresh     map[*term.Var]*term.Var // original -> refreshed query var
+	images    []term.Term             // instead of fresh on resumed runs: what queryVars stand for
 
 	stats     TrailStats
 	bestBound float64
@@ -306,6 +313,30 @@ type TrailRun struct {
 // terms — often parse-time structures reused across queries — must never
 // be written. Solutions report bindings under the original variables.
 func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
+	r := new(TrailRun)
+	r.init(cfg)
+	r.goals, r.queryVars, r.fresh = rootGoals(goals)
+	return r
+}
+
+// rootGoals renames a query's goals apart (shared variables stay shared)
+// onto an empty goal stack; it returns the original query variables and
+// the original-to-fresh renaming too.
+func rootGoals(goals []term.Term) (*GoalStack, []*term.Var, map[*term.Var]*term.Var) {
+	var queryVars []*term.Var
+	for _, g := range goals {
+		queryVars = term.Vars(g, queryVars)
+	}
+	freshGoals, m := term.RefreshAll(goals)
+	entries := make([]GoalEntry, len(freshGoals))
+	for i, g := range freshGoals {
+		entries[i] = GoalEntry{Goal: g, Caller: kb.Query, Pos: i}
+	}
+	return PushGoals(nil, entries), queryVars, m
+}
+
+// init sets r up for cfg on a scratch from the pool, with no goals yet.
+func (r *TrailRun) init(cfg TrailConfig) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
@@ -316,15 +347,6 @@ func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
 	maxExp := cfg.MaxExpansions
 	if maxExp == 0 {
 		maxExp = math.MaxUint64
-	}
-	var queryVars []*term.Var
-	for _, g := range goals {
-		queryVars = term.Vars(g, queryVars)
-	}
-	freshGoals, m := term.RefreshAll(goals)
-	entries := make([]GoalEntry, len(freshGoals))
-	for i, g := range freshGoals {
-		entries[i] = GoalEntry{Goal: g, Caller: kb.Query, Pos: i}
 	}
 	sh := getShared(cfg.DB)
 	// The choice-point and chain stacks grow with search depth; recycled
@@ -339,18 +361,15 @@ func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
 	if chain == nil {
 		chain = make([]kb.Arc, 0, 32)
 	}
-	return &TrailRun{
+	*r = TrailRun{
 		cfg:        cfg,
 		sh:         sh,
 		ctx:        cfg.Ctx,
 		env:        sh.st.Env(),
 		maxDepth:   maxDepth,
 		maxExp:     maxExp,
-		goals:      PushGoals(nil, entries),
 		chain:      chain,
 		cps:        cps,
-		queryVars:  queryVars,
-		fresh:      m,
 		rootBypass: cfg.RootBypassTabler,
 		meter:      obs.NewMeter(cfg.Prof),
 	}
@@ -771,21 +790,11 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 				continue
 			}
 			c := cc.Clause()
-			tail := cp.tail
 			var block []GoalStack
 			if nb := len(c.Body); nb > 0 {
 				block = r.sh.blocks.get(nb)
-				base := 0
-				if tail != nil {
-					base = tail.size
-				}
-				for j := nb - 1; j >= 0; j-- {
-					block[j] = GoalStack{
-						entry: GoalEntry{Goal: r.sh.mach.BodyGoal(j), Caller: c.ID, Pos: j},
-						tail:  tail,
-						size:  base + nb - j,
-					}
-					tail = &block[j]
+				for j := range block {
+					block[j].entry = GoalEntry{Goal: r.sh.mach.BodyGoal(j), Caller: c.ID, Pos: j}
 				}
 			}
 			// Body goals can mint frame slots the head never touched, so
@@ -793,7 +802,7 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 			cp.frame = r.sh.mach.TakeFrame()
 			cp.block = block
 			r.takeAlt(cp, i, c.ID)
-			r.goals = tail
+			r.goals = link(block, cp.tail)
 			return true
 		}
 		return false
@@ -807,28 +816,18 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 				r.sh.st.Undo(cp.mark)
 				continue
 			}
-			tail := cp.tail
 			var block []GoalStack
 			if nb := len(c.Body); nb > 0 {
 				frame = c.EnsureFrame(frame)
 				block = r.sh.blocks.get(nb)
-				base := 0
-				if tail != nil {
-					base = tail.size
-				}
-				for j := nb - 1; j >= 0; j-- {
-					block[j] = GoalStack{
-						entry: GoalEntry{Goal: c.InstantiateGoal(j, frame), Caller: c.ID, Pos: j},
-						tail:  tail,
-						size:  base + nb - j,
-					}
-					tail = &block[j]
+				for j := range block {
+					block[j].entry = GoalEntry{Goal: c.InstantiateGoal(j, frame), Caller: c.ID, Pos: j}
 				}
 			}
 			cp.frame = nil // kb activation frames are not pool-minted
 			cp.block = block
 			r.takeAlt(cp, i, c.ID)
-			r.goals = tail
+			r.goals = link(block, cp.tail)
 			return true
 		}
 		return false
@@ -920,8 +919,8 @@ func (r *TrailRun) extract() Solution {
 	b := make(map[string]term.Term, len(r.queryVars))
 	if len(r.queryVars) > 0 {
 		d := term.Detacher{Env: r.env, Subst: r.fresh}
-		for _, v := range r.queryVars {
-			b[v.String()] = d.Detach(v)
+		for i, v := range r.queryVars {
+			b[v.String()] = d.Detach(r.image(i))
 		}
 	}
 	chain := make([]kb.Arc, len(r.chain))

@@ -1,34 +1,37 @@
 // Package par implements the parallel B-LOG machine of sections 3 and 6 as
-// a live goroutine engine: n workers (the paper's processors) expand
-// OR-tree chains concurrently, coordinated by a minimum-seeking network.
+// a live goroutine engine: n workers (the paper's processors) each expand
+// their own chains depth-first on a private trail store, and a
+// minimum-seeking network moves surplus work between them.
 //
-// Two scheduling modes are provided:
+// A worker drains chains on one engine.TrailRun per query. The network is
+// a small bound-ordered list of detached chains — first the query's root,
+// then the untried alternatives of choice points, exported by
+// TrailRun.Split — and a free worker pops its minimum. Workers touch it
+// only to take work and to publish surplus, from the step hook each
+// installs on its run:
 //
-//   - SharedHeap: one global open list ordered by bound. This is the
-//     idealized zero-cost network — every free processor always receives
-//     the global minimum chain. It is the D=0 limit of the paper's design
-//     and the ablation baseline.
+//   - SharedHeap publishes one chain per step while hungry workers (those
+//     holding no chain) outnumber queued chains, so every idle processor
+//     is fed the oldest (shallowest, cheapest) alternatives of a busy one.
+//     It is the D=∞ limit of the paper's design, and the server path.
 //
-//   - TwoLevel: each worker keeps a local open list and the global list
-//     plays the role of the minimum-seeking network. Exactly as described
-//     at the end of section 6: when a task frees up, it acquires a chain
-//     through the network only if the network minimum is at least D lower
-//     than its local minimum, else it works on its own minimum chain. D
-//     reflects the communication cost of moving a chain. Workers spill
-//     their worst chains to the network when their local list grows past
-//     LocalCap — and whenever peers are starving — which also implements
-//     the initial breadth-first fill: the first worker's early children
-//     overflow to the network where idle processors pick them up.
+//   - TwoLevel adds the two rules of section 6 over the same segments. A
+//     worker whose stack holds more than LocalCap untried alternatives
+//     publishes its oldest, and a worker whose local minimum — the least
+//     bound of its node and of its choice points with alternatives left —
+//     exceeds the network minimum by more than D while the network holds
+//     surplus suspends its run into the network (TrailRun.Suspend) and
+//     takes the minimum: a migration. D is the cost of moving a chain.
 //
 // The network minimum is published in an atomic register (the minimum-
-// seeking circuit's output), so a worker holding local work applies the D
-// rule without locking; the global list's mutex is only taken to migrate,
-// spill, or wait.
+// seeking circuit's output), so the D rule costs one atomic read per step;
+// the network's mutex is taken only to publish, take or wait.
 package par
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -45,9 +48,9 @@ import (
 type Mode int
 
 const (
-	// SharedHeap uses a single global bound-ordered open list.
+	// SharedHeap feeds idle workers from busy ones' oldest alternatives.
 	SharedHeap Mode = iota
-	// TwoLevel uses per-worker open lists plus the D-threshold network.
+	// TwoLevel adds the LocalCap spill and the D migration rule.
 	TwoLevel
 )
 
@@ -64,12 +67,14 @@ type Options struct {
 	// Workers is the number of simulated processors (default 4).
 	Workers int
 	Mode    Mode
-	// D is the migration threshold of section 6: a freed worker takes the
-	// network chain only if networkMin <= localMin - D. Ignored by
-	// SharedHeap.
+	// D is the migration threshold of section 6: a worker whose local
+	// minimum exceeds the network minimum by more than D, while the network
+	// holds surplus, suspends its run there and takes the minimum. Ignored
+	// by SharedHeap.
 	D float64
-	// LocalCap bounds a worker's local open list in TwoLevel mode; excess
-	// chains spill to the network (default 64).
+	// LocalCap bounds the untried alternatives a worker's choice-point
+	// stack may hold in TwoLevel mode; past it, the oldest are published
+	// (default 64).
 	LocalCap int
 	// MaxSolutions stops the run after this many solutions; 0 finds all.
 	MaxSolutions int
@@ -79,7 +84,7 @@ type Options struct {
 	Learn bool
 	// MaxDepth bounds chain length; 0 uses the store's A constant.
 	MaxDepth int
-	// OccursCheck enables sound unification in every worker's expander.
+	// OccursCheck enables sound unification in every worker.
 	OccursCheck bool
 	// Tabler, when non-nil, resolves declared tabled predicates against
 	// memoized answer tables shared by all workers; the implementation
@@ -104,14 +109,12 @@ type Stats struct {
 	Failures     uint64
 	DepthCutoffs uint64
 	Solutions    uint64
-	// Migrations counts chains acquired through the network by a worker
-	// that still had local work (true steals triggered by the D rule).
+	// Migrations counts runs suspended into the network by the D rule.
 	Migrations uint64
-	// NetworkAcquires counts every pop from the global list.
+	// NetworkAcquires counts chains taken from the network, the root
+	// among them.
 	NetworkAcquires uint64
-	// LocalPops counts chains taken from a worker's own list.
-	LocalPops uint64
-	// Spills counts chains pushed to the network by overflowing workers.
+	// Spills counts chains published to the network.
 	Spills uint64
 	// PerWorkerExpanded records each worker's expansion count, the
 	// utilization-balance signal for experiment E5.
@@ -130,10 +133,18 @@ type Result struct {
 	Exhausted bool
 }
 
+// errStopped and errMigrated end a worker's run from its step hook: the
+// run as a whole stopped, or the worker suspended its run into the network.
+var (
+	errStopped  = errors.New("par: stopped")
+	errMigrated = errors.New("par: migrated")
+)
+
 // Run searches goals over db with opt.Workers parallel workers. When ctx
 // is cancelled, every worker stops promptly — including workers blocked on
-// the network condvar, which a watcher goroutine wakes — and Run returns
-// the context's error alongside the partial result.
+// the network condvar — and Run returns the context's error alongside the
+// partial result. A panicking worker stops the others and becomes the
+// run's error.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -150,93 +161,61 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	if opt.LocalCap <= 0 {
 		opt.LocalCap = 64
 	}
-	maxExp := opt.MaxExpansions
-	if maxExp == 0 {
-		maxExp = search.DefaultMaxExpansions
+	st := &state{opt: opt, maxExp: opt.MaxExpansions}
+	if st.maxExp == 0 {
+		st.maxExp = search.DefaultMaxExpansions
 	}
-
-	var queryVars []*term.Var
-	for _, g := range goals {
-		queryVars = term.Vars(g, queryVars)
-	}
-
-	st := &state{opt: opt, maxExp: maxExp, global: newBoundHeap(), ws: ws, queryVars: queryVars}
 	st.cond = sync.NewCond(&st.mu)
-	st.globalMin.Store(math.Float64bits(math.Inf(1)))
-
-	exps := make([]*engine.Expander, opt.Workers)
-	for i := range exps {
-		e := engine.NewExpander(db, ws)
-		e.Ctx = ctx
-		e.OccursCheck = opt.OccursCheck
-		e.Tabler = opt.Tabler
-		e.NoVM = opt.NoVM
-		e.Prof = opt.Prof
-		if opt.MaxDepth > 0 {
-			e.MaxDepth = opt.MaxDepth
-		}
-		exps[i] = e
-	}
-
-	root := exps[0].Root(goals)
+	root := engine.RootChain(goals)
+	st.net.push(root)
+	st.sync()
 	st.outstanding.Store(1)
-	st.global.push(root)
-	st.publishMin()
+	st.hungry.Store(int32(opt.Workers))
 
+	workers := make([]worker, opt.Workers)
 	var wg sync.WaitGroup
-	workers := make([]*workerState, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		workers[w] = &workerState{id: w, exp: exps[w]}
-		if opt.Mode == TwoLevel {
-			workers[w].local = newBoundHeap()
+	for i := range workers {
+		w := &workers[i]
+		w.cfg = engine.TrailConfig{
+			DB: db, Weights: ws, OccursCheck: opt.OccursCheck, MaxDepth: opt.MaxDepth,
+			Tabler: opt.Tabler, Ctx: ctx, NoVM: opt.NoVM, Learn: opt.Learn, Prof: opt.Prof,
+			StepHook: func() error { return st.step(w) },
 		}
 		wg.Add(1)
-		go func(w *workerState) {
-			defer wg.Done()
-			st.worker(w)
-		}(workers[w])
-	}
-	// The cancellation watcher: a worker blocked in cond.Wait cannot select
-	// on ctx.Done(), so this goroutine converts cancellation into the
-	// engine's own stop-and-broadcast protocol. Run joins it before reading
-	// shared state so it never writes st.err after the return.
-	watcherQuit := make(chan struct{})
-	watcherExited := make(chan struct{})
-	if ctx.Done() != nil {
 		go func() {
-			defer close(watcherExited)
-			select {
-			case <-ctx.Done():
-				st.fail(ctx.Err())
-			case <-watcherQuit:
-			}
+			defer wg.Done()
+			st.work(w)
 		}()
-	} else {
-		close(watcherExited)
 	}
+	// A worker blocked in cond.Wait cannot select on ctx.Done(), so
+	// cancellation is converted into the engine's own stop-and-broadcast.
+	defer context.AfterFunc(ctx, func() { st.fail(ctx.Err()) })()
 	wg.Wait()
-	close(watcherQuit)
-	<-watcherExited
 
-	res := &Result{QueryVars: queryVars, Solutions: st.solutions}
+	st.mu.Lock() // a late cancellation may still be writing err
+	defer st.mu.Unlock()
+	res := &Result{QueryVars: root.QueryVars(), Solutions: st.solutions, Exhausted: st.exhausted.Load()}
 	res.Stats.PerWorkerExpanded = make([]uint64, opt.Workers)
-	for i, w := range workers {
-		// Charge each worker's trailing profile interval before reading
-		// its counters; the workers have all exited by now.
-		w.exp.ProfFlush()
-		res.Stats.PerWorkerExpanded[i] = w.expanded
-		res.Stats.Expanded += w.expanded
-		res.Stats.Generated += w.generated
-		res.Stats.Failures += w.failures
-		res.Stats.DepthCutoffs += w.depthCutoffs
+	for i := range workers {
+		w := &workers[i]
 		res.Stats.Migrations += w.migrations
-		res.Stats.NetworkAcquires += w.netAcquires
-		res.Stats.LocalPops += w.localPops
-		res.Stats.Spills += w.spills
-		res.Stats.VMDispatched += w.exp.VMDispatched
+		res.Stats.NetworkAcquires += w.acquires
+		res.Stats.Spills += w.published
+		if w.run == nil {
+			continue
+		}
+		ts := w.run.Stats()
+		res.Stats.PerWorkerExpanded[i] = ts.Expanded
+		res.Stats.Expanded += ts.Expanded
+		res.Stats.Generated += ts.Generated
+		res.Stats.Failures += ts.Failures
+		res.Stats.DepthCutoffs += ts.DepthCutoffs
+		res.Stats.VMDispatched += ts.VMDispatched
+		if !w.panicked {
+			w.run.Release()
+		}
 	}
 	res.Stats.Solutions = uint64(len(res.Solutions))
-	res.Exhausted = st.exhausted.Load()
 	if opt.MaxSolutions > 0 && len(res.Solutions) > opt.MaxSolutions {
 		res.Solutions = res.Solutions[:opt.MaxSolutions]
 	}
@@ -245,59 +224,180 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 
 // state is the shared coordination state of one run.
 type state struct {
-	opt       Options
-	maxExp    uint64
-	ws        weights.Store
-	queryVars []*term.Var
+	opt    Options
+	maxExp uint64
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	global *boundHeap // guarded by mu
-	// waiting counts workers blocked on the network; atomic so the spill
-	// heuristic can read it without the lock.
-	waiting atomic.Int32
-	err     error // guarded by mu
-	// solutions guarded by mu.
+	mu   sync.Mutex
+	cond *sync.Cond
+	// net, err and solutions are guarded by mu.
+	net       network
+	err       error
 	solutions []engine.Solution
 
-	// globalMin publishes the network's minimum bound (float64 bits,
-	// +Inf when the global list is empty): the min-seeking circuit.
-	globalMin atomic.Uint64
-	// outstanding counts chains alive anywhere; 0 means exhaustion.
+	// hungry counts workers holding no chain — waiting on the network, or
+	// not started yet — and queued the chains in the network; atomic so
+	// the step hook compares them without the lock.
+	hungry atomic.Int32
+	queued atomic.Int32
+	// netMin is the min-seeking circuit: the network minimum's float64 bits.
+	netMin atomic.Uint64
+	// outstanding counts chains running or queued; 0 means exhaustion.
 	outstanding atomic.Int64
-	// expandedTotal enforces the budget across workers.
-	expandedTotal atomic.Uint64
-	stop          atomic.Bool
-	exhausted     atomic.Bool
+	// expanded enforces the budget across workers.
+	expanded  atomic.Uint64
+	stop      atomic.Bool
+	exhausted atomic.Bool
 }
 
-// workerState is one worker's private accounting.
-type workerState struct {
-	id    int
-	exp   *engine.Expander
-	local *boundHeap // nil in SharedHeap mode
+// worker is one processor: its run, configuration and network accounting.
+type worker struct {
+	cfg      engine.TrailConfig
+	run      *engine.TrailRun
+	panicked bool
 
-	expanded     uint64
-	generated    uint64
-	failures     uint64
-	depthCutoffs uint64
-	migrations   uint64
-	netAcquires  uint64
-	localPops    uint64
-	spills       uint64
+	migrations, acquires, published uint64
 }
 
-// publishMin refreshes the atomic network-minimum register. Caller holds mu.
-func (s *state) publishMin() {
-	if n := s.global.peekOrNil(); n != nil {
-		s.globalMin.Store(math.Float64bits(n.Bound))
-	} else {
-		s.globalMin.Store(math.Float64bits(math.Inf(1)))
+// work takes chains from the network and drains each on the worker's run,
+// until the run as a whole stops. A panic becomes the run's error.
+func (s *state) work(w *worker) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.panicked = true
+			s.fail(fmt.Errorf("par: worker panic: %v", p))
+		}
+	}()
+	for {
+		c := s.take(w)
+		if c == nil {
+			return
+		}
+		if w.run == nil {
+			w.run = engine.Resume(w.cfg, c)
+		} else {
+			w.run.Resume(c)
+		}
+		if !s.drain(w) {
+			return
+		}
 	}
 }
 
-func (s *state) netMin() float64 {
-	return math.Float64frombits(s.globalMin.Load())
+// drain runs the worker's chain to its end and reports whether the worker
+// goes on to another.
+func (s *state) drain(w *worker) bool {
+	for {
+		sol, ok, err := w.run.Next()
+		switch {
+		case ok:
+			if s.addSolution(sol) {
+				return false
+			}
+		case err == errStopped:
+			return false
+		case err != nil && err != errMigrated:
+			s.fail(err)
+			return false
+		default: // the chain is done, or suspended into the network
+			if s.outstanding.Add(-1) == 0 {
+				s.exhausted.Store(!s.stop.Load())
+				s.setStop()
+				return false
+			}
+			s.hungry.Add(1)
+			return true
+		}
+	}
+}
+
+// step is the hook each worker's run calls at every non-solution arrival,
+// before counting it: stop check, TwoLevel's rules, feeding hungry
+// workers, then the shared budget and the inspector's counter.
+func (s *state) step(w *worker) error {
+	if s.stop.Load() {
+		return errStopped
+	}
+	if s.opt.Mode == TwoLevel {
+		untried, least := w.run.Untried()
+		if untried > s.opt.LocalCap {
+			if c := w.run.Split(); c != nil {
+				s.publish(w, c)
+			}
+		}
+		if s.queued.Load() > s.hungry.Load() && least > math.Float64frombits(s.netMin.Load())+s.opt.D {
+			if cs := w.run.Suspend(); cs != nil {
+				s.publish(w, cs...)
+				w.migrations++
+				return errMigrated
+			}
+		}
+	}
+	if s.hungry.Load() > s.queued.Load() {
+		if c := w.run.Split(); c != nil {
+			s.publish(w, c)
+		}
+	}
+	total := s.expanded.Add(1)
+	if total > s.maxExp {
+		return search.ErrBudget
+	}
+	if l := s.opt.Live; l != nil && total&1023 == 0 {
+		l.Expanded.Store(total)
+	}
+	return nil
+}
+
+// publish puts chains on the network and wakes a waiting worker for each.
+func (s *state) publish(w *worker, cs ...*engine.Chain) {
+	s.outstanding.Add(int64(len(cs)))
+	w.published += uint64(len(cs))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range cs {
+		s.net.push(c)
+		s.cond.Signal()
+	}
+	s.sync()
+}
+
+// take pops the network minimum, waiting while the network is empty; nil
+// means the run stopped.
+func (s *state) take(w *worker) *engine.Chain {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stop.Load() {
+		if c := s.net.pop(); c != nil {
+			s.sync()
+			s.hungry.Add(-1)
+			w.acquires++
+			return c
+		}
+		s.cond.Wait()
+	}
+	return nil
+}
+
+// sync refreshes the atomic views of the network. Caller holds mu.
+func (s *state) sync() {
+	s.queued.Store(int32(len(s.net)))
+	min := math.Inf(1)
+	if n := len(s.net); n > 0 {
+		min = s.net[n-1].Bound
+	}
+	s.netMin.Store(math.Float64bits(min))
+}
+
+// addSolution records sol and reports whether it reached the solution
+// cap, which stops the run.
+func (s *state) addSolution(sol engine.Solution) bool {
+	s.mu.Lock()
+	s.solutions = append(s.solutions, sol)
+	hit := s.opt.MaxSolutions > 0 && len(s.solutions) >= s.opt.MaxSolutions
+	s.mu.Unlock()
+	if hit {
+		s.setStop()
+	}
+	return hit
 }
 
 // setStop halts the run and wakes sleepers.
@@ -318,187 +418,30 @@ func (s *state) fail(err error) {
 	s.setStop()
 }
 
-// worker is the processor main loop.
-func (s *state) worker(w *workerState) {
-	for {
-		if s.stop.Load() {
-			s.abandonLocal(w)
-			return
-		}
-		// Fast path (TwoLevel): local work, and the network min does not
-		// beat it by D. No locks.
-		if w.local != nil && w.local.len() > 0 {
-			lm := w.local.peek().Bound
-			if !(s.netMin() <= lm-s.opt.D) {
-				n := w.local.pop()
-				w.localPops++
-				s.process(w, n)
-				continue
-			}
-		}
-		// Slow path: migrate, drain, wait, or finish.
-		n, ok := s.acquireSlow(w)
-		if !ok {
-			s.abandonLocal(w)
-			return
-		}
-		s.process(w, n)
+// network is the bound-ordered list of published chains, sorted by
+// descending bound so the minimum pops off the end; among equal bounds the
+// oldest pops first. It holds about one chain per hungry worker (more
+// under TwoLevel), so insertion is a linear scan.
+type network []*engine.Chain
+
+func (n *network) push(c *engine.Chain) {
+	l := append(*n, nil)
+	i := len(l) - 1
+	for ; i > 0 && l[i-1].Bound <= c.Bound; i-- {
+		l[i] = l[i-1]
 	}
+	l[i] = c
+	*n = l
 }
 
-// abandonLocal returns a stopping worker's local chains to the ledger.
-func (s *state) abandonLocal(w *workerState) {
-	if w.local == nil || w.local.len() == 0 {
-		return
+// pop removes and returns the minimum chain; nil when empty.
+func (n *network) pop() *engine.Chain {
+	l := *n
+	if len(l) == 0 {
+		return nil
 	}
-	n := int64(w.local.len())
-	w.local.clear()
-	if s.outstanding.Add(-n) == 0 {
-		s.declareExhausted()
-	}
-}
-
-// declareExhausted ends the run because no chains remain.
-func (s *state) declareExhausted() {
-	if !s.stop.Load() {
-		s.exhausted.Store(true)
-	}
-	s.setStop()
-}
-
-// acquireSlow takes the global lock to migrate a chain, fall back to local
-// work, or wait for someone to spill. ok=false ends the worker.
-func (s *state) acquireSlow(w *workerState) (*engine.Node, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stop.Load() {
-			return nil, false
-		}
-		var localMin *engine.Node
-		if w.local != nil && w.local.len() > 0 {
-			localMin = w.local.peek()
-		}
-		globalMin := s.global.peekOrNil()
-		switch {
-		case globalMin != nil && (localMin == nil || globalMin.Bound <= localMin.Bound-s.opt.D):
-			n := s.global.pop()
-			s.publishMin()
-			w.netAcquires++
-			if localMin != nil {
-				w.migrations++
-			}
-			return n, true
-		case localMin != nil:
-			w.localPops++
-			return w.local.pop(), true
-		}
-		if s.outstanding.Load() == 0 {
-			s.exhausted.Store(true)
-			s.stop.Store(true)
-			s.cond.Broadcast()
-			return nil, false
-		}
-		s.waiting.Add(1)
-		s.cond.Wait()
-		s.waiting.Add(-1)
-	}
-}
-
-// process expands or finalizes one chain and distributes its children.
-func (s *state) process(w *workerState, n *engine.Node) {
-	if n.IsSolution() {
-		sol := engine.Extract(n, s.queryVars)
-		if s.opt.Learn {
-			s.ws.RecordSuccess(sol.Chain)
-		}
-		s.mu.Lock()
-		s.solutions = append(s.solutions, sol)
-		hitCap := s.opt.MaxSolutions > 0 && len(s.solutions) >= s.opt.MaxSolutions
-		s.mu.Unlock()
-		if hitCap {
-			s.setStop()
-			return
-		}
-		if s.outstanding.Add(-1) == 0 {
-			s.declareExhausted()
-		}
-		return
-	}
-
-	total := s.expandedTotal.Add(1)
-	if total > s.maxExp {
-		s.fail(search.ErrBudget)
-		return
-	}
-	if l := s.opt.Live; l != nil && total&1023 == 0 {
-		l.Expanded.Store(total)
-	}
-	w.expanded++
-
-	children, err := s.exp(w, n)
-	if err != nil && err != engine.ErrDepthLimit {
-		s.fail(err)
-		return
-	}
-	if err == engine.ErrDepthLimit {
-		w.depthCutoffs++
-	}
-
-	if len(children) == 0 {
-		w.failures++
-		if s.opt.Learn {
-			s.ws.RecordFailure(n.Chain.Slice())
-		}
-		if s.outstanding.Add(-1) == 0 {
-			s.declareExhausted()
-		}
-		return
-	}
-	w.generated += uint64(len(children))
-	s.outstanding.Add(int64(len(children) - 1))
-
-	if w.local == nil {
-		// SharedHeap: everything goes to the global list.
-		s.mu.Lock()
-		for _, c := range children {
-			s.global.push(c)
-		}
-		s.publishMin()
-		if s.waiting.Load() > 0 {
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
-		return
-	}
-	// TwoLevel: keep children locally; spill overflow and feed starving
-	// peers. A stale starvation read only delays one spill by a step.
-	for _, c := range children {
-		w.local.push(c)
-	}
-	needSpill := w.local.len() > s.opt.LocalCap
-	starving := s.waiting.Load() > 0 && w.local.len() > 1
-	if !needSpill && !starving {
-		return
-	}
-	s.mu.Lock()
-	for w.local.len() > s.opt.LocalCap {
-		s.global.push(w.local.popMax())
-		w.spills++
-	}
-	// Feed one chain per starving worker so idle peers wake with work.
-	for i := s.waiting.Load(); i > 0 && w.local.len() > 1; i-- {
-		s.global.push(w.local.popMax())
-		w.spills++
-	}
-	s.publishMin()
-	if s.waiting.Load() > 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// exp runs the expander; split out so workerState owns its expander.
-func (s *state) exp(w *workerState, n *engine.Node) ([]*engine.Node, error) {
-	return w.exp.Expand(n)
+	c := l[len(l)-1]
+	l[len(l)-1] = nil
+	*n = l[:len(l)-1]
+	return c
 }

@@ -2,14 +2,21 @@ package par
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
 	"blog/internal/search"
 	"blog/internal/term"
+	"blog/internal/vm"
 	"blog/internal/weights"
 	"blog/internal/workload"
 )
@@ -195,18 +202,41 @@ func TestTwoLevelMigrationAccounting(t *testing.T) {
 	if len(res.Solutions) != 17 {
 		t.Fatalf("solutions = %d, want 17", len(res.Solutions))
 	}
-	if res.Stats.NetworkAcquires == 0 {
-		t.Error("two-level run should touch the network at least for the root")
+	// LocalCap 2 forces publication; an exhaustive run takes the root and
+	// every chain it published off the network again, and nothing else.
+	if res.Stats.Spills == 0 {
+		t.Error("two-level run with LocalCap 2 should publish chains")
 	}
-	if res.Stats.LocalPops == 0 {
-		t.Error("two-level run should also work locally")
+	if res.Stats.NetworkAcquires != res.Stats.Spills+1 {
+		t.Errorf("network acquires %d, want the root plus %d chains published", res.Stats.NetworkAcquires, res.Stats.Spills)
+	}
+	if !res.Exhausted {
+		t.Error("run should exhaust")
+	}
+
+	// On queens the spilled shallow chains undercut deep workers' local
+	// minima, so runs migrate; every suspended node is still expanded
+	// exactly once, where it resumes.
+	db = load(t, workload.NQueens)
+	res, err = Run(context.Background(), db, uniform(), q(t, "queens(5,Qs)"), Options{
+		Workers: 4, Mode: TwoLevel, D: 0, LocalCap: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Migrations == 0 || res.Stats.NetworkAcquires != res.Stats.Spills+1 {
+		t.Errorf("migrations %d, acquires %d, spills %d", res.Stats.Migrations, res.Stats.NetworkAcquires, res.Stats.Spills)
+	}
+	if s := res.Stats; len(res.Solutions) != 10 || s.Expanded != 3173 || s.Generated != 3182 || s.Failures != 437 {
+		t.Errorf("%d solutions, stats %+v; want sequential DFS's 10, 3173/3182/437", len(res.Solutions), s)
 	}
 }
 
 func TestHigherDReducesMigrations(t *testing.T) {
-	// With a huge D, workers almost never take network chains while they
-	// have local work; migrations (excluding idle acquisitions) drop
-	// relative to D=0. Run a few times to smooth scheduling noise.
+	// With a huge D no worker ever suspends its run for a cheaper network
+	// chain, so migrations drop to zero; D=0 migrates whenever the network
+	// holds surplus below a worker's local minimum. Run a few times to
+	// smooth scheduling noise.
 	db := load(t, workload.FamilyTree(5, 3))
 	var lowD, highD uint64
 	for i := 0; i < 3; i++ {
@@ -228,8 +258,8 @@ func TestHigherDReducesMigrations(t *testing.T) {
 		lowD += r0.Stats.Migrations
 		highD += r1.Stats.Migrations
 	}
-	if highD > lowD {
-		t.Errorf("migrations with D=inf (%d) exceed D=0 (%d)", highD, lowD)
+	if highD != 0 {
+		t.Errorf("D=1e6 migrated %d times (D=0: %d), want never", highD, lowD)
 	}
 }
 
@@ -313,49 +343,38 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestBoundHeapOrdering(t *testing.T) {
-	h := newBoundHeap()
-	bounds := []float64{5, 1, 4, 1, 9, 2, 6}
-	for i, b := range bounds {
-		h.push(&engine.Node{Bound: b, Seq: uint64(i)})
+func TestNetworkPopsMinimum(t *testing.T) {
+	var s state
+	if s.net.pop() != nil {
+		t.Fatal("empty network must pop nil")
+	}
+	if s.sync(); !math.IsInf(math.Float64frombits(s.netMin.Load()), 1) {
+		t.Fatal("empty network's minimum register must read +Inf")
+	}
+	for _, b := range []float64{5, 1, 4, 1, 9, 2, 6} {
+		s.net.push(&engine.Chain{Bound: b})
 	}
 	var got []float64
-	for h.len() > 0 {
-		got = append(got, h.pop().Bound)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("heap pops out of order: %v", got)
+	for s.sync(); len(s.net) > 0; s.sync() {
+		min := math.Float64frombits(s.netMin.Load())
+		if c := s.net.pop(); c.Bound != min {
+			t.Fatalf("popped %v while the minimum register read %v", c.Bound, min)
 		}
+		got = append(got, min)
+	}
+	if fmt.Sprint(got) != "[1 1 2 4 5 6 9]" {
+		t.Fatalf("pops = %v", got)
 	}
 }
 
-func TestBoundHeapPopMax(t *testing.T) {
-	h := newBoundHeap()
-	for i, b := range []float64{1, 8, 2, 9, 9, 3} {
-		h.push(&engine.Node{Bound: b, Seq: uint64(i)})
-	}
-	if got := h.popMax().Bound; got != 9 {
-		t.Fatalf("popMax = %v, want 9", got)
-	}
-	// Remaining pops must still be ordered (heap property preserved).
-	var got []float64
-	for h.len() > 0 {
-		got = append(got, h.pop().Bound)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("heap broken after popMax: %v", got)
-		}
-	}
-}
-
-func TestBoundHeapSeqTiebreak(t *testing.T) {
-	h := newBoundHeap()
-	h.push(&engine.Node{Bound: 1, Seq: 2})
-	h.push(&engine.Node{Bound: 1, Seq: 1})
-	if h.pop().Seq != 1 {
-		t.Error("equal bounds must pop in Seq order")
+func TestNetworkEqualBoundsPopOldestFirst(t *testing.T) {
+	var n network
+	a, b, c := &engine.Chain{Bound: 3}, &engine.Chain{Bound: 3}, &engine.Chain{Bound: 1}
+	n.push(a)
+	n.push(b)
+	n.push(c)
+	if n.pop() != c || n.pop() != a || n.pop() != b {
+		t.Error("equal bounds must pop in publication order, after lower bounds")
 	}
 }
 
@@ -371,5 +390,112 @@ func BenchmarkParallelNQueens6(b *testing.B) {
 		if len(res.Solutions) != 4 {
 			b.Fatalf("6-queens solutions = %d", len(res.Solutions))
 		}
+	}
+}
+
+// TestParallelAllocationBudget is the allocation guard for the OR-parallel
+// path: an exhaustive queens(5,Qs) on two workers costs its 10 solutions,
+// the run and worker headers and a handful of exported chains (a few
+// slices plus the copies of their goal terms each) — not an object per
+// node, which is what workers over persistent Env nodes cost (≈ 18 700
+// per query).
+func TestParallelAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	if !vm.Enabled {
+		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
+	}
+	db := load(t, workload.NQueens)
+	goals := q(t, "queens(5,Qs)")
+	ws := uniform()
+	run := func() {
+		res, err := Run(context.Background(), db, ws, goals, Options{Workers: 2})
+		if err != nil || len(res.Solutions) != 10 || res.Stats.Expanded != 3173 {
+			t.Fatalf("run: %d solutions, %d expansions, err %v", len(res.Solutions), res.Stats.Expanded, err)
+		}
+	}
+	run() // warm the program cache and the scratch pool
+	// Measured steady state is ≈ 250 allocations per query; how many chains
+	// move depends on scheduling, and the budget leaves room for that and
+	// for pool refills after a GC cycle, not for per-node allocation.
+	const budget = 600
+	if got := testing.AllocsPerRun(200, run); got > budget {
+		t.Errorf("parallel query allocated %.1f times, budget %d", got, budget)
+	}
+}
+
+// TestChainIsolation runs under -race. On the tree-walking path the
+// goals a chain carries hold variables of clause activation frames that
+// are not pool-minted and still unbound — Y of r(Y), s(X, Y) while q(X)
+// has alternatives left — so an export that renamed only pooled variables
+// would let two workers' stores write the same binding slot.
+func TestChainIsolation(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("p(X, Y) :- q(X), r(Y), s(X, Y).\n")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&b, "q(a%d). r(b%d). s(a%d, b%d).\n", i, i, i, i*5%12)
+	}
+	db := load(t, b.String())
+	for _, mode := range []Mode{SharedHeap, TwoLevel} {
+		res, err := Run(context.Background(), db, uniform(), q(t, "p(X, Y)"), Options{
+			Workers: 8, Mode: mode, LocalCap: 1, NoVM: true,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		got := map[string]bool{}
+		for _, s := range res.Solutions {
+			got[s.Format(res.QueryVars)] = true
+		}
+		for i := 0; i < 12; i++ {
+			if want := fmt.Sprintf("X = a%d, Y = b%d", i, i*5%12); !got[want] {
+				t.Errorf("%v: missing %s in %v", mode, want, got)
+			}
+		}
+		if len(res.Solutions) != 12 || !res.Exhausted {
+			t.Errorf("%v: %d solutions exhausted=%v, want 12 true", mode, len(res.Solutions), res.Exhausted)
+		}
+	}
+}
+
+// panicStore is a weight store whose nth Weight call panics: a stand-in
+// for any fault inside a worker goroutine.
+type panicStore struct {
+	weights.Store
+	n atomic.Int64
+}
+
+func (p *panicStore) Weight(a kb.Arc) float64 {
+	if p.n.Add(-1) == 0 {
+		panic("injected weight-store fault")
+	}
+	return p.Store.Weight(a)
+}
+
+// TestWorkerPanicBecomesError: a panic in one worker stops the others and
+// comes back as the run's error instead of killing the process; every
+// goroutine is joined, and the database serves the next query.
+func TestWorkerPanicBecomesError(t *testing.T) {
+	db := load(t, workload.NQueens)
+	goals := q(t, "queens(5,Qs)")
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{2, 8} {
+		ws := &panicStore{Store: uniform()}
+		ws.n.Store(500)
+		_, err := Run(context.Background(), db, ws, goals, Options{Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "par: worker panic: injected weight-store fault") {
+			t.Fatalf("workers=%d: err = %v, want the worker panic", workers, err)
+		}
+		res, err := Run(context.Background(), db, uniform(), goals, Options{Workers: workers})
+		if err != nil || len(res.Solutions) != 10 {
+			t.Fatalf("workers=%d: next query: %d solutions, err %v", workers, len(res.Solutions), err)
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

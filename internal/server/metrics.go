@@ -37,6 +37,12 @@ type serverMetrics struct {
 	// production (zero means every query ran the tree-walking oracle).
 	vmDispatch metrics.Counter
 
+	// The OR-parallel network, summed over parallel queries: chains
+	// workers took from it, chains published to it, and migrations.
+	parAcquires   metrics.Counter
+	parPublished  metrics.Counter
+	parMigrations metrics.Counter
+
 	// latency buckets every completed query's wall time in seconds.
 	latency *metrics.Histogram
 }
@@ -86,6 +92,9 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	line("sessions_active", sessions)
 	line("tabled_queries_total", m.tabledQueries.Load())
 	line("vm_dispatch_total", m.vmDispatch.Load())
+	line("par_network_acquires_total", m.parAcquires.Load())
+	line("par_chains_published_total", m.parPublished.Load())
+	line("par_migrations_total", m.parMigrations.Load())
 	line("tables_created_total", tt.created)
 	line("table_answers_total", tt.answers)
 	line("table_hits_total", tt.hits)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +119,30 @@ func TestMetricsHistogram(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics lack %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestMetricsParallelNetwork: the OR-parallel network's traffic reaches
+// /metrics. In a two-worker gf(p0,G) one worker takes the root off the
+// network and publishes its second gf/2 alternative for the other, which
+// is still without work; a DFS query adds nothing.
+func TestMetricsParallelNetwork(t *testing.T) {
+	_, ts := newTestServer(t, workload.FamilyTree(2, 2), Config{})
+	queryResp(t, ts.Client(), ts.URL+"/query", QueryRequest{Goal: "gf(p0,G)", Strategy: "dfs"})
+	_, data := get(t, ts.Client(), ts.URL+"/metrics")
+	if !strings.Contains(string(data), "blogd_par_network_acquires_total 0\n") {
+		t.Errorf("a DFS query moved network counters:\n%s", data)
+	}
+	queryResp(t, ts.Client(), ts.URL+"/query", QueryRequest{Goal: "gf(p0,G)", Strategy: "parallel", Workers: 2})
+	_, data = get(t, ts.Client(), ts.URL+"/metrics")
+	for _, re := range []string{
+		`(?m)^blogd_par_network_acquires_total [1-9]`,
+		`(?m)^blogd_par_chains_published_total [1-9]`,
+		`(?m)^blogd_par_migrations_total 0$`,
+	} {
+		if !regexp.MustCompile(re).Match(data) {
+			t.Errorf("metrics do not match %s:\n%s", re, data)
 		}
 	}
 }

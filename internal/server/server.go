@@ -406,6 +406,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	end.res, end.elapsedMs = res, float64(elapsed)/float64(time.Millisecond)
 	if res != nil {
 		s.metrics.vmDispatch.Add(res.VMDispatched)
+		s.metrics.parAcquires.Add(res.NetworkAcquires)
+		s.metrics.parPublished.Add(res.Spills)
+		s.metrics.parMigrations.Add(res.Migrations)
 	}
 	if err != nil {
 		var counter *metrics.Counter

@@ -15,8 +15,8 @@ import (
 
 // TestConcurrentRepresentations hammers one database — hence one shared
 // compiled Program — from three directions at once (run under -race):
-// OR-parallel workers on the persistent-Env representation, sequential
-// trail-store DFS queries each owning a recycled destructive store, and
+// OR-parallel workers trading chains between their trail stores,
+// sequential trail-store DFS queries each owning a recycled store, and
 // tabled trail-DFS queries whose table space a fourth goroutine keeps
 // invalidating mid-run. Every query must still see its full answer set:
 // the Program is read-only shared state, trail scratch is per-run, and an

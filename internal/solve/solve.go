@@ -44,7 +44,9 @@ const (
 	BFS
 	// BestFirst is B-LOG's weighted best-first branch and bound.
 	BestFirst
-	// Parallel is the OR-parallel best-first engine (live goroutines).
+	// Parallel is the OR-parallel engine: goroutine workers each running
+	// depth-first trail-store segments and trading detached chains
+	// through a bound-ordered network (internal/par).
 	Parallel
 )
 
@@ -125,7 +127,8 @@ type Request struct {
 
 	// NoTrail forces sequential DFS onto the persistent-Env frontier (the
 	// differential oracle) instead of the destructive trail-store machine.
-	// Only DFS is affected: the other strategies always run on Env.
+	// Only DFS is affected: BFS and best-first always run on Env, Parallel
+	// always on the trail store.
 	NoTrail bool
 
 	// Tables switches on tabled resolution: predicates declared
@@ -165,15 +168,14 @@ type Request struct {
 // AND-parallel).
 type Stats struct {
 	// Representation is search.RepTrailStore (destructive store;
-	// sequential DFS default) or search.RepPersistentEnv (immutable Env
-	// chains; everything else). VMDispatched is zero when the run forced
-	// the tree-walking oracle.
+	// sequential DFS and Parallel) or search.RepPersistentEnv (immutable
+	// Env chains; everything else). VMDispatched is zero when the run
+	// forced the tree-walking oracle.
 	search.Stats
 
-	// OR-parallel network counters.
+	// OR-parallel network counters; see par.Stats.
 	Migrations        uint64
 	NetworkAcquires   uint64
-	LocalPops         uint64
 	Spills            uint64
 	PerWorkerExpanded []uint64
 
@@ -383,7 +385,8 @@ func sequential(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 }
 
 // orParallel runs the OR-parallel engine of sections 3 and 6: n goroutine
-// workers over a shared or two-level open list, driven by package par.
+// workers running trail-store segments and trading chains through the
+// network, driven by package par.
 func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response, error) {
 	mode := par.SharedHeap
 	if req.TwoLevel {
@@ -420,11 +423,10 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 				Failures:       pres.Stats.Failures,
 				DepthCutoffs:   pres.Stats.DepthCutoffs,
 				VMDispatched:   pres.Stats.VMDispatched,
-				Representation: search.RepPersistentEnv,
+				Representation: search.RepTrailStore,
 			},
 			Migrations:        pres.Stats.Migrations,
 			NetworkAcquires:   pres.Stats.NetworkAcquires,
-			LocalPops:         pres.Stats.LocalPops,
 			Spills:            pres.Stats.Spills,
 			PerWorkerExpanded: pres.Stats.PerWorkerExpanded,
 		},

@@ -83,7 +83,7 @@ func TestDoDispatch(t *testing.T) {
 		{"dfs", req(t, db, query, DFS), search.RepTrailStore, 0, 0},
 		{"bfs", req(t, db, query, BFS), search.RepPersistentEnv, 0, 0},
 		{"best", req(t, db, query, BestFirst), search.RepPersistentEnv, 0, 0},
-		{"parallel", par, search.RepPersistentEnv, 0, 3},
+		{"parallel", par, search.RepTrailStore, 0, 3},
 		{"andpar", and, search.RepPersistentEnv, 2, 0},
 	}
 	for _, c := range cases {

@@ -46,16 +46,21 @@ func NewVar(name string) *Var {
 // regardless of how many variables the clause has. A nil frame is returned
 // for an empty name list (ground activation).
 func NewFrame(names []string) *Frame {
-	n := len(names)
-	if n == 0 {
+	if len(names) == 0 {
 		return nil
 	}
-	f := &Frame{vars: make([]Var, n)}
-	base := varCounter.Add(uint64(n)) - uint64(n)
+	f := &Frame{vars: make([]Var, len(names))}
+	f.mint(names)
+	return f
+}
+
+// mint (re)issues f's variables: consecutive fresh serials, names[i] as
+// the print name of slot i.
+func (f *Frame) mint(names []string) {
+	base := varCounter.Add(uint64(len(f.vars))) - uint64(len(f.vars))
 	for i := range f.vars {
 		f.vars[i] = Var{Name: names[i], ID: base + uint64(i) + 1, frame: f, idx: int32(i)}
 	}
-	return f
 }
 
 // snapshotEvery controls how often an Env node carries a snapshot of all

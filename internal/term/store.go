@@ -1,11 +1,10 @@
 package term
 
 // This file implements the mutable half of the package's two binding
-// representations. The immutable Env (env.go) gives persistent
-// environments — what BFS, best-first and the OR-parallel frontier need,
-// where many open nodes extend a shared ancestor. Sequential depth-first
-// resolution needs none of that persistence: exactly one branch is alive
-// at a time, and classic WAM-family engines exploit it with a destructive
+// representations. The immutable Env (env.go) serves BFS and best-first,
+// where many open nodes extend a shared ancestor. Depth-first resolution —
+// sequential, or one OR-parallel worker's segment — has one branch alive
+// at a time, and WAM-family engines exploit that with a destructive
 // binding store plus a trail that undoes bindings on backtrack. Store is
 // that representation; engine.TrailRun drives it.
 
@@ -80,6 +79,26 @@ func (s *Store) Undo(mark int) {
 // Counters returns the lifetime destructive-bind and undo counts, for
 // profiler delta sampling.
 func (s *Store) Counters() (binds, undos uint64) { return s.binds, s.undos }
+
+// Hide clears every slot bound since mark, saving the values into buf
+// (returned for reuse), so the store reads as it did at mark while the
+// trail itself stays untouched; Unhide(mark, buf) writes them back.
+// Anything bound in between must be undone before Unhide.
+func (s *Store) Hide(mark int, buf []Term) []Term {
+	buf = buf[:0]
+	for _, e := range s.trail[mark:] {
+		buf = append(buf, e.frame.b[e.slot])
+		e.frame.b[e.slot] = nil
+	}
+	return buf
+}
+
+// Unhide restores the slots a Hide(mark, …) cleared, emptying buf.
+func (s *Store) Unhide(mark int, buf []Term) {
+	for i, e := range s.trail[mark : mark+len(buf)] {
+		e.frame.b[e.slot], buf[i] = buf[i], nil
+	}
+}
 
 // InPlace returns the store when e is its distinguished node — the one
 // environment on which Bind is destructive — and nil for persistent
@@ -171,10 +190,7 @@ func (p *FramePool) Get(names []string) *Frame {
 			// All bindings into a released frame were undone before Put
 			// (they postdate the owning choice point's mark), so f.b is
 			// already all-nil and can be kept.
-			base := varCounter.Add(uint64(n)) - uint64(n)
-			for i := range f.vars {
-				f.vars[i] = Var{Name: names[i], ID: base + uint64(i) + 1, frame: f, idx: int32(i)}
-			}
+			f.mint(names)
 			return f
 		}
 	}
@@ -272,6 +288,76 @@ func (d *Detacher) Detach(t Term) Term {
 			return t
 		}
 		return &Compound{Functor: t.Functor, Args: args}
+	default:
+		return t
+	}
+}
+
+// Exporter copies terms out of a store for another goroutine's store.
+// Unlike Detacher it renames every variable still unbound, pool-minted or
+// not, and copies every compound that holds a variable or is pool-minted,
+// so no two stores ever write the same binding slot. Until the next Reset
+// each variable and compound is copied once, keeping shared structure
+// shared; fresh variables come from slab frames that carry their binding
+// array, and a copied compound is one allocation.
+type Exporter struct {
+	env  *Env
+	done map[Term]Term
+	slab []Var
+}
+
+const exporterSlab = 8
+
+// Reset starts a new export reading env; the renaming restarts and the
+// next fresh variable comes from a new slab.
+func (x *Exporter) Reset(env *Env) {
+	x.env = env
+	if x.done == nil {
+		x.done = make(map[Term]Term, 16)
+	}
+	clear(x.done)
+	x.slab = nil
+}
+
+// Copy exports t as described on the type.
+func (x *Exporter) Copy(t Term) Term {
+	t = x.env.Resolve(t)
+	if c, ok := x.done[t]; ok {
+		return c
+	}
+	switch t := t.(type) {
+	case *Var:
+		if len(x.slab) == 0 {
+			s := &struct {
+				f Frame
+				v [exporterSlab]Var
+				b [exporterSlab]Term
+			}{}
+			s.f.vars, s.f.b = s.v[:], s.b[:]
+			s.f.mint(make([]string, exporterSlab))
+			x.slab = s.v[:]
+		}
+		nv := &x.slab[0]
+		x.slab = x.slab[1:]
+		nv.Name = t.Name
+		x.done[t] = nv
+		return nv
+	case *Compound:
+		var buf [4]Term
+		args := buf[:0]
+		changed := t.pooled
+		for _, a := range t.Args {
+			na := x.Copy(a)
+			changed = changed || na != a
+			args = append(args, na)
+		}
+		if !changed {
+			return t
+		}
+		c := MakeCompound(t.Functor, len(args))
+		copy(c.Args, args)
+		x.done[t] = c
+		return c
 	default:
 		return t
 	}
