@@ -452,6 +452,45 @@ func (s Solution) String() string {
 	return strings.Join(parts, ", ")
 }
 
+// Answer is one solution as the engine produced it: the terms bound to
+// the query's variables, not yet rendered. QueryEach and
+// SolutionIter.NextAnswer hand answers out so a caller can render each one
+// once, straight into its own output; Solution is the same answer
+// converted to strings.
+type Answer struct {
+	// Names are the query variables' print names in query order. Every
+	// answer of a query shares this one slice; do not modify it.
+	Names []string
+	// Bound is the B-LOG chain bound at the solution.
+	Bound float64
+	// Depth is the chain length in arcs.
+	Depth int
+
+	bindings map[string]term.Term
+	// batch is the number of answers QueryEach hands out for the query, so
+	// a collecting yield can size its slice once; 0 from an iterator.
+	batch int
+}
+
+// Value returns the term bound to the variable Names[i]. It is a detached
+// term: it stays valid after the query ends.
+func (a Answer) Value(i int) term.Term { return a.bindings[a.Names[i]] }
+
+// AppendText appends exactly what Solution.String prints for this answer:
+// "X = v, Y = w" in variable order, or "true".
+func (a Answer) AppendText(dst []byte) []byte {
+	return engine.Solution{Bindings: a.bindings}.AppendText(dst, a.Names)
+}
+
+// solution converts the answer to its string form.
+func (a Answer) solution() Solution {
+	b := make(map[string]string, len(a.bindings))
+	for k, v := range a.bindings {
+		b[k] = v.String()
+	}
+	return Solution{Bindings: b, Bound: a.Bound, Depth: a.Depth, varOrder: a.Names}
+}
+
 // Counters are the work counters every query reports, batch (Result) and
 // streaming (IterStats) alike.
 type Counters struct {
@@ -541,13 +580,43 @@ func (p *Program) Query(query string, strat Strategy, opts ...Option) (*Result, 
 
 // QueryContext is Query with cancellation: a cancelled or deadlined ctx
 // aborts the search promptly — under every strategy — and returns the
-// context's error.
+// context's error. It is QueryEach with a yield that converts every answer
+// to a Solution and collects it in Result.Solutions.
 func (p *Program) QueryContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*Result, error) {
+	var c collector
+	res, err := p.QueryEach(ctx, query, strat, c.add, opts...)
+	return c.result(res, err)
+}
+
+// QueryEach runs a query like QueryContext but hands each answer to yield
+// instead of converting it: the engine's terms reach the caller with
+// nothing built per answer, and Result.Solutions stays empty. A non-nil
+// error from yield stops the hand-out and is returned.
+func (p *Program) QueryEach(ctx context.Context, query string, strat Strategy, yield func(Answer) error, opts ...Option) (*Result, error) {
 	req, err := p.parseRequest(query, strat, opts)
 	if err != nil {
 		return nil, err
 	}
-	return runRequest(ctx, req)
+	return runRequest(ctx, req, yield)
+}
+
+// collector is the yield behind Result.Solutions.
+type collector struct{ sols []Solution }
+
+func (c *collector) add(a Answer) error {
+	if c.sols == nil {
+		c.sols = make([]Solution, 0, a.batch)
+	}
+	c.sols = append(c.sols, a.solution())
+	return nil
+}
+
+func (c *collector) result(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	res.Solutions = c.sols
+	return res, nil
 }
 
 // QueryGoals runs pre-parsed goals (shared-variable structure preserved).
@@ -564,7 +633,8 @@ func (p *Program) QueryGoalsContext(ctx context.Context, goals []term.Term, stra
 	if err != nil {
 		return nil, err
 	}
-	return runRequest(ctx, p.request(goals, strat, o, store))
+	var c collector
+	return c.result(runRequest(ctx, p.request(goals, strat, o, store), c.add))
 }
 
 // parseRequest is the shared front half of QueryContext and IterContext:
@@ -586,14 +656,19 @@ func (p *Program) parseRequest(query string, strat Strategy, opts []Option) (*so
 }
 
 // runRequest is the shared back half of every batch query: run the
-// request, convert the response, finish the trace.
-func runRequest(ctx context.Context, req *solve.Request) (*Result, error) {
+// request, hand each answer to yield, finish the trace.
+func runRequest(ctx context.Context, req *solve.Request, yield func(Answer) error) (*Result, error) {
 	resp, err := solve.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}
+	names := engine.VarNames(resp.QueryVars)
+	for _, s := range resp.Solutions {
+		if err := yield(Answer{Names: names, Bound: s.Bound, Depth: s.Depth, bindings: s.Bindings, batch: len(resp.Solutions)}); err != nil {
+			return nil, err
+		}
+	}
 	res := &Result{
-		Solutions: convertSolutions(resp.Solutions, varNames(resp.QueryVars)),
 		Counters:  countersFrom(resp.Stats.Stats, resp.Stats.Tables),
 		Exhausted: resp.Exhausted,
 		Trace:     resp.Trace,
@@ -658,31 +733,6 @@ func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store 
 	}
 }
 
-// varNames renders the query variables in binding-display order.
-func varNames(qvars []*term.Var) []string {
-	names := make([]string, len(qvars))
-	for i, v := range qvars {
-		names[i] = v.String()
-	}
-	return names
-}
-
-func convertSolution(s engine.Solution, names []string) Solution {
-	b := make(map[string]string, len(s.Bindings))
-	for k, v := range s.Bindings {
-		b[k] = v.String()
-	}
-	return Solution{Bindings: b, Bound: s.Bound, Depth: s.Depth, varOrder: names}
-}
-
-func convertSolutions(sols []engine.Solution, names []string) []Solution {
-	out := make([]Solution, 0, len(sols))
-	for _, s := range sols {
-		out = append(out, convertSolution(s, names))
-	}
-	return out
-}
-
 // SolutionIter streams solutions one at a time, the interactive top-level
 // style of querying ("; for more"). Learning, when enabled, applies to
 // every chain the iterator completes even if the caller abandons it early.
@@ -713,20 +763,30 @@ func (p *Program) IterContext(ctx context.Context, query string, strat Strategy,
 	if err != nil {
 		return nil, err
 	}
-	return &SolutionIter{inner: it, tables: th, names: varNames(it.QueryVars()), trace: req.Trace}, nil
+	return &SolutionIter{inner: it, tables: th, names: engine.VarNames(it.QueryVars()), trace: req.Trace}, nil
 }
 
 // Next returns the next solution; ok is false when the stream ends
 // (err reports aborts such as the expansion budget or a done context).
 func (s *SolutionIter) Next() (Solution, bool, error) {
+	a, ok, err := s.NextAnswer()
+	if !ok {
+		return Solution{}, false, err
+	}
+	return a.solution(), true, nil
+}
+
+// NextAnswer is Next without the conversion: it hands out the engine's
+// answer, to be rendered by the caller.
+func (s *SolutionIter) NextAnswer() (Answer, bool, error) {
 	sol, ok, err := s.inner.Next()
 	if !ok {
 		// The stream is over one way or another; close any open spans so
 		// the trace is complete whenever the caller reads it.
 		s.trace.Finish()
-		return Solution{}, false, err
+		return Answer{}, false, err
 	}
-	return convertSolution(sol, s.names), true, nil
+	return Answer{Names: s.names, Bound: sol.Bound, Depth: sol.Depth, bindings: sol.Bindings}, true, nil
 }
 
 // Expanded returns the nodes expanded so far.

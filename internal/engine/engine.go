@@ -13,7 +13,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"blog/internal/kb"
 	"blog/internal/obs"
@@ -568,15 +567,34 @@ func Extract(n *Node, queryVars []*term.Var) Solution {
 
 // Format renders a solution as `X = v, Y = w` in variable order.
 func (s Solution) Format(queryVars []*term.Var) string {
-	if len(queryVars) == 0 {
-		return "true"
+	return string(s.AppendText(nil, VarNames(queryVars)))
+}
+
+// AppendText appends the solution as `X = v, Y = w` to dst, naming the
+// query variables by names (their print names, in query order), or
+// `true` when the query has none. It is the one layout of a solution's
+// text; term.Append renders every value.
+func (s Solution) AppendText(dst []byte, names []string) []byte {
+	if len(names) == 0 {
+		return append(dst, "true"...)
 	}
-	out := ""
-	for i, v := range queryVars {
+	for i, name := range names {
 		if i > 0 {
-			out += ", "
+			dst = append(dst, ", "...)
 		}
-		out += fmt.Sprintf("%s = %s", v.String(), s.Bindings[v.String()])
+		dst = append(dst, name...)
+		dst = append(dst, " = "...)
+		dst = term.Append(dst, s.Bindings[name], nil)
 	}
-	return out
+	return dst
+}
+
+// VarNames returns the print names of the query variables, the keys of a
+// Solution's Bindings, in query order.
+func VarNames(queryVars []*term.Var) []string {
+	names := make([]string, len(queryVars))
+	for i, v := range queryVars {
+		names[i] = v.String()
+	}
+	return names
 }

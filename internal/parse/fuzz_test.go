@@ -106,3 +106,77 @@ func FuzzOneTermPrinterTotal(f *testing.F) {
 		_ = term.Vars(tm, nil)
 	})
 }
+
+// textAtoms are the names FuzzTermText builds atoms and functors from:
+// plain, quoted (spaces, quotes, backslashes, control characters,
+// non-ASCII, characters the lexer reads as punctuation), symbolic
+// (including the symbol runs the lexer reads as something other than an
+// atom: ".", ":-", "?-" and a comment opener), and the solo atoms [], !
+// and {}.
+var textAtoms = []string{
+	"a", "sam", "fooBar_9", "is", "mod", "", "Upper", "_x", "1a", "hello world", "don't", "back\\slash",
+	"two\nlines", "tab\there", "héllo", "\"", "'", "[]", "!", "{}", ",", ";", "|", "(", ")", "[", "]", "%",
+	".", ":-", "?-", "+", "-", "*", "//", "=..", "\\+", "/*", "*/", "<=>", "@", "=", "\\=", "-->",
+}
+
+// textTerm builds a variable-free term from data, one byte per decision,
+// and returns the bytes it did not use.
+func textTerm(data []byte, depth int) (term.Term, []byte) {
+	if len(data) < 2 {
+		return term.EmptyList, nil
+	}
+	op, arg, data := data[0], int(data[1]), data[2:]
+	if depth <= 0 {
+		op %= 3
+	}
+	switch op % 6 {
+	case 0, 1:
+		return term.NewAtom(textAtoms[arg%len(textAtoms)]), data
+	case 2:
+		return term.Int(int64(int8(arg)) * int64(arg+1) * 1_000_003), data
+	case 3:
+		args := make([]term.Term, 1+arg%3)
+		for i := range args {
+			args[i], data = textTerm(data, depth-1)
+		}
+		return term.NewCompound(textAtoms[arg/3%len(textAtoms)], args...), data
+	default: // a list, proper (op 4) or partial (op 5)
+		items := make([]term.Term, 1+arg%3)
+		for i := range items {
+			items[i], data = textTerm(data, depth-1)
+		}
+		var tail term.Term = term.EmptyList
+		if op%6 == 5 {
+			tail, data = textTerm(data, depth-1)
+		}
+		for i := len(items) - 1; i >= 0; i-- {
+			tail = term.Cons(items[i], tail)
+		}
+		return tail, data
+	}
+}
+
+// FuzzTermText checks that term text reads back: every variable-free term
+// renders to text that OneTerm parses to an equal term, which renders to
+// the same text.
+func FuzzTermText(f *testing.F) {
+	f.Add([]byte{3, 17 * 3, 0, 0})                     // '[]'(a)
+	f.Add([]byte{3, 18 * 3, 2, 200})                   // '!'(-11256033768)
+	f.Add([]byte{5, 0, 0, 19, 0, 28})                  // ['{}'|'.']
+	f.Add([]byte{3, 29*3 + 2, 0, 1, 0, 2, 4, 0, 0, 3}) // ':-'(sam,fooBar_9,[is])
+	f.Add([]byte{4, 2, 2, 255, 2, 128, 3, 32 * 3, 0, 33})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tm, _ := textTerm(data, 4)
+		text := tm.String()
+		back, err := OneTerm(text)
+		if err != nil {
+			t.Fatalf("%s does not read back: %v", text, err)
+		}
+		if !term.Equal(back, tm) {
+			t.Fatalf("%s reads back as a different term, %s", text, back)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("%s renders back as %s", text, again)
+		}
+	})
+}

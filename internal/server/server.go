@@ -276,14 +276,15 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // solutionWriter is the one thing the query endpoints differ in: how a
-// run's solutions and its outcome reach the client. oneShot answers with a
-// single JSON body; *streamWriter with NDJSON lines as the engine finds
-// solutions. Everything else about a query is serveQuery.
+// run's solutions and its outcome reach the client. *oneShot answers with
+// a single JSON body; *streamWriter with NDJSON lines as the engine finds
+// solutions. Both render each answer once, with appendSolution, from the
+// engine's terms. Everything else about a query is serveQuery.
 type solutionWriter interface {
 	// run executes the query under ctx, delivering solutions however this
-	// writer does. A non-nil Result carries the run's counters even beside
-	// an error.
-	run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, error)
+	// writer does, and returns how many it rendered. A non-nil Result
+	// carries the run's counters even beside an error.
+	run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error)
 	// finish writes the outcome serveQuery classified: the success body or
 	// terminal line, or the failure with its status and message.
 	finish(w http.ResponseWriter, end outcome)
@@ -335,7 +336,9 @@ func (s *Server) classify(ctx context.Context, err error) (status int, msg strin
 
 // handleQuery serves POST /query: one-shot query over the shared Program.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, nil, oneShot{})
+	o := getOneShot()
+	defer o.release()
+	s.serveQuery(w, r, nil, o)
 }
 
 // handleStream serves POST /query/stream: solutions as NDJSON lines the
@@ -399,7 +402,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	}
 
 	start := time.Now()
-	res, err := out.run(ctx, s, w, q.Goal, strat, opts)
+	res, served, err := out.run(ctx, s, w, q.Goal, strat, opts)
 	elapsed := time.Since(start)
 	s.metrics.latency.Observe(elapsed.Seconds())
 	s.prof.Merge(qprof)
@@ -420,29 +423,82 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	} else {
 		s.logSlowQuery(ctx, q.Goal, end.strategy, elapsed, res.Spans, qprof)
 		if entry != nil {
-			entry.s.NoteQuery(len(res.Solutions) > 0)
+			entry.s.NoteQuery(served > 0)
 		}
-		s.metrics.solutions.Add(uint64(len(res.Solutions)))
 	}
 	out.finish(w, end)
 }
 
-// oneShot is the batch writer: the run is a drained query, the outcome one
-// JSON body whose HTTP status is the classifier's.
-type oneShot struct{}
-
-func (oneShot) run(ctx context.Context, s *Server, _ http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, error) {
-	return s.program.QueryContext(ctx, goal, strat, opts...)
+// oneShot is the batch writer: the run renders every answer into a pooled
+// buffer as the facade hands it over, and the outcome is one JSON body
+// whose HTTP status is the classifier's. The envelope — everything but the
+// solutions — still goes through encoding/json over QueryResponse; the
+// rendered array takes the place of the [] its empty Solutions encodes to.
+type oneShot struct {
+	body  []byte // `{"solutions":[` and the rendered answers so far
+	order []int  // the query's binding key order (bindingOrder)
+	n     int    // answers rendered
+	yield func(blog.Answer) error
+	env   bytes.Buffer  // the encoded envelope
+	enc   *json.Encoder // encodes into env
 }
 
-func (oneShot) finish(w http.ResponseWriter, end outcome) {
+// solutionsOpen is how a QueryResponse encoding begins: solutions is its
+// first field, so a body is this, the rendered answers, and the rest of
+// the envelope after its empty array.
+const solutionsOpen = `{"solutions":[`
+
+// maxPooledBody bounds the buffers a oneShot takes back to the pool, so
+// one huge answer set does not pin its memory for the process lifetime.
+const maxPooledBody = 64 << 10
+
+var oneShots = sync.Pool{New: func() any {
+	o := new(oneShot)
+	o.yield = o.add
+	o.enc = json.NewEncoder(&o.env)
+	o.enc.SetEscapeHTML(false)
+	return o
+}}
+
+func getOneShot() *oneShot { return oneShots.Get().(*oneShot) }
+
+// release returns o to the pool unless its buffers grew past
+// maxPooledBody.
+func (o *oneShot) release() {
+	if cap(o.body) <= maxPooledBody && o.env.Cap() <= maxPooledBody {
+		oneShots.Put(o)
+	}
+}
+
+// add renders one answer into the body.
+func (o *oneShot) add(a blog.Answer) error {
+	if o.n == 0 {
+		o.order = bindingOrder(o.order, a.Names)
+	} else {
+		o.body = append(o.body, ',')
+	}
+	o.body = appendSolution(o.body, a, o.order)
+	o.n++
+	return nil
+}
+
+func (o *oneShot) run(ctx context.Context, s *Server, _ http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
+	o.body, o.n = append(o.body[:0], solutionsOpen...), 0
+	res, err := s.program.QueryEach(ctx, goal, strat, o.yield, opts...)
+	if err == nil {
+		s.metrics.solutions.Add(uint64(o.n))
+	}
+	return res, o.n, err
+}
+
+func (o *oneShot) finish(w http.ResponseWriter, end outcome) {
 	if end.status != http.StatusOK {
-		writeJSON(w, end.status, ErrorResponse{Error: end.msg, RequestID: end.requestID})
+		writeFailure(w, end)
 		return
 	}
 	res := end.res
 	resp := QueryResponse{
-		Solutions:            make([]Solution, 0, len(res.Solutions)),
+		Solutions:            []Solution{},
 		Exhausted:            res.Exhausted,
 		Expanded:             res.Expanded,
 		Generated:            res.Generated,
@@ -463,40 +519,58 @@ func (oneShot) finish(w http.ResponseWriter, end outcome) {
 	if end.trace {
 		resp.Trace = res.Spans
 	}
-	for _, sol := range res.Solutions {
-		resp.Solutions = append(resp.Solutions, wireSolution(sol))
+	o.env.Reset()
+	// A QueryResponse holds strings, integers, finite floats and the span
+	// tree, all of which encode.
+	_ = o.enc.Encode(resp)
+	env := o.env.Bytes()
+	if !bytes.HasPrefix(env, []byte(solutionsOpen+"]")) {
+		panic("server: QueryResponse no longer encodes solutions first")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	o.body = append(o.body, env[len(solutionsOpen):]...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(o.body)
+}
+
+// writeFailure writes a failed query's status and error body.
+func writeFailure(w http.ResponseWriter, end outcome) {
+	writeJSON(w, end.status, ErrorResponse{Error: end.msg, RequestID: end.requestID})
 }
 
 // streamWriter is the NDJSON writer: the run pulls the query's iterator
-// and writes each solution as its own line; the outcome is the terminal
+// and writes each answer as its own line; the outcome is the terminal
 // line. A run refused before the first line (a request shape the
 // streaming engine cannot serve) fails exactly as a one-shot does.
 type streamWriter struct {
-	enc     *json.Encoder // nil until the 200 header is out
-	rc      *http.ResponseController
+	w       http.ResponseWriter
+	rc      *http.ResponseController // nil until the 200 header is out
 	flusher http.Flusher
+	line    []byte // the line being written
+	order   []int  // the query's binding key order (bindingOrder)
 	served  int
 }
 
-func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, error) {
+func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
 	it, err := s.program.IterContext(ctx, goal, strat, opts...)
 	if err != nil {
 		// Everything rejected here is a request shape problem (parallel
 		// strategy, AND-parallel) — the goal already parsed.
-		return nil, badRequest{err}
+		return nil, 0, badRequest{err}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	sw.w = w
 	sw.flusher, _ = w.(http.Flusher)
 	sw.rc = http.NewResponseController(w)
-	sw.enc = json.NewEncoder(w)
-	sw.enc.SetEscapeHTML(false)
-	sol, more, err := it.Next()
-	for ; more; sol, more, err = it.Next() {
-		ws := wireSolution(sol)
-		if !sw.line(StreamEvent{Solution: &ws}) {
+	a, more, err := it.NextAnswer()
+	for ; more; a, more, err = it.NextAnswer() {
+		if sw.served == 0 {
+			sw.order = bindingOrder(sw.order, a.Names)
+		}
+		sw.line = append(sw.line[:0], `{"solution":`...)
+		sw.line = append(appendSolution(sw.line, a, sw.order), '}', '\n')
+		if !sw.send(sw.line) {
 			// The deferred Release frees the slot and ctx cancellation
 			// stops the engine on the next pull.
 			err = errClientGone
@@ -505,17 +579,17 @@ func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWrite
 		sw.served++
 		s.metrics.streamed.Inc()
 	}
-	return &blog.Result{Counters: it.Stats().Counters, Exhausted: it.Exhausted(), Spans: it.Spans()}, err
+	return &blog.Result{Counters: it.Stats().Counters, Exhausted: it.Exhausted(), Spans: it.Spans()}, sw.served, err
 }
 
-// line writes one NDJSON line. A client that stops reading must not pin
+// send writes one NDJSON line. A client that stops reading must not pin
 // the worker slot: every line gets a fresh write deadline set just before
 // the write (never earlier — the engine may legitimately search longer
 // than the grace between solutions), so a stalled connection errors out of
-// Encode and ends the run.
-func (sw *streamWriter) line(ev StreamEvent) bool {
+// the write and ends the run.
+func (sw *streamWriter) send(line []byte) bool {
 	_ = sw.rc.SetWriteDeadline(time.Now().Add(streamWriteGrace))
-	if err := sw.enc.Encode(ev); err != nil {
+	if _, err := sw.w.Write(line); err != nil {
 		return false
 	}
 	if sw.flusher != nil {
@@ -525,8 +599,8 @@ func (sw *streamWriter) line(ev StreamEvent) bool {
 }
 
 func (sw *streamWriter) finish(w http.ResponseWriter, end outcome) {
-	if sw.enc == nil {
-		oneShot{}.finish(w, end)
+	if sw.rc == nil {
+		writeFailure(w, end)
 		return
 	}
 	res := end.res
@@ -549,7 +623,12 @@ func (sw *streamWriter) finish(w http.ResponseWriter, end outcome) {
 	if end.trace {
 		final.Trace = res.Spans
 	}
-	sw.line(final)
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if enc.Encode(final) == nil {
+		sw.send(b.Bytes())
+	}
 	// Clear the deadline so a keep-alive connection is not poisoned for
 	// its next request when the embedding http.Server has no WriteTimeout.
 	_ = sw.rc.SetWriteDeadline(time.Time{})
@@ -641,7 +720,9 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.sessions.release(e)
-	s.serveQuery(w, r, e, oneShot{})
+	o := getOneShot()
+	defer o.release()
+	s.serveQuery(w, r, e, o)
 }
 
 // handleSessionEnd serves DELETE /sessions/{id}: the conservative

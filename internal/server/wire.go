@@ -9,10 +9,16 @@
 package server
 
 import (
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"blog"
 	"blog/internal/obs"
+	"blog/internal/term"
 )
 
 // QueryRequest is the JSON body of POST /query, POST /query/stream and
@@ -112,8 +118,148 @@ type Solution struct {
 	Depth int     `json:"depth"`
 }
 
-func wireSolution(s blog.Solution) Solution {
-	return Solution{Bindings: s.Bindings, Text: s.String(), Bound: s.Bound, Depth: s.Depth}
+// appendSolution appends the wire Solution of one answer to dst. sorted
+// lists the indexes of a.Names in byte order of the names, duplicates
+// dropped (bindingOrder); one order serves every answer of a query. The
+// bytes are exactly what encoding/json, with HTML escaping off as every
+// writer here sets it, writes for the Solution the answer converts to:
+// binding keys in byte order, encoding/json's string escapes and its
+// float64 text. The answer is rendered once, by term.Append, straight
+// into dst.
+func appendSolution(dst []byte, a blog.Answer, sorted []int) []byte {
+	dst = append(dst, '{')
+	if len(sorted) > 0 {
+		dst = append(dst, `"bindings":{`...)
+		for k, i := range sorted {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, a.Names[i])
+			dst = append(dst, ':', '"')
+			start := len(dst)
+			dst = closeJSONString(term.Append(dst, a.Value(i), nil), start)
+		}
+		dst = append(dst, '}', ',')
+	}
+	dst = append(dst, `"text":"`...)
+	start := len(dst)
+	dst = closeJSONString(a.AppendText(dst), start)
+	dst = append(dst, `,"bound":`...)
+	dst = appendJSONFloat(dst, a.Bound)
+	dst = append(dst, `,"depth":`...)
+	dst = strconv.AppendInt(dst, int64(a.Depth), 10)
+	return append(dst, '}')
+}
+
+// bindingOrder fills order with the indexes of names sorted by name in
+// byte order, each name once: the key order encoding/json gives the
+// Bindings map.
+func bindingOrder(order []int, names []string) []int {
+	order = order[:0]
+	for i := range names {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(names[i], names[j]) })
+	return slices.CompactFunc(order, func(i, j int) bool { return names[i] == names[j] })
+}
+
+// closeJSONString finishes the JSON string whose opening quote precedes
+// the raw text at dst[start:]. Text that needs no escapes — the common
+// case — gets its closing quote in place; otherwise it is escaped anew.
+func closeJSONString(dst []byte, start int) []byte {
+	for i := start; i < len(dst); {
+		c := dst[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '\\' {
+				return appendJSONString(dst[:start-1], string(dst[start:]))
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(dst[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return appendJSONString(dst[:start-1], string(dst[start:]))
+		}
+		i += size
+	}
+	return append(dst, '"')
+}
+
+// appendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes with HTML escaping off: quote and backslash, \b \f \n \r \t,
+// other control characters as \u00XX, U+2028 and U+2029 as \u2028 and
+// \u2029, and each invalid UTF-8 byte as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' text, switching to 'e' below 1e-6 and from 1e21 on, with
+// the exponent's leading zero dropped. encoding/json refuses NaN and the
+// infinities (a bound is one only when a loaded weight file holds one);
+// they are written as null, so the body stays valid JSON.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(dst, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		// e-07 becomes e-7.
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // QueryResponse is the JSON body of a successful one-shot query.

@@ -3,13 +3,18 @@ package solve
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
 	"blog/internal/search"
 	"blog/internal/table"
+	"blog/internal/term"
 	"blog/internal/weights"
 )
 
@@ -97,6 +102,42 @@ func TestParallelMatchesDFS(t *testing.T) {
 							t.Fatalf("%s: representation %q", name, ps.Representation)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortSolutionsKeepsOrder holds sortSolutions, which renders each
+// solution once, to the order of the comparator it replaced — Format on
+// both sides of every comparison, then bound — over shuffled solutions of
+// every fuzzCase query, each solution present twice so keys tie.
+func TestSortSolutionsKeepsOrder(t *testing.T) {
+	byFormat := func(sols []engine.Solution, qvars []*term.Var) {
+		sort.Slice(sols, func(i, j int) bool {
+			a, b := sols[i].Format(qvars), sols[j].Format(qvars)
+			if a != b {
+				return a < b
+			}
+			return sols[i].Bound < sols[j].Bound
+		})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for g := uint8(0); g < fuzzGens; g++ {
+		src, queries, tabled := fuzzCase(g, 1)
+		for _, query := range queries {
+			resp, err := runParallelCase(t, src, query, tabled, Request{Strategy: DFS})
+			if err != nil {
+				continue // over budget
+			}
+			sols := append(slices.Clone(resp.Solutions), resp.Solutions...)
+			for round := 0; round < 3; round++ {
+				rng.Shuffle(len(sols), func(i, j int) { sols[i], sols[j] = sols[j], sols[i] })
+				want, got := slices.Clone(sols), slices.Clone(sols)
+				byFormat(want, resp.QueryVars)
+				sortSolutions(got, resp.QueryVars)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("gen %d %s: order differs from the Format comparator's", g, query)
 				}
 			}
 		}

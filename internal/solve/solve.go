@@ -15,6 +15,7 @@
 package solve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -473,13 +474,39 @@ func andparRepresentation(s search.Strategy, noTrail bool) string {
 }
 
 // sortSolutions orders solutions by rendered bindings, then bound, giving
-// nondeterministic engines a stable presentation order.
+// nondeterministic engines a stable presentation order. Each solution is
+// rendered once, all into one buffer, and the sort compares sub-slices.
 func sortSolutions(sols []engine.Solution, qvars []*term.Var) {
-	sort.Slice(sols, func(i, j int) bool {
-		a, b := sols[i].Format(qvars), sols[j].Format(qvars)
-		if a != b {
-			return a < b
-		}
-		return sols[i].Bound < sols[j].Bound
-	})
+	names := engine.VarNames(qvars)
+	by := byText{sols: sols, spans: make([][2]int, len(sols))}
+	for i, s := range sols {
+		start := len(by.buf)
+		by.buf = s.AppendText(by.buf, names)
+		by.spans[i] = [2]int{start, len(by.buf)}
+	}
+	sort.Sort(by)
+}
+
+// byText sorts solutions by their rendered text, then bound; spans[i]
+// locates solution i's text in buf and moves with it.
+type byText struct {
+	sols  []engine.Solution
+	spans [][2]int
+	buf   []byte
+}
+
+func (s byText) text(i int) []byte { return s.buf[s.spans[i][0]:s.spans[i][1]] }
+
+func (s byText) Len() int { return len(s.sols) }
+
+func (s byText) Less(i, j int) bool {
+	if c := bytes.Compare(s.text(i), s.text(j)); c != 0 {
+		return c < 0
+	}
+	return s.sols[i].Bound < s.sols[j].Bound
+}
+
+func (s byText) Swap(i, j int) {
+	s.sols[i], s.sols[j] = s.sols[j], s.sols[i]
+	s.spans[i], s.spans[j] = s.spans[j], s.spans[i]
 }

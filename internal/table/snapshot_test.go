@@ -144,6 +144,31 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotQuotedFunctors: answers built on the solo atoms [] and !
+// (and on other names that need quotes) are written as text that reads
+// back, so their table loads instead of being skipped on every boot.
+func TestSnapshotQuotedFunctors(t *testing.T) {
+	db, _, err := kb.LoadString(":- table odd/1.\nodd('[]'(1)).\nodd('!'(a, [])).\nodd('{}'(':-', '?-')).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spA := table.NewSpace(db, table.Config{})
+	want := tabledAnswers(t, db, spA, "odd(X)", solve.DFS, false)
+	var buf bytes.Buffer
+	if n, err := spA.WriteSnapshot(&buf); err != nil || n != 1 {
+		t.Fatalf("write = %d, %v", n, err)
+	}
+	spB := table.NewSpace(db, table.Config{})
+	if loaded, skipped, err := spB.ReadSnapshot(&buf); err != nil || loaded != 1 || skipped != 0 {
+		t.Fatalf("loaded %d skipped %d (%v), want the table loaded", loaded, skipped, err)
+	}
+	created := spB.Totals().Created
+	got := tabledAnswers(t, db, spB, "odd(X)", solve.DFS, false)
+	if fmt.Sprint(got) != fmt.Sprint(want) || spB.Totals().Created != created {
+		t.Fatalf("loaded table serves %v (tables created %d -> %d), want %v by replay", got, created, spB.Totals().Created, want)
+	}
+}
+
 // TestSnapshotSkipsStaleAndDirty pins the validation half: a clause
 // assert after save changes the dependency fingerprint, so the affected
 // table is skipped at load (and re-derives with the new fact) while the

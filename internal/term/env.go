@@ -1,9 +1,6 @@
 package term
 
-import (
-	"strings"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // varCounter issues process-unique variable serials. Renaming clauses apart
 // must be race-free because parallel workers expand OR-branches concurrently.
@@ -281,20 +278,8 @@ func (e *Env) ResolveDeep(t Term) Term {
 
 // Format renders t with bindings from e applied.
 func (e *Env) Format(t Term) string {
-	t = e.Resolve(t)
-	switch t := t.(type) {
-	case *Compound:
-		if s, ok := listString(t, e); ok {
-			return s
-		}
-		parts := make([]string, len(t.Args))
-		for i, a := range t.Args {
-			parts[i] = e.Format(a)
-		}
-		return quoteAtom(t.FunctorName()) + "(" + strings.Join(parts, ",") + ")"
-	default:
-		return t.String()
-	}
+	var buf [64]byte
+	return string(Append(buf[:0], t, e))
 }
 
 // Refresh returns t with every variable consistently replaced by a fresh

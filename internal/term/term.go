@@ -93,30 +93,34 @@ func (Int) isTerm()       {}
 func (*Var) isTerm()      {}
 func (*Compound) isTerm() {}
 
-// String implements Term.
-func (a Atom) String() string { return quoteAtom(a.Name()) }
+// String implements Term. An atom that needs no quotes returns its
+// interned name without allocating.
+func (a Atom) String() string {
+	if name := a.Name(); bareAtom(name) {
+		return name
+	}
+	return string(Append(nil, a, nil))
+}
 
 // String implements Term.
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 
-// String implements Term.
+// String implements Term. A named variable returns its name without
+// allocating.
 func (v *Var) String() string {
-	if v.Name != "" && v.Name != "_" {
+	if v.named() {
 		return v.Name
 	}
-	return "_G" + strconv.FormatUint(v.ID, 10)
+	return string(Append(nil, v, nil))
 }
+
+// named reports whether v prints as its source name rather than _G<ID>.
+func (v *Var) named() bool { return v.Name != "" && v.Name != "_" }
 
 // String implements Term.
 func (c *Compound) String() string {
-	if s, ok := listString(c, nil); ok {
-		return s
-	}
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	return quoteAtom(c.FunctorName()) + "(" + strings.Join(parts, ",") + ")"
+	var buf [64]byte
+	return string(Append(buf[:0], c, nil))
 }
 
 // Indicator returns the predicate indicator (functor/arity) of a callable
@@ -184,92 +188,116 @@ func FromList(items []Term) Term {
 	return t
 }
 
-// listString renders a list cell chain in [a,b|T] notation; env may be nil.
-func listString(c *Compound, env *Env) (string, bool) {
-	if c.Functor != SymDot || len(c.Args) != 2 {
-		return "", false
-	}
-	var b strings.Builder
-	b.WriteByte('[')
-	first := true
-	var cur Term = c
-	for {
-		if env != nil {
-			cur = env.Resolve(cur)
+// Append appends the text of t to dst and returns the extended slice.
+// Bindings from env are applied at every variable the walk reaches; env
+// is nil for a term that stands on its own, such as a detached solution.
+// The text reads back through the parser as the same term: a name that is
+// neither plain nor symbolic is quoted (a functor also when it is one of
+// the solo atoms [] and !, which read back bare only as atoms), list cells
+// print as [a,b|T], and an unbound variable prints as its name or
+// _G<serial>. It is the one Prolog text renderer of the system, and it
+// allocates nothing beyond dst's growth.
+func Append(dst []byte, t Term, env *Env) []byte {
+	switch t := env.Resolve(t).(type) {
+	case Atom:
+		name := t.Name()
+		if bareAtom(name) {
+			return append(dst, name...)
 		}
-		cell, ok := cur.(*Compound)
-		if !ok || cell.Functor != SymDot || len(cell.Args) != 2 {
-			break
+		return appendQuoted(dst, name)
+	case Int:
+		return strconv.AppendInt(dst, int64(t), 10)
+	case *Var:
+		if t.named() {
+			return append(dst, t.Name...)
 		}
-		if !first {
-			b.WriteByte(',')
+		return strconv.AppendUint(append(dst, "_G"...), t.ID, 10)
+	case *Compound:
+		if t.Functor == SymDot && len(t.Args) == 2 {
+			return appendList(dst, t, env)
 		}
-		first = false
-		if env != nil {
-			b.WriteString(env.Format(cell.Args[0]))
+		if name := t.FunctorName(); bareName(name) {
+			dst = append(dst, name...)
 		} else {
-			b.WriteString(cell.Args[0].String())
+			dst = appendQuoted(dst, name)
 		}
-		cur = cell.Args[1]
-	}
-	if env != nil {
-		cur = env.Resolve(cur)
-	}
-	if cur != Term(EmptyList) {
-		b.WriteByte('|')
-		if env != nil {
-			b.WriteString(env.Format(cur))
-		} else {
-			b.WriteString(cur.String())
+		dst = append(dst, '(')
+		for i, a := range t.Args {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = Append(dst, a, env)
 		}
+		return append(dst, ')')
 	}
-	b.WriteByte(']')
-	return b.String(), true
+	return dst
 }
 
-// quoteAtom quotes an atom when it does not have plain-atom syntax.
-// The bare atom "." is always quoted: unquoted it would merge with a
-// following clause terminator or parenthesis during reparsing.
-func quoteAtom(s string) string {
+// appendList appends a list cell chain in [a,b|T] notation.
+func appendList(dst []byte, c *Compound, env *Env) []byte {
+	dst = append(dst, '[')
+	for {
+		dst = Append(dst, c.Args[0], env)
+		tail := env.Resolve(c.Args[1])
+		next, ok := tail.(*Compound)
+		if !ok || next.Functor != SymDot || len(next.Args) != 2 {
+			if tail != Term(EmptyList) {
+				dst = append(dst, '|')
+				dst = Append(dst, tail, env)
+			}
+			return append(dst, ']')
+		}
+		dst = append(dst, ',')
+		c = next
+	}
+}
+
+// bareAtom reports whether an atom named s reads back unquoted: a plain
+// or symbolic name, or one of the solo atoms [] and !.
+func bareAtom(s string) bool { return s == "[]" || s == "!" || bareName(s) }
+
+// bareName reports whether s reads back unquoted in both atom and functor
+// position: a plain name (a lowercase letter, then letters, digits and
+// underscores) or a symbolic one. Symbolic names the lexer does not read
+// as one atom token are excluded: "." ends a clause, ":-" and "?-" lex as
+// the neck and query markers, and "/*" opens a block comment.
+func bareName(s string) bool {
 	if s == "" {
-		return "''"
+		return false
 	}
-	if s == "[]" || s == "!" {
-		return s
-	}
-	// "." would merge with a following terminator; "," and ";" lex as
-	// punctuation, not atoms. All three need quotes to reparse.
-	if s == "." || s == "," || s == ";" {
-		return "'" + s + "'"
-	}
-	plain := s[0] >= 'a' && s[0] <= 'z'
-	if plain {
-		for i := 0; i < len(s); i++ {
+	if s[0] >= 'a' && s[0] <= 'z' {
+		for i := 1; i < len(s); i++ {
 			c := s[i]
 			if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_') {
-				plain = false
-				break
+				return false
 			}
 		}
+		return true
 	}
-	if plain {
-		return s
-	}
-	sym := true
 	for i := 0; i < len(s); i++ {
-		if !strings.ContainsRune("+-*/\\^<>=~:.?@#&", rune(s[i])) {
-			sym = false
-			break
+		if strings.IndexByte(symbolChars, s[i]) < 0 {
+			return false
 		}
 	}
-	// A symbolic atom containing the comment opener would start a block
-	// comment when reparsed; quote it instead.
-	if sym && !strings.Contains(s, "/*") {
-		return s
+	return s != "." && s != ":-" && s != "?-" && !strings.Contains(s, "/*")
+}
+
+// symbolChars are the characters of symbolic atoms, as the parser's
+// lexer reads them.
+const symbolChars = "+-*/\\^<>=~:.?@#&"
+
+// appendQuoted appends s as a quoted atom, escaping backslashes and
+// quotes.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '\'')
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '\\' || c == '\'' {
+			dst = append(dst, '\\', c)
+		} else {
+			dst = append(dst, c)
+		}
 	}
-	escaped := strings.ReplaceAll(s, "\\", "\\\\")
-	escaped = strings.ReplaceAll(escaped, "'", "\\'")
-	return "'" + escaped + "'"
+	return append(dst, '\'')
 }
 
 // EndsSymbolic reports whether the rendered text ends in a symbolic-atom
@@ -279,7 +307,7 @@ func EndsSymbolic(s string) bool {
 	if s == "" {
 		return false
 	}
-	return strings.ContainsRune("+-*/\\^<>=~:.?@#&", rune(s[len(s)-1]))
+	return strings.IndexByte(symbolChars, s[len(s)-1]) >= 0
 }
 
 // Vars appends the distinct variables occurring in t (without consulting

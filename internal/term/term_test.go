@@ -18,6 +18,11 @@ func TestAtomString(t *testing.T) {
 		{"", "''"},
 		{"=..", "=.."},
 		{"don't", "'don\\'t'"},
+		{".", "'.'"},
+		{":-", "':-'"},
+		{"/*", "'/*'"},
+		{"!", "!"},
+		{"{}", "'{}'"},
 	}
 	for _, c := range cases {
 		if got := NewAtom(c.in).String(); got != c.want {
@@ -48,6 +53,25 @@ func TestCompoundString(t *testing.T) {
 	tm := NewCompound("f", NewAtom("sam"), x)
 	if got := tm.String(); got != "f(sam,X)" {
 		t.Errorf("got %q, want f(sam,X)", got)
+	}
+}
+
+// TestAppend renders through bindings, quotes functors that only read
+// back bare as atoms, and allocates nothing when dst has room.
+func TestAppend(t *testing.T) {
+	x, anon := NewVar("X"), NewVar("_")
+	tm := NewCompound("f", NewAtom("hello world"), Cons(Int(-3), x), NewCompound("[]", anon), NewCompound("!", EmptyList))
+	env := (*Env)(nil).Bind(x, Cons(NewAtom("a"), NewVar("T")))
+	want := "f('hello world',[-3,a|T],'[]'(" + anon.String() + "),'!'([]))"
+	if got := string(Append(nil, tm, env)); got != want {
+		t.Errorf("Append = %s, want %s", got, want)
+	}
+	if got := env.Format(tm); got != want {
+		t.Errorf("Format = %s, want %s", got, want)
+	}
+	buf := make([]byte, 0, 128)
+	if n := testing.AllocsPerRun(100, func() { buf = Append(buf[:0], tm, env) }); n != 0 {
+		t.Errorf("Append into a buffer with room allocated %.0f times", n)
 	}
 }
 
