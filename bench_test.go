@@ -1,7 +1,6 @@
-// Package blog_test (external, so experiments → server → blog forms no
-// test import cycle) carries one testing.B benchmark per exhibit of the
-// reproduction (figures F1-F6, experiments E1-E8 of DESIGN.md), each
-// exercising the computation that regenerates that exhibit. `go test
+// Package blog_test carries one testing.B benchmark per exhibit of the
+// reproduction (figures F1-F6 and the experiments of internal/experiments),
+// each exercising the computation that regenerates that exhibit. `go test
 // -bench=. -benchmem` at the module root runs them all; cmd/blogbench
 // prints the full tables.
 package blog_test
@@ -44,8 +43,8 @@ func mustGoals(b *testing.B, q string) []term.Term {
 }
 
 // BenchmarkExhibits runs the shared resolution-heavy exhibit cases
-// (experiments.BenchCases) — the same list `blogbench -bench-json`
-// measures into BENCH.json, so the two can never drift apart.
+// (experiments.BenchCases), under the names BENCH.json's frozen exhibit
+// table records.
 func BenchmarkExhibits(b *testing.B) {
 	for _, c := range experiments.BenchCases() {
 		b.Run(c.Name, c.Fn)

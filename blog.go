@@ -31,9 +31,10 @@
 //	}
 //
 // The hardware models of section 6 (semantic paging disks, scoreboard
-// processors, the minimum-seeking network) live in internal packages and
-// are exercised through the cycle-level machine simulation; see
-// Program.Simulate and the cmd/blogbench experiment harness.
+// processors, the minimum-seeking network) live in internal packages
+// outside this facade, so a service built on it links none of them; the
+// cycle-level machine simulation (internal/machine) and the cmd/blogbench
+// experiment harness exercise them.
 package blog
 
 import (
@@ -47,7 +48,6 @@ import (
 
 	"blog/internal/engine"
 	"blog/internal/kb"
-	"blog/internal/machine"
 	"blog/internal/obs"
 	"blog/internal/parse"
 	"blog/internal/prelude"
@@ -113,7 +113,7 @@ type Program struct {
 	journal atomic.Pointer[obs.Journal]
 }
 
-// Config tunes the weight coding; see weights.Config in DESIGN.md.
+// Config tunes the weight coding; see internal/weights.Config.
 type Config struct {
 	// N is the target bound of successful chains (default 16).
 	N float64
@@ -375,7 +375,7 @@ func AndParallel() Option { return func(o *queryOpts) { o.andParallel = true } }
 // Compiled selects the resolution engine: on (the default) runs clause
 // resolution on the compiled bytecode VM with switch-on-term dispatch
 // (internal/vm); Compiled(false) forces the tree-walking engine, kept as
-// the differential oracle and the -compiled=off escape hatch.
+// the differential oracle (BLOG_COMPILED=off forces it process-wide).
 func Compiled(on bool) Option { return func(o *queryOpts) { o.noVM = !on } }
 
 // TrailStore selects the sequential-DFS binding representation: on (the
@@ -872,30 +872,6 @@ func (s *Session) Counts() (queries, successes, failures int) { return s.inner.C
 
 // Ended reports whether End has been called.
 func (s *Session) Ended() bool { return s.inner.Ended() }
-
-// MachineConfig configures the cycle-level machine simulation. The zero
-// value uses machine.DefaultConfig; set fields to override.
-type MachineConfig = machine.Config
-
-// MachineReport is the simulation outcome; see internal/machine.
-type MachineReport = machine.Report
-
-// DefaultMachineConfig returns the small figure-5 machine.
-func DefaultMachineConfig() MachineConfig { return machine.DefaultConfig() }
-
-// Simulate runs the query on the cycle-level parallel machine model
-// (processors x tasks, semantic paging disks, min-seeking network).
-func (p *Program) Simulate(query string, cfg MachineConfig) (*MachineReport, error) {
-	goals, err := parse.Query(query)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(cfg, p.db, p.globalStore())
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(goals)
-}
 
 // SaveWeights serializes the global weight table in a line-oriented text
 // format, so a learned database survives across processes (the global

@@ -165,17 +165,6 @@ func TestParallelOptions(t *testing.T) {
 	}
 }
 
-func TestSimulate(t *testing.T) {
-	p := loadFig1(t)
-	rep, err := p.Simulate("gf(sam,G)", DefaultMachineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Solutions) != 2 || rep.Cycles <= 0 {
-		t.Errorf("simulate: %d solutions in %d cycles", len(rep.Solutions), rep.Cycles)
-	}
-}
-
 func TestRenderings(t *testing.T) {
 	p := loadFig1(t)
 	if !strings.Contains(p.GraphText(), "(curt) --f--> (elain)") {

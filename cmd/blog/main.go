@@ -41,13 +41,8 @@ func main() {
 		interactive = flag.Bool("i", false, "interactive REPL after loading")
 		usePrelude  = flag.Bool("prelude", false, "prepend the list/pair standard library")
 		tabled      = flag.Bool("tabled", true, "honor :- table declarations (answer memoization)")
-		compiled    = flag.String("compiled", "on", "resolution engine: on = bytecode VM, off = tree-walking oracle")
 	)
 	flag.Parse()
-	if *compiled != "on" && *compiled != "off" {
-		fmt.Fprintf(os.Stderr, "blog: -compiled must be on or off, got %q\n", *compiled)
-		os.Exit(2)
-	}
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "blog: -f program file is required")
 		flag.Usage()
@@ -69,7 +64,7 @@ func main() {
 	}
 
 	if *interactive {
-		runREPL(prog, os.Stdin, os.Stdout, *compiled == "off")
+		runREPL(prog, os.Stdin, os.Stdout)
 		return
 	}
 
@@ -98,9 +93,6 @@ func main() {
 				fmt.Printf("--- run %d ---\n", rep+1)
 			}
 			opts := []blog.Option{blog.MaxSolutions(*n), blog.MaxDepth(*depth)}
-			if *compiled == "off" {
-				opts = append(opts, blog.Compiled(false))
-			}
 			if *tabled {
 				// A no-op for programs with no `:- table` declarations.
 				opts = append(opts, blog.Tabled())

@@ -21,7 +21,6 @@ type replState struct {
 	strategy blog.Strategy
 	learn    bool
 	tabled   bool
-	noVM     bool
 	profile  bool
 	maxSol   int
 	maxDepth int
@@ -43,7 +42,6 @@ const replHelp = `commands:
   :stats                  database and weight-table statistics
   :tables                 tabled predicates and memoized answer tables
   :tabled on|off          honor :- table declarations (default on)
-  :compiled on|off        bytecode VM vs tree-walking oracle (default on)
   :profile on|off         print span trace and hottest predicates per query
   :help                   this text
   :quit                   leave
@@ -55,8 +53,8 @@ cost slot and each table keeps only the least-cost answer per binding
 of the remaining arguments (weighted shortest-path workloads).`
 
 // runREPL drives an interactive loop until :quit or EOF.
-func runREPL(prog *blog.Program, in io.Reader, out io.Writer, noVM bool) {
-	st := &replState{prog: prog, strategy: blog.BestFirst, workers: 4, tabled: true, noVM: noVM}
+func runREPL(prog *blog.Program, in io.Reader, out io.Writer) {
+	st := &replState{prog: prog, strategy: blog.BestFirst, workers: 4, tabled: true}
 	sc := bufio.NewScanner(in)
 	fmt.Fprintln(out, "B-LOG interactive. :help for commands.")
 	for {
@@ -113,13 +111,6 @@ func (st *replState) command(line string, out io.Writer) bool {
 		}
 		st.tabled = fields[1] == "on"
 		fmt.Fprintf(out, "tabled: %v\n", st.tabled)
-	case ":compiled":
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			fmt.Fprintln(out, "usage: :compiled on|off")
-			break
-		}
-		st.noVM = fields[1] == "off"
-		fmt.Fprintf(out, "compiled: %v\n", !st.noVM)
 	case ":profile":
 		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
 			fmt.Fprintln(out, "usage: :profile on|off")
@@ -276,9 +267,6 @@ func (st *replState) persist(save bool, path string) error {
 func (st *replState) query(line string, out io.Writer) {
 	line = strings.TrimSuffix(line, ".")
 	opts := []blog.Option{blog.MaxSolutions(st.maxSol), blog.MaxDepth(st.maxDepth)}
-	if st.noVM {
-		opts = append(opts, blog.Compiled(false))
-	}
 	if st.tabled {
 		// A no-op for programs with no `:- table` declarations.
 		opts = append(opts, blog.Tabled())

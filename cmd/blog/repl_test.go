@@ -27,7 +27,7 @@ func runScript(t *testing.T, script string) string {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	runREPL(prog, strings.NewReader(script), &out, false)
+	runREPL(prog, strings.NewReader(script), &out)
 	return out.String()
 }
 
@@ -143,7 +143,7 @@ func TestREPLTabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	runREPL(prog, strings.NewReader(":tables\npath(a, R).\n:tables\n:quit\n"), &out, false)
+	runREPL(prog, strings.NewReader(":tables\npath(a, R).\n:tables\n:quit\n"), &out)
 	s := out.String()
 	if !strings.Contains(s, "tabled predicates: path/2") {
 		t.Errorf("missing tabled predicate listing:\n%s", s)

@@ -1,14 +1,13 @@
-// Command blogbench regenerates every exhibit of the reproduction: the
-// paper's six figures (F1-F6) and the eight quantitative experiments
-// (E1-E8) indexed in DESIGN.md, printing the tables recorded in
-// EXPERIMENTS.md.
+// Command blogbench regenerates the exhibits of the reproduction: the
+// paper's six figures (F1-F6) and the quantitative experiments (E1-E10)
+// of internal/experiments, printing the tables README's "Figures and
+// experiments" section describes.
 //
 // Usage:
 //
 //	blogbench                    # run everything
 //	blogbench -exp E1,E4         # run selected experiments
 //	blogbench -list              # list experiment ids
-//	blogbench -bench-json FILE   # run exhibit benchmarks, write FILE (e.g. BENCH.json)
 //	blogbench -exp E1 -cpuprofile cpu.out   # profile a run (go tool pprof cpu.out)
 package main
 
@@ -29,18 +28,16 @@ func main() {
 	var (
 		exp        = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		benchJSON  = flag.String("bench-json", "", "run the exhibit benchmarks and write machine-readable results to this file")
-		benchLabel = flag.String("bench-label", "working tree", "label recorded with -bench-json results")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-	os.Exit(run(*exp, *list, *benchJSON, *benchLabel, *cpuProfile, *memProfile))
+	os.Exit(run(*exp, *list, *cpuProfile, *memProfile))
 }
 
 // run holds the whole tool body so the profile-flushing defers execute on
 // every exit path (os.Exit in main would skip them).
-func run(exp string, list bool, benchJSON, benchLabel, cpuProfile, memProfile string) int {
+func run(exp string, list bool, cpuProfile, memProfile string) int {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -69,14 +66,6 @@ func run(exp string, list bool, benchJSON, benchLabel, cpuProfile, memProfile st
 				fmt.Fprintf(os.Stderr, "blogbench: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if benchJSON != "" {
-		if err := runBenchJSON(benchJSON, benchLabel); err != nil {
-			fmt.Fprintf(os.Stderr, "blogbench: bench-json failed: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	if list {

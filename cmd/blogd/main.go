@@ -71,7 +71,6 @@ func main() {
 		weightsOut = flag.String("weights-out", "", "save the global weight table on shutdown")
 		tableSnap  = flag.String("table-snapshot", "", "persistent table snapshot file: loaded and validated at boot, rewritten on graceful shutdown (and periodically; see -snapshot-interval)")
 		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "rewrite -table-snapshot at this cadence while serving (0 = only on shutdown)")
-		compiled   = flag.String("compiled", "on", "resolution engine: on = bytecode VM, off = tree-walking oracle")
 		pprofOn    = flag.Bool("pprof", false, "expose /debug/pprof endpoints for profiling the hot path")
 		slowQuery  = flag.Duration("slow-query", 0, "log queries slower than this with span tree and hot predicates (0 = off)")
 		verbose    = flag.Bool("v", false, "debug logging; tails the engine event journal into the log")
@@ -83,10 +82,6 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: logLevel}))
 	slog.SetDefault(logger)
-	if *compiled != "on" && *compiled != "off" {
-		fmt.Fprintf(os.Stderr, "blogd: -compiled must be on or off, got %q\n", *compiled)
-		os.Exit(2)
-	}
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "blogd: -f program file is required")
 		flag.Usage()
@@ -133,7 +128,6 @@ func main() {
 		MaxSessions:     *sessions,
 		SessionTTL:      *sessionTTL,
 		DefaultStrategy: *strategy,
-		NoVM:            *compiled == "off",
 		Logger:          logger,
 		SlowQuery:       *slowQuery,
 	})
@@ -329,7 +323,9 @@ var snapMu sync.Mutex
 
 // writeSnapshot serializes the table space to path via a uniquely named
 // temp file in the same directory and an atomic rename, so a crash
-// mid-write never truncates the previous snapshot.
+// mid-write never truncates the previous snapshot. The temp file is
+// synced before the rename: otherwise, after a power loss, the new name
+// could point at data that never reached the disk.
 func writeSnapshot(prog *blog.Program, path string) (int, error) {
 	snapMu.Lock()
 	defer snapMu.Unlock()
@@ -339,6 +335,9 @@ func writeSnapshot(prog *blog.Program, path string) (int, error) {
 	}
 	tmp := f.Name()
 	n, err := prog.SaveTables(f)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

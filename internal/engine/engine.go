@@ -202,7 +202,7 @@ type Expander struct {
 	// nil means no cancellation.
 	Ctx context.Context
 	// NoVM forces the tree-walking resolution path (the differential
-	// oracle), as blog.Compiled(false) and the -compiled=off flags do.
+	// oracle), as the blog.Compiled(false) option does.
 	NoVM bool
 	// VMDispatched counts goals resolved on the compiled bytecode path.
 	VMDispatched uint64

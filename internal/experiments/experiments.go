@@ -426,7 +426,7 @@ func E8(w io.Writer) error {
 			return err
 		}
 		jgoals := mustQuery("r(X,K), s(K,V)")
-		nl, err := andpar.NestedLoopJoin(context.Background(), jdb, uni, jgoals[0], jgoals[1], search.Options{Strategy: search.DFS})
+		nl, err := spd.NestedLoopJoin(context.Background(), jdb, uni, jgoals[0], jgoals[1], search.Options{Strategy: search.DFS})
 		if err != nil {
 			return err
 		}
@@ -436,7 +436,7 @@ func E8(w io.Writer) error {
 			return err
 		}
 		jgoals2 := mustQuery("r(X,K), s(K,V)")
-		sj, err := andpar.SemiJoin(context.Background(), jdb, uni, jgoals2[0], jgoals2[1], disk, search.Options{Strategy: search.DFS})
+		sj, err := spd.SemiJoin(context.Background(), jdb, uni, jgoals2[0], jgoals2[1], disk, search.Options{Strategy: search.DFS})
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,8 @@
-// Package experiments implements the reproduction suite indexed in
-// DESIGN.md: the paper's six illustrative figures (F1-F6) and the eight
-// quantitative experiments (E1-E8) that test its performance claims.
-// Both cmd/blogbench and the root benchmark file drive these entry
-// points; EXPERIMENTS.md records their output against the paper.
+// Package experiments implements the reproduction suite: the paper's six
+// illustrative figures (F1-F6) and the quantitative experiments (E1-E10)
+// that test its performance claims. Both cmd/blogbench and the root
+// benchmark file drive these entry points; README's "Figures and
+// experiments" section says how to run them.
 package experiments
 
 import (

@@ -26,7 +26,7 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 func (c *Counter) Reset() { c.v.Store(0) }
 
 // Table renders aligned fixed-width text tables, the output format of
-// every experiment in EXPERIMENTS.md.
+// every experiment in internal/experiments.
 type Table struct {
 	Title   string
 	headers []string

@@ -52,10 +52,6 @@ type Config struct {
 	// DefaultStrategy names the discipline used when a request leaves
 	// strategy empty (default "best").
 	DefaultStrategy string
-	// NoVM forces the tree-walking resolution engine for every query (the
-	// daemon's -compiled=off escape hatch); per-request "compiled":false
-	// does the same for one query.
-	NoVM bool
 
 	// JournalCapacity sizes the program's structured event journal (table
 	// lifecycle, VM recompiles, session churn, rejections, kills, slow
@@ -371,9 +367,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	}
 
 	opts := q.options(maxSol)
-	if s.cfg.NoVM {
-		opts = append(opts, blog.Compiled(false))
-	}
 	end := outcome{status: http.StatusOK, strategy: strat.String(), trace: q.Trace}
 	if entry != nil {
 		opts = append(opts, blog.InSession(entry.s))

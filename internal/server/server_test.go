@@ -107,6 +107,7 @@ func TestQueryValidation(t *testing.T) {
 		{"bad strategy", `{"goal":"gf(p0,G)","strategy":"dijkstra"}`, http.StatusBadRequest},
 		{"unknown field", `{"goal":"gf(p0,G)","bogus":1}`, http.StatusBadRequest},
 		{"not json", `gf(p0,G)`, http.StatusBadRequest},
+		{"compiled field", `{"goal":"gf(p0,G)","compiled":false}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", strings.NewReader(c.body))

@@ -62,10 +62,6 @@ type QueryRequest struct {
 	// terminate with the true minimum). Programs without table
 	// declarations run unchanged.
 	Tabled bool `json:"tabled,omitempty"`
-	// Compiled selects the resolution engine: absent or true runs the
-	// compiled bytecode VM (unless the server forces the tree-walker);
-	// false forces the tree-walking oracle engine for this query.
-	Compiled *bool `json:"compiled,omitempty"`
 	// Trace returns the query's span tree (parse, compile, search, table
 	// fixpoints) in the response's trace field — one-shot responses and
 	// the terminal line of streams.
@@ -101,9 +97,6 @@ func (q *QueryRequest) options(maxSolutions int) []blog.Option {
 	}
 	if q.Tabled {
 		opts = append(opts, blog.Tabled())
-	}
-	if q.Compiled != nil && !*q.Compiled {
-		opts = append(opts, blog.Compiled(false))
 	}
 	return opts
 }

@@ -64,7 +64,7 @@
 // builtins, negation-as-failure, tabled predicate calls (their
 // generators run compiled underneath), tree-recorded runs (figure
 // rendering wants the walker's labeling), Expander.NoVM (the
-// blog.Compiled(false) option and the -compiled=off flags), and the
+// blog.Compiled(false) option), and the
 // BLOG_COMPILED=off environment variable, which disables the VM
 // process-wide so CI can prove the oracle path green.
 //
