@@ -150,9 +150,7 @@ func LoadString(src string, cfg ...Config) (*Program, error) {
 	}
 	// Compile the bytecode program eagerly: loading is the expensive step
 	// by contract, so the first query should not pay for compilation.
-	if vm.Enabled {
-		vm.For(db)
-	}
+	vm.For(db)
 	return &Program{
 		db:      db,
 		tables:  table.NewSpace(db, table.Config{MaxDepth: wcfg.A}),
@@ -291,7 +289,6 @@ type queryOpts struct {
 	recordTrace   bool
 	andParallel   bool
 	tabled        bool
-	noVM          bool
 	noTrail       bool
 	traced        bool
 	prof          *obs.Profiler
@@ -371,12 +368,6 @@ func Tabled() Option { return func(o *queryOpts) { o.tabled = true } }
 // section-7 AND-parallel scheme. Groups use the sequential strategy
 // given to Query; incompatible with Parallel, sessions are fine.
 func AndParallel() Option { return func(o *queryOpts) { o.andParallel = true } }
-
-// Compiled selects the resolution engine: on (the default) runs clause
-// resolution on the compiled bytecode VM with switch-on-term dispatch
-// (internal/vm); Compiled(false) forces the tree-walking engine, kept as
-// the differential oracle (BLOG_COMPILED=off forces it process-wide).
-func Compiled(on bool) Option { return func(o *queryOpts) { o.noVM = !on } }
 
 // TrailStore selects the sequential-DFS binding representation: on (the
 // default) runs one destructive trail-disciplined store with undo on
@@ -499,8 +490,7 @@ type Counters struct {
 	Generated uint64
 	Failures  uint64
 	Pruned    uint64
-	// VMDispatched counts goals resolved on the compiled bytecode engine
-	// (zero under Compiled(false) or BLOG_COMPILED=off).
+	// VMDispatched counts goals resolved on the compiled bytecode engine.
 	VMDispatched uint64
 	// Representation names the binding representation that ran:
 	// "trail-store" (destructive store with undo; DFS by default, and
@@ -720,7 +710,6 @@ func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store 
 		Prune:         o.prune,
 		PruneSlack:    o.pruneSlack,
 		OccursCheck:   o.occursCheck,
-		NoVM:          o.noVM,
 		NoTrail:       o.noTrail,
 		Workers:       o.workers,
 		TwoLevel:      o.twoLevel,

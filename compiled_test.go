@@ -2,12 +2,12 @@ package blog
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 
 	"blog/internal/parse"
-	"blog/internal/vm"
 )
 
 func solutionSet(res *Result) []string {
@@ -19,30 +19,45 @@ func solutionSet(res *Result) []string {
 	return out
 }
 
-// TestCompiledMatchesOracle: the default compiled path and the
-// Compiled(false) tree-walking oracle return the same answers, and the
-// dispatch counter proves which engine ran.
-func TestCompiledMatchesOracle(t *testing.T) {
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off disables the engine under test")
+// oracleSet answers query on p's global weight store on the tree-walking
+// oracle (solve.Request.NoVM; the facade has no switch for it) and returns
+// its solutionSet. The oracle runs sequentially: Parallel's is DFS.
+func oracleSet(t *testing.T, p *Program, query string, strat Strategy) []string {
+	t.Helper()
+	goals, err := parse.Query(query)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if strat == Parallel {
+		strat = DFS
+	}
+	req := p.request(goals, strat, queryOpts{}, p.globalStore())
+	req.NoVM = true
+	var c collector
+	res, err := c.result(runRequest(context.Background(), req, c.add))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VMDispatched != 0 {
+		t.Errorf("%v: oracle run dispatched %d goals to the VM", strat, res.VMDispatched)
+	}
+	return solutionSet(res)
+}
+
+// TestCompiledMatchesOracle: the compiled path and the tree-walking oracle
+// return the same answers, and the dispatch counter proves which engine
+// ran.
+func TestCompiledMatchesOracle(t *testing.T) {
 	p := loadFig1(t)
 	for _, s := range []Strategy{DFS, BFS, BestFirst, Parallel} {
 		compiled, err := p.Query("gf(sam,G)", s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := p.Query("gf(sam,G)", s, Compiled(false))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if compiled.VMDispatched == 0 {
 			t.Errorf("%v: compiled run never dispatched to the VM", s)
 		}
-		if oracle.VMDispatched != 0 {
-			t.Errorf("%v: oracle run dispatched %d goals to the VM", s, oracle.VMDispatched)
-		}
-		a, b := solutionSet(compiled), solutionSet(oracle)
+		a, b := solutionSet(compiled), oracleSet(t, p, "gf(sam,G)", s)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Errorf("%v: compiled %v != oracle %v", s, a, b)
 		}
@@ -53,9 +68,6 @@ func TestCompiledMatchesOracle(t *testing.T) {
 // database generation, so the next compiled query recompiles its dispatch
 // tables and finds solutions through the new clause.
 func TestCompiledSeesAssertedClause(t *testing.T) {
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off disables the engine under test")
-	}
 	p := loadFig1(t)
 	before, err := p.Query("gf(dan,G)", DFS)
 	if err != nil {
@@ -89,12 +101,8 @@ func TestCompiledSeesAssertedClause(t *testing.T) {
 	if len(after.Solutions) != 2 {
 		t.Fatalf("post-assert solutions = %v, want john and tim", got)
 	}
-	oracle, err := p.Query("gf(dan,G)", DFS, Compiled(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(solutionSet(oracle)) {
-		t.Errorf("compiled %v != oracle %v after assert", got, solutionSet(oracle))
+	if oracle := oracleSet(t, p, "gf(dan,G)", DFS); fmt.Sprint(got) != fmt.Sprint(oracle) {
+		t.Errorf("compiled %v != oracle %v after assert", got, oracle)
 	}
 }
 
@@ -102,9 +110,6 @@ func TestCompiledSeesAssertedClause(t *testing.T) {
 // stale state on the compiled path — bounds reflect the loaded weights
 // while resolution still dispatches to the VM.
 func TestCompiledAfterLoadWeights(t *testing.T) {
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off disables the engine under test")
-	}
 	trained := loadFig1(t)
 	if _, err := trained.Query("gf(sam,G)", BestFirst, Learn()); err != nil {
 		t.Fatal(err)
@@ -135,12 +140,8 @@ func TestCompiledAfterLoadWeights(t *testing.T) {
 	if fmt.Sprint(solutionSet(res)) == fmt.Sprint(solutionSet(baseline)) {
 		t.Error("loaded weights should change solution bounds")
 	}
-	oracle, err := p.Query("gf(sam,G)", BestFirst, Compiled(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(solutionSet(res)) != fmt.Sprint(solutionSet(oracle)) {
-		t.Errorf("compiled %v != oracle %v under loaded weights", solutionSet(res), solutionSet(oracle))
+	if oracle := oracleSet(t, p, "gf(sam,G)", BestFirst); fmt.Sprint(solutionSet(res)) != fmt.Sprint(oracle) {
+		t.Errorf("compiled %v != oracle %v under loaded weights", solutionSet(res), oracle)
 	}
 }
 
@@ -148,9 +149,6 @@ func TestCompiledAfterLoadWeights(t *testing.T) {
 // weights into the global table; subsequent queries run compiled and
 // agree with the oracle under the merged weights.
 func TestCompiledAfterSessionMerge(t *testing.T) {
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off disables the engine under test")
-	}
 	p := loadFig1(t)
 	s := p.NewSession(0.5)
 	if _, err := p.Query("gf(sam,G)", BestFirst, Learn(), InSession(s)); err != nil {
@@ -164,11 +162,7 @@ func TestCompiledAfterSessionMerge(t *testing.T) {
 	if res.VMDispatched == 0 {
 		t.Error("post-merge query must still run compiled")
 	}
-	oracle, err := p.Query("gf(sam,G)", BestFirst, Compiled(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(solutionSet(res)) != fmt.Sprint(solutionSet(oracle)) {
-		t.Errorf("compiled %v != oracle %v after session merge", solutionSet(res), solutionSet(oracle))
+	if oracle := oracleSet(t, p, "gf(sam,G)", BestFirst); fmt.Sprint(solutionSet(res)) != fmt.Sprint(oracle) {
+		t.Errorf("compiled %v != oracle %v after session merge", solutionSet(res), oracle)
 	}
 }

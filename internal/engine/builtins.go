@@ -10,8 +10,8 @@ import (
 	"blog/internal/unify"
 )
 
-// builtin is the deterministic builtin ABI, shared by all four dispatch
-// paths (trail or Env, VM or tree-walk): it evaluates goal under env and
+// builtin is the deterministic builtin ABI, shared by every dispatch path
+// (the trail store, and the Env with VM or tree-walk): it evaluates goal under env and
 // reports at most one solution, allocating nothing of its own. Bindings go
 // through env.Bind, so the contract follows the environment. On a
 // persistent Env the returned environment is the extension and env itself

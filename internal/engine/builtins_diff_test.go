@@ -13,8 +13,8 @@ import (
 )
 
 // The builtin differential: every builtin in every mode must give the same
-// answers, in the same order, and the same error on all four dispatch
-// paths. On the two trail paths deterministic builtins bind in place on the
+// answers, in the same order, and the same error on all three dispatch
+// paths. On the trail path deterministic builtins bind in place on the
 // store, on the two Env paths they extend a persistent environment; the
 // table leans on what in-place execution can get wrong — a builtin that
 // binds and then fails, \= trying a unification it must take back, the
@@ -28,7 +28,6 @@ type biDiffConfig struct {
 
 var biDiffConfigs = []biDiffConfig{
 	{"trail+vm", true, false},
-	{"trail+treewalk", true, true},
 	{"env+vm", false, false},
 	{"env+treewalk", false, true},
 }
@@ -214,7 +213,7 @@ func runBiDiff(t *testing.T, cfg biDiffConfig, src, query string) ([]string, err
 	ws := weights.NewUniform(weights.DefaultConfig())
 	var answers []string
 	if cfg.trail {
-		r := NewTrailRun(TrailConfig{DB: db, Weights: ws, NoVM: cfg.noVM}, goals)
+		r := NewTrailRun(TrailConfig{DB: db, Weights: ws}, goals)
 		defer r.Release()
 		for {
 			sol, ok, err := r.Next()

@@ -20,13 +20,11 @@ type Chain struct {
 	Bound float64
 
 	depth   int
-	kind    cpKind
 	goals   *GoalStack // the chain's own nodes, never pool blocks
 	qvars   []*term.Var
 	vars    []term.Term
 	arcs    []kb.Arc
 	vmCands []*vm.CClause
-	kbCands []*kb.Clause
 	weights []float64 // nil unless captured under Learn
 }
 
@@ -51,9 +49,9 @@ func (r *TrailRun) Untried() (n int, least float64) {
 	least = r.bound
 	for i := range r.cps {
 		cp := &r.cps[i]
-		if left := len(cp.vmCands) + len(cp.kbCands) + len(cp.alts) - cp.next; left > 0 {
+		if left := len(cp.vmCands) + len(cp.alts) - cp.next; left > 0 {
 			least = min(least, cp.bound)
-			if cp.kind != cpDeltas {
+			if cp.kind == cpVM {
 				n += left
 			}
 		}
@@ -71,7 +69,8 @@ func (r *TrailRun) Untried() (n int, least float64) {
 // which negation sub-runs do not call; nil means nothing to export.
 func (r *TrailRun) Split() *Chain {
 	for i := range r.cps {
-		if cp := &r.cps[i]; cp.kind != cpDeltas && cp.next < len(cp.vmCands)+len(cp.kbCands) {
+		// A deltas choice point has no clause candidates.
+		if cp := &r.cps[i]; cp.next < len(cp.vmCands) {
 			if c := r.splitCP(cp); c != nil {
 				return c
 			}
@@ -84,45 +83,28 @@ func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 	sh := r.sh
 	sh.hide = sh.st.Hide(cp.mark, sh.hide)
 	defer sh.st.Unhide(cp.mark, sh.hide)
-	c := &Chain{Bound: cp.bound, depth: cp.depth, kind: cp.kind}
-	n := len(cp.vmCands) + len(cp.kbCands)
-	if cp.kind == cpVM {
-		c.vmCands = make([]*vm.CClause, 0, n-cp.next)
-	} else {
-		c.kbCands = make([]*kb.Clause, 0, n-cp.next)
-	}
+	left := len(cp.vmCands) - cp.next
+	c := &Chain{Bound: cp.bound, depth: cp.depth, vmCands: make([]*vm.CClause, 0, left)}
 	if cp.weights != nil {
-		c.weights = make([]float64, 0, n-cp.next)
+		c.weights = make([]float64, 0, left)
 	}
 	mark, compMark := sh.st.Mark(), sh.cpool.Mark()
-	for j := cp.next; j < n; j++ {
-		var ok bool
-		if cp.kind == cpVM {
-			_, ok = sh.mach.Resolve(r.env, cp.goal, cp.vmCands[j], r.cfg.OccursCheck)
-			sh.st.Undo(mark)
-			sh.cpool.Release(compMark)
-			sh.pool.Put(sh.mach.TakeFrame())
-			if ok {
-				c.vmCands = append(c.vmCands, cp.vmCands[j])
-			}
-		} else {
-			head, _ := cp.kbCands[j].HeadForUnify()
-			if _, ok = r.unify(cp.goal, head); ok {
-				c.kbCands = append(c.kbCands, cp.kbCands[j])
-			}
-			sh.st.Undo(mark)
+	for j := cp.next; j < len(cp.vmCands); j++ {
+		_, ok := sh.mach.Resolve(r.env, cp.goal, cp.vmCands[j], r.cfg.OccursCheck)
+		sh.st.Undo(mark)
+		sh.cpool.Release(compMark)
+		sh.pool.Put(sh.mach.TakeFrame())
+		if !ok {
+			continue
 		}
-		if ok && cp.weights != nil {
+		c.vmCands = append(c.vmCands, cp.vmCands[j])
+		if cp.weights != nil {
 			c.weights = append(c.weights, cp.weights[j])
 		}
 	}
-	// Candidate lists are shared with the program or the index: reslice.
-	if cp.kind == cpVM {
-		cp.vmCands = cp.vmCands[:cp.next]
-	} else {
-		cp.kbCands = cp.kbCands[:cp.next]
-	}
-	if len(c.vmCands)+len(c.kbCands) == 0 {
+	// The candidate list is shared with the program: reslice.
+	cp.vmCands = cp.vmCands[:cp.next]
+	if len(c.vmCands) == 0 {
 		return nil
 	}
 	r.export(c, cp.entry, cp.tail, cp.chainLen)
@@ -211,9 +193,9 @@ func (r *TrailRun) Resume(c *Chain) {
 	r.queryVars, r.images, r.fresh = c.qvars, c.vars, nil
 	r.chain = append(r.chain[:0], c.arcs...)
 	r.depth, r.bound, r.goals = c.depth, c.Bound, c.goals
-	if len(c.vmCands)+len(c.kbCands) > 0 {
-		cp := r.pushCP(c.kind, c.goals.entry, c.goals.entry.Goal)
-		cp.vmCands, cp.kbCands, cp.weights = c.vmCands, c.kbCands, c.weights
+	if len(c.vmCands) > 0 {
+		cp := r.pushCP(cpVM, c.goals.entry, c.goals.entry.Goal)
+		cp.vmCands, cp.weights = c.vmCands, c.weights
 		r.mode = trailBacktrack
 	}
 }

@@ -40,7 +40,7 @@ var errSuspended = errors.New("suspended")
 // exports a chain — by Split, or by Suspend when suspend is set, which then
 // abandons the run — and whenever the run ends the driver resumes the
 // oldest queued chain on the same scratch, until none is left.
-func drainChains(t *testing.T, src, query string, noVM bool, every int, suspend bool) ([]string, TrailStats, int) {
+func drainChains(t *testing.T, src, query string, every int, suspend bool) ([]string, TrailStats, int) {
 	t.Helper()
 	db, _, err := kb.LoadString(src)
 	if err != nil {
@@ -56,7 +56,7 @@ func drainChains(t *testing.T, src, query string, noVM bool, every int, suspend 
 		steps int
 		moved int
 	)
-	cfg := TrailConfig{DB: db, Weights: weights.NewUniform(weights.DefaultConfig()), NoVM: noVM}
+	cfg := TrailConfig{DB: db, Weights: weights.NewUniform(weights.DefaultConfig())}
 	cfg.StepHook = func() error {
 		if steps++; every == 0 || steps%every != 0 {
 			return nil
@@ -98,28 +98,26 @@ func drainChains(t *testing.T, src, query string, noVM bool, every int, suspend 
 // TestSplitResumeMatchesDFS: cutting a run into chains and resuming every
 // one of them visits exactly the tree the uncut run visits — the same
 // answers and the same Expanded, Generated, Failures, DepthCutoffs and
-// VMDispatched counts — on both dispatch paths, whether the chains are a
-// choice point's untried alternatives (Split) or a whole suspended run.
+// VMDispatched counts — whether the chains are a choice point's untried
+// alternatives (Split) or a whole suspended run.
 func TestSplitResumeMatchesDFS(t *testing.T) {
 	for _, c := range chainCases {
-		for _, noVM := range []bool{false, true} {
-			want, ws, _ := drainChains(t, c.src, c.query, noVM, 0, false)
-			for _, v := range []struct {
-				every   int
-				suspend bool
-			}{{1, false}, {3, false}, {2, true}, {5, true}} {
-				got, gs, moved := drainChains(t, c.src, c.query, noVM, v.every, v.suspend)
-				name := fmt.Sprintf("%s noVM=%v every=%d suspend=%v", c.query, noVM, v.every, v.suspend)
-				if moved == 0 {
-					t.Errorf("%s: no chain was exported", name)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s: answers\n got %v\nwant %v", name, got, want)
-				}
-				if gs.Expanded != ws.Expanded || gs.Generated != ws.Generated || gs.Failures != ws.Failures ||
-					gs.DepthCutoffs != ws.DepthCutoffs || gs.VMDispatched != ws.VMDispatched {
-					t.Errorf("%s: stats\n got %+v\nwant %+v", name, gs, ws)
-				}
+		want, ws, _ := drainChains(t, c.src, c.query, 0, false)
+		for _, v := range []struct {
+			every   int
+			suspend bool
+		}{{1, false}, {3, false}, {2, true}, {5, true}} {
+			got, gs, moved := drainChains(t, c.src, c.query, v.every, v.suspend)
+			name := fmt.Sprintf("%s every=%d suspend=%v", c.query, v.every, v.suspend)
+			if moved == 0 {
+				t.Errorf("%s: no chain was exported", name)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: answers\n got %v\nwant %v", name, got, want)
+			}
+			if gs.Expanded != ws.Expanded || gs.Generated != ws.Generated || gs.Failures != ws.Failures ||
+				gs.DepthCutoffs != ws.DepthCutoffs || gs.VMDispatched != ws.VMDispatched {
+				t.Errorf("%s: stats\n got %+v\nwant %+v", name, gs, ws)
 			}
 		}
 	}

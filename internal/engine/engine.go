@@ -201,8 +201,8 @@ type Expander struct {
 	// search drivers check the context themselves between Expand calls;
 	// nil means no cancellation.
 	Ctx context.Context
-	// NoVM forces the tree-walking resolution path (the differential
-	// oracle), as the blog.Compiled(false) option does.
+	// NoVM forces Expand's tree-walking candidate loop, the differential
+	// oracle for the bytecode machine and its only implementation.
 	NoVM bool
 	// VMDispatched counts goals resolved on the compiled bytecode path.
 	VMDispatched uint64
@@ -275,7 +275,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 		}
 		// Compiled path: everything the VM models was filtered out above;
 		// tree recording keeps the walker so figure labels are unchanged.
-		if !e.NoVM && !e.RecordTree && vm.Enabled {
+		if !e.NoVM && !e.RecordTree {
 			if pc := e.program().Pred(fn, arity); pc != nil {
 				return e.expandCompiled(n, entry, goal, pc)
 			}

@@ -9,7 +9,6 @@ import (
 	"blog/internal/kb"
 	"blog/internal/obs"
 	"blog/internal/term"
-	"blog/internal/unify"
 	"blog/internal/vm"
 	"blog/internal/weights"
 )
@@ -20,6 +19,8 @@ import (
 // visits nodes in exactly the order sequential DFS visits them and keeps
 // the same work counters at every arrival, so the persistent-Env DFS
 // remains its differential oracle (search.Options.NoTrail selects it).
+// Program clauses resolve on compiled code only: the tree-walking clause
+// path, the oracle for the bytecode machine, lives once, in Expander.
 //
 // The machine is "arrival"-driven: arriving at a node runs the same
 // sequence search.Run runs on a popped node — context, prune, solution,
@@ -39,7 +40,6 @@ type TrailConfig struct {
 	MaxDepth int
 	Tabler   Tabler
 	Ctx      context.Context
-	NoVM     bool
 	// Learn applies the weight update rules as chains complete. It also
 	// switches per-candidate arc weights to eager capture at choice-point
 	// creation, because lazily computed weights would see the updates made
@@ -63,11 +63,11 @@ type TrailConfig struct {
 	// OR-parallel workers split and suspend the run from it.
 	StepHook func() error
 	// DepHook, when set, observes every predicate the run resolves
-	// against program clauses (compiled or tree-walk, including goals
-	// inside negation sub-runs). Table generators record their fixpoint's
-	// clause-dependency set through it; goals answered by builtins or by
-	// memoized tables are not reported — the tabler tracks consumed
-	// tables itself and folds their stored dependency sets in.
+	// against program clauses (including goals inside negation sub-runs,
+	// and predicates with no clauses yet). Table generators record their
+	// fixpoint's clause-dependency set through it; goals answered by
+	// builtins or by memoized tables are not reported — the tabler tracks
+	// consumed tables itself and folds their stored dependency sets in.
 	DepHook func(fn term.Sym, arity int)
 	// Prof, when non-nil, accumulates per-predicate profile counters via
 	// interval attribution: each dispatch charges the time and trail
@@ -234,7 +234,6 @@ type cpKind uint8
 
 const (
 	cpVM cpKind = iota
-	cpKB
 	cpDeltas
 )
 
@@ -253,7 +252,6 @@ type choicePoint struct {
 	bound    float64
 
 	vmCands []*vm.CClause
-	kbCands []*kb.Clause
 	alts    [][]term.Binding
 	// weights holds per-candidate arc weights captured eagerly under
 	// Learn (see TrailConfig.Learn); nil means compute lazily.
@@ -492,7 +490,7 @@ func (r *TrailRun) failChain() {
 }
 
 // dispatch resolves the first pending goal, in the same precedence order
-// as Expander.Expand: negation, builtin, tabled, compiled, tree-walk.
+// as Expander.Expand: negation, builtin, tabled, program clauses.
 func (r *TrailRun) dispatch() error {
 	entry, _ := r.goals.Top()
 	goal := r.env.Resolve(entry.Goal)
@@ -526,15 +524,18 @@ func (r *TrailRun) dispatch() error {
 		r.applyEnvs(base, envs, goal)
 		return nil
 	}
+	// DepHook fires before the code lookup, so a table over a predicate
+	// with no clauses yet is dirtied when its first clause is asserted.
 	if h := r.cfg.DepHook; h != nil {
 		h(fn, arity)
 	}
-	if !r.cfg.NoVM && vm.Enabled {
-		if pc, ok := r.predCode(fn, arity); ok {
-			return r.dispatchVM(entry, goal, pc)
-		}
+	pc, ok := r.predCode(fn, arity)
+	if !ok {
+		// The compiler emits code for every predicate with a clause.
+		r.failChain()
+		return nil
 	}
-	return r.dispatchClauses(entry, goal)
+	return r.dispatchVM(entry, goal, pc)
 }
 
 func (r *TrailRun) program() *vm.Program {
@@ -547,9 +548,9 @@ func (r *TrailRun) program() *vm.Program {
 // predCode resolves the compiled code for a predicate through a small
 // direct-mapped cache in front of the program's map — the lookup runs
 // once per dispatched goal, which makes it one of the hottest loads in
-// the machine. Negative results ("the compiler skipped this predicate")
-// are cached too; asserting a clause bumps the database generation,
-// which swaps the program and flushes the cache.
+// the machine. Negative results (no clauses for the predicate) are cached
+// too; asserting a clause bumps the database generation, which swaps the
+// program and flushes the cache.
 func (r *TrailRun) predCode(fn term.Sym, arity int) (*vm.PredCode, bool) {
 	prog := r.program()
 	sh := r.sh
@@ -650,29 +651,6 @@ func (r *TrailRun) dispatchVM(entry GoalEntry, goal term.Term, pc *vm.PredCode) 
 	return nil
 }
 
-// dispatchClauses is the tree-walking resolution path (the oracle), used
-// under NoVM or for predicates the compiler skipped.
-func (r *TrailRun) dispatchClauses(entry GoalEntry, goal term.Term) error {
-	cands := r.cfg.DB.Candidates(r.env, goal)
-	if len(cands) == 0 {
-		r.failChain()
-		return nil
-	}
-	cp := r.pushCP(cpKB, entry, goal)
-	cp.kbCands = cands
-	if r.cfg.Learn {
-		ws := make([]float64, len(cands))
-		for i, c := range cands {
-			ws[i] = r.arcWeight(kb.Arc{Caller: entry.Caller, Pos: entry.Pos, Callee: c.ID})
-		}
-		cp.weights = ws
-	}
-	if !r.tryNext(cp) {
-		r.popFailedCP()
-	}
-	return nil
-}
-
 // dispatchNegation runs negation as failure as a nested trail run on the
 // same store (under a mark), budgeted like the Expander's nested search.
 func (r *TrailRun) dispatchNegation(goal term.Term) error {
@@ -746,7 +724,6 @@ func (r *TrailRun) pushCP(kind cpKind, entry GoalEntry, goal term.Term) *choiceP
 	cp.depth = r.depth
 	cp.bound = r.bound
 	cp.vmCands = nil
-	cp.kbCands = nil
 	cp.alts = nil
 	cp.weights = nil
 	cp.next = 0
@@ -777,61 +754,7 @@ func (r *TrailRun) popFailedCP() {
 // order equals generation order for DFS, so the counters agree with the
 // persistent engine at every arrival.
 func (r *TrailRun) tryNext(cp *choicePoint) bool {
-	switch cp.kind {
-	case cpVM:
-		for cp.next < len(cp.vmCands) {
-			i := cp.next
-			cp.next++
-			cc := cp.vmCands[i]
-			if _, ok := r.sh.mach.Resolve(r.env, cp.goal, cc, r.cfg.OccursCheck); !ok {
-				r.sh.st.Undo(cp.mark)
-				r.sh.cpool.Release(cp.compMark)
-				r.sh.pool.Put(r.sh.mach.TakeFrame())
-				continue
-			}
-			c := cc.Clause()
-			var block []GoalStack
-			if nb := len(c.Body); nb > 0 {
-				block = r.sh.blocks.get(nb)
-				for j := range block {
-					block[j].entry = GoalEntry{Goal: r.sh.mach.BodyGoal(j), Caller: c.ID, Pos: j}
-				}
-			}
-			// Body goals can mint frame slots the head never touched, so
-			// the frame is taken only after the body is built.
-			cp.frame = r.sh.mach.TakeFrame()
-			cp.block = block
-			r.takeAlt(cp, i, c.ID)
-			r.goals = link(block, cp.tail)
-			return true
-		}
-		return false
-	case cpKB:
-		for cp.next < len(cp.kbCands) {
-			i := cp.next
-			cp.next++
-			c := cp.kbCands[i]
-			head, frame := c.HeadForUnify()
-			if _, ok := r.unify(cp.goal, head); !ok {
-				r.sh.st.Undo(cp.mark)
-				continue
-			}
-			var block []GoalStack
-			if nb := len(c.Body); nb > 0 {
-				frame = c.EnsureFrame(frame)
-				block = r.sh.blocks.get(nb)
-				for j := range block {
-					block[j].entry = GoalEntry{Goal: c.InstantiateGoal(j, frame), Caller: c.ID, Pos: j}
-				}
-			}
-			cp.frame = nil // kb activation frames are not pool-minted
-			cp.block = block
-			r.takeAlt(cp, i, c.ID)
-			r.goals = link(block, cp.tail)
-			return true
-		}
-		return false
-	default: // cpDeltas
+	if cp.kind == cpDeltas {
 		if cp.next < len(cp.alts) {
 			alt := cp.alts[cp.next]
 			cp.next++
@@ -844,6 +767,33 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 		}
 		return false
 	}
+	for cp.next < len(cp.vmCands) {
+		i := cp.next
+		cp.next++
+		cc := cp.vmCands[i]
+		if _, ok := r.sh.mach.Resolve(r.env, cp.goal, cc, r.cfg.OccursCheck); !ok {
+			r.sh.st.Undo(cp.mark)
+			r.sh.cpool.Release(cp.compMark)
+			r.sh.pool.Put(r.sh.mach.TakeFrame())
+			continue
+		}
+		c := cc.Clause()
+		var block []GoalStack
+		if nb := len(c.Body); nb > 0 {
+			block = r.sh.blocks.get(nb)
+			for j := range block {
+				block[j].entry = GoalEntry{Goal: r.sh.mach.BodyGoal(j), Caller: c.ID, Pos: j}
+			}
+		}
+		// Body goals can mint frame slots the head never touched, so the
+		// frame is taken only after the body is built.
+		cp.frame = r.sh.mach.TakeFrame()
+		cp.block = block
+		r.takeAlt(cp, i, c.ID)
+		r.goals = link(block, cp.tail)
+		return true
+	}
+	return false
 }
 
 // takeAlt records taking a clause alternative: extend the chain, price
@@ -873,13 +823,6 @@ func (r *TrailRun) arcWeight(arc kb.Arc) float64 {
 		return cs.WeightIn(weights.RootContext, arc)
 	}
 	return r.cfg.Weights.Weight(arc)
-}
-
-func (r *TrailRun) unify(a, b term.Term) (*term.Env, bool) {
-	if r.cfg.OccursCheck {
-		return unify.UnifyOC(r.env, a, b)
-	}
-	return unify.Unify(r.env, a, b)
 }
 
 // backtrack rewinds to the innermost choice point with an untried

@@ -302,14 +302,16 @@ func BenchCases() []BenchCase {
 		}},
 		{"E12Compiled/e1-compiled", func(b *testing.B) {
 			// The bytecode engine on the E1 deep-failure sweep; pair with
-			// e1-treewalk for the compilation speedup in one report.
+			// e1-treewalk for the compilation speedup in one report. NoTrail
+			// keeps both on the persistent Env, the only representation the
+			// tree-walker runs on, so the pair differs in dispatch alone.
 			db := benchLoad(workload.DeepFailure(16, 12))
 			goals := benchGoals("top(W)")
 			ws := weights.NewUniform(weights.DefaultConfig())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := search.Run(context.Background(), db, ws, goals, search.Options{
-					Strategy: search.DFS, MaxSolutions: 1, MaxDepth: 64,
+					Strategy: search.DFS, MaxSolutions: 1, MaxDepth: 64, NoTrail: true,
 				})
 				if err != nil || len(res.Solutions) != 1 {
 					b.Fatal("compiled dfs failed")
@@ -328,41 +330,6 @@ func BenchCases() []BenchCase {
 				})
 				if err != nil || len(res.Solutions) != 1 {
 					b.Fatal("treewalk dfs failed")
-				}
-			}
-		}},
-		{"E12Compiled/e10-compiled", func(b *testing.B) {
-			// Full tabled fixpoint with the generators running compiled: a
-			// fresh space per iteration, as in E10Tabling/tabled.
-			db := benchLoad(workload.Cyclic(24, 12, 7))
-			uni := weights.NewUniform(weights.DefaultConfig())
-			goals := benchGoals("path(v0,Z)")
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sp := table.NewSpace(db, table.Config{})
-				res, err := search.Run(context.Background(), db, uni, goals, search.Options{
-					Strategy: search.DFS, Tabler: sp.NewHandle(),
-				})
-				if err != nil || len(res.Solutions) != 24 || !res.Exhausted {
-					b.Fatal("compiled tabled run incomplete")
-				}
-			}
-		}},
-		{"E12Compiled/e10-treewalk", func(b *testing.B) {
-			// The same fixpoint build forced onto the tree-walking oracle.
-			db := benchLoad(workload.Cyclic(24, 12, 7))
-			uni := weights.NewUniform(weights.DefaultConfig())
-			goals := benchGoals("path(v0,Z)")
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sp := table.NewSpace(db, table.Config{})
-				h := sp.NewHandle()
-				h.SetNoVM(true)
-				res, err := search.Run(context.Background(), db, uni, goals, search.Options{
-					Strategy: search.DFS, Tabler: h, NoVM: true,
-				})
-				if err != nil || len(res.Solutions) != 24 || !res.Exhausted {
-					b.Fatal("treewalk tabled run incomplete")
 				}
 			}
 		}},

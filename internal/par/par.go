@@ -91,8 +91,6 @@ type Options struct {
 	// (internal/table) serializes production and lets workers consume
 	// completed tables lock-free.
 	Tabler engine.Tabler
-	// NoVM forces the tree-walking resolution path in every worker.
-	NoVM bool
 	// Prof, when non-nil, accumulates per-predicate profile counters from
 	// every worker; its counters are atomic, so the workers share it
 	// directly.
@@ -178,7 +176,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 		w := &workers[i]
 		w.cfg = engine.TrailConfig{
 			DB: db, Weights: ws, OccursCheck: opt.OccursCheck, MaxDepth: opt.MaxDepth,
-			Tabler: opt.Tabler, Ctx: ctx, NoVM: opt.NoVM, Learn: opt.Learn, Prof: opt.Prof,
+			Tabler: opt.Tabler, Ctx: ctx, Learn: opt.Learn, Prof: opt.Prof,
 			StepHook: func() error { return st.step(w) },
 		}
 		wg.Add(1)

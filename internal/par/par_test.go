@@ -16,7 +16,6 @@ import (
 	"blog/internal/parse"
 	"blog/internal/search"
 	"blog/internal/term"
-	"blog/internal/vm"
 	"blog/internal/weights"
 	"blog/internal/workload"
 )
@@ -403,9 +402,6 @@ func TestParallelAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
 	}
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
-	}
 	db := load(t, workload.NQueens)
 	goals := q(t, "queens(5,Qs)")
 	ws := uniform()
@@ -425,10 +421,10 @@ func TestParallelAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestChainIsolation runs under -race. On the tree-walking path the
-// goals a chain carries hold variables of clause activation frames that
-// are not pool-minted and still unbound — Y of r(Y), s(X, Y) while q(X)
-// has alternatives left — so an export that renamed only pooled variables
+// TestChainIsolation runs under -race. The goals a chain carries hold
+// unbound variables that are not pool-minted — the query variables, which
+// the compiled p/2 passes straight into r(Y), s(X, Y) while q(X) has
+// alternatives left — so an export that renamed only pooled variables
 // would let two workers' stores write the same binding slot.
 func TestChainIsolation(t *testing.T) {
 	var b strings.Builder
@@ -439,7 +435,7 @@ func TestChainIsolation(t *testing.T) {
 	db := load(t, b.String())
 	for _, mode := range []Mode{SharedHeap, TwoLevel} {
 		res, err := Run(context.Background(), db, uniform(), q(t, "p(X, Y)"), Options{
-			Workers: 8, Mode: mode, LocalCap: 1, NoVM: true,
+			Workers: 8, Mode: mode, LocalCap: 1,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"blog/internal/obs"
-	"blog/internal/vm"
 	"blog/internal/workload"
 )
 
@@ -23,9 +22,6 @@ import (
 func TestDFSAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
-	}
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
 	}
 	db := load(t, workload.DeepFailure(16, 12))
 	goals := q(t, "top(W)")
@@ -59,9 +55,6 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
 	}
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
-	}
 	db := load(t, workload.NQueens)
 	goals := q(t, "queens(5,Qs)")
 	ws := uniform()
@@ -90,9 +83,6 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 func TestDFSProfilerAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
-	}
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
 	}
 	db := load(t, workload.DeepFailure(16, 12))
 	goals := q(t, "top(W)")

@@ -90,11 +90,11 @@ func TestDifferentialStrategiesOnRandomPrograms(t *testing.T) {
 }
 
 // TestDifferentialEnginesAgreeWithFixpointOracle checks the top-down
-// engines against the independent bottom-up fixpoint evaluator of
-// internal/ref on Datalog-fragment workload programs. The queries include
-// constant first arguments, so the symbolized first-argument index is on
-// the tested path: a pruning bug there would drop answers the oracle
-// licenses.
+// engines, compiled and tree-walked, against the independent bottom-up
+// fixpoint evaluator of internal/ref on Datalog-fragment workload
+// programs. The queries include constant first arguments, so the
+// symbolized first-argument index is on the tested path: a pruning bug
+// there would drop answers the oracle licenses.
 func TestDifferentialEnginesAgreeWithFixpointOracle(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -126,33 +126,38 @@ func TestDifferentialEnginesAgreeWithFixpointOracle(t *testing.T) {
 				want := model.Answers(goals)
 				sort.Strings(want)
 				for _, strat := range []Strategy{DFS, BFS, BestFirst} {
-					res, err := Run(context.Background(), db, weights.NewUniform(weights.DefaultConfig()),
-						q(t, query), Options{Strategy: strat, MaxDepth: 64})
-					if err != nil {
-						t.Fatalf("%s %q: %v", strat, query, err)
-					}
-					if !res.Exhausted {
-						t.Fatalf("%s %q: search not exhausted, comparison invalid", strat, query)
-					}
-					// The engine enumerates proofs; the oracle answers.
-					// Dedup before comparing.
-					seen := map[string]bool{}
-					var got []string
-					for _, s := range res.Solutions {
-						f := s.Format(res.QueryVars)
-						if !seen[f] {
-							seen[f] = true
-							got = append(got, f)
+					// NoVM runs the tree-walking oracle for the bytecode
+					// engine; both must agree with the fixpoint.
+					for _, noVM := range []bool{false, true} {
+						name := fmt.Sprintf("%s noVM=%v %q", strat, noVM, query)
+						res, err := Run(context.Background(), db, weights.NewUniform(weights.DefaultConfig()),
+							q(t, query), Options{Strategy: strat, MaxDepth: 64, NoVM: noVM})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
 						}
-					}
-					sort.Strings(got)
-					if len(got) != len(want) {
-						t.Fatalf("%s %q: engine found %d distinct answers, oracle %d\nengine: %v\noracle: %v",
-							strat, query, len(got), len(want), got, want)
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s %q: answer %d = %q, oracle %q", strat, query, i, got[i], want[i])
+						if !res.Exhausted {
+							t.Fatalf("%s: search not exhausted, comparison invalid", name)
+						}
+						// The engine enumerates proofs; the oracle answers.
+						// Dedup before comparing.
+						seen := map[string]bool{}
+						var got []string
+						for _, s := range res.Solutions {
+							f := s.Format(res.QueryVars)
+							if !seen[f] {
+								seen[f] = true
+								got = append(got, f)
+							}
+						}
+						sort.Strings(got)
+						if len(got) != len(want) {
+							t.Fatalf("%s: engine found %d distinct answers, oracle %d\nengine: %v\noracle: %v",
+								name, len(got), len(want), got, want)
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s: answer %d = %q, oracle %q", name, i, got[i], want[i])
+							}
 						}
 					}
 				}

@@ -28,8 +28,8 @@ type Iter struct {
 	err       error
 
 	// trail, when non-nil, is the destructive-store DFS machine the Iter
-	// delegates to (DFS without NoTrail or recording); the Env-frontier
-	// fields below are unused then.
+	// delegates to (Options.Representation); the Env-frontier fields below
+	// are unused then.
 	trail *engine.TrailRun
 
 	// exp is held by value so it lives wherever the Iter does; it also
@@ -76,7 +76,7 @@ func (it *Iter) init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	if it.maxExp == 0 {
 		it.maxExp = DefaultMaxExpansions
 	}
-	if opt.Strategy == DFS && !opt.NoTrail && !opt.RecordTree && !opt.RecordTrace {
+	if opt.Representation() == RepTrailStore {
 		it.trail = engine.NewTrailRun(engine.TrailConfig{
 			DB:            db,
 			Weights:       ws,
@@ -84,7 +84,6 @@ func (it *Iter) init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 			MaxDepth:      opt.MaxDepth,
 			Tabler:        opt.Tabler,
 			Ctx:           ctx,
-			NoVM:          opt.NoVM,
 			Learn:         opt.Learn,
 			Prune:         opt.Prune,
 			PruneSlack:    opt.PruneSlack,

@@ -77,7 +77,8 @@ type Options struct {
 	// clauses.
 	Tabler engine.Tabler
 	// NoVM forces the tree-walking resolution path (the differential
-	// oracle) instead of the compiled bytecode engine.
+	// oracle) instead of the compiled bytecode engine. The walker runs on
+	// the persistent-Env frontier only, so NoVM routes DFS there.
 	NoVM bool
 	// NoTrail forces DFS onto the persistent-Env frontier (the
 	// differential oracle for the trail-store machine) instead of the
@@ -104,6 +105,16 @@ const (
 	// RepPersistentEnv is the immutable Env chain representation.
 	RepPersistentEnv = "persistent-env"
 )
+
+// Representation names the binding representation a run under o takes:
+// the trail store for DFS with no oracle or recording switch set, the
+// persistent Env otherwise. It is the one statement of the routing rule.
+func (o Options) Representation() string {
+	if o.Strategy == DFS && !o.NoTrail && !o.NoVM && !o.RecordTree && !o.RecordTrace {
+		return RepTrailStore
+	}
+	return RepPersistentEnv
+}
 
 // Stats counts the work a search performed.
 type Stats struct {
@@ -264,51 +275,36 @@ func (h *minHeap) push(n *engine.Node) { heap.Push(h, n) }
 func (h *minHeap) pop() *engine.Node   { return heap.Pop(h).(*engine.Node) }
 func (h *minHeap) len() int            { return len(h.items) }
 
-// EnumerateOutcomes exhaustively searches (DFS, no learning) and returns
-// every complete chain as a weights.Outcome — the input the section-4
-// theoretical solver needs.
+// EnumerateOutcomes exhaustively searches (DFS) and returns every complete
+// chain as a weights.Outcome — the input the section-4 theoretical solver
+// needs. It is a learning Run over a uniform store whose weight rules
+// record each chain instead of learning from it.
 func EnumerateOutcomes(ctx context.Context, db *kb.DB, goals []term.Term, maxDepth int) ([]weights.Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cfg := weights.DefaultConfig()
 	if maxDepth > 0 {
 		cfg.A = maxDepth
 	}
-	ws := weights.NewUniform(cfg)
-	exp := engine.NewExpander(db, ws)
-	exp.MaxDepth = cfg.A
-	exp.Ctx = ctx
-
-	var outcomes []weights.Outcome
-	stack := []*engine.Node{exp.Root(goals)}
-	var steps uint64
-	for len(stack) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.IsSolution() {
-			outcomes = append(outcomes, weights.Outcome{Chain: n.Chain.Slice(), Success: true})
-			continue
-		}
-		if steps++; steps > DefaultMaxExpansions {
-			return nil, ErrBudget
-		}
-		children, err := exp.Expand(n)
-		if err != nil && err != engine.ErrDepthLimit {
-			return nil, err
-		}
-		if len(children) == 0 {
-			if n.Chain.Len() > 0 {
-				outcomes = append(outcomes, weights.Outcome{Chain: n.Chain.Slice(), Success: false})
-			}
-			continue
-		}
-		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, children[i])
-		}
+	rec := &outcomeRecorder{Uniform: weights.NewUniform(cfg)}
+	if _, err := Run(ctx, db, rec, goals, Options{Strategy: DFS, Learn: true}); err != nil {
+		return nil, err
 	}
-	return outcomes, nil
+	return rec.outcomes, nil
+}
+
+// outcomeRecorder is a uniform store that appends every chain the weight
+// rules are applied to, skipping the empty chain of a root that fails
+// outright.
+type outcomeRecorder struct {
+	*weights.Uniform
+	outcomes []weights.Outcome
+}
+
+func (r *outcomeRecorder) RecordSuccess(chain []kb.Arc) {
+	r.outcomes = append(r.outcomes, weights.Outcome{Chain: chain, Success: true})
+}
+
+func (r *outcomeRecorder) RecordFailure(chain []kb.Arc) {
+	if len(chain) > 0 {
+		r.outcomes = append(r.outcomes, weights.Outcome{Chain: chain})
+	}
 }

@@ -33,8 +33,8 @@ type serverMetrics struct {
 	tabledQueries metrics.Counter
 
 	// vmDispatch sums goals resolved on the compiled bytecode engine
-	// across all queries, so compiled-path coverage is visible in
-	// production (zero means every query ran the tree-walking oracle).
+	// across all queries, the engine every served query resolves program
+	// clauses on.
 	vmDispatch metrics.Counter
 
 	// The OR-parallel network, summed over parallel queries: chains

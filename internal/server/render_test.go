@@ -14,7 +14,6 @@ import (
 
 	"blog"
 	"blog/internal/obs"
-	"blog/internal/vm"
 	"blog/internal/workload"
 )
 
@@ -328,9 +327,6 @@ func (m *memWriter) Write(p []byte) (int, error) { return m.body.Write(p) }
 func TestQueryBodyAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
-	}
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
 	}
 	s := New(Config{Program: mustProgram(t, workload.Cyclic(64, 32, 1))})
 	body := []byte(`{"goal":"path(v3,Z)","tabled":true}`)

@@ -269,7 +269,8 @@ type QueryResponse struct {
 	// across the slow-query log, /debug/queries and /events.
 	RequestID string `json:"request_id,omitempty"`
 	// VMDispatched counts goals this query resolved on the compiled
-	// bytecode engine (absent when the tree-walking oracle ran).
+	// bytecode engine (absent when no goal reached program clauses, as in
+	// a builtin-only query or a replay of complete tables).
 	VMDispatched uint64 `json:"vm_dispatched,omitempty"`
 	// Session echoes the session id on session-scoped queries.
 	Session string `json:"session,omitempty"`

@@ -13,7 +13,6 @@ import (
 	"blog/internal/parse"
 	"blog/internal/table"
 	"blog/internal/term"
-	"blog/internal/vm"
 	"blog/internal/weights"
 	"blog/internal/workload"
 )
@@ -221,42 +220,25 @@ func canonAll(resp *Response) []string {
 
 // FuzzVMResolve is the differential oracle for the bytecode engine:
 // random programs and queries must produce identical solution sets,
-// bounds, and completion status compiled and tree-walked, under all four
-// strategies. Sequential strategies additionally must agree step for step
-// on every work counter, because compiled candidate order matches the
-// tree-walker's clause-ID order exactly.
+// bounds, and completion status compiled and tree-walked, under the three
+// sequential strategies, and step for step on every work counter, because
+// compiled candidate order matches the tree-walker's clause-ID order
+// exactly. The compiled Parallel run must reproduce the sequential DFS
+// oracle's solution multiset: the tree-walker runs sequentially only.
 func FuzzVMResolve(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, gen uint8, seed int64, qsel uint8) {
-		if !vm.Enabled {
-			t.Skip("BLOG_COMPILED=off disables the engine under test")
-		}
 		src, queries, tabled := fuzzCase(gen, seed)
 		query := queries[int(qsel)%len(queries)]
-		for _, strat := range []Strategy{DFS, BFS, BestFirst, Parallel} {
+		var dfsOracle *Response
+		for _, strat := range []Strategy{DFS, BFS, BestFirst} {
 			oracle := runEngine(t, src, query, strat, true, tabled)
 			compiled := runEngine(t, src, query, strat, false, tabled)
+			if strat == DFS {
+				dfsOracle = oracle
+			}
 			if oracle.Stats.VMDispatched != 0 {
 				t.Fatalf("%v: oracle run dispatched %d goals to the VM", strat, oracle.Stats.VMDispatched)
-			}
-			if strat == Parallel {
-				// Worker interleaving is nondeterministic; compare the
-				// solution multiset, and only when both runs proved it
-				// complete (a budget cut truncates unpredictably).
-				if !oracle.Exhausted || !compiled.Exhausted {
-					continue
-				}
-				a, b := canonAll(oracle), canonAll(compiled)
-				// The solver sorts a Parallel response by the solutions'
-				// printed form, which for an answer with unbound variables
-				// depends on their serial numbers; sort again on the
-				// canonical form.
-				sort.Strings(a)
-				sort.Strings(b)
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("%v: solutions diverge\noracle:   %v\ncompiled: %v", strat, a, b)
-				}
-				continue
 			}
 			if oracle.Exhausted != compiled.Exhausted {
 				t.Fatalf("%v: Exhausted %v (oracle) vs %v (compiled)", strat, oracle.Exhausted, compiled.Exhausted)
@@ -274,6 +256,22 @@ func FuzzVMResolve(f *testing.F) {
 			if !tabled && cs.Expanded > 0 && cs.Generated > 0 && cs.VMDispatched == 0 {
 				t.Fatalf("%v: compiled run never dispatched to the VM (stats %+v)", strat, cs)
 			}
+		}
+		// Worker interleaving is nondeterministic; compare the solution
+		// multiset, and only when both runs proved it complete (a budget cut
+		// truncates unpredictably).
+		parallel := runEngine(t, src, query, Parallel, false, tabled)
+		if !dfsOracle.Exhausted || !parallel.Exhausted {
+			return
+		}
+		a, b := canonAll(dfsOracle), canonAll(parallel)
+		// The solver sorts a Parallel response by the solutions' printed
+		// form, which for an answer with unbound variables depends on their
+		// serial numbers; sort both on the canonical form.
+		sort.Strings(a)
+		sort.Strings(b)
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("parallel: solutions diverge from the DFS oracle\noracle:   %v\nparallel: %v", a, b)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 
 	"blog/internal/obs"
 	"blog/internal/table"
-	"blog/internal/vm"
 	"blog/internal/weights"
 )
 
@@ -31,9 +30,6 @@ edge(c, d).
 func TestDFSJournalAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
-	}
-	if !vm.Enabled {
-		t.Skip("BLOG_COMPILED=off runs the tree-walking path, which has its own costs")
 	}
 	db := load(t, tabledPathSrc)
 	sp := table.NewSpace(db, table.Config{})

@@ -49,8 +49,8 @@ func runParallelCase(t *testing.T, src, query string, tabled bool, req Request) 
 // DFS exactly. On every fuzzCase generator — tabled, negation and
 // term-inspection programs among them — plus a between/3 program, at 1, 2,
 // 3 and 8 workers, under SharedHeap and under TwoLevel with D=0 and
-// LocalCap 2 (the setting that publishes and migrates most), compiled and
-// tree-walked, an exhaustive parallel run finds the same solution multiset
+// LocalCap 2 (the setting that publishes and migrates most), an exhaustive
+// parallel run finds the same solution multiset
 // with the same Expanded, Generated, Failures, DepthCutoffs and
 // VMDispatched counts: chains move between workers, but no node is lost,
 // repeated or counted twice.
@@ -68,39 +68,37 @@ func TestParallelMatchesDFS(t *testing.T) {
 	programs = append(programs, program{betweenProgram, []string{"pick(X, Y)", "grid(X, Y, Z)"}, false})
 	for _, p := range programs {
 		for _, query := range p.queries {
-			for _, noVM := range []bool{false, true} {
-				dfs, err := runParallelCase(t, p.src, query, p.tabled, Request{Strategy: DFS, NoVM: noVM})
-				if err != nil || !dfs.Exhausted {
-					continue // over budget: nothing exact to compare against
-				}
-				want := canonAll(dfs)
-				sort.Strings(want)
-				for _, workers := range []int{1, 2, 3, 8} {
-					for _, twoLevel := range []bool{false, true} {
-						name := fmt.Sprintf("%s noVM=%v workers=%d twoLevel=%v", query, noVM, workers, twoLevel)
-						resp, err := runParallelCase(t, p.src, query, p.tabled, Request{
-							Strategy: Parallel, NoVM: noVM, Workers: workers,
-							TwoLevel: twoLevel, D: 0, LocalCap: 2,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !resp.Exhausted {
-							t.Fatalf("%s: not exhausted", name)
-						}
-						got := canonAll(resp)
-						sort.Strings(got)
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("%s: solutions\n got %v\nwant %v", name, got, want)
-						}
-						ds, ps := dfs.Stats, resp.Stats
-						if ps.Expanded != ds.Expanded || ps.Generated != ds.Generated || ps.Failures != ds.Failures ||
-							ps.DepthCutoffs != ds.DepthCutoffs || ps.VMDispatched != ds.VMDispatched {
-							t.Fatalf("%s: stats\n got %+v\nwant %+v", name, ps.Stats, ds.Stats)
-						}
-						if ps.Representation != search.RepTrailStore {
-							t.Fatalf("%s: representation %q", name, ps.Representation)
-						}
+			dfs, err := runParallelCase(t, p.src, query, p.tabled, Request{Strategy: DFS})
+			if err != nil || !dfs.Exhausted {
+				continue // over budget: nothing exact to compare against
+			}
+			want := canonAll(dfs)
+			sort.Strings(want)
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, twoLevel := range []bool{false, true} {
+					name := fmt.Sprintf("%s workers=%d twoLevel=%v", query, workers, twoLevel)
+					resp, err := runParallelCase(t, p.src, query, p.tabled, Request{
+						Strategy: Parallel, Workers: workers,
+						TwoLevel: twoLevel, D: 0, LocalCap: 2,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !resp.Exhausted {
+						t.Fatalf("%s: not exhausted", name)
+					}
+					got := canonAll(resp)
+					sort.Strings(got)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: solutions\n got %v\nwant %v", name, got, want)
+					}
+					ds, ps := dfs.Stats, resp.Stats
+					if ps.Expanded != ds.Expanded || ps.Generated != ds.Generated || ps.Failures != ds.Failures ||
+						ps.DepthCutoffs != ds.DepthCutoffs || ps.VMDispatched != ds.VMDispatched {
+						t.Fatalf("%s: stats\n got %+v\nwant %+v", name, ps.Stats, ds.Stats)
+					}
+					if ps.Representation != search.RepTrailStore {
+						t.Fatalf("%s: representation %q", name, ps.Representation)
 					}
 				}
 			}

@@ -123,7 +123,10 @@ type Request struct {
 	OccursCheck bool
 
 	// NoVM forces the tree-walking resolution path (the differential
-	// oracle) instead of the compiled bytecode engine.
+	// oracle) instead of the compiled bytecode engine. The walker runs on
+	// the persistent-Env frontier, so NoVM routes DFS there as recording
+	// does; it is rejected with Parallel, whose oracle is sequential DFS.
+	// Table generators resolve compiled regardless.
 	NoVM bool
 
 	// NoTrail forces sequential DFS onto the persistent-Env frontier (the
@@ -170,8 +173,8 @@ type Request struct {
 type Stats struct {
 	// Representation is search.RepTrailStore (destructive store;
 	// sequential DFS and Parallel) or search.RepPersistentEnv (immutable
-	// Env chains; everything else). VMDispatched is zero when the run
-	// forced the tree-walking oracle.
+	// Env chains; everything else). VMDispatched is zero on a NoVM or
+	// recording run.
 	search.Stats
 
 	// OR-parallel network counters; see par.Stats.
@@ -302,9 +305,6 @@ func tabler(req *Request) (*table.Handle, engine.Tabler) {
 	// Production honors the query's depth bound when it exceeds the
 	// space default, so MaxDepth means the same thing tabled or not.
 	h.SetMaxDepth(req.MaxDepth)
-	// An oracle run must be oracle all the way down: table generators
-	// follow the query's engine choice.
-	h.SetNoVM(req.NoVM)
 	// Table hit/miss counters and fixpoint spans flow through the handle
 	// into the generator runs.
 	h.SetProfiler(req.Prof)
@@ -321,7 +321,7 @@ func compilePhase(req *Request) {
 		return
 	}
 	sp := req.Trace.Phase("compile")
-	if vm.Enabled && !req.NoVM {
+	if !req.NoVM {
 		vm.For(req.DB)
 	}
 	sp.End()
@@ -365,6 +365,9 @@ func validate(req *Request) error {
 	if (req.RecordTree || req.RecordTrace) && (req.Strategy == Parallel || req.AndParallel) {
 		return errors.New("solve: tree/trace recording requires a sequential, non-AND-parallel run")
 	}
+	if req.NoVM && req.Strategy == Parallel {
+		return errors.New("solve: NoVM requires a sequential strategy (Parallel's oracle is sequential DFS)")
+	}
 	return nil
 }
 
@@ -404,7 +407,6 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 		MaxDepth:      req.MaxDepth,
 		OccursCheck:   req.OccursCheck,
 		Tabler:        tb,
-		NoVM:          req.NoVM,
 		Prof:          req.Prof,
 		Live:          req.Live,
 	})
@@ -459,18 +461,8 @@ func andParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response
 	// Group aggregation drops per-group search stats fields that are not
 	// counters; every group ran the same configuration, so the
 	// representation is a function of it.
-	resp.Stats.Representation = andparRepresentation(group.Strategy, req.NoTrail)
+	resp.Stats.Representation = group.Representation()
 	return resp, nil
-}
-
-// andparRepresentation names the binding representation AND-parallel
-// groups ran under: the trail store exactly when each group's sequential
-// search would pick it.
-func andparRepresentation(s search.Strategy, noTrail bool) string {
-	if s == search.DFS && !noTrail {
-		return search.RepTrailStore
-	}
-	return search.RepPersistentEnv
 }
 
 // sortSolutions orders solutions by rendered bindings, then bound, giving

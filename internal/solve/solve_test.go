@@ -73,6 +73,12 @@ func TestDoDispatch(t *testing.T) {
 	and.AndParallel = true
 	par := req(t, db, query, Parallel)
 	par.Workers = 3
+	// The tree-walking oracle runs on the persistent Env, so NoVM routes
+	// DFS there, AND-parallel groups included.
+	oracle := req(t, db, query, DFS)
+	oracle.NoVM = true
+	andOracle := req(t, db, query, DFS)
+	andOracle.AndParallel, andOracle.NoVM = true, true
 	cases := []struct {
 		name    string
 		req     *Request
@@ -85,6 +91,8 @@ func TestDoDispatch(t *testing.T) {
 		{"best", req(t, db, query, BestFirst), search.RepPersistentEnv, 0, 0},
 		{"parallel", par, search.RepTrailStore, 0, 3},
 		{"andpar", and, search.RepPersistentEnv, 2, 0},
+		{"dfs novm", oracle, search.RepPersistentEnv, 0, 0},
+		{"andpar dfs novm", andOracle, search.RepPersistentEnv, 2, 0},
 	}
 	for _, c := range cases {
 		resp, err := Do(context.Background(), c.req)
@@ -156,6 +164,11 @@ func TestDoValidates(t *testing.T) {
 	rec.RecordTree = true
 	if _, err := Do(context.Background(), rec); err == nil {
 		t.Error("parallel tree recording must be rejected")
+	}
+	noVM := req(t, db, "gf(sam,G)", Parallel)
+	noVM.NoVM = true
+	if _, err := Do(context.Background(), noVM); err == nil {
+		t.Error("parallel NoVM must be rejected")
 	}
 }
 

@@ -92,9 +92,6 @@ type eval struct {
 	ws       weights.Store
 	maxDepth int
 	budget   uint64
-	// noVM pins generator expansion to the tree-walking engine (the
-	// handle's SetNoVM), keeping NoVM query runs oracle end to end.
-	noVM bool
 	// prof and trace come from the handle: generator runs charge the
 	// profiler, and leader fixpoints record spans on the trace.
 	prof  *obs.Profiler
@@ -131,7 +128,6 @@ func newEval(s *Space, h *Handle, ctx context.Context) *eval {
 		ev.maxDepth = h.maxDepth
 	}
 	if h != nil {
-		ev.noVM = h.noVM
 		ev.prof = h.prof
 		ev.trace = h.trace
 	}
@@ -325,7 +321,6 @@ func (ev *eval) runGenerator(t *Table) error {
 		MaxDepth:         ev.maxDepth,
 		Tabler:           ev,
 		Ctx:              ev.ctx,
-		NoVM:             ev.noVM,
 		MaxExpansions:    math.MaxUint64,
 		RootBypassTabler: true,
 		Prof:             ev.prof,

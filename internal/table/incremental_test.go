@@ -26,7 +26,7 @@ func assertFact(t *testing.T, db *kb.DB, fact string) {
 }
 
 // tabledAnswers runs one tabled query and returns its distinct answers.
-func tabledAnswers(t *testing.T, db *kb.DB, sp *table.Space, query string, strat solve.Strategy, noVM bool) []string {
+func tabledAnswers(t *testing.T, db *kb.DB, sp *table.Space, query string, strat solve.Strategy) []string {
 	t.Helper()
 	goals, err := parse.Query(query)
 	if err != nil {
@@ -38,7 +38,6 @@ func tabledAnswers(t *testing.T, db *kb.DB, sp *table.Space, query string, strat
 		Goals:    goals,
 		Strategy: strat,
 		Tables:   sp,
-		NoVM:     noVM,
 	})
 	if err != nil {
 		t.Fatalf("%v %q: %v", strat, query, err)
@@ -66,9 +65,8 @@ func oracleAnswers(t *testing.T, db *kb.DB, query string) []string {
 
 // TestPostAssertAnswersMatchOracle is the assert-path staleness regression
 // (the bug this subsystem fixes): after asserting clauses into a predicate
-// a completed table was derived from, every subsequent tabled query — on
-// the compiled VM path and the tree-walking oracle path, under every
-// strategy — must return the answers of the *updated* program, checked
+// a completed table was derived from, every subsequent tabled query —
+// under every strategy — must return the answers of the *updated* program, checked
 // against a fresh bottom-up fixpoint of the mutated database. Before
 // dependency tracking, the table kept serving the pre-assert answer set.
 func TestPostAssertAnswersMatchOracle(t *testing.T) {
@@ -124,38 +122,36 @@ edge(a, b). edge(b, c).
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, noVM := range []bool{false, true} {
-				db, _, err := kb.LoadString(tc.src)
-				if err != nil {
-					t.Fatal(err)
+			db, _, err := kb.LoadString(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := table.NewSpace(db, table.Config{})
+			// Materialize and verify the pre-assert tables first, so the
+			// post-assert check exercises re-derivation of an existing
+			// complete table, not a cold production.
+			expect := func(query string, hand map[string]string) string {
+				if hand != nil {
+					return hand[query]
 				}
-				sp := table.NewSpace(db, table.Config{})
-				// Materialize and verify the pre-assert tables first, so
-				// the post-assert check exercises re-derivation of an
-				// existing complete table, not a cold production.
-				expect := func(query string, hand map[string]string) string {
-					if hand != nil {
-						return hand[query]
-					}
-					return fmt.Sprint(oracleAnswers(t, db, query))
+				return fmt.Sprint(oracleAnswers(t, db, query))
+			}
+			for _, query := range tc.queries {
+				want := expect(query, tc.pre)
+				got := tabledAnswers(t, db, sp, query, solve.DFS)
+				if fmt.Sprint(got) != want {
+					t.Fatalf("pre-assert %q:\nengine: %v\noracle: %v", query, got, want)
 				}
-				for _, query := range tc.queries {
-					want := expect(query, tc.pre)
-					got := tabledAnswers(t, db, sp, query, solve.DFS, noVM)
+			}
+			for _, fact := range tc.asserts {
+				assertFact(t, db, fact)
+			}
+			for _, query := range tc.queries {
+				want := expect(query, tc.post)
+				for _, strat := range strategies {
+					got := tabledAnswers(t, db, sp, query, strat)
 					if fmt.Sprint(got) != want {
-						t.Fatalf("noVM=%v pre-assert %q:\nengine: %v\noracle: %v", noVM, query, got, want)
-					}
-				}
-				for _, fact := range tc.asserts {
-					assertFact(t, db, fact)
-				}
-				for _, query := range tc.queries {
-					want := expect(query, tc.post)
-					for _, strat := range strategies {
-						got := tabledAnswers(t, db, sp, query, strat, noVM)
-						if fmt.Sprint(got) != want {
-							t.Fatalf("noVM=%v %v post-assert %q:\nengine: %v\noracle: %v", noVM, strat, query, got, want)
-						}
+						t.Fatalf("%v post-assert %q:\nengine: %v\noracle: %v", strat, query, got, want)
 					}
 				}
 			}
@@ -182,11 +178,11 @@ eb(b1, b2). eb(b2, b3).
 		t.Fatal(err)
 	}
 	sp := table.NewSpace(db, table.Config{})
-	tabledAnswers(t, db, sp, "patha(a1, Z)", solve.DFS, false)
-	tabledAnswers(t, db, sp, "pathb(b1, Z)", solve.DFS, false)
+	tabledAnswers(t, db, sp, "patha(a1, Z)", solve.DFS)
+	tabledAnswers(t, db, sp, "pathb(b1, Z)", solve.DFS)
 	// Touch both again so each table records a hit.
-	tabledAnswers(t, db, sp, "patha(a1, Z)", solve.DFS, false)
-	tabledAnswers(t, db, sp, "pathb(b1, Z)", solve.DFS, false)
+	tabledAnswers(t, db, sp, "patha(a1, Z)", solve.DFS)
+	tabledAnswers(t, db, sp, "pathb(b1, Z)", solve.DFS)
 
 	infoFor := func(pred string) table.Info {
 		t.Helper()
@@ -214,10 +210,10 @@ eb(b1, b2). eb(b2, b3).
 		t.Fatalf("pathb after assert = %+v, want untouched (deps %v exclude ea/2)", b, b.Deps)
 	}
 
-	if got := tabledAnswers(t, db, sp, "patha(a1, Z)", solve.DFS, false); fmt.Sprint(got) != "[Z = a2 Z = a3 Z = a4]" {
+	if got := tabledAnswers(t, db, sp, "patha(a1, Z)", solve.DFS); fmt.Sprint(got) != "[Z = a2 Z = a3 Z = a4]" {
 		t.Fatalf("patha post-assert = %v, want the new a4 answer", got)
 	}
-	tabledAnswers(t, db, sp, "pathb(b1, Z)", solve.DFS, false)
+	tabledAnswers(t, db, sp, "pathb(b1, Z)", solve.DFS)
 
 	a, b = infoFor("patha/2"), infoFor("pathb/2")
 	if a.Dirty || a.Revalidations != 1 {
@@ -230,6 +226,33 @@ eb(b1, b2). eb(b2, b3).
 	tot := sp.Totals()
 	if tot.Dirtied != 1 || tot.Revalidated != 1 {
 		t.Fatalf("totals = dirtied %d revalidated %d, want 1 and 1", tot.Dirtied, tot.Revalidated)
+	}
+}
+
+// TestAssertIntoUndefinedPredicateDirties: a generator goal over a
+// predicate with no clauses, hence no compiled code, fails, but the
+// predicate still enters the table's dependency set, so asserting its first
+// clause dirties the table.
+func TestAssertIntoUndefinedPredicateDirties(t *testing.T) {
+	db, _, err := kb.LoadString(`
+:- table reach/2.
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- extra(X, Y).
+edge(a, b).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := table.NewSpace(db, table.Config{})
+	if got := tabledAnswers(t, db, sp, "reach(a, Z)", solve.DFS); fmt.Sprint(got) != "[Z = b]" {
+		t.Fatalf("baseline answers = %v", got)
+	}
+	assertFact(t, db, "extra(a, c)")
+	if tot := sp.Totals(); tot.Dirtied != 1 {
+		t.Fatalf("dirtied = %d, want 1 (extra/2 is in the table's dependency set)", tot.Dirtied)
+	}
+	if got := tabledAnswers(t, db, sp, "reach(a, Z)", solve.DFS); fmt.Sprint(got) != "[Z = b Z = c]" {
+		t.Fatalf("post-assert answers = %v, want the asserted extra/2 answer", got)
 	}
 }
 
@@ -261,7 +284,7 @@ edge(a, b).
 	// predates the new clause), so the re-query derives from scratch and
 	// sees the new edge.
 	assertFact(t, db, "edge(b, c)")
-	got := tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS, false)
+	got := tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
 	if fmt.Sprint(got) != "[Z = b Z = c]" {
 		t.Fatalf("post-assert answers = %v, want both edges", got)
 	}
@@ -285,7 +308,7 @@ edge(a, b).
 	defer sp1.Close()
 	sp2 := table.NewSpace(db, table.Config{})
 	for _, sp := range []*table.Space{sp1, sp2} {
-		if got := tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS, false); fmt.Sprint(got) != "[Z = b]" {
+		if got := tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS); fmt.Sprint(got) != "[Z = b]" {
 			t.Fatalf("baseline answers = %v", got)
 		}
 	}
@@ -297,7 +320,7 @@ edge(a, b).
 		if tot := sp.Totals(); tot.Dirtied != 1 {
 			t.Fatalf("space %d dirtied = %d, want 1", i+1, tot.Dirtied)
 		}
-		if got := tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS, false); fmt.Sprint(got) != "[Z = b Z = c]" {
+		if got := tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS); fmt.Sprint(got) != "[Z = b Z = c]" {
 			t.Fatalf("space %d post-assert answers = %v, want the new edge", i+1, got)
 		}
 	}
@@ -307,7 +330,7 @@ edge(a, b).
 	sp2.Close()
 	sp2.Close() // idempotent
 	assertFact(t, db, "edge(c, d)")
-	if got := tabledAnswers(t, db, sp1, "path(a, Z)", solve.DFS, false); fmt.Sprint(got) != "[Z = b Z = c Z = d]" {
+	if got := tabledAnswers(t, db, sp1, "path(a, Z)", solve.DFS); fmt.Sprint(got) != "[Z = b Z = c Z = d]" {
 		t.Fatalf("open space post-close answers = %v, want all three edges", got)
 	}
 	if tot := sp2.Totals(); tot.Dirtied != 1 {

@@ -54,7 +54,7 @@ func buildSnapshotSpace(t *testing.T) (*kb.DB, *table.Space) {
 	}
 	sp := table.NewSpace(db, table.Config{MaxDepth: 8})
 	for _, q := range snapshotQueries {
-		tabledAnswers(t, db, sp, q, solve.DFS, false)
+		tabledAnswers(t, db, sp, q, solve.DFS)
 	}
 	return db, sp
 }
@@ -124,8 +124,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	spC := table.NewSpace(db, table.Config{MaxDepth: 8})
 	for _, q := range snapshotQueries[:2] {
 		preTot := spB.Totals()
-		fromLoad := tabledAnswers(t, db, spB, q, solve.DFS, false)
-		fromScratch := tabledAnswers(t, db, spC, q, solve.DFS, false)
+		fromLoad := tabledAnswers(t, db, spB, q, solve.DFS)
+		fromScratch := tabledAnswers(t, db, spC, q, solve.DFS)
 		if fmt.Sprint(fromLoad) != fmt.Sprint(fromScratch) {
 			t.Fatalf("%q: loaded answers %v != re-derived %v", q, fromLoad, fromScratch)
 		}
@@ -153,7 +153,7 @@ func TestSnapshotQuotedFunctors(t *testing.T) {
 		t.Fatal(err)
 	}
 	spA := table.NewSpace(db, table.Config{})
-	want := tabledAnswers(t, db, spA, "odd(X)", solve.DFS, false)
+	want := tabledAnswers(t, db, spA, "odd(X)", solve.DFS)
 	var buf bytes.Buffer
 	if n, err := spA.WriteSnapshot(&buf); err != nil || n != 1 {
 		t.Fatalf("write = %d, %v", n, err)
@@ -163,7 +163,7 @@ func TestSnapshotQuotedFunctors(t *testing.T) {
 		t.Fatalf("loaded %d skipped %d (%v), want the table loaded", loaded, skipped, err)
 	}
 	created := spB.Totals().Created
-	got := tabledAnswers(t, db, spB, "odd(X)", solve.DFS, false)
+	got := tabledAnswers(t, db, spB, "odd(X)", solve.DFS)
 	if fmt.Sprint(got) != fmt.Sprint(want) || spB.Totals().Created != created {
 		t.Fatalf("loaded table serves %v (tables created %d -> %d), want %v by replay", got, created, spB.Totals().Created, want)
 	}
@@ -198,7 +198,7 @@ func TestSnapshotSkipsStaleAndDirty(t *testing.T) {
 		}
 	}
 	// The skipped table re-derives on demand and sees the asserted fact.
-	got := tabledAnswers(t, db, spB, "path(a, Z)", solve.DFS, false)
+	got := tabledAnswers(t, db, spB, "path(a, Z)", solve.DFS)
 	if fmt.Sprint(got) != "[Z = a Z = b Z = c Z = d Z = e]" {
 		t.Fatalf("re-derived path = %v, want the post-assert closure", got)
 	}
@@ -253,7 +253,7 @@ func TestSnapshotWriteDuringQueries(t *testing.T) {
 					return
 				default:
 				}
-				tabledAnswers(t, db, sp, queries[(i+j)%len(queries)], solve.DFS, false)
+				tabledAnswers(t, db, sp, queries[(i+j)%len(queries)], solve.DFS)
 			}
 		}(i)
 	}
@@ -291,7 +291,7 @@ func TestSnapshotLoadDuringQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				got := tabledAnswers(t, db, spB, "path(a, Z)", solve.DFS, false)
+				got := tabledAnswers(t, db, spB, "path(a, Z)", solve.DFS)
 				if fmt.Sprint(got) != "[Z = a Z = b Z = c Z = d]" {
 					t.Errorf("answers during load = %v", got)
 					return

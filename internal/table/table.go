@@ -808,9 +808,6 @@ type Handle struct {
 	// at the larger of it and the space default, so raising a query's
 	// MaxDepth raises the generator bound too.
 	maxDepth int
-	// noVM forces table generators onto the tree-walking engine, so a
-	// NoVM query run is oracle end to end (SetNoVM).
-	noVM bool
 	// prof, when non-nil, profiles generator runs and counts table
 	// hits/misses per predicate (SetProfiler).
 	prof *obs.Profiler
@@ -833,10 +830,6 @@ func (s *Space) NewHandle() *Handle { return &Handle{space: s} }
 // SetMaxDepth passes the query's depth bound to table production. It must
 // be called before the handle's first Resolve.
 func (h *Handle) SetMaxDepth(d int) { h.maxDepth = d }
-
-// SetNoVM forces this handle's table production onto the tree-walking
-// engine. It must be called before the handle's first Resolve.
-func (h *Handle) SetNoVM(on bool) { h.noVM = on }
 
 // SetProfiler attaches a per-predicate profiler to the handle's table
 // resolution: generator runs charge into it, and hits/misses are counted

@@ -7,9 +7,9 @@
 // At load time every clause is compiled once into a flat instruction
 // sequence over the interned-Sym term core, and every predicate's clause
 // set into a switch-on-term first-argument dispatch table. At run time
-// the engine's sequential expansion path (internal/engine.Expand, reused
-// per-goroutine by the parallel workers) executes head unification and
-// body instantiation on the Machine instead of walking skeleton trees.
+// the engine (internal/engine's trail-store machine and Expander) executes
+// head unification and body instantiation on the Machine instead of
+// walking skeleton trees.
 //
 // # Instruction set
 //
@@ -59,14 +59,14 @@
 //
 // # Fallback rules
 //
-// The tree-walking engine stays intact as the differential oracle, and
-// resolution falls back to it for everything the VM does not model:
-// builtins, negation-as-failure, tabled predicate calls (their
-// generators run compiled underneath), tree-recorded runs (figure
-// rendering wants the walker's labeling), Expander.NoVM (the
-// blog.Compiled(false) option), and the
-// BLOG_COMPILED=off environment variable, which disables the VM
-// process-wide so CI can prove the oracle path green.
+// Builtins, negation-as-failure and tabled calls dispatch before clause
+// resolution, so the VM never sees them. The trail-store machine
+// (sequential DFS, OR-parallel workers, table generators) resolves program
+// clauses on the VM only: a predicate with no clauses has no code, and its
+// goals fail. The tree-walking engine lives once, in engine.Expander on
+// the persistent-Env frontier, and runs in two cases: tree-recorded runs,
+// whose figure rendering wants the walker's labeling, and NoVM runs
+// (search.Options.NoVM, solve.Request.NoVM), the differential oracle.
 //
 // Programs are cached on the kb.DB under a generation counter:
 // asserting a clause bumps the generation and the next dispatch
@@ -75,16 +75,10 @@
 package vm
 
 import (
-	"os"
-
 	"blog/internal/kb"
 	"blog/internal/obs"
 	"blog/internal/term"
 )
-
-// Enabled gates the VM process-wide; BLOG_COMPILED=off forces every
-// query onto the tree-walking oracle engine.
-var Enabled = os.Getenv("BLOG_COMPILED") != "off"
 
 type op uint8
 
