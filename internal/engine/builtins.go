@@ -24,17 +24,47 @@ import (
 // operand, not mere failure.
 type builtin func(env *term.Env, goal term.Term) (*term.Env, bool, error)
 
-// altBuiltin is the form the two nondeterministic builtins keep —
-// between/3, and arg/3, which enumerates positions under a free index —
-// returning one successor environment per solution. The alternatives are
-// staged side by side, so env must be immutable: a persistent Env, or a
-// Store.Overlay that TrailRun replays one alternative at a time.
-type altBuiltin func(env *term.Env, goal term.Term) ([]*term.Env, error)
+// choices is the one form of every nondeterministic machine decision — a
+// tabled call's answers, between/3's range, arg/3's argument positions: n
+// alternatives, each applied by try in the builtin ABI and computed only
+// when tried, so nothing is staged. TrailRun tries one per backtrack
+// under a choice point's trail mark; Expander builds one child per
+// alternative that applies.
+type choices struct {
+	n int
+	x term.Term // what every alternative unifies
+	// answers, for a tabled call: alternative i unifies x with answers[i].
+	answers []term.Term
+	// lo, for between/3 and arg/3: alternative i unifies x with lo+i, and
+	// for arg/3 then y with args[i].
+	lo   int64
+	y    term.Term
+	args []term.Term
+}
 
-// biEntry is one builtin; exactly one of the two forms is set.
+// try applies alternative i to env, with the binding contract of the
+// builtin ABI. A table's answers are shared by every consumer, so a
+// non-ground one is renamed apart first: no store ever binds into it.
+func (c *choices) try(env *term.Env, i int) (*term.Env, bool) {
+	if c.answers != nil {
+		a := c.answers[i]
+		if !term.Ground(nil, a) {
+			a = term.Refresh(a)
+		}
+		return unify.Unify(env, c.x, a)
+	}
+	env, ok := unify.Unify(env, c.x, term.Int(c.lo+int64(i)))
+	if ok && c.args != nil {
+		env, ok = unify.Unify(env, c.y, c.args[i])
+	}
+	return env, ok
+}
+
+// biEntry is one builtin: det for the deterministic ones, nondet for
+// between/3 and arg/3, which report their alternatives.
 type biEntry struct {
-	det  builtin
-	alts altBuiltin
+	det    builtin
+	nondet func(env *term.Env, goal term.Term) (choices, error)
 }
 
 // biMaxArity is the largest builtin arity.
@@ -104,8 +134,8 @@ func init() {
 	det("length", 2, biLength)
 	det("copy_term", 2, biCopyTerm)
 	det("succ", 2, biSucc)
-	reg("between", 3, biEntry{alts: biBetween})
-	reg("arg", 3, biEntry{alts: biArg})
+	reg("between", 3, biEntry{nondet: biBetween})
+	reg("arg", 3, biEntry{nondet: biArg})
 	// Registration grew the table by doubling; it lives as long as the
 	// process, so keep an exact-size copy and drop the slack.
 	biTable = slices.Clone(biTable)
@@ -193,38 +223,33 @@ func termCompare(ok func(c int) bool) builtin {
 // biBetween is between(L,H,X) with integer bounds: a range test for bound
 // X, an enumeration X = L..H for free X — giving workload generators a
 // compact way to express OR fan-out.
-func biBetween(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biBetween(env *term.Env, goal term.Term) (choices, error) {
 	c := goal.(*term.Compound)
 	lo, err := Eval(env, c.Args[0])
 	if err != nil {
-		return nil, err
+		return choices{}, err
 	}
 	hi, err := Eval(env, c.Args[1])
 	if err != nil {
-		return nil, err
+		return choices{}, err
 	}
-	x := env.Resolve(c.Args[2])
-	if xi, ok := x.(term.Int); ok {
-		if int64(xi) >= lo && int64(xi) <= hi {
-			return []*term.Env{env}, nil
+	switch x := env.Resolve(c.Args[2]).(type) {
+	case term.Int:
+		if int64(x) >= lo && int64(x) <= hi {
+			return choices{n: 1, x: x, lo: int64(x)}, nil
 		}
-		return nil, nil
+	case *term.Var:
+		if hi < lo {
+			break
+		}
+		// hi >= lo, so the unsigned difference is the exact width even
+		// where hi-lo overflows int64.
+		if uint64(hi)-uint64(lo) > maxBuiltinTerm {
+			return choices{}, fmt.Errorf("engine: between(%d,%d,_) range too large", lo, hi)
+		}
+		return choices{n: int(hi-lo) + 1, x: x, lo: lo}, nil
 	}
-	xv, ok := x.(*term.Var)
-	if !ok {
-		return nil, nil
-	}
-	if hi < lo {
-		return nil, nil
-	}
-	if hi-lo > maxBuiltinTerm {
-		return nil, fmt.Errorf("engine: between(%d,%d,_) range too large", lo, hi)
-	}
-	envs := make([]*term.Env, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		envs = append(envs, env.Bind(xv, term.Int(i)))
-	}
-	return envs, nil
+	return choices{}, nil
 }
 
 func typeCheck(pred func(t term.Term) bool) builtin {
@@ -303,34 +328,20 @@ func biFunctor(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 
 // biArg implements arg/3: argument extraction with a bound index, or
 // enumeration over all argument positions when the index is free.
-func biArg(env *term.Env, goal term.Term) ([]*term.Env, error) {
+func biArg(env *term.Env, goal term.Term) (choices, error) {
 	c := goal.(*term.Compound)
-	t := env.Resolve(c.Args[1])
-	tc, ok := t.(*term.Compound)
+	tc, ok := env.Resolve(c.Args[1]).(*term.Compound)
 	if !ok {
-		return nil, nil
+		return choices{}, nil
 	}
 	idx := env.Resolve(c.Args[0])
 	if n, ok := idx.(term.Int); ok {
 		if n < 1 || int(n) > len(tc.Args) {
-			return nil, nil
+			return choices{}, nil
 		}
-		if e, ok := unify.Unify(env, c.Args[2], tc.Args[n-1]); ok {
-			return []*term.Env{e}, nil
-		}
-		return nil, nil
+		return choices{n: 1, x: idx, lo: int64(n), y: c.Args[2], args: tc.Args[n-1 : n]}, nil
 	}
-	var envs []*term.Env
-	for i, a := range tc.Args {
-		e, ok := unify.Unify(env, idx, term.Int(int64(i+1)))
-		if !ok {
-			continue
-		}
-		if e2, ok := unify.Unify(e, c.Args[2], a); ok {
-			envs = append(envs, e2)
-		}
-	}
-	return envs, nil
+	return choices{n: len(tc.Args), x: idx, lo: 1, y: c.Args[2], args: tc.Args}, nil
 }
 
 // biUniv implements =../2 (univ) in both directions.

@@ -49,7 +49,7 @@ func (r *TrailRun) Untried() (n int, least float64) {
 	least = r.bound
 	for i := range r.cps {
 		cp := &r.cps[i]
-		if left := len(cp.vmCands) + len(cp.alts) - cp.next; left > 0 {
+		if left := len(cp.vmCands) + cp.ch.n - cp.next; left > 0 {
 			least = min(least, cp.bound)
 			if cp.kind == cpVM {
 				n += left
@@ -64,12 +64,13 @@ func (r *TrailRun) Untried() (n int, least float64) {
 // its candidate list: the run and the chain divide the subtree. The export
 // reads the store as of the choice point's trail mark — the slots bound
 // since are cleared, the terms copied with every unbound variable renamed,
-// the slots restored; the trail is untouched. Deltas choice points (tabled
-// answers, between/3, arg/3) are never exported. Split is for StepHook,
-// which negation sub-runs do not call; nil means nothing to export.
+// the slots restored; the trail is untouched. Alternative choice points
+// (tabled answers, between/3, arg/3) are never exported. Split is for
+// StepHook, which negation sub-runs do not call; nil means nothing to
+// export.
 func (r *TrailRun) Split() *Chain {
 	for i := range r.cps {
-		// A deltas choice point has no clause candidates.
+		// An alternative choice point has no clause candidates.
 		if cp := &r.cps[i]; cp.next < len(cp.vmCands) {
 			if c := r.splitCP(cp); c != nil {
 				return c
@@ -114,11 +115,12 @@ func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 // Suspend exports all the run's remaining work — the node it is arriving
 // at, then every clause choice point's untried alternatives, oldest first —
 // for a StepHook that then abandons the run with an error, so the node is
-// counted where it resumes. While a deltas choice point still holds
-// alternatives, which never leave their run, it exports nothing (nil).
+// counted where it resumes. While an alternative choice point still holds
+// untried alternatives, which never leave their run, it exports nothing
+// (nil).
 func (r *TrailRun) Suspend() []*Chain {
 	for i := range r.cps {
-		if cp := &r.cps[i]; cp.kind == cpDeltas && cp.next < len(cp.alts) {
+		if cp := &r.cps[i]; cp.kind == cpChoices && cp.next < cp.ch.n {
 			return nil
 		}
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // chainCases put clause choice points above and below everything a split
-// must respect: deltas choice points (between/3, arg/3 with a free index),
+// must respect: alternative choice points (between/3, arg/3 with a free index),
 // negation sub-runs, builtins that bind in place, and answers that keep
 // unbound variables.
 var chainCases = []struct{ src, query string }{

@@ -153,17 +153,20 @@ func (n *Node) IsSolution() bool { return n.Goals.Len() == 0 }
 
 // Tabler resolves calls to tabled predicates by answer-clause resolution:
 // instead of expanding a tabled goal against program clauses, the engine
-// asks the Tabler for the environments that unify the goal with each
-// memoized answer. internal/table implements it; the interface lives here
-// so the engine never imports the table subsystem. Implementations must be
-// safe for concurrent use (parallel workers share one Tabler per query).
+// asks the Tabler for the goal's memoized answers and unifies them with
+// the goal one alternative at a time (choices). internal/table implements
+// it; the interface lives here so the engine never imports the table
+// subsystem. Implementations must be safe for concurrent use (parallel
+// workers share one Tabler per query).
 type Tabler interface {
 	// IsTabled reports whether the predicate is under tabled evaluation.
 	IsTabled(fn term.Sym, arity int) bool
-	// Resolve returns one extended environment per table answer that
-	// unifies with goal (resolved under env), computing the table to
-	// completion first if needed. ctx bounds that computation.
-	Resolve(ctx context.Context, env *term.Env, goal term.Term) ([]*term.Env, error)
+	// Answers returns the answer terms of goal's table (goal resolved
+	// under env), computing the table to completion first if needed; ctx
+	// bounds that computation. Every answer is an instance of the goal's
+	// variant pattern. The slice and its terms are shared and read-only:
+	// a complete table's own, or a copy of a table still being produced.
+	Answers(ctx context.Context, env *term.Env, goal term.Term) ([]term.Term, error)
 }
 
 // NegationTabler is implemented by Tablers that need a restricted view
@@ -503,7 +506,7 @@ func (e *Expander) expandTabled(n *Node, goal term.Term) ([]*Node, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	envs, err := e.Tabler.Resolve(ctx, n.Env, goal)
+	answers, err := e.Tabler.Answers(ctx, n.Env, goal)
 	// Table production charges its own time inside the generator runs
 	// (which share the profiler); restarting the interval clock here keeps
 	// that wall time from also being charged to the consumer's predicate.
@@ -511,14 +514,17 @@ func (e *Expander) expandTabled(n *Node, goal term.Term) ([]*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.stepChildren(n, envs, goal), nil
+	return e.stepChildren(n, goal, choices{n: len(answers), x: goal, answers: answers}), nil
 }
 
-// stepChildren is stepChild over staged alternatives, one child each.
-func (e *Expander) stepChildren(n *Node, envs []*term.Env, goal term.Term) []*Node {
-	children := make([]*Node, len(envs))
-	for i, env := range envs {
-		children[i] = e.stepChild(n, env, goal)
+// stepChildren is stepChild over a decision's alternatives: one child per
+// alternative that applies.
+func (e *Expander) stepChildren(n *Node, goal term.Term, ch choices) []*Node {
+	children := make([]*Node, 0, ch.n)
+	for i := 0; i < ch.n; i++ {
+		if env, ok := ch.try(n.Env, i); ok {
+			children = append(children, e.stepChild(n, env, goal))
+		}
 	}
 	return children
 }
@@ -530,11 +536,11 @@ func (e *Expander) stepChildren(n *Node, envs []*term.Env, goal term.Term) []*No
 // extended environment and the node's own is untouched.
 func (e *Expander) expandBuiltin(n *Node, goal term.Term, bi *biEntry) ([]*Node, error) {
 	if bi.det == nil {
-		envs, err := bi.alts(n.Env, goal)
+		ch, err := bi.nondet(n.Env, goal)
 		if err != nil {
 			return nil, err
 		}
-		return e.stepChildren(n, envs, goal), nil
+		return e.stepChildren(n, goal, ch), nil
 	}
 	env, ok, err := bi.det(n.Env, goal)
 	if err != nil || !ok {

@@ -232,9 +232,12 @@ func (p *goalBlockPool) put(b []GoalStack) {
 
 type cpKind uint8
 
+// A choice point is over clause candidates (cpVM), or over the
+// alternatives of a machine decision — a tabled call, between/3, arg/3 —
+// that add no arc (cpChoices).
 const (
 	cpVM cpKind = iota
-	cpDeltas
+	cpChoices
 )
 
 // choicePoint is one open OR-branch: the goal being resolved, the state
@@ -252,7 +255,7 @@ type choicePoint struct {
 	bound    float64
 
 	vmCands []*vm.CClause
-	alts    [][]term.Binding
+	ch      choices
 	// weights holds per-candidate arc weights captured eagerly under
 	// Learn (see TrailConfig.Learn); nil means compute lazily.
 	weights []float64
@@ -513,15 +516,14 @@ func (r *TrailRun) dispatch() error {
 		return r.dispatchBuiltin(&biTable[fn][arity], goal)
 	}
 	if r.cfg.Tabler != nil && !bypass && r.cfg.Tabler.IsTabled(fn, arity) {
-		base := r.sh.st.Overlay()
-		envs, err := r.cfg.Tabler.Resolve(r.ctx, base, goal)
+		answers, err := r.cfg.Tabler.Answers(r.ctx, r.env, goal)
 		// Production time is charged inside the generator runs, which share
 		// the profiler; skip the interval so it is not double-counted here.
 		r.meter.Skip()
 		if err != nil {
 			return err
 		}
-		r.applyEnvs(base, envs, goal)
+		r.dispatchChoices(goal, choices{n: len(answers), x: goal, answers: answers})
 		return nil
 	}
 	// DepHook fires before the code lookup, so a table over a predicate
@@ -573,16 +575,15 @@ func (r *TrailRun) predCode(fn term.Sym, arity int) (*vm.PredCode, bool) {
 // a deterministic step, failure fails the chain, and whatever the builtin
 // had already bound is rewound by backtracking to the enclosing choice
 // point's mark (a run with no choice point left is over, and its store is
-// Reset before reuse). Only the two nondeterministic builtins stage their
-// alternatives on an overlay.
+// Reset before reuse). The two nondeterministic builtins report their
+// alternatives, taken by dispatchChoices.
 func (r *TrailRun) dispatchBuiltin(bi *biEntry, goal term.Term) error {
 	if bi.det == nil {
-		base := r.sh.st.Overlay()
-		envs, err := bi.alts(base, goal)
+		ch, err := bi.nondet(r.env, goal)
 		if err != nil {
 			return err
 		}
-		r.applyEnvs(base, envs, goal)
+		r.dispatchChoices(goal, ch)
 		return nil
 	}
 	_, ok, err := bi.det(r.env, goal)
@@ -598,29 +599,29 @@ func (r *TrailRun) dispatchBuiltin(bi *biEntry, goal term.Term) error {
 	return nil
 }
 
-// applyEnvs commits alternatives staged as overlay environments above the
-// store: the answers of a tabled call, or the solutions of between/3 and
-// arg/3. One alternative is a deterministic step (its deltas replay
-// destructively under the enclosing choice point's mark); several become
-// a deltas choice point. Like their Expander counterparts, these children
-// add no arc, weight or depth.
-func (r *TrailRun) applyEnvs(base *term.Env, envs []*term.Env, goal term.Term) {
-	switch len(envs) {
+// dispatchChoices takes a machine decision's alternatives: the answers of
+// a tabled call, or the solutions of between/3 and arg/3. One alternative
+// is a deterministic step, binding in place under the enclosing choice
+// point's mark; several open a choice point that tries one per backtrack.
+// Like their Expander counterparts, these steps add no arc, weight or
+// depth.
+func (r *TrailRun) dispatchChoices(goal term.Term, ch choices) {
+	switch ch.n {
 	case 0:
 		r.failChain()
 	case 1:
-		for _, b := range envs[0].Deltas(base) {
-			r.env.Bind(b.Var, b.Val)
+		if _, ok := ch.try(r.env, 0); !ok {
+			r.failChain()
+			return
 		}
 		r.goals = r.goals.Pop()
 		r.stats.Generated++
 	default:
-		cp := r.pushCP(cpDeltas, GoalEntry{}, goal)
-		cp.alts = make([][]term.Binding, len(envs))
-		for i, e := range envs {
-			cp.alts[i] = e.Deltas(base)
+		cp := r.pushCP(cpChoices, GoalEntry{}, goal)
+		cp.ch = ch
+		if !r.tryNext(cp) {
+			r.popFailedCP()
 		}
-		r.tryNext(cp) // at least two alternatives: cannot fail
 	}
 }
 
@@ -724,7 +725,7 @@ func (r *TrailRun) pushCP(kind cpKind, entry GoalEntry, goal term.Term) *choiceP
 	cp.depth = r.depth
 	cp.bound = r.bound
 	cp.vmCands = nil
-	cp.alts = nil
+	cp.ch = choices{}
 	cp.weights = nil
 	cp.next = 0
 	cp.frame = nil
@@ -754,16 +755,16 @@ func (r *TrailRun) popFailedCP() {
 // order equals generation order for DFS, so the counters agree with the
 // persistent engine at every arrival.
 func (r *TrailRun) tryNext(cp *choicePoint) bool {
-	if cp.kind == cpDeltas {
-		if cp.next < len(cp.alts) {
-			alt := cp.alts[cp.next]
+	if cp.kind == cpChoices {
+		for cp.next < cp.ch.n {
+			i := cp.next
 			cp.next++
-			for _, b := range alt {
-				r.env.Bind(b.Var, b.Val)
+			if _, ok := cp.ch.try(r.env, i); ok {
+				r.goals = cp.tail
+				r.stats.Generated++
+				return true
 			}
-			r.goals = cp.tail
-			r.stats.Generated++
-			return true
+			r.sh.st.Undo(cp.mark)
 		}
 		return false
 	}

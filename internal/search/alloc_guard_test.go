@@ -2,11 +2,13 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
 
 	"blog/internal/obs"
+	"blog/internal/term"
 	"blog/internal/workload"
 )
 
@@ -72,6 +74,56 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 	const budget = 195
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("queens(5,Qs) DFS allocated %.1f times, budget %d", got, budget)
+	}
+}
+
+// replayTabler serves one complete table the way a table.Handle hit does:
+// the table's own answer slice, unified by the engine one answer per
+// backtrack. (search cannot import table, which imports it.)
+type replayTabler struct {
+	fn      term.Sym
+	answers []term.Term
+}
+
+func (r replayTabler) IsTabled(fn term.Sym, arity int) bool { return fn == r.fn && arity == 2 }
+
+func (r replayTabler) Answers(context.Context, *term.Env, term.Term) ([]term.Term, error) {
+	return r.answers, nil
+}
+
+// TestTabledReplayAllocationBudget pins the replay of a complete table on
+// the trail path: an exhaustive DFS of path(v0,Z) over a 64-answer ground
+// table, the shape of the tabled_read benchmark workload. Ground answers
+// are unified as stored, one per backtrack, so what the query allocates is
+// its 64 solutions plus the run header — nothing per answer tried. One
+// allocation per answer would put the count past the budget.
+func TestTabledReplayAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	const nodes = 64
+	db := load(t, workload.Cyclic(nodes, 32, 1))
+	tb := replayTabler{fn: term.Intern("path")}
+	for j := 0; j < nodes; j++ {
+		tb.answers = append(tb.answers, term.NewCompound("path", term.NewAtom("v0"), term.NewAtom(fmt.Sprintf("v%d", j))))
+	}
+	goals := q(t, "path(v0,Z)")
+	ws := uniform()
+	opt := Options{Strategy: DFS, Tabler: tb}
+	run := func() {
+		res, err := Run(context.Background(), db, ws, goals, opt)
+		if err != nil || len(res.Solutions) != nodes || !res.Exhausted {
+			t.Fatalf("run: %d solutions, err %v", len(res.Solutions), err)
+		}
+	}
+	run() // warm the scratch pool
+	// Measured steady state is 148 allocations per query, ~2 per solution
+	// plus the run header (staging every answer as an environment cost
+	// 407); the budget is 1.3x that, like the queens guard's, and one more
+	// allocation per answer (212) breaks it.
+	const budget = 192
+	if got := testing.AllocsPerRun(50, run); got > budget {
+		t.Errorf("tabled replay of %d answers allocated %.1f times, budget %d", nodes, got, budget)
 	}
 }
 

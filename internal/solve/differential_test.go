@@ -65,8 +65,8 @@ const fuzzGens = 9
 
 // termInspection drives the term-inspection builtins in both directions
 // from inside compiled clauses: functor/3 (whose decomposition mode
-// unifies twice), arg/3 with a bound and a free index (the latter a
-// deltas choice point re-entered on backtracking), =../2, length/2 and
+// unifies twice), arg/3 with a bound and a free index (the latter an
+// alternative choice point re-entered on backtracking), =../2, length/2 and
 // copy_term/2. No query raises a builtin error — the harnesses treat an
 // error as a failed run.
 const termInspection = `

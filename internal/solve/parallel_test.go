@@ -18,7 +18,7 @@ import (
 	"blog/internal/weights"
 )
 
-// betweenProgram mixes between/3's deltas choice points, which never leave
+// betweenProgram mixes between/3's alternative choice points, which never leave
 // their worker, with clause choice points that do.
 const betweenProgram = `
 	num(1). num(2). num(3).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"blog/internal/engine"
@@ -303,7 +304,7 @@ func (ev *eval) noteConsumption(t *Table) {
 // adding every solution to the table. The generator call itself resolves
 // against program clauses — that is what produces answers — while calls
 // inside those derivations (including the recursive variant calls that
-// would otherwise loop) dispatch through ev (Resolve below) and consume
+// would otherwise loop) dispatch through ev (Answers below) and consume
 // tables instead.
 func (ev *eval) runGenerator(t *Table) error {
 	// Generators are sequential inside the producer slot, so they run on
@@ -478,7 +479,7 @@ func (ev *eval) IsTabled(fn term.Sym, arity int) bool { return ev.space.db.IsTab
 func (ev *eval) ForNegation() engine.Tabler { return negEval{ev} }
 
 // serveComplete replays a table completed before this production began.
-func (ev *eval) serveComplete(env *term.Env, goal term.Term, t *Table) ([]*term.Env, error) {
+func (ev *eval) serveComplete(t *Table) ([]term.Term, error) {
 	if t.truncated {
 		ev.truncConsumed = true
 	}
@@ -498,37 +499,29 @@ func (ev *eval) serveComplete(env *term.Env, goal term.Term, t *Table) ([]*term.
 		ev.h.noteTruncated(t)
 	}
 	ev.space.hits.Add(1)
-	envs := bindAnswers(env, goal, t.answers)
 	if ev.h != nil {
-		ev.h.reuse.Add(uint64(len(envs)))
+		ev.h.reuse.Add(uint64(len(t.answers)))
 	}
-	ev.space.reuse.Add(uint64(len(envs)))
-	return envs, ev.charge(len(envs))
+	ev.space.reuse.Add(uint64(len(t.answers)))
+	return t.answers, ev.charge(len(t.answers))
 }
 
-// Resolve implements engine.Tabler for calls made inside generators.
-func (ev *eval) Resolve(_ context.Context, env *term.Env, goal term.Term) ([]*term.Env, error) {
+// Answers implements engine.Tabler for calls made inside generators.
+func (ev *eval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	key, pattern := Canonicalize(env, goal)
 	// Tables this eval is already producing resolve by identity through
 	// the group, never through the live map: a concurrent Invalidate
 	// swaps the map mid-production, and a fresh (empty) table under the
 	// same key would silently truncate the fixpoint.
-	if t := ev.group[key]; t != nil {
-		if err := ev.require(t); err != nil {
-			return nil, err
+	t := ev.group[key]
+	if t == nil {
+		if ct, ok := ev.space.lookup(key, ev.maxDepth); ok {
+			return ev.serveComplete(ct)
 		}
-		if !t.complete.Load() {
-			ev.noteConsumption(t)
+		t = ev.space.getOrCreate(key, pattern, ev.h, ev.maxDepth, ev.reqID)
+		if fn, arity, ok := term.PredOf(pattern); ok {
+			ev.prof.TableMiss(fn, arity)
 		}
-		envs := bindAnswers(env, goal, t.answers)
-		return envs, ev.charge(len(envs))
-	}
-	if t, ok := ev.space.lookup(key, ev.maxDepth); ok {
-		return ev.serveComplete(env, goal, t)
-	}
-	t := ev.space.getOrCreate(key, pattern, ev.h, ev.maxDepth, ev.reqID)
-	if fn, arity, ok := term.PredOf(pattern); ok {
-		ev.prof.TableMiss(fn, arity)
 	}
 	if err := ev.require(t); err != nil {
 		return nil, err
@@ -538,8 +531,19 @@ func (ev *eval) Resolve(_ context.Context, env *term.Env, goal term.Term) ([]*te
 	if !t.complete.Load() {
 		ev.noteConsumption(t)
 	}
-	envs := bindAnswers(env, goal, t.answers)
-	return envs, ev.charge(len(envs))
+	return ev.consume(t)
+}
+
+// consume hands a table in this production's group to a consumer and
+// charges its answers to the budget. A table still being produced gives a
+// copy cut at the call: a later min(N) improvement replaces answers in
+// place, and must not leak into a consumer already iterating.
+func (ev *eval) consume(t *Table) ([]term.Term, error) {
+	answers := t.answers
+	if !t.complete.Load() {
+		answers = slices.Clone(answers)
+	}
+	return answers, ev.charge(len(answers))
 }
 
 // ErrNonStratified rejects negation over a tabled predicate whose answer
@@ -562,14 +566,14 @@ func (n negEval) IsTabled(fn term.Sym, arity int) bool { return n.ev.IsTabled(fn
 // keeps the restriction).
 func (n negEval) ForNegation() engine.Tabler { return n }
 
-// Resolve implements engine.Tabler under the finality restriction.
-func (n negEval) Resolve(_ context.Context, env *term.Env, goal term.Term) ([]*term.Env, error) {
+// Answers implements engine.Tabler under the finality restriction.
+func (n negEval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	ev := n.ev
 	key, pattern := Canonicalize(env, goal)
 	t := ev.group[key]
 	if t == nil {
 		if ct, ok := ev.space.lookup(key, ev.maxDepth); ok {
-			return ev.serveComplete(env, goal, ct)
+			return ev.serveComplete(ct)
 		}
 		t = ev.space.getOrCreate(key, pattern, ev.h, ev.maxDepth, ev.reqID)
 	}
@@ -582,8 +586,7 @@ func (n negEval) Resolve(_ context.Context, env *term.Env, goal term.Term) ([]*t
 	if !t.complete.Load() && !t.independent {
 		return nil, ErrNonStratified
 	}
-	envs := bindAnswers(env, goal, t.answers)
-	return envs, ev.charge(len(envs))
+	return ev.consume(t)
 }
 
 var (

@@ -13,8 +13,10 @@
 // recursive variant calls inside those rounds consuming the answers known
 // so far, until a full round adds no answer anywhere in the dependency
 // group; then the whole group is marked complete. Callers of a complete
-// table (consumers) never touch program clauses — the engine turns each
-// answer into one child node (answer-clause resolution, engine.Tabler).
+// table (consumers) never touch program clauses: the table hands the
+// engine its answer terms, and the engine unifies them with the goal one
+// alternative at a time (answer-clause resolution, engine.Tabler). The
+// table never binds anything itself.
 //
 // Answer subsumption extends the scheme to weighted workloads: a
 // predicate declared `:- table name/arity min(N)` marks argument N as a
@@ -68,7 +70,6 @@ import (
 	"blog/internal/obs"
 	"blog/internal/search"
 	"blog/internal/term"
-	"blog/internal/unify"
 	"blog/internal/weights"
 )
 
@@ -828,17 +829,17 @@ type Handle struct {
 func (s *Space) NewHandle() *Handle { return &Handle{space: s} }
 
 // SetMaxDepth passes the query's depth bound to table production. It must
-// be called before the handle's first Resolve.
+// be called before the handle's first Answers call.
 func (h *Handle) SetMaxDepth(d int) { h.maxDepth = d }
 
 // SetProfiler attaches a per-predicate profiler to the handle's table
 // resolution: generator runs charge into it, and hits/misses are counted
-// per predicate. It must be called before the handle's first Resolve.
+// per predicate. It must be called before the handle's first Answers call.
 func (h *Handle) SetProfiler(p *obs.Profiler) { h.prof = p }
 
 // SetTrace attaches a query trace: each leader fixpoint records a span
 // (with per-round child spans) under the query's open "search" phase. It
-// must be called before the handle's first Resolve.
+// must be called before the handle's first Answers call.
 func (h *Handle) SetTrace(tr *obs.Trace) { h.trace = tr }
 
 // Stats returns the counters this handle accumulated.
@@ -869,13 +870,14 @@ func (h *Handle) IsTabled(fn term.Sym, arity int) bool { return h.space.db.IsTab
 // needed, so a \+ sub-search never observes a growing answer set.
 func (h *Handle) ForNegation() engine.Tabler { return h }
 
-// Resolve implements engine.Tabler for top-level (consumer) calls: serve
+// Answers implements engine.Tabler for top-level (consumer) calls: serve
 // a complete table's answers, or claim the producer slot and compute the
-// table's dependency group to completion first.
-func (h *Handle) Resolve(ctx context.Context, env *term.Env, goal term.Term) ([]*term.Env, error) {
+// table's dependency group to completion first. Either way the table is
+// complete, so its own immutable answer slice is returned.
+func (h *Handle) Answers(ctx context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	key, pattern := Canonicalize(env, goal)
 	if t, ok := h.space.lookup(key, h.maxDepth); ok {
-		return h.serveHit(env, goal, t), nil
+		return h.serveHit(t), nil
 	}
 	if err := h.space.acquireProducer(ctx); err != nil {
 		return nil, err
@@ -883,7 +885,7 @@ func (h *Handle) Resolve(ctx context.Context, env *term.Env, goal term.Term) ([]
 	defer h.space.releaseProducer()
 	// Another producer may have completed the table while we waited.
 	if t, ok := h.space.lookup(key, h.maxDepth); ok {
-		return h.serveHit(env, goal, t), nil
+		return h.serveHit(t), nil
 	}
 	t := h.space.getOrCreate(key, pattern, h, h.maxDepth, obs.RequestID(ctx))
 	if fn, arity, ok := term.PredOf(pattern); ok {
@@ -894,11 +896,13 @@ func (h *Handle) Resolve(ctx context.Context, env *term.Env, goal term.Term) ([]
 		return nil, err
 	}
 	h.noteTruncated(t)
-	return bindAnswers(env, goal, t.answers), nil
+	return t.answers, nil
 }
 
-// serveHit replays a complete table into env and counts the reuse.
-func (h *Handle) serveHit(env *term.Env, goal term.Term, t *Table) []*term.Env {
+// serveHit counts a complete table's replay and returns its answers. Each
+// answer is an instance of the caller's variant pattern, so every one of
+// them unifies with the goal: each is a re-derivation avoided.
+func (h *Handle) serveHit(t *Table) []term.Term {
 	h.hits.Add(1)
 	h.space.hits.Add(1)
 	t.hits.Add(1)
@@ -907,24 +911,9 @@ func (h *Handle) serveHit(env *term.Env, goal term.Term, t *Table) []*term.Env {
 		h.prof.TableHit(fn, arity)
 	}
 	h.noteTruncated(t)
-	envs := bindAnswers(env, goal, t.answers)
-	h.reuse.Add(uint64(len(envs)))
-	h.space.reuse.Add(uint64(len(envs)))
-	return envs
-}
-
-// bindAnswers unifies goal (under env) with a renamed-apart copy of each
-// answer, returning the extended environments. Unification can only fail
-// for goals more specific than the call pattern would suggest; for the
-// producing call itself every answer matches by construction.
-func bindAnswers(env *term.Env, goal term.Term, answers []term.Term) []*term.Env {
-	out := make([]*term.Env, 0, len(answers))
-	for _, a := range answers {
-		if e, ok := unify.Unify(env, goal, term.Refresh(a)); ok {
-			out = append(out, e)
-		}
-	}
-	return out
+	h.reuse.Add(uint64(len(t.answers)))
+	h.space.reuse.Add(uint64(len(t.answers)))
+	return t.answers
 }
 
 // Canonicalize resolves goal under env and rewrites it to its variant

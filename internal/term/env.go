@@ -91,9 +91,8 @@ type Env struct {
 	// answer fresh-variable misses without walking the spine.
 	born uint64
 	snap *snapshot
-	// st, when non-nil, ties the node to a destructive Store (store.go).
-	// The store's distinguished node binds in place; other st-carrying
-	// nodes are overlays staging alternatives above the store.
+	// st, when non-nil, makes the node a destructive Store's own (store.go):
+	// it binds in place. No other node carries a store.
 	st *Store
 }
 
@@ -110,24 +109,18 @@ func (e *Env) Depth() int {
 // rather than overwrite, breaking Depth-based accounting.
 func (e *Env) Bind(v *Var, t Term) *Env {
 	if e != nil && e.st != nil {
-		if e == e.st.env {
-			// Destructive path: write the frame slot in place and log the
-			// write on the trail. The same node is returned, so callers
-			// threading environments through unification work unchanged.
-			f := v.frame
-			if f.b == nil {
-				f.b = make([]Term, len(f.vars))
-			}
-			f.b[v.idx] = t
-			e.st.trail = append(e.st.trail, trailEntry{frame: f, slot: v.idx})
-			e.st.binds++
-			e.depth++
-			return e
+		// Destructive path: write the frame slot in place and log the
+		// write on the trail. The same node is returned, so callers
+		// threading environments through unification work unchanged.
+		f := v.frame
+		if f.b == nil {
+			f.b = make([]Term, len(f.vars))
 		}
-		// Overlay node: an immutable extension staged above the store (see
-		// Store.Overlay). No snapshots and no birth cutoff — overlay spines
-		// are short and Lookup walks them explicitly.
-		return &Env{parent: e, v: v, t: t, depth: e.depth + 1, st: e.st}
+		f.b[v.idx] = t
+		e.st.trail = append(e.st.trail, trailEntry{frame: f, slot: v.idx})
+		e.st.binds++
+		e.depth++
+		return e
 	}
 	n := &Env{parent: e, v: v, t: t, depth: e.Depth() + 1, born: varCounter.Load()}
 	if n.depth%snapshotEvery == 0 {
@@ -199,23 +192,14 @@ func (e *Env) Lookup(v *Var) (Term, bool) {
 		return nil, false
 	}
 	if e.st != nil {
-		// Store mode: walk the (short) overlay spine, then answer from the
-		// frame binding array at the distinguished node. The birth cutoff
+		// Store mode: answer from the frame binding array. The birth cutoff
 		// does not apply — destructive binds do not advance node identity.
-		for c := e; c != nil; c = c.parent {
-			if c == c.st.env {
-				f := v.frame
-				if f == nil || f.b == nil {
-					return nil, false
-				}
-				t := f.b[v.idx]
-				return t, t != nil
-			}
-			if c.v == v {
-				return c.t, true
-			}
+		f := v.frame
+		if f == nil || f.b == nil {
+			return nil, false
 		}
-		return nil, false
+		t := f.b[v.idx]
+		return t, t != nil
 	}
 	if v.ID > e.born {
 		return nil, false

@@ -6,7 +6,10 @@ package term
 // sequential, or one OR-parallel worker's segment — has one branch alive
 // at a time, and WAM-family engines exploit that with a destructive
 // binding store plus a trail that undoes bindings on backtrack. Store is
-// that representation; engine.TrailRun drives it.
+// that representation; engine.TrailRun drives it. Every binding on a
+// store is written in place through its one Env node; alternatives (clause
+// candidates, tabled answers, between/3 values) are tried one at a time
+// under a choice point's trail mark, never staged side by side.
 
 // trailEntry records one destructive binding so Undo can erase it: the
 // frame written and the slot within it.
@@ -102,51 +105,13 @@ func (s *Store) Unhide(mark int, buf []Term) {
 
 // InPlace returns the store when e is its distinguished node — the one
 // environment on which Bind is destructive — and nil for persistent
-// environments and overlays. Code that tries a unification it may have to
-// take back (unify.CanUnify) brackets it with Mark/Undo on the result.
+// environments. Code that tries a unification it may have to take back
+// (unify.CanUnify) brackets it with Mark/Undo on the result.
 func (e *Env) InPlace() *Store {
-	if e != nil && e.st != nil && e == e.st.env {
+	if e != nil {
 		return e.st
 	}
 	return nil
-}
-
-// Overlay returns a fresh immutable extension point over the store's
-// current state, for the two callers that stage several alternative
-// binding sets before the machine commits to one: tabled answer
-// resolution and the nondeterministic builtins (between/3, arg/3). They
-// bind against the overlay — producing ordinary immutable Env nodes that
-// never touch the store — and the machine later replays the chosen
-// alternative's Deltas destructively under a choice point's trail mark.
-// Deterministic builtins do not come through here: they run directly on
-// the distinguished node (Env) and bind in place; a failure part-way is
-// undone by ordinary backtracking to the enclosing choice point's mark.
-func (s *Store) Overlay() *Env {
-	return &Env{parent: s.env, depth: s.env.depth, st: s}
-}
-
-// Binding is one (variable, value) pair staged in an overlay.
-type Binding struct {
-	Var *Var
-	Val Term
-}
-
-// Deltas returns the bindings added to e above base, oldest first (bind
-// order), so replaying them in sequence reproduces the overlay's state.
-func (e *Env) Deltas(base *Env) []Binding {
-	n := 0
-	for c := e; c != base && c != nil; c = c.parent {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Binding, n)
-	for c := e; c != base && c != nil; c = c.parent {
-		n--
-		out[n] = Binding{Var: c.v, Val: c.t}
-	}
-	return out
 }
 
 // FramePool recycles activation frames whose lifetime ends at backtrack.
