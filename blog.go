@@ -148,8 +148,8 @@ func LoadString(src string, cfg ...Config) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compile the bytecode program eagerly: loading is the expensive step
-	// by contract, so the first query should not pay for compilation.
+	// Compile every predicate eagerly: loading is the expensive step by
+	// contract, so the first query should not pay for compilation.
 	vm.For(db)
 	return &Program{
 		db:      db,
@@ -891,13 +891,12 @@ func (p *Program) LoadWeights(r io.Reader) error {
 }
 
 // Assert parses src as clauses (facts or rules, no directives or
-// queries) and appends them to the program's database. The incremental
-// table maintenance reacts through kb's assert hook: memoized tables
-// whose fixpoints were derived from an asserted predicate are
-// dirty-marked and re-derive on next touch, while unrelated tables keep
-// serving; the compiled-dispatch cache recompiles via the database
-// generation counter as before. Asserts serialize against each other and
-// against weight maintenance on the program mutex.
+// queries) and appends them to the program's database. Each assert moves
+// the asserted predicate's stamp and nothing else: memoized tables whose
+// fixpoints read that predicate stop serving and re-derive on next touch,
+// unrelated tables keep serving, and the predicate alone is recompiled on
+// its next use. Asserts serialize against each other and against weight
+// maintenance on the program mutex.
 func (p *Program) Assert(src string) error {
 	prog, err := parse.Source(src)
 	if err != nil {

@@ -456,6 +456,12 @@ var (
 	symMax    = term.Intern("max")
 )
 
+// errOverflow reports an arithmetic result outside the 64-bit range: an
+// error, like between/3's "range too large", never a wrapped value.
+func errOverflow(t *term.Compound) error {
+	return fmt.Errorf("engine: integer overflow in %s/%d", t.Functor, len(t.Args))
+}
+
 // Eval evaluates an arithmetic expression term to an integer.
 // Supported: integers, + - * // mod abs min max, and unary minus.
 func Eval(env *term.Env, t term.Term) (int64, error) {
@@ -475,8 +481,14 @@ func Eval(env *term.Env, t term.Term) (int64, error) {
 			}
 			switch t.Functor {
 			case symSub:
+				if a == math.MinInt64 {
+					return 0, errOverflow(t)
+				}
 				return -a, nil
 			case symAbs:
+				if a == math.MinInt64 {
+					return 0, errOverflow(t)
+				}
 				if a < 0 {
 					return -a, nil
 				}
@@ -495,14 +507,27 @@ func Eval(env *term.Env, t term.Term) (int64, error) {
 			}
 			switch t.Functor {
 			case symAdd:
-				return a + b, nil
+				if r := a + b; (r > a) == (b > 0) {
+					return r, nil
+				}
+				return 0, errOverflow(t)
 			case symSub:
-				return a - b, nil
+				if r := a - b; (r < a) == (b > 0) {
+					return r, nil
+				}
+				return 0, errOverflow(t)
 			case symMul:
-				return a * b, nil
+				r := a * b
+				if a != 0 && (r/a != b || a == -1 && b == math.MinInt64) {
+					return 0, errOverflow(t)
+				}
+				return r, nil
 			case symIntDiv:
 				if b == 0 {
 					return 0, errors.New("engine: division by zero")
+				}
+				if a == math.MinInt64 && b == -1 {
+					return 0, errOverflow(t)
 				}
 				return a / b, nil
 			case symMod:

@@ -85,6 +85,13 @@ var biDiffCases = []struct {
 	{"", "X is 1 // 0", "error: division by zero"},
 	{"", "X is 1 mod 0", "error: mod by zero"},
 	{"", "X is foo(1, 2)", "error: unknown arithmetic function"},
+	{"", "X is 9223372036854775806 + 1, Y is -9223372036854775807 - 1", "X = 9223372036854775807, Y = -9223372036854775808"},
+	{"", "X is 9223372036854775807 + 1", "error: integer overflow in +/2"},
+	{"", "X is -9223372036854775807 - 2", "error: integer overflow in -/2"},
+	{"", "X is 3037000500 * 3037000500", "error: integer overflow in */2"},
+	{"", "X is -9223372036854775808 // -1", "error: integer overflow in ///2"},
+	{"", "X is -(-9223372036854775808)", "error: integer overflow in -/1"},
+	{"", "X is abs(-9223372036854775808)", "error: integer overflow in abs/1"},
 
 	{"", "1 + 1 =:= 2, 1 =\\= 2, 1 < 2, 2 > 1, 1 =< 1, 1 >= 1", "true"},
 	{"", "1 =:= 2", ""},

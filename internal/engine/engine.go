@@ -13,6 +13,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"blog/internal/kb"
 	"blog/internal/obs"
@@ -217,9 +218,32 @@ type Expander struct {
 	Prof *obs.Profiler
 
 	seq   uint64
-	prog  *vm.Program
+	code  *vm.Cache // borrowed from codeCaches on first use; see Release
 	mach  vm.Machine
 	meter *obs.Meter
+}
+
+// codeCaches recycles Expanders' predicate-code caches; trail runs keep
+// theirs in their pooled scratch.
+var codeCaches = sync.Pool{New: func() any { return new(vm.Cache) }}
+
+// cache returns the expander's predicate-code cache, borrowing one on
+// first use.
+func (e *Expander) cache() *vm.Cache {
+	if e.code == nil {
+		e.code = codeCaches.Get().(*vm.Cache)
+	}
+	return e.code
+}
+
+// Release returns the expander's predicate-code cache for reuse by later
+// expanders. The expander stays usable and borrows another on next use;
+// skipping Release only leaves the cache to the garbage collector.
+func (e *Expander) Release() {
+	if e.code != nil {
+		codeCaches.Put(e.code)
+		e.code = nil
+	}
 }
 
 // NewExpander returns an expander with MaxDepth defaulted from the store.
@@ -279,7 +303,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 		// Compiled path: everything the VM models was filtered out above;
 		// tree recording keeps the walker so figure labels are unchanged.
 		if !e.NoVM && !e.RecordTree {
-			if pc := e.program().Pred(fn, arity); pc != nil {
+			if pc := e.cache().Pred(e.DB, fn, arity); pc != nil {
 				return e.expandCompiled(n, entry, goal, pc)
 			}
 		}
@@ -328,17 +352,6 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 // states so time spent outside the engine is not charged to a predicate.
 func (e *Expander) ProfFlush() {
 	e.meter.Flush(0, 0)
-}
-
-// program returns the compiled program for the database, recompiling
-// when the database generation moved (a clause was asserted since).
-// Lazy attachment here, rather than in a constructor, covers every
-// Expander construction site, including struct literals.
-func (e *Expander) program() *vm.Program {
-	if e.prog == nil || e.prog.Gen() != e.DB.Generation() {
-		e.prog = vm.For(e.DB)
-	}
-	return e.prog
 }
 
 // expandCompiled is Expand's clause-resolution loop on the bytecode
@@ -434,6 +447,7 @@ func (e *Expander) expandNegation(n *Node, goal term.Term) ([]*Node, error) {
 		Tabler:      e.Tabler,
 		Ctx:         e.Ctx,
 		NoVM:        e.NoVM,
+		code:        e.cache(),
 	}
 	if nt, ok := e.Tabler.(NegationTabler); ok {
 		sub.Tabler = nt.ForNegation()

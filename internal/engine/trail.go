@@ -64,10 +64,11 @@ type TrailConfig struct {
 	StepHook func() error
 	// DepHook, when set, observes every predicate the run resolves
 	// against program clauses (including goals inside negation sub-runs,
-	// and predicates with no clauses yet). Table generators record their
-	// fixpoint's clause-dependency set through it; goals answered by
-	// builtins or by memoized tables are not reported — the tabler tracks
-	// consumed tables itself and folds their stored dependency sets in.
+	// and predicates with no clauses yet), before looking up its code.
+	// Table generators record their fixpoint's dependency stamps through
+	// it; goals answered by builtins or by memoized tables are not
+	// reported — the tabler tracks consumed tables itself and folds their
+	// recorded stamps in.
 	DepHook func(fn term.Sym, arity int)
 	// Prof, when non-nil, accumulates per-predicate profile counters via
 	// interval attribution: each dispatch charges the time and trail
@@ -99,27 +100,16 @@ var errTrailBudget = errors.New("engine: trail run expansion budget exhausted")
 
 // trailShared is the state a run shares with its nested negation runs:
 // one store, one frame pool, one goal-block pool, one bytecode machine
-// and one compiled program. Negation sub-searches run on the same store
-// under a mark, exactly as the persistent engine's nested search runs on
-// the same Env.
+// and one predicate-code cache. Negation sub-searches run on the same
+// store under a mark, exactly as the persistent engine's nested search
+// runs on the same Env.
 type trailShared struct {
 	st     *term.Store
 	pool   term.FramePool
 	cpool  term.CompoundPool
 	blocks goalBlockPool
 	mach   vm.Machine
-	prog   *vm.Program
-
-	// Direct-mapped predicate-code cache in front of prog's map lookup;
-	// see predCode.
-	pcCache   [pcCacheSize]pcCacheEntry
-	cacheProg *vm.Program
-
-	// progDB is the database prog was compiled from. Recycled scratch can
-	// carry a program whose generation number coincides with a different
-	// database's; getShared compares the database identity, not just the
-	// generation, before trusting it.
-	progDB *kb.DB
+	code   vm.Cache
 
 	// spareCPs and spareChain hold the previous run's stack capacities
 	// (contents dead, not zeroed — pushCP and takeAlt overwrite every
@@ -136,11 +126,10 @@ type trailShared struct {
 // sharedPool recycles trailShared scratch across runs. A recycled scratch
 // arrives with warm frame/compound/goal-block free lists and — when the
 // run is over the same database — a warm predicate-code cache, so repeated
-// queries skip both the pool ramp-up and the per-dispatch map lookups of a
-// cold cache.
+// queries skip both the pool ramp-up and the code lookups of a cold cache.
 var sharedPool = sync.Pool{New: func() any { return new(trailShared) }}
 
-func getShared(db *kb.DB) *trailShared {
+func getShared() *trailShared {
 	sh := sharedPool.Get().(*trailShared)
 	if sh.st == nil {
 		sh.st = term.NewStore()
@@ -149,11 +138,6 @@ func getShared(db *kb.DB) *trailShared {
 	}
 	sh.mach.Pool = &sh.pool
 	sh.mach.CPool = &sh.cpool
-	if sh.progDB != db {
-		sh.prog = nil
-		sh.cacheProg = nil
-		sh.progDB = db
-	}
 	return sh
 }
 
@@ -185,19 +169,6 @@ func (r *TrailRun) Release() {
 	r.cps = nil
 	r.chain = nil
 	sharedPool.Put(sh)
-}
-
-// pcCacheSize is the predicate-code cache size; a power of two so the
-// index mask is one AND. Sized to hold a few hundred predicates — the
-// cache lives in the recycled scratch, so the footprint is paid once per
-// pooled scratch, not per run.
-const pcCacheSize = 256
-
-type pcCacheEntry struct {
-	fn    term.Sym
-	arity int32
-	valid bool
-	pc    *vm.PredCode
 }
 
 // goalBlockPool recycles the single-block []GoalStack allocations that
@@ -349,7 +320,7 @@ func (r *TrailRun) init(cfg TrailConfig) {
 	if maxExp == 0 {
 		maxExp = math.MaxUint64
 	}
-	sh := getShared(cfg.DB)
+	sh := getShared()
 	// The choice-point and chain stacks grow with search depth; recycled
 	// capacity (or a realistic starting size on a cold scratch) replaces
 	// the doubling ramp — which costs more total bytes than the final
@@ -526,48 +497,19 @@ func (r *TrailRun) dispatch() error {
 		r.dispatchChoices(goal, choices{n: len(answers), x: goal, answers: answers})
 		return nil
 	}
-	// DepHook fires before the code lookup, so a table over a predicate
-	// with no clauses yet is dirtied when its first clause is asserted.
+	// DepHook fires before the code lookup, so a stamp it records is never
+	// newer than the clauses resolved here, and a predicate with no
+	// clauses yet is recorded too (at stamp 0).
 	if h := r.cfg.DepHook; h != nil {
 		h(fn, arity)
 	}
-	pc, ok := r.predCode(fn, arity)
-	if !ok {
+	pc := r.sh.code.Pred(r.cfg.DB, fn, arity)
+	if pc == nil {
 		// The compiler emits code for every predicate with a clause.
 		r.failChain()
 		return nil
 	}
 	return r.dispatchVM(entry, goal, pc)
-}
-
-func (r *TrailRun) program() *vm.Program {
-	if r.sh.prog == nil || r.sh.prog.Gen() != r.cfg.DB.Generation() {
-		r.sh.prog = vm.For(r.cfg.DB)
-	}
-	return r.sh.prog
-}
-
-// predCode resolves the compiled code for a predicate through a small
-// direct-mapped cache in front of the program's map — the lookup runs
-// once per dispatched goal, which makes it one of the hottest loads in
-// the machine. Negative results (no clauses for the predicate) are cached
-// too; asserting a clause bumps the database generation, which swaps the
-// program and flushes the cache.
-func (r *TrailRun) predCode(fn term.Sym, arity int) (*vm.PredCode, bool) {
-	prog := r.program()
-	sh := r.sh
-	if sh.cacheProg != prog {
-		sh.pcCache = [pcCacheSize]pcCacheEntry{}
-		sh.cacheProg = prog
-	}
-	i := (uint32(fn)*31 + uint32(arity)) & (pcCacheSize - 1)
-	e := &sh.pcCache[i]
-	if e.valid && e.fn == fn && e.arity == int32(arity) {
-		return e.pc, e.pc != nil
-	}
-	pc := prog.Pred(fn, arity)
-	*e = pcCacheEntry{fn: fn, arity: int32(arity), pc: pc, valid: true}
-	return pc, pc != nil
 }
 
 // dispatchBuiltin evaluates a builtin goal. A deterministic builtin runs

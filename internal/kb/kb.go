@@ -165,106 +165,132 @@ func (c *Clause) String() string {
 	return text + "."
 }
 
-// predKey identifies a predicate by interned functor symbol and arity —
+// PredKey identifies a predicate by interned functor symbol and arity —
 // the allocation-free analogue of the "f/2" indicator string.
-type predKey struct {
-	fn    term.Sym
-	arity int
+type PredKey struct {
+	Fn    term.Sym
+	Arity int
 }
 
-// argKey is the first-argument index key: the shape of a constant (atom,
+// String renders the indicator, e.g. "f/2".
+func (k PredKey) String() string { return k.Fn.Name() + "/" + strconv.Itoa(k.Arity) }
+
+// ParsePredKey parses a "name/arity" indicator, as produced by
+// term.Indicator or PredKey.String.
+func ParsePredKey(ind string) (PredKey, bool) {
+	i := strings.LastIndexByte(ind, '/')
+	if i <= 0 {
+		return PredKey{}, false
+	}
+	arity, err := strconv.Atoi(ind[i+1:])
+	if err != nil || arity < 0 {
+		return PredKey{}, false
+	}
+	return PredKey{term.Intern(ind[:i]), arity}, true
+}
+
+// ArgKey is the first-argument index key: the shape of a constant (atom,
 // integer, or compound principal functor) as a comparable struct, so index
-// probes never format strings.
-type argKey struct {
+// probes never format strings. internal/vm's switch-on-term tables key on
+// it too.
+type ArgKey struct {
 	kind byte // 'a' atom, 'i' integer, 'c' compound
 	sym  term.Sym
 	num  int64 // integer value, or compound arity
 }
 
-// DB is the clause database. It is safe for concurrent use: queries read
-// the clause store under mu's read lock while Assert mutates it under the
-// write lock, so clauses may land while searches are in flight (the table
-// layer's dirty-marking and epoch checks exist precisely to keep memoized
-// answers sound under that interleaving). Individual clauses are immutable
-// once asserted, so a slice snapshot taken under the lock stays valid
-// after it is released. The tabled set is the one load-time-only structure:
-// `:- table` directives are rejected by Assert, so it is never written
-// concurrently with reads.
-type DB struct {
-	// mu guards the clause store (clauses, byPred, firstArg, varFirst) and
-	// the assert-hook list.
-	mu      sync.RWMutex
+// pred is one predicate's share of the clause store.
+type pred struct {
+	// clauses lists the predicate's clauses in source order.
 	clauses []*Clause
-	// byPred maps a predicate key to its clauses in source order.
-	byPred map[predKey][]*Clause
-	// firstArg maps pred -> first-argument constant key -> clauses whose
+	// firstArg maps a first-argument constant key to the clauses whose
 	// head first argument is that constant. Clauses with a variable first
 	// argument appear in varFirst and match any key.
-	firstArg map[predKey]map[argKey][]*Clause
-	varFirst map[predKey][]*Clause
+	firstArg map[ArgKey][]*Clause
+	varFirst []*Clause
+	// stamp is the generation of the last assert that changed the
+	// predicate.
+	stamp uint64
+	// code is the compiled form (internal/vm) attached by SetCode for the
+	// current stamp, held opaquely so kb does not import its compiler. An
+	// assert clears it.
+	code any
+}
+
+// DB is the clause database. It is safe for concurrent use: queries read
+// the clause store under mu's read lock while Assert mutates it under the
+// write lock, so clauses may land while searches are in flight. Individual
+// clauses are immutable once asserted, so a slice snapshot taken under the
+// lock stays valid after it is released.
+//
+// Every predicate carries a stamp: the generation of the last assert that
+// changed it, or 0 if it never had a clause. The caches built from clauses
+// (compiled code, answer tables) record the stamps they were built from
+// and are fresh exactly while those stamps still match, so an assert
+// notifies nobody. A predicate's clauses and its stamp are always read in
+// one critical section, which is what makes a recorded stamp describe the
+// clauses actually used. The tabled set is the one load-time-only
+// structure: `:- table` directives are rejected by Assert, so it is never
+// written concurrently with reads.
+type DB struct {
+	// mu guards the clause store (clauses, preds).
+	mu      sync.RWMutex
+	clauses []*Clause
+	preds   map[PredKey]*pred
 	// tabled marks predicates declared `:- table name/arity` for answer
 	// memoization (consumed by internal/table through IsTabled). The value
 	// is the 1-based cost-argument position of a `min(N)` answer-subsumption
 	// declaration, or 0 for plain variant tabling.
-	tabled map[predKey]int
+	tabled map[PredKey]int
 
-	// gen counts clause assertions. Compiled-form caches (internal/vm)
-	// pin the generation they were built from and recompile when it
-	// moves, which is how session-merged clauses reach the compiled path.
+	// gen counts clause assertions: the one clock predicate stamps are
+	// read from. It moves under mu's write lock, so a reader that sees the
+	// generation unchanged across a lookup saw no assert in between.
 	gen atomic.Uint64
-	// compiled holds the cached compiled program as an opaque value, so
-	// kb does not import its compiler.
-	compiled atomic.Value
 	// journal holds the engine event journal (*obs.Journal) as an opaque
-	// value for the same reason: kb sits below obs, and only internal/vm
-	// reads it back to stamp recompile events.
+	// value: kb sits below obs, and only internal/vm reads it back to
+	// stamp recompile events.
 	journal atomic.Value
-	// hooks are the assert-notification callbacks (guarded by mu; nil slots
-	// are unregistered entries). Each table space registers one so a clause
-	// assert can dirty-mark its downstream answer tables; every live space
-	// over a shared DB receives the notification.
-	hooks []func(name term.Sym, arity int)
-}
-
-// AddAssertHook registers fn to be called after every clause assertion
-// with the asserted head's predicate, and returns a function that
-// unregisters it. Hooks run while the assertion still holds the database
-// write lock, so a hook's effects (dirty-marking dependent tables) become
-// visible atomically with the clause change: a reader that observes the
-// new clause store is guaranteed to also observe the hook's marks. Hooks
-// must therefore not call back into locking DB methods.
-func (db *DB) AddAssertHook(fn func(name term.Sym, arity int)) (remove func()) {
-	db.mu.Lock()
-	db.hooks = append(db.hooks, fn)
-	i := len(db.hooks) - 1
-	db.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			db.mu.Lock()
-			db.hooks[i] = nil
-			// Trim trailing dead slots so churning short-lived registrants
-			// (per-test table spaces over a shared DB) do not grow the list
-			// without bound.
-			for len(db.hooks) > 0 && db.hooks[len(db.hooks)-1] == nil {
-				db.hooks = db.hooks[:len(db.hooks)-1]
-			}
-			db.mu.Unlock()
-		})
-	}
 }
 
 // Generation returns the clause-assertion generation. It changes exactly
 // when Assert (or load) adds a clause.
 func (db *DB) Generation() uint64 { return db.gen.Load() }
 
-// CompiledCache returns the cached compiled program, or nil. The cache is
-// owned by internal/vm; kb only stores it so the compiled form lives and
-// dies with the database.
-func (db *DB) CompiledCache() any { return db.compiled.Load() }
+// Stamp returns the predicate's stamp: the generation of the last assert
+// that changed it, or 0 if it has no clauses.
+func (db *DB) Stamp(fn term.Sym, arity int) uint64 {
+	_, stamp, _ := db.Code(fn, arity)
+	return stamp
+}
 
-// SetCompiledCache stores the compiled program for this database.
-func (db *DB) SetCompiledCache(p any) { db.compiled.Store(p) }
+// Code returns, read together, a predicate's clauses in source order, its
+// stamp, and the compiled form attached for that stamp (nil when none is).
+func (db *DB) Code(fn term.Sym, arity int) (clauses []*Clause, stamp uint64, code any) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if p := db.preds[PredKey{fn, arity}]; p != nil {
+		return p.clauses, p.stamp, p.code
+	}
+	return nil, 0, nil
+}
+
+// SetCode attaches a compiled form built from the predicate's clauses at
+// stamp and returns the form now attached: code itself, or the one another
+// caller attached first for the same stamp. When the predicate has moved
+// past stamp, nothing is attached and code comes back unchanged.
+func (db *DB) SetCode(fn term.Sym, arity int, stamp uint64, code any) any {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	p := db.preds[PredKey{fn, arity}]
+	if p == nil || p.stamp != stamp {
+		return code
+	}
+	if p.code == nil {
+		p.code = code
+	}
+	return p.code
+}
 
 // EventJournal returns the attached engine event journal (a *obs.Journal
 // stored opaquely), or nil.
@@ -276,12 +302,7 @@ func (db *DB) SetEventJournal(j any) { db.journal.Store(j) }
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{
-		byPred:   make(map[predKey][]*Clause),
-		firstArg: make(map[predKey]map[argKey][]*Clause),
-		varFirst: make(map[predKey][]*Clause),
-		tabled:   make(map[predKey]int),
-	}
+	return &DB{preds: make(map[PredKey]*pred), tabled: make(map[PredKey]int)}
 }
 
 // LoadString parses src and asserts all its clauses. Directive queries in
@@ -341,7 +362,7 @@ func reservedForTabling(name string) bool {
 // directive does. Marking is a load-time operation; after loading the
 // tabled set, like the clause store, is read-only.
 func (db *DB) MarkTabled(name string, arity int) {
-	db.tabled[predKey{term.Intern(name), arity}] = 0
+	db.tabled[PredKey{term.Intern(name), arity}] = 0
 }
 
 // MarkTabledMin declares a predicate tabled with answer subsumption, as
@@ -352,13 +373,13 @@ func (db *DB) MarkTabledMin(name string, arity, pos int) error {
 	if pos < 1 || pos > arity {
 		return fmt.Errorf("cannot table %s/%d min(%d): the cost position must name an argument (1..%d)", name, arity, pos, arity)
 	}
-	db.tabled[predKey{term.Intern(name), arity}] = pos
+	db.tabled[PredKey{term.Intern(name), arity}] = pos
 	return nil
 }
 
 // IsTabled reports whether the predicate was declared tabled.
 func (db *DB) IsTabled(fn term.Sym, arity int) bool {
-	_, ok := db.tabled[predKey{fn, arity}]
+	_, ok := db.tabled[PredKey{fn, arity}]
 	return ok
 }
 
@@ -366,7 +387,7 @@ func (db *DB) IsTabled(fn term.Sym, arity int) bool {
 // declared `:- table name/arity min(pos)`, or 0 for plain variant tabling
 // (and for predicates not tabled at all).
 func (db *DB) TabledMin(fn term.Sym, arity int) int {
-	return db.tabled[predKey{fn, arity}]
+	return db.tabled[PredKey{fn, arity}]
 }
 
 // HasTabled reports whether any predicate is declared tabled, so callers
@@ -379,7 +400,7 @@ func (db *DB) HasTabled() bool { return len(db.tabled) > 0 }
 func (db *DB) TabledPreds() []string {
 	out := make([]string, 0, len(db.tabled))
 	for k, min := range db.tabled {
-		ind := k.fn.Name() + "/" + strconv.Itoa(k.arity)
+		ind := k.String()
 		if min > 0 {
 			ind += " min(" + strconv.Itoa(min) + ")"
 		}
@@ -395,13 +416,12 @@ func (db *DB) Assert(head term.Term, body []term.Term) *Clause {
 }
 
 func (db *DB) assert(head term.Term, body []term.Term, line int) *Clause {
-	pred, ok := term.Indicator(head)
+	ind, ok := term.Indicator(head)
 	if !ok {
 		panic(fmt.Sprintf("kb: clause head %s is not callable", head))
 	}
 	fn, arity, _ := term.PredOf(head)
-	key := predKey{fn, arity}
-	c := &Clause{Head: head, Body: body, Pred: pred, Line: line}
+	c := &Clause{Head: head, Body: body, Pred: ind, Line: line}
 	// Compile once (outside the lock — compilation touches only the new
 	// clause): head and body share one slot numbering.
 	terms := make([]term.Term, 0, len(body)+1)
@@ -411,73 +431,66 @@ func (db *DB) assert(head term.Term, body []term.Term, line int) *Clause {
 	c.headSkel, c.bodySkel, c.varNames = sks[0], sks[1:], names
 
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	c.ID = ClauseID(len(db.clauses))
 	db.clauses = append(db.clauses, c)
-	db.byPred[key] = append(db.byPred[key], c)
+	p := db.preds[PredKey{fn, arity}]
+	if p == nil {
+		p = &pred{}
+		db.preds[PredKey{fn, arity}] = p
+	}
+	p.clauses = append(p.clauses, c)
 	if ak, keyed := firstArgKey(head); keyed {
-		m := db.firstArg[key]
-		if m == nil {
-			m = make(map[argKey][]*Clause)
-			db.firstArg[key] = m
+		if p.firstArg == nil {
+			p.firstArg = make(map[ArgKey][]*Clause)
 		}
-		m[ak] = append(m[ak], c)
+		p.firstArg[ak] = append(p.firstArg[ak], c)
 	} else {
-		db.varFirst[key] = append(db.varFirst[key], c)
+		p.varFirst = append(p.varFirst, c)
 	}
-	db.gen.Add(1)
-	// Hooks fire inside the critical section so their effects (table dirty
-	// marks) publish atomically with the clause change: any reader that can
-	// see the new clause — in particular a snapshot writer fingerprinting
-	// this predicate — is guaranteed to also see the marks.
-	for _, hook := range db.hooks {
-		if hook != nil {
-			hook(fn, arity)
-		}
-	}
-	db.mu.Unlock()
+	p.stamp = db.gen.Add(1)
+	p.code = nil
 	return c
 }
 
-// PredFingerprint hashes a predicate's clause list (each clause's source
-// rendering, in load order) to a 64-bit value. Equal fingerprints mean
-// the predicate's definition is textually unchanged — the per-predicate
-// generation that a persisted table snapshot validates against at load,
-// so one changed predicate re-derives its downstream tables instead of
-// discarding the whole snapshot.
-func (db *DB) PredFingerprint(fn term.Sym, arity int) uint64 {
-	db.mu.RLock()
-	clauses := db.byPred[predKey{fn, arity}]
-	db.mu.RUnlock()
+// Fingerprint hashes a predicate's clause list (each clause's source
+// rendering, in load order) to a 64-bit value, and returns it with the
+// stamp of the clauses it hashed. Equal fingerprints mean the predicate's
+// definition is textually unchanged — what a persisted table snapshot
+// validates against at load, so one changed predicate re-derives its
+// downstream tables instead of discarding the whole snapshot.
+func (db *DB) Fingerprint(fn term.Sym, arity int) (fp, stamp uint64) {
+	clauses, stamp, _ := db.Code(fn, arity)
 	h := fnv.New64a()
 	for _, c := range clauses {
 		io.WriteString(h, c.String())
 		h.Write([]byte{0})
 	}
-	return h.Sum64()
+	return h.Sum64(), stamp
 }
 
 // firstArgKey returns an index key for the first head argument if it is an
 // atom or integer. Compound first arguments are indexed by functor/arity.
-func firstArgKey(head term.Term) (argKey, bool) {
+func firstArgKey(head term.Term) (ArgKey, bool) {
 	c, ok := head.(*term.Compound)
 	if !ok || len(c.Args) == 0 {
-		return argKey{}, false
+		return ArgKey{}, false
 	}
-	return constKey(c.Args[0])
+	return KeyOf(c.Args[0])
 }
 
-// constKey computes the index key of a constant term; variables (and any
+// KeyOf computes the index key of a constant term; variables (and any
 // other unindexable term) report false.
-func constKey(arg term.Term) (argKey, bool) {
+func KeyOf(arg term.Term) (ArgKey, bool) {
 	switch a := arg.(type) {
 	case term.Atom:
-		return argKey{kind: 'a', sym: a.Sym()}, true
+		return ArgKey{kind: 'a', sym: a.Sym()}, true
 	case term.Int:
-		return argKey{kind: 'i', num: int64(a)}, true
+		return ArgKey{kind: 'i', num: int64(a)}, true
 	case *term.Compound:
-		return argKey{kind: 'c', sym: a.Functor, num: int64(len(a.Args))}, true
+		return ArgKey{kind: 'c', sym: a.Functor, num: int64(len(a.Args))}, true
 	default: // variable: not keyed
-		return argKey{}, false
+		return ArgKey{}, false
 	}
 }
 
@@ -512,32 +525,37 @@ func (db *DB) Clauses() []*Clause {
 	return db.clauses
 }
 
+// PredKeys returns the predicates that have clauses, in no order.
+func (db *DB) PredKeys() []PredKey {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make([]PredKey, 0, len(db.preds))
+	for k := range db.preds {
+		out = append(out, k)
+	}
+	return out
+}
+
 // Preds returns the sorted list of predicate indicators present.
 func (db *DB) Preds() []string {
-	db.mu.RLock()
-	out := make([]string, 0, len(db.byPred))
-	for k := range db.byPred {
-		out = append(out, k.fn.Name()+"/"+strconv.Itoa(k.arity))
+	keys := db.PredKeys()
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = k.String()
 	}
-	db.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // ClausesFor returns the clauses for a predicate indicator ("name/arity",
 // as produced by term.Indicator or Preds) in source order.
-func (db *DB) ClausesFor(pred string) []*Clause {
-	i := strings.LastIndexByte(pred, '/')
-	if i < 0 {
+func (db *DB) ClausesFor(ind string) []*Clause {
+	k, ok := ParsePredKey(ind)
+	if !ok {
 		return nil
 	}
-	arity, err := strconv.Atoi(pred[i+1:])
-	if err != nil {
-		return nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.byPred[predKey{term.Intern(pred[:i]), arity}]
+	clauses, _, _ := db.Code(k.Fn, k.Arity)
+	return clauses
 }
 
 // Candidates returns, in source order, the clauses whose heads may unify
@@ -562,21 +580,21 @@ func (db *DB) candidatesLocked(env *term.Env, goal term.Term) []*Clause {
 	if !ok {
 		return nil
 	}
-	key := predKey{fn, arity}
-	all := db.byPred[key]
-	if len(all) == 0 {
+	p := db.preds[PredKey{fn, arity}]
+	if p == nil {
 		return nil
 	}
+	all := p.clauses
 	gc, ok := goal.(*term.Compound)
 	if !ok || len(gc.Args) == 0 {
 		return all
 	}
-	ak, keyed := constKey(env.Resolve(gc.Args[0]))
+	ak, keyed := KeyOf(env.Resolve(gc.Args[0]))
 	if !keyed {
 		return all
 	}
-	keyedClauses := db.firstArg[key][ak]
-	varClauses := db.varFirst[key]
+	keyedClauses := p.firstArg[ak]
+	varClauses := p.varFirst
 	if len(varClauses) == 0 {
 		return keyedClauses
 	}

@@ -133,7 +133,7 @@ type Stats struct {
 // Stats computes summary statistics.
 func (db *DB) ComputeStats() Stats {
 	db.mu.RLock()
-	s := Stats{Clauses: len(db.clauses), Preds: len(db.byPred)}
+	s := Stats{Clauses: len(db.clauses), Preds: len(db.preds)}
 	for _, c := range db.clauses {
 		if c.IsFact() {
 			s.Facts++

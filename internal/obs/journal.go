@@ -55,20 +55,22 @@ type Event struct {
 	// one was on the context.
 	RequestID string `json:"request_id,omitempty"`
 	// Pred and Call identify a table's predicate and canonical call
-	// pattern on table lifecycle events.
+	// pattern on table lifecycle events. An assert's table_invalidated
+	// names the predicate whose stamp moved; a vm_recompile names the
+	// predicate it compiled.
 	Pred string `json:"pred,omitempty"`
 	Call string `json:"call,omitempty"`
 	// Cause names what triggered an invalidation (assert, load_weights,
 	// reconfigure) or rejection.
 	Cause string `json:"cause,omitempty"`
 	// Count is the kind's cardinality: answers memoized on completion,
-	// tables dropped on invalidation, predicates compiled on a recompile.
+	// tables dropped on invalidation, clauses compiled on a recompile.
 	Count int64 `json:"count,omitempty"`
 	// Bytes is the approximate retained answer bytes involved.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Rounds is the fixpoint round count of a completed production.
 	Rounds int `json:"rounds,omitempty"`
-	// Generation is the kb generation a VM recompile produced.
+	// Generation is the predicate stamp a VM recompile compiled from.
 	Generation uint64 `json:"generation,omitempty"`
 	// Millis carries a duration (slow-query wall time).
 	Millis float64 `json:"ms,omitempty"`

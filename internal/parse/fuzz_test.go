@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -119,6 +120,10 @@ var textAtoms = []string{
 	".", ":-", "?-", "+", "-", "*", "//", "=..", "\\+", "/*", "*/", "<=>", "@", "=", "\\=", "-->",
 }
 
+// textInts are the integers at the edges of the 64-bit range, which the
+// top argument bytes of an integer decision select.
+var textInts = []int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+
 // textTerm builds a variable-free term from data, one byte per decision,
 // and returns the bytes it did not use.
 func textTerm(data []byte, depth int) (term.Term, []byte) {
@@ -133,6 +138,9 @@ func textTerm(data []byte, depth int) (term.Term, []byte) {
 	case 0, 1:
 		return term.NewAtom(textAtoms[arg%len(textAtoms)]), data
 	case 2:
+		if arg >= 256-len(textInts) {
+			return term.Int(textInts[arg-(256-len(textInts))]), data
+		}
 		return term.Int(int64(int8(arg)) * int64(arg+1) * 1_000_003), data
 	case 3:
 		args := make([]term.Term, 1+arg%3)
@@ -165,6 +173,10 @@ func FuzzTermText(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 19, 0, 28})                  // ['{}'|'.']
 	f.Add([]byte{3, 29*3 + 2, 0, 1, 0, 2, 4, 0, 0, 3}) // ':-'(sam,fooBar_9,[is])
 	f.Add([]byte{4, 2, 2, 255, 2, 128, 3, 32 * 3, 0, 33})
+	f.Add([]byte{2, 252})               // 9223372036854775807
+	f.Add([]byte{2, 253})               // -9223372036854775808
+	f.Add([]byte{3, 32 * 3, 2, 253})    // -(-9223372036854775808)
+	f.Add([]byte{5, 0, 2, 253, 2, 252}) // [-9223372036854775808|9223372036854775807]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tm, _ := textTerm(data, 4)
 		text := tm.String()

@@ -6,6 +6,7 @@ package parse
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -135,6 +136,26 @@ func isAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
 
+// integer lexes the digits at the current position as an integer
+// literal whose text began at start (at a leading '-', or at the first
+// digit). A literal outside the 64-bit range is a syntax error, not a
+// wrapped value.
+func (l *lexer) integer(start, line, col int) (token, error) {
+	for {
+		c, ok := l.peekByte()
+		if !ok || c < '0' || c > '9' {
+			break
+		}
+		l.advance()
+	}
+	text := l.src[start:l.pos]
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return token{}, l.errorf(line, col, "integer %s is outside the 64-bit range", text)
+	}
+	return token{kind: tokInt, text: text, val: v, line: line, col: col}, nil
+}
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
@@ -147,20 +168,7 @@ func (l *lexer) next() (token, error) {
 	}
 	switch {
 	case c >= '0' && c <= '9':
-		start := l.pos
-		for {
-			c, ok := l.peekByte()
-			if !ok || c < '0' || c > '9' {
-				break
-			}
-			l.advance()
-		}
-		text := l.src[start:l.pos]
-		var v int64
-		for i := 0; i < len(text); i++ {
-			v = v*10 + int64(text[i]-'0')
-		}
-		return token{kind: tokInt, text: text, val: v, line: line, col: col}, nil
+		return l.integer(l.pos, line, col)
 
 	case c >= 'a' && c <= 'z':
 		start := l.pos
@@ -247,14 +255,7 @@ func (l *lexer) next() (token, error) {
 		case "-":
 			// Negative integer literal: `-` immediately followed by digits.
 			if d, ok := l.peekByte(); ok && d >= '0' && d <= '9' {
-				numTok, err := l.next()
-				if err != nil {
-					return token{}, err
-				}
-				numTok.val = -numTok.val
-				numTok.text = "-" + numTok.text
-				numTok.line, numTok.col = line, col
-				return numTok, nil
+				return l.integer(start, line, col)
 			}
 			return token{kind: tokAtom, text: text, line: line, col: col}, nil
 		default:

@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -99,6 +100,41 @@ func TestParseIntegersAndNegatives(t *testing.T) {
 	c := g[0].(*term.Compound)
 	if c.Args[0] != term.Int(42) || c.Args[1] != term.Int(-7) {
 		t.Errorf("args = %v", c.Args)
+	}
+}
+
+// TestParseIntegerRange: literals on both sides of the int64 boundary.
+// One past it is a syntax error, never a wrapped value.
+func TestParseIntegerRange(t *testing.T) {
+	cases := []struct {
+		src  string
+		want int64
+		ok   bool
+	}{
+		{"p(9223372036854775807).", math.MaxInt64, true},
+		{"p(-9223372036854775808).", math.MinInt64, true},
+		{"p(9223372036854775808).", 0, false},
+		{"p(-9223372036854775809).", 0, false},
+		{"p(18446744073709551617).", 0, false},
+		{":- table q/18446744073709551618.", 0, false},
+	}
+	for _, c := range cases {
+		prog, err := Source(c.src)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("Source(%q) = %+v, want an out-of-range error", c.src, prog)
+			} else if !strings.Contains(err.Error(), "outside the 64-bit range") {
+				t.Errorf("Source(%q) error = %v, want out of range", c.src, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Source(%q): %v", c.src, err)
+			continue
+		}
+		if got := prog.Clauses[0].Head.(*term.Compound).Args[0]; got != term.Int(c.want) {
+			t.Errorf("Source(%q) reads %v, want %d", c.src, got, c.want)
+		}
 	}
 }
 

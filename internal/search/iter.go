@@ -252,13 +252,15 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 
 // finish records the terminal state every later Next call repeats, then
 // recycles the trail machine's scratch (solutions are detached copies) or
-// closes the Env engine's open profiler interval.
+// closes the Env engine's open profiler interval and recycles its code
+// cache.
 func (it *Iter) finish(err error) (engine.Solution, bool, error) {
 	it.done, it.err = true, err
 	if it.trail != nil {
 		it.trail.Release()
 	} else {
 		it.exp.ProfFlush()
+		it.exp.Release()
 	}
 	return engine.Solution{}, false, err
 }

@@ -59,7 +59,7 @@ type tableTotals struct {
 	subsumed, improved            uint64
 
 	// dirtied/revalidated are the incremental-maintenance counters:
-	// dirty marks placed by dependency invalidation and dirty tables
+	// complete tables found stale after an assert, and stale tables
 	// re-derived to completion.
 	dirtied, revalidated uint64
 

@@ -386,8 +386,8 @@ type TableEntry struct {
 	Pred string `json:"pred"`
 	Call string `json:"call"`
 	// State is producing, complete, truncated (complete but depth-capped)
-	// or dirty (complete but a dependency was invalidated; re-derives on
-	// next touch).
+	// or dirty (complete but a dependency was asserted into since it was
+	// derived; re-derives on next touch).
 	State string `json:"state"`
 	// Answers and Bytes size the memoized answer set (bytes approximate).
 	Answers int   `json:"answers"`

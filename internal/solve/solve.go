@@ -313,9 +313,10 @@ func tabler(req *Request) (*table.Handle, engine.Tabler) {
 }
 
 // compilePhase records the clause-compilation span for a traced run. The
-// bytecode cache is per-DB and warm after the first query, so the span
-// shows real compile cost exactly once per database; later runs record
-// the (cheap) cache probe. No-op when the run is untraced.
+// compiled code is kept per predicate on the database, so the span shows
+// real compile cost for the predicates asserted into since their last
+// compile; otherwise it records the (cheap) walk over fresh code. No-op
+// when the run is untraced.
 func compilePhase(req *Request) {
 	if req.Trace == nil {
 		return

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"blog/internal/engine"
+	"blog/internal/kb"
 	"blog/internal/obs"
 	"blog/internal/term"
 	"blog/internal/weights"
@@ -79,14 +81,13 @@ type eval struct {
 	// steps counts generator expansions and answer consumptions against
 	// the budget.
 	steps uint64
-	// deps accumulates the production's predicate dependency set: every
-	// predicate a generator resolved against program clauses (via the
-	// engine's DepHook), plus the stored dependency sets of complete
-	// tables it consumed — which makes the recorded set transitive.
-	deps map[predKey]struct{}
-	// startEpoch is the space's invalidation epoch when this production
-	// began; markComplete re-checks the dep set against it.
-	startEpoch uint64
+	// deps accumulates the production's dependency stamps: every
+	// predicate a generator resolved against program clauses, at its
+	// stamp when first resolved (via the engine's DepHook, which fires
+	// before the code lookup, so a recorded stamp is never newer than the
+	// clauses used), plus the recorded stamps of the tables it consumed —
+	// which makes the recorded set transitive.
+	deps map[kb.PredKey]uint64
 
 	// Limits snapshotted from the space at creation, so a concurrent
 	// Reconfigure cannot change them mid-production.
@@ -117,11 +118,11 @@ func newEval(s *Space, h *Handle, ctx context.Context) *eval {
 		frames:   make(map[string]int),
 		group:    make(map[string]*Table),
 		stable:   make(map[string]uint64),
-		deps:     make(map[predKey]struct{}),
+		deps:     make(map[kb.PredKey]uint64),
 		lowFrame: maxFrame,
 		reqID:    obs.RequestID(ctx),
 	}
-	ev.ws, ev.maxDepth, ev.budget, ev.startEpoch = s.limits()
+	ev.ws, ev.maxDepth, ev.budget = s.limits()
 	// A query with a deeper bound than the space default raises the
 	// generator bound with it, so tabled evaluation honors MaxDepth the
 	// way the untabled engine does.
@@ -152,8 +153,10 @@ func (ev *eval) require(t *Table) error {
 	if _, seen := ev.group[t.key]; !seen {
 		// First entry this production: clear truncation state left by an
 		// earlier, possibly shallower or interrupted production; the
-		// rounds below re-derive it at the current bound.
+		// rounds below re-derive it at the current bound. Answers an
+		// interrupted production left behind carry the stamps it read.
 		t.truncated = false
+		ev.foldDeps(t.deps)
 		ev.group[t.key] = t
 	}
 	leader := !ev.active
@@ -207,65 +210,12 @@ func (ev *eval) require(t *Table) error {
 	t.rounds.Add(int64(round))
 	if leader {
 		// The final leader round re-ran every reachable incomplete
-		// generator and derived nothing new: the group is at fixpoint.
+		// generator and derived nothing new: the group is at fixpoint. An
+		// aborted group stays incomplete, keeping the stamps it read.
 		if err == nil {
-			// Truncation anywhere in the group (or in a truncated
-			// complete table it consumed) infects every member: their
-			// answers were derived through the cut derivations, so all
-			// of them may be missing answers and all must be re-produced
-			// for a deeper query.
-			trunc := ev.truncConsumed
-			for _, g := range ev.group {
-				trunc = trunc || g.truncated
-			}
-			for _, g := range ev.group {
-				g.truncated = trunc
-				g.depth = ev.maxDepth
-			}
-			stale := ev.space.markComplete(ev.group, ev.deps, ev.startEpoch)
-			// A group that completed already dirty (an assert raced the
-			// fixpoint) is not a successful revalidation: the next touch
-			// re-derives it, and that pass claims the counter and the
-			// table_revalidated event instead.
-			if !stale {
-				for _, g := range ev.group {
-					if g.revalidating {
-						ev.space.revalidated.Add(1)
-					}
-				}
-			}
-			if j := ev.space.journal.Load(); j != nil {
-				for _, g := range ev.group {
-					kind := obs.KindTableCompleted
-					detail := ""
-					if stale {
-						detail = "completed stale: assert raced the fixpoint; dirty-marked for re-derivation"
-					} else if g.revalidating {
-						kind = obs.KindTableRevalidated
-					}
-					j.Emit(obs.Event{
-						Kind:      kind,
-						RequestID: ev.reqID,
-						Pred:      g.pred,
-						Call:      g.pattern.String(),
-						Count:     g.nAnswers.Load(),
-						Bytes:     g.bytes.Load(),
-						Rounds:    int(g.rounds.Load()),
-						Detail:    detail,
-					})
-					if trunc {
-						j.Emit(obs.Event{
-							Kind:      obs.KindTableTruncated,
-							RequestID: ev.reqID,
-							Pred:      g.pred,
-							Call:      g.pattern.String(),
-							Count:     g.nAnswers.Load(),
-							Cause:     "depth_bound",
-							Detail:    fmt.Sprintf("depth %d", ev.maxDepth),
-						})
-					}
-				}
-			}
+			ev.complete()
+		} else {
+			ev.space.setDeps(ev.group, ev.depList())
 		}
 		ev.active = false
 	} else {
@@ -281,6 +231,87 @@ func (ev *eval) require(t *Table) error {
 		}
 	}
 	return err
+}
+
+// complete publishes the leader's group at fixpoint, with the recorded
+// stamps, and journals each member's completion.
+func (ev *eval) complete() {
+	// Truncation anywhere in the group (or in a truncated complete table
+	// it consumed) infects every member: their answers were derived
+	// through the cut derivations, so all of them may be missing answers
+	// and all must be re-produced for a deeper query.
+	trunc := ev.truncConsumed
+	for _, g := range ev.group {
+		trunc = trunc || g.truncated
+	}
+	for _, g := range ev.group {
+		g.truncated = trunc
+		g.depth = ev.maxDepth
+	}
+	// A group that completed already stale is not a successful
+	// revalidation: the next touch derives it afresh.
+	stale := ev.space.markComplete(ev.group, ev.depList())
+	for _, g := range ev.group {
+		if g.revalidating && !stale {
+			ev.space.revalidated.Add(1)
+		}
+	}
+	j := ev.space.journal.Load()
+	if j == nil {
+		return
+	}
+	for _, g := range ev.group {
+		kind, detail := obs.KindTableCompleted, ""
+		if stale {
+			detail = "completed stale: an assert raced the fixpoint; re-derives on next touch"
+		} else if g.revalidating {
+			kind = obs.KindTableRevalidated
+		}
+		j.Emit(obs.Event{
+			Kind:      kind,
+			RequestID: ev.reqID,
+			Pred:      g.pred,
+			Call:      g.pattern.String(),
+			Count:     g.nAnswers.Load(),
+			Bytes:     g.bytes.Load(),
+			Rounds:    int(g.rounds.Load()),
+			Detail:    detail,
+		})
+		if trunc {
+			j.Emit(obs.Event{
+				Kind:      obs.KindTableTruncated,
+				RequestID: ev.reqID,
+				Pred:      g.pred,
+				Call:      g.pattern.String(),
+				Count:     g.nAnswers.Load(),
+				Cause:     "depth_bound",
+				Detail:    fmt.Sprintf("depth %d", ev.maxDepth),
+			})
+		}
+	}
+}
+
+// depList returns the recorded dependency stamps sorted by predicate.
+func (ev *eval) depList() []dep {
+	deps := make([]dep, 0, len(ev.deps))
+	for k, stamp := range ev.deps {
+		deps = append(deps, dep{k, stamp})
+	}
+	slices.SortFunc(deps, func(a, b dep) int {
+		return cmp.Or(cmp.Compare(a.pred.Fn, b.pred.Fn), cmp.Compare(a.pred.Arity, b.pred.Arity))
+	})
+	return deps
+}
+
+// foldDeps merges stamps another production recorded into this one's.
+// Where both recorded a predicate the older stamp wins, so a table built
+// on stale input comes out stale.
+func (ev *eval) foldDeps(deps []dep) {
+	for _, d := range deps {
+		if stamp, ok := ev.deps[d.pred]; !ok || d.stamp < stamp {
+			ev.deps[d.pred] = d.stamp
+		}
+	}
 }
 
 // noteConsumption records that the current generator round consumed t's
@@ -332,7 +363,10 @@ func (ev *eval) runGenerator(t *Table) error {
 			return nil
 		},
 		DepHook: func(fn term.Sym, arity int) {
-			ev.deps[predKey{fn, arity}] = struct{}{}
+			k := kb.PredKey{Fn: fn, Arity: arity}
+			if _, ok := ev.deps[k]; !ok {
+				ev.deps[k] = ev.space.db.Stamp(fn, arity)
+			}
 		},
 	}, []term.Term{goal})
 	// Answers are detached as they are added, so the run's scratch can be
@@ -484,11 +518,8 @@ func (ev *eval) serveComplete(t *Table) ([]term.Term, error) {
 		ev.truncConsumed = true
 	}
 	// The consumed table's answers flow into this production, so its
-	// dependency set (already transitive) and its own predicate join ours.
-	ev.deps[predKey{t.fn, t.arity}] = struct{}{}
-	for _, d := range t.deps {
-		ev.deps[d] = struct{}{}
-	}
+	// recorded stamps (already transitive) join ours.
+	ev.foldDeps(t.deps)
 	t.hits.Add(1)
 	t.lastHit.Store(time.Now().UnixNano())
 	if fn, arity, ok := term.PredOf(t.pattern); ok {

@@ -9,16 +9,16 @@ package table
 // travel as source text (the canonical pattern and answers render with
 // numbered _T variables and re-parse byte-identically), and each record
 // carries the table's dependency set with a per-predicate clause
-// fingerprint (kb.PredFingerprint). Loading validates per table: the
+// fingerprint (kb.DB.Fingerprint). Loading validates per table: the
 // predicate must still be tabled in the same mode, and every dependency's
 // fingerprint must match the current database — a mismatch skips exactly
 // that table (it re-derives on next touch), never the whole snapshot.
 // Truncated tables are never written: they are depth-bound artifacts of
 // the producing configuration, and untruncated tables are the ones that
 // serve any depth, which is what makes the snapshot valid under a
-// different -max-depth at the next boot. Dirty tables are skipped too —
-// persisting known-stale answers would re-introduce the staleness the
-// dirty mark exists to prevent.
+// different -max-depth at the next boot. A table whose recorded stamps
+// moved is skipped too: its answers predate the clauses the writer would
+// fingerprint.
 
 import (
 	"bufio"
@@ -28,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"blog/internal/kb"
 	"blog/internal/obs"
 	"blog/internal/parse"
 	"blog/internal/term"
@@ -66,19 +67,19 @@ type snapRecord struct {
 	Revalidations int64     `json:"revalidations,omitempty"`
 }
 
-// WriteSnapshot serializes every complete, clean, untruncated table to w
+// WriteSnapshot serializes every complete, fresh, untruncated table to w
 // and returns how many were written. Safe to call concurrently with
 // queries and asserts: the table set is snapshotted under the read lock, a
-// complete table's answer list is immutable, and each table's dirty mark
-// is re-checked after its dependency fingerprints are computed, so an
-// assert racing the writer can only drop a record, never produce one whose
-// fingerprints postdate its answers.
+// complete table's answer list is immutable, and each dependency's
+// fingerprint is read together with its stamp, so a record is written
+// only when every fingerprint describes the clauses its answers were
+// derived from.
 func (s *Space) WriteSnapshot(w io.Writer) (int, error) {
 	s.mu.RLock()
 	maxDepth := s.maxDepth
 	list := make([]*Table, 0, len(s.tables))
 	for _, t := range s.tables {
-		if t.complete.Load() && !t.dirty.Load() && !t.truncated {
+		if t.complete.Load() && !t.truncated {
 			list = append(list, t)
 		}
 	}
@@ -87,6 +88,7 @@ func (s *Space) WriteSnapshot(w io.Writer) (int, error) {
 
 	recs := make([]snapRecord, 0, len(list))
 	var totalBytes int64
+tables:
 	for _, t := range list {
 		rec := snapRecord{
 			Pred:          t.pred,
@@ -101,21 +103,15 @@ func (s *Space) WriteSnapshot(w io.Writer) (int, error) {
 			Revalidations: t.revalidations.Load(),
 		}
 		for i, d := range t.deps {
-			rec.Deps[i] = snapDep{Pred: d.String(), FP: s.db.PredFingerprint(d.fn, d.arity)}
+			fp, stamp := s.db.Fingerprint(d.pred.Fn, d.pred.Arity)
+			if stamp != d.stamp {
+				s.sweep()
+				continue tables
+			}
+			rec.Deps[i] = snapDep{Pred: d.pred.String(), FP: fp}
 		}
 		for i, a := range t.answers {
 			rec.Answers[i] = a.String()
-		}
-		// Re-check the dirty mark only now, *after* the fingerprints above:
-		// an assert publishes its dirty marks inside the same database
-		// write-lock critical section that changes the fingerprints, so if
-		// any fingerprint read observed the post-assert clause store, this
-		// load observes the mark and the record is dropped. Checking before
-		// fingerprinting (or relying on the selection alone) could pair
-		// post-assert fingerprints with pre-assert answers — a record that
-		// would validate as fresh at the next boot and serve stale answers.
-		if t.dirty.Load() {
-			continue
 		}
 		recs = append(recs, rec)
 		totalBytes += t.bytes.Load()
@@ -150,7 +146,8 @@ func (s *Space) WriteSnapshot(w io.Writer) (int, error) {
 // ReadSnapshot loads a snapshot written by WriteSnapshot into the space,
 // validating each table against the current database: the predicate must
 // still be tabled in the recorded mode, every dependency's clause
-// fingerprint must match, and every term must re-parse. A table that
+// fingerprint must match, and every term must re-parse. A restored table
+// records the stamps read with the fingerprints it matched. A table that
 // fails validation — or whose call pattern already has a live table — is
 // skipped and simply re-derives on next touch; a malformed header or
 // stream aborts with an error. Returns (loaded, skipped).
@@ -192,14 +189,6 @@ func (s *Space) ReadSnapshot(r io.Reader) (loaded, skipped int, err error) {
 			continue
 		}
 		s.tables[t.key] = t
-		for _, d := range t.deps {
-			m := s.depIndex[d]
-			if m == nil {
-				m = make(map[*Table]struct{})
-				s.depIndex[d] = m
-			}
-			m[t] = struct{}{}
-		}
 		s.mu.Unlock()
 		s.created.Add(1)
 		loaded++
@@ -231,13 +220,17 @@ func (s *Space) restore(rec *snapRecord) (*Table, int64, bool) {
 	if !s.db.IsTabled(fn, arity) || s.db.TabledMin(fn, arity) != rec.Min {
 		return nil, 0, false
 	}
-	deps := make([]predKey, 0, len(rec.Deps))
+	deps := make([]dep, 0, len(rec.Deps))
 	for _, d := range rec.Deps {
-		k, ok := parsePredKey(d.Pred)
-		if !ok || s.db.PredFingerprint(k.fn, k.arity) != d.FP {
+		k, ok := kb.ParsePredKey(d.Pred)
+		if !ok {
 			return nil, 0, false
 		}
-		deps = append(deps, k)
+		fp, stamp := s.db.Fingerprint(k.Fn, k.Arity)
+		if fp != d.FP {
+			return nil, 0, false
+		}
+		deps = append(deps, dep{k, stamp})
 	}
 	key, pattern := Canonicalize(nil, call)
 	pred, _ := term.Indicator(pattern)
@@ -245,8 +238,6 @@ func (s *Space) restore(rec *snapRecord) (*Table, int64, bool) {
 		key:     key,
 		pattern: pattern,
 		pred:    pred,
-		fn:      fn,
-		arity:   arity,
 		min:     rec.Min,
 		deps:    deps,
 	}

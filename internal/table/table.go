@@ -39,20 +39,21 @@
 // concurrently and consumers of a table being produced wait for completion
 // rather than observing partial answer sets.
 //
-// Maintenance is dependency-tracked and incremental. Every production
-// records the predicates its fixpoint resolved against program clauses
-// (plus, transitively, the recorded dependencies of every complete table
-// it consumed), and the space indexes complete tables by those
-// predicates. A clause assert then dirty-marks only the tables downstream
-// of the asserted predicate (Space.InvalidatePred, wired to kb's assert
-// hook); a dirty table stops serving, is replaced by a fresh object on
-// next touch, and re-derives through the normal production path —
-// untouched tables keep serving throughout. Whole-space Invalidate
-// remains only for genuine limit changes (a new depth coding A), and
-// ReconfigureCause with unchanged limits is a no-op. Complete untruncated
-// tables additionally serialize to a persistent snapshot (snapshot.go)
-// that validates per-table dependency fingerprints at load, so a blogd
-// restart replays its hot tables instead of rebuilding every fixpoint.
+// Maintenance is incremental and needs no notification. Every production
+// records, for each predicate its fixpoint resolved against program
+// clauses, the predicate's kb stamp at the moment it first resolved it
+// (plus the recorded stamps of every complete table it consumed). A
+// complete table serves only while every recorded stamp is still current,
+// so a clause assert stales exactly the tables downstream of the asserted
+// predicate: the first observer of a stale table counts every table then
+// stale, a stale table stops serving, and the next touch replaces it with
+// a fresh object that re-derives through the normal production path —
+// untouched tables keep serving throughout. Whole-space Invalidate remains only for genuine
+// limit changes (a new depth coding A), and ReconfigureCause with
+// unchanged limits is a no-op. Complete untruncated tables additionally
+// serialize to a persistent snapshot (snapshot.go) that validates
+// per-table dependency fingerprints at load, so a blogd restart replays
+// its hot tables instead of rebuilding every fixpoint.
 package table
 
 import (
@@ -111,18 +112,6 @@ type Space struct {
 	budget   uint64        // guarded by mu
 	tables   map[string]*Table
 
-	// depIndex maps a predicate to the complete tables whose answer sets
-	// were derived (transitively) from its clauses, so InvalidatePred
-	// dirty-marks exactly the downstream tables. Guarded by mu.
-	depIndex map[predKey]map[*Table]struct{}
-	// epoch counts predicate invalidations; predEpoch records each
-	// predicate's last invalidation epoch. A production snapshots epoch at
-	// start and re-checks its dependency set at completion, so an assert
-	// that races a fixpoint dirty-marks the freshly completed group
-	// instead of letting part-old, part-new answers serve. Guarded by mu.
-	epoch     uint64
-	predEpoch map[predKey]uint64
-
 	// Cumulative, monotonic counters (survive Invalidate) for /metrics.
 	created     atomic.Uint64
 	answers     atomic.Uint64
@@ -138,11 +127,6 @@ type Space struct {
 	// a space without an attached journal pays one nil check per
 	// lifecycle transition — never per answer or per hit.
 	journal atomic.Pointer[obs.Journal]
-
-	// unhook unregisters this space's assert hook from the database
-	// (Close); closeOnce makes Close idempotent.
-	unhook    func()
-	closeOnce sync.Once
 }
 
 // SetJournal attaches the structured event journal; table lifecycle
@@ -150,50 +134,25 @@ type Space struct {
 // into it from then on. Safe to call concurrently with queries.
 func (s *Space) SetJournal(j *obs.Journal) { s.journal.Store(j) }
 
-// predKey identifies a predicate by interned functor symbol and arity —
-// the dependency-graph node type of the maintenance index.
-type predKey struct {
-	fn    term.Sym
-	arity int
+// dep is one recorded dependency: a predicate and its kb stamp when the
+// production first resolved it.
+type dep struct {
+	pred  kb.PredKey
+	stamp uint64
 }
 
-func (k predKey) String() string { return k.fn.Name() + "/" + strconv.Itoa(k.arity) }
-
-// parsePredKey parses a "name/arity" indicator back to a key.
-func parsePredKey(ind string) (predKey, bool) {
-	i := strings.LastIndexByte(ind, '/')
-	if i <= 0 {
-		return predKey{}, false
-	}
-	arity, err := strconv.Atoi(ind[i+1:])
-	if err != nil || arity < 0 {
-		return predKey{}, false
-	}
-	return predKey{term.Intern(ind[:i]), arity}, true
-}
-
-// NewSpace returns an empty table space over db. The space registers an
-// assert hook, so clause asserts dirty-mark downstream tables; every live
-// space over a shared database receives the notification (short-lived
-// spaces in tests and benchmarks should Close when done to drop theirs).
+// NewSpace returns an empty table space over db. The space registers
+// nothing with the database: it compares stamps, so any number of spaces
+// over a shared database stay correct across asserts.
 func NewSpace(db *kb.DB, cfg Config) *Space {
-	s := &Space{
-		db:        db,
-		prod:      make(chan struct{}, 1),
-		tables:    make(map[string]*Table),
-		depIndex:  make(map[predKey]map[*Table]struct{}),
-		predEpoch: make(map[predKey]uint64),
-	}
+	s := &Space{db: db, prod: make(chan struct{}, 1), tables: make(map[string]*Table)}
 	s.Reconfigure(cfg)
-	s.unhook = db.AddAssertHook(func(fn term.Sym, arity int) { s.InvalidatePred(fn, arity, "assert") })
 	return s
 }
 
-// Close unregisters the space's assert hook from the database. A closed
-// space keeps serving whatever it holds but no longer receives
-// invalidations, so it must not be queried after further asserts.
-// Idempotent and safe for concurrent use.
-func (s *Space) Close() { s.closeOnce.Do(s.unhook) }
+// Close does nothing: a space holds no registration to drop. It is kept
+// for callers that close their spaces when done.
+func (s *Space) Close() {}
 
 // Reconfigure applies new limits — in particular a new depth coding A
 // after a weight-table load. Changed limits drop every memoized table,
@@ -213,42 +172,25 @@ func (s *Space) ReconfigureCause(cfg Config, cause string) {
 		cfg.Budget = DefaultBudget
 	}
 	s.mu.Lock()
-	if s.ws != nil && cfg.MaxDepth == s.maxDepth && cfg.Budget == s.budget {
-		// Same limits as the tables were produced under: nothing they
-		// depend on changed, so wiping them would be a pure re-derivation
-		// stampede. Keep serving.
-		s.mu.Unlock()
-		return
-	}
-	s.ws = weights.NewUniform(weights.Config{N: weights.DefaultConfig().N, A: cfg.MaxDepth})
-	s.maxDepth = cfg.MaxDepth
-	s.budget = cfg.Budget
-	dropped := len(s.tables)
-	var bytes int64
-	if dropped > 0 {
-		for _, t := range s.tables {
-			bytes += t.bytes.Load()
-		}
-		s.tables = make(map[string]*Table)
-		s.depIndex = make(map[predKey]map[*Table]struct{})
+	// Same limits as the tables were produced under: nothing they depend
+	// on changed, so wiping them would be a pure re-derivation stampede.
+	same := s.ws != nil && cfg.MaxDepth == s.maxDepth && cfg.Budget == s.budget
+	if !same {
+		s.ws = weights.NewUniform(weights.Config{N: weights.DefaultConfig().N, A: cfg.MaxDepth})
+		s.maxDepth = cfg.MaxDepth
+		s.budget = cfg.Budget
 	}
 	s.mu.Unlock()
-	if dropped > 0 {
-		s.journal.Load().Emit(obs.Event{
-			Kind:  obs.KindTableInvalidated,
-			Cause: cause,
-			Count: int64(dropped),
-			Bytes: bytes,
-		})
+	if !same {
+		s.Invalidate(cause)
 	}
 }
 
-// limits snapshots the generator limits and the invalidation epoch for
-// one production run.
-func (s *Space) limits() (ws weights.Store, maxDepth int, budget uint64, epoch uint64) {
+// limits snapshots the generator limits for one production run.
+func (s *Space) limits() (ws weights.Store, maxDepth int, budget uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ws, s.maxDepth, s.budget, s.epoch
+	return s.ws, s.maxDepth, s.budget
 }
 
 // Table is the memoized answer set of one call-pattern variant. Answers
@@ -259,8 +201,6 @@ type Table struct {
 	key     string
 	pattern term.Term // canonical call with fresh variables
 	pred    string    // predicate indicator, for listings
-	fn      term.Sym  // interned functor of the pattern
-	arity   int
 
 	// min is the 1-based cost-argument position of an answer-subsumption
 	// (`min(N)`) table, 0 for plain variant tabling. A min table keeps at
@@ -294,24 +234,28 @@ type Table struct {
 	// production may rely on. Producer-goroutine only; see eval.require.
 	independent bool
 
-	// deps is the sorted predicate dependency set recorded at completion:
-	// every predicate the fixpoint resolved against program clauses, plus
-	// the stored dependencies of every complete table it consumed
-	// (transitive closure by construction). Written once under the space
-	// mutex at completion, immutable after.
-	deps []predKey
-	// dirty marks a complete table whose dependency set was invalidated
-	// (assert on a predicate it was derived from). A dirty table stops
-	// serving — lookup rejects it — and is replaced by a fresh object on
-	// next touch; it re-derives through the normal production path.
-	dirty atomic.Bool
-	// revalidating marks a fresh table that replaced a dirty one, so its
+	// deps are the recorded dependency stamps, sorted by predicate: every
+	// predicate the fixpoint resolved against program clauses, at its
+	// stamp when first resolved, plus the recorded stamps of every
+	// complete table it consumed (transitive by construction). Written
+	// under the space mutex when the production completes — or aborts,
+	// so a later production resumes the partial table only while they
+	// hold — and immutable once the table is complete.
+	deps []dep
+	// freshAt is the last generation at which every recorded stamp was
+	// seen current; a lookup at that generation skips the comparison.
+	freshAt atomic.Uint64
+	// staleSeen is set when an observer finds a recorded stamp moved (see
+	// Space.sweep). A stale table stops serving — lookup rejects it — and
+	// is replaced by a fresh object on next touch.
+	staleSeen atomic.Bool
+	// revalidating marks a fresh table that replaced a stale one, so its
 	// completion journals as table_revalidated. Written at creation under
 	// the space mutex, read by the single producer.
 	revalidating bool
 	// revalidations counts how many times this logical table (the call
-	// pattern, across object replacements) has been re-derived after a
-	// dirty mark. Carried over on replacement.
+	// pattern, across object replacements) has been re-derived after
+	// going stale. Carried over on replacement.
 	revalidations atomic.Int64
 
 	// Resource accounting. Written by the producer (nAnswers/bytes/rounds)
@@ -365,12 +309,12 @@ type Info struct {
 	Hits uint64
 	// Rounds is the fixpoint round count across this table's productions.
 	Rounds int
-	// Dirty reports that a dependency of this complete table was
-	// invalidated (clause assert); the table no longer serves and will
-	// re-derive on next touch.
+	// Dirty reports that a dependency of this complete table was asserted
+	// into after its production read it; the table no longer serves and
+	// will re-derive on next touch.
 	Dirty bool
-	// Revalidations counts re-derivations of this call pattern after
-	// dirty marks (carried across the object replacement each one does).
+	// Revalidations counts re-derivations of this call pattern after it
+	// went stale (carried across the object replacement each one does).
 	Revalidations int
 	// Deps lists the predicate indicators this table's fixpoint was
 	// derived from (set at completion; empty while producing).
@@ -383,8 +327,8 @@ type Info struct {
 	LastHit     time.Time
 }
 
-// infoOf snapshots one table's listing row.
-func infoOf(t *Table) Info {
+// info snapshots one table's listing row.
+func (s *Space) info(t *Table) Info {
 	info := Info{
 		Pred:      t.pred,
 		Call:      t.pattern.String(),
@@ -404,14 +348,14 @@ func infoOf(t *Table) Info {
 		if t.truncated {
 			info.State = StateTruncated
 		}
-		if t.dirty.Load() {
+		if s.stale(t) {
 			info.Dirty = true
 			info.State = StateDirty
 		}
 		if len(t.deps) > 0 {
 			info.Deps = make([]string, len(t.deps))
 			for i, d := range t.deps {
-				info.Deps[i] = d.String()
+				info.Deps[i] = d.pred.String()
 			}
 		}
 	}
@@ -429,7 +373,7 @@ func infoOf(t *Table) Info {
 // productions finish against the orphaned tables — their answers remain
 // sound — and the next tabled call rebuilds from the current program
 // state. The cause is carried on the journal event. Clause asserts do NOT
-// route here: they dirty-mark only downstream tables via InvalidatePred.
+// route here: they stale only the downstream tables, through their stamps.
 func (s *Space) Invalidate(cause string) {
 	s.mu.Lock()
 	dropped := len(s.tables)
@@ -439,7 +383,6 @@ func (s *Space) Invalidate(cause string) {
 			bytes += t.bytes.Load()
 		}
 		s.tables = make(map[string]*Table)
-		s.depIndex = make(map[predKey]map[*Table]struct{})
 	}
 	s.mu.Unlock()
 	if dropped > 0 {
@@ -452,45 +395,64 @@ func (s *Space) Invalidate(cause string) {
 	}
 }
 
-// InvalidatePred dirty-marks the complete tables whose dependency sets
-// include the given predicate — the incremental-maintenance entry point,
-// called from kb's assert hook when a clause lands. Dirty tables stop
-// serving and re-derive on next touch; everything else keeps serving
-// untouched. Incomplete tables (aborted or in-flight productions) are
-// orphaned from the map: their answer sets were derived against the old
-// clause store and, under negation, could hold answers the new store no
-// longer supports, so the next call starts a fresh production (an
-// in-flight producer still completes its orphaned group by identity — a
-// racing fixpoint is additionally caught by the epoch check at
-// completion).
-func (s *Space) InvalidatePred(fn term.Sym, arity int, cause string) {
-	key := predKey{fn, arity}
-	s.mu.Lock()
-	s.epoch++
-	s.predEpoch[key] = s.epoch
-	var marked, bytes int64
-	for t := range s.depIndex[key] {
-		if t.complete.Load() && !t.dirty.Load() {
-			t.dirty.Store(true)
-			marked++
-			bytes += t.bytes.Load()
+// stale reports whether a complete table's recorded stamps moved: some
+// dependency was asserted into after the production read it. Finding one
+// stale table observes the whole space (see sweep).
+func (s *Space) stale(t *Table) bool {
+	if t.staleSeen.Load() {
+		return true
+	}
+	// The generation is read before the stamps, so a table seen fresh at
+	// gen was fresh for every assert up to gen.
+	gen := s.db.Generation()
+	if t.freshAt.Load() == gen {
+		return false
+	}
+	if _, moved := s.moved(t.deps); moved {
+		s.sweep()
+		return true
+	}
+	t.freshAt.Store(gen)
+	return false
+}
+
+// moved returns the first recorded dependency whose stamp is no longer
+// the predicate's current one.
+func (s *Space) moved(deps []dep) (kb.PredKey, bool) {
+	for _, d := range deps {
+		if s.db.Stamp(d.pred.Fn, d.pred.Arity) != d.stamp {
+			return d.pred, true
 		}
 	}
-	for k, t := range s.tables {
-		if !t.complete.Load() {
-			delete(s.tables, k)
+	return kb.PredKey{}, false
+}
+
+// sweep marks every complete table whose recorded stamps moved, counts
+// each once (Totals.Dirtied), and journals one table_invalidated per
+// predicate whose stamp moved, so an assert costs the journal one event
+// rather than one per downstream table. A marked table stops serving and
+// is replaced by a fresh object on next touch.
+func (s *Space) sweep() {
+	found := make(map[kb.PredKey][2]int64) // tables and bytes per moved predicate
+	for _, t := range s.snapshot() {
+		if !t.complete.Load() || t.staleSeen.Load() {
+			continue
+		}
+		pred, moved := s.moved(t.deps)
+		if moved && t.staleSeen.CompareAndSwap(false, true) {
+			f := found[pred]
+			found[pred] = [2]int64{f[0] + 1, f[1] + t.bytes.Load()}
 		}
 	}
-	s.mu.Unlock()
-	if marked > 0 {
-		s.dirtied.Add(uint64(marked))
+	for pred, f := range found {
+		s.dirtied.Add(uint64(f[0]))
 		s.journal.Load().Emit(obs.Event{
 			Kind:   obs.KindTableInvalidated,
-			Cause:  cause,
-			Pred:   key.String(),
-			Count:  marked,
-			Bytes:  bytes,
-			Detail: "dirty-marked for re-derivation",
+			Cause:  "assert",
+			Pred:   pred.String(),
+			Count:  f[0],
+			Bytes:  f[1],
+			Detail: "stamp moved; re-derives on next touch",
 		})
 	}
 }
@@ -513,13 +475,19 @@ func (s *Space) snapshot() []*Table {
 	return list
 }
 
+// infos lists the live tables, unsorted.
+func (s *Space) infos() []Info {
+	list := s.snapshot()
+	out := make([]Info, len(list))
+	for i, t := range list {
+		out[i] = s.info(t)
+	}
+	return out
+}
+
 // Tables lists the live tables sorted by call pattern.
 func (s *Space) Tables() []Info {
-	list := s.snapshot()
-	out := make([]Info, 0, len(list))
-	for _, t := range list {
-		out = append(out, infoOf(t))
-	}
+	out := s.infos()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pred != out[j].Pred {
 			return out[i].Pred < out[j].Pred
@@ -533,11 +501,7 @@ func (s *Space) Tables() []Info {
 // first, ties by pred then call) — the /tables endpoint's order, so the
 // biggest memory consumers lead.
 func (s *Space) Inventory() []Info {
-	list := s.snapshot()
-	out := make([]Info, 0, len(list))
-	for _, t := range list {
-		out = append(out, infoOf(t))
-	}
+	out := s.infos()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {
 			return out[i].Bytes > out[j].Bytes
@@ -570,7 +534,7 @@ func (s *Space) Accounting() Accounting {
 		switch {
 		case !t.complete.Load():
 			a.Producing++
-		case t.dirty.Load():
+		case s.stale(t):
 			a.Dirty++
 		case t.truncated:
 			a.Truncated++
@@ -596,8 +560,10 @@ type Totals struct {
 	RederivationsAvoided uint64
 	Subsumed             uint64
 	Improved             uint64
-	// Dirtied counts dirty marks placed by InvalidatePred; Revalidated
-	// counts dirty tables that have since re-derived to completion.
+	// Dirtied counts complete tables found stale, each once, when a
+	// lookup, listing, accounting or snapshot first observes the space
+	// after the assert; Revalidated counts stale tables that have since
+	// re-derived to completion.
 	Dirtied     uint64
 	Revalidated uint64
 }
@@ -616,36 +582,40 @@ func (s *Space) Totals() Totals {
 	}
 }
 
-// lookup returns the table for key if it is complete, not dirty, and
-// serves queries with the given depth bound: untruncated tables serve any
-// depth, while a depth-truncated table only covers bounds up to the one
-// it was produced under.
+// lookup returns the table for key if it is complete, fresh, and serves
+// queries with the given depth bound: untruncated tables serve any depth,
+// while a depth-truncated table only covers bounds up to the one it was
+// produced under.
 func (s *Space) lookup(key string, depth int) (*Table, bool) {
 	s.mu.RLock()
 	t := s.tables[key]
 	s.mu.RUnlock()
-	if t != nil && t.complete.Load() && !t.dirty.Load() && (!t.truncated || t.depth >= depth) {
+	if t != nil && t.complete.Load() && !s.stale(t) && (!t.truncated || t.depth >= depth) {
 		return t, true
 	}
 	return nil, false
 }
 
 // getOrCreate returns the table for key, materializing it if needed. A
-// complete table that lookup rejected — dirty after a dependency
-// invalidation, or truncated under a shallower bound than the caller's —
-// is replaced by a fresh object under the same key; the old object stays
-// valid for consumers already holding it. A dirty replacement carries the
-// logical table's identity (creation time, hit counters, revalidation
-// count) so the inventory shows one long-lived table being maintained,
-// not a new one per assert.
+// complete table that lookup rejected — stale after an assert, or
+// truncated under a shallower bound than the caller's — is replaced by a
+// fresh object under the same key; the old object stays valid for
+// consumers already holding it. A stale replacement carries the logical
+// table's identity (creation time, hit counters, revalidation count) so
+// the inventory shows one long-lived table being maintained, not a new
+// one per assert. An incomplete table, left by an aborted production, is
+// resumed only while the stamps that production read still hold.
 func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int, reqID string) *Table {
 	s.mu.Lock()
 	t := s.tables[key]
 	var replaced *Table
-	if t != nil && t.complete.Load() {
-		if t.dirty.Load() {
-			replaced = t
-			t = nil
+	if t != nil {
+		if !t.complete.Load() {
+			if _, moved := s.moved(t.deps); moved {
+				t = nil
+			}
+		} else if t.staleSeen.Load() {
+			replaced, t = t, nil
 		} else if t.truncated && t.depth < depth {
 			t = nil
 		}
@@ -655,7 +625,6 @@ func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int,
 		pred, _ := term.Indicator(pattern)
 		t = &Table{key: key, pattern: pattern, pred: pred, createdAt: time.Now()}
 		if fn, arity, ok := term.PredOf(pattern); ok {
-			t.fn, t.arity = fn, arity
 			t.min = s.db.TabledMin(fn, arity)
 		}
 		if t.min > 0 {
@@ -669,7 +638,6 @@ func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int,
 			t.lastHit.Store(replaced.lastHit.Load())
 			t.revalidations.Store(replaced.revalidations.Load() + 1)
 			t.revalidating = true
-			s.unindexLocked(replaced)
 		}
 		s.tables[key] = t
 		s.created.Add(1)
@@ -690,19 +658,6 @@ func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int,
 	return t
 }
 
-// unindexLocked removes a replaced table object from the dependency
-// index. Caller holds s.mu.
-func (s *Space) unindexLocked(t *Table) {
-	for _, d := range t.deps {
-		if m := s.depIndex[d]; m != nil {
-			delete(m, t)
-			if len(m) == 0 {
-				delete(s.depIndex, d)
-			}
-		}
-	}
-}
-
 // acquireProducer claims the producer slot, or fails with ctx's error.
 func (s *Space) acquireProducer(ctx context.Context) error {
 	select {
@@ -720,58 +675,39 @@ func (s *Space) acquireProducer(ctx context.Context) error {
 
 func (s *Space) releaseProducer() { <-s.prod }
 
-// markComplete publishes a produced group: answers appended before the
-// flag store are visible to any consumer that loads the flag. It also
-// records the production's dependency set on every member and registers
-// the members in the dependency index, and it re-checks the set against
-// the predicate invalidation epochs: a dependency invalidated after the
-// production snapshotted its epoch (an assert racing the fixpoint) means
-// part of the rounds may have run against the old clause store, so the
-// whole group completes already dirty — the current caller is served (the
-// assert raced it either way), the next one re-derives. Returns whether
-// the group was marked stale.
-func (s *Space) markComplete(group map[string]*Table, deps map[predKey]struct{}, startEpoch uint64) (stale bool) {
-	now := time.Now().UnixNano()
+// setDeps records an aborted production's dependency stamps on the
+// tables of its group, so a later production resumes them only while
+// those stamps hold.
+func (s *Space) setDeps(group map[string]*Table, deps []dep) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, t := range group {
-		deps[predKey{t.fn, t.arity}] = struct{}{}
+		t.deps = deps
 	}
-	depList := make([]predKey, 0, len(deps))
-	for d := range deps {
-		if s.predEpoch[d] > startEpoch {
-			stale = true
-		}
-		depList = append(depList, d)
-	}
-	sort.Slice(depList, func(i, j int) bool {
-		if depList[i].fn != depList[j].fn {
-			return depList[i].fn < depList[j].fn
-		}
-		return depList[i].arity < depList[j].arity
-	})
+}
+
+// markComplete publishes a produced group with its dependency stamps:
+// answers appended before the flag store are visible to any consumer that
+// loads the flag. A group an assert raced completes already stale: it
+// serves the production's caller, then leaves the space, counted as
+// dirtied, and the next touch derives its tables afresh.
+func (s *Space) markComplete(group map[string]*Table, deps []dep) (stale bool) {
+	now := time.Now().UnixNano()
+	_, stale = s.moved(deps)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, t := range group {
-		t.deps = depList
-		// Orphaned members (InvalidatePred dropped them from the map
-		// mid-production) are unreachable to future lookups; indexing them
-		// would only leak.
-		if s.tables[t.key] == t {
-			for _, d := range depList {
-				m := s.depIndex[d]
-				if m == nil {
-					m = make(map[*Table]struct{})
-					s.depIndex[d] = m
-				}
-				m[t] = struct{}{}
-			}
-		}
-		if stale {
-			t.dirty.Store(true)
-			s.dirtied.Add(1)
-		}
+		t.deps = deps
 		t.completedAt.Store(now)
 		t.complete.Store(true)
+		if stale {
+			t.staleSeen.Store(true)
+			s.dirtied.Add(1)
+			if s.tables[t.key] == t {
+				delete(s.tables, t.key)
+			}
+		}
 	}
-	s.mu.Unlock()
 	return stale
 }
 

@@ -68,10 +68,12 @@
 // whose figure rendering wants the walker's labeling, and NoVM runs
 // (search.Options.NoVM, solve.Request.NoVM), the differential oracle.
 //
-// Programs are cached on the kb.DB under a generation counter:
-// asserting a clause bumps the generation and the next dispatch
-// recompiles, so learned or merged clauses become visible to the
-// compiled path immediately.
+// Compiled code is kept per predicate on the kb.DB, tagged with the
+// predicate's stamp (the generation of the last assert that changed it).
+// An assert on p/n makes the next lookup of p/n recompile p/n alone, so
+// learned or merged clauses reach the compiled path immediately while
+// every other predicate keeps its code. Engines look code up through a
+// Cache, whose slots are valid for one database generation.
 package vm
 
 import (
@@ -132,27 +134,6 @@ type CClause struct {
 // Clause returns the underlying database clause.
 func (cc *CClause) Clause() *kb.Clause { return cc.c }
 
-// argKey is the switch-on-term dispatch key: the shape of a bound first
-// argument (mirrors the kb first-argument index, over interned symbols).
-type argKey struct {
-	kind byte // 'a' atom, 'i' integer, 'c' compound
-	sym  term.Sym
-	num  int64
-}
-
-func keyOf(arg term.Term) (argKey, bool) {
-	switch a := arg.(type) {
-	case term.Atom:
-		return argKey{kind: 'a', sym: a.Sym()}, true
-	case term.Int:
-		return argKey{kind: 'i', num: int64(a)}, true
-	case *term.Compound:
-		return argKey{kind: 'c', sym: a.Functor, num: int64(len(a.Args))}, true
-	default:
-		return argKey{}, false
-	}
-}
-
 // PredCode is one predicate's compiled clause set plus its
 // switch-on-term dispatch table.
 type PredCode struct {
@@ -162,7 +143,7 @@ type PredCode struct {
 	// its premerged candidate list (keyed clauses for that constant plus
 	// the variable-first clauses, in clause-ID order). nil when no
 	// clause head has a constant first argument.
-	buckets map[argKey][]*CClause
+	buckets map[kb.ArgKey][]*CClause
 	// varOnly is the bucket a bound first argument with no matching
 	// constant key falls through to: only variable-first heads can match.
 	varOnly []*CClause
@@ -178,7 +159,7 @@ func (pc *PredCode) Select(env *term.Env, goal term.Term) []*CClause {
 	if !ok {
 		return pc.all
 	}
-	k, keyed := keyOf(env.Resolve(gc.Args[0]))
+	k, keyed := kb.KeyOf(env.Resolve(gc.Args[0]))
 	if !keyed {
 		return pc.all
 	}
@@ -188,87 +169,117 @@ func (pc *PredCode) Select(env *term.Env, goal term.Term) []*CClause {
 	return pc.varOnly
 }
 
-// predKey packs functor and arity into one word, so the per-goal Pred
-// probe takes the runtime's integer-key fast path instead of hashing a
-// struct.
-type predKey uint64
-
-func makePredKey(fn term.Sym, arity int) predKey {
-	return predKey(uint64(uint32(fn))<<32 | uint64(uint32(arity)))
-}
-
-// Program is a compiled database: one PredCode per predicate, pinned to
-// the kb generation it was compiled from.
-type Program struct {
-	gen   uint64
-	preds map[predKey]*PredCode
-}
-
-// Gen returns the database generation this program was compiled from.
-func (p *Program) Gen() uint64 { return p.gen }
-
-// Pred returns the compiled code for a predicate, or nil when the
-// database has no clauses for it.
-func (p *Program) Pred(fn term.Sym, arity int) *PredCode {
-	return p.preds[makePredKey(fn, arity)]
-}
-
-// For returns the compiled program for db, compiling (and caching on the
-// database) when none exists or the database generation moved — which is
-// how asserted clauses become visible to the compiled path. Safe for
-// concurrent readers; compilation itself follows the kb contract that
-// clause loading is single-threaded.
-func For(db *kb.DB) *Program {
-	if p, ok := db.CompiledCache().(*Program); ok && p.gen == db.Generation() {
-		return p
+// Pred returns the compiled code for a predicate's current clauses, or
+// nil when it has none. Code is kept per predicate on the database, tagged
+// with the stamp it was compiled from: the first call after an assert on
+// the predicate recompiles that predicate alone, and every other
+// predicate's code comes back pointer-identical. Safe for concurrent use;
+// concurrent compiles of one predicate settle on one PredCode.
+func Pred(db *kb.DB, fn term.Sym, arity int) *PredCode {
+	clauses, stamp, code := db.Code(fn, arity)
+	if pc, ok := code.(*PredCode); ok {
+		return pc
 	}
-	p := Compile(db)
-	db.SetCompiledCache(p)
-	if j, ok := db.EventJournal().(*obs.Journal); ok {
+	if len(clauses) == 0 {
+		return nil
+	}
+	mine := compilePred(clauses)
+	pc := db.SetCode(fn, arity, stamp, mine).(*PredCode)
+	if j, ok := db.EventJournal().(*obs.Journal); ok && pc == mine {
 		j.Emit(obs.Event{
 			Kind:       obs.KindVMRecompile,
-			Generation: p.gen,
-			Count:      int64(len(p.preds)),
+			Pred:       kb.PredKey{Fn: fn, Arity: arity}.String(),
+			Generation: stamp,
+			Count:      int64(len(clauses)),
 		})
 	}
-	return p
+	return pc
 }
 
-// Compile compiles every clause of db and builds the per-predicate
-// dispatch tables.
-func Compile(db *kb.DB) *Program {
-	p := &Program{gen: db.Generation(), preds: make(map[predKey]*PredCode)}
-	for _, c := range db.Clauses() {
-		fn, arity, ok := term.PredOf(c.Head)
-		if !ok {
-			continue
-		}
-		key := makePredKey(fn, arity)
-		pc := p.preds[key]
-		if pc == nil {
-			pc = &PredCode{}
-			p.preds[key] = pc
-		}
-		pc.all = append(pc.all, compileClause(c))
+// For brings every predicate's compiled code up to date: it compiles the
+// predicates asserted into since their last compile and leaves the rest.
+func For(db *kb.DB) {
+	for _, k := range db.PredKeys() {
+		Pred(db, k.Fn, k.Arity)
 	}
-	for _, pc := range p.preds {
-		buildDispatch(pc)
+}
+
+// Compile compiles every predicate of db from scratch, without touching
+// the code kept on the database.
+func Compile(db *kb.DB) map[kb.PredKey]*PredCode {
+	out := make(map[kb.PredKey]*PredCode)
+	for _, k := range db.PredKeys() {
+		clauses, _, _ := db.Code(k.Fn, k.Arity)
+		out[k] = compilePred(clauses)
 	}
-	return p
+	return out
+}
+
+// cacheSize is the Cache slot count; a power of two so the index mask is
+// one AND. Sized to hold a few hundred predicates.
+const cacheSize = 256
+
+// Cache is an engine's direct-mapped predicate-code cache in front of
+// Pred. The lookup runs once per dispatched goal, which makes it one of
+// the hottest loads in the machine: a slot is valid only for the database
+// generation it was filled at, so a hit costs one atomic load of the
+// generation. After an assert every predicate refills on its next use, one
+// at a time, and Pred recompiles only the predicates the assert changed.
+// Negative results (no clauses) are cached too. A Cache belongs to one
+// goroutine at a time.
+type Cache struct {
+	db    *kb.DB
+	slots [cacheSize]cacheSlot
+}
+
+type cacheSlot struct {
+	fn    term.Sym
+	arity int32
+	gen   uint64
+	pc    *PredCode
+}
+
+// Pred returns db's compiled code for a predicate, or nil when it has no
+// clauses. A cache moved to another database starts empty.
+func (c *Cache) Pred(db *kb.DB, fn term.Sym, arity int) *PredCode {
+	if c.db != db {
+		*c = Cache{db: db}
+	}
+	// The generation is read before the code: a slot filled at gen holds
+	// code at least as new as every assert up to gen.
+	gen := db.Generation()
+	s := &c.slots[(uint32(fn)*31+uint32(arity))&(cacheSize-1)]
+	if s.gen == gen && s.fn == fn && s.arity == int32(arity) {
+		return s.pc
+	}
+	pc := Pred(db, fn, arity)
+	*s = cacheSlot{fn: fn, arity: int32(arity), gen: gen, pc: pc}
+	return pc
+}
+
+// compilePred compiles one predicate's clauses and builds its dispatch
+// table.
+func compilePred(clauses []*kb.Clause) *PredCode {
+	pc := &PredCode{all: make([]*CClause, len(clauses))}
+	for i, c := range clauses {
+		pc.all[i] = compileClause(c)
+	}
+	buildDispatch(pc)
+	return pc
 }
 
 // buildDispatch fills the switch-on-term table: one premerged bucket per
 // distinct first-argument constant, in clause-ID order.
 func buildDispatch(pc *PredCode) {
-	keys := make([]argKey, 0, 4)
-	seen := make(map[argKey]bool, 4)
+	keys := make([]kb.ArgKey, 0, 4)
+	seen := make(map[kb.ArgKey]bool, 4)
 	anyKeyed := false
 	for _, cc := range pc.all {
 		hc, ok := cc.c.Head.(*term.Compound)
 		if !ok || len(hc.Args) == 0 {
 			return // arity 0: nothing to switch on
 		}
-		if k, keyed := keyOf(hc.Args[0]); keyed {
+		if k, keyed := kb.KeyOf(hc.Args[0]); keyed {
 			anyKeyed = true
 			if !seen[k] {
 				seen[k] = true
@@ -282,11 +293,11 @@ func buildDispatch(pc *PredCode) {
 		pc.varOnly = nil // every clause is variable-first: full list only
 		return
 	}
-	pc.buckets = make(map[argKey][]*CClause, len(keys))
+	pc.buckets = make(map[kb.ArgKey][]*CClause, len(keys))
 	for _, k := range keys {
 		bucket := make([]*CClause, 0, len(pc.varOnly)+1)
 		for _, cc := range pc.all {
-			hk, keyed := keyOf(cc.c.Head.(*term.Compound).Args[0])
+			hk, keyed := kb.KeyOf(cc.c.Head.(*term.Compound).Args[0])
 			if !keyed || hk == k {
 				bucket = append(bucket, cc)
 			}

@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"blog/internal/kb"
+	"blog/internal/obs"
 	"blog/internal/parse"
 	"blog/internal/term"
 )
@@ -33,8 +35,7 @@ func TestDispatchBuckets(t *testing.T) {
 	db := load(t, `
 		f(a, 1). f(b, 2). f(X, 0). f(b, 3).
 	`)
-	p := Compile(db)
-	pc := p.Pred(term.Intern("f"), 2)
+	pc := Compile(db)[kb.PredKey{Fn: term.Intern("f"), Arity: 2}]
 	if pc == nil {
 		t.Fatal("no code for f/2")
 	}
@@ -69,7 +70,7 @@ func TestDispatchBuckets(t *testing.T) {
 
 func TestDispatchAllVariableHeads(t *testing.T) {
 	db := load(t, `eq(X, X).`)
-	pc := Compile(db).Pred(term.Intern("eq"), 2)
+	pc := Pred(db, term.Intern("eq"), 2)
 	if pc.buckets != nil {
 		t.Error("all-variable heads must not build a dispatch table")
 	}
@@ -83,7 +84,7 @@ func TestDispatchAllVariableHeads(t *testing.T) {
 // body goal carries the caller's argument directly.
 func TestChainRuleCapturesRegister(t *testing.T) {
 	db := load(t, `p(X) :- q(X).`)
-	pc := Compile(db).Pred(term.Intern("p"), 1)
+	pc := Pred(db, term.Intern("p"), 1)
 	env := emptyEnv
 	var m Machine
 	env2, ok := m.Resolve(env, goal(t, "p(sam)"), pc.all[0], false)
@@ -103,7 +104,7 @@ func TestChainRuleCapturesRegister(t *testing.T) {
 // V; the second argument then grounds the fresh variable to a.
 func TestWriteModeInstantiates(t *testing.T) {
 	db := load(t, `f(g(X), X).`)
-	pc := Compile(db).Pred(term.Intern("f"), 2)
+	pc := Pred(db, term.Intern("f"), 2)
 	g := goal(t, "f(V, a)").(*term.Compound)
 	v := g.Args[0].(*term.Var)
 	var m Machine
@@ -121,7 +122,7 @@ func TestWriteModeInstantiates(t *testing.T) {
 // reject it while the rational-tree default accepts.
 func TestWriteModeOccursCheck(t *testing.T) {
 	db := load(t, `p(X, f(X)).`)
-	pc := Compile(db).Pred(term.Intern("p"), 2)
+	pc := Pred(db, term.Intern("p"), 2)
 	var m Machine
 	if _, ok := m.Resolve(emptyEnv, goal(t, "p(V, V)"), pc.all[0], true); ok {
 		t.Error("occurs check must reject V = f(V)")
@@ -136,7 +137,7 @@ func TestWriteModeOccursCheck(t *testing.T) {
 // against partially bound compounds.
 func TestGroundCompoundPool(t *testing.T) {
 	db := load(t, `wants(point(1, 2)).`)
-	pc := Compile(db).Pred(term.Intern("wants"), 1)
+	pc := Pred(db, term.Intern("wants"), 1)
 	if cc := pc.all[0]; len(cc.code) != 1 || cc.code[0].op != opConst {
 		t.Fatalf("ground compound must compile to a single opConst, got %d instrs", len(cc.code))
 	}
@@ -158,7 +159,7 @@ func TestGroundCompoundPool(t *testing.T) {
 // arguments with each other.
 func TestRepeatVarUnifies(t *testing.T) {
 	db := load(t, `same(X, X).`)
-	pc := Compile(db).Pred(term.Intern("same"), 2)
+	pc := Pred(db, term.Intern("same"), 2)
 	g := goal(t, "same(a, B)").(*term.Compound)
 	var m Machine
 	env, ok := m.Resolve(emptyEnv, g, pc.all[0], false)
@@ -173,25 +174,47 @@ func TestRepeatVarUnifies(t *testing.T) {
 	}
 }
 
-// TestForRecompilesOnAssert: the cached program is pinned to the database
-// generation; asserting a clause must make the next For call recompile
-// with the new clause visible (the dispatch-invalidation contract).
+// TestForRecompilesOnAssert: code is kept per predicate under its stamp.
+// An assert on f/2 makes the next lookup select the new clause through
+// f/2's recompiled dispatch table — f/2 compiled exactly once — while
+// every other predicate's code stays pointer-identical.
 func TestForRecompilesOnAssert(t *testing.T) {
-	db := load(t, `f(a, 1).`)
-	p1 := For(db)
-	if p2 := For(db); p2 != p1 {
-		t.Fatal("unchanged database must reuse the cached program")
+	db := load(t, `f(a, 1). g(x). h(X) :- g(X).`)
+	For(db)
+	preds := db.PredKeys()
+	before := make(map[kb.PredKey]*PredCode)
+	for _, k := range preds {
+		before[k] = Pred(db, k.Fn, k.Arity)
 	}
+	j := obs.NewJournal(64)
+	db.SetEventJournal(j)
+
 	db.Assert(goal(t, "f(b, 2)"), nil)
-	p3 := For(db)
-	if p3 == p1 {
-		t.Fatal("assert must invalidate the compiled program")
+	f := kb.PredKey{Fn: term.Intern("f"), Arity: 2}
+	var cache Cache
+	pc := cache.Pred(db, f.Fn, f.Arity)
+	if pc == before[f] || len(pc.all) != 2 {
+		t.Fatalf("f/2 after assert: same code %v, %d clauses; want recompiled with 2", pc == before[f], len(pc.all))
 	}
-	pc := p3.Pred(term.Intern("f"), 2)
-	if len(pc.all) != 2 {
-		t.Fatalf("recompiled f/2 has %d clauses, want 2", len(pc.all))
+	if got := pc.Select(emptyEnv, goal(t, "f(b, N)")); len(got) != 1 || got[0].c.Head.String() != "f(b,2)" {
+		t.Fatalf("Select(f(b,N)) after assert = %d clauses, want the new f(b,2)", len(got))
 	}
-	if got := pc.Select(emptyEnv, goal(t, "f(b, N)")); len(got) != 1 {
-		t.Fatalf("Select(f(b,N)) = %d clauses after assert, want 1", len(got))
+	For(db)
+	for _, k := range preds {
+		if k != f && Pred(db, k.Fn, k.Arity) != before[k] {
+			t.Errorf("%s recompiled by an assert on f/2", k)
+		}
+	}
+	if Pred(db, f.Fn, f.Arity) != pc {
+		t.Error("f/2 recompiled twice for one assert")
+	}
+	var compiled []string
+	for _, ev := range j.Events(0) {
+		if ev.Kind == obs.KindVMRecompile {
+			compiled = append(compiled, ev.Pred)
+		}
+	}
+	if fmt.Sprint(compiled) != "[f/2]" {
+		t.Errorf("vm_recompile events name %v, want [f/2]", compiled)
 	}
 }
