@@ -1,0 +1,182 @@
+package blog
+
+import (
+	"context"
+	"fmt"
+	"regexp"
+	"strings"
+	"testing"
+
+	"blog/internal/term"
+	"blog/internal/workload"
+)
+
+// mkSrc hands a query variable a structure of clause variables, one of
+// them twice.
+const mkSrc = "mk(f(A,B,A)).\n"
+
+// anonVar matches one _G serial.
+var anonVar = regexp.MustCompile(`_G[0-9]+`)
+
+// serialPattern replaces each _G serial in text by its first-occurrence
+// rank, so texts compare by where a variable repeats, not by its serial.
+func serialPattern(text string) string {
+	seen := map[string]string{}
+	return anonVar.ReplaceAllStringFunc(text, func(s string) string {
+		if p, ok := seen[s]; ok {
+			return p
+		}
+		p := fmt.Sprintf("_G#%d", len(seen))
+		seen[s] = p
+		return p
+	})
+}
+
+// serialText renders t with every variable as its _G serial, so a
+// variable re-minted by a later run reads differently.
+func serialText(t term.Term) string { return string(term.AppendAnswer(nil, t, nil, nil)) }
+
+// TestAnswerVariableNames: in an answer, an unbound variable that is not
+// one of the query's own prints as _G<serial>, the same serial exactly
+// where the same variable occurs — on every strategy, batch and streamed,
+// in the text and in the bindings alike. Clause variables used to print
+// by their source names, colliding with the query's and with each other.
+func TestAnswerVariableNames(t *testing.T) {
+	p, err := LoadString(mkSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ goal, want string }{
+		{"mk(Q), A = 1", "Q = f(_G#0,_G#1,_G#0), A = 1"},
+		{"copy_term(f(X,Y), Z), X = 1", "X = 1, Y = Y, Z = f(_G#0,_G#1)"},
+		{"mk(Q), mk(R)", "Q = f(_G#0,_G#1,_G#0), R = f(_G#2,_G#3,_G#2)"},
+	}
+	for _, strat := range []Strategy{DFS, BFS, BestFirst, Parallel} {
+		for _, c := range cases {
+			name := fmt.Sprintf("%v %s", strat, c.goal)
+			res, err := p.Query(c.goal, strat, Workers(2))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Solutions) != 1 {
+				t.Fatalf("%s: %d solutions, want 1", name, len(res.Solutions))
+			}
+			sol := res.Solutions[0]
+			if got := serialPattern(sol.String()); got != c.want {
+				t.Errorf("%s: answer %q, want the pattern %q", name, sol.String(), c.want)
+			}
+			parts := make([]string, len(sol.varOrder))
+			for i, v := range sol.varOrder {
+				parts[i] = v + " = " + sol.Bindings[v]
+			}
+			if joined := strings.Join(parts, ", "); joined != sol.String() {
+				t.Errorf("%s: bindings %v disagree with the text %q", name, sol.Bindings, sol.String())
+			}
+			if strat == Parallel {
+				continue
+			}
+			it, err := p.Iter(c.goal, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, ok, err := it.Next()
+			if err != nil || !ok {
+				t.Fatalf("%s: stream ok=%v err=%v", name, ok, err)
+			}
+			if got := serialPattern(streamed.String()); got != c.want {
+				t.Errorf("%s: streamed answer %q, want the pattern %q", name, streamed.String(), c.want)
+			}
+		}
+	}
+}
+
+// TestAnswerLifetime holds what a caller keeps from an answer to the text
+// it had inside yield: Value(i) and a Solution converted there survive the
+// later pulls, which rewrite a depth-first run's store, and the end of the
+// query, which recycles it.
+func TestAnswerLifetime(t *testing.T) {
+	queens, err := LoadString(workload.NQueens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyclic, err := LoadString(workload.Cyclic(16, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := LoadString(mkSrc + "mk(g(C)).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		p     *Program
+		goal  string
+		strat Strategy
+		opts  []Option
+	}{
+		{"dfs", queens, "queens(5,Qs)", DFS, nil},
+		{"bfs", queens, "queens(4,Qs)", BFS, nil},
+		{"best", queens, "queens(4,Qs)", BestFirst, nil},
+		{"tabled replay dfs", cyclic, "path(v3,Z)", DFS, []Option{Tabled()}},
+		{"tabled replay best", cyclic, "path(v3,Z)", BestFirst, []Option{Tabled()}},
+		{"parallel", queens, "queens(5,Qs)", Parallel, []Option{Workers(2)}},
+		{"clause variables dfs", mk, "mk(Q), mk(R)", DFS, nil},
+		{"clause variables best", mk, "mk(Q), mk(R)", BestFirst, nil},
+	}
+	for _, c := range cases {
+		// The batch run also completes any table, so QueryEach replays it.
+		want, err := c.p.Query(c.goal, c.strat, c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g, err := ParseGoal(c.goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type kept struct {
+			values []term.Term
+			texts  []string
+			sol    Solution
+			text   string
+		}
+		var ks []kept
+		_, err = c.p.QueryEach(context.Background(), g, c.strat, func(a Answer) error {
+			k := kept{sol: a.Solution()}
+			k.text = k.sol.String()
+			for i, name := range a.Names {
+				v := a.Value(i)
+				k.values = append(k.values, v)
+				k.texts = append(k.texts, serialText(v))
+				// A ground value reads as the answer's own text.
+				if text := k.sol.Bindings[name]; !anonVar.MatchString(text) && v.String() != text {
+					t.Errorf("%s: Value(%d) reads %q inside yield, the answer %q", c.name, i, v.String(), text)
+				}
+			}
+			ks = append(ks, k)
+			return nil
+		}, c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(ks) != len(want.Solutions) || len(ks) < 2 {
+			t.Fatalf("%s: %d answers, want %d (and at least 2)", c.name, len(ks), len(want.Solutions))
+		}
+		// Another run takes the recycled store, frames and compounds over.
+		if _, err := c.p.Query(c.goal, c.strat, c.opts...); err != nil {
+			t.Fatal(err)
+		}
+		for n, k := range ks {
+			for i, v := range k.values {
+				if got := serialText(v); got != k.texts[i] {
+					t.Errorf("%s answer %d: Value(%d) reads %q after the query, %q inside yield", c.name, n, i, got, k.texts[i])
+				}
+			}
+			if got := k.sol.String(); got != k.text {
+				t.Errorf("%s answer %d: Solution reads %q after the query, %q inside yield", c.name, n, got, k.text)
+			}
+			if got, w := serialPattern(k.text), serialPattern(want.Solutions[n].String()); got != w {
+				t.Errorf("%s answer %d: %q, Query answered %q", c.name, n, k.text, want.Solutions[n].String())
+			}
+		}
+	}
+}

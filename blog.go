@@ -45,6 +45,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"blog/internal/engine"
 	"blog/internal/kb"
@@ -89,8 +90,28 @@ var ErrBudget = search.ErrBudget
 // ValidateQuery parses a query string without running it, so servers can
 // reject malformed goals before spending a worker slot.
 func ValidateQuery(query string) error {
-	_, err := parse.Query(query)
+	_, err := ParseGoal(query)
 	return err
+}
+
+// Goal is a parsed query. ParseGoal reads the text once and QueryEach or
+// IterGoal run the result, so a server that checks a goal before admitting
+// it runs the very parse it checked. A Traced run records that parse as
+// its parse phase, and its span tree starts where the parse did.
+type Goal struct {
+	goals []term.Term
+	// parsed and end bound the parse; zero for goals that arrived parsed.
+	parsed, end time.Time
+}
+
+// ParseGoal parses query text into a Goal.
+func ParseGoal(query string) (Goal, error) {
+	start := time.Now()
+	goals, err := parse.Query(query)
+	if err != nil {
+		return Goal{}, err
+	}
+	return Goal{goals: goals, parsed: start, end: time.Now()}, nil
 }
 
 // Program is a loaded logic program with its global weight database. It is
@@ -295,12 +316,19 @@ type queryOpts struct {
 	live          *obs.Live
 }
 
-// newTrace starts the query's span trace when Traced() was given.
-func (o *queryOpts) newTrace() *obs.Trace {
+// newTrace starts the query's span trace when Traced() was given. A goal
+// from ParseGoal opens the trace at its parse, recorded as the parse
+// phase; goals that arrived parsed have none.
+func (o *queryOpts) newTrace(g Goal) *obs.Trace {
 	if !o.traced {
 		return nil
 	}
-	return obs.NewTrace("query")
+	if g.parsed.IsZero() {
+		return obs.NewTrace("query")
+	}
+	tr := obs.NewTraceAt("query", g.parsed)
+	tr.Record("parse", g.parsed, g.end)
+	return tr
 }
 
 // MaxSolutions stops the search after n solutions (0 = all).
@@ -443,11 +471,17 @@ func (s Solution) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Answer is one solution as the engine produced it: the terms bound to
-// the query's variables, not yet rendered. QueryEach and
+// Answer is one solution as the engine holds it: the terms bound to the
+// query's variables, read in place and not yet rendered. QueryEach and
 // SolutionIter.NextAnswer hand answers out so a caller can render each one
-// once, straight into its own output; Solution is the same answer
-// converted to strings.
+// once, straight into its own output; Solution converts one to strings.
+//
+// An Answer is a view over the run's live bindings — on a depth-first run,
+// a store the search rewrites as it moves on — so it is valid only during
+// the yield that receives it, or until the next NextAnswer. Value and
+// Solution take out what must outlive it. In an answer's text a variable
+// that is not one of the query's own prints as _G<serial>
+// (term.AppendAnswer).
 type Answer struct {
 	// Names are the query variables' print names in query order. Every
 	// answer of a query shares this one slice; do not modify it.
@@ -457,27 +491,66 @@ type Answer struct {
 	// Depth is the chain length in arcs.
 	Depth int
 
+	// view reads the answer: the run's live bindings on the sequential
+	// strategies. Parallel and AndParallel answers cross goroutines as
+	// detached solutions; bindings holds their terms then, and view only
+	// names the query's own variables, with no Env.
+	view     engine.Answer
 	bindings map[string]term.Term
-	// batch is the number of answers QueryEach hands out for the query, so
-	// a collecting yield can size its slice once; 0 from an iterator.
-	batch int
 }
 
-// Value returns the term bound to the variable Names[i]. It is a detached
-// term: it stays valid after the query ends.
-func (a Answer) Value(i int) term.Term { return a.bindings[a.Names[i]] }
+// value is the term Names[i] stands for, read through view.Env.
+func (a Answer) value(i int) term.Term {
+	if a.bindings != nil {
+		return a.bindings[a.Names[i]]
+	}
+	return a.view.Terms[i]
+}
+
+// Value returns the term bound to the variable Names[i], detached: it
+// stays valid after later pulls and after the query ends.
+func (a Answer) Value(i int) term.Term {
+	if a.bindings != nil {
+		return a.bindings[a.Names[i]]
+	}
+	return a.view.Value(i)
+}
+
+// AppendValue appends the text of the term bound to Names[i], as
+// Solution.Bindings holds it.
+func (a Answer) AppendValue(dst []byte, i int) []byte {
+	return term.AppendAnswer(dst, a.value(i), a.view.Env, a.view.Terms)
+}
 
 // AppendText appends exactly what Solution.String prints for this answer:
 // "X = v, Y = w" in variable order, or "true".
 func (a Answer) AppendText(dst []byte) []byte {
-	return engine.Solution{Bindings: a.bindings}.AppendText(dst, a.Names)
+	if len(a.Names) == 0 {
+		return append(dst, "true"...)
+	}
+	for i, name := range a.Names {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, name...)
+		dst = append(dst, " = "...)
+		dst = a.AppendValue(dst, i)
+	}
+	return dst
 }
 
-// solution converts the answer to its string form.
-func (a Answer) solution() Solution {
-	b := make(map[string]string, len(a.bindings))
-	for k, v := range a.bindings {
-		b[k] = v.String()
+// Solution converts the answer to its string form, which stays valid
+// after the answer does.
+func (a Answer) Solution() Solution {
+	b := make(map[string]string, len(a.Names))
+	var buf [64]byte
+	for i, name := range a.Names {
+		switch v := a.view.Env.Resolve(a.value(i)).(type) {
+		case term.Atom, term.Int:
+			b[name] = v.String() // an atom's interned name: no copy
+		default:
+			b[name] = string(a.AppendValue(buf[:0], i))
+		}
 	}
 	return Solution{Bindings: b, Bound: a.Bound, Depth: a.Depth, varOrder: a.Names}
 }
@@ -573,31 +646,32 @@ func (p *Program) Query(query string, strat Strategy, opts ...Option) (*Result, 
 // context's error. It is QueryEach with a yield that converts every answer
 // to a Solution and collects it in Result.Solutions.
 func (p *Program) QueryContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*Result, error) {
-	var c collector
-	res, err := p.QueryEach(ctx, query, strat, c.add, opts...)
-	return c.result(res, err)
-}
-
-// QueryEach runs a query like QueryContext but hands each answer to yield
-// instead of converting it: the engine's terms reach the caller with
-// nothing built per answer, and Result.Solutions stays empty. A non-nil
-// error from yield stops the hand-out and is returned.
-func (p *Program) QueryEach(ctx context.Context, query string, strat Strategy, yield func(Answer) error, opts ...Option) (*Result, error) {
-	req, err := p.parseRequest(query, strat, opts)
+	g, err := ParseGoal(query)
 	if err != nil {
 		return nil, err
 	}
-	return runRequest(ctx, req, yield)
+	var c collector
+	return c.result(p.QueryEach(ctx, g, strat, c.add, opts...))
+}
+
+// QueryEach runs a parsed goal like QueryContext but hands each answer to
+// yield instead of converting it: on the sequential strategies the answer
+// is read from the run's live bindings, nothing is built per answer, and
+// Result.Solutions stays empty. A non-nil error from yield stops the
+// hand-out and is returned.
+func (p *Program) QueryEach(ctx context.Context, g Goal, strat Strategy, yield func(Answer) error, opts ...Option) (*Result, error) {
+	o, store, err := p.applyOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	return runRequest(ctx, p.request(g, strat, o, store), yield)
 }
 
 // collector is the yield behind Result.Solutions.
 type collector struct{ sols []Solution }
 
 func (c *collector) add(a Answer) error {
-	if c.sols == nil {
-		c.sols = make([]Solution, 0, a.batch)
-	}
-	c.sols = append(c.sols, a.solution())
+	c.sols = append(c.sols, a.Solution())
 	return nil
 }
 
@@ -619,56 +693,72 @@ func (p *Program) QueryGoals(goals []term.Term, strat Strategy, opts ...Option) 
 // and converts the unified Response. A Traced run's span tree has no
 // parse phase here — the goals arrived parsed.
 func (p *Program) QueryGoalsContext(ctx context.Context, goals []term.Term, strat Strategy, opts ...Option) (*Result, error) {
-	o, store, err := p.applyOpts(opts)
-	if err != nil {
-		return nil, err
-	}
 	var c collector
-	return c.result(runRequest(ctx, p.request(goals, strat, o, store), c.add))
+	return c.result(p.QueryEach(ctx, Goal{goals: goals}, strat, c.add, opts...))
 }
 
-// parseRequest is the shared front half of QueryContext and IterContext:
-// fold the options, parse the query text under the trace's parse phase,
-// assemble the solver request.
-func (p *Program) parseRequest(query string, strat Strategy, opts []Option) (*solve.Request, error) {
-	o, store, err := p.applyOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	req := p.request(nil, strat, o, store)
-	psp := req.Trace.Phase("parse")
-	req.Goals, err = parse.Query(query)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// runRequest is the shared back half of every batch query: run the
-// request, hand each answer to yield, finish the trace.
+// runRequest is the back half of every batch query: run the request, hand
+// each answer to yield, finish the trace. The sequential strategies are
+// pulled, each answer read from the run's live bindings; Parallel and
+// AndParallel answers cross goroutines, so they come from Do detached.
 func runRequest(ctx context.Context, req *solve.Request, yield func(Answer) error) (*Result, error) {
+	if req.Strategy == Parallel || req.AndParallel {
+		return runDetached(ctx, req, yield)
+	}
+	it, err := solve.NewIter(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	names := engine.VarNames(it.QueryVars())
+	served := 0
+	a, ok, err := it.NextAnswer()
+	for ; ok; a, ok, err = it.NextAnswer() {
+		if err := yield(Answer{Names: names, Bound: a.Bound, Depth: a.Depth, view: a}); err != nil {
+			return nil, err
+		}
+		served++
+	}
+	if err != nil {
+		return nil, err
+	}
+	it.EndSearch(served)
+	res := &Result{
+		Counters:  countersFrom(it.Stats(), it.Tables()),
+		Exhausted: it.Exhausted(),
+		Trace:     it.Trace(),
+		Spans:     req.Trace.Finish(),
+	}
+	if t := it.Tree(); t != nil {
+		res.Tree = t.Render()
+	}
+	return res, nil
+}
+
+// runDetached runs a Parallel or AndParallel request through Do and hands
+// out its detached solutions.
+func runDetached(ctx context.Context, req *solve.Request, yield func(Answer) error) (*Result, error) {
 	resp, err := solve.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	names := engine.VarNames(resp.QueryVars)
+	own := make([]term.Term, len(resp.QueryVars))
+	for i, v := range resp.QueryVars {
+		own[i] = v
+	}
+	view := engine.Answer{Terms: own, Vars: resp.QueryVars}
 	for _, s := range resp.Solutions {
-		if err := yield(Answer{Names: names, Bound: s.Bound, Depth: s.Depth, bindings: s.Bindings, batch: len(resp.Solutions)}); err != nil {
+		if err := yield(Answer{Names: names, Bound: s.Bound, Depth: s.Depth, view: view, bindings: s.Bindings}); err != nil {
 			return nil, err
 		}
 	}
 	res := &Result{
 		Counters:  countersFrom(resp.Stats.Stats, resp.Stats.Tables),
 		Exhausted: resp.Exhausted,
-		Trace:     resp.Trace,
 		Spans:     req.Trace.Finish(),
 		Groups:    resp.Stats.Groups,
 	}
 	res.NetworkAcquires, res.Spills, res.Migrations = resp.Stats.NetworkAcquires, resp.Stats.Spills, resp.Stats.Migrations
-	if resp.Tree != nil {
-		res.Tree = resp.Tree.Render()
-	}
 	return res, nil
 }
 
@@ -689,7 +779,7 @@ func (p *Program) applyOpts(opts []Option) (queryOpts, weights.Store, error) {
 }
 
 // request assembles the solver-runtime request for one query run.
-func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store weights.Store) *solve.Request {
+func (p *Program) request(g Goal, strat Strategy, o queryOpts, store weights.Store) *solve.Request {
 	// Programs with no `:- table` declarations run with the hook absent
 	// entirely — Tabled() costs nothing on the per-goal path then.
 	var tables *table.Space
@@ -700,7 +790,7 @@ func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store 
 		Tables:        tables,
 		DB:            p.db,
 		Store:         store,
-		Goals:         goals,
+		Goals:         g.goals,
 		Strategy:      strat,
 		AndParallel:   o.andParallel,
 		MaxSolutions:  o.maxSolutions,
@@ -716,7 +806,7 @@ func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store 
 		D:             o.d,
 		RecordTree:    o.recordTree,
 		RecordTrace:   o.recordTrace,
-		Trace:         o.newTrace(),
+		Trace:         o.newTrace(g),
 		Prof:          o.prof,
 		Live:          o.live,
 	}
@@ -726,10 +816,9 @@ func (p *Program) request(goals []term.Term, strat Strategy, o queryOpts, store 
 // style of querying ("; for more"). Learning, when enabled, applies to
 // every chain the iterator completes even if the caller abandons it early.
 type SolutionIter struct {
-	inner  *search.Iter
-	tables *table.Handle // nil for untabled streams
-	names  []string
-	trace  *obs.Trace // nil for untraced streams
+	inner *solve.Iter
+	names []string
+	trace *obs.Trace // nil for untraced streams
 }
 
 // Iter prepares a lazy query under a sequential strategy (DFS, BFS or
@@ -744,15 +833,25 @@ func (p *Program) Iter(query string, strat Strategy, opts ...Option) (*SolutionI
 // IterContext is Iter with cancellation: once ctx is done, Next returns
 // the context's error.
 func (p *Program) IterContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*SolutionIter, error) {
-	req, err := p.parseRequest(query, strat, opts)
+	g, err := ParseGoal(query)
 	if err != nil {
 		return nil, err
 	}
-	it, th, err := solve.NewIter(ctx, req)
+	return p.IterGoal(ctx, g, strat, opts...)
+}
+
+// IterGoal is IterContext over a goal ParseGoal already parsed.
+func (p *Program) IterGoal(ctx context.Context, g Goal, strat Strategy, opts ...Option) (*SolutionIter, error) {
+	o, store, err := p.applyOpts(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &SolutionIter{inner: it, tables: th, names: engine.VarNames(it.QueryVars()), trace: req.Trace}, nil
+	req := p.request(g, strat, o, store)
+	it, err := solve.NewIter(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return &SolutionIter{inner: it, names: engine.VarNames(it.QueryVars()), trace: req.Trace}, nil
 }
 
 // Next returns the next solution; ok is false when the stream ends
@@ -762,20 +861,21 @@ func (s *SolutionIter) Next() (Solution, bool, error) {
 	if !ok {
 		return Solution{}, false, err
 	}
-	return a.solution(), true, nil
+	return a.Solution(), true, nil
 }
 
-// NextAnswer is Next without the conversion: it hands out the engine's
-// answer, to be rendered by the caller.
+// NextAnswer is Next without the conversion: it hands out the answer as a
+// view over the run's live bindings, valid until the next NextAnswer, to
+// be rendered by the caller.
 func (s *SolutionIter) NextAnswer() (Answer, bool, error) {
-	sol, ok, err := s.inner.Next()
+	a, ok, err := s.inner.NextAnswer()
 	if !ok {
 		// The stream is over one way or another; close any open spans so
 		// the trace is complete whenever the caller reads it.
 		s.trace.Finish()
 		return Answer{}, false, err
 	}
-	return Answer{Names: s.names, Bound: sol.Bound, Depth: sol.Depth, bindings: sol.Bindings}, true, nil
+	return Answer{Names: s.names, Bound: a.Bound, Depth: a.Depth, view: a}, true, nil
 }
 
 // Expanded returns the nodes expanded so far.
@@ -787,11 +887,7 @@ type IterStats struct{ Counters }
 
 // Stats returns the counters accumulated by the iterator so far.
 func (s *SolutionIter) Stats() IterStats {
-	var ts table.Stats
-	if s.tables != nil {
-		ts = s.tables.Stats()
-	}
-	return IterStats{countersFrom(s.inner.Stats(), ts)}
+	return IterStats{countersFrom(s.inner.Stats(), s.inner.Tables())}
 }
 
 // Exhausted reports whether the stream ended because the whole tree was

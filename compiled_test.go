@@ -24,14 +24,14 @@ func solutionSet(res *Result) []string {
 // its solutionSet. The oracle runs sequentially: Parallel's is DFS.
 func oracleSet(t *testing.T, p *Program, query string, strat Strategy) []string {
 	t.Helper()
-	goals, err := parse.Query(query)
+	g, err := ParseGoal(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strat == Parallel {
 		strat = DFS
 	}
-	req := p.request(goals, strat, queryOpts{}, p.globalStore())
+	req := p.request(g, strat, queryOpts{}, p.globalStore())
 	req.NoVM = true
 	var c collector
 	res, err := c.result(runRequest(context.Background(), req, c.add))

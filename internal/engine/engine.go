@@ -13,6 +13,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"blog/internal/kb"
@@ -114,12 +115,16 @@ func (l *ArcList) Len() int {
 }
 
 // Slice materializes the chain root-first.
-func (l *ArcList) Slice() []kb.Arc {
-	out := make([]kb.Arc, l.Len())
-	for i, c := l.Len()-1, l; c != nil; i, c = i-1, c.parent {
-		out[i] = c.arc
+func (l *ArcList) Slice() []kb.Arc { return l.AppendTo(make([]kb.Arc, 0, l.Len())) }
+
+// AppendTo appends the chain root-first to dst.
+func (l *ArcList) AppendTo(dst []kb.Arc) []kb.Arc {
+	n := len(dst) + l.Len()
+	dst = slices.Grow(dst, l.Len())[:n]
+	for i, c := n-1, l; c != nil; i, c = i-1, c.parent {
+		dst[i] = c.arc
 	}
-	return out
+	return dst
 }
 
 // Last returns the leaf-most arc of the chain.
@@ -585,6 +590,31 @@ func Extract(n *Node, queryVars []*term.Var) Solution {
 	return Solution{Bindings: b, Bound: n.Bound, Chain: n.Chain.Slice(), Depth: n.Depth}
 }
 
+// Answer is a solution read in place, a view over the live bindings of
+// the run that found it: query variable Vars[i] stands for Terms[i], read
+// through Env. A trail run's view is its store, valid only until the run
+// moves on; an Env run's is the solution node's persistent environment.
+// Renderers read the view with term.AppendAnswer, Terms naming the
+// variables that print by name; Value detaches what must outlive it.
+type Answer struct {
+	Bound float64
+	Depth int
+	Env   *term.Env
+	Terms []term.Term
+	Vars  []*term.Var
+}
+
+// Value returns query variable i's value detached from the view: it stays
+// valid after the run moves on and after it ends. A query variable still
+// unbound is that variable itself there.
+func (a Answer) Value(i int) term.Term {
+	d := term.Detacher{Env: a.Env}
+	for j, t := range a.Terms {
+		d.Own(t, a.Vars[j])
+	}
+	return d.Detach(a.Terms[i])
+}
+
 // Format renders a solution as `X = v, Y = w` in variable order.
 func (s Solution) Format(queryVars []*term.Var) string {
 	return string(s.AppendText(nil, VarNames(queryVars)))
@@ -592,8 +622,10 @@ func (s Solution) Format(queryVars []*term.Var) string {
 
 // AppendText appends the solution as `X = v, Y = w` to dst, naming the
 // query variables by names (their print names, in query order), or
-// `true` when the query has none. It is the one layout of a solution's
-// text; term.Append renders every value.
+// `true` when the query has none; term.Append renders every value, each
+// variable by its source name. It is the text the engines compare and
+// order detached solutions by; the answers a client reads are laid out the
+// same way by blog.Answer, whose values term.AppendAnswer renders.
 func (s Solution) AppendText(dst []byte, names []string) []byte {
 	if len(names) == 0 {
 		return append(dst, "true"...)

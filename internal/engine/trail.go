@@ -143,12 +143,12 @@ func getShared() *trailShared {
 
 // Release returns the run's pooled scratch — store discarded, frame,
 // compound and goal-block free lists plus the predicate-code cache kept —
-// for reuse by later runs. Call it once the run is over and every needed
-// solution has been extracted (solutions and table answers are detached
-// copies, so they survive). After Release the run is dead: Next reports
-// the terminal state, Stats and Exhausted stay valid, but extract paths
-// must not be used. Skipping Release is safe — the scratch is then simply
-// garbage collected with the run.
+// for reuse by later runs. Call it once the run is over and nothing reads
+// its Answer any more (solutions and table answers are detached copies, so
+// they survive). After Release the run is dead: Next reports the terminal
+// state, Stats and Exhausted stay valid, but Answer, Solution and
+// ResolveAnswer must not be used. Skipping Release is safe — the scratch
+// is then simply garbage collected with the run.
 func (r *TrailRun) Release() {
 	sh := r.sh
 	if sh == nil {
@@ -245,8 +245,9 @@ const (
 )
 
 // TrailRun is a resumable sequential DFS over a destructive binding
-// store. Next yields solutions one at a time; the caller owns solution
-// caps and stops calling when satisfied.
+// store. Advance stops at one solution at a time, which Answer reads in
+// place and Solution detaches (Next is the two together); the caller owns
+// solution caps and stops calling when satisfied.
 type TrailRun struct {
 	cfg TrailConfig
 	sh  *trailShared
@@ -358,73 +359,85 @@ func (r *TrailRun) Stats() TrailStats { return r.stats }
 // failure (meaningful after Next returned ok=false with a nil error).
 func (r *TrailRun) Exhausted() bool { return r.exhausted }
 
-// Next resumes the search until the next solution. ok is false when the
-// search is over: exhausted (err nil) or aborted (err non-nil). After
-// ok=false, further calls return the same result.
+// Next resumes the search until the next solution and returns it
+// detached (see Solution). ok is false when the search is over: exhausted
+// (err nil) or aborted (err non-nil). After ok=false, further calls return
+// the same result.
 func (r *TrailRun) Next() (Solution, bool, error) {
+	ok, err := r.Advance()
+	if !ok {
+		return Solution{}, false, err
+	}
+	return r.Solution(), true, nil
+}
+
+// Advance resumes the search until the next solution and stops there, its
+// bindings in place for Answer to read until the run moves on. ok and err
+// are as for Next.
+func (r *TrailRun) Advance() (bool, error) {
 	for {
 		switch r.mode {
 		case trailArrive:
-			sol, yielded, err := r.arrive()
+			yielded, err := r.arrive()
 			if err != nil {
 				r.mode = trailDone
 				r.err = err
 				r.profFlush()
-				return Solution{}, false, err
+				return false, err
 			}
 			if yielded {
 				r.mode = trailBacktrack
 				// Flush pending profiler attribution at the yield so time
 				// the caller spends between pulls is not charged.
 				r.profFlush()
-				return sol, true, nil
+				return true, nil
 			}
 		case trailBacktrack:
 			if !r.backtrack() {
 				r.mode = trailDone
 				r.exhausted = true
 				r.profFlush()
-				return Solution{}, false, nil
+				return false, nil
 			}
 			r.mode = trailArrive
 		default:
-			return Solution{}, false, r.err
+			return false, r.err
 		}
 	}
 }
 
 // arrive runs the per-node sequence of search.Run on the machine's
 // current (goals, depth, bound) state, in the same order: context, prune,
-// solution, budget, step hook, depth, dispatch.
-func (r *TrailRun) arrive() (Solution, bool, error) {
+// solution, budget, step hook, depth, dispatch. It reports whether the
+// node is a solution.
+func (r *TrailRun) arrive() (bool, error) {
 	if err := r.ctx.Err(); err != nil {
-		return Solution{}, false, err
+		return false, err
 	}
 	if r.cfg.Prune && r.haveBest && r.bound > r.bestBound+r.cfg.PruneSlack {
 		r.stats.Pruned++
 		r.mode = trailBacktrack
-		return Solution{}, false, nil
+		return false, nil
 	}
 	if r.goals.Len() == 0 {
-		sol := r.extract()
 		if r.cfg.Learn {
-			r.cfg.Weights.RecordSuccess(sol.Chain)
+			r.cfg.Weights.RecordSuccess(r.chain)
 		}
 		if !r.haveBest || r.bound < r.bestBound {
 			r.bestBound, r.haveBest = r.bound, true
 		}
-		return sol, true, nil
+		return true, nil
 	}
 	if r.stats.Expanded >= r.maxExp {
 		err := r.cfg.BudgetErr
 		if err == nil {
 			err = errTrailBudget
 		}
-		return Solution{}, false, err
+		return false, err
 	}
 	if h := r.cfg.StepHook; h != nil {
 		if err := h(); err != nil {
-			return Solution{}, false, err
+			return false, err
 		}
 	}
 	r.stats.Expanded++
@@ -437,9 +450,9 @@ func (r *TrailRun) arrive() (Solution, bool, error) {
 	if r.depth >= r.maxDepth {
 		r.stats.DepthCutoffs++
 		r.failChain()
-		return Solution{}, false, nil
+		return false, nil
 	}
-	return Solution{}, false, r.dispatch()
+	return false, r.dispatch()
 }
 
 // profFlush charges the profiler's pending attribution interval. Runs at
@@ -456,9 +469,7 @@ func (r *TrailRun) profFlush() {
 func (r *TrailRun) failChain() {
 	r.stats.Failures++
 	if r.cfg.Learn {
-		chain := make([]kb.Arc, len(r.chain))
-		copy(chain, r.chain)
-		r.cfg.Weights.RecordFailure(chain)
+		r.cfg.Weights.RecordFailure(r.chain)
 	}
 	r.mode = trailBacktrack
 }
@@ -628,7 +639,7 @@ func (r *TrailRun) dispatchNegation(goal term.Term) error {
 		goals:    PushGoals(nil, []GoalEntry{{Goal: inner, Caller: kb.Query, Pos: 0}}),
 	}
 	mark := r.sh.st.Mark()
-	_, proved, err := sub.Next()
+	proved, err := sub.Advance()
 	r.sh.st.Undo(mark)
 	r.stats.VMDispatched += sub.stats.VMDispatched
 	if err != nil {
@@ -797,14 +808,18 @@ func (r *TrailRun) backtrack() bool {
 	return false
 }
 
-// extract materializes the current solution. Bindings are detached from
-// the store (pool-recycled variables replaced by standalone ones) and
-// keyed by the original query variables; the chain is copied out of the
-// machine's mutable buffer.
-func (r *TrailRun) extract() Solution {
+// Solution detaches the solution Advance stopped at. Bindings leave the
+// store (pool-recycled variables replaced by standalone ones, a query
+// variable still unbound as that variable itself), keyed by the original
+// query variables; the chain is copied out of the machine's mutable
+// buffer.
+func (r *TrailRun) Solution() Solution {
 	b := make(map[string]term.Term, len(r.queryVars))
 	if len(r.queryVars) > 0 {
-		d := term.Detacher{Env: r.env, Subst: r.fresh}
+		d := term.Detacher{Env: r.env}
+		for i, v := range r.queryVars {
+			d.Own(r.image(i), v)
+		}
 		for i, v := range r.queryVars {
 			b[v.String()] = d.Detach(r.image(i))
 		}
@@ -812,6 +827,18 @@ func (r *TrailRun) extract() Solution {
 	chain := make([]kb.Arc, len(r.chain))
 	copy(chain, r.chain)
 	return Solution{Bindings: b, Bound: r.bound, Chain: chain, Depth: r.depth}
+}
+
+// Answer reads the solution Advance stopped at in place, valid until the
+// run moves on: the next Advance or Next, or Release.
+func (r *TrailRun) Answer() Answer {
+	if r.images == nil {
+		r.images = make([]term.Term, len(r.queryVars))
+		for i, v := range r.queryVars {
+			r.images[i] = r.fresh[v]
+		}
+	}
+	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars}
 }
 
 // ResolveAnswer deep-resolves t — a term over the original (pre-run)

@@ -46,10 +46,32 @@ type Trace struct {
 }
 
 // NewTrace starts a trace whose root span has the given name.
-func NewTrace(name string) *Trace {
-	t := &Trace{start: time.Now(), open: make(map[string]*Span, 4)}
-	t.root = &Span{Name: name, tr: t, start: t.start}
+func NewTrace(name string) *Trace { return NewTraceAt(name, time.Now()) }
+
+// NewTraceAt starts a trace whose root span opened at start: the trace of
+// a query whose first phase ran before the trace was made (see Record).
+func NewTraceAt(name string, start time.Time) *Trace {
+	t := &Trace{start: start, open: make(map[string]*Span, 4)}
+	t.root = &Span{Name: name, tr: t, start: start}
 	return t
+}
+
+// Record adds a phase that already ran, from start to end, under the
+// root. Nil-safe.
+func (t *Trace) Record(name string, start, end time.Time) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.root.Children = append(t.root.Children, &Span{
+		Name:    name,
+		StartUs: float64(start.Sub(t.start)) / 1e3,
+		DurUs:   float64(end.Sub(start)) / 1e3,
+		tr:      t,
+		start:   start,
+		done:    true,
+	})
 }
 
 func (t *Trace) newSpan(parent *Span, name string) *Span {

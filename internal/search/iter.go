@@ -10,14 +10,16 @@ import (
 	"blog/internal/weights"
 )
 
-// Iter is the sequential search, pull-based: each Next call runs the
-// strategy's loop just far enough to produce one more solution, which is
-// how an interactive Prolog top level behaves ("; for more"). It is the
-// only sequential run path — Run is this iterator drained — so the loop
-// (pop, prune, solution, budget, expand, push) exists here and nowhere
-// else. The weight rules still apply per completed chain when Learn is
-// set, so an Iter that the caller abandons after the first answer has
-// still learned from every chain it finished — the incremental setting
+// Iter is the sequential search, pull-based: each pull runs the strategy's
+// loop just far enough to produce one more solution, which is how an
+// interactive Prolog top level behaves ("; for more"). It is the only
+// sequential run path — Run is this iterator drained — so the loop (pop,
+// prune, solution, budget, expand, push) exists here and nowhere else. A
+// pull hands the solution out one of two ways: Next detaches it, and
+// NextAnswer lends a view over the run's live bindings that holds until
+// the next pull. The weight rules still apply per completed chain when
+// Learn is set, so an Iter that the caller abandons after the first answer
+// has still learned from every chain it finished — the incremental setting
 // the paper's sessions target.
 type Iter struct {
 	opt       Options
@@ -39,6 +41,14 @@ type Iter struct {
 	stats    Stats
 	maxExp   uint64
 
+	// cur is the solution node the last pull stopped at. terms are the
+	// query variables as the terms an answer reads through cur's
+	// environment, made on the first NextAnswer. chain is the scratch the
+	// weight rules read a node's arc chain from.
+	cur   *engine.Node
+	terms []term.Term
+	chain []kb.Arc
+
 	// Branch-and-bound state when Options.Prune is set: open nodes whose
 	// bound exceeds bestBound+PruneSlack are cut.
 	bestBound float64
@@ -51,21 +61,22 @@ type Iter struct {
 	trace []string
 }
 
-// NewIter prepares a lazy search; ctx cancels future Next calls. Tree and
-// trace recording route DFS onto the persistent-Env frontier (the trail
-// machine keeps no per-node history); results arrive through Tree and
-// Trace as the iteration progresses.
+// NewIter prepares a lazy search; ctx cancels future pulls. Tree and trace
+// recording route DFS onto the persistent-Env frontier (the trail machine
+// keeps no per-node history); results arrive through Tree and Trace as the
+// iteration progresses.
 func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Iter, error) {
 	it := new(Iter)
-	if err := it.init(ctx, db, ws, goals, opt); err != nil {
+	if err := it.Init(ctx, db, ws, goals, opt); err != nil {
 		return nil, err
 	}
 	return it, nil
 }
 
-// init is NewIter on caller-provided storage, so Run can drain an
-// iterator that never leaves its stack frame.
-func (it *Iter) init(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) error {
+// Init is NewIter on caller-provided storage, so Run can drain an iterator
+// that never leaves its stack frame and a caller can embed one in its own
+// run state.
+func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -119,7 +130,7 @@ func (it *Iter) init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 }
 
 // Tree returns the search tree recorded so far when Options.RecordTree
-// was set, nil otherwise. The tree grows as Next is called.
+// was set, nil otherwise. The tree grows as the iterator is pulled.
 func (it *Iter) Tree() *Tree {
 	if it.tb == nil {
 		return nil
@@ -144,13 +155,50 @@ func (it *Iter) Stats() Stats {
 	return s
 }
 
-// Next produces the next solution. ok is false when the search is over:
+// Next produces the next solution, detached: its bindings stay valid after
+// later pulls and after the run ends. ok is false when the search is over:
 // exhausted or capped (err nil), or aborted (err non-nil, e.g. ErrBudget
 // or the context's error). After ok=false, further calls return the same
 // result.
 func (it *Iter) Next() (engine.Solution, bool, error) {
+	ok, err := it.pull()
+	if !ok {
+		return engine.Solution{}, false, err
+	}
+	if it.trail != nil {
+		return it.trail.Solution(), true, nil
+	}
+	return engine.Extract(it.cur, it.queryVars), true, nil
+}
+
+// NextAnswer is Next without the detach: the solution comes as a view over
+// the run's live bindings, valid until the next pull — a trail run's store
+// itself, or the solution node's persistent environment on the Env
+// frontier. Counters, learning and prune bounds advance exactly as under
+// Next; engine.Answer.Value detaches what a caller keeps.
+func (it *Iter) NextAnswer() (engine.Answer, bool, error) {
+	ok, err := it.pull()
+	if !ok {
+		return engine.Answer{}, false, err
+	}
+	if it.trail != nil {
+		return it.trail.Answer(), true, nil
+	}
+	if it.terms == nil {
+		it.terms = make([]term.Term, len(it.queryVars))
+		for i, v := range it.queryVars {
+			it.terms[i] = v
+		}
+	}
+	n := it.cur
+	return engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: it.terms, Vars: it.queryVars}, true, nil
+}
+
+// pull runs the strategy's loop to the next solution and leaves it where
+// Next and NextAnswer read it: in the trail machine's store, or at it.cur.
+func (it *Iter) pull() (bool, error) {
 	if it.done {
-		return engine.Solution{}, false, it.err
+		return false, it.err
 	}
 	if it.opt.MaxSolutions > 0 && it.served >= it.opt.MaxSolutions {
 		it.capped = true
@@ -159,12 +207,12 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 	if it.trail != nil {
 		// The machine checks context, budget and prune bounds itself, in
 		// the same order as the loop below.
-		sol, ok, err := it.trail.Next()
+		ok, err := it.trail.Advance()
 		if !ok {
 			return it.finish(err)
 		}
 		it.served++
-		return sol, true, nil
+		return true, nil
 	}
 	for it.frontier.len() > 0 {
 		if err := it.exp.Ctx.Err(); err != nil {
@@ -175,9 +223,9 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 		}
 		n := it.frontier.pop()
 		// The prune runs at pop time, before the solution test: a solution
-		// generated before an earlier Next call served a better bound is
-		// cut here and never reaches the caller
-		// (TestIterPruneStaleSolution pins the behavior).
+		// generated before an earlier pull served a better bound is cut
+		// here and never reaches the caller (TestIterPruneStaleSolution
+		// pins the behavior).
 		if it.opt.Prune && it.haveBest && n.Bound > it.bestBound+it.opt.PruneSlack {
 			it.stats.Pruned++
 			if it.tb != nil {
@@ -186,9 +234,8 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 			continue
 		}
 		if n.IsSolution() {
-			sol := engine.Extract(n, it.queryVars)
 			if it.opt.Learn {
-				it.exp.Weights.RecordSuccess(sol.Chain)
+				it.exp.Weights.RecordSuccess(it.chainOf(n))
 			}
 			if it.tb != nil {
 				it.tb.status(n, "solution")
@@ -196,11 +243,12 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 			if !it.haveBest || n.Bound < it.bestBound {
 				it.bestBound, it.haveBest = n.Bound, true
 			}
+			it.cur = n
 			it.served++
 			// Flush pending profiler attribution at the yield so time the
 			// caller spends between pulls is not charged.
 			it.exp.ProfFlush()
-			return sol, true, nil
+			return true, nil
 		}
 		if it.stats.Expanded >= it.maxExp {
 			return it.finish(ErrBudget)
@@ -222,7 +270,7 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 		if len(children) == 0 {
 			it.stats.Failures++
 			if it.opt.Learn {
-				it.exp.Weights.RecordFailure(n.Chain.Slice())
+				it.exp.Weights.RecordFailure(it.chainOf(n))
 			}
 			if it.tb != nil {
 				it.tb.status(n, "fail")
@@ -250,11 +298,18 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 	return it.finish(nil)
 }
 
-// finish records the terminal state every later Next call repeats, then
-// recycles the trail machine's scratch (solutions are detached copies) or
-// closes the Env engine's open profiler interval and recycles its code
-// cache.
-func (it *Iter) finish(err error) (engine.Solution, bool, error) {
+// chainOf lays n's arc chain out root-first in the run's scratch, for the
+// weight rules, which do not keep it.
+func (it *Iter) chainOf(n *engine.Node) []kb.Arc {
+	it.chain = n.Chain.AppendTo(it.chain[:0])
+	return it.chain
+}
+
+// finish records the terminal state every later pull repeats, then
+// recycles the trail machine's scratch (no answer view is read past the
+// pull that ends the run) or closes the Env engine's open profiler
+// interval and recycles its code cache.
+func (it *Iter) finish(err error) (bool, error) {
 	it.done, it.err = true, err
 	if it.trail != nil {
 		it.trail.Release()
@@ -262,12 +317,12 @@ func (it *Iter) finish(err error) (engine.Solution, bool, error) {
 		it.exp.ProfFlush()
 		it.exp.Release()
 	}
-	return engine.Solution{}, false, err
+	return false, err
 }
 
 // Exhausted reports whether the whole tree was searched: every chain was
 // followed to a solution or failure, so the solutions served are complete
-// (for non-pruned runs). It is meaningful after Next returned ok=false,
+// (for non-pruned runs). It is meaningful after a pull returned ok=false,
 // and false for a run ended by an error or by the MaxSolutions cap — a
 // capped run did not look further, even when the cap happened to equal
 // the solution count.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blog/internal/kb"
+	"blog/internal/term"
 	"blog/internal/weights"
 	"blog/internal/workload"
 )
@@ -151,6 +152,18 @@ func TestIterMatchesRun(t *testing.T) {
 			sols = append(sols, sol.Bindings["X"].String())
 		}
 		check("iter", sols, it.Stats(), it.Exhausted(), err, tab)
+
+		ws, tab = store()
+		it, err = NewIter(context.Background(), db, ws, q(t, "r(X)"), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols = nil
+		a, ok, err := it.NextAnswer()
+		for ; ok; a, ok, err = it.NextAnswer() {
+			sols = append(sols, string(term.AppendAnswer(nil, a.Terms[0], a.Env, a.Terms)))
+		}
+		check("live", sols, it.Stats(), it.Exhausted(), err, tab)
 	}
 }
 

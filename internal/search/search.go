@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"blog/internal/engine"
 	"blog/internal/kb"
@@ -157,7 +158,7 @@ var ErrBudget = errors.New("search: expansion budget exhausted")
 // expansion budget (ErrBudget) and engine errors.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
 	var it Iter // drained in place: never escapes to the heap
-	if err := it.init(ctx, db, ws, goals, opt); err != nil {
+	if err := it.Init(ctx, db, ws, goals, opt); err != nil {
 		return nil, err
 	}
 	res := &Result{QueryVars: it.queryVars}
@@ -291,20 +292,20 @@ func EnumerateOutcomes(ctx context.Context, db *kb.DB, goals []term.Term, maxDep
 	return rec.outcomes, nil
 }
 
-// outcomeRecorder is a uniform store that appends every chain the weight
-// rules are applied to, skipping the empty chain of a root that fails
-// outright.
+// outcomeRecorder is a uniform store that appends a copy of every chain
+// the weight rules are applied to (the engines lend the slice for the
+// call), skipping the empty chain of a root that fails outright.
 type outcomeRecorder struct {
 	*weights.Uniform
 	outcomes []weights.Outcome
 }
 
 func (r *outcomeRecorder) RecordSuccess(chain []kb.Arc) {
-	r.outcomes = append(r.outcomes, weights.Outcome{Chain: chain, Success: true})
+	r.outcomes = append(r.outcomes, weights.Outcome{Chain: slices.Clone(chain), Success: true})
 }
 
 func (r *outcomeRecorder) RecordFailure(chain []kb.Arc) {
 	if len(chain) > 0 {
-		r.outcomes = append(r.outcomes, weights.Outcome{Chain: chain})
+		r.outcomes = append(r.outcomes, weights.Outcome{Chain: slices.Clone(chain)})
 	}
 }

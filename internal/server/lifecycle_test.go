@@ -1,13 +1,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"blog"
 	"blog/internal/metrics"
 	"blog/internal/obs"
 	"blog/internal/workload"
@@ -162,6 +167,83 @@ func TestQueryErrorClassification(t *testing.T) {
 		}
 		if messages[0] != messages[1] {
 			t.Errorf("%s: /query says %q, stream says %q", c.name, messages[0], messages[1])
+		}
+	}
+}
+
+// TestOneShotFailureAfterAnswers: a one-shot run that fails after its
+// writer rendered answers sends the failure's error body alone, byte for
+// byte: no partial solutions.
+func TestOneShotFailureAfterAnswers(t *testing.T) {
+	const src = "nat(0).\nnat(N) :- nat(M), N is M + 1.\n"
+	for _, strategy := range []string{"dfs", "best"} {
+		req := QueryRequest{Goal: "nat(X)", Strategy: strategy, MaxExpansions: 40}
+		s, ts := newTestServer(t, src, Config{})
+		// The same run through the facade: answers first, then the budget.
+		strat, err := blog.ParseStrategy(strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := blog.ParseGoal(req.Goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		_, err = s.program.QueryEach(context.Background(), g, strat, func(blog.Answer) error { n++; return nil }, req.options(s.cfg.SolutionCap)...)
+		if !errors.Is(err, blog.ErrBudget) || n == 0 {
+			t.Fatalf("%s: %d answers, err %v; want answers, then the budget", strategy, n, err)
+		}
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/query", req)
+		want := `{"error":"expansion budget exhausted before completion","request_id":"q-000001"}` + "\n"
+		if resp.StatusCode != http.StatusUnprocessableEntity || string(body) != want {
+			t.Errorf("%s: status %d body %q, want %d %q", strategy, resp.StatusCode, body, http.StatusUnprocessableEntity, want)
+		}
+	}
+}
+
+// TestAnswerVariableNames: in an answer, a variable that is not one of the
+// query's own prints as _G<serial> on every strategy and both writers, the
+// same serial exactly where the same variable occurs, in the text and the
+// bindings alike.
+func TestAnswerVariableNames(t *testing.T) {
+	cases := []struct{ goal, want string }{
+		{"mk(Q), A = 1", "Q = f(_G#0,_G#1,_G#0), A = 1"},
+		{"copy_term(f(X,Y), Z), X = 1", "X = 1, Y = Y, Z = f(_G#0,_G#1)"},
+		{"mk(Q), mk(R)", "Q = f(_G#0,_G#1,_G#0), R = f(_G#2,_G#3,_G#2)"},
+	}
+	serial := regexp.MustCompile(`_G[0-9]+`)
+	pattern := func(text string) string {
+		seen := map[string]string{}
+		return serial.ReplaceAllStringFunc(text, func(s string) string {
+			if p, ok := seen[s]; ok {
+				return p
+			}
+			seen[s] = fmt.Sprintf("_G#%d", len(seen))
+			return seen[s]
+		})
+	}
+	_, ts := newTestServer(t, "mk(f(A,B,A)).\n", Config{})
+	for _, strategy := range []string{"dfs", "best", "parallel"} {
+		for _, c := range cases {
+			req := QueryRequest{Goal: c.goal, Strategy: strategy, Workers: 2}
+			sols := queryResp(t, ts.Client(), ts.URL+"/query", req).Solutions
+			if strategy != "parallel" {
+				_, streamed, _ := streamQuery(t, ts.URL, ts.Client(), req)
+				sols = append(sols, streamed...)
+			}
+			if len(sols) == 0 {
+				t.Errorf("%s %s: no answer", strategy, c.goal)
+			}
+			for _, sol := range sols {
+				if got := pattern(sol.Text); got != c.want {
+					t.Errorf("%s %s: %q, want the pattern %q", strategy, c.goal, sol.Text, c.want)
+				}
+				for name, v := range sol.Bindings {
+					if !strings.Contains(sol.Text, name+" = "+v) {
+						t.Errorf("%s %s: binding %s = %s is not in the text %q", strategy, c.goal, name, v, sol.Text)
+					}
+				}
+			}
 		}
 	}
 }

@@ -194,51 +194,61 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// decodeQuery parses and validates the request body into a QueryRequest
-// plus resolved strategy, solution cap and timeout. A nil return means an
+// query is a decoded, validated request: the body, its goal parsed once —
+// the parse the run takes — and the strategy, solution cap and timeout
+// the server resolved for it.
+type query struct {
+	QueryRequest
+	parsed  blog.Goal
+	strat   blog.Strategy
+	maxSol  int
+	timeout time.Duration
+}
+
+// decodeQuery decodes and validates the request body. ok=false means an
 // error response was already written.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (*QueryRequest, blog.Strategy, int, time.Duration, bool) {
-	var q QueryRequest
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q *query, ok bool) {
+	q = new(query)
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	if err := dec.Decode(&q.QueryRequest); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, 0, 0, 0, false
+		return nil, false
 	}
 	if q.Goal == "" {
 		s.writeError(w, http.StatusBadRequest, "missing goal")
-		return nil, 0, 0, 0, false
+		return nil, false
 	}
-	if err := blog.ValidateQuery(q.Goal); err != nil {
+	var err error
+	if q.parsed, err = blog.ParseGoal(q.Goal); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad goal: "+err.Error())
-		return nil, 0, 0, 0, false
+		return nil, false
 	}
 	name := q.Strategy
 	if name == "" {
 		name = s.cfg.DefaultStrategy
 	}
-	strat, err := blog.ParseStrategy(name)
-	if err != nil {
+	if q.strat, err = blog.ParseStrategy(name); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
-		return nil, 0, 0, 0, false
+		return nil, false
 	}
-	maxSol := s.cfg.SolutionCap
-	if q.MaxSolutions > 0 && q.MaxSolutions < maxSol {
-		maxSol = q.MaxSolutions
+	q.maxSol = s.cfg.SolutionCap
+	if q.MaxSolutions > 0 && q.MaxSolutions < q.maxSol {
+		q.maxSol = q.MaxSolutions
 	}
-	timeout := s.cfg.DefaultTimeout
+	q.timeout = s.cfg.DefaultTimeout
 	if q.TimeoutMs > 0 {
 		// Compare in milliseconds before multiplying: a huge timeout_ms
 		// must clamp to MaxTimeout, not overflow into the past.
 		if int64(q.TimeoutMs) >= int64(s.cfg.MaxTimeout/time.Millisecond) {
-			timeout = s.cfg.MaxTimeout
+			q.timeout = s.cfg.MaxTimeout
 		} else {
-			timeout = time.Duration(q.TimeoutMs) * time.Millisecond
+			q.timeout = time.Duration(q.TimeoutMs) * time.Millisecond
 		}
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	if q.timeout > s.cfg.MaxTimeout {
+		q.timeout = s.cfg.MaxTimeout
 	}
 	// Clamp the OR-parallel worker count: the pool bounds admitted
 	// requests, this bounds the goroutines one admitted request can cost.
@@ -248,7 +258,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (*QueryRequ
 	if q.Workers < 0 {
 		q.Workers = 0
 	}
-	return &q, strat, maxSol, timeout, true
+	return q, true
 }
 
 // admit claims a worker slot for the request, mapping saturation to 429
@@ -280,7 +290,7 @@ type solutionWriter interface {
 	// run executes the query under ctx, delivering solutions however this
 	// writer does, and returns how many it rendered. A non-nil Result
 	// carries the run's counters even beside an error.
-	run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error)
+	run(ctx context.Context, s *Server, w http.ResponseWriter, goal blog.Goal, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error)
 	// finish writes the outcome serveQuery classified: the success body or
 	// terminal line, or the failure with its status and message.
 	finish(w http.ResponseWriter, end outcome)
@@ -350,7 +360,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // it, run it, account for it and classify how it ended. out is the only
 // difference between the endpoints.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessionEntry, out solutionWriter) {
-	q, strat, maxSol, timeout, ok := s.decodeQuery(w, r)
+	q, ok := s.decodeQuery(w, r)
 	if !ok {
 		return
 	}
@@ -366,13 +376,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 		s.metrics.tabledQueries.Inc()
 	}
 
-	opts := q.options(maxSol)
-	end := outcome{status: http.StatusOK, strategy: strat.String(), trace: q.Trace}
+	opts := q.options(q.maxSol)
+	end := outcome{status: http.StatusOK, strategy: q.strat.String(), trace: q.Trace}
 	if entry != nil {
 		opts = append(opts, blog.InSession(entry.s))
 		end.session = entry.id
 	}
-	tctx, cancel := context.WithTimeout(r.Context(), timeout)
+	tctx, cancel := context.WithTimeout(r.Context(), q.timeout)
 	defer cancel()
 	// The kill layer sits inside the timeout: DELETE /debug/queries/{id}
 	// cancels with cause obs.ErrKilled, which classify reads back through
@@ -395,7 +405,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	}
 
 	start := time.Now()
-	res, served, err := out.run(ctx, s, w, q.Goal, strat, opts)
+	res, served, err := out.run(ctx, s, w, q.parsed, q.strat, opts)
 	elapsed := time.Since(start)
 	s.metrics.latency.Observe(elapsed.Seconds())
 	s.prof.Merge(qprof)
@@ -475,7 +485,7 @@ func (o *oneShot) add(a blog.Answer) error {
 	return nil
 }
 
-func (o *oneShot) run(ctx context.Context, s *Server, _ http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
+func (o *oneShot) run(ctx context.Context, s *Server, _ http.ResponseWriter, goal blog.Goal, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
 	o.body, o.n = append(o.body[:0], solutionsOpen...), 0
 	res, err := s.program.QueryEach(ctx, goal, strat, o.yield, opts...)
 	if err == nil {
@@ -544,8 +554,8 @@ type streamWriter struct {
 	served  int
 }
 
-func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWriter, goal string, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
-	it, err := s.program.IterContext(ctx, goal, strat, opts...)
+func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWriter, goal blog.Goal, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
+	it, err := s.program.IterGoal(ctx, goal, strat, opts...)
 	if err != nil {
 		// Everything rejected here is a request shape problem (parallel
 		// strategy, AND-parallel) — the goal already parsed.

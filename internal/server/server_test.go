@@ -562,7 +562,7 @@ func TestWorkersClamped(t *testing.T) {
 	s, _ := newTestServer(t, workload.FamilyTree(2, 2), Config{MaxWorkers: 4})
 	r := httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"goal":"gf(p0,G)","strategy":"parallel","workers":1000000}`))
-	q, _, _, _, ok := s.decodeQuery(httptest.NewRecorder(), r)
+	q, ok := s.decodeQuery(httptest.NewRecorder(), r)
 	if !ok {
 		t.Fatal("decode failed")
 	}
@@ -572,7 +572,7 @@ func TestWorkersClamped(t *testing.T) {
 	// Negative worker counts fall back to the engine default.
 	r = httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"goal":"gf(p0,G)","strategy":"parallel","workers":-3}`))
-	q, _, _, _, ok = s.decodeQuery(httptest.NewRecorder(), r)
+	q, ok = s.decodeQuery(httptest.NewRecorder(), r)
 	if !ok || q.Workers != 0 {
 		t.Errorf("negative workers decoded to %d, want 0", q.Workers)
 	}

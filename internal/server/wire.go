@@ -18,7 +18,6 @@ import (
 
 	"blog"
 	"blog/internal/obs"
-	"blog/internal/term"
 )
 
 // QueryRequest is the JSON body of POST /query, POST /query/stream and
@@ -117,8 +116,8 @@ type Solution struct {
 // bytes are exactly what encoding/json, with HTML escaping off as every
 // writer here sets it, writes for the Solution the answer converts to:
 // binding keys in byte order, encoding/json's string escapes and its
-// float64 text. The answer is rendered once, by term.Append, straight
-// into dst.
+// float64 text. The answer is rendered from the run's live bindings
+// straight into dst; nothing is detached.
 func appendSolution(dst []byte, a blog.Answer, sorted []int) []byte {
 	dst = append(dst, '{')
 	if len(sorted) > 0 {
@@ -130,7 +129,7 @@ func appendSolution(dst []byte, a blog.Answer, sorted []int) []byte {
 			dst = appendJSONString(dst, a.Names[i])
 			dst = append(dst, ':', '"')
 			start := len(dst)
-			dst = closeJSONString(term.Append(dst, a.Value(i), nil), start)
+			dst = closeJSONString(a.AppendValue(dst, i), start)
 		}
 		dst = append(dst, '}', ',')
 	}

@@ -242,8 +242,17 @@ func Do(ctx context.Context, req *Request) (*Response, error) {
 	if th != nil {
 		resp.Stats.Tables = th.Stats()
 	}
-	closeSearch(ssp, resp)
+	closeSearch(ssp, resp.Stats.Expanded, len(resp.Solutions))
 	return resp, nil
+}
+
+// Iter is a sequential run its caller pulls: the search iterator inside
+// what Do wraps every engine in — the run's table handle and the trace's
+// search phase.
+type Iter struct {
+	search.Iter
+	tables *table.Handle // nil for untabled runs
+	span   *obs.Span     // the search phase; nil when untraced
 }
 
 // NewIter prepares a lazy, pull-based run for req — the interactive
@@ -251,26 +260,39 @@ func Do(ctx context.Context, req *Request) (*Response, error) {
 // drain. Streaming runs on the sequential engine only; Parallel and
 // AndParallel are rejected. Tree and trace recording work exactly as in
 // Do: recording routes DFS onto the persistent-Env frontier, and the
-// recorded tree/trace grow as solutions are pulled. The returned
-// table.Handle carries the stream's tabled-resolution counters (nil for
-// untabled requests). A traced stream's "search" phase stays open across
-// pulls; obs.Trace.Finish closes it when the caller is done.
-func NewIter(ctx context.Context, req *Request) (*search.Iter, *table.Handle, error) {
+// recorded tree/trace grow as solutions are pulled. A traced run's
+// "search" phase stays open across pulls, table fixpoints nesting beneath
+// it, until EndSearch or obs.Trace.Finish closes it.
+func NewIter(ctx context.Context, req *Request) (*Iter, error) {
 	if err := validate(req); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if req.Strategy == Parallel || req.AndParallel {
-		return nil, nil, errors.New("solve: streaming requires a sequential, non-AND-parallel run")
+		return nil, errors.New("solve: streaming requires a sequential, non-AND-parallel run")
 	}
-	th, tb := tabler(req)
+	it := new(Iter)
+	var tb engine.Tabler
+	it.tables, tb = tabler(req)
 	compilePhase(req)
-	searchPhase(req) // left open; table fixpoints nest beneath it across pulls
-	it, err := search.NewIter(ctx, req.DB, req.Store, req.Goals, searchOptions(req, tb))
-	if err != nil {
-		return nil, nil, err
+	it.span = searchPhase(req)
+	if err := it.Init(ctx, req.DB, req.Store, req.Goals, searchOptions(req, tb)); err != nil {
+		return nil, err
 	}
-	return it, th, nil
+	return it, nil
 }
+
+// Tables returns the run's tabled-resolution counters so far, zero for an
+// untabled run.
+func (it *Iter) Tables() table.Stats {
+	if it.tables == nil {
+		return table.Stats{}
+	}
+	return it.tables.Stats()
+}
+
+// EndSearch closes the search phase as Do closes it, stamped with the
+// run's expansions and the solutions served.
+func (it *Iter) EndSearch(served int) { closeSearch(it.span, it.Stats().Expanded, served) }
 
 // searchOptions is the one translation of a Request into the sequential
 // engine's options, shared by Do, NewIter and the AND-parallel groups.
@@ -338,12 +360,12 @@ func searchPhase(req *Request) *obs.Span {
 	return req.Trace.Phase("search")
 }
 
-func closeSearch(sp *obs.Span, resp *Response) {
+func closeSearch(sp *obs.Span, expanded uint64, solutions int) {
 	if sp == nil {
 		return
 	}
-	sp.SetCount("expanded", int64(resp.Stats.Expanded))
-	sp.SetCount("solutions", int64(len(resp.Solutions)))
+	sp.SetCount("expanded", int64(expanded))
+	sp.SetCount("solutions", int64(solutions))
 	sp.End()
 }
 

@@ -252,7 +252,7 @@ func TestParallelSolutionsStableOrder(t *testing.T) {
 
 func TestNewIterStreams(t *testing.T) {
 	db := load(t, familySrc)
-	it, _, err := NewIter(context.Background(), req(t, db, "gf(sam,G)", DFS))
+	it, err := NewIter(context.Background(), req(t, db, "gf(sam,G)", DFS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestNewIterStreams(t *testing.T) {
 	if n == 0 {
 		t.Error("iterator produced no solutions")
 	}
-	if _, _, err := NewIter(context.Background(), req(t, db, "gf(sam,G)", Parallel)); err == nil {
+	if _, err := NewIter(context.Background(), req(t, db, "gf(sam,G)", Parallel)); err == nil {
 		t.Error("parallel streaming must be rejected")
 	}
 }
@@ -281,7 +281,7 @@ func TestNewIterCancelled(t *testing.T) {
 	r.MaxDepth = 1 << 20
 	r.MaxExpansions = 1 << 62
 	ctx, cancel := context.WithCancel(context.Background())
-	it, _, err := NewIter(ctx, r)
+	it, err := NewIter(ctx, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ d3(b).
 	db := load(t, src)
 	r := req(t, db, "top(X)", DFS)
 	r.Prune = true
-	it, _, err := NewIter(context.Background(), r)
+	it, err := NewIter(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestNewIterRecords(t *testing.T) {
 	r := req(t, db, "gf(sam,G)", DFS)
 	r.RecordTree = true
 	r.RecordTrace = true
-	it, _, err := NewIter(context.Background(), r)
+	it, err := NewIter(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

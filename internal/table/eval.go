@@ -374,7 +374,7 @@ func (ev *eval) runGenerator(t *Table) error {
 	defer tr.Release()
 	var err error
 	for {
-		_, ok, nerr := tr.Next()
+		ok, nerr := tr.Advance()
 		if nerr != nil {
 			err = nerr
 			break

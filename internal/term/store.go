@@ -207,13 +207,31 @@ func RefreshAll(ts []Term) ([]Term, map[*Var]*Var) {
 // terms. Variables are first translated through Subst (a trail run's
 // original-to-refreshed query variable map; nil is fine), then resolved
 // against Env; any variable still unbound whose frame is pool-recycled is
-// replaced by a fresh detached variable with the same print name,
-// consistently across one Detacher's lifetime. The result survives
-// backtracking and frame recycling.
+// replaced by a fresh detached variable with the same print name, and one
+// named by Own by its query variable, consistently across one Detacher's
+// lifetime. The result survives backtracking and frame recycling.
 type Detacher struct {
 	Env   *Env
 	Subst map[*Var]*Var
 	fresh map[*Var]*Var
+}
+
+// Own names q, a query variable, as what image stands for in the run:
+// while image is an unbound variable it detaches as q itself, so a
+// detached answer holds the query's own variables rather than the run's
+// renamed copies.
+func (d *Detacher) Own(image Term, q *Var) {
+	v, ok := image.(*Var)
+	if !ok || v == q {
+		return
+	}
+	if _, bound := d.Env.Lookup(v); bound {
+		return
+	}
+	if d.fresh == nil {
+		d.fresh = make(map[*Var]*Var, 4)
+	}
+	d.fresh[v] = q
 }
 
 // Detach resolves t as described on the type.
@@ -226,11 +244,11 @@ func (d *Detacher) Detach(t Term) Term {
 	t = d.Env.Resolve(t)
 	switch t := t.(type) {
 	case *Var:
-		if t.frame == nil || !t.frame.pooled {
-			return t
-		}
 		if nv, ok := d.fresh[t]; ok {
 			return nv
+		}
+		if t.frame == nil || !t.frame.pooled {
+			return t
 		}
 		nv := NewVar(t.Name)
 		if d.fresh == nil {

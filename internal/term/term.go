@@ -198,7 +198,31 @@ func FromList(items []Term) Term {
 // _G<serial>. It is the one Prolog text renderer of the system, and it
 // allocates nothing beyond dst's growth.
 func Append(dst []byte, t Term, env *Env) []byte {
-	switch t := env.Resolve(t).(type) {
+	p := printer{env: env}
+	return p.append(dst, t)
+}
+
+// AppendAnswer is Append for a query's answer, where a source name is the
+// query's alone: an unbound variable prints by its name when it is one of
+// own — the terms the query's variables stand for in the run — and as
+// _G<serial> otherwise. Clause variables and copy_term/2 copies then never
+// pass for a query variable or for each other, and one variable prints the
+// same wherever it occurs.
+func AppendAnswer(dst []byte, t Term, env *Env, own []Term) []byte {
+	p := printer{env: env, own: own, answer: true}
+	return p.append(dst, t)
+}
+
+// printer is one rendering: the bindings it reads through and, for an
+// answer, the variables that print by name.
+type printer struct {
+	env    *Env
+	own    []Term
+	answer bool
+}
+
+func (p *printer) append(dst []byte, t Term) []byte {
+	switch t := p.env.Resolve(t).(type) {
 	case Atom:
 		name := t.Name()
 		if bareAtom(name) {
@@ -208,13 +232,13 @@ func Append(dst []byte, t Term, env *Env) []byte {
 	case Int:
 		return strconv.AppendInt(dst, int64(t), 10)
 	case *Var:
-		if t.named() {
+		if t.named() && p.byName(t) {
 			return append(dst, t.Name...)
 		}
 		return strconv.AppendUint(append(dst, "_G"...), t.ID, 10)
 	case *Compound:
 		if t.Functor == SymDot && len(t.Args) == 2 {
-			return appendList(dst, t, env)
+			return p.appendList(dst, t)
 		}
 		if name := t.FunctorName(); bareName(name) {
 			dst = append(dst, name...)
@@ -226,24 +250,37 @@ func Append(dst []byte, t Term, env *Env) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = Append(dst, a, env)
+			dst = p.append(dst, a)
 		}
 		return append(dst, ')')
 	}
 	return dst
 }
 
+// byName reports whether the named variable v prints by its name.
+func (p *printer) byName(v *Var) bool {
+	if !p.answer {
+		return true
+	}
+	for _, o := range p.own {
+		if o == Term(v) {
+			return true
+		}
+	}
+	return false
+}
+
 // appendList appends a list cell chain in [a,b|T] notation.
-func appendList(dst []byte, c *Compound, env *Env) []byte {
+func (p *printer) appendList(dst []byte, c *Compound) []byte {
 	dst = append(dst, '[')
 	for {
-		dst = Append(dst, c.Args[0], env)
-		tail := env.Resolve(c.Args[1])
+		dst = p.append(dst, c.Args[0])
+		tail := p.env.Resolve(c.Args[1])
 		next, ok := tail.(*Compound)
 		if !ok || next.Functor != SymDot || len(next.Args) != 2 {
 			if tail != Term(EmptyList) {
 				dst = append(dst, '|')
-				dst = Append(dst, tail, env)
+				dst = p.append(dst, tail)
 			}
 			return append(dst, ']')
 		}

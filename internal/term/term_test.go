@@ -1,6 +1,7 @@
 package term
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +73,27 @@ func TestAppend(t *testing.T) {
 	buf := make([]byte, 0, 128)
 	if n := testing.AllocsPerRun(100, func() { buf = Append(buf[:0], tm, env) }); n != 0 {
 		t.Errorf("Append into a buffer with room allocated %.0f times", n)
+	}
+}
+
+// TestAppendAnswer prints an unbound variable by its name only when it is
+// one of own, any other — however it is named — as _G<serial>, read
+// through bindings and with nothing allocated.
+func TestAppendAnswer(t *testing.T) {
+	x, y, a1, a2 := NewVar("X"), NewVar("Y"), NewVar("A"), NewVar("A")
+	tm := NewCompound("f", x, y, a2, a1)
+	env := (*Env)(nil).Bind(x, Cons(a1, EmptyList))
+	own := []Term{x, y}
+	want := fmt.Sprintf("f([_G%d],Y,_G%d,_G%d)", a1.ID, a2.ID, a1.ID)
+	if got := string(AppendAnswer(nil, tm, env, own)); got != want {
+		t.Errorf("AppendAnswer = %s, want %s", got, want)
+	}
+	if got, want := string(Append(nil, tm, env)), "f([A],Y,A,A)"; got != want {
+		t.Errorf("Append = %s, want %s", got, want)
+	}
+	buf := make([]byte, 0, 128)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendAnswer(buf[:0], tm, env, own) }); n != 0 {
+		t.Errorf("AppendAnswer into a buffer with room allocated %.0f times", n)
 	}
 }
 

@@ -83,8 +83,11 @@ type Store interface {
 	// State returns the arc's kind and, for Known arcs, the learned value.
 	State(a kb.Arc) (Kind, float64)
 	// RecordSuccess applies the success rule to a root-to-leaf chain.
+	// The chain is lent for the call — the engines pass a buffer they go
+	// on rewriting — so an implementation must not retain the slice.
 	RecordSuccess(chain []kb.Arc)
-	// RecordFailure applies the failure rule to a root-to-leaf chain.
+	// RecordFailure applies the failure rule to a root-to-leaf chain,
+	// lent as for RecordSuccess.
 	RecordFailure(chain []kb.Arc)
 	// Config returns the coding constants.
 	Config() Config
