@@ -841,6 +841,12 @@ func (r *TrailRun) Answer() Answer {
 	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars}
 }
 
+// Live returns the store the run binds into and its original-to-refreshed
+// query-variable renaming, for reading a term over the original query
+// variables in place at the solution Advance stopped at. Both are the
+// run's own: read them, never write them.
+func (r *TrailRun) Live() (*term.Env, map[*term.Var]*term.Var) { return r.env, r.fresh }
+
 // ResolveAnswer deep-resolves t — a term over the original (pre-run)
 // query variables — against the store at the current solution, detached
 // from pooled frames. Meaningful only immediately after Next yielded a

@@ -211,10 +211,11 @@ type pred struct {
 	// stamp is the generation of the last assert that changed the
 	// predicate.
 	stamp uint64
-	// code is the compiled form (internal/vm) attached by SetCode for the
-	// current stamp, held opaquely so kb does not import its compiler. An
-	// assert clears it.
-	code any
+	// code is the last compiled form (internal/vm) attached by SetCode,
+	// held opaquely so kb does not import its compiler; it is current only
+	// while codeStamp, the stamp it was compiled at, equals stamp.
+	code      any
+	codeStamp uint64
 }
 
 // DB is the clause database. It is safe for concurrent use: queries read
@@ -260,19 +261,20 @@ func (db *DB) Generation() uint64 { return db.gen.Load() }
 // Stamp returns the predicate's stamp: the generation of the last assert
 // that changed it, or 0 if it has no clauses.
 func (db *DB) Stamp(fn term.Sym, arity int) uint64 {
-	_, stamp, _ := db.Code(fn, arity)
+	_, stamp, _, _ := db.Code(fn, arity)
 	return stamp
 }
 
 // Code returns, read together, a predicate's clauses in source order, its
-// stamp, and the compiled form attached for that stamp (nil when none is).
-func (db *DB) Code(fn term.Sym, arity int) (clauses []*Clause, stamp uint64, code any) {
+// stamp, the compiled form last attached (nil when none is), and whether
+// that form was compiled at the current stamp.
+func (db *DB) Code(fn term.Sym, arity int) (clauses []*Clause, stamp uint64, code any, current bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if p := db.preds[PredKey{fn, arity}]; p != nil {
-		return p.clauses, p.stamp, p.code
+		return p.clauses, p.stamp, p.code, p.codeStamp == p.stamp
 	}
-	return nil, 0, nil
+	return nil, 0, nil, false
 }
 
 // SetCode attaches a compiled form built from the predicate's clauses at
@@ -286,8 +288,8 @@ func (db *DB) SetCode(fn term.Sym, arity int, stamp uint64, code any) any {
 	if p == nil || p.stamp != stamp {
 		return code
 	}
-	if p.code == nil {
-		p.code = code
+	if p.codeStamp != stamp {
+		p.code, p.codeStamp = code, stamp
 	}
 	return p.code
 }
@@ -449,7 +451,6 @@ func (db *DB) assert(head term.Term, body []term.Term, line int) *Clause {
 		p.varFirst = append(p.varFirst, c)
 	}
 	p.stamp = db.gen.Add(1)
-	p.code = nil
 	return c
 }
 
@@ -460,7 +461,7 @@ func (db *DB) assert(head term.Term, body []term.Term, line int) *Clause {
 // validates against at load, so one changed predicate re-derives its
 // downstream tables instead of discarding the whole snapshot.
 func (db *DB) Fingerprint(fn term.Sym, arity int) (fp, stamp uint64) {
-	clauses, stamp, _ := db.Code(fn, arity)
+	clauses, stamp, _, _ := db.Code(fn, arity)
 	h := fnv.New64a()
 	for _, c := range clauses {
 		io.WriteString(h, c.String())
@@ -554,7 +555,7 @@ func (db *DB) ClausesFor(ind string) []*Clause {
 	if !ok {
 		return nil
 	}
-	clauses, _, _ := db.Code(k.Fn, k.Arity)
+	clauses, _, _, _ := db.Code(k.Fn, k.Arity)
 	return clauses
 }
 

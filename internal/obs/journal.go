@@ -64,7 +64,8 @@ type Event struct {
 	// reconfigure) or rejection.
 	Cause string `json:"cause,omitempty"`
 	// Count is the kind's cardinality: answers memoized on completion,
-	// tables dropped on invalidation, clauses compiled on a recompile.
+	// tables dropped on invalidation, clauses compiled on a recompile
+	// (only those new since the predicate's last compile).
 	Count int64 `json:"count,omitempty"`
 	// Bytes is the approximate retained answer bytes involved.
 	Bytes int64 `json:"bytes,omitempty"`
@@ -74,7 +75,8 @@ type Event struct {
 	Generation uint64 `json:"generation,omitempty"`
 	// Millis carries a duration (slow-query wall time).
 	Millis float64 `json:"ms,omitempty"`
-	// Detail is free-form context (goal text, session ID).
+	// Detail is free-form context (goal text, session ID; on a recompile,
+	// "N reused": the clauses whose earlier compiled form was kept).
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"blog/internal/engine"
 	"blog/internal/kb"
@@ -94,24 +93,24 @@ type eval struct {
 	ws       weights.Store
 	maxDepth int
 	budget   uint64
-	// prof and trace come from the handle: generator runs charge the
-	// profiler, and leader fixpoints record spans on the trace.
-	prof  *obs.Profiler
-	trace *obs.Trace
 	// reqID is the producing query's request ID (obs.WithRequestID),
 	// stamped on the lifecycle events this production emits.
 	reqID string
+	// key and vars are the reused buffers derived answers are encoded
+	// into (appendVariantKey), so a duplicate costs no allocation.
+	key  []byte
+	vars []*term.Var
 }
 
 // maxFrame means "reached no in-progress production".
 const maxFrame = math.MaxInt
 
-func newEval(s *Space, h *Handle, ctx context.Context) *eval {
+func newEval(h *Handle, ctx context.Context) *eval {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ev := &eval{
-		space:    s,
+		space:    h.space,
 		h:        h,
 		ctx:      ctx,
 		inProg:   make(map[string]*Table),
@@ -122,17 +121,11 @@ func newEval(s *Space, h *Handle, ctx context.Context) *eval {
 		lowFrame: maxFrame,
 		reqID:    obs.RequestID(ctx),
 	}
-	ev.ws, ev.maxDepth, ev.budget = s.limits()
+	ev.ws, ev.maxDepth, ev.budget = h.space.limits()
 	// A query with a deeper bound than the space default raises the
 	// generator bound with it, so tabled evaluation honors MaxDepth the
 	// way the untabled engine does.
-	if h != nil && h.maxDepth > ev.maxDepth {
-		ev.maxDepth = h.maxDepth
-	}
-	if h != nil {
-		ev.prof = h.prof
-		ev.trace = h.trace
-	}
+	ev.maxDepth = max(ev.maxDepth, h.maxDepth)
 	return ev
 }
 
@@ -170,8 +163,8 @@ func (ev *eval) require(t *Table) error {
 	// productions of the dependency group appear as sibling spans, each
 	// with per-round children carrying the answer-set delta.
 	var fsp *obs.Span
-	if ev.trace != nil {
-		fsp = ev.trace.Span("search", "fixpoint "+t.pred)
+	if ev.h.trace != nil {
+		fsp = ev.h.trace.Span("search", "fixpoint "+t.pred)
 	}
 	round := 0
 	var err error
@@ -345,8 +338,9 @@ func (ev *eval) runGenerator(t *Table) error {
 	// through ev and consumes tables. The derivation budget is metered
 	// through the step hook — one tick per non-solution node, exactly the
 	// counting the persistent-Env generator used — because ev.steps is
-	// shared across the whole fixpoint, not per run.
-	goal := term.Refresh(t.pattern)
+	// shared across the whole fixpoint, not per run. The run renames the
+	// pattern apart on entry, so the table's own pattern is the root.
+	goal := t.pattern
 	tr := engine.NewTrailRun(engine.TrailConfig{
 		DB:               ev.space.db,
 		Weights:          ev.ws,
@@ -355,7 +349,7 @@ func (ev *eval) runGenerator(t *Table) error {
 		Ctx:              ev.ctx,
 		MaxExpansions:    math.MaxUint64,
 		RootBypassTabler: true,
-		Prof:             ev.prof,
+		Prof:             ev.h.prof,
 		StepHook: func() error {
 			if ev.steps++; ev.steps > ev.budget {
 				return ErrBudget
@@ -372,6 +366,7 @@ func (ev *eval) runGenerator(t *Table) error {
 	// Answers are detached as they are added, so the run's scratch can be
 	// recycled as soon as the derivation is over.
 	defer tr.Release()
+	env, subst := tr.Live()
 	var err error
 	for {
 		ok, nerr := tr.Advance()
@@ -382,7 +377,7 @@ func (ev *eval) runGenerator(t *Table) error {
 		if !ok {
 			break
 		}
-		if aerr := ev.addAnswer(t, tr.ResolveAnswer(goal)); aerr != nil {
+		if aerr := ev.addLive(t, tr, env, subst, goal); aerr != nil {
 			err = aerr
 			break
 		}
@@ -403,22 +398,72 @@ func (ev *eval) runGenerator(t *Table) error {
 // integer costs, so a non-integer (or unbound) cost has no place in it.
 var ErrCost = errors.New("table: min(N) answer cost is not an integer")
 
-// addAnswer stores one derived answer: deduplicated by variant form for
-// plain tables, folded into the cost lattice for min(N) tables.
-func (ev *eval) addAnswer(t *Table, ans term.Term) error {
+// addLive adds the answer a generator run stopped at: goal read through
+// the run's live store. The answer is encoded there first, so a
+// duplicate, or a derivation a min(N) table subsumes, is dropped without
+// being detached. A new ground answer is detached once and is already
+// canonical; a non-ground one is renamed apart, under the same key.
+func (ev *eval) addLive(t *Table, tr *engine.TrailRun, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) error {
 	if t.min > 0 {
-		return ev.addMinAnswer(t, ans)
+		if cost, ok := ev.projKey(t, env, subst, goal); ok && ev.dominated(t, cost) {
+			return nil
+		}
+		return ev.addMinAnswer(t, tr.ResolveAnswer(goal))
 	}
-	key, canon := Canonicalize(nil, ans)
-	if _, dup := t.answerSet[key]; dup {
+	ev.key, ev.vars = appendVariantKey(ev.key[:0], ev.vars[:0], env, subst, goal)
+	if _, dup := t.answerSet[string(ev.key)]; dup {
 		return nil
 	}
-	t.answerSet[key] = struct{}{}
-	t.answers = append(t.answers, canon)
+	ans := tr.ResolveAnswer(goal)
+	if len(ev.vars) > 0 {
+		_, ans = Canonicalize(nil, ans)
+	}
+	t.answerSet[string(ev.key)] = struct{}{}
+	t.answers = append(t.answers, ans)
 	t.nAnswers.Add(1)
-	t.bytes.Add(term.ApproxBytes(canon))
+	t.bytes.Add(term.ApproxBytes(ans))
 	ev.noteAdded()
 	return nil
+}
+
+// projKey encodes into ev.key the projection key of a min(N) derivation —
+// goal read through subst and env, its cost slot written as the integer
+// 0 — so two derivations compete exactly when they agree on every other
+// argument. It returns the derivation's cost, or false when goal has no
+// integer at its cost position.
+func (ev *eval) projKey(t *Table, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) (int64, bool) {
+	c, ok := goal.(*term.Compound)
+	if !ok || t.min > len(c.Args) {
+		return 0, false
+	}
+	cost, ok := resolveVia(env, subst, c.Args[t.min-1]).(term.Int)
+	if !ok {
+		return 0, false
+	}
+	key, vars := appendFunctor(ev.key[:0], c), ev.vars[:0]
+	for i, a := range c.Args {
+		if i == t.min-1 {
+			key = append(key, "i0"...)
+		} else {
+			key, vars = appendVariantKey(key, vars, env, subst, a)
+		}
+		key = append(key, ',')
+	}
+	ev.key, ev.vars = append(key, ')'), vars
+	return int64(cost), true
+}
+
+// dominated reports whether the derivation whose projection key projKey
+// just encoded is no cheaper than t's memoized answer for it, counting it
+// subsumed if so.
+func (ev *eval) dominated(t *Table, cost int64) bool {
+	idx, seen := t.projIdx[string(ev.key)]
+	if !seen || cost < t.costs[idx] {
+		return false
+	}
+	ev.space.subsumed.Add(1)
+	ev.h.subsumed.Add(1)
+	return true
 }
 
 // addMinAnswer folds one derived answer into a min(N) table: the first
@@ -426,39 +471,23 @@ func (ev *eval) addAnswer(t *Table, ans term.Term) error {
 // derivation dominated by the memoized cost is subsumed (dropped), and a
 // strictly cheaper derivation replaces the memoized answer in place.
 func (ev *eval) addMinAnswer(t *Table, ans term.Term) error {
-	c, ok := ans.(*term.Compound)
-	if !ok || t.min > len(c.Args) {
-		return fmt.Errorf("%w: %s answer %s has no argument %d", ErrCost, t.pred, ans, t.min)
-	}
-	costArg, ok := c.Args[t.min-1].(term.Int)
+	cost, ok := ev.projKey(t, nil, nil, ans)
 	if !ok {
+		c, ok := ans.(*term.Compound)
+		if !ok || t.min > len(c.Args) {
+			return fmt.Errorf("%w: %s answer %s has no argument %d", ErrCost, t.pred, ans, t.min)
+		}
 		return fmt.Errorf("%w: %s answer %s carries %s at cost position %d", ErrCost, t.pred, ans, c.Args[t.min-1], t.min)
 	}
-	cost := int64(costArg)
-	// The projection key is the answer with its cost slot neutralized, so
-	// two answers compete exactly when they agree on every other argument.
-	// One canonicalization serves both forms: the cost slot is a ground
-	// Int either way, so the canonical answer is the canonical projection
-	// with the real cost restored.
-	proj := make([]term.Term, len(c.Args))
-	copy(proj, c.Args)
-	proj[t.min-1] = term.Int(0)
-	key, canonProj := Canonicalize(nil, &term.Compound{Functor: c.Functor, Args: proj})
-	idx, seen := t.projIdx[key]
-	if seen && cost >= t.costs[idx] {
-		ev.space.subsumed.Add(1)
-		if ev.h != nil {
-			ev.h.subsumed.Add(1)
-		}
+	if ev.dominated(t, cost) {
 		return nil
 	}
-	pc := canonProj.(*term.Compound)
-	args := make([]term.Term, len(pc.Args))
-	copy(args, pc.Args)
-	args[t.min-1] = costArg
-	canon := &term.Compound{Functor: pc.Functor, Args: args}
+	// The cost slot holds an Int, so the canonical answer numbers its
+	// variables exactly as the projection key did.
+	_, canon := Canonicalize(nil, ans)
+	idx, seen := t.projIdx[string(ev.key)]
 	if !seen {
-		t.projIdx[key] = len(t.answers)
+		t.projIdx[string(ev.key)] = len(t.answers)
 		t.answers = append(t.answers, canon)
 		t.costs = append(t.costs, cost)
 		t.nAnswers.Add(1)
@@ -477,9 +506,7 @@ func (ev *eval) addMinAnswer(t *Table, ans term.Term) error {
 	t.costs[idx] = cost
 	ev.added++
 	ev.space.improved.Add(1)
-	if ev.h != nil {
-		ev.h.improved.Add(1)
-	}
+	ev.h.improved.Add(1)
 	return nil
 }
 
@@ -488,9 +515,7 @@ func (ev *eval) addMinAnswer(t *Table, ans term.Term) error {
 func (ev *eval) noteAdded() {
 	ev.added++
 	ev.space.answers.Add(1)
-	if ev.h != nil {
-		ev.h.answers.Add(1)
-	}
+	ev.h.answers.Add(1)
 }
 
 // charge counts answer consumptions against the derivation budget, so a
@@ -520,38 +545,26 @@ func (ev *eval) serveComplete(t *Table) ([]term.Term, error) {
 	// The consumed table's answers flow into this production, so its
 	// recorded stamps (already transitive) join ours.
 	ev.foldDeps(t.deps)
-	t.hits.Add(1)
-	t.lastHit.Store(time.Now().UnixNano())
-	if fn, arity, ok := term.PredOf(t.pattern); ok {
-		ev.prof.TableHit(fn, arity)
-	}
-	if ev.h != nil {
-		ev.h.hits.Add(1)
-		ev.h.noteTruncated(t)
-	}
-	ev.space.hits.Add(1)
-	if ev.h != nil {
-		ev.h.reuse.Add(uint64(len(t.answers)))
-	}
-	ev.space.reuse.Add(uint64(len(t.answers)))
-	return t.answers, ev.charge(len(t.answers))
+	answers := ev.h.serveHit(t)
+	return answers, ev.charge(len(answers))
 }
 
 // Answers implements engine.Tabler for calls made inside generators.
 func (ev *eval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
-	key, pattern := Canonicalize(env, goal)
+	var buf keyBuf
+	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
 	// Tables this eval is already producing resolve by identity through
 	// the group, never through the live map: a concurrent Invalidate
 	// swaps the map mid-production, and a fresh (empty) table under the
 	// same key would silently truncate the fixpoint.
-	t := ev.group[key]
+	t := ev.group[string(key)]
 	if t == nil {
 		if ct, ok := ev.space.lookup(key, ev.maxDepth); ok {
 			return ev.serveComplete(ct)
 		}
-		t = ev.space.getOrCreate(key, pattern, ev.h, ev.maxDepth, ev.reqID)
-		if fn, arity, ok := term.PredOf(pattern); ok {
-			ev.prof.TableMiss(fn, arity)
+		t = ev.space.getOrCreate(key, env, goal, ev.h, ev.maxDepth, ev.reqID)
+		if fn, arity, ok := term.PredOf(t.pattern); ok {
+			ev.h.prof.TableMiss(fn, arity)
 		}
 	}
 	if err := ev.require(t); err != nil {
@@ -600,13 +613,14 @@ func (n negEval) ForNegation() engine.Tabler { return n }
 // Answers implements engine.Tabler under the finality restriction.
 func (n negEval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	ev := n.ev
-	key, pattern := Canonicalize(env, goal)
-	t := ev.group[key]
+	var buf keyBuf
+	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
+	t := ev.group[string(key)]
 	if t == nil {
 		if ct, ok := ev.space.lookup(key, ev.maxDepth); ok {
 			return ev.serveComplete(ct)
 		}
-		t = ev.space.getOrCreate(key, pattern, ev.h, ev.maxDepth, ev.reqID)
+		t = ev.space.getOrCreate(key, env, goal, ev.h, ev.maxDepth, ev.reqID)
 	}
 	if ev.inProg[t.key] != nil {
 		return nil, ErrNonStratified

@@ -229,6 +229,39 @@ eb(b1, b2). eb(b2, b3).
 	}
 }
 
+// TestRevalidationKeepsRounds: a table's round count spans all of its
+// productions, so the re-derivation after an assert adds its rounds to
+// those of the first production instead of replacing them.
+func TestRevalidationKeepsRounds(t *testing.T) {
+	db, _, err := kb.LoadString(`
+:- table path/2.
+path(X, Z) :- path(X, Y), edge(Y, Z).
+path(X, Y) :- edge(X, Y).
+edge(a, b). edge(b, c). edge(c, d). edge(d, a).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := table.NewSpace(db, table.Config{})
+	row := func() table.Info {
+		t.Helper()
+		rows := sp.Tables()
+		if len(rows) != 1 {
+			t.Fatalf("tables = %+v, want one", rows)
+		}
+		return rows[0]
+	}
+	tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
+	if r := row(); r.Rounds != 5 || r.Revalidations != 0 {
+		t.Fatalf("first production = %+v, want 5 rounds, 0 revalidations", r)
+	}
+	assertFact(t, db, "edge(a, c)")
+	tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
+	if r := row(); r.Rounds != 9 || r.Revalidations != 1 {
+		t.Fatalf("after revalidation = %+v, want 5+4 rounds, 1 revalidation", r)
+	}
+}
+
 // TestAssertIntoUndefinedPredicateDirties: a generator goal over a
 // predicate with no clauses, hence no compiled code, fails, but the
 // predicate still enters the table's dependency set, so asserting its first

@@ -19,19 +19,20 @@ func fuzzSpace(tb testing.TB) *Space {
 	return NewSpace(db, Config{})
 }
 
-// feedStream pushes one answer stream into a fresh min table via the
-// producer's addAnswer path and returns the table's final (key -> cost)
+// feedStream pushes one answer stream into sp's (fresh) p/2 table via the
+// producer's addMinAnswer path and returns the table's final (key -> cost)
 // state. Each stream element is a (key byte, cost byte) pair.
 func feedStream(tb testing.TB, sp *Space, stream []byte) map[string]int64 {
-	ev := newEval(sp, sp.NewHandle(), context.Background())
-	_, pattern := Canonicalize(nil, term.NewCompound("p", term.NewVar("K"), term.NewVar("C")))
-	t := sp.getOrCreate(fmt.Sprintf("fuzz-%p", &stream), pattern, nil, 0, "")
+	ev := newEval(sp.NewHandle(), context.Background())
+	goal := term.NewCompound("p", term.NewVar("K"), term.NewVar("C"))
+	key, _ := Canonicalize(nil, goal)
+	t := sp.getOrCreate([]byte(key), nil, goal, ev.h, 0, "")
 	for i := 0; i+1 < len(stream); i += 2 {
 		ans := term.NewCompound("p",
 			term.NewAtom(fmt.Sprintf("k%d", stream[i])),
 			term.Int(int64(stream[i+1])))
-		if err := ev.addAnswer(t, ans); err != nil {
-			tb.Fatalf("addAnswer(%s): %v", ans, err)
+		if err := ev.addMinAnswer(t, ans); err != nil {
+			tb.Fatalf("addMinAnswer(%s): %v", ans, err)
 		}
 	}
 	got := make(map[string]int64, len(t.answers))
@@ -76,8 +77,7 @@ func FuzzSubsume(f *testing.F) {
 				want[key] = cost
 			}
 		}
-		sp := fuzzSpace(t)
-		got := feedStream(t, sp, stream)
+		got := feedStream(t, fuzzSpace(t), stream)
 		if fmt.Sprint(sortedPairs(got)) != fmt.Sprint(sortedPairs(want)) {
 			t.Fatalf("stream %v:\n table: %v\nminima: %v", stream, sortedPairs(got), sortedPairs(want))
 		}
@@ -86,7 +86,7 @@ func FuzzSubsume(f *testing.F) {
 		for i := (len(stream)/2)*2 - 2; i >= 0; i -= 2 {
 			rev = append(rev, stream[i], stream[i+1])
 		}
-		gotRev := feedStream(t, sp, rev)
+		gotRev := feedStream(t, fuzzSpace(t), rev)
 		if fmt.Sprint(sortedPairs(gotRev)) != fmt.Sprint(sortedPairs(got)) {
 			t.Fatalf("stream %v is order-dependent:\n forward: %v\nreversed: %v", stream, sortedPairs(got), sortedPairs(gotRev))
 		}

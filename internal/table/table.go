@@ -32,12 +32,13 @@
 //
 // A Space is the table store shared by every query against one database.
 // Variant call patterns are canonicalized over interned term.Syms, answer
-// lists are deduplicated by the same canonical form, and concurrent
-// consumption is safe under every strategy: complete tables are read
-// lock-free behind an atomic completion flag, and production is serialized
-// by a context-aware producer slot, so one table is never computed twice
-// concurrently and consumers of a table being produced wait for completion
-// rather than observing partial answer sets.
+// lists are deduplicated by the same canonical form — read on a
+// generator's live bindings, so a duplicate is never detached — and
+// concurrent consumption is safe under every strategy: complete tables are
+// read lock-free behind an atomic completion flag, and production is
+// serialized by a context-aware producer slot, so one table is never
+// computed twice concurrently and consumers of a table being produced wait
+// for completion rather than observing partial answer sets.
 //
 // Maintenance is incremental and needs no notification. Every production
 // records, for each predicate its fixpoint resolved against program
@@ -59,9 +60,9 @@ package table
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -586,9 +587,9 @@ func (s *Space) Totals() Totals {
 // queries with the given depth bound: untruncated tables serve any depth,
 // while a depth-truncated table only covers bounds up to the one it was
 // produced under.
-func (s *Space) lookup(key string, depth int) (*Table, bool) {
+func (s *Space) lookup(key []byte, depth int) (*Table, bool) {
 	s.mu.RLock()
-	t := s.tables[key]
+	t := s.tables[string(key)]
 	s.mu.RUnlock()
 	if t != nil && t.complete.Load() && !s.stale(t) && (!t.truncated || t.depth >= depth) {
 		return t, true
@@ -596,18 +597,20 @@ func (s *Space) lookup(key string, depth int) (*Table, bool) {
 	return nil, false
 }
 
-// getOrCreate returns the table for key, materializing it if needed. A
-// complete table that lookup rejected — stale after an assert, or
-// truncated under a shallower bound than the caller's — is replaced by a
-// fresh object under the same key; the old object stays valid for
-// consumers already holding it. A stale replacement carries the logical
-// table's identity (creation time, hit counters, revalidation count) so
-// the inventory shows one long-lived table being maintained, not a new
-// one per assert. An incomplete table, left by an aborted production, is
-// resumed only while the stamps that production read still hold.
-func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int, reqID string) *Table {
+// getOrCreate returns the table for key, goal's variant key under env,
+// materializing it if needed; only then are the key string and the
+// canonical pattern built. A complete table that lookup rejected — stale
+// after an assert, or truncated under a shallower bound than the
+// caller's — is replaced by a fresh object under the same key; the old
+// object stays valid for consumers already holding it. A stale
+// replacement carries the logical table's identity (creation time, hit
+// counters, rounds, revalidation count) so the inventory shows one
+// long-lived table being maintained, not a new one per assert. An
+// incomplete table, left by an aborted production, is resumed only while
+// the stamps that production read still hold.
+func (s *Space) getOrCreate(key []byte, env *term.Env, goal term.Term, h *Handle, depth int, reqID string) *Table {
 	s.mu.Lock()
-	t := s.tables[key]
+	t := s.tables[string(key)]
 	var replaced *Table
 	if t != nil {
 		if !t.complete.Load() {
@@ -622,6 +625,7 @@ func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int,
 	}
 	created := false
 	if t == nil {
+		key, pattern := Canonicalize(env, goal)
 		pred, _ := term.Indicator(pattern)
 		t = &Table{key: key, pattern: pattern, pred: pred, createdAt: time.Now()}
 		if fn, arity, ok := term.PredOf(pattern); ok {
@@ -636,14 +640,13 @@ func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int,
 			t.createdAt = replaced.createdAt
 			t.hits.Store(replaced.hits.Load())
 			t.lastHit.Store(replaced.lastHit.Load())
+			t.rounds.Store(replaced.rounds.Load())
 			t.revalidations.Store(replaced.revalidations.Load() + 1)
 			t.revalidating = true
 		}
-		s.tables[key] = t
+		s.tables[t.key] = t
 		s.created.Add(1)
-		if h != nil {
-			h.created.Add(1)
-		}
+		h.created.Add(1)
 		created = replaced == nil
 	}
 	s.mu.Unlock()
@@ -652,7 +655,7 @@ func (s *Space) getOrCreate(key string, pattern term.Term, h *Handle, depth int,
 			Kind:      obs.KindTableCreated,
 			RequestID: reqID,
 			Pred:      t.pred,
-			Call:      pattern.String(),
+			Call:      t.pattern.String(),
 		})
 	}
 	return t
@@ -811,7 +814,8 @@ func (h *Handle) ForNegation() engine.Tabler { return h }
 // table's dependency group to completion first. Either way the table is
 // complete, so its own immutable answer slice is returned.
 func (h *Handle) Answers(ctx context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
-	key, pattern := Canonicalize(env, goal)
+	var buf keyBuf
+	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
 	if t, ok := h.space.lookup(key, h.maxDepth); ok {
 		return h.serveHit(t), nil
 	}
@@ -823,11 +827,11 @@ func (h *Handle) Answers(ctx context.Context, env *term.Env, goal term.Term) ([]
 	if t, ok := h.space.lookup(key, h.maxDepth); ok {
 		return h.serveHit(t), nil
 	}
-	t := h.space.getOrCreate(key, pattern, h, h.maxDepth, obs.RequestID(ctx))
-	if fn, arity, ok := term.PredOf(pattern); ok {
+	t := h.space.getOrCreate(key, env, goal, h, h.maxDepth, obs.RequestID(ctx))
+	if fn, arity, ok := term.PredOf(t.pattern); ok {
 		h.prof.TableMiss(fn, arity)
 	}
-	ev := newEval(h.space, h, ctx)
+	ev := newEval(h, ctx)
 	if err := ev.require(t); err != nil {
 		return nil, err
 	}
@@ -854,69 +858,95 @@ func (h *Handle) serveHit(t *Table) []term.Term {
 
 // Canonicalize resolves goal under env and rewrites it to its variant
 // canonical form: distinct free variables become numbered placeholders in
-// first-occurrence order (sharing preserved), and the returned key encodes
-// the structure over interned Syms, so two goals are variants of each
-// other exactly when their keys are equal. The returned pattern is a fresh
-// copy detached from env, reusable as the generator's root goal and as the
+// first-occurrence order (sharing preserved), and the returned key is
+// appendVariantKey's, so two goals are variants of each other exactly
+// when their keys are equal. The returned pattern is a fresh copy
+// detached from env, reusable as the generator's root goal and as the
 // stored form of an answer (Canonicalize with a nil env).
 func Canonicalize(env *term.Env, goal term.Term) (string, term.Term) {
-	var b strings.Builder
-	var seen []*term.Var
-	var fresh []*term.Var
-	var walk func(t term.Term) term.Term
-	walk = func(t term.Term) term.Term {
-		t = env.Resolve(t)
-		switch t := t.(type) {
-		case term.Atom:
-			b.WriteByte('a')
-			b.WriteString(strconv.FormatInt(int64(t.Sym()), 10))
-			return t
-		case term.Int:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(int64(t), 10))
-			return t
-		case *term.Var:
-			idx := -1
-			for i, v := range seen {
-				if v == t {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				idx = len(seen)
-				seen = append(seen, t)
-				fresh = append(fresh, term.NewVar("_T"+strconv.Itoa(idx)))
-			}
-			b.WriteByte('_')
-			b.WriteString(strconv.Itoa(idx))
-			return fresh[idx]
-		case *term.Compound:
-			b.WriteByte('c')
-			b.WriteString(strconv.FormatInt(int64(t.Functor), 10))
-			b.WriteByte('/')
-			b.WriteString(strconv.Itoa(len(t.Args)))
-			b.WriteByte('(')
-			args := make([]term.Term, len(t.Args))
-			changed := false
-			for i, a := range t.Args {
-				args[i] = walk(a)
-				if args[i] != a {
-					changed = true
-				}
-				b.WriteByte(',')
-			}
-			b.WriteByte(')')
-			if !changed {
-				return t
-			}
-			return &term.Compound{Functor: t.Functor, Args: args}
-		default:
+	var buf keyBuf
+	key, vars := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
+	return string(key), canonTerm(env, goal, vars, make([]*term.Var, len(vars)))
+}
+
+// canonTerm copies t resolved under env, replacing each free variable
+// vars[i] by fresh[i] (minted on first use), and shares every subterm
+// that comes out unchanged.
+func canonTerm(env *term.Env, t term.Term, vars, fresh []*term.Var) term.Term {
+	switch t := env.Resolve(t).(type) {
+	case *term.Var:
+		i := slices.Index(vars, t)
+		if fresh[i] == nil {
+			fresh[i] = term.NewVar("_T" + strconv.Itoa(i))
+		}
+		return fresh[i]
+	case *term.Compound:
+		args := make([]term.Term, len(t.Args))
+		changed := false
+		for i, a := range t.Args {
+			args[i] = canonTerm(env, a, vars, fresh)
+			changed = changed || args[i] != a
+		}
+		if !changed {
 			return t
 		}
+		return &term.Compound{Functor: t.Functor, Args: args}
+	default:
+		return t
 	}
-	pattern := walk(goal)
-	return b.String(), pattern
+}
+
+// appendVariantKey appends t's variant key to dst: the structure of t,
+// read through subst (a trail run's original-to-refreshed variable
+// renaming, or nil) and env, written over interned Syms, with each free
+// variable numbered by its first occurrence (vars collects them in that
+// order). Two terms are variants exactly when their keys are equal, so
+// the key is compared whole and needs no hash. Both slices are returned,
+// possibly grown: encoding into stack buffers and probing a map with
+// m[string(key)] allocates nothing.
+func appendVariantKey(dst []byte, vars []*term.Var, env *term.Env, subst map[*term.Var]*term.Var, t term.Term) ([]byte, []*term.Var) {
+	switch t := resolveVia(env, subst, t).(type) {
+	case term.Atom:
+		dst = strconv.AppendInt(append(dst, 'a'), int64(t.Sym()), 10)
+	case term.Int:
+		dst = strconv.AppendInt(append(dst, 'i'), int64(t), 10)
+	case *term.Var:
+		i := slices.Index(vars, t)
+		if i < 0 {
+			i, vars = len(vars), append(vars, t)
+		}
+		dst = strconv.AppendInt(append(dst, '_'), int64(i), 10)
+	case *term.Compound:
+		dst = appendFunctor(dst, t)
+		for _, a := range t.Args {
+			dst, vars = appendVariantKey(dst, vars, env, subst, a)
+			dst = append(dst, ',')
+		}
+		dst = append(dst, ')')
+	}
+	return dst, vars
+}
+
+// appendFunctor opens a compound's key: its functor, arity and '('.
+func appendFunctor(dst []byte, c *term.Compound) []byte {
+	dst = strconv.AppendInt(append(dst, 'c'), int64(c.Functor), 10)
+	dst = strconv.AppendInt(append(dst, '/'), int64(len(c.Args)), 10)
+	return append(dst, '(')
+}
+
+// resolveVia dereferences t through subst, then env.
+func resolveVia(env *term.Env, subst map[*term.Var]*term.Var, t term.Term) term.Term {
+	if v, ok := t.(*term.Var); ok && subst[v] != nil {
+		t = subst[v]
+	}
+	return env.Resolve(t)
+}
+
+// keyBuf is stack room for one call's variant key: a lookup encoded into
+// it allocates nothing unless the key outgrows it.
+type keyBuf struct {
+	b [128]byte
+	v [8]*term.Var
 }
 
 var (

@@ -70,13 +70,16 @@
 //
 // Compiled code is kept per predicate on the kb.DB, tagged with the
 // predicate's stamp (the generation of the last assert that changed it).
-// An assert on p/n makes the next lookup of p/n recompile p/n alone, so
-// learned or merged clauses reach the compiled path immediately while
-// every other predicate keeps its code. Engines look code up through a
-// Cache, whose slots are valid for one database generation.
+// An assert on p/n makes the next lookup of p/n compile the asserted
+// clause and rebuild p/n's dispatch, so learned or merged clauses reach
+// the compiled path immediately while every other clause and predicate
+// keeps its code. Engines look code up through a Cache, whose slots are
+// valid for one database generation.
 package vm
 
 import (
+	"strconv"
+
 	"blog/internal/kb"
 	"blog/internal/obs"
 	"blog/internal/term"
@@ -172,25 +175,28 @@ func (pc *PredCode) Select(env *term.Env, goal term.Term) []*CClause {
 // Pred returns the compiled code for a predicate's current clauses, or
 // nil when it has none. Code is kept per predicate on the database, tagged
 // with the stamp it was compiled from: the first call after an assert on
-// the predicate recompiles that predicate alone, and every other
-// predicate's code comes back pointer-identical. Safe for concurrent use;
-// concurrent compiles of one predicate settle on one PredCode.
+// the predicate compiles its new clauses and dispatch alone, and every
+// other clause's and predicate's code comes back pointer-identical. Safe
+// for concurrent use; concurrent compiles of one predicate settle on one
+// PredCode.
 func Pred(db *kb.DB, fn term.Sym, arity int) *PredCode {
-	clauses, stamp, code := db.Code(fn, arity)
-	if pc, ok := code.(*PredCode); ok {
-		return pc
+	clauses, stamp, code, current := db.Code(fn, arity)
+	last, _ := code.(*PredCode)
+	if current {
+		return last
 	}
 	if len(clauses) == 0 {
 		return nil
 	}
-	mine := compilePred(clauses)
+	mine, reused := compilePred(clauses, last)
 	pc := db.SetCode(fn, arity, stamp, mine).(*PredCode)
 	if j, ok := db.EventJournal().(*obs.Journal); ok && pc == mine {
 		j.Emit(obs.Event{
 			Kind:       obs.KindVMRecompile,
 			Pred:       kb.PredKey{Fn: fn, Arity: arity}.String(),
 			Generation: stamp,
-			Count:      int64(len(clauses)),
+			Count:      int64(len(clauses) - reused),
+			Detail:     strconv.Itoa(reused) + " reused",
 		})
 	}
 	return pc
@@ -209,8 +215,8 @@ func For(db *kb.DB) {
 func Compile(db *kb.DB) map[kb.PredKey]*PredCode {
 	out := make(map[kb.PredKey]*PredCode)
 	for _, k := range db.PredKeys() {
-		clauses, _, _ := db.Code(k.Fn, k.Arity)
-		out[k] = compilePred(clauses)
+		clauses, _, _, _ := db.Code(k.Fn, k.Arity)
+		out[k], _ = compilePred(clauses, nil)
 	}
 	return out
 }
@@ -258,14 +264,20 @@ func (c *Cache) Pred(db *kb.DB, fn term.Sym, arity int) *PredCode {
 }
 
 // compilePred compiles one predicate's clauses and builds its dispatch
-// table.
-func compilePred(clauses []*kb.Clause) *PredCode {
-	pc := &PredCode{all: make([]*CClause, len(clauses))}
+// table. A clause that last (the predicate's previous code, or nil) holds
+// at the same position keeps its compiled form; reused counts those.
+func compilePred(clauses []*kb.Clause, last *PredCode) (pc *PredCode, reused int) {
+	pc = &PredCode{all: make([]*CClause, len(clauses))}
 	for i, c := range clauses {
+		if last != nil && i < len(last.all) && last.all[i].c == c {
+			pc.all[i] = last.all[i]
+			reused++
+			continue
+		}
 		pc.all[i] = compileClause(c)
 	}
 	buildDispatch(pc)
-	return pc
+	return pc, reused
 }
 
 // buildDispatch fills the switch-on-term table: one premerged bucket per

@@ -218,3 +218,47 @@ func TestForRecompilesOnAssert(t *testing.T) {
 		t.Errorf("vm_recompile events name %v, want [f/2]", compiled)
 	}
 }
+
+// TestRecompileCompilesOnlyTheAssertedClause: the first lookup of edge/2
+// after one assert compiles the new clause alone — every old clause keeps
+// its compiled form, pointer-identical — and rebuilds the dispatch table
+// so the new clause is selected. Its vm_recompile event counts one clause
+// compiled and the rest reused.
+func TestRecompileCompilesOnlyTheAssertedClause(t *testing.T) {
+	db := load(t, `edge(a, b). edge(b, c). edge(c, a). edge(X, X) :- loop(X). loop(d).`)
+	edge := kb.PredKey{Fn: term.Intern("edge"), Arity: 2}
+	before := Pred(db, edge.Fn, edge.Arity)
+	j := obs.NewJournal(64)
+	db.SetEventJournal(j)
+
+	db.Assert(goal(t, "edge(a, d)"), nil)
+	var cache Cache
+	pc := cache.Pred(db, edge.Fn, edge.Arity)
+	if len(pc.all) != 5 {
+		t.Fatalf("edge/2 after assert has %d clauses, want 5", len(pc.all))
+	}
+	for i, cc := range before.all {
+		if pc.all[i] != cc {
+			t.Errorf("clause %d (%s) recompiled", i, cc.c.Head)
+		}
+	}
+	if got := pc.Select(emptyEnv, goal(t, "edge(a, N)")); len(got) != 3 || got[2] != pc.all[4] {
+		t.Fatalf("Select(edge(a,N)) after assert = %d clauses, want edge(a,b), edge(X,X) and the new edge(a,d)", len(got))
+	}
+	var events []obs.Event
+	for _, ev := range j.Events(0) {
+		if ev.Kind == obs.KindVMRecompile {
+			events = append(events, ev)
+		}
+	}
+	if len(events) != 1 || events[0].Pred != "edge/2" || events[0].Count != 1 || events[0].Detail != "4 reused" {
+		t.Fatalf("vm_recompile events = %+v, want one for edge/2 with Count 1 and Detail \"4 reused\"", events)
+	}
+	// Reuse is by clause identity, not by position or text: the same
+	// source loaded again shares no compiled clause.
+	twin := load(t, `edge(a, b). edge(b, c). edge(c, a). edge(X, X) :- loop(X). edge(a, d).`)
+	twinClauses, _, _, _ := twin.Code(edge.Fn, edge.Arity)
+	if _, reused := compilePred(twinClauses, pc); reused != 0 {
+		t.Errorf("compiling another database's edge/2 reused %d clauses, want 0", reused)
+	}
+}
