@@ -310,7 +310,6 @@ type queryOpts struct {
 	recordTrace   bool
 	andParallel   bool
 	tabled        bool
-	noTrail       bool
 	traced        bool
 	prof          *obs.Profiler
 	live          *obs.Live
@@ -397,15 +396,6 @@ func Tabled() Option { return func(o *queryOpts) { o.tabled = true } }
 // given to Query; incompatible with Parallel, sessions are fine.
 func AndParallel() Option { return func(o *queryOpts) { o.andParallel = true } }
 
-// TrailStore selects the sequential-DFS binding representation: on (the
-// default) runs one destructive trail-disciplined store with undo on
-// backtrack; TrailStore(false) forces the persistent immutable Env
-// chains, kept as the differential oracle. BFS and best-first always use
-// Env — their frontiers need persistence — and Parallel always runs
-// trail-store segments, so the option only affects DFS runs;
-// Result.Representation reports which one ran.
-func TrailStore(on bool) Option { return func(o *queryOpts) { o.noTrail = !on } }
-
 // RecordTree records the search tree (Result.Tree); sequential only.
 func RecordTree() Option { return func(o *queryOpts) { o.recordTree = true } }
 
@@ -433,8 +423,7 @@ type Live = obs.Live
 
 // Traced collects a span tree for the query — parse, compile, search,
 // and table-fixpoint rounds — returned as Result.Spans (or
-// SolutionIter.Spans for streams). Works under every strategy and both
-// binding representations.
+// SolutionIter.Spans for streams). Works under every strategy.
 func Traced() Option { return func(o *queryOpts) { o.traced = true } }
 
 // Profiled attributes the query's per-predicate work (expansions, VM
@@ -565,11 +554,6 @@ type Counters struct {
 	Pruned    uint64
 	// VMDispatched counts goals resolved on the compiled bytecode engine.
 	VMDispatched uint64
-	// Representation names the binding representation that ran:
-	// "trail-store" (destructive store with undo; DFS by default, and
-	// Parallel) or "persistent-env" (immutable environment chains; BFS,
-	// best-first, and DFS under TrailStore(false)).
-	Representation string
 	// Tabled-resolution counters (Tabled() runs only): tables this query
 	// materialized, distinct answers it derived, calls served from an
 	// already-complete table, and answers replayed from complete tables
@@ -606,7 +590,6 @@ func countersFrom(st search.Stats, ts table.Stats) Counters {
 		Failures:             st.Failures,
 		Pruned:               st.Pruned,
 		VMDispatched:         st.VMDispatched,
-		Representation:       st.Representation,
 		TablesCreated:        ts.Created,
 		TableAnswers:         ts.Answers,
 		TableHits:            ts.Hits,
@@ -800,7 +783,6 @@ func (p *Program) request(g Goal, strat Strategy, o queryOpts, store weights.Sto
 		Prune:         o.prune,
 		PruneSlack:    o.pruneSlack,
 		OccursCheck:   o.occursCheck,
-		NoTrail:       o.noTrail,
 		Workers:       o.workers,
 		TwoLevel:      o.twoLevel,
 		D:             o.d,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blog/internal/parse"
+	"blog/internal/search"
 )
 
 func solutionSet(res *Result) []string {
@@ -20,28 +21,34 @@ func solutionSet(res *Result) []string {
 }
 
 // oracleSet answers query on p's global weight store on the tree-walking
-// oracle (solve.Request.NoVM; the facade has no switch for it) and returns
-// its solutionSet. The oracle runs sequentially: Parallel's is DFS.
+// oracle (search.Options.NoVM; the facade has no switch for it) and
+// returns its solutionSet. The oracle runs sequentially: Parallel's is DFS.
 func oracleSet(t *testing.T, p *Program, query string, strat Strategy) []string {
 	t.Helper()
-	g, err := ParseGoal(query)
+	goals, err := parse.Query(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat == Parallel {
-		strat = DFS
+	opt := search.Options{Strategy: search.DFS, NoVM: true}
+	switch strat {
+	case BFS:
+		opt.Strategy = search.BFS
+	case BestFirst:
+		opt.Strategy = search.BestFirst
 	}
-	req := p.request(g, strat, queryOpts{}, p.globalStore())
-	req.NoVM = true
-	var c collector
-	res, err := c.result(runRequest(context.Background(), req, c.add))
+	res, err := search.Run(context.Background(), p.db, p.globalStore(), goals, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VMDispatched != 0 {
-		t.Errorf("%v: oracle run dispatched %d goals to the VM", strat, res.VMDispatched)
+	if res.Stats.VMDispatched != 0 {
+		t.Errorf("%v: oracle run dispatched %d goals to the VM", strat, res.Stats.VMDispatched)
 	}
-	return solutionSet(res)
+	out := make([]string, len(res.Solutions))
+	for i, s := range res.Solutions {
+		out[i] = fmt.Sprintf("%s |%.9g", s.Format(res.QueryVars), s.Bound)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestCompiledMatchesOracle: the compiled path and the tree-walking oracle

@@ -211,7 +211,9 @@ type Expander struct {
 	// nil means no cancellation.
 	Ctx context.Context
 	// NoVM forces Expand's tree-walking candidate loop, the differential
-	// oracle for the bytecode machine and its only implementation.
+	// oracle for the bytecode machine and its only implementation. The
+	// nested proof of a \+ goal runs compiled on the trail machine
+	// regardless.
 	NoVM bool
 	// VMDispatched counts goals resolved on the compiled bytecode path.
 	VMDispatched uint64
@@ -297,7 +299,21 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 			e.meter.Note(fn, arity, 0, 0)
 		}
 		if fn == term.SymNeg && arity == 1 {
-			return e.expandNegation(n, goal)
+			// \+ runs on the trail machine (see negationConfig); its
+			// argument is resolved deeply first, so the nested run reads
+			// nothing of n.Env and binds nothing in it.
+			inner := n.Env.ResolveDeep(goal.(*term.Compound).Args[0])
+			sub := NewTrailRun(negationConfig(TrailConfig{
+				DB: e.DB, Weights: e.Weights, OccursCheck: e.OccursCheck, Tabler: e.Tabler, Ctx: e.Ctx,
+			}, maxDepth), []term.Term{inner})
+			proved, err := sub.Advance()
+			e.VMDispatched += sub.stats.VMDispatched
+			sub.Release()
+			if proved || err != nil {
+				return nil, err
+			}
+			// No proof of the inner goal: \+ succeeds like a zero-weight builtin.
+			return []*Node{e.stepChild(n, n.Env, goal)}, nil
 		}
 		if isBuiltin(fn, arity) {
 			return e.expandBuiltin(n, goal, &biTable[fn][arity])
@@ -435,57 +451,6 @@ const negationBudget = 100_000
 // ErrNegationBudget reports a \+ subgoal whose proof attempt exceeded
 // negationBudget expansions.
 var ErrNegationBudget = errors.New("engine: negation subgoal exceeded expansion budget")
-
-// expandNegation implements negation as failure: \+(G) succeeds exactly
-// when a nested depth-first search over the same database finds no proof
-// of G. The nested search adds no arcs (negation is a machine decision,
-// not a database pointer) and uses the remaining depth budget. As in
-// standard Prolog, \+ over a goal with unbound variables means "no
-// instance is provable" (it never binds them).
-func (e *Expander) expandNegation(n *Node, goal term.Term) ([]*Node, error) {
-	inner := goal.(*term.Compound).Args[0]
-	sub := &Expander{
-		DB:          e.DB,
-		Weights:     e.Weights,
-		OccursCheck: e.OccursCheck,
-		MaxDepth:    e.MaxDepth,
-		Tabler:      e.Tabler,
-		Ctx:         e.Ctx,
-		NoVM:        e.NoVM,
-		code:        e.cache(),
-	}
-	if nt, ok := e.Tabler.(NegationTabler); ok {
-		sub.Tabler = nt.ForNegation()
-	}
-	defer func() { e.VMDispatched += sub.VMDispatched }()
-	stack := []*Node{{
-		Goals: PushGoals(nil, []GoalEntry{{Goal: inner, Caller: kb.Query, Pos: 0}}),
-		Env:   n.Env,
-	}}
-	var steps int
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur.IsSolution() {
-			return nil, nil // proof found: \+ fails the chain
-		}
-		if steps++; steps > negationBudget {
-			return nil, ErrNegationBudget
-		}
-		if e.Ctx != nil && steps%256 == 0 {
-			if err := e.Ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		children, err := sub.Expand(cur)
-		if err != nil && err != ErrDepthLimit {
-			return nil, err
-		}
-		stack = append(stack, children...)
-	}
-	// No proof of the inner goal: \+ succeeds like a zero-weight builtin.
-	return []*Node{e.stepChild(n, n.Env, goal)}, nil
-}
 
 // stepChild builds the child of a machine decision — a builtin, \+ or a
 // tabled answer — under env: the goal is consumed, and since no database

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"blog/internal/kb"
@@ -8,25 +10,51 @@ import (
 	"blog/internal/weights"
 )
 
-func TestNegationGroundSuccess(t *testing.T) {
-	got := runBuiltinQuery(t, "p(a).", "\\+(p(b))")
-	if len(got) != 1 {
-		t.Errorf("\\+(p(b)) should succeed: %v", got)
+// onEveryPath runs check once per dispatch path of runBiDiff — env+vm,
+// env+treewalk and the trail machine — handing it that path's query
+// runner. \+ proves its argument on the trail machine from all three.
+func onEveryPath(t *testing.T, check func(t *testing.T, run func(src, query string) ([]string, error))) {
+	for _, cfg := range biDiffConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			check(t, func(src, query string) ([]string, error) {
+				return runBiDiff(t, cfg, src, query)
+			})
+		})
 	}
+}
+
+// answers is a runner's answers, failing the test on an error.
+func answers(t *testing.T, run func(src, query string) ([]string, error), src, query string) []string {
+	t.Helper()
+	got, err := run(src, query)
+	if err != nil {
+		t.Fatalf("%s: %v", query, err)
+	}
+	return got
+}
+
+func TestNegationGroundSuccess(t *testing.T) {
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if got := answers(t, run, "p(a).", "\\+(p(b))"); len(got) != 1 {
+			t.Errorf("\\+(p(b)) should succeed: %v", got)
+		}
+	})
 }
 
 func TestNegationGroundFailure(t *testing.T) {
-	got := runBuiltinQuery(t, "p(a).", "\\+(p(a))")
-	if len(got) != 0 {
-		t.Errorf("\\+(p(a)) should fail: %v", got)
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if got := answers(t, run, "p(a).", "\\+(p(a))"); len(got) != 0 {
+			t.Errorf("\\+(p(a)) should fail: %v", got)
+		}
+	})
 }
 
 func TestNegationUnknownPredicate(t *testing.T) {
-	got := runBuiltinQuery(t, "p(a).", "\\+(missing(x))")
-	if len(got) != 1 {
-		t.Errorf("negation of unprovable goal should succeed: %v", got)
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if got := answers(t, run, "p(a).", "\\+(missing(x))"); len(got) != 1 {
+			t.Errorf("negation of unprovable goal should succeed: %v", got)
+		}
+	})
 }
 
 func TestNegationThroughRules(t *testing.T) {
@@ -35,39 +63,45 @@ reach(X) :- edge(a, X).
 reach(X) :- edge(a, Y), edge(Y, X).
 edge(a, b). edge(b, c).
 `
-	if got := runBuiltinQuery(t, src, "\\+(reach(c))"); len(got) != 0 {
-		t.Error("reach(c) is provable through the rule chain")
-	}
-	if got := runBuiltinQuery(t, src, "\\+(reach(z))"); len(got) != 1 {
-		t.Error("reach(z) is not provable")
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if got := answers(t, run, src, "\\+(reach(c))"); len(got) != 0 {
+			t.Error("reach(c) is provable through the rule chain")
+		}
+		if got := answers(t, run, src, "\\+(reach(z))"); len(got) != 1 {
+			t.Error("reach(z) is not provable")
+		}
+	})
 }
 
 func TestNegationDoesNotBind(t *testing.T) {
 	// \+ must never export bindings: X stays free afterwards.
-	src := "p(a).\nq(b)."
-	got := runBuiltinQuery(t, src, "\\+(p(z)), q(X)")
-	if len(got) != 1 || got[0] != "X = b" {
-		t.Errorf("got %v", got)
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		got := answers(t, run, "p(a).\nq(b).", "\\+(p(z)), q(X)")
+		if len(got) != 1 || got[0] != "X = b" {
+			t.Errorf("got %v", got)
+		}
+	})
 }
 
 func TestNegationSeesOuterBindings(t *testing.T) {
-	src := "p(a).\nitem(a). item(b)."
 	// Select the items that are NOT p: classic NAF filtering.
-	got := runBuiltinQuery(t, src, "item(X), \\+(p(X))")
-	if len(got) != 1 || got[0] != "X = b" {
-		t.Errorf("got %v", got)
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		got := answers(t, run, "p(a).\nitem(a). item(b).", "item(X), \\+(p(X))")
+		if len(got) != 1 || got[0] != "X = b" {
+			t.Errorf("got %v", got)
+		}
+	})
 }
 
 func TestDoubleNegation(t *testing.T) {
-	if got := runBuiltinQuery(t, "p(a).", "\\+(\\+(p(a)))"); len(got) != 1 {
-		t.Error("double negation of a provable goal should succeed")
-	}
-	if got := runBuiltinQuery(t, "p(a).", "\\+(\\+(p(b)))"); len(got) != 0 {
-		t.Error("double negation of an unprovable goal should fail")
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if got := answers(t, run, "p(a).", "\\+(\\+(p(a)))"); len(got) != 1 {
+			t.Error("double negation of a provable goal should succeed")
+		}
+		if got := answers(t, run, "p(a).", "\\+(\\+(p(b)))"); len(got) != 0 {
+			t.Error("double negation of an unprovable goal should fail")
+		}
+	})
 }
 
 func TestNegationAddsNoWeight(t *testing.T) {
@@ -90,31 +124,51 @@ func TestNegationAddsNoWeight(t *testing.T) {
 func TestNegationRespectsDepthLimit(t *testing.T) {
 	// The inner proof attempt of a cyclic goal is cut by the depth limit,
 	// so \+(loop) terminates (and succeeds: no finite proof exists).
-	db, _, err := kb.LoadString("loop :- loop.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp := NewExpander(db, weights.NewUniform(weights.Config{N: 16, A: 12}))
-	gs, _ := parse.Query("\\+(loop)")
-	root := exp.Root(gs)
-	children, err := exp.Expand(root)
-	if err != nil {
-		t.Fatalf("expand: %v", err)
-	}
-	if len(children) != 1 {
-		t.Error("\\+(loop) should succeed under the depth limit")
-	}
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if got := answers(t, run, "loop :- loop.", "\\+(loop)"); len(got) != 1 {
+			t.Error("\\+(loop) should succeed under the depth limit")
+		}
+	})
 }
 
 func TestNegationErrorPropagates(t *testing.T) {
-	db, _, err := kb.LoadString("bad :- X is Y + 1, X > 0.")
+	onEveryPath(t, func(t *testing.T, run func(string, string) ([]string, error)) {
+		if _, err := run("bad :- X is Y + 1, X > 0.", "\\+(bad)"); err == nil {
+			t.Error("inner arithmetic error must surface")
+		}
+	})
+}
+
+// TestNegationCancelled: a \+ proved under an already-cancelled context
+// returns the context's error, never a success — neither from the
+// Expander nor from inside a trail run, whose own arrival check the
+// cancellation slips past here by landing in the step hook.
+func TestNegationCancelled(t *testing.T) {
+	db, _, err := kb.LoadString("p(a).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := NewExpander(db, weights.NewUniform(weights.DefaultConfig()))
-	gs, _ := parse.Query("\\+(bad)")
-	root := exp.Root(gs)
-	if _, err := exp.Expand(root); err == nil {
-		t.Error("inner arithmetic error must surface")
+	ws := weights.NewUniform(weights.DefaultConfig())
+	goals, err := parse.Query("\\+(p(b))")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	exp := NewExpander(db, ws)
+	exp.Ctx = ctx
+	if children, err := exp.Expand(exp.Root(goals)); !errors.Is(err, context.Canceled) {
+		t.Errorf("expander: %d children, err %v, want context.Canceled", len(children), err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	r := NewTrailRun(TrailConfig{DB: db, Weights: ws, Ctx: ctx, StepHook: func() error {
+		cancel()
+		return nil
+	}}, goals)
+	defer r.Release()
+	if ok, err := r.Advance(); ok || !errors.Is(err, context.Canceled) {
+		t.Errorf("trail run: ok %v, err %v, want context.Canceled", ok, err)
 	}
 }

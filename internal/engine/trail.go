@@ -17,10 +17,12 @@ import (
 // pair: a resumable depth-first machine over one term.Store with a trail
 // mark per choice point, instead of a frontier of persistent Nodes. It
 // visits nodes in exactly the order sequential DFS visits them and keeps
-// the same work counters at every arrival, so the persistent-Env DFS
-// remains its differential oracle (search.Options.NoTrail selects it).
-// Program clauses resolve on compiled code only: the tree-walking clause
-// path, the oracle for the bytecode machine, lives once, in Expander.
+// the same work counters at every arrival, so DFS on the persistent-Env
+// frontier with the tree-walker (search.Options.NoVM) is its differential
+// oracle. Program clauses resolve on compiled code only: the tree-walking
+// clause path, the oracle for the bytecode machine, lives once, in
+// Expander. Negation lives once, here: both engines prove the argument of
+// a \+ goal with a nested TrailRun (negationConfig).
 //
 // The machine is "arrival"-driven: arriving at a node runs the same
 // sequence search.Run runs on a popped node — context, prune, solution,
@@ -605,21 +607,25 @@ func (r *TrailRun) dispatchVM(entry GoalEntry, goal term.Term, pc *vm.PredCode) 
 	return nil
 }
 
-// dispatchNegation runs negation as failure as a nested trail run on the
-// same store (under a mark), budgeted like the Expander's nested search.
-func (r *TrailRun) dispatchNegation(goal term.Term) error {
-	inner := goal.(*term.Compound).Args[0]
-	cfg := r.cfg
+// negationConfig is cfg set up for the nested run that proves the
+// argument of a \+ goal, on either engine: \+(G) succeeds exactly when
+// that run finds no proof of G. The run consumes tables through the
+// ForNegation view, learns, prunes, profiles and reports nothing (its wall
+// time lands in the enclosing interval, charged to \+), resolves its goal
+// as an ordinary call, and is bounded by negationBudget arrivals. It
+// starts at depth 0 with the full maxDepth, not with the depth left to the
+// enclosing chain, and adds no arc: negation is a machine decision, not a
+// database pointer. As in standard Prolog, \+ over a goal with unbound
+// variables means "no instance is provable", and it never binds them.
+func negationConfig(cfg TrailConfig, maxDepth int) TrailConfig {
 	if nt, ok := cfg.Tabler.(NegationTabler); ok {
 		cfg.Tabler = nt.ForNegation()
 	}
-	cfg.MaxDepth = r.maxDepth
-	cfg.MaxExpansions = math.MaxUint64
+	cfg.MaxDepth = maxDepth
+	cfg.MaxExpansions = 0
 	cfg.Learn = false
 	cfg.Prune = false
 	cfg.RootBypassTabler = false
-	// The nested run is not separately profiled: its whole wall time lands
-	// in the enclosing interval, charged to the \+ predicate.
 	cfg.Prof = nil
 	cfg.Live = nil
 	var steps int
@@ -629,6 +635,14 @@ func (r *TrailRun) dispatchNegation(goal term.Term) error {
 		}
 		return nil
 	}
+	return cfg
+}
+
+// dispatchNegation proves the argument of a \+ goal by a nested run on
+// the same store, under a mark it undoes afterwards.
+func (r *TrailRun) dispatchNegation(goal term.Term) error {
+	inner := goal.(*term.Compound).Args[0]
+	cfg := negationConfig(r.cfg, r.maxDepth)
 	sub := &TrailRun{
 		cfg:      cfg,
 		sh:       r.sh,

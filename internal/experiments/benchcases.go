@@ -302,19 +302,19 @@ func BenchCases() []BenchCase {
 		}},
 		{"E12Compiled/e1-compiled", func(b *testing.B) {
 			// The bytecode engine on the E1 deep-failure sweep; pair with
-			// e1-treewalk for the compilation speedup in one report. NoTrail
-			// keeps both on the persistent Env, the only representation the
-			// tree-walker runs on, so the pair differs in dispatch alone.
+			// e1-treewalk for the compilation speedup in one report. Both
+			// run best-first, on the persistent Env where the tree-walker
+			// runs, so the pair differs in dispatch alone.
 			db := benchLoad(workload.DeepFailure(16, 12))
 			goals := benchGoals("top(W)")
 			ws := weights.NewUniform(weights.DefaultConfig())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := search.Run(context.Background(), db, ws, goals, search.Options{
-					Strategy: search.DFS, MaxSolutions: 1, MaxDepth: 64, NoTrail: true,
+					Strategy: search.BestFirst, MaxSolutions: 1, MaxDepth: 64,
 				})
 				if err != nil || len(res.Solutions) != 1 {
-					b.Fatal("compiled dfs failed")
+					b.Fatal("compiled best-first failed")
 				}
 			}
 		}},
@@ -326,18 +326,18 @@ func BenchCases() []BenchCase {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := search.Run(context.Background(), db, ws, goals, search.Options{
-					Strategy: search.DFS, MaxSolutions: 1, MaxDepth: 64, NoVM: true,
+					Strategy: search.BestFirst, MaxSolutions: 1, MaxDepth: 64, NoVM: true,
 				})
 				if err != nil || len(res.Solutions) != 1 {
-					b.Fatal("treewalk dfs failed")
+					b.Fatal("treewalk best-first failed")
 				}
 			}
 		}},
 		{"E13BindingStore/trail-deepfail", func(b *testing.B) {
-			// Sequential DFS on the destructive trail store: bindings
+			// Production DFS on the destructive trail store: bindings
 			// written in place, undone on backtrack, scratch recycled
-			// across runs. Pair with env-deepfail for the representation
-			// speedup in one report.
+			// across runs. Pair with env-deepfail, its oracle, in one
+			// report.
 			db := benchLoad(workload.DeepFailure(16, 12))
 			goals := benchGoals("top(W)")
 			ws := weights.NewUniform(weights.DefaultConfig())
@@ -352,15 +352,16 @@ func BenchCases() []BenchCase {
 			}
 		}},
 		{"E13BindingStore/env-deepfail", func(b *testing.B) {
-			// The identical workload on the persistent-Env frontier
-			// (Options.NoTrail), the differential oracle's representation.
+			// The identical workload on the differential oracle
+			// (Options.NoVM): DFS on the persistent-Env frontier, goals
+			// resolved by the tree-walker.
 			db := benchLoad(workload.DeepFailure(16, 12))
 			goals := benchGoals("top(W)")
 			ws := weights.NewUniform(weights.DefaultConfig())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := search.Run(context.Background(), db, ws, goals, search.Options{
-					Strategy: search.DFS, MaxSolutions: 1, MaxDepth: 64, NoTrail: true,
+					Strategy: search.DFS, MaxSolutions: 1, MaxDepth: 64, NoVM: true,
 				})
 				if err != nil || len(res.Solutions) != 1 {
 					b.Fatal("env dfs failed")
@@ -385,13 +386,14 @@ func BenchCases() []BenchCase {
 			}
 		}},
 		{"E13BindingStore/env-enumerate", func(b *testing.B) {
+			// Exhaustive enumeration on the oracle (Options.NoVM).
 			db := benchLoad(workload.FamilyTree(4, 3))
 			goals := benchGoals("anc(p0, X)")
 			ws := weights.NewUniform(weights.DefaultConfig())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := search.Run(context.Background(), db, ws, goals, search.Options{
-					Strategy: search.DFS, MaxDepth: 32, NoTrail: true,
+					Strategy: search.DFS, MaxDepth: 32, NoVM: true,
 				})
 				if err != nil || !res.Exhausted || len(res.Solutions) == 0 {
 					b.Fatal("env enumeration failed")

@@ -14,10 +14,12 @@ import (
 // loop just far enough to produce one more solution, which is how an
 // interactive Prolog top level behaves ("; for more"). It is the only
 // sequential run path — Run is this iterator drained — so the loop (pop,
-// prune, solution, budget, expand, push) exists here and nowhere else. A
-// pull hands the solution out one of two ways: Next detaches it, and
-// NextAnswer lends a view over the run's live bindings that holds until
-// the next pull. The weight rules still apply per completed chain when
+// prune, solution, budget, expand, push) exists here and nowhere else;
+// DFS hands it to the trail machine, which runs the same sequence, unless
+// the oracle or a recording keeps it on the persistent-Env frontier (Init
+// states the rule). A pull hands the solution out one of two ways: Next
+// detaches it, and NextAnswer lends a view over the run's live bindings
+// that holds until the next pull. The weight rules still apply per completed chain when
 // Learn is set, so an Iter that the caller abandons after the first answer
 // has still learned from every chain it finished — the incremental setting
 // the paper's sessions target.
@@ -30,8 +32,8 @@ type Iter struct {
 	err       error
 
 	// trail, when non-nil, is the destructive-store DFS machine the Iter
-	// delegates to (Options.Representation); the Env-frontier fields below
-	// are unused then.
+	// delegates to (see Init); the Env-frontier fields below are unused
+	// then.
 	trail *engine.TrailRun
 
 	// exp is held by value so it lives wherever the Iter does; it also
@@ -87,7 +89,10 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	if it.maxExp == 0 {
 		it.maxExp = DefaultMaxExpansions
 	}
-	if opt.Representation() == RepTrailStore {
+	// DFS runs on the trail machine unless the oracle (NoVM) or a
+	// recording is asked for: the walker and the recorders run on the
+	// persistent-Env frontier, which BFS and best-first always take.
+	if opt.Strategy == DFS && !opt.NoVM && !opt.RecordTree && !opt.RecordTrace {
 		it.trail = engine.NewTrailRun(engine.TrailConfig{
 			DB:            db,
 			Weights:       ws,
@@ -120,7 +125,6 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	for _, g := range goals {
 		it.queryVars = term.Vars(g, it.queryVars)
 	}
-	it.stats.Representation = RepPersistentEnv
 	if opt.RecordTree {
 		it.tb = newTreeBuilder(goals)
 	}

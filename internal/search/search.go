@@ -77,16 +77,11 @@ type Options struct {
 	// memoized answer tables (see internal/table) instead of program
 	// clauses.
 	Tabler engine.Tabler
-	// NoVM forces the tree-walking resolution path (the differential
-	// oracle) instead of the compiled bytecode engine. The walker runs on
-	// the persistent-Env frontier only, so NoVM routes DFS there.
+	// NoVM runs the differential oracle: the tree-walking resolution path
+	// instead of the compiled bytecode engine, on the persistent-Env
+	// frontier, so it takes DFS off the trail machine. It is the one
+	// oracle switch, for every sequential strategy.
 	NoVM bool
-	// NoTrail forces DFS onto the persistent-Env frontier (the
-	// differential oracle for the trail-store machine) instead of the
-	// destructive binding store. Non-DFS strategies always use Env —
-	// their frontiers hold many open nodes at once and genuinely need
-	// persistent environments.
-	NoTrail bool
 	// Prof, when non-nil, accumulates per-predicate profile counters on
 	// either binding representation. Nil (the default) costs one nil
 	// check on the hot path.
@@ -99,24 +94,6 @@ type Options struct {
 // DefaultMaxExpansions stops runaway searches on cyclic programs.
 const DefaultMaxExpansions = 5_000_000
 
-// Binding-store representations reported in Stats.Representation.
-const (
-	// RepTrailStore is the mutable trail-disciplined store (engine.TrailRun).
-	RepTrailStore = "trail-store"
-	// RepPersistentEnv is the immutable Env chain representation.
-	RepPersistentEnv = "persistent-env"
-)
-
-// Representation names the binding representation a run under o takes:
-// the trail store for DFS with no oracle or recording switch set, the
-// persistent Env otherwise. It is the one statement of the routing rule.
-func (o Options) Representation() string {
-	if o.Strategy == DFS && !o.NoTrail && !o.NoVM && !o.RecordTree && !o.RecordTrace {
-		return RepTrailStore
-	}
-	return RepPersistentEnv
-}
-
 // Stats counts the work a search performed.
 type Stats struct {
 	Expanded     uint64 // nodes whose first goal was resolved
@@ -127,9 +104,6 @@ type Stats struct {
 	MaxFrontier  int    // peak open-list size (choice-point stack for trail runs)
 	MaxDepth     int    // deepest chain expanded
 	VMDispatched uint64 // goals resolved on the compiled bytecode path
-	// Representation names the binding representation that ran:
-	// RepTrailStore or RepPersistentEnv.
-	Representation string
 }
 
 // Result is the outcome of a search run.
@@ -174,15 +148,14 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 // shape; the choice-point stack peak stands in for the open-list peak.
 func trailStats(ts engine.TrailStats) Stats {
 	return Stats{
-		Expanded:       ts.Expanded,
-		Generated:      ts.Generated,
-		Failures:       ts.Failures,
-		DepthCutoffs:   ts.DepthCutoffs,
-		Pruned:         ts.Pruned,
-		MaxFrontier:    ts.MaxChoicePoints,
-		MaxDepth:       ts.MaxDepth,
-		VMDispatched:   ts.VMDispatched,
-		Representation: RepTrailStore,
+		Expanded:     ts.Expanded,
+		Generated:    ts.Generated,
+		Failures:     ts.Failures,
+		DepthCutoffs: ts.DepthCutoffs,
+		Pruned:       ts.Pruned,
+		MaxFrontier:  ts.MaxChoicePoints,
+		MaxDepth:     ts.MaxDepth,
+		VMDispatched: ts.VMDispatched,
 	}
 }
 

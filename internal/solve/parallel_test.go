@@ -12,7 +12,6 @@ import (
 	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
-	"blog/internal/search"
 	"blog/internal/table"
 	"blog/internal/term"
 	"blog/internal/weights"
@@ -96,9 +95,6 @@ func TestParallelMatchesDFS(t *testing.T) {
 					if ps.Expanded != ds.Expanded || ps.Generated != ds.Generated || ps.Failures != ds.Failures ||
 						ps.DepthCutoffs != ds.DepthCutoffs || ps.VMDispatched != ds.VMDispatched {
 						t.Fatalf("%s: stats\n got %+v\nwant %+v", name, ps.Stats, ds.Stats)
-					}
-					if ps.Representation != search.RepTrailStore {
-						t.Fatalf("%s: representation %q", name, ps.Representation)
 					}
 				}
 			}

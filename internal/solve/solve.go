@@ -122,19 +122,6 @@ type Request struct {
 	PruneSlack  float64
 	OccursCheck bool
 
-	// NoVM forces the tree-walking resolution path (the differential
-	// oracle) instead of the compiled bytecode engine. The walker runs on
-	// the persistent-Env frontier, so NoVM routes DFS there as recording
-	// does; it is rejected with Parallel, whose oracle is sequential DFS.
-	// Table generators resolve compiled regardless.
-	NoVM bool
-
-	// NoTrail forces sequential DFS onto the persistent-Env frontier (the
-	// differential oracle) instead of the destructive trail-store machine.
-	// Only DFS is affected: BFS and best-first always run on Env, Parallel
-	// always on the trail store.
-	NoTrail bool
-
 	// Tables switches on tabled resolution: predicates declared
 	// `:- table name/arity` resolve against this answer-table space
 	// (memoized, deduplicated, complete answer sets) instead of program
@@ -159,7 +146,7 @@ type Request struct {
 	// shared across concurrent runs (all counters are atomic). Live, when
 	// non-nil, is this run's in-flight inspector entry; the engines sync
 	// their expansion counter into it periodically. All three work on
-	// every strategy and both binding representations.
+	// every strategy.
 	Trace *obs.Trace
 	Prof  *obs.Profiler
 	Live  *obs.Live
@@ -171,10 +158,8 @@ type Request struct {
 // elsewhere (e.g. Migrations outside Parallel, Groups outside
 // AND-parallel).
 type Stats struct {
-	// Representation is search.RepTrailStore (destructive store;
-	// sequential DFS and Parallel) or search.RepPersistentEnv (immutable
-	// Env chains; everything else). VMDispatched is zero on a NoVM or
-	// recording run.
+	// VMDispatched is zero on a recording run, whose walker labels the
+	// figures.
 	search.Stats
 
 	// OR-parallel network counters; see par.Stats.
@@ -232,9 +217,9 @@ func Do(ctx context.Context, req *Request) (*Response, error) {
 	case req.Strategy == Parallel:
 		resp, err = orParallel(ctx, req, tb)
 	case req.AndParallel:
-		resp, err = andParallel(ctx, req, tb)
+		resp, err = andParallel(ctx, req, searchOptions(req, tb))
 	default:
-		resp, err = sequential(ctx, req, tb)
+		resp, err = sequential(ctx, req, searchOptions(req, tb))
 	}
 	if err != nil {
 		return nil, err
@@ -307,8 +292,6 @@ func searchOptions(req *Request, tb engine.Tabler) search.Options {
 		PruneSlack:    req.PruneSlack,
 		OccursCheck:   req.OccursCheck,
 		Tabler:        tb,
-		NoVM:          req.NoVM,
-		NoTrail:       req.NoTrail,
 		RecordTree:    req.RecordTree,
 		RecordTrace:   req.RecordTrace,
 		Prof:          req.Prof,
@@ -344,9 +327,7 @@ func compilePhase(req *Request) {
 		return
 	}
 	sp := req.Trace.Phase("compile")
-	if !req.NoVM {
-		vm.For(req.DB)
-	}
+	vm.For(req.DB)
 	sp.End()
 }
 
@@ -388,16 +369,13 @@ func validate(req *Request) error {
 	if (req.RecordTree || req.RecordTrace) && (req.Strategy == Parallel || req.AndParallel) {
 		return errors.New("solve: tree/trace recording requires a sequential, non-AND-parallel run")
 	}
-	if req.NoVM && req.Strategy == Parallel {
-		return errors.New("solve: NoVM requires a sequential strategy (Parallel's oracle is sequential DFS)")
-	}
 	return nil
 }
 
-// sequential runs the single-threaded engine: DFS, BFS and BestFirst over
-// one open list, driven by package search.
-func sequential(ctx context.Context, req *Request, tb engine.Tabler) (*Response, error) {
-	sres, err := search.Run(ctx, req.DB, req.Store, req.Goals, searchOptions(req, tb))
+// sequential runs the single-threaded engine under opt: DFS, BFS and
+// BestFirst, driven by package search.
+func sequential(ctx context.Context, req *Request, opt search.Options) (*Response, error) {
+	sres, err := search.Run(ctx, req.DB, req.Store, req.Goals, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -444,12 +422,11 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 		QueryVars: pres.QueryVars,
 		Stats: Stats{
 			Stats: search.Stats{
-				Expanded:       pres.Stats.Expanded,
-				Generated:      pres.Stats.Generated,
-				Failures:       pres.Stats.Failures,
-				DepthCutoffs:   pres.Stats.DepthCutoffs,
-				VMDispatched:   pres.Stats.VMDispatched,
-				Representation: search.RepTrailStore,
+				Expanded:     pres.Stats.Expanded,
+				Generated:    pres.Stats.Generated,
+				Failures:     pres.Stats.Failures,
+				DepthCutoffs: pres.Stats.DepthCutoffs,
+				VMDispatched: pres.Stats.VMDispatched,
 			},
 			Migrations:        pres.Stats.Migrations,
 			NetworkAcquires:   pres.Stats.NetworkAcquires,
@@ -462,10 +439,10 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 
 // andParallel runs the section-7 engine: independent (non-variable-sharing)
 // goal groups evaluated concurrently under a sequential strategy and
-// combined by cross product, driven by package andpar.
-func andParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response, error) {
+// combined by cross product, driven by package andpar; each group runs
+// under group.
+func andParallel(ctx context.Context, req *Request, group search.Options) (*Response, error) {
 	// The solution cap bounds the combined cross product, not each group.
-	group := searchOptions(req, tb)
 	group.MaxSolutions = 0
 	ares, err := andpar.Solve(ctx, req.DB, req.Store, req.Goals, andpar.Options{
 		Search:       group,
@@ -475,17 +452,12 @@ func andParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
+	return &Response{
 		Solutions: ares.Solutions,
 		QueryVars: ares.QueryVars,
 		Stats:     Stats{Stats: ares.Stats, Groups: ares.GroupCount, GroupSolutions: ares.GroupSolutions},
 		Exhausted: ares.Exhausted,
-	}
-	// Group aggregation drops per-group search stats fields that are not
-	// counters; every group ran the same configuration, so the
-	// representation is a function of it.
-	resp.Stats.Representation = group.Representation()
-	return resp, nil
+	}, nil
 }
 
 // sortSolutions orders solutions by rendered bindings, then bound, giving

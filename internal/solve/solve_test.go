@@ -8,7 +8,6 @@ import (
 
 	"blog/internal/kb"
 	"blog/internal/parse"
-	"blog/internal/search"
 	"blog/internal/term"
 	"blog/internal/weights"
 )
@@ -64,8 +63,8 @@ func everyStrategy(t testing.TB, db *kb.DB, query string) map[string]*Request {
 }
 
 // TestDoDispatch pins which engine Do routes each request shape to, read
-// off what only that engine reports: the binding representation, the
-// AND-parallel group count and the OR-parallel per-worker counters.
+// off what only that engine reports: the AND-parallel group count and the
+// OR-parallel per-worker counters.
 func TestDoDispatch(t *testing.T) {
 	db := load(t, familySrc)
 	const query = "f(sam,A), m(sam,B)" // two independent groups
@@ -73,26 +72,17 @@ func TestDoDispatch(t *testing.T) {
 	and.AndParallel = true
 	par := req(t, db, query, Parallel)
 	par.Workers = 3
-	// The tree-walking oracle runs on the persistent Env, so NoVM routes
-	// DFS there, AND-parallel groups included.
-	oracle := req(t, db, query, DFS)
-	oracle.NoVM = true
-	andOracle := req(t, db, query, DFS)
-	andOracle.AndParallel, andOracle.NoVM = true, true
 	cases := []struct {
 		name    string
 		req     *Request
-		rep     string
 		groups  int
 		workers int
 	}{
-		{"dfs", req(t, db, query, DFS), search.RepTrailStore, 0, 0},
-		{"bfs", req(t, db, query, BFS), search.RepPersistentEnv, 0, 0},
-		{"best", req(t, db, query, BestFirst), search.RepPersistentEnv, 0, 0},
-		{"parallel", par, search.RepTrailStore, 0, 3},
-		{"andpar", and, search.RepPersistentEnv, 2, 0},
-		{"dfs novm", oracle, search.RepPersistentEnv, 0, 0},
-		{"andpar dfs novm", andOracle, search.RepPersistentEnv, 2, 0},
+		{"dfs", req(t, db, query, DFS), 0, 0},
+		{"bfs", req(t, db, query, BFS), 0, 0},
+		{"best", req(t, db, query, BestFirst), 0, 0},
+		{"parallel", par, 0, 3},
+		{"andpar", and, 2, 0},
 	}
 	for _, c := range cases {
 		resp, err := Do(context.Background(), c.req)
@@ -100,9 +90,9 @@ func TestDoDispatch(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		st := resp.Stats
-		if st.Representation != c.rep || st.Groups != c.groups || len(st.PerWorkerExpanded) != c.workers {
-			t.Errorf("%s: representation %q groups %d workers %d, want %q %d %d",
-				c.name, st.Representation, st.Groups, len(st.PerWorkerExpanded), c.rep, c.groups, c.workers)
+		if st.Groups != c.groups || len(st.PerWorkerExpanded) != c.workers {
+			t.Errorf("%s: groups %d workers %d, want %d %d",
+				c.name, st.Groups, len(st.PerWorkerExpanded), c.groups, c.workers)
 		}
 		if len(resp.Solutions) != 1 || !resp.Exhausted {
 			t.Errorf("%s: %d solutions exhausted=%v, want 1 true", c.name, len(resp.Solutions), resp.Exhausted)
@@ -164,11 +154,6 @@ func TestDoValidates(t *testing.T) {
 	rec.RecordTree = true
 	if _, err := Do(context.Background(), rec); err == nil {
 		t.Error("parallel tree recording must be rejected")
-	}
-	noVM := req(t, db, "gf(sam,G)", Parallel)
-	noVM.NoVM = true
-	if _, err := Do(context.Background(), noVM); err == nil {
-		t.Error("parallel NoVM must be rejected")
 	}
 }
 
@@ -402,9 +387,6 @@ func TestNewIterRecords(t *testing.T) {
 	}
 	if len(it.Trace()) == 0 {
 		t.Error("RecordTrace on a streaming request produced no lines")
-	}
-	if st := it.Stats(); st.Representation != search.RepPersistentEnv {
-		t.Errorf("recording stream ran on %q, want %q", st.Representation, search.RepPersistentEnv)
 	}
 }
 

@@ -7,15 +7,14 @@ import (
 
 	"blog/internal/kb"
 	"blog/internal/parse"
-	"blog/internal/search"
 	"blog/internal/table"
 	"blog/internal/weights"
 )
 
-// runDFSRep executes one query under sequential DFS on the representation
-// selected by noTrail: the destructive trail store (false) or the
-// persistent-Env frontier (true), everything else held equal.
-func runDFSRep(t *testing.T, src, query string, noTrail, tabled, prune bool, maxSol int) *Response {
+// runDFSRep executes one query under sequential DFS on the trail machine
+// (oracle false) or on the differential oracle, the tree-walker on the
+// persistent-Env frontier (oracle true), everything else held equal.
+func runDFSRep(t *testing.T, src, query string, oracle, tabled, prune bool, maxSol int) *Response {
 	t.Helper()
 	db, _, err := kb.LoadString(src)
 	if err != nil {
@@ -34,14 +33,17 @@ func runDFSRep(t *testing.T, src, query string, noTrail, tabled, prune bool, max
 		MaxExpansions: 20000,
 		MaxDepth:      48,
 		Prune:         prune,
-		NoTrail:       noTrail,
 	}
 	if tabled {
 		req.Tables = table.NewSpace(db, table.Config{})
 	}
-	resp, err := Do(context.Background(), req)
+	run := Do
+	if oracle {
+		run = doOracle
+	}
+	resp, err := run(context.Background(), req)
 	if err != nil {
-		t.Fatalf("solve (noTrail=%v): %v", noTrail, err)
+		t.Fatalf("solve (oracle=%v): %v", oracle, err)
 	}
 	return resp
 }
@@ -49,8 +51,8 @@ func runDFSRep(t *testing.T, src, query string, noTrail, tabled, prune bool, max
 // FuzzTrailStore is the differential oracle for the trail-store machine:
 // on random programs and queries, sequential DFS must produce the same
 // solutions in the same order, with the same bounds, completion status and
-// work counters, whether bindings live in the destructive trail store or
-// the persistent-Env frontier. Two variants run per case: exhaustive
+// work counters on the trail machine as on the oracle (the tree-walker on
+// the persistent-Env frontier). Two variants run per case: exhaustive
 // enumeration, and branch-and-bound pruning capped at the first solution —
 // the mode where choice-point bookkeeping (bounds restored on backtrack,
 // prune checks at arrival) is easiest to get subtly wrong.
@@ -69,12 +71,6 @@ func FuzzTrailStore(f *testing.F) {
 		} {
 			env := runDFSRep(t, src, query, true, tabled, v.prune, v.maxSol)
 			trail := runDFSRep(t, src, query, false, tabled, v.prune, v.maxSol)
-			if env.Stats.Representation != search.RepPersistentEnv {
-				t.Fatalf("%s: NoTrail run reports representation %q", v.name, env.Stats.Representation)
-			}
-			if trail.Stats.Representation != search.RepTrailStore {
-				t.Fatalf("%s: trail run reports representation %q", v.name, trail.Stats.Representation)
-			}
 			if env.Exhausted != trail.Exhausted {
 				t.Fatalf("%s: Exhausted %v (env) vs %v (trail)", v.name, env.Exhausted, trail.Exhausted)
 			}

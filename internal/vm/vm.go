@@ -61,12 +61,13 @@
 //
 // Builtins, negation-as-failure and tabled calls dispatch before clause
 // resolution, so the VM never sees them. The trail-store machine
-// (sequential DFS, OR-parallel workers, table generators) resolves program
-// clauses on the VM only: a predicate with no clauses has no code, and its
-// goals fail. The tree-walking engine lives once, in engine.Expander on
-// the persistent-Env frontier, and runs in two cases: tree-recorded runs,
-// whose figure rendering wants the walker's labeling, and NoVM runs
-// (search.Options.NoVM, solve.Request.NoVM), the differential oracle.
+// (sequential DFS, OR-parallel workers, table generators and the nested
+// proof of every \+ goal) resolves program clauses on the VM only: a
+// predicate with no clauses has no code, and its goals fail. The
+// tree-walking engine lives once, in engine.Expander on the
+// persistent-Env frontier, and runs in two cases: recorded runs, whose
+// figure rendering wants the walker's labeling, and NoVM runs
+// (search.Options.NoVM, the one oracle switch), the differential oracle.
 //
 // Compiled code is kept per predicate on the kb.DB, tagged with the
 // predicate's stamp (the generation of the last assert that changed it).

@@ -47,9 +47,6 @@ func TestProfilerSpanAccounting(t *testing.T) {
 	if len(res.Solutions) != 1 {
 		t.Fatalf("solutions = %d, want 1", len(res.Solutions))
 	}
-	if res.Representation != "trail-store" {
-		t.Fatalf("representation = %q, want trail-store (profiled hot path)", res.Representation)
-	}
 	if res.Spans == nil || res.Spans.Name != "query" {
 		t.Fatalf("Spans = %+v, want root span named query", res.Spans)
 	}
@@ -153,7 +150,8 @@ func TestTracedStreamSpans(t *testing.T) {
 }
 
 // TestSharedProfilerConcurrentQueries hammers one profiler from
-// concurrent queries across both binding representations, tabled
+// concurrent queries across both binding representations (DFS on the
+// trail store; traced DFS and BFS on the persistent Env), tabled
 // resolution and the OR-parallel strategy — the satellite's -race check
 // that the dense-cell array's copy-on-write growth and atomic counters
 // hold up under contention.
@@ -175,7 +173,7 @@ func TestSharedProfilerConcurrentQueries(t *testing.T) {
 		opts  []Option
 	}{
 		{"trail-dfs", deep, "top(X)", DFS, []Option{Traced()}},
-		{"env-dfs", deep, "top(X)", DFS, []Option{TrailStore(false)}},
+		{"env-dfs", deep, "top(X)", DFS, []Option{RecordTrace()}},
 		{"bfs", deep, "top(X)", BFS, nil},
 		{"tabled", cyclic, "path(v0, X)", DFS, []Option{Tabled(), Traced()}},
 		{"parallel", deep, "top(X)", Parallel, []Option{Workers(4)}},
