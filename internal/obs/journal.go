@@ -76,7 +76,9 @@ type Event struct {
 	// Millis carries a duration (slow-query wall time).
 	Millis float64 `json:"ms,omitempty"`
 	// Detail is free-form context (goal text, session ID; on a recompile,
-	// "N reused": the clauses whose earlier compiled form was kept).
+	// "N reused": the clauses whose earlier compiled form was kept; on a
+	// revalidation, "extended from N answers" when the table re-derived
+	// from its old answers).
 	Detail string `json:"detail,omitempty"`
 }
 

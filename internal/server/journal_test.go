@@ -37,8 +37,8 @@ func getJSON(t testing.TB, client *http.Client, url string, out any) {
 // state, size and hits; an identical weight reload leaves it standing (no
 // wipe stampede); a clause assert dirty-marks it and the re-query
 // re-derives; and GET /events replays the whole lifecycle — created,
-// completed, invalidated with its cause, revalidated — stamped with the
-// producing query's request ID.
+// completed, invalidated with its cause, revalidated (extended from the
+// old answers) — stamped with the producing query's request ID.
 func TestTablesAndEventsEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, tabledSrc, Config{})
 	client := ts.Client()
@@ -134,6 +134,14 @@ func TestTablesAndEventsEndpoints(t *testing.T) {
 	}
 	if revalidated[0].Count != 5 || revalidated[0].RequestID != requery.RequestID {
 		t.Errorf("revalidated = %+v, want 5 answers from %s", revalidated[0], requery.RequestID)
+	}
+	// path/2 reaches no \+, so its re-derivation starts from the 4 old
+	// answers.
+	if revalidated[0].Detail != "extended from 4 answers" {
+		t.Errorf("revalidated detail = %q, want \"extended from 4 answers\"", revalidated[0].Detail)
+	}
+	if _, data := get(t, client, ts.URL+"/metrics"); !strings.Contains(string(data), "blogd_tables_revalidated_total 1\nblogd_tables_extended_total 1\n") {
+		t.Errorf("/metrics lacks one revalidated, extended table:\n%s", data)
 	}
 	if created[0].Seq >= completed[0].Seq || completed[0].Seq >= invalidated[0].Seq || invalidated[0].Seq >= revalidated[0].Seq {
 		t.Errorf("event order %d %d %d %d not increasing",

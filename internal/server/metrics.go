@@ -58,10 +58,11 @@ type tableTotals struct {
 	created, answers, hits, reuse uint64
 	subsumed, improved            uint64
 
-	// dirtied/revalidated are the incremental-maintenance counters:
-	// complete tables found stale after an assert, and stale tables
-	// re-derived to completion.
-	dirtied, revalidated uint64
+	// dirtied/revalidated/extended are the incremental-maintenance
+	// counters: complete tables found stale after an assert, stale tables
+	// re-derived to completion, and those of them re-derived from their
+	// old answers.
+	dirtied, revalidated, extended uint64
 
 	// Live gauges (point-in-time; drop on invalidation): tables by
 	// lifecycle state and the retained answer bytes.
@@ -103,6 +104,7 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	line("table_answers_improved_total", tt.improved)
 	line("tables_dirtied_total", tt.dirtied)
 	line("tables_revalidated_total", tt.revalidated)
+	line("tables_extended_total", tt.extended)
 	line("tables_active", tt.active)
 	line("table_retained_bytes", tt.retainedBytes)
 	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"producing\"} %d\n", tt.producing)

@@ -776,7 +776,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	tt.active, tot = s.program.TableStats()
 	tt.created, tt.answers, tt.hits, tt.reuse = tot.Created, tot.Answers, tot.Hits, tot.RederivationsAvoided
 	tt.subsumed, tt.improved = tot.Subsumed, tot.Improved
-	tt.dirtied, tt.revalidated = tot.Dirtied, tot.Revalidated
+	tt.dirtied, tt.revalidated, tt.extended = tot.Dirtied, tot.Revalidated, tot.Extended
 	acct := s.program.TableAccounting()
 	tt.producing, tt.complete, tt.truncated, tt.dirty = acct.Producing, acct.Complete, acct.Truncated, acct.Dirty
 	tt.retainedBytes = acct.RetainedBytes

@@ -15,8 +15,9 @@ import (
 // costs: over the 64-node cyclic graph, with every path/2 table warm, one
 // new chord stales them all, and path(v3,Z) re-derives its 64 answers.
 // Most derivations in that fixpoint are duplicates; they must be rejected
-// on the live store without being detached, and the assert must compile
-// only the new edge/2 clause.
+// on the live store without being detached, the assert must compile
+// only the new edge/2 clause, and the monotone table must re-derive from
+// its old answers.
 func TestRederiveAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -42,11 +43,16 @@ func TestRederiveAllocationBudget(t *testing.T) {
 		query(goals)
 	}
 	run() // warm the scratch pools
-	// Measured at 715 allocations per assert and re-derivation; detaching
-	// and canonicalizing every duplicate and recompiling all of edge/2
-	// cost 5082. The budget is 1.3x the measurement.
-	const budget = 930
+	// Measured at 217-218 allocations per assert and re-derivation: the stale
+	// table restarts from its 64 old answers and closes in one round, and
+	// the new edge/2 clause extends one dispatch bucket. Re-deriving from
+	// empty and rebuilding every bucket cost 715; detaching and
+	// canonicalizing every duplicate and recompiling all of edge/2 cost
+	// 5082. The budget is 1.3x the measurement.
+	const budget = 282
 	if got := testing.AllocsPerRun(20, run); got > budget {
 		t.Errorf("assert + re-derivation of path(v3,Z) allocated %.1f times, budget %d", got, budget)
+	} else {
+		t.Logf("assert + re-derivation of path(v3,Z): %.1f allocations", got)
 	}
 }

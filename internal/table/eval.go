@@ -71,6 +71,10 @@ type eval struct {
 	// completed table that was depth-truncated, so the group built on it
 	// inherits the truncation.
 	truncConsumed bool
+	// nonMonotone records that this production reached a \+ or consumed
+	// a non-monotone or min(N) table: a cheaper edge replaces a min(N)
+	// cost, and the answers built on the old one would linger. See complete.
+	nonMonotone bool
 	// added counts answer-set *changes* anywhere during this eval: new
 	// answers and, for min(N) tables, cost improvements that replaced a
 	// memoized answer. Counting value changes — not just answer counts —
@@ -240,6 +244,7 @@ func (ev *eval) complete() {
 	for _, g := range ev.group {
 		g.truncated = trunc
 		g.depth = ev.maxDepth
+		g.monotone = !ev.nonMonotone && g.min == 0
 	}
 	// A group that completed already stale is not a successful
 	// revalidation: the next touch derives it afresh.
@@ -247,6 +252,9 @@ func (ev *eval) complete() {
 	for _, g := range ev.group {
 		if g.revalidating && !stale {
 			ev.space.revalidated.Add(1)
+			if g.extendedFrom > 0 {
+				ev.space.extended.Add(1)
+			}
 		}
 	}
 	j := ev.space.journal.Load()
@@ -259,6 +267,9 @@ func (ev *eval) complete() {
 			detail = "completed stale: an assert raced the fixpoint; re-derives on next touch"
 		} else if g.revalidating {
 			kind = obs.KindTableRevalidated
+			if g.extendedFrom > 0 {
+				detail = fmt.Sprintf("extended from %d answers", g.extendedFrom)
+			}
 		}
 		j.Emit(obs.Event{
 			Kind:      kind,
@@ -534,14 +545,19 @@ func (ev *eval) charge(consumed int) error {
 func (ev *eval) IsTabled(fn term.Sym, arity int) bool { return ev.space.db.IsTabled(fn, arity) }
 
 // ForNegation implements engine.NegationTabler: negation sub-searches
-// inside a production get the restricted negEval view.
-func (ev *eval) ForNegation() engine.Tabler { return negEval{ev} }
+// inside a production get the restricted negEval view. A \+ decision can
+// flip when an assert adds answers, so the production is non-monotone.
+func (ev *eval) ForNegation() engine.Tabler {
+	ev.nonMonotone = true
+	return negEval{ev}
+}
 
 // serveComplete replays a table completed before this production began.
 func (ev *eval) serveComplete(t *Table) ([]term.Term, error) {
 	if t.truncated {
 		ev.truncConsumed = true
 	}
+	ev.nonMonotone = ev.nonMonotone || !t.monotone
 	// The consumed table's answers flow into this production, so its
 	// recorded stamps (already transitive) join ours.
 	ev.foldDeps(t.deps)
@@ -583,6 +599,7 @@ func (ev *eval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]ter
 // copy cut at the call: a later min(N) improvement replaces answers in
 // place, and must not leak into a consumer already iterating.
 func (ev *eval) consume(t *Table) ([]term.Term, error) {
+	ev.nonMonotone = ev.nonMonotone || t.min > 0
 	answers := t.answers
 	if !t.complete.Load() {
 		answers = slices.Clone(answers)

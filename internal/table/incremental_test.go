@@ -231,34 +231,63 @@ eb(b1, b2). eb(b2, b3).
 
 // TestRevalidationKeepsRounds: a table's round count spans all of its
 // productions, so the re-derivation after an assert adds its rounds to
-// those of the first production instead of replacing them.
+// those of the first production instead of replacing them. A monotone
+// table re-derives from its old answers: edge(a, c) adds nothing to the
+// ring's closure, so its revalidation closes in one round. A table whose
+// body reaches \+ re-derives from empty and takes as many rounds as a
+// fresh production of the new program.
 func TestRevalidationKeepsRounds(t *testing.T) {
-	db, _, err := kb.LoadString(`
-:- table path/2.
+	const ring = `edge(a, b). edge(b, c). edge(c, d). edge(d, a).
+blocked(z).
+`
+	cases := []struct {
+		name  string
+		src   string
+		first int
+		// reval is the revalidation's own round count; 0 means that of a
+		// fresh production over the post-assert program.
+		reval int
+	}{
+		{"monotone", `:- table path/2.
 path(X, Z) :- path(X, Y), edge(Y, Z).
 path(X, Y) :- edge(X, Y).
-edge(a, b). edge(b, c). edge(c, d). edge(d, a).
-`)
-	if err != nil {
-		t.Fatal(err)
+` + ring, 5, 1},
+		{"negation", `:- table path/2.
+path(X, Z) :- path(X, Y), edge(Y, Z), \+(blocked(Z)).
+path(X, Y) :- edge(X, Y).
+` + ring, 5, 0},
 	}
-	sp := table.NewSpace(db, table.Config{})
-	row := func() table.Info {
-		t.Helper()
-		rows := sp.Tables()
-		if len(rows) != 1 {
-			t.Fatalf("tables = %+v, want one", rows)
-		}
-		return rows[0]
-	}
-	tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
-	if r := row(); r.Rounds != 5 || r.Revalidations != 0 {
-		t.Fatalf("first production = %+v, want 5 rounds, 0 revalidations", r)
-	}
-	assertFact(t, db, "edge(a, c)")
-	tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
-	if r := row(); r.Rounds != 9 || r.Revalidations != 1 {
-		t.Fatalf("after revalidation = %+v, want 5+4 rounds, 1 revalidation", r)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db, _, err := kb.LoadString(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := func(sp *table.Space) table.Info {
+				t.Helper()
+				rows := sp.Tables()
+				if len(rows) != 1 {
+					t.Fatalf("tables = %+v, want one", rows)
+				}
+				return rows[0]
+			}
+			sp := table.NewSpace(db, table.Config{})
+			tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
+			if r := row(sp); r.Rounds != tc.first || r.Revalidations != 0 {
+				t.Fatalf("first production = %+v, want %d rounds, 0 revalidations", r, tc.first)
+			}
+			assertFact(t, db, "edge(a, c)")
+			reval := tc.reval
+			if reval == 0 {
+				fresh := table.NewSpace(db, table.Config{})
+				tabledAnswers(t, db, fresh, "path(a, Z)", solve.DFS)
+				reval = row(fresh).Rounds
+			}
+			tabledAnswers(t, db, sp, "path(a, Z)", solve.DFS)
+			if r := row(sp); r.Rounds != tc.first+reval || r.Revalidations != 1 {
+				t.Fatalf("after revalidation = %+v, want %d+%d rounds, 1 revalidation", r, tc.first, reval)
+			}
+		})
 	}
 }
 

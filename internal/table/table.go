@@ -49,17 +49,21 @@
 // predicate: the first observer of a stale table counts every table then
 // stale, a stale table stops serving, and the next touch replaces it with
 // a fresh object that re-derives through the normal production path —
-// untouched tables keep serving throughout. Whole-space Invalidate remains only for genuine
-// limit changes (a new depth coding A), and ReconfigureCause with
-// unchanged limits is a no-op. Complete untruncated tables additionally
-// serialize to a persistent snapshot (snapshot.go) that validates
-// per-table dependency fingerprints at load, so a blogd restart replays
-// its hot tables instead of rebuilding every fixpoint.
+// untouched tables keep serving throughout. A monotone table (a plain
+// table that reached no \+ and read no min(N) table) keeps every answer
+// across an assert, so its replacement starts from them and the rounds
+// only extend it. Whole-space Invalidate remains only for genuine limit
+// changes (a new depth coding A), and ReconfigureCause with unchanged
+// limits is a no-op. Complete untruncated tables additionally serialize to
+// a persistent snapshot (snapshot.go) that validates per-table dependency
+// fingerprints at load, so a blogd restart replays its hot tables instead
+// of rebuilding every fixpoint.
 package table
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -122,6 +126,7 @@ type Space struct {
 	improved    atomic.Uint64
 	dirtied     atomic.Uint64
 	revalidated atomic.Uint64
+	extended    atomic.Uint64
 
 	// journal, when set, receives table lifecycle events (created,
 	// completed, truncated, invalidated with cause). Nil by default, so
@@ -254,6 +259,11 @@ type Table struct {
 	// completion journals as table_revalidated. Written at creation under
 	// the space mutex, read by the single producer.
 	revalidating bool
+	// monotone marks a complete plain table an assert can only add
+	// answers to (see eval.complete); extendedFrom is the number of answers a
+	// replacement was seeded with (see seed), 0 when it started empty.
+	monotone     bool
+	extendedFrom int64
 	// revalidations counts how many times this logical table (the call
 	// pattern, across object replacements) has been re-derived after
 	// going stale. Carried over on replacement.
@@ -564,9 +574,11 @@ type Totals struct {
 	// Dirtied counts complete tables found stale, each once, when a
 	// lookup, listing, accounting or snapshot first observes the space
 	// after the assert; Revalidated counts stale tables that have since
-	// re-derived to completion.
+	// re-derived to completion, and Extended those of them that
+	// re-derived from their old answers rather than from empty.
 	Dirtied     uint64
 	Revalidated uint64
+	Extended    uint64
 }
 
 // Totals returns the space's cumulative counters.
@@ -580,6 +592,7 @@ func (s *Space) Totals() Totals {
 		Improved:             s.improved.Load(),
 		Dirtied:              s.dirtied.Load(),
 		Revalidated:          s.revalidated.Load(),
+		Extended:             s.extended.Load(),
 	}
 }
 
@@ -643,6 +656,9 @@ func (s *Space) getOrCreate(key []byte, env *term.Env, goal term.Term, h *Handle
 			t.rounds.Store(replaced.rounds.Load())
 			t.revalidations.Store(replaced.revalidations.Load() + 1)
 			t.revalidating = true
+			if replaced.monotone && !replaced.truncated && len(replaced.answers) > 0 {
+				s.seed(t, replaced)
+			}
 		}
 		s.tables[t.key] = t
 		s.created.Add(1)
@@ -659,6 +675,22 @@ func (s *Space) getOrCreate(key []byte, env *term.Env, goal term.Term, h *Handle
 		})
 	}
 	return t
+}
+
+// seed starts t from the answers, dedup index and dependencies (at their
+// current stamps) of old, the monotone table it replaces. An assert only
+// appends clauses, so every old answer is still derivable and the rounds
+// extend the seed to the new fixpoint. Runs under the space mutex; old is
+// complete and immutable.
+func (s *Space) seed(t, old *Table) {
+	t.answers, t.answerSet = slices.Clone(old.answers), maps.Clone(old.answerSet)
+	t.nAnswers.Store(old.nAnswers.Load())
+	t.bytes.Store(old.bytes.Load())
+	t.deps = make([]dep, len(old.deps))
+	for i, d := range old.deps {
+		t.deps[i] = dep{d.pred, s.db.Stamp(d.pred.Fn, d.pred.Arity)}
+	}
+	t.extendedFrom = int64(len(t.answers))
 }
 
 // acquireProducer claims the producer slot, or fails with ctx's error.

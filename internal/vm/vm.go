@@ -72,13 +72,16 @@
 // Compiled code is kept per predicate on the kb.DB, tagged with the
 // predicate's stamp (the generation of the last assert that changed it).
 // An assert on p/n makes the next lookup of p/n compile the asserted
-// clause and rebuild p/n's dispatch, so learned or merged clauses reach
+// clause and append it to its dispatch bucket (or rebuild the dispatch,
+// for a variable first argument), so learned or merged clauses reach
 // the compiled path immediately while every other clause and predicate
 // keeps its code. Engines look code up through a Cache, whose slots are
 // valid for one database generation.
 package vm
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 
 	"blog/internal/kb"
@@ -176,9 +179,10 @@ func (pc *PredCode) Select(env *term.Env, goal term.Term) []*CClause {
 // Pred returns the compiled code for a predicate's current clauses, or
 // nil when it has none. Code is kept per predicate on the database, tagged
 // with the stamp it was compiled from: the first call after an assert on
-// the predicate compiles its new clauses and dispatch alone, and every
-// other clause's and predicate's code comes back pointer-identical. Safe
-// for concurrent use; concurrent compiles of one predicate settle on one
+// the predicate compiles its new clauses alone and appends keyed ones to
+// their buckets (other changes rebuild the dispatch), and every other
+// clause's and predicate's code comes back pointer-identical. Safe for
+// concurrent use; concurrent compiles of one predicate settle on one
 // PredCode.
 func Pred(db *kb.DB, fn term.Sym, arity int) *PredCode {
 	clauses, stamp, code, current := db.Code(fn, arity)
@@ -277,8 +281,35 @@ func compilePred(clauses []*kb.Clause, last *PredCode) (pc *PredCode, reused int
 		}
 		pc.all[i] = compileClause(c)
 	}
-	buildDispatch(pc)
+	if last == nil || reused != len(last.all) || !extendDispatch(pc, last) {
+		buildDispatch(pc)
+	}
 	return pc, reused
+}
+
+// extendDispatch gives pc, which is last plus appended clauses, last's
+// dispatch with each appended clause at the end of its key's bucket (a new
+// key's starts from varOnly), as buildDispatch would order it. Appends go
+// to clipped copies, so last is never written. It reports false, leaving
+// pc alone, when last has no buckets or an appended head is not keyed.
+func extendDispatch(pc, last *PredCode) bool {
+	if last.buckets == nil {
+		return false
+	}
+	buckets := maps.Clone(last.buckets)
+	for _, cc := range pc.all[len(last.all):] {
+		k, keyed := kb.KeyOf(cc.c.Head.(*term.Compound).Args[0])
+		if !keyed {
+			return false
+		}
+		bucket, ok := buckets[k]
+		if !ok {
+			bucket = last.varOnly
+		}
+		buckets[k] = append(slices.Clip(bucket), cc)
+	}
+	pc.buckets, pc.varOnly = buckets, last.varOnly
+	return true
 }
 
 // buildDispatch fills the switch-on-term table: one premerged bucket per

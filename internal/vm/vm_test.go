@@ -221,7 +221,7 @@ func TestForRecompilesOnAssert(t *testing.T) {
 
 // TestRecompileCompilesOnlyTheAssertedClause: the first lookup of edge/2
 // after one assert compiles the new clause alone — every old clause keeps
-// its compiled form, pointer-identical — and rebuilds the dispatch table
+// its compiled form, pointer-identical — and extends the dispatch table
 // so the new clause is selected. Its vm_recompile event counts one clause
 // compiled and the rest reused.
 func TestRecompileCompilesOnlyTheAssertedClause(t *testing.T) {
