@@ -16,11 +16,12 @@
 // concurrent Query calls.
 //
 // Loading compiles the program for cheap resolution: functor and atom
-// names are interned to integer symbols, and every clause becomes a
-// slot-numbered skeleton that is activated per resolution step with one
-// fresh-variable frame instead of a deep copy (see internal/term and
-// internal/kb). Loading is therefore the expensive step and querying the
-// cheap one — load a Program once and share it across goroutines.
+// names are interned to integer symbols, the clauses are stored as parsed
+// (internal/kb), and every predicate is compiled once to bytecode with a
+// first-argument dispatch table (internal/vm), so a resolution step
+// activates a clause by register capture instead of a deep copy. Loading
+// is therefore the expensive step and querying the cheap one — load a
+// Program once and share it across goroutines.
 //
 // Quickstart:
 //
@@ -666,20 +667,6 @@ func (c *collector) result(res *Result, err error) (*Result, error) {
 	return res, nil
 }
 
-// QueryGoals runs pre-parsed goals (shared-variable structure preserved).
-func (p *Program) QueryGoals(goals []term.Term, strat Strategy, opts ...Option) (*Result, error) {
-	return p.QueryGoalsContext(context.Background(), goals, strat, opts...)
-}
-
-// QueryGoalsContext runs pre-parsed goals under ctx. All strategies go
-// through the same solver runtime: the facade only assembles the Request
-// and converts the unified Response. A Traced run's span tree has no
-// parse phase here — the goals arrived parsed.
-func (p *Program) QueryGoalsContext(ctx context.Context, goals []term.Term, strat Strategy, opts ...Option) (*Result, error) {
-	var c collector
-	return c.result(p.QueryEach(ctx, Goal{goals: goals}, strat, c.add, opts...))
-}
-
 // runRequest is the back half of every batch query: run the request, hand
 // each answer to yield, finish the trace. The sequential strategies are
 // pulled, each answer read from the run's live bindings; Parallel and
@@ -860,9 +847,6 @@ func (s *SolutionIter) NextAnswer() (Answer, bool, error) {
 	return Answer{Names: s.names, Bound: a.Bound, Depth: a.Depth, view: a}, true, nil
 }
 
-// Expanded returns the nodes expanded so far.
-func (s *SolutionIter) Expanded() uint64 { return s.inner.Stats().Expanded }
-
 // IterStats are the work counters of a streaming query so far: the same
 // Counters a batch Result carries.
 type IterStats struct{ Counters }
@@ -936,9 +920,6 @@ func (s *Session) NoteQuery(succeeded bool) { s.inner.NoteQuery(succeeded) }
 
 // Counts returns (queries, successes, failures) recorded with NoteQuery.
 func (s *Session) Counts() (queries, successes, failures int) { return s.inner.Counts() }
-
-// Ended reports whether End has been called.
-func (s *Session) Ended() bool { return s.inner.Ended() }
 
 // SaveWeights serializes the global weight table in a line-oriented text
 // format, so a learned database survives across processes (the global

@@ -302,7 +302,7 @@ func TestIterFacade(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("streamed %v", got)
 	}
-	if it.Expanded() == 0 {
+	if it.Stats().Expanded == 0 {
 		t.Error("no work recorded")
 	}
 	if p.LearnedArcs() == 0 {

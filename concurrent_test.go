@@ -344,7 +344,7 @@ func TestConcurrentSubsumptionConverges(t *testing.T) {
 
 // TestConcurrentAssertDuringQueriesAndSnapshots is the assert-while-serving
 // regression for the clause store (run with -race): Program.Assert mutates
-// kb.DB's predicate and first-argument indexes while tabled queries resolve
+// kb.DB's predicate index and clause lists while tabled queries resolve
 // against them and snapshot writes fingerprint them, which used to be
 // completely unsynchronized. Asserts grow a chain edge by edge while every
 // strategy queries its transitive closure and a snapshot writer serializes

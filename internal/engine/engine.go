@@ -333,21 +333,14 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 	cands := e.DB.Candidates(n.Env, goal)
 	children := make([]*Node, 0, len(cands))
 	for _, c := range cands {
-		// Two-phase activation of the compiled clause: instantiate the
-		// head (slot lookups over a fresh frame, ground subterms shared —
-		// no map-backed deep rename), and build the body only if the head
-		// actually unifies.
-		head, frame := c.HeadForUnify()
+		head, body := c.Activate()
 		env, ok := e.unify(n.Env, goal, head)
 		if !ok {
 			continue
 		}
-		bodyEntries := make([]GoalEntry, len(c.Body))
-		if len(bodyEntries) > 0 {
-			frame = c.EnsureFrame(frame)
-			for i := range bodyEntries {
-				bodyEntries[i] = GoalEntry{Goal: c.InstantiateGoal(i, frame), Caller: c.ID, Pos: i}
-			}
+		bodyEntries := make([]GoalEntry, len(body))
+		for i, g := range body {
+			bodyEntries[i] = GoalEntry{Goal: g, Caller: c.ID, Pos: i}
 		}
 		arc := kb.Arc{Caller: entry.Caller, Pos: entry.Pos, Callee: c.ID}
 		e.seq++
@@ -407,9 +400,10 @@ func (e *Expander) expandCompiled(n *Node, entry GoalEntry, goal term.Term, pc *
 	return children, nil
 }
 
-// pushBody prepends the instantiated body of a just-resolved compiled
-// clause onto tail. It is PushGoals specialized to the machine's body
-// skeletons: the stack nodes for the whole body come from one block, so
+// pushBody prepends the body of a clause the machine just resolved onto
+// tail, each goal built by the machine from its compiled body skeleton
+// over the register file. It is PushGoals specialized to the machine:
+// the stack nodes for the whole body come from one block, so
 // a clause with k body goals costs one allocation instead of k+1. Each
 // node is a distinct addressable struct, so the persistent-list sharing
 // contract is unchanged.

@@ -1,6 +1,5 @@
-// Package kb implements the B-LOG database: a clause store with predicate
-// and first-argument indexing, plus the weighted-pointer structure of
-// figure 4 of the paper.
+// Package kb implements the B-LOG database: a clause store indexed by
+// predicate, plus the weighted-pointer structure of figure 4 of the paper.
 //
 // Section 5 stores the database "as a linked list data structure, with
 // blocks representing each Horn clause (rule or fact), and pointers to
@@ -12,11 +11,11 @@
 // weight learned by one query is visible to every later query that travels
 // the same pointer, which is requirement 1 of section 4.
 //
-// Clauses are compiled at load time: their terms become slot-numbered
-// skeletons (term.Skeleton), so resolution activates a clause with one
-// fresh-variable frame instead of a map-backed deep rename, and the
-// predicate and first-argument indexes key on interned symbols (term.Sym)
-// instead of formatted strings.
+// Clauses are stored as parsed, and kb compiles nothing. internal/vm
+// compiles a predicate's clauses into its code and first-argument
+// dispatch, and attaches that code here (SetCode); it is the only
+// compiled form of a clause. The predicate index keys on interned symbols
+// (term.Sym), not formatted strings.
 package kb
 
 import (
@@ -57,9 +56,10 @@ func (a Arc) String() string {
 	return fmt.Sprintf("%d.%d->%d", a.Caller, a.Pos, a.Callee)
 }
 
-// Clause is one stored Horn clause (a block in the paper's linked list).
-// Head and Body keep the loaded terms for rendering and static analysis;
-// resolution uses the compiled skeleton via Activate.
+// Clause is one stored Horn clause (a block in the paper's linked list),
+// immutable once asserted. Head and Body are the terms as parsed: the VM
+// compiles them, and the tree-walking oracle renames them apart with
+// Activate.
 type Clause struct {
 	ID   ClauseID
 	Head term.Term
@@ -68,81 +68,17 @@ type Clause struct {
 	Pred string
 	// Line is the source line, when parsed from text.
 	Line int
-
-	// Compiled form: head and body skeletons over one shared slot
-	// numbering, plus the print names of the slots (in slot order).
-	headSkel term.Skeleton
-	bodySkel []term.Skeleton
-	varNames []string
 }
 
 // IsFact reports whether the clause has an empty body.
 func (c *Clause) IsFact() bool { return len(c.Body) == 0 }
 
-// NumVars returns the number of variable slots in the compiled clause.
-func (c *Clause) NumVars() int { return len(c.varNames) }
-
-// Activate instantiates the clause for one resolution step: a fresh
-// activation frame is allocated and the head and body are rebuilt by slot
-// lookup, sharing all ground subterms. It replaces the per-resolution deep
-// rename of the uncompiled representation.
+// Activate renames the clause apart for one resolution step: head and
+// body are copied together with fresh variables (term.RefreshAll), so a
+// variable shared between them stays shared.
 func (c *Clause) Activate() (head term.Term, body []term.Term) {
-	frame := term.NewFrame(c.varNames)
-	head = c.headSkel.Instantiate(frame)
-	if len(c.bodySkel) == 0 {
-		return head, nil
-	}
-	body = make([]term.Term, len(c.bodySkel))
-	for i := range c.bodySkel {
-		body[i] = c.bodySkel[i].Instantiate(frame)
-	}
-	return head, body
-}
-
-// ActivateHead instantiates only the clause head, renamed apart. Fact
-// joins use this; a ground head comes back shared with zero allocation.
-func (c *Clause) ActivateHead() term.Term {
-	if c.headSkel.IsGround() {
-		return c.Head
-	}
-	return c.headSkel.Instantiate(term.NewFrame(c.varNames))
-}
-
-// HeadForUnify begins a two-phase activation: it instantiates the head for
-// a resolution attempt, minting a frame only when the head has variables.
-// If the head unifies, BodyAfter completes the activation with the same
-// frame; if not, the body (often the bulk of the clause) was never built.
-func (c *Clause) HeadForUnify() (term.Term, *term.Frame) {
-	if c.headSkel.IsGround() {
-		return c.Head, nil
-	}
-	f := term.NewFrame(c.varNames)
-	return c.headSkel.Instantiate(f), f
-}
-
-// EnsureFrame completes a two-phase activation's frame: a nil frame from
-// HeadForUnify (ground head) is minted here when the clause has variables
-// elsewhere. Callers then instantiate body goals via InstantiateGoal.
-func (c *Clause) EnsureFrame(f *term.Frame) *term.Frame {
-	if f == nil && len(c.varNames) > 0 {
-		f = term.NewFrame(c.varNames)
-	}
-	return f
-}
-
-// InstantiateGoal instantiates the body goal at pos against an activation
-// frame, letting callers build their own goal records without an
-// intermediate body slice.
-func (c *Clause) InstantiateGoal(pos int, f *term.Frame) term.Term {
-	return c.bodySkel[pos].Instantiate(f)
-}
-
-// ActivateGoal instantiates the body goal at pos, renamed apart.
-func (c *Clause) ActivateGoal(pos int) term.Term {
-	if c.bodySkel[pos].IsGround() {
-		return c.Body[pos]
-	}
-	return c.bodySkel[pos].Instantiate(term.NewFrame(c.varNames))
+	ts, _ := term.RefreshAll(append([]term.Term{c.Head}, c.Body...))
+	return ts[0], ts[1:]
 }
 
 // String renders the clause in source syntax. A space precedes the final
@@ -189,10 +125,10 @@ func ParsePredKey(ind string) (PredKey, bool) {
 	return PredKey{term.Intern(ind[:i]), arity}, true
 }
 
-// ArgKey is the first-argument index key: the shape of a constant (atom,
-// integer, or compound principal functor) as a comparable struct, so index
-// probes never format strings. internal/vm's switch-on-term tables key on
-// it too.
+// ArgKey is the first-argument key: the shape of a constant (atom,
+// integer, or compound principal functor) as a comparable struct, so
+// comparing keys never formats strings. Candidates compares them, and
+// internal/vm's switch-on-term tables key on them.
 type ArgKey struct {
 	kind byte // 'a' atom, 'i' integer, 'c' compound
 	sym  term.Sym
@@ -203,11 +139,6 @@ type ArgKey struct {
 type pred struct {
 	// clauses lists the predicate's clauses in source order.
 	clauses []*Clause
-	// firstArg maps a first-argument constant key to the clauses whose
-	// head first argument is that constant. Clauses with a variable first
-	// argument appear in varFirst and match any key.
-	firstArg map[ArgKey][]*Clause
-	varFirst []*Clause
 	// stamp is the generation of the last assert that changed the
 	// predicate.
 	stamp uint64
@@ -424,14 +355,6 @@ func (db *DB) assert(head term.Term, body []term.Term, line int) *Clause {
 	}
 	fn, arity, _ := term.PredOf(head)
 	c := &Clause{Head: head, Body: body, Pred: ind, Line: line}
-	// Compile once (outside the lock — compilation touches only the new
-	// clause): head and body share one slot numbering.
-	terms := make([]term.Term, 0, len(body)+1)
-	terms = append(terms, head)
-	terms = append(terms, body...)
-	sks, names := term.CompileTerms(terms)
-	c.headSkel, c.bodySkel, c.varNames = sks[0], sks[1:], names
-
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	c.ID = ClauseID(len(db.clauses))
@@ -442,14 +365,6 @@ func (db *DB) assert(head term.Term, body []term.Term, line int) *Clause {
 		db.preds[PredKey{fn, arity}] = p
 	}
 	p.clauses = append(p.clauses, c)
-	if ak, keyed := firstArgKey(head); keyed {
-		if p.firstArg == nil {
-			p.firstArg = make(map[ArgKey][]*Clause)
-		}
-		p.firstArg[ak] = append(p.firstArg[ak], c)
-	} else {
-		p.varFirst = append(p.varFirst, c)
-	}
 	p.stamp = db.gen.Add(1)
 	return c
 }
@@ -468,16 +383,6 @@ func (db *DB) Fingerprint(fn term.Sym, arity int) (fp, stamp uint64) {
 		h.Write([]byte{0})
 	}
 	return h.Sum64(), stamp
-}
-
-// firstArgKey returns an index key for the first head argument if it is an
-// atom or integer. Compound first arguments are indexed by functor/arity.
-func firstArgKey(head term.Term) (ArgKey, bool) {
-	c, ok := head.(*term.Compound)
-	if !ok || len(c.Args) == 0 {
-		return ArgKey{}, false
-	}
-	return KeyOf(c.Args[0])
 }
 
 // KeyOf computes the index key of a constant term; variables (and any
@@ -560,11 +465,10 @@ func (db *DB) ClausesFor(ind string) []*Clause {
 }
 
 // Candidates returns, in source order, the clauses whose heads may unify
-// with the goal as resolved under env. The first-argument index prunes
-// clauses whose head first argument is a different constant; the result is
-// a superset of the truly unifiable clauses (unification still decides).
-// The probe is allocation-free: predicate and argument keys are interned
-// symbols, not formatted strings.
+// with the goal as resolved under env: the predicate's clauses less those
+// whose head first argument is a different constant. The result is a
+// superset of the truly unifiable clauses (unification still decides). It
+// may be the predicate's own clause list, so callers must not modify it.
 func (db *DB) Candidates(env *term.Env, goal term.Term) []*Clause {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -585,37 +489,31 @@ func (db *DB) candidatesLocked(env *term.Env, goal term.Term) []*Clause {
 	if p == nil {
 		return nil
 	}
-	all := p.clauses
 	gc, ok := goal.(*term.Compound)
 	if !ok || len(gc.Args) == 0 {
-		return all
+		return p.clauses
 	}
 	ak, keyed := KeyOf(env.Resolve(gc.Args[0]))
 	if !keyed {
-		return all
+		return p.clauses
 	}
-	keyedClauses := p.firstArg[ak]
-	varClauses := p.varFirst
-	if len(varClauses) == 0 {
-		return keyedClauses
-	}
-	if len(keyedClauses) == 0 {
-		return varClauses
-	}
-	// Merge the two lists preserving source order (both are ID-sorted).
-	out := make([]*Clause, 0, len(keyedClauses)+len(varClauses))
-	i, j := 0, 0
-	for i < len(keyedClauses) && j < len(varClauses) {
-		if keyedClauses[i].ID < varClauses[j].ID {
-			out = append(out, keyedClauses[i])
-			i++
-		} else {
-			out = append(out, varClauses[j])
-			j++
+	// out stays nil until the first clause is left out, so a scan that
+	// filters nothing returns the predicate's own list.
+	var out []*Clause
+	for i, c := range p.clauses {
+		if hk, hkeyed := KeyOf(c.Head.(*term.Compound).Args[0]); hkeyed && hk != ak {
+			if out == nil {
+				out = append(make([]*Clause, 0, len(p.clauses)-1), p.clauses[:i]...)
+			}
+			continue
+		}
+		if out != nil {
+			out = append(out, c)
 		}
 	}
-	out = append(out, keyedClauses[i:]...)
-	out = append(out, varClauses[j:]...)
+	if out == nil {
+		return p.clauses
+	}
 	return out
 }
 
@@ -661,5 +559,7 @@ func (db *DB) ResolvableBy(caller ClauseID, pos int, callee ClauseID) bool {
 	if c == nil || k == nil || pos < 0 || pos >= len(c.Body) {
 		return false
 	}
-	return unify.CanUnify(nil, c.ActivateGoal(pos), k.ActivateHead())
+	_, body := c.Activate()
+	head, _ := k.Activate()
+	return unify.CanUnify(nil, body[pos], head)
 }

@@ -285,9 +285,6 @@ func TestClauseActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := db.Clause(0)
-	if rule.NumVars() != 3 {
-		t.Fatalf("rule has %d slots, want 3 (X,Y,Z)", rule.NumVars())
-	}
 	h1, b1 := rule.Activate()
 	h2, b2 := rule.Activate()
 	// Structure preserved, variables renamed apart across activations.
@@ -307,21 +304,6 @@ func TestClauseActivation(t *testing.T) {
 	}
 	if x2 == z1 || b2[0].(*term.Compound).Args[1].(*term.Var) == z1 {
 		t.Error("activations leaked variables into each other")
-	}
-	// Ground fact heads activate as the stored term itself.
-	fact := db.Clause(1)
-	if fact.ActivateHead() != fact.Head {
-		t.Error("ground fact head must be shared, not copied")
-	}
-	// Two-phase activation defers the body until the head unified.
-	head, frame := rule.HeadForUnify()
-	if head == nil || frame == nil {
-		t.Fatal("rule head activation needs a frame")
-	}
-	frame = rule.EnsureFrame(frame)
-	g0 := rule.InstantiateGoal(0, frame)
-	if g0.(*term.Compound).Args[0] != head.(*term.Compound).Args[0] {
-		t.Error("body goal must reuse the head's activation frame")
 	}
 }
 

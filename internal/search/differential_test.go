@@ -92,9 +92,10 @@ func TestDifferentialStrategiesOnRandomPrograms(t *testing.T) {
 // TestDifferentialEnginesAgreeWithFixpointOracle checks the top-down
 // engines, compiled and tree-walked, against the independent bottom-up
 // fixpoint evaluator of internal/ref on Datalog-fragment workload
-// programs. The queries include constant first arguments, so the
-// symbolized first-argument index is on the tested path: a pruning bug
-// there would drop answers the oracle licenses.
+// programs. The queries include constant first arguments, so
+// first-argument selection (the VM's dispatch, kb.Candidates for the
+// walker) is on the tested path: a pruning bug there would drop answers
+// the oracle licenses.
 func TestDifferentialEnginesAgreeWithFixpointOracle(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -1010,12 +1010,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleStats serves GET /stats: the loaded program's shape.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	clauses, facts, rules, preds, arcs := s.program.Stats()
-	tableInfos := s.program.Tables()
-	answers := uint64(0)
-	for _, ti := range tableInfos {
-		answers += uint64(ti.Answers)
-	}
-	tables := len(tableInfos)
+	tables, _ := s.program.TableStats()
+	answers := uint64(s.program.TableAccounting().Answers)
 	writeJSON(w, http.StatusOK, ProgramStats{
 		Clauses:      clauses,
 		Facts:        facts,

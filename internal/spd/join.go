@@ -99,7 +99,7 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 			if !okAll {
 				continue
 			}
-			head := c.ActivateHead()
+			head, _ := c.Activate()
 			if unify.CanUnify(env, consumer, head) {
 				return true
 			}
@@ -153,7 +153,7 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 				continue
 			}
 			rep.JoinAttempts++
-			head := c.ActivateHead()
+			head, _ := c.Activate()
 			e2, ok := unify.Unify(env, consumer, head)
 			if !ok {
 				continue
@@ -219,7 +219,7 @@ func NestedLoopJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, 
 				return nil, fmt.Errorf("spd: consumer %s resolves against rule %s", consPred, c)
 			}
 			rep.JoinAttempts++
-			head := c.ActivateHead()
+			head, _ := c.Activate()
 			e2, ok := unify.Unify(env, consumer, head)
 			if !ok {
 				continue

@@ -326,16 +326,13 @@ func (d *SPD) MarkWhere(pred func(*Block) bool) {
 // compares against stored data) is marked. Like MarkWhere it sweeps the
 // whole disk once; the comparand is broadcast to every SP's cache logic.
 func (d *SPD) MarkComparand(pattern term.Term) {
-	// Compile the comparand once; each block match instantiates a fresh
-	// activation frame so bindings from one block do not constrain the
-	// next (a ground pattern is shared with zero per-block allocation).
-	sk, names := term.Compile(pattern)
+	// Each block matches a fresh copy of the comparand, so bindings from
+	// one block do not constrain the next.
 	d.MarkWhere(func(b *Block) bool {
 		if b.Key == nil {
 			return false
 		}
-		p := sk.Instantiate(term.NewFrame(names))
-		_, ok := unify.Match(nil, p, b.Key)
+		_, ok := unify.Match(nil, term.Refresh(pattern), b.Key)
 		return ok
 	})
 }

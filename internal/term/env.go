@@ -39,9 +39,9 @@ func NewVar(name string) *Var {
 
 // NewFrame mints len(names) fresh variables sharing one activation frame.
 // The variables are backed by a single allocation and receive consecutive
-// serials, so activating a clause skeleton costs O(1) allocations
-// regardless of how many variables the clause has. A nil frame is returned
-// for an empty name list (ground activation).
+// serials, so the VM's activation of a compiled clause costs O(1)
+// allocations regardless of how many variables the clause has. A nil frame
+// is returned for an empty name list (ground activation).
 func NewFrame(names []string) *Frame {
 	if len(names) == 0 {
 		return nil
@@ -267,12 +267,11 @@ func (e *Env) Format(t Term) string {
 }
 
 // Refresh returns t with every variable consistently replaced by a fresh
-// one (the "renaming apart" operation for terms that were not compiled at
-// load time, such as copy_term/2 arguments). It is a one-shot map-based
-// copy: arbitrary runtime terms can have many variables, so the skeleton
-// compiler's small-clause slot numbering does not apply. Clause activation
-// does not go through here — stored clauses are compiled once into
-// Skeletons and activated via frames; see skeleton.go.
+// one: the "renaming apart" operation outside the VM. copy_term/2 copies
+// its argument this way, and the tree-walking oracle activates a stored
+// clause by refreshing its head and body together (RefreshAll, through
+// kb.Clause.Activate). It is a one-shot map-based copy that rebuilds
+// every compound, ground ones included.
 func Refresh(t Term) Term {
 	switch t.(type) {
 	case *Var, *Compound:

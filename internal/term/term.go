@@ -8,10 +8,11 @@
 //   - Functor and atom names are interned to integer Syms in a
 //     process-wide symbol table (sym.go), so unification, clause indexing
 //     and builtin dispatch compare integers, never strings.
-//   - Clause terms are compiled once into Skeletons (skeleton.go) whose
-//     variables are numbered slots; "renaming apart" a clause is then one
-//     activation frame allocation plus a slot-indexed copy that shares all
-//     ground subterms verbatim.
+//   - Clauses compile once, in internal/vm, into head code and body
+//     skeletons over numbered slots; "renaming apart" a clause there is
+//     register capture plus at most one activation frame. Outside the VM
+//     (the tree-walking oracle, copy_term/2, a trail run's root goals) a
+//     term is renamed apart by copying it (Refresh, RefreshAll).
 //   - Variables carry their activation Frame, letting binding environments
 //     snapshot per-frame binding arrays instead of copying one flat map
 //     (env.go).

@@ -262,46 +262,6 @@ func TestInternStable(t *testing.T) {
 	}
 }
 
-func TestSkeletonActivation(t *testing.T) {
-	x, y := NewVar("X"), NewVar("Y")
-	g := NewCompound("g", NewAtom("k"), Int(3)) // ground subterm
-	tm := NewCompound("f", x, g, NewCompound("h", y, x))
-	sks, names := CompileTerms([]Term{tm, NewCompound("p", y)})
-	if len(names) != 2 {
-		t.Fatalf("slots = %v, want 2", names)
-	}
-	frame := NewFrame(names)
-	out := sks[0].Instantiate(frame).(*Compound)
-	if out.Args[0] != Term(frame.Var(0)) {
-		t.Error("slot 0 should instantiate to frame var 0")
-	}
-	if out.Args[1] != Term(g) {
-		t.Error("ground subterm must be shared, not copied")
-	}
-	h := out.Args[2].(*Compound)
-	if h.Args[0] != Term(frame.Var(1)) || h.Args[1] != Term(frame.Var(0)) {
-		t.Error("shared variables must map to the same frame slots")
-	}
-	p := sks[1].Instantiate(frame).(*Compound)
-	if p.Args[0] != Term(frame.Var(1)) {
-		t.Error("second term must share slot numbering with the first")
-	}
-	// Two activations must be renamed apart from each other.
-	out2 := sks[0].Instantiate(NewFrame(names)).(*Compound)
-	if out2.Args[0] == out.Args[0] {
-		t.Error("activations must mint fresh variables")
-	}
-	// A fully ground term activates as itself with a nil frame.
-	gc := g.(*Compound)
-	gsk, gnames := Compile(gc)
-	if len(gnames) != 0 || !gsk.IsGround() {
-		t.Fatalf("ground compile: names=%v ground=%v", gnames, gsk.IsGround())
-	}
-	if gsk.Instantiate(nil) != Term(gc) {
-		t.Error("ground skeleton must instantiate to the shared term")
-	}
-}
-
 func TestNewFrameUniqueIDs(t *testing.T) {
 	f1 := NewFrame([]string{"A", "B", "C"})
 	f2 := NewFrame([]string{"A"})

@@ -100,8 +100,8 @@ func occurs(env *term.Env, v *term.Var, t term.Term) bool {
 }
 
 // CanUnify reports whether a and b unify under env without keeping the
-// resulting bindings. It backs the \=/2 builtin and the candidate
-// prefiltering done by the first-argument index. On a destructive store's
+// resulting bindings. It backs the \=/2 builtin, kb.ResolvableBy's arc
+// check and the semantic paging disk's joins. On a destructive store's
 // own environment the trial bindings are real writes, so they are taken
 // back to an explicit trail mark; on a persistent environment the
 // extension is simply dropped.

@@ -1,15 +1,16 @@
 // Package vm is the register-based bytecode engine for the sequential
-// resolution core: the compiled counterpart of the skeleton walker in
-// internal/kb and internal/engine, finishing the compilation journey the
-// paper's section 6 motivates (clause activation as a constant-time
-// machine operation rather than a structure walk).
+// resolution core, and the only compiled form of a clause: internal/kb
+// stores clauses as parsed, and the tree-walking oracle in
+// internal/engine renames them apart by copying. It carries out what the
+// paper's section 6 motivates: clause activation as a constant-time
+// machine operation rather than a structure walk.
 //
 // At load time every clause is compiled once into a flat instruction
 // sequence over the interned-Sym term core, and every predicate's clause
 // set into a switch-on-term first-argument dispatch table. At run time
 // the engine (internal/engine's trail-store machine and Expander) executes
 // head unification and body instantiation on the Machine instead of
-// walking skeleton trees.
+// copying the clause.
 //
 // # Instruction set
 //
@@ -54,8 +55,8 @@
 // premerged candidate bucket (the keyed clauses for that constant merged
 // with the variable-first clauses, in clause-ID order). A goal with a
 // bound first argument jumps straight to its bucket — replacing the
-// tree-walker's per-goal index probe and merge allocation — while a goal
-// with an unbound first argument takes the full list.
+// tree-walker's per-goal scan of the clause list (kb.Candidates) — while
+// a goal with an unbound first argument takes the full list.
 //
 // # Fallback rules
 //
@@ -110,8 +111,9 @@ type instr struct {
 }
 
 // snode is the compiled skeleton used for write-mode instantiation and
-// body-goal construction: like term.Skeleton, but slots resolve through
-// the machine's register file before minting fresh variables.
+// body-goal construction: variables are numbered slots that resolve
+// through the machine's register file before minting fresh variables,
+// and ground subterms are shared by every activation.
 type snode struct {
 	kind   uint8
 	slot   int32
