@@ -12,7 +12,7 @@
 //
 // Every strategy dispatches through the unified solver runtime of
 // internal/solve, so queries uniformly support context cancellation and
-// deadlines (QueryContext, IterContext) and a Program is safe for
+// deadlines (QueryContext, QueryEach) and a Program is safe for
 // concurrent Query calls.
 //
 // Loading compiles the program for cheap resolution: functor and atom
@@ -95,10 +95,10 @@ func ValidateQuery(query string) error {
 	return err
 }
 
-// Goal is a parsed query. ParseGoal reads the text once and QueryEach or
-// IterGoal run the result, so a server that checks a goal before admitting
-// it runs the very parse it checked. A Traced run records that parse as
-// its parse phase, and its span tree starts where the parse did.
+// Goal is a parsed query. ParseGoal reads the text once and QueryEach runs
+// the result, so a server that checks a goal before admitting it runs the
+// very parse it checked. A Traced run records that parse as its parse
+// phase, and its span tree starts where the parse did.
 type Goal struct {
 	goals []term.Term
 	// parsed and end bound the parse; zero for goals that arrived parsed.
@@ -423,8 +423,8 @@ type Span = obs.Span
 type Live = obs.Live
 
 // Traced collects a span tree for the query — parse, compile, search,
-// and table-fixpoint rounds — returned as Result.Spans (or
-// SolutionIter.Spans for streams). Works under every strategy.
+// and table-fixpoint rounds — returned as Result.Spans. Works under every
+// strategy.
 func Traced() Option { return func(o *queryOpts) { o.traced = true } }
 
 // Profiled attributes the query's per-predicate work (expansions, VM
@@ -462,16 +462,15 @@ func (s Solution) String() string {
 }
 
 // Answer is one solution as the engine holds it: the terms bound to the
-// query's variables, read in place and not yet rendered. QueryEach and
-// SolutionIter.NextAnswer hand answers out so a caller can render each one
-// once, straight into its own output; Solution converts one to strings.
+// query's variables, read in place and not yet rendered. QueryEach hands
+// answers out so a caller can render each one once, straight into its own
+// output; Solution converts one to strings.
 //
 // An Answer is a view over the run's live bindings — on a depth-first run,
 // a store the search rewrites as it moves on — so it is valid only during
-// the yield that receives it, or until the next NextAnswer. Value and
-// Solution take out what must outlive it. In an answer's text a variable
-// that is not one of the query's own prints as _G<serial>
-// (term.AppendAnswer).
+// the yield that receives it. Value and Solution take out what must
+// outlive it. In an answer's text a variable that is not one of the
+// query's own prints as _G<serial> (term.AppendAnswer).
 type Answer struct {
 	// Names are the query variables' print names in query order. Every
 	// answer of a query shares this one slice; do not modify it.
@@ -498,7 +497,7 @@ func (a Answer) value(i int) term.Term {
 }
 
 // Value returns the term bound to the variable Names[i], detached: it
-// stays valid after later pulls and after the query ends.
+// stays valid after later answers and after the query ends.
 func (a Answer) Value(i int) term.Term {
 	if a.bindings != nil {
 		return a.bindings[a.Names[i]]
@@ -545,8 +544,8 @@ func (a Answer) Solution() Solution {
 	return Solution{Bindings: b, Bound: a.Bound, Depth: a.Depth, varOrder: a.Names}
 }
 
-// Counters are the work counters every query reports, batch (Result) and
-// streaming (IterStats) alike.
+// Counters are the work counters every query reports in its Result, under
+// every strategy.
 type Counters struct {
 	// Expanded, Generated, Failures and Pruned count search work.
 	Expanded  uint64
@@ -583,7 +582,7 @@ type Counters struct {
 }
 
 // countersFrom fills Counters from the engine's stats and the run's
-// table counters — the one conversion behind Result and IterStats.
+// table counters — the one conversion behind every Result.
 func countersFrom(st search.Stats, ts table.Stats) Counters {
 	return Counters{
 		Expanded:             st.Expanded,
@@ -627,22 +626,35 @@ func (p *Program) Query(query string, strat Strategy, opts ...Option) (*Result, 
 
 // QueryContext is Query with cancellation: a cancelled or deadlined ctx
 // aborts the search promptly — under every strategy — and returns the
-// context's error. It is QueryEach with a yield that converts every answer
-// to a Solution and collects it in Result.Solutions.
+// context's error, with a nil Result. It is QueryEach with a yield that
+// converts every answer to a Solution and collects it in Result.Solutions.
 func (p *Program) QueryContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*Result, error) {
 	g, err := ParseGoal(query)
 	if err != nil {
 		return nil, err
 	}
-	var c collector
-	return c.result(p.QueryEach(ctx, g, strat, c.add, opts...))
+	var sols []Solution
+	res, err := p.QueryEach(ctx, g, strat, func(a Answer) error {
+		sols = append(sols, a.Solution())
+		return nil
+	}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	res.Solutions = sols
+	return res, nil
 }
 
 // QueryEach runs a parsed goal like QueryContext but hands each answer to
-// yield instead of converting it: on the sequential strategies the answer
-// is read from the run's live bindings, nothing is built per answer, and
-// Result.Solutions stays empty. A non-nil error from yield stops the
-// hand-out and is returned.
+// yield as the run finds it, instead of converting it: on the sequential
+// strategies the answer is read from the run's live bindings, nothing is
+// built per answer, and Result.Solutions stays empty. A non-nil error from
+// yield stops the run and is returned.
+//
+// Once a sequential run (DFS, BFS or BestFirst, without AndParallel) has
+// started, QueryEach returns its Result beside any error: the counters and
+// spans of the work done, with Exhausted false. Otherwise an error comes
+// with a nil Result.
 func (p *Program) QueryEach(ctx context.Context, g Goal, strat Strategy, yield func(Answer) error, opts ...Option) (*Result, error) {
 	o, store, err := p.applyOpts(opts)
 	if err != nil {
@@ -651,26 +663,11 @@ func (p *Program) QueryEach(ctx context.Context, g Goal, strat Strategy, yield f
 	return runRequest(ctx, p.request(g, strat, o, store), yield)
 }
 
-// collector is the yield behind Result.Solutions.
-type collector struct{ sols []Solution }
-
-func (c *collector) add(a Answer) error {
-	c.sols = append(c.sols, a.Solution())
-	return nil
-}
-
-func (c *collector) result(res *Result, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	res.Solutions = c.sols
-	return res, nil
-}
-
-// runRequest is the back half of every batch query: run the request, hand
-// each answer to yield, finish the trace. The sequential strategies are
-// pulled, each answer read from the run's live bindings; Parallel and
-// AndParallel answers cross goroutines, so they come from Do detached.
+// runRequest is the back half of every query: run the request, hand each
+// answer to yield, finish the trace. The sequential strategies are pulled,
+// each answer read from the run's live bindings, and report their Result
+// however the run ends; Parallel and AndParallel answers cross goroutines,
+// so they come from Do detached.
 func runRequest(ctx context.Context, req *solve.Request, yield func(Answer) error) (*Result, error) {
 	if req.Strategy == Parallel || req.AndParallel {
 		return runDetached(ctx, req, yield)
@@ -683,13 +680,10 @@ func runRequest(ctx context.Context, req *solve.Request, yield func(Answer) erro
 	served := 0
 	a, ok, err := it.NextAnswer()
 	for ; ok; a, ok, err = it.NextAnswer() {
-		if err := yield(Answer{Names: names, Bound: a.Bound, Depth: a.Depth, view: a}); err != nil {
-			return nil, err
+		if err = yield(Answer{Names: names, Bound: a.Bound, Depth: a.Depth, view: a}); err != nil {
+			break
 		}
 		served++
-	}
-	if err != nil {
-		return nil, err
 	}
 	it.EndSearch(served)
 	res := &Result{
@@ -701,7 +695,7 @@ func runRequest(ctx context.Context, req *solve.Request, yield func(Answer) erro
 	if t := it.Tree(); t != nil {
 		res.Tree = t.Render()
 	}
-	return res, nil
+	return res, err
 }
 
 // runDetached runs a Parallel or AndParallel request through Do and hands
@@ -780,105 +774,6 @@ func (p *Program) request(g Goal, strat Strategy, o queryOpts, store weights.Sto
 		Live:          o.live,
 	}
 }
-
-// SolutionIter streams solutions one at a time, the interactive top-level
-// style of querying ("; for more"). Learning, when enabled, applies to
-// every chain the iterator completes even if the caller abandons it early.
-type SolutionIter struct {
-	inner *solve.Iter
-	names []string
-	trace *obs.Trace // nil for untraced streams
-}
-
-// Iter prepares a lazy query under a sequential strategy (DFS, BFS or
-// BestFirst); the Parallel strategy is not supported in streaming mode.
-// Tree/trace recording (RecordTree, RecordTrace) and span tracing
-// (Traced) stream too: the recorded tree, lines and spans grow as
-// solutions are pulled, readable through Tree, Trace and Spans.
-func (p *Program) Iter(query string, strat Strategy, opts ...Option) (*SolutionIter, error) {
-	return p.IterContext(context.Background(), query, strat, opts...)
-}
-
-// IterContext is Iter with cancellation: once ctx is done, Next returns
-// the context's error.
-func (p *Program) IterContext(ctx context.Context, query string, strat Strategy, opts ...Option) (*SolutionIter, error) {
-	g, err := ParseGoal(query)
-	if err != nil {
-		return nil, err
-	}
-	return p.IterGoal(ctx, g, strat, opts...)
-}
-
-// IterGoal is IterContext over a goal ParseGoal already parsed.
-func (p *Program) IterGoal(ctx context.Context, g Goal, strat Strategy, opts ...Option) (*SolutionIter, error) {
-	o, store, err := p.applyOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	req := p.request(g, strat, o, store)
-	it, err := solve.NewIter(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &SolutionIter{inner: it, names: engine.VarNames(it.QueryVars()), trace: req.Trace}, nil
-}
-
-// Next returns the next solution; ok is false when the stream ends
-// (err reports aborts such as the expansion budget or a done context).
-func (s *SolutionIter) Next() (Solution, bool, error) {
-	a, ok, err := s.NextAnswer()
-	if !ok {
-		return Solution{}, false, err
-	}
-	return a.Solution(), true, nil
-}
-
-// NextAnswer is Next without the conversion: it hands out the answer as a
-// view over the run's live bindings, valid until the next NextAnswer, to
-// be rendered by the caller.
-func (s *SolutionIter) NextAnswer() (Answer, bool, error) {
-	a, ok, err := s.inner.NextAnswer()
-	if !ok {
-		// The stream is over one way or another; close any open spans so
-		// the trace is complete whenever the caller reads it.
-		s.trace.Finish()
-		return Answer{}, false, err
-	}
-	return Answer{Names: s.names, Bound: a.Bound, Depth: a.Depth, view: a}, true, nil
-}
-
-// IterStats are the work counters of a streaming query so far: the same
-// Counters a batch Result carries.
-type IterStats struct{ Counters }
-
-// Stats returns the counters accumulated by the iterator so far.
-func (s *SolutionIter) Stats() IterStats {
-	return IterStats{countersFrom(s.inner.Stats(), s.inner.Tables())}
-}
-
-// Exhausted reports whether the stream ended because the whole tree was
-// searched (meaningful after Next returned ok=false with a nil error);
-// false for a stream stopped by MaxSolutions, exactly as Result.Exhausted.
-func (s *SolutionIter) Exhausted() bool { return s.inner.Exhausted() }
-
-// Spans returns the stream's span tree when Traced was set, nil
-// otherwise. It finishes the trace — closing the still-open search phase
-// — so it is meant to be read once the caller is done pulling.
-func (s *SolutionIter) Spans() *Span { return s.trace.Finish() }
-
-// Tree returns the search tree rendered so far when RecordTree was set
-// ("" otherwise); it grows as solutions are pulled.
-func (s *SolutionIter) Tree() string {
-	t := s.inner.Tree()
-	if t == nil {
-		return ""
-	}
-	return t.Render()
-}
-
-// Trace returns the figure-1 style lines recorded so far when
-// RecordTrace was set.
-func (s *SolutionIter) Trace() []string { return s.inner.Trace() }
 
 // Session scopes weight learning per section 5: strong updates go to a
 // local store; End merges them conservatively into the program's global

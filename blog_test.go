@@ -282,40 +282,6 @@ func TestPreludeConfig(t *testing.T) {
 	}
 }
 
-func TestIterFacade(t *testing.T) {
-	p := loadFig1(t)
-	it, err := p.Iter("gf(sam, G)", BestFirst, Learn())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for {
-		s, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, s.String())
-	}
-	if len(got) != 2 {
-		t.Errorf("streamed %v", got)
-	}
-	if it.Stats().Expanded == 0 {
-		t.Error("no work recorded")
-	}
-	if p.LearnedArcs() == 0 {
-		t.Error("streaming with Learn should update the table")
-	}
-	if _, err := p.Iter("gf(sam,G)", Parallel); err == nil {
-		t.Error("parallel streaming unsupported")
-	}
-	if _, err := p.Iter("gf(sam", DFS); err == nil {
-		t.Error("bad query must fail")
-	}
-}
-
 func TestAndParallelOption(t *testing.T) {
 	p, err := LoadString("p(1). p(2). p(3).\nq(a). q(b).")
 	if err != nil {
@@ -503,31 +469,6 @@ func TestTabledInvalidation(t *testing.T) {
 	mustTables(0)
 }
 
-func TestTabledStreaming(t *testing.T) {
-	p, err := LoadString(leftRecSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := p.Iter("path(a, R)", DFS, Tabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 4 || !it.Exhausted() {
-		t.Fatalf("streamed %d answers (exhausted=%v), want 4 exhausted", n, it.Exhausted())
-	}
-}
-
 // weightedCycleSrc is a small weighted cyclic graph under the min(3)
 // subsumption directive: the direct a->b edge (cost 4) is dominated by
 // the a->c->b chain (cost 2), so production both subsumes and improves.
@@ -582,37 +523,5 @@ func TestSubsumedTabledQueryAllStrategies(t *testing.T) {
 		if _, tot := p.TableStats(); tot.Subsumed == 0 || tot.Improved == 0 {
 			t.Fatalf("%v: totals = %+v, want subsumption counted", strat, tot)
 		}
-	}
-}
-
-// TestSubsumedTabledStreaming: the streaming path serves the same minima
-// and reports the subsumption counters on IterStats — what blogd's stream
-// terminal line carries.
-func TestSubsumedTabledStreaming(t *testing.T) {
-	p, err := LoadString(weightedCycleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := p.Iter("shortest(a, Y, C)", DFS, Tabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 || !it.Exhausted() {
-		t.Fatalf("streamed %d answers (exhausted=%v), want 3 exhausted", n, it.Exhausted())
-	}
-	st := it.Stats()
-	if st.AnswersSubsumed == 0 || st.AnswersImproved == 0 {
-		t.Fatalf("stream stats = %+v, want subsumption counters on the terminal stats", st)
 	}
 }

@@ -179,8 +179,10 @@ func (st *replState) sessionCmd(fields []string, out io.Writer) {
 		}
 		alpha := 0.0
 		if len(fields) == 3 {
+			// 0 keeps the default; NewSession would ignore any other
+			// value outside (0, 1].
 			v, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
+			if err != nil || !(v >= 0 && v <= 1) {
 				fmt.Fprintf(out, "bad alpha %q\n", fields[2])
 				return
 			}

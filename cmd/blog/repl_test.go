@@ -95,6 +95,22 @@ func TestREPLSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestREPLSessionAlpha: an alpha the session would ignore is refused, not
+// silently replaced by the default.
+func TestREPLSessionAlpha(t *testing.T) {
+	for _, alpha := range []string{"5", "-3", "NaN"} {
+		out := runScript(t, ":session begin "+alpha+"\n:quit\n")
+		if !strings.Contains(out, "bad alpha") || strings.Contains(out, "session begun") {
+			t.Errorf("alpha %s:\n%s", alpha, out)
+		}
+	}
+	for _, alpha := range []string{"0", "1"} {
+		if out := runScript(t, ":session begin "+alpha+"\n:quit\n"); !strings.Contains(out, "session begun") {
+			t.Errorf("alpha %s:\n%s", alpha, out)
+		}
+	}
+}
+
 func TestREPLSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.txt")
 	out := runScript(t, ":learn on\ngf(sam, G).\n:save "+path+"\n:quit\n")

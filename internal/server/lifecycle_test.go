@@ -52,7 +52,9 @@ func streamQuery(t testing.TB, ts string, client *http.Client, req QueryRequest)
 // with two writers, so the same goal must come back with the same
 // solutions in the same order, the same exhausted flag and the same work
 // and table counters — including exhausted=false when max_solutions
-// stopped the run, even on the last solution there was.
+// stopped the run, even on the last solution there was. A learning run
+// leaves the same learned arcs behind, and a traced run returns the same
+// span phases with the same search counts.
 func TestQueryAndStreamAgree(t *testing.T) {
 	src := tabledSrc + "f(a).\nf(b).\n" + workload.FamilyTree(3, 2)
 	cases := []struct {
@@ -66,9 +68,12 @@ func TestQueryAndStreamAgree(t *testing.T) {
 		{"capped at the total, dfs", QueryRequest{Goal: "f(X)", Strategy: "dfs", MaxSolutions: 2}, false},
 		{"capped at the total, bfs", QueryRequest{Goal: "f(X)", Strategy: "bfs", MaxSolutions: 2}, false},
 		{"capped at the total, best", QueryRequest{Goal: "f(X)", Strategy: "best", MaxSolutions: 2}, false},
+		{"learning", QueryRequest{Goal: "anc(p0,X)", Strategy: "best", Learn: true}, true},
+		{"traced", QueryRequest{Goal: "path(a,R)", Strategy: "dfs", Tabled: true, Trace: true}, true},
 	}
 	for _, c := range cases {
-		// A fresh server per endpoint, so both runs meet cold tables.
+		// A fresh server per endpoint, so both runs meet cold tables and
+		// untrained weights.
 		_, one := newTestServer(t, src, Config{})
 		batch := queryResp(t, one.Client(), one.URL+"/query", c.req)
 		_, two := newTestServer(t, src, Config{})
@@ -90,7 +95,49 @@ func TestQueryAndStreamAgree(t *testing.T) {
 		if b != s || b.expanded == 0 || (c.req.Tabled && b.created == 0) {
 			t.Errorf("%s: counters differ: /query %+v, stream %+v", c.name, b, s)
 		}
+		if c.req.Learn {
+			var oneStats, twoStats ProgramStats
+			getJSON(t, one.Client(), one.URL+"/stats", &oneStats)
+			getJSON(t, two.Client(), two.URL+"/stats", &twoStats)
+			if oneStats.LearnedArcs == 0 || oneStats.LearnedArcs != twoStats.LearnedArcs {
+				t.Errorf("%s: learned arcs %d (/query) %d (stream), want equal and non-zero", c.name, oneStats.LearnedArcs, twoStats.LearnedArcs)
+			}
+		}
+		if c.req.Trace {
+			if batch.Trace == nil || final.Trace == nil {
+				t.Fatalf("%s: trace %v (/query) %v (stream), want both", c.name, batch.Trace, final.Trace)
+			}
+			if b, s := spanPhases(batch.Trace), spanPhases(final.Trace); !reflect.DeepEqual(b, s) {
+				t.Errorf("%s: span phases %v (/query) %v (stream)", c.name, b, s)
+			}
+			b, s := findSpan(batch.Trace, "search"), findSpan(final.Trace, "search")
+			if b == nil || s == nil || b.Counts["expanded"] == 0 || !reflect.DeepEqual(b.Counts, s.Counts) {
+				t.Errorf("%s: search spans %+v (/query) %+v (stream), want equal counts", c.name, b, s)
+			}
+		}
 	}
+}
+
+// spanPhases lists the names in a span tree, depth first.
+func spanPhases(sp *obs.Span) []string {
+	names := []string{sp.Name}
+	for _, c := range sp.Children {
+		names = append(names, spanPhases(c)...)
+	}
+	return names
+}
+
+// findSpan is the first span named name in a span tree, depth first.
+func findSpan(sp *obs.Span, name string) *obs.Span {
+	if sp.Name == name {
+		return sp
+	}
+	for _, c := range sp.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
 // TestQueryErrorClassification drives the one error classifier through
@@ -156,6 +203,11 @@ func TestQueryErrorClassification(t *testing.T) {
 			}
 			if got := c.counter(s.metrics).Load(); got != 1 {
 				t.Errorf("%s: its counter reads %d, want 1", name, got)
+			}
+			// A run the budget stopped did its work on the VM, and both
+			// writers account for it.
+			if c.name == "budget" && s.metrics.vmDispatch.Load() == 0 {
+				t.Errorf("%s: vm dispatches not counted", name)
 			}
 			if other := s.metrics.timeouts.Load() + s.metrics.killed.Load() + s.metrics.budgetStops.Load() +
 				s.metrics.errors.Load() + s.metrics.cancelled.Load() + s.metrics.badRequests.Load(); other != 1 {

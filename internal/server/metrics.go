@@ -33,8 +33,8 @@ type serverMetrics struct {
 	tabledQueries metrics.Counter
 
 	// vmDispatch sums goals resolved on the compiled bytecode engine
-	// across all queries, the engine every served query resolves program
-	// clauses on.
+	// across all queries, one-shot or streamed, failed ones included: a
+	// sequential run reports its dispatches however it ends.
 	vmDispatch metrics.Counter
 
 	// The OR-parallel network, summed over parallel queries: chains

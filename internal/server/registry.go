@@ -55,7 +55,7 @@ func newRegistry(limit int, ttl time.Duration) *registry {
 	return r
 }
 
-// create opens a session on p, evicting idle sessions first. alpha <= 0
+// create opens a session on p, evicting idle sessions first. alpha 0
 // takes the blog default (0.5). The caller merges the evicted sessions
 // (waitIdle then Session.End).
 func (r *registry) create(p *blog.Program, alpha float64) (*sessionEntry, []*sessionEntry, error) {

@@ -62,28 +62,18 @@ func encodedQueryBody(t testing.TB, res *blog.Result, strategy, session string) 
 }
 
 // encodedStream is a stream body as encoding/json writes its StreamEvent
-// lines for the solutions it pulls, without request_id.
-func encodedStream(t testing.TB, it *blog.SolutionIter) []byte {
+// lines for the solutions of res, without request_id.
+func encodedStream(t testing.TB, res *blog.Result) []byte {
 	var out []byte
-	n := 0
-	for {
-		sol, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	for _, sol := range res.Solutions {
 		ws := wireSolutionOf(sol)
 		out = append(out, encodeJSON(t, StreamEvent{Solution: &ws})...)
-		n++
 	}
-	c := it.Stats().Counters
 	return append(out, encodeJSON(t, StreamEvent{
-		Done: true, Exhausted: it.Exhausted(), Solutions: n, Expanded: c.Expanded, VMDispatched: c.VMDispatched,
-		TablesCreated: c.TablesCreated, TableAnswers: c.TableAnswers, TableHits: c.TableHits,
-		RederivationsAvoided: c.RederivationsAvoided, TablesTruncated: c.TablesTruncated,
-		AnswersSubsumed: c.AnswersSubsumed, AnswersImproved: c.AnswersImproved,
+		Done: true, Exhausted: res.Exhausted, Solutions: len(res.Solutions), Expanded: res.Expanded, VMDispatched: res.VMDispatched,
+		TablesCreated: res.TablesCreated, TableAnswers: res.TableAnswers, TableHits: res.TableHits,
+		RederivationsAvoided: res.RederivationsAvoided, TablesTruncated: res.TablesTruncated,
+		AnswersSubsumed: res.AnswersSubsumed, AnswersImproved: res.AnswersImproved,
 	})...)
 }
 
@@ -234,19 +224,17 @@ func TestWireBodiesMatchEncodingJSON(t *testing.T) {
 				}
 				var want []byte
 				wantStatus, wantType := http.StatusOK, "application/json"
-				if endpoint == "/query" {
-					res, err := ref.QueryContext(context.Background(), step.req.Goal, strat, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
+				if endpoint == "/query/stream" && (strat == blog.Parallel || step.req.AndParallel) {
+					want, wantStatus = encodeJSON(t, ErrorResponse{Error: errUnstreamable.Error()}), http.StatusBadRequest
+				} else if res, err := ref.QueryContext(context.Background(), step.req.Goal, strat, opts...); err != nil {
+					t.Fatal(err)
+				} else if endpoint == "/query" {
 					want = encodedQueryBody(t, res, strat.String(), sessionID)
 					for _, sol := range res.Solutions {
 						fractional = fractional || sol.Bound != math.Trunc(sol.Bound)
 					}
-				} else if it, err := ref.IterContext(context.Background(), step.req.Goal, strat, opts...); err != nil {
-					want, wantStatus = encodeJSON(t, ErrorResponse{Error: err.Error()}), http.StatusBadRequest
 				} else {
-					want, wantType = encodedStream(t, it), "application/x-ndjson"
+					want, wantType = encodedStream(t, res), "application/x-ndjson"
 				}
 				if resp.StatusCode != wantStatus || resp.Header.Get("Content-Type") != wantType {
 					t.Errorf("%s step %d: status %d %q, want %d %q", name, i, resp.StatusCode, resp.Header.Get("Content-Type"), wantStatus, wantType)

@@ -282,23 +282,39 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // solutionWriter is the one thing the query endpoints differ in: how a
-// run's solutions and its outcome reach the client. *oneShot answers with
-// a single JSON body; *streamWriter with NDJSON lines as the engine finds
-// solutions. Both render each answer once, with appendSolution, from the
-// engine's terms. Everything else about a query is serveQuery.
+// run's answers and outcome reach the client. *oneShot answers with one
+// JSON body, *streamWriter with an NDJSON line per answer; both render with
+// appendSolution. Everything else, the run included, is serveQuery.
 type solutionWriter interface {
-	// run executes the query under ctx, delivering solutions however this
-	// writer does, and returns how many it rendered. A non-nil Result
-	// carries the run's counters even beside an error.
-	run(ctx context.Context, s *Server, w http.ResponseWriter, goal blog.Goal, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error)
-	// finish writes the outcome serveQuery classified: the success body or
-	// terminal line, or the failure with its status and message.
+	// begin readies the writer for q, or refuses q with a badRequest.
+	begin(s *Server, w http.ResponseWriter, q *query) error
+	// yield renders one answer; an error stops the run.
+	yield(a blog.Answer) error
+	served() int // answers rendered
+	// finish writes the outcome serveQuery classified.
 	finish(w http.ResponseWriter, end outcome)
 }
 
+// rendering is what both writers keep across a run's answers.
+type rendering struct {
+	order []int // the query's binding key order (bindingOrder)
+	n     int   // answers rendered
+}
+
+// appendNext appends a's wire Solution to dst.
+func (r *rendering) appendNext(dst []byte, a blog.Answer) []byte {
+	if r.n == 0 {
+		r.order = bindingOrder(r.order, a.Names)
+	}
+	r.n++
+	return appendSolution(dst, a, r.order)
+}
+
+func (r *rendering) served() int { return r.n }
+
 // outcome is a finished query as serveQuery hands it to the writer.
 type outcome struct {
-	res *blog.Result // nil when the run failed without counters
+	res *blog.Result // zero counters when the run failed before it started
 	// status and msg are classify's verdict: 200 and "" on success.
 	status    int
 	msg       string
@@ -348,8 +364,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves POST /query/stream: solutions as NDJSON lines the
-// moment the engine finds them, ending with one terminal line. Sequential
-// strategies only (the streaming engine's constraint).
+// moment the engine finds them, ending with one terminal line. Parallel
+// and AND-parallel runs, whose answers exist only once they end, get 400.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, nil, &streamWriter{})
 }
@@ -357,8 +373,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // serveQuery is the one request lifecycle behind POST /query, session
 // queries and POST /query/stream: decode, admit, count, bound the run by
 // its timeout and the inspector's kill switch, register it live, profile
-// it, run it, account for it and classify how it ended. out is the only
-// difference between the endpoints.
+// it, run it through QueryEach, account for it and classify how it ended.
+// out is the only difference between the endpoints.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessionEntry, out solutionWriter) {
 	q, ok := s.decodeQuery(w, r)
 	if !ok {
@@ -405,17 +421,22 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	}
 
 	start := time.Now()
-	res, served, err := out.run(ctx, s, w, q.parsed, q.strat, opts)
+	var res *blog.Result
+	err := out.begin(s, w, q)
+	if err == nil {
+		res, err = s.program.QueryEach(ctx, q.parsed, q.strat, out.yield, opts...)
+	}
 	elapsed := time.Since(start)
 	s.metrics.latency.Observe(elapsed.Seconds())
 	s.prof.Merge(qprof)
-	end.res, end.elapsedMs = res, float64(elapsed)/float64(time.Millisecond)
-	if res != nil {
-		s.metrics.vmDispatch.Add(res.VMDispatched)
-		s.metrics.parAcquires.Add(res.NetworkAcquires)
-		s.metrics.parPublished.Add(res.Spills)
-		s.metrics.parMigrations.Add(res.Migrations)
+	if res == nil { // refused, or failed before the run started
+		res = new(blog.Result)
 	}
+	end.res, end.elapsedMs = res, float64(elapsed)/float64(time.Millisecond)
+	s.metrics.vmDispatch.Add(res.VMDispatched)
+	s.metrics.parAcquires.Add(res.NetworkAcquires)
+	s.metrics.parPublished.Add(res.Spills)
+	s.metrics.parMigrations.Add(res.Migrations)
 	if err != nil {
 		var counter *metrics.Counter
 		end.status, end.msg, counter = s.classify(ctx, err)
@@ -426,7 +447,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	} else {
 		s.logSlowQuery(ctx, q.Goal, end.strategy, elapsed, res.Spans, qprof)
 		if entry != nil {
-			entry.s.NoteQuery(served > 0)
+			entry.s.NoteQuery(out.served() > 0)
 		}
 	}
 	out.finish(w, end)
@@ -438,12 +459,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 // solutions — still goes through encoding/json over QueryResponse; the
 // rendered array takes the place of the [] its empty Solutions encodes to.
 type oneShot struct {
-	body  []byte // `{"solutions":[` and the rendered answers so far
-	order []int  // the query's binding key order (bindingOrder)
-	n     int    // answers rendered
-	yield func(blog.Answer) error
-	env   bytes.Buffer  // the encoded envelope
-	enc   *json.Encoder // encodes into env
+	rendering
+	body      []byte           // `{"solutions":[` and the rendered answers so far
+	solutions *metrics.Counter // counts a successful run's answers
+	env       bytes.Buffer     // the encoded envelope
+	enc       *json.Encoder    // encodes into env
 }
 
 // solutionsOpen is how a QueryResponse encoding begins: solutions is its
@@ -457,7 +477,6 @@ const maxPooledBody = 64 << 10
 
 var oneShots = sync.Pool{New: func() any {
 	o := new(oneShot)
-	o.yield = o.add
 	o.enc = json.NewEncoder(&o.env)
 	o.enc.SetEscapeHTML(false)
 	return o
@@ -473,25 +492,18 @@ func (o *oneShot) release() {
 	}
 }
 
-// add renders one answer into the body.
-func (o *oneShot) add(a blog.Answer) error {
-	if o.n == 0 {
-		o.order = bindingOrder(o.order, a.Names)
-	} else {
-		o.body = append(o.body, ',')
-	}
-	o.body = appendSolution(o.body, a, o.order)
-	o.n++
+func (o *oneShot) begin(s *Server, _ http.ResponseWriter, _ *query) error {
+	o.body, o.n, o.solutions = append(o.body[:0], solutionsOpen...), 0, &s.metrics.solutions
 	return nil
 }
 
-func (o *oneShot) run(ctx context.Context, s *Server, _ http.ResponseWriter, goal blog.Goal, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
-	o.body, o.n = append(o.body[:0], solutionsOpen...), 0
-	res, err := s.program.QueryEach(ctx, goal, strat, o.yield, opts...)
-	if err == nil {
-		s.metrics.solutions.Add(uint64(o.n))
+// yield renders one answer into the body.
+func (o *oneShot) yield(a blog.Answer) error {
+	if o.n > 0 {
+		o.body = append(o.body, ',')
 	}
-	return res, o.n, err
+	o.body = o.appendNext(o.body, a)
+	return nil
 }
 
 func (o *oneShot) finish(w http.ResponseWriter, end outcome) {
@@ -499,6 +511,7 @@ func (o *oneShot) finish(w http.ResponseWriter, end outcome) {
 		writeFailure(w, end)
 		return
 	}
+	o.solutions.Add(uint64(o.n))
 	res := end.res
 	resp := QueryResponse{
 		Solutions:            []Solution{},
@@ -541,48 +554,45 @@ func writeFailure(w http.ResponseWriter, end outcome) {
 	writeJSON(w, end.status, ErrorResponse{Error: end.msg, RequestID: end.requestID})
 }
 
-// streamWriter is the NDJSON writer: the run pulls the query's iterator
-// and writes each answer as its own line; the outcome is the terminal
-// line. A run refused before the first line (a request shape the
-// streaming engine cannot serve) fails exactly as a one-shot does.
+// streamWriter is the NDJSON writer: each answer goes out as its own line
+// the moment the run hands it over, and the outcome is the terminal line.
+// A request refused before the 200 header fails exactly as a one-shot
+// does.
 type streamWriter struct {
-	w       http.ResponseWriter
-	rc      *http.ResponseController // nil until the 200 header is out
-	flusher http.Flusher
-	line    []byte // the line being written
-	order   []int  // the query's binding key order (bindingOrder)
-	served  int
+	rendering
+	w        http.ResponseWriter
+	rc       *http.ResponseController // nil until the 200 header is out
+	flusher  http.Flusher
+	streamed *metrics.Counter // counts the lines sent
+	line     []byte           // the line being written
 }
 
-func (sw *streamWriter) run(ctx context.Context, s *Server, w http.ResponseWriter, goal blog.Goal, strat blog.Strategy, opts []blog.Option) (*blog.Result, int, error) {
-	it, err := s.program.IterGoal(ctx, goal, strat, opts...)
-	if err != nil {
-		// Everything rejected here is a request shape problem (parallel
-		// strategy, AND-parallel) — the goal already parsed.
-		return nil, 0, badRequest{err}
+// errUnstreamable refuses a stream whose answers exist only once its run
+// ends: a Parallel or AND-parallel one.
+var errUnstreamable = badRequest{errors.New("solve: streaming requires a sequential, non-AND-parallel run")}
+
+func (sw *streamWriter) begin(s *Server, w http.ResponseWriter, q *query) error {
+	if q.strat == blog.Parallel || q.AndParallel {
+		return errUnstreamable
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	sw.w = w
+	sw.w, sw.streamed = w, &s.metrics.streamed
 	sw.flusher, _ = w.(http.Flusher)
 	sw.rc = http.NewResponseController(w)
-	a, more, err := it.NextAnswer()
-	for ; more; a, more, err = it.NextAnswer() {
-		if sw.served == 0 {
-			sw.order = bindingOrder(sw.order, a.Names)
-		}
-		sw.line = append(sw.line[:0], `{"solution":`...)
-		sw.line = append(appendSolution(sw.line, a, sw.order), '}', '\n')
-		if !sw.send(sw.line) {
-			// The deferred Release frees the slot and ctx cancellation
-			// stops the engine on the next pull.
-			err = errClientGone
-			break
-		}
-		sw.served++
-		s.metrics.streamed.Inc()
+	return nil
+}
+
+// yield sends one answer as its line. A client that stopped reading stops
+// the run, and serveQuery's deferred Release frees the slot.
+func (sw *streamWriter) yield(a blog.Answer) error {
+	sw.line = append(sw.line[:0], `{"solution":`...)
+	sw.line = append(sw.appendNext(sw.line, a), '}', '\n')
+	if !sw.send(sw.line) {
+		return errClientGone
 	}
-	return &blog.Result{Counters: it.Stats().Counters, Exhausted: it.Exhausted(), Spans: it.Spans()}, sw.served, err
+	sw.streamed.Inc()
+	return nil
 }
 
 // send writes one NDJSON line. A client that stops reading must not pin
@@ -610,7 +620,7 @@ func (sw *streamWriter) finish(w http.ResponseWriter, end outcome) {
 	final := StreamEvent{
 		Done:                 true,
 		Exhausted:            res.Exhausted,
-		Solutions:            sw.served,
+		Solutions:            sw.n,
 		Expanded:             res.Expanded,
 		RequestID:            end.requestID,
 		VMDispatched:         res.VMDispatched,
@@ -653,6 +663,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
+	}
+	// 0 keeps the default; the session ignores any alpha outside (0, 1].
+	if body.Alpha < 0 || body.Alpha > 1 {
+		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad alpha %v: want a value in (0, 1], or 0 for the default", body.Alpha))
+		return
 	}
 	e, evicted, err := s.sessions.create(s.program, body.Alpha)
 	s.mergeEvicted(evicted)

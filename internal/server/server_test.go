@@ -195,16 +195,22 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Errorf("stream served %d solutions, one-shot %d", solutions, len(oneShot.Solutions))
 	}
 
-	// Parallel strategy cannot stream: clear 400, not a silent drop.
-	raw, _ = json.Marshal(QueryRequest{Goal: "anc(p0,X)", Strategy: "parallel"})
-	resp2, err := ts.Client().Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	// Parallel and AND-parallel runs cannot stream: a clear 400 with one
+	// message, not a silent drop.
+	var msgs []string
+	for _, req := range []QueryRequest{
+		{Goal: "anc(p0,X)", Strategy: "parallel"},
+		{Goal: "anc(p0,X)", Strategy: "dfs", AndParallel: true},
+	} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/query/stream", req)
+		var body ErrorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &body) != nil || body.Error == "" {
+			t.Errorf("%+v stream: status %d %s, want 400 with an error", req, resp.StatusCode, data)
+		}
+		msgs = append(msgs, body.Error)
 	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("parallel stream: status %d, want 400", resp2.StatusCode)
+	if msgs[0] != msgs[1] {
+		t.Errorf("refusals differ: %q (parallel) %q (and_parallel)", msgs[0], msgs[1])
 	}
 }
 
@@ -463,6 +469,41 @@ func TestSessionLearningAcrossQueries(t *testing.T) {
 	resp, _ = postJSON(t, client, url, q)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("query on ended session: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSessionAlpha: a session reports the alpha it merges with. 0 or an
+// omitted alpha keeps the default; a value outside (0, 1], which the
+// session would ignore, is refused.
+func TestSessionAlpha(t *testing.T) {
+	_, ts := newTestServer(t, workload.FamilyTree(2, 2), Config{})
+	cases := []struct {
+		body   string
+		status int
+		alpha  float64
+	}{
+		{`{"alpha":5}`, http.StatusBadRequest, 0},
+		{`{"alpha":-3}`, http.StatusBadRequest, 0},
+		{`{"alpha":0}`, http.StatusCreated, 0.5},
+		{`{}`, http.StatusCreated, 0.5},
+		{`{"alpha":1}`, http.StatusCreated, 1},
+	}
+	for _, c := range cases {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/sessions", json.RawMessage(c.body))
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d (%s), want %d", c.body, resp.StatusCode, data, c.status)
+			continue
+		}
+		var info SessionInfo
+		var fail ErrorResponse
+		switch {
+		case c.status != http.StatusCreated:
+			if json.Unmarshal(data, &fail) != nil || !strings.HasPrefix(fail.Error, "bad alpha") {
+				t.Errorf("%s: body %s, want a bad alpha error", c.body, data)
+			}
+		case json.Unmarshal(data, &info) != nil || info.Alpha != c.alpha:
+			t.Errorf("%s: body %s, want alpha %v", c.body, data, c.alpha)
+		}
 	}
 }
 

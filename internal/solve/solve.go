@@ -240,10 +240,10 @@ type Iter struct {
 	span   *obs.Span     // the search phase; nil when untraced
 }
 
-// NewIter prepares a lazy, pull-based run for req — the interactive
-// top-level's "; for more" model, and the same path Do's sequential runs
-// drain. Streaming runs on the sequential engine only; Parallel and
-// AndParallel are rejected. Tree and trace recording work exactly as in
+// NewIter prepares a lazy, pull-based run for req: the blog facade's
+// sequential path, which hands each answer to its caller as the run finds
+// it, and the same path Do's sequential runs drain. Sequential runs only;
+// Parallel and AndParallel are rejected. Tree and trace recording work exactly as in
 // Do: recording routes DFS onto the persistent-Env frontier, and the
 // recorded tree/trace grow as solutions are pulled. A traced run's
 // "search" phase stays open across pulls, table fixpoints nesting beneath

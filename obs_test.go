@@ -111,44 +111,6 @@ func TestTracedTabledFixpoint(t *testing.T) {
 	}
 }
 
-// TestTracedStreamSpans checks the streaming path: an Iter pulled to
-// exhaustion yields a finished span tree with the search phase closed.
-func TestTracedStreamSpans(t *testing.T) {
-	p, err := LoadString(workload.FamilyTree(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := p.Iter("anc(p0, X)", DFS, Traced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("stream yielded no solutions")
-	}
-	spans := it.Spans()
-	if spans == nil || spans.Name != "query" {
-		t.Fatalf("Spans = %+v, want root span named query", spans)
-	}
-	search := findSpan(spans, "search")
-	if search == nil {
-		t.Fatalf("no search span:\n%s", spans.Render())
-	}
-	if search.DurUs <= 0 {
-		t.Errorf("search span not closed at stream end: dur %.1fµs", search.DurUs)
-	}
-}
-
 // TestSharedProfilerConcurrentQueries hammers one profiler from
 // concurrent queries across both binding representations (DFS on the
 // trail store; traced DFS and BFS on the persistent Env), tabled
