@@ -15,6 +15,10 @@
 // deadlines (QueryContext, QueryEach) and a Program is safe for
 // concurrent Query calls.
 //
+// Unification is sound under every strategy: it always runs the occurs
+// check, so X = f(X) fails, X \= f(X) succeeds, and no answer is a
+// cyclic term.
+//
 // Loading compiles the program for cheap resolution: functor and atom
 // names are interned to integer symbols, the clauses are stored as parsed
 // (internal/kb), and every predicate is compiled once to bytecode with a
@@ -302,7 +306,6 @@ type queryOpts struct {
 	learn         bool
 	prune         bool
 	pruneSlack    float64
-	occursCheck   bool
 	workers       int
 	d             float64
 	twoLevel      bool
@@ -354,9 +357,6 @@ func PruneSlack(slack float64) Option {
 	return func(o *queryOpts) { o.prune = true; o.pruneSlack = slack }
 }
 
-// OccursCheck enables sound unification.
-func OccursCheck() Option { return func(o *queryOpts) { o.occursCheck = true } }
-
 // Workers sets the processor count for the Parallel strategy (default 4).
 func Workers(n int) Option { return func(o *queryOpts) { o.workers = n } }
 
@@ -378,8 +378,9 @@ func InSession(s *Session) Option { return func(o *queryOpts) { o.session = s } 
 // later one — replays the memoized answers. This makes left-recursive
 // programs terminate with complete answers under every strategy, where
 // the plain OR-tree search only stops at the depth cutoff. Programs with
-// no table declarations run unchanged. Tabled evaluation uses standard
-// (non-occurs-check) unification inside the tables.
+// no table declarations run unchanged. Tables unify as every strategy
+// does, with the occurs check, so a production whose body would bind a
+// variable to a term containing it derives no answer from that branch.
 //
 // Predicates declared `:- table name/arity min(N)` additionally apply
 // answer subsumption: argument N is a cost position, and each table keeps
@@ -763,7 +764,6 @@ func (p *Program) request(g Goal, strat Strategy, o queryOpts, store weights.Sto
 		Learn:         o.learn,
 		Prune:         o.prune,
 		PruneSlack:    o.pruneSlack,
-		OccursCheck:   o.occursCheck,
 		Workers:       o.workers,
 		TwoLevel:      o.twoLevel,
 		D:             o.d,

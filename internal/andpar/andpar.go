@@ -121,7 +121,7 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 	groups := Groups(nil, goals)
 	res := &Result{GroupCount: len(groups)}
 	for _, g := range goals {
-		res.QueryVars = term.Vars(g, res.QueryVars)
+		res.QueryVars = term.VarsUnder(nil, g, res.QueryVars)
 	}
 
 	outs := make([]*search.Result, len(groups))

@@ -70,7 +70,7 @@ func TestGroupsTransitive(t *testing.T) {
 func TestGroupsRespectEnvBindings(t *testing.T) {
 	// After binding the shared variable, the goals become independent.
 	goals := q(t, "p(X), q(X)")
-	x := term.Vars(goals[0], nil)[0]
+	x := term.VarsUnder(nil, goals[0], nil)[0]
 	env := (*term.Env)(nil).Bind(x, term.NewAtom("a"))
 	groups := Groups(env, goals)
 	if len(groups) != 2 {

@@ -58,12 +58,15 @@ var biDiffCases = []struct {
 	{"", "X = f(a, Y), Y = b", "X = f(a,b), Y = b"},
 	{"", "f(X, a) = f(1, b)", ""},
 	{"", "f(X, Y) = f(Y, 1)", "X = 1, Y = 1"},
+	{"", "X = f(X)", ""},
+	{"", "f(X, Y) = f(Y, g(X))", ""},
 	{partialBind, "p(X)", "X = 2"},
 	{partialBind, "fn(N)", "N = ok"},
 	{partialBind, "len(X)", "X = ok"},
 
 	{"", "a \\= b", "true"},
 	{"", "X \\= a", ""},
+	{"", "X \\= f(X)", "X = _0"},
 	{"", "f(X) \\= f(a)", ""},
 	{"", "f(X, b) \\= f(a, c), var(X)", "X = _0"},
 	{"", "f(X, b) \\= f(a, c), X = z", "X = z"},
@@ -235,7 +238,7 @@ func runBiDiff(t *testing.T, cfg biDiffConfig, src, query string) ([]string, err
 	exp.NoVM = cfg.noVM
 	var qvars []*term.Var
 	for _, g := range goals {
-		qvars = term.Vars(g, qvars)
+		qvars = term.VarsUnder(nil, g, qvars)
 	}
 	stack := []*Node{exp.Root(goals)}
 	for len(stack) > 0 {

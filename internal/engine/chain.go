@@ -91,7 +91,7 @@ func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 	}
 	mark, compMark := sh.st.Mark(), sh.cpool.Mark()
 	for j := cp.next; j < len(cp.vmCands); j++ {
-		_, ok := sh.mach.Resolve(r.env, cp.goal, cp.vmCands[j], r.cfg.OccursCheck)
+		_, ok := sh.mach.Resolve(r.env, cp.goal, cp.vmCands[j])
 		sh.st.Undo(mark)
 		sh.cpool.Release(compMark)
 		sh.pool.Put(sh.mach.TakeFrame())

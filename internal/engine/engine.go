@@ -194,8 +194,6 @@ type Expander struct {
 	DB *kb.DB
 	// Weights supplies arc weights for child bounds.
 	Weights weights.Store
-	// OccursCheck enables sound unification.
-	OccursCheck bool
 	// MaxDepth bounds chain length in arcs; longer chains fail. Zero
 	// means the weight store's A constant.
 	MaxDepth int
@@ -304,7 +302,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 			// nothing of n.Env and binds nothing in it.
 			inner := n.Env.ResolveDeep(goal.(*term.Compound).Args[0])
 			sub := NewTrailRun(negationConfig(TrailConfig{
-				DB: e.DB, Weights: e.Weights, OccursCheck: e.OccursCheck, Tabler: e.Tabler, Ctx: e.Ctx,
+				DB: e.DB, Weights: e.Weights, Tabler: e.Tabler, Ctx: e.Ctx,
 			}, maxDepth), []term.Term{inner})
 			proved, err := sub.Advance()
 			e.VMDispatched += sub.stats.VMDispatched
@@ -334,7 +332,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 	children := make([]*Node, 0, len(cands))
 	for _, c := range cands {
 		head, body := c.Activate()
-		env, ok := e.unify(n.Env, goal, head)
+		env, ok := unify.Unify(n.Env, goal, head)
 		if !ok {
 			continue
 		}
@@ -381,7 +379,7 @@ func (e *Expander) expandCompiled(n *Node, entry GoalEntry, goal term.Term, pc *
 	cands := pc.Select(n.Env, goal)
 	children := make([]*Node, 0, len(cands))
 	for _, cc := range cands {
-		env, ok := e.mach.Resolve(n.Env, goal, cc, e.OccursCheck)
+		env, ok := e.mach.Resolve(n.Env, goal, cc)
 		if !ok {
 			continue
 		}
@@ -416,13 +414,6 @@ func (e *Expander) pushBody(tail *GoalStack, c *kb.Clause) *GoalStack {
 		block[i].entry = GoalEntry{Goal: e.mach.BodyGoal(i), Caller: c.ID, Pos: i}
 	}
 	return link(block, tail)
-}
-
-func (e *Expander) unify(env *term.Env, a, b term.Term) (*term.Env, bool) {
-	if e.OccursCheck {
-		return unify.UnifyOC(env, a, b)
-	}
-	return unify.Unify(env, a, b)
 }
 
 // arcWeight computes the bound increment for taking arc from node n,

@@ -224,7 +224,7 @@ func TestVariableRenamingAcrossActivations(t *testing.T) {
 func TestExtractSolution(t *testing.T) {
 	_, exp := setup(t, fig1)
 	qgoals := goals(t, "f(sam,Y)")
-	qvars := term.Vars(qgoals[0], nil)
+	qvars := term.VarsUnder(nil, qgoals[0], nil)
 	root := exp.Root(qgoals)
 	children, _ := exp.Expand(root)
 	sol := Extract(children[0], qvars)

@@ -34,9 +34,8 @@ import (
 // TrailConfig configures one TrailRun. DB, Weights and Ctx follow the
 // Expander fields of the same names.
 type TrailConfig struct {
-	DB          *kb.DB
-	Weights     weights.Store
-	OccursCheck bool
+	DB      *kb.DB
+	Weights weights.Store
 	// MaxDepth bounds chain length in arcs; <=0 means the weight store's
 	// A constant.
 	MaxDepth int
@@ -300,7 +299,7 @@ func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
 func rootGoals(goals []term.Term) (*GoalStack, []*term.Var, map[*term.Var]*term.Var) {
 	var queryVars []*term.Var
 	for _, g := range goals {
-		queryVars = term.Vars(g, queryVars)
+		queryVars = term.VarsUnder(nil, g, queryVars)
 	}
 	freshGoals, m := term.RefreshAll(goals)
 	entries := make([]GoalEntry, len(freshGoals))
@@ -739,7 +738,7 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 		i := cp.next
 		cp.next++
 		cc := cp.vmCands[i]
-		if _, ok := r.sh.mach.Resolve(r.env, cp.goal, cc, r.cfg.OccursCheck); !ok {
+		if _, ok := r.sh.mach.Resolve(r.env, cp.goal, cc); !ok {
 			r.sh.st.Undo(cp.mark)
 			r.sh.cpool.Release(cp.compMark)
 			r.sh.pool.Put(r.sh.mach.TakeFrame())

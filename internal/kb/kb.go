@@ -550,7 +550,8 @@ func (db *DB) ArcsForGoals(goals []term.Term) []Arc {
 
 // ResolvableBy reports whether clause callee's head can unify with the
 // goal at body position pos of clause caller (renamed apart). It validates
-// arcs produced by Arcs.
+// arcs produced by Arcs. Unification runs the occurs check, so an arc
+// whose only unifier is cyclic is rejected.
 func (db *DB) ResolvableBy(caller ClauseID, pos int, callee ClauseID) bool {
 	db.mu.RLock()
 	c := db.clauseLocked(caller)

@@ -272,7 +272,7 @@ func newRun(m *Machine, goals []term.Term) *run {
 		r.exp.MaxDepth = m.cfg.MaxDepth
 	}
 	for _, g := range goals {
-		r.qvars = term.Vars(g, r.qvars)
+		r.qvars = term.VarsUnder(nil, g, r.qvars)
 	}
 	r.minTree = network.NewMinTree(m.cfg.Processors, m.cfg.NetNodeDelay)
 	r.banyan = network.NewBanyan(&r.s, m.cfg.Processors+m.cfg.Disks, m.cfg.NetSetup, m.cfg.NetPerWord)

@@ -84,8 +84,6 @@ type Options struct {
 	Learn bool
 	// MaxDepth bounds chain length; 0 uses the store's A constant.
 	MaxDepth int
-	// OccursCheck enables sound unification in every worker.
-	OccursCheck bool
 	// Tabler, when non-nil, resolves declared tabled predicates against
 	// memoized answer tables shared by all workers; the implementation
 	// (internal/table) serializes production and lets workers consume
@@ -175,7 +173,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	for i := range workers {
 		w := &workers[i]
 		w.cfg = engine.TrailConfig{
-			DB: db, Weights: ws, OccursCheck: opt.OccursCheck, MaxDepth: opt.MaxDepth,
+			DB: db, Weights: ws, MaxDepth: opt.MaxDepth,
 			Tabler: opt.Tabler, Ctx: ctx, Learn: opt.Learn, Prof: opt.Prof,
 			StepHook: func() error { return st.step(w) },
 		}

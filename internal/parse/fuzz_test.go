@@ -104,7 +104,7 @@ func FuzzOneTermPrinterTotal(f *testing.F) {
 			return
 		}
 		_ = tm.String()
-		_ = term.Vars(tm, nil)
+		_ = term.VarsUnder(nil, tm, nil)
 	})
 }
 
@@ -184,7 +184,7 @@ func FuzzTermText(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s does not read back: %v", text, err)
 		}
-		if !term.Equal(back, tm) {
+		if !term.EqualUnder(nil, back, tm) {
 			t.Fatalf("%s reads back as a different term, %s", text, back)
 		}
 		if again := back.String(); again != text {

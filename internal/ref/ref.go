@@ -70,7 +70,7 @@ func Eval(db *kb.DB) (*Model, error) {
 			m.add(c.Head)
 			continue
 		}
-		headVars := term.Vars(c.Head, nil)
+		headVars := term.VarsUnder(nil, c.Head, nil)
 		var bodyVars []*term.Var
 		for _, g := range c.Body {
 			if err := datalogCheck(g); err != nil {
@@ -81,7 +81,7 @@ func Eval(db *kb.DB) (*Model, error) {
 					return nil, fmt.Errorf("%w: builtin %s/%d in body", ErrNotDatalog, name, arity)
 				}
 			}
-			bodyVars = term.Vars(g, bodyVars)
+			bodyVars = term.VarsUnder(nil, g, bodyVars)
 		}
 		for _, hv := range headVars {
 			found := false
@@ -203,7 +203,7 @@ func (m *Model) joinAll(env *term.Env, goals []term.Term) []*term.Env {
 func (m *Model) Answers(goals []term.Term) []string {
 	var qvars []*term.Var
 	for _, g := range goals {
-		qvars = term.Vars(g, qvars)
+		qvars = term.VarsUnder(nil, g, qvars)
 	}
 	seen := make(map[string]bool)
 	var out []string

@@ -96,7 +96,6 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 		it.trail = engine.NewTrailRun(engine.TrailConfig{
 			DB:            db,
 			Weights:       ws,
-			OccursCheck:   opt.OccursCheck,
 			MaxDepth:      opt.MaxDepth,
 			Tabler:        opt.Tabler,
 			Ctx:           ctx,
@@ -113,7 +112,6 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	}
 	it.exp = *engine.NewExpander(db, ws)
 	exp := &it.exp
-	exp.OccursCheck = opt.OccursCheck
 	exp.Ctx = ctx
 	exp.Tabler = opt.Tabler
 	exp.NoVM = opt.NoVM
@@ -123,7 +121,7 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 		exp.MaxDepth = opt.MaxDepth
 	}
 	for _, g := range goals {
-		it.queryVars = term.Vars(g, it.queryVars)
+		it.queryVars = term.VarsUnder(nil, g, it.queryVars)
 	}
 	if opt.RecordTree {
 		it.tb = newTreeBuilder(goals)

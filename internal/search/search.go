@@ -69,8 +69,6 @@ type Options struct {
 	RecordTree bool
 	// RecordTrace collects figure-1 style resolution trace lines.
 	RecordTrace bool
-	// OccursCheck enables sound unification.
-	OccursCheck bool
 	// MaxDepth bounds chain length; 0 uses the store's A constant.
 	MaxDepth int
 	// Tabler, when non-nil, resolves declared tabled predicates against

@@ -17,6 +17,9 @@ import (
 	"time"
 
 	"blog"
+	"blog/internal/kb"
+	"blog/internal/parse"
+	"blog/internal/ref"
 	"blog/internal/workload"
 )
 
@@ -108,6 +111,7 @@ func TestQueryValidation(t *testing.T) {
 		{"unknown field", `{"goal":"gf(p0,G)","bogus":1}`, http.StatusBadRequest},
 		{"not json", `gf(p0,G)`, http.StatusBadRequest},
 		{"compiled field", `{"goal":"gf(p0,G)","compiled":false}`, http.StatusBadRequest},
+		{"occurs_check field", `{"goal":"gf(p0,G)","occurs_check":true}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", strings.NewReader(c.body))
@@ -580,20 +584,101 @@ func TestHealthzMetricsStats(t *testing.T) {
 	}
 }
 
-// TestOccursCheckOverHTTP: the soundness switch works on every strategy
-// through the wire, including parallel (the PR's solve-level fix).
+// TestOccursCheckOverHTTP: the occurs check holds on every strategy
+// through the wire, including parallel.
 func TestOccursCheckOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, "p :- eq(Y, f(Y)).\neq(X, X).\n", Config{})
 	for _, strat := range []string{"dfs", "bfs", "best", "parallel"} {
 		got := queryResp(t, ts.Client(), ts.URL+"/query",
-			QueryRequest{Goal: "p", Strategy: strat, OccursCheck: true})
+			QueryRequest{Goal: "p", Strategy: strat})
 		if len(got.Solutions) != 0 {
 			t.Errorf("%s: occurs check admitted %d solutions over HTTP", strat, len(got.Solutions))
 		}
 	}
-	got := queryResp(t, ts.Client(), ts.URL+"/query", QueryRequest{Goal: "p", Strategy: "dfs"})
-	if len(got.Solutions) != 1 {
-		t.Errorf("unsound run: %d solutions, want 1", len(got.Solutions))
+}
+
+// cyclicSrc adds to tabledSrc a path/2 clause whose body binds X to a
+// term containing X; eq/2 lets the cycle arise in a clause head.
+const cyclicSrc = tabledSrc + `
+path(X, Y) :- eq(X, f(X)), eq(Y, X).
+eq(Z, Z).
+`
+
+// TestCyclicUnificationKeepsServing: a query that could only succeed by
+// binding a variable to a term containing it answers 200 with no
+// solutions, on both query endpoints and every strategy, and the same
+// server goes on answering. In a tabled production the cyclic branch
+// derives nothing, so the table holds exactly the bottom-up oracle's
+// answers for the acyclic clauses.
+func TestCyclicUnificationKeepsServing(t *testing.T) {
+	_, ts := newTestServer(t, cyclicSrc, Config{})
+	client := ts.Client()
+	alive := func(after string) {
+		t.Helper()
+		got := queryResp(t, client, ts.URL+"/query", QueryRequest{Goal: "edge(a, X)", Strategy: "dfs"})
+		if texts := solutionTexts(got.Solutions); len(texts) != 1 || texts[0] != "X = b" {
+			t.Fatalf("after %s: plain query answered %v", after, texts)
+		}
+	}
+
+	cases := []struct {
+		goal       string
+		strategies []string
+		want       int
+	}{
+		{"X = f(X)", []string{"dfs", "bfs", "best"}, 0},
+		{"X = f(X), Y = f(Y), X = Y", []string{"dfs", "bfs", "best"}, 0},
+		{"X = f(X), X == X", []string{"dfs", "bfs", "best"}, 0},
+		{"eq(Y, g(Y))", []string{"dfs", "bfs", "best", "parallel"}, 0},
+		{"X \\= f(X)", []string{"dfs", "bfs", "best"}, 1},
+	}
+	for _, tc := range cases {
+		for _, strat := range tc.strategies {
+			name := fmt.Sprintf("%s %q", strat, tc.goal)
+			req := QueryRequest{Goal: tc.goal, Strategy: strat}
+			got := queryResp(t, client, ts.URL+"/query", req)
+			if len(got.Solutions) != tc.want || !got.Exhausted {
+				t.Errorf("%s: /query %d solutions (exhausted=%v), want %d", name, len(got.Solutions), got.Exhausted, tc.want)
+			}
+			alive(name)
+			if strat == "parallel" {
+				continue // the stream serves sequential strategies only
+			}
+			code, sols, final := streamQuery(t, ts.URL, client, req)
+			if code != http.StatusOK || len(sols) != tc.want || final.Error != "" {
+				t.Errorf("%s: stream status %d, %d solutions, error %q", name, code, len(sols), final.Error)
+			}
+			alive(name + " stream")
+		}
+	}
+
+	db, _, err := kb.LoadString(tabledSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := ref.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goals, err := parse.Query("path(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := model.Answers(goals)
+	sort.Strings(want)
+	for _, strat := range []string{"dfs", "bfs", "best", "parallel"} {
+		req := QueryRequest{Goal: "path(X, Y)", Strategy: strat, Tabled: true}
+		got := queryResp(t, client, ts.URL+"/query", req)
+		if texts := solutionTexts(got.Solutions); !got.Exhausted || fmt.Sprint(texts) != fmt.Sprint(want) {
+			t.Errorf("tabled %s: %v (exhausted=%v), oracle %v", strat, texts, got.Exhausted, want)
+		}
+		if strat != "parallel" {
+			_, sols, _ := streamQuery(t, ts.URL, client, req)
+			if texts := solutionTexts(sols); fmt.Sprint(texts) != fmt.Sprint(want) {
+				t.Errorf("tabled %s stream: %v, oracle %v", strat, texts, want)
+			}
+		}
+		alive("tabled " + strat)
 	}
 }
 

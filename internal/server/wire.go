@@ -45,8 +45,6 @@ type QueryRequest struct {
 	// Prune enables branch-and-bound pruning; PruneSlack widens it.
 	Prune      bool    `json:"prune,omitempty"`
 	PruneSlack float64 `json:"prune_slack,omitempty"`
-	// OccursCheck enables sound unification (honored by every strategy).
-	OccursCheck bool `json:"occurs_check,omitempty"`
 	// AndParallel evaluates independent goal groups concurrently
 	// (sequential strategies only).
 	AndParallel bool `json:"and_parallel,omitempty"`
@@ -84,9 +82,6 @@ func (q *QueryRequest) options(maxSolutions int) []blog.Option {
 	}
 	if q.PruneSlack > 0 {
 		opts = append(opts, blog.PruneSlack(q.PruneSlack))
-	}
-	if q.OccursCheck {
-		opts = append(opts, blog.OccursCheck())
 	}
 	if q.AndParallel {
 		opts = append(opts, blog.AndParallel())

@@ -116,11 +116,10 @@ type Request struct {
 	MaxExpansions uint64
 	MaxDepth      int
 
-	// Learning and soundness switches.
-	Learn       bool
-	Prune       bool
-	PruneSlack  float64
-	OccursCheck bool
+	// Learning and pruning switches.
+	Learn      bool
+	Prune      bool
+	PruneSlack float64
 
 	// Tables switches on tabled resolution: predicates declared
 	// `:- table name/arity` resolve against this answer-table space
@@ -290,7 +289,6 @@ func searchOptions(req *Request, tb engine.Tabler) search.Options {
 		Learn:         req.Learn,
 		Prune:         req.Prune,
 		PruneSlack:    req.PruneSlack,
-		OccursCheck:   req.OccursCheck,
 		Tabler:        tb,
 		RecordTree:    req.RecordTree,
 		RecordTrace:   req.RecordTrace,
@@ -406,7 +404,6 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 		MaxExpansions: req.MaxExpansions,
 		Learn:         req.Learn,
 		MaxDepth:      req.MaxDepth,
-		OccursCheck:   req.OccursCheck,
 		Tabler:        tb,
 		Prof:          req.Prof,
 		Live:          req.Live,

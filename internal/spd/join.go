@@ -129,8 +129,8 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 
 	// Phase 3: join each producer solution against marked facts only.
 	var qvars []*term.Var
-	qvars = term.Vars(producer, qvars)
-	qvars = term.Vars(consumer, qvars)
+	qvars = term.VarsUnder(nil, producer, qvars)
+	qvars = term.VarsUnder(nil, consumer, qvars)
 	for _, s := range prodRes.Solutions {
 		env := (*term.Env)(nil)
 		valid := true
@@ -170,8 +170,8 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 
 // sharedVars returns the variables occurring in both terms.
 func sharedVars(a, b term.Term) []*term.Var {
-	av := term.Vars(a, nil)
-	bv := term.Vars(b, nil)
+	av := term.VarsUnder(nil, a, nil)
+	bv := term.VarsUnder(nil, b, nil)
 	var out []*term.Var
 	for _, v := range av {
 		for _, w := range bv {
@@ -200,8 +200,8 @@ func NestedLoopJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, 
 	}
 	rep.ProducerSolutions = len(prodRes.Solutions)
 	var qvars []*term.Var
-	qvars = term.Vars(producer, qvars)
-	qvars = term.Vars(consumer, qvars)
+	qvars = term.VarsUnder(nil, producer, qvars)
+	qvars = term.VarsUnder(nil, consumer, qvars)
 	for _, s := range prodRes.Solutions {
 		env := (*term.Env)(nil)
 		for _, v := range prodRes.QueryVars {

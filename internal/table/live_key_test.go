@@ -18,7 +18,6 @@ func liveKeys(tb testing.TB, db *kb.DB, goal term.Term) (keys []string) {
 	tr := engine.NewTrailRun(engine.TrailConfig{
 		DB:            db,
 		Weights:       weights.NewUniform(weights.DefaultConfig()),
-		OccursCheck:   true,
 		MaxExpansions: 10_000,
 	}, []term.Term{goal})
 	defer tr.Release()

@@ -348,27 +348,9 @@ func EndsSymbolic(s string) bool {
 	return strings.IndexByte(symbolChars, s[len(s)-1]) >= 0
 }
 
-// Vars appends the distinct variables occurring in t (without consulting
-// any environment) to dst, in first-occurrence order.
-func Vars(t Term, dst []*Var) []*Var {
-	switch t := t.(type) {
-	case *Var:
-		for _, v := range dst {
-			if v == t {
-				return dst
-			}
-		}
-		return append(dst, t)
-	case *Compound:
-		for _, a := range t.Args {
-			dst = Vars(a, dst)
-		}
-	}
-	return dst
-}
-
 // VarsUnder appends the distinct variables remaining free in t after
-// resolving bindings in env, in first-occurrence order.
+// resolving bindings in env, in first-occurrence order. A nil env reads t
+// as written.
 func VarsUnder(env *Env, t Term, dst []*Var) []*Var {
 	t = env.Resolve(t)
 	switch t := t.(type) {
@@ -387,36 +369,10 @@ func VarsUnder(env *Env, t Term, dst []*Var) []*Var {
 	return dst
 }
 
-// Equal reports structural equality of two terms without an environment;
-// variables are equal only when identical.
-func Equal(a, b Term) bool {
-	switch a := a.(type) {
-	case Atom:
-		b, ok := b.(Atom)
-		return ok && a == b
-	case Int:
-		b, ok := b.(Int)
-		return ok && a == b
-	case *Var:
-		return a == b
-	case *Compound:
-		b, ok := b.(*Compound)
-		if !ok || a.Functor != b.Functor || len(a.Args) != len(b.Args) {
-			return false
-		}
-		for i := range a.Args {
-			if !Equal(a.Args[i], b.Args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // EqualUnder reports structural equality of a and b with bindings from env
 // applied on the fly, without materializing deeply-resolved copies. It
 // backs ==/2 and \==/2: each argument position is resolved exactly once.
+// A nil env compares the terms as written.
 func EqualUnder(env *Env, a, b Term) bool {
 	a, b = env.Resolve(a), env.Resolve(b)
 	switch a := a.(type) {

@@ -206,7 +206,7 @@ func TestResolveDeep(t *testing.T) {
 	e := (*Env)(nil).Bind(x, NewAtom("a")).Bind(y, Int(7))
 	got := e.ResolveDeep(tm)
 	want := NewCompound("f", NewAtom("a"), NewCompound("g", Int(7)))
-	if !Equal(got, want) {
+	if !EqualUnder(nil, got, want) {
 		t.Errorf("ResolveDeep = %v, want %v", got, want)
 	}
 	// Untouched subterms should be shared, not copied.
@@ -283,7 +283,7 @@ func TestNewFrameUniqueIDs(t *testing.T) {
 func TestVars(t *testing.T) {
 	x, y := NewVar("X"), NewVar("Y")
 	tm := NewCompound("f", x, NewCompound("g", y, x))
-	vs := Vars(tm, nil)
+	vs := VarsUnder(nil, tm, nil)
 	if len(vs) != 2 || vs[0] != x || vs[1] != y {
 		t.Errorf("Vars = %v", vs)
 	}
@@ -300,13 +300,13 @@ func TestVarsUnder(t *testing.T) {
 
 func TestEqual(t *testing.T) {
 	x := NewVar("X")
-	if !Equal(NewCompound("f", x, Int(1)), NewCompound("f", x, Int(1))) {
+	if !EqualUnder(nil, NewCompound("f", x, Int(1)), NewCompound("f", x, Int(1))) {
 		t.Error("identical structure should be Equal")
 	}
-	if Equal(NewCompound("f", NewVar("X")), NewCompound("f", NewVar("X"))) {
+	if EqualUnder(nil, NewCompound("f", NewVar("X")), NewCompound("f", NewVar("X"))) {
 		t.Error("distinct vars must not be Equal")
 	}
-	if Equal(NewAtom("a"), Int(1)) {
+	if EqualUnder(nil, NewAtom("a"), Int(1)) {
 		t.Error("atom != int")
 	}
 }

@@ -8,25 +8,21 @@
 // failure the original environment remains valid. This is what allows many
 // OR-chains to share an environment prefix while the best-first scheduler
 // expands them in an arbitrary order.
+//
+// Unification is sound: binding a variable always runs the occurs check,
+// so no binding closes a cycle (ISO unify-with-occurs-check). X = f(X)
+// fails, X \= f(X) succeeds, and every term reachable through an
+// environment is finite, which is what lets every term walker recurse
+// without revisit detection.
 package unify
 
 import "blog/internal/term"
 
 // Unify attempts to unify a and b under env. It returns the extended
 // environment and true on success, or the original environment and false
-// on failure. The occurs check is disabled, matching standard Prolog;
-// use UnifyOC when cyclic bindings must be rejected.
+// on failure. Binding a variable to a term containing that variable
+// fails rather than creating a cyclic term.
 func Unify(env *term.Env, a, b term.Term) (*term.Env, bool) {
-	return unify(env, a, b, false)
-}
-
-// UnifyOC is Unify with the occurs check enabled: binding a variable to a
-// term containing that variable fails rather than creating a cyclic term.
-func UnifyOC(env *term.Env, a, b term.Term) (*term.Env, bool) {
-	return unify(env, a, b, true)
-}
-
-func unify(env *term.Env, a, b term.Term, oc bool) (*term.Env, bool) {
 	a = env.Resolve(a)
 	b = env.Resolve(b)
 	if a == b {
@@ -34,7 +30,7 @@ func unify(env *term.Env, a, b term.Term, oc bool) (*term.Env, bool) {
 	}
 	switch at := a.(type) {
 	case *term.Var:
-		if oc && occurs(env, at, b) {
+		if occurs(env, at, b) {
 			return env, false
 		}
 		return env.Bind(at, b), true
@@ -61,7 +57,7 @@ func unify(env *term.Env, a, b term.Term, oc bool) (*term.Env, bool) {
 	case *term.Compound:
 		switch bt := b.(type) {
 		case *term.Var:
-			if oc && occurs(env, bt, a) {
+			if occurs(env, bt, a) {
 				return env, false
 			}
 			return env.Bind(bt, a), true
@@ -72,7 +68,7 @@ func unify(env *term.Env, a, b term.Term, oc bool) (*term.Env, bool) {
 			e := env
 			ok := true
 			for i := range at.Args {
-				if e, ok = unify(e, at.Args[i], bt.Args[i], oc); !ok {
+				if e, ok = Unify(e, at.Args[i], bt.Args[i]); !ok {
 					return env, false
 				}
 			}
@@ -108,11 +104,11 @@ func occurs(env *term.Env, v *term.Var, t term.Term) bool {
 func CanUnify(env *term.Env, a, b term.Term) bool {
 	st := env.InPlace()
 	if st == nil {
-		_, ok := unify(env, a, b, false)
+		_, ok := Unify(env, a, b)
 		return ok
 	}
 	mark := st.Mark()
-	_, ok := unify(env, a, b, false)
+	_, ok := Unify(env, a, b)
 	st.Undo(mark)
 	return ok
 }
@@ -126,6 +122,9 @@ func Match(env *term.Env, pattern, t term.Term) (*term.Env, bool) {
 	pattern = env.Resolve(pattern)
 	t = env.Resolve(t)
 	if pv, ok := pattern.(*term.Var); ok {
+		if occurs(env, pv, t) {
+			return env, false
+		}
 		return env.Bind(pv, t), true
 	}
 	switch pt := pattern.(type) {

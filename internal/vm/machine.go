@@ -36,7 +36,7 @@ type Machine struct {
 // for BodyGoal to build body goals from. Each Resolve call resets the
 // machine, so candidates must have their body goals built before the
 // next candidate is tried.
-func (m *Machine) Resolve(env *term.Env, goal term.Term, cc *CClause, oc bool) (*term.Env, bool) {
+func (m *Machine) Resolve(env *term.Env, goal term.Term, cc *CClause) (*term.Env, bool) {
 	m.cc = cc
 	m.frame = nil
 	if cap(m.regs) < cc.nslots {
@@ -60,7 +60,7 @@ func (m *Machine) Resolve(env *term.Env, goal term.Term, cc *CClause, oc bool) (
 			c := cc.pool[ins.idx]
 			switch a := arg.(type) {
 			case *term.Var:
-				// The constant is ground, so the bind passes any
+				// The constant is ground, so the bind passes the
 				// occurs check trivially.
 				env = env.Bind(a, c)
 			case term.Atom:
@@ -73,8 +73,7 @@ func (m *Machine) Resolve(env *term.Env, goal term.Term, cc *CClause, oc bool) (
 				}
 			default:
 				// Ground compound constant vs a (possibly partially
-				// bound) compound argument: full unify decides. The
-				// constant side is ground, so no occurs check applies.
+				// bound) compound argument: full unify decides.
 				var ok bool
 				if env, ok = unify.Unify(env, arg, c); !ok {
 					return env, false
@@ -84,12 +83,7 @@ func (m *Machine) Resolve(env *term.Env, goal term.Term, cc *CClause, oc bool) (
 			m.regs[ins.idx] = arg
 		case opVarR:
 			var ok bool
-			if oc {
-				env, ok = unify.UnifyOC(env, arg, m.regs[ins.idx])
-			} else {
-				env, ok = unify.Unify(env, arg, m.regs[ins.idx])
-			}
-			if !ok {
+			if env, ok = unify.Unify(env, arg, m.regs[ins.idx]); !ok {
 				return env, false
 			}
 		case opStruct:
@@ -103,18 +97,13 @@ func (m *Machine) Resolve(env *term.Env, goal term.Term, cc *CClause, oc bool) (
 				// Write mode: instantiate the whole sub-skeleton (which
 				// fills first-occurrence registers with fresh variables),
 				// bind the goal variable to it, and skip the subtree's
-				// instructions.
+				// instructions. A captured register inside inst may embed
+				// the goal variable itself, so the bind goes through the
+				// unifier's occurs check.
 				inst := m.inst(&cc.skels[ins.idx])
-				if oc {
-					// A captured register inside inst may embed the
-					// goal variable itself; route through the checked
-					// unifier.
-					var ok bool
-					if env, ok = unify.UnifyOC(env, a, inst); !ok {
-						return env, false
-					}
-				} else {
-					env = env.Bind(a, inst)
+				var ok bool
+				if env, ok = unify.Unify(env, a, inst); !ok {
+					return env, false
 				}
 				pc += int(ins.skip)
 			default:

@@ -87,7 +87,7 @@ func TestChainRuleCapturesRegister(t *testing.T) {
 	pc := Pred(db, term.Intern("p"), 1)
 	env := emptyEnv
 	var m Machine
-	env2, ok := m.Resolve(env, goal(t, "p(sam)"), pc.all[0], false)
+	env2, ok := m.Resolve(env, goal(t, "p(sam)"), pc.all[0])
 	if !ok {
 		t.Fatal("head must match")
 	}
@@ -108,7 +108,7 @@ func TestWriteModeInstantiates(t *testing.T) {
 	g := goal(t, "f(V, a)").(*term.Compound)
 	v := g.Args[0].(*term.Var)
 	var m Machine
-	env, ok := m.Resolve(emptyEnv, g, pc.all[0], false)
+	env, ok := m.Resolve(emptyEnv, g, pc.all[0])
 	if !ok {
 		t.Fatal("head must match")
 	}
@@ -118,17 +118,14 @@ func TestWriteModeInstantiates(t *testing.T) {
 }
 
 // TestWriteModeOccursCheck: head p(X, f(X)) against goal p(V, V) embeds
-// the goal variable in its own write-mode image; the checked unifier must
-// reject it while the rational-tree default accepts.
+// the goal variable in its own write-mode image; the occurs check must
+// reject it.
 func TestWriteModeOccursCheck(t *testing.T) {
 	db := load(t, `p(X, f(X)).`)
 	pc := Pred(db, term.Intern("p"), 2)
 	var m Machine
-	if _, ok := m.Resolve(emptyEnv, goal(t, "p(V, V)"), pc.all[0], true); ok {
+	if _, ok := m.Resolve(emptyEnv, goal(t, "p(V, V)"), pc.all[0]); ok {
 		t.Error("occurs check must reject V = f(V)")
-	}
-	if _, ok := m.Resolve(emptyEnv, goal(t, "p(V, V)"), pc.all[0], false); !ok {
-		t.Error("rational-tree unification must accept V = f(V)")
 	}
 }
 
@@ -143,14 +140,14 @@ func TestGroundCompoundPool(t *testing.T) {
 	}
 	g := goal(t, "wants(P)").(*term.Compound)
 	var m Machine
-	env, ok := m.Resolve(emptyEnv, g, pc.all[0], false)
+	env, ok := m.Resolve(emptyEnv, g, pc.all[0])
 	if !ok {
 		t.Fatal("head must match")
 	}
 	if got := env.ResolveDeep(g.Args[0]).String(); got != "point(1,2)" {
 		t.Errorf("P = %s, want point(1,2)", got)
 	}
-	if _, ok := m.Resolve(emptyEnv, goal(t, "wants(point(1, 3))"), pc.all[0], false); ok {
+	if _, ok := m.Resolve(emptyEnv, goal(t, "wants(point(1, 3))"), pc.all[0]); ok {
 		t.Error("mismatched ground compound must fail")
 	}
 }
@@ -162,14 +159,14 @@ func TestRepeatVarUnifies(t *testing.T) {
 	pc := Pred(db, term.Intern("same"), 2)
 	g := goal(t, "same(a, B)").(*term.Compound)
 	var m Machine
-	env, ok := m.Resolve(emptyEnv, g, pc.all[0], false)
+	env, ok := m.Resolve(emptyEnv, g, pc.all[0])
 	if !ok {
 		t.Fatal("head must match")
 	}
 	if got := env.ResolveDeep(g.Args[1]).String(); got != "a" {
 		t.Errorf("B = %s, want a", got)
 	}
-	if _, ok := m.Resolve(emptyEnv, goal(t, "same(a, b)"), pc.all[0], false); ok {
+	if _, ok := m.Resolve(emptyEnv, goal(t, "same(a, b)"), pc.all[0]); ok {
 		t.Error("same(a, b) must fail")
 	}
 }
