@@ -223,31 +223,37 @@ type Expander struct {
 	Prof *obs.Profiler
 
 	seq   uint64
-	code  *vm.Cache // borrowed from codeCaches on first use; see Release
+	sc    *expScratch // borrowed from scratches on first use; see Release
 	mach  vm.Machine
-	meter *obs.Meter
+	meter *obs.Meter // &sc.meter while profiling, else nil
 }
 
-// codeCaches recycles Expanders' predicate-code caches; trail runs keep
-// theirs in their pooled scratch.
-var codeCaches = sync.Pool{New: func() any { return new(vm.Cache) }}
+// expScratch is what an Expander borrows: its predicate-code cache and
+// its profiling meter. Trail runs keep theirs in their pooled scratch.
+type expScratch struct {
+	code  vm.Cache
+	meter obs.Meter
+}
 
-// cache returns the expander's predicate-code cache, borrowing one on
-// first use.
-func (e *Expander) cache() *vm.Cache {
-	if e.code == nil {
-		e.code = codeCaches.Get().(*vm.Cache)
+var scratches = sync.Pool{New: func() any { return new(expScratch) }}
+
+// scratch returns the expander's scratch, borrowing one on first use.
+func (e *Expander) scratch() *expScratch {
+	if e.sc == nil {
+		e.sc = scratches.Get().(*expScratch)
 	}
-	return e.code
+	return e.sc
 }
 
-// Release returns the expander's predicate-code cache for reuse by later
-// expanders. The expander stays usable and borrows another on next use;
-// skipping Release only leaves the cache to the garbage collector.
+// Release flushes the expander's meter and returns its scratch for reuse.
+// The expander stays usable and borrows another on next use; skipping
+// Release leaves the scratch, and any unflushed counts, to the collector.
 func (e *Expander) Release() {
-	if e.code != nil {
-		codeCaches.Put(e.code)
-		e.code = nil
+	if e.sc != nil {
+		e.meter.Release()
+		e.meter = nil
+		scratches.Put(e.sc)
+		e.sc = nil
 	}
 }
 
@@ -292,7 +298,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 	if fn, arity, ok := term.PredOf(goal); ok {
 		if e.Prof != nil {
 			if e.meter == nil {
-				e.meter = obs.NewMeter(e.Prof)
+				e.meter = e.scratch().meter.Start(e.Prof)
 			}
 			e.meter.Note(fn, arity, 0, 0)
 		}
@@ -304,7 +310,9 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 			sub := NewTrailRun(negationConfig(TrailConfig{
 				DB: e.DB, Weights: e.Weights, Tabler: e.Tabler, Ctx: e.Ctx,
 			}, maxDepth), []term.Term{inner})
+			e.meter.Pause()
 			proved, err := sub.Advance()
+			e.meter.Pause() // again: \+ is charged the nested run whole
 			e.VMDispatched += sub.stats.VMDispatched
 			sub.Release()
 			if proved || err != nil {
@@ -322,7 +330,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 		// Compiled path: everything the VM models was filtered out above;
 		// tree recording keeps the walker so figure labels are unchanged.
 		if !e.NoVM && !e.RecordTree {
-			if pc := e.cache().Pred(e.DB, fn, arity); pc != nil {
+			if pc := e.scratch().code.Pred(e.DB, fn, arity); pc != nil {
 				return e.expandCompiled(n, entry, goal, pc)
 			}
 		}
@@ -359,9 +367,9 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 	return children, nil
 }
 
-// ProfFlush charges the profiler's pending attribution interval and
-// clears it. Search drivers call it at solution yields and terminal
-// states so time spent outside the engine is not charged to a predicate.
+// ProfFlush charges the profiler's pending attribution interval, publishes
+// the counts and clears it. Search drivers call it at solution yields, and
+// Release at the end, so time spent outside the engine is not charged.
 func (e *Expander) ProfFlush() {
 	e.meter.Flush(0, 0)
 }
@@ -373,9 +381,7 @@ func (e *Expander) ProfFlush() {
 // two engines produce the same children in the same order.
 func (e *Expander) expandCompiled(n *Node, entry GoalEntry, goal term.Term, pc *vm.PredCode) ([]*Node, error) {
 	e.VMDispatched++
-	if c := e.meter.Current(); c != nil {
-		c.VMDispatches.Add(1)
-	}
+	e.meter.Dispatch()
 	cands := pc.Select(n.Env, goal)
 	children := make([]*Node, 0, len(cands))
 	for _, cc := range cands {
@@ -475,10 +481,11 @@ func (e *Expander) expandTabled(n *Node, goal term.Term) ([]*Node, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	answers, err := e.Tabler.Answers(ctx, n.Env, goal)
 	// Table production charges its own time inside the generator runs
-	// (which share the profiler); restarting the interval clock here keeps
-	// that wall time from also being charged to the consumer's predicate.
+	// (which share the profiler); pausing the meter around it keeps that
+	// wall time from also being charged to the consumer's predicate.
+	e.meter.Pause()
+	answers, err := e.Tabler.Answers(ctx, n.Env, goal)
 	e.meter.Skip()
 	if err != nil {
 		return nil, err

@@ -111,6 +111,7 @@ type trailShared struct {
 	blocks goalBlockPool
 	mach   vm.Machine
 	code   vm.Cache
+	meter  obs.Meter
 
 	// spareCPs and spareChain hold the previous run's stack capacities
 	// (contents dead, not zeroed — pushCP and takeAlt overwrite every
@@ -165,6 +166,8 @@ func (r *TrailRun) Release() {
 	// once per run, off the hot path — and zero the per-run counters so a
 	// recycled scratch starts the next run's accounting clean.
 	term.RecordPoolHighWater(sh.pool.RunReset(), sh.cpool.RunReset())
+	r.meter.Release()
+	r.meter = nil
 	sh.spareCPs = r.cps[:0]
 	sh.spareChain = r.chain[:0]
 	r.cps = nil
@@ -345,7 +348,7 @@ func (r *TrailRun) init(cfg TrailConfig) {
 		chain:      chain,
 		cps:        cps,
 		rootBypass: cfg.RootBypassTabler,
-		meter:      obs.NewMeter(cfg.Prof),
+		meter:      sh.meter.Start(cfg.Prof),
 	}
 }
 
@@ -499,9 +502,10 @@ func (r *TrailRun) dispatch() error {
 		return r.dispatchBuiltin(&biTable[fn][arity], goal)
 	}
 	if r.cfg.Tabler != nil && !bypass && r.cfg.Tabler.IsTabled(fn, arity) {
-		answers, err := r.cfg.Tabler.Answers(r.ctx, r.env, goal)
 		// Production time is charged inside the generator runs, which share
-		// the profiler; skip the interval so it is not double-counted here.
+		// the profiler; skip it so it is not double-counted here.
+		r.meter.Pause()
+		answers, err := r.cfg.Tabler.Answers(r.ctx, r.env, goal)
 		r.meter.Skip()
 		if err != nil {
 			return err
@@ -583,9 +587,7 @@ func (r *TrailRun) dispatchChoices(goal term.Term, ch choices) {
 // point over the switch-on-term candidate list.
 func (r *TrailRun) dispatchVM(entry GoalEntry, goal term.Term, pc *vm.PredCode) error {
 	r.stats.VMDispatched++
-	if c := r.meter.Current(); c != nil {
-		c.VMDispatches.Add(1)
-	}
+	r.meter.Dispatch()
 	cands := pc.Select(r.env, goal)
 	if len(cands) == 0 {
 		r.failChain()
@@ -652,7 +654,9 @@ func (r *TrailRun) dispatchNegation(goal term.Term) error {
 		goals:    PushGoals(nil, []GoalEntry{{Goal: inner, Caller: kb.Query, Pos: 0}}),
 	}
 	mark := r.sh.st.Mark()
+	r.meter.Pause()
 	proved, err := sub.Advance()
+	r.meter.Pause() // again: \+ is charged the nested run whole
 	r.sh.st.Undo(mark)
 	r.stats.VMDispatched += sub.stats.VMDispatched
 	if err != nil {

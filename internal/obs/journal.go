@@ -117,8 +117,12 @@ func (j *Journal) Emit(e Event) uint64 {
 		e.Time = time.Now()
 	}
 	ev := e
-	j.slots[(e.Seq-1)&j.mask].Store(&ev)
-	return e.Seq
+	// A writer a lap behind must not clobber the newer event in its slot.
+	for slot := &j.slots[(e.Seq-1)&j.mask]; ; {
+		if cur := slot.Load(); cur != nil && cur.Seq > e.Seq || slot.CompareAndSwap(cur, &ev) {
+			return e.Seq
+		}
+	}
 }
 
 // LastSeq returns the newest assigned sequence number (0 when empty).

@@ -85,6 +85,17 @@ func TestProfilerCellsAndMerge(t *testing.T) {
 	if top := p.Top(1); len(top) != 1 || top[0].Expansions != 5 {
 		t.Errorf("Top(1) = %+v", top)
 	}
+	// Reset zeroes the counters and keeps the cells; a reset profiler
+	// merges nothing.
+	p.Reset()
+	if len(p.Snapshot()) != 0 || p.Cell(a, 2) != c || c.Nanos.Load() != 0 {
+		t.Errorf("after Reset: snapshot %+v, cell kept %v", p.Snapshot(), p.Cell(a, 2) == c)
+	}
+	r := NewProfiler()
+	r.Merge(p)
+	if cs := r.cells.Load(); cs != nil {
+		t.Error("merging a reset profiler created cells")
+	}
 	// Nil receiver: every entry point is inert.
 	var none *Profiler
 	if none.Cell(a, 2) != nil || none.Snapshot() != nil || none.TotalNanos() != 0 {
@@ -95,40 +106,110 @@ func TestProfilerCellsAndMerge(t *testing.T) {
 	p.Merge(nil)
 }
 
+// spin busy-waits for d, which time.Sleep overshoots at this scale.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
 func TestMeterAttribution(t *testing.T) {
 	p := NewProfiler()
 	a, b := term.Intern("obs_test_meter_a"), term.Intern("obs_test_meter_b")
-	m := NewMeter(p)
-	m.Note(a, 1, 0, 0)
-	time.Sleep(2 * time.Millisecond) // charged to a
-	m.Note(b, 1, 7, 3)               // a gets the interval and the deltas
-	time.Sleep(time.Millisecond)     // charged to b
-	m.Flush(9, 4)
+	neg := term.Intern("obs_test_meter_neg")
+	m := new(Meter).Start(p)
+	// Alternate a and b over three windows and part of a fourth: a binds
+	// 3 per interval, b undoes 2, and every interval dispatches once.
+	const n = 3*meterWindow + 5
+	var binds, undos uint64
+	var first time.Time
+	begin := time.Now()
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			m.Note(a, 1, binds, undos)
+			binds += 3
+		} else {
+			m.Note(b, 1, binds, undos)
+			undos += 2
+		}
+		if i == 0 {
+			first = time.Now()
+		}
+		m.Dispatch()
+		spin(50 * time.Microsecond)
+	}
+	last := time.Now()
+	m.Flush(binds, undos)
+	end := time.Now()
 	ca, cb := p.Cell(a, 1), p.Cell(b, 1)
-	if ca.Nanos.Load() < uint64(time.Millisecond) {
-		t.Errorf("a charged %dns, want >= 1ms", ca.Nanos.Load())
+	const na, nb = (n + 1) / 2, n / 2
+	if ca.Expansions.Load() != na || ca.VMDispatches.Load() != na || cb.Expansions.Load() != nb || cb.VMDispatches.Load() != nb {
+		t.Errorf("counts a %d/%d, b %d/%d, want %d and %d each", ca.Expansions.Load(), ca.VMDispatches.Load(),
+			cb.Expansions.Load(), cb.VMDispatches.Load(), na, nb)
 	}
-	if ca.TrailBinds.Load() != 7 || ca.TrailUndos.Load() != 3 {
-		t.Errorf("a deltas = %d/%d, want 7/3", ca.TrailBinds.Load(), ca.TrailUndos.Load())
+	if ca.TrailBinds.Load() != 3*na || ca.TrailUndos.Load() != 0 || cb.TrailBinds.Load() != 0 || cb.TrailUndos.Load() != 2*nb {
+		t.Errorf("deltas a %d/%d, b %d/%d, want %d/0 and 0/%d", ca.TrailBinds.Load(), ca.TrailUndos.Load(),
+			cb.TrailBinds.Load(), cb.TrailUndos.Load(), 3*na, 2*nb)
 	}
-	if cb.TrailBinds.Load() != 2 || cb.TrailUndos.Load() != 1 {
-		t.Errorf("b deltas = %d/%d, want 2/1", cb.TrailBinds.Load(), cb.TrailUndos.Load())
+	// The nanosecond sum is the wall time from the first Note to Flush,
+	// which lies between the times taken just inside and just outside
+	// those two calls (about 5ms, with gaps of nanoseconds between them
+	// unless the test is descheduled there).
+	if sum := time.Duration(p.TotalNanos()); sum < last.Sub(first) || sum > end.Sub(begin) {
+		t.Errorf("charged %v from first Note to Flush, want between %v and %v", sum, last.Sub(first), end.Sub(begin))
 	}
-	// Skip restarts the clock without charging anyone.
-	m.Note(a, 1, 9, 4)
+	// A bracketed nested run is charged whole to its predicate, wherever
+	// it falls in a window; a gets only the time outside the bracket.
 	before := ca.Nanos.Load()
-	time.Sleep(time.Millisecond)
+	t0 := time.Now()
+	m.Note(a, 1, binds, undos)
+	m.Note(neg, 1, binds, undos)
+	m.Pause()
+	t1 := time.Now()
+	spin(2 * time.Millisecond)
+	m.Pause()
+	t2 := time.Now()
+	m.Note(a, 1, binds, undos)
+	m.Flush(binds, undos)
+	t3 := time.Now()
+	if got := p.Cell(neg, 1).Nanos.Load(); got < uint64(2*time.Millisecond) {
+		t.Errorf("bracketed interval charged %dns, want >= 2ms", got)
+	}
+	if got, out := time.Duration(ca.Nanos.Load()-before), t1.Sub(t0)+t3.Sub(t2); got > out {
+		t.Errorf("a charged %v around the bracket, more than the %v outside it", got, out)
+	}
+	// Skip after Pause drops the time between them.
+	before = ca.Nanos.Load()
+	t0 = time.Now()
+	m.Note(a, 1, binds, undos)
+	m.Pause()
+	t1 = time.Now()
+	spin(time.Millisecond)
+	t2 = time.Now()
 	m.Skip()
-	m.Flush(9, 4)
-	if got := ca.Nanos.Load() - before; got > uint64(500*time.Microsecond) {
-		t.Errorf("Skip still charged %dns", got)
+	m.Flush(binds, undos)
+	t3 = time.Now()
+	if got, out := time.Duration(ca.Nanos.Load()-before), t1.Sub(t0)+t3.Sub(t2); got > out {
+		t.Errorf("Skip still charged %v, more than the %v outside Pause and Skip", got, out)
+	}
+	// A released meter starts its next run clean, on another profiler.
+	m.Release()
+	q := NewProfiler()
+	m = m.Start(q)
+	m.Note(a, 1, 0, 0)
+	m.Flush(0, 0)
+	if q.Cell(a, 1).Expansions.Load() != 1 || ca.Expansions.Load() != na+3 {
+		t.Errorf("after Release: expansions %d on the new profiler, %d on the old, want 1 and %d",
+			q.Cell(a, 1).Expansions.Load(), ca.Expansions.Load(), na+3)
 	}
 	// A nil meter (profiling off) is inert.
 	var none *Meter
 	none.Flush(0, 0)
+	none.Pause()
 	none.Skip()
-	if none.Current() != nil {
-		t.Error("nil meter has a current cell")
+	none.Dispatch()
+	none.Release()
+	if none.Start(nil) != nil || m.Start(nil) != nil {
+		t.Error("Start without a profiler returned a meter")
 	}
 }
 

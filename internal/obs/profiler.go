@@ -4,6 +4,10 @@
 // (live.go), and a lock-free bounded ring of structured engine events
 // (journal.go). Everything is nil-receiver-safe so the disabled path
 // costs one nil check and zero allocations.
+//
+// The enabled profiler is cheap too: a run charges it through a Meter
+// (exact counts, nanosecond sum and \+ time; other nanos split within
+// windows of 32 intervals) that allocates nothing an unprofiled run does not.
 package obs
 
 import (
@@ -133,7 +137,7 @@ func (p *Profiler) Snapshot() []PredProfile {
 	out := make([]PredProfile, 0, 16)
 	for i := range *cs {
 		c := (*cs)[i].Load()
-		if c == nil {
+		if c == nil || c.idle() {
 			continue
 		}
 		pp := PredProfile{
@@ -145,9 +149,6 @@ func (p *Profiler) Snapshot() []PredProfile {
 			TableHits:    c.TableHits.Load(),
 			TableMisses:  c.TableMisses.Load(),
 			Nanos:        c.Nanos.Load(),
-		}
-		if pp.Expansions == 0 && pp.Nanos == 0 && pp.TableHits == 0 && pp.TableMisses == 0 {
-			continue
 		}
 		out = append(out, pp)
 	}
@@ -192,94 +193,217 @@ func (p *Profiler) Merge(q *Profiler) {
 	}
 	for i := range *cs {
 		c := (*cs)[i].Load()
-		if c == nil {
+		if c == nil || c.idle() {
 			continue
 		}
-		d := p.Cell(c.sym, int(c.arity))
-		d.Expansions.Add(c.Expansions.Load())
-		d.VMDispatches.Add(c.VMDispatches.Load())
-		d.TrailBinds.Add(c.TrailBinds.Load())
-		d.TrailUndos.Add(c.TrailUndos.Load())
-		d.TableHits.Add(c.TableHits.Load())
-		d.TableMisses.Add(c.TableMisses.Load())
-		d.Nanos.Add(c.Nanos.Load())
+		to := p.Cell(c.sym, int(c.arity)).counters()
+		for j, a := range c.counters() {
+			to[j].Add(a.Load())
+		}
 	}
 }
 
-// Meter charges wall-time intervals and trail-counter deltas to the
-// predicate currently being resolved. The engines drive it with
-// interval attribution: each dispatch charges the time (and binds/undos)
-// since the previous dispatch to the previously dispatched predicate, so
-// the sum of per-predicate nanos tracks search wall time closely. A Meter
-// belongs to one engine run (single goroutine).
-type Meter struct {
-	p     *Profiler
-	cell  *Cell
-	last  time.Time
-	binds uint64
-	undos uint64
+// counters lists the cell's counters in a fixed order.
+func (c *Cell) counters() [7]*atomic.Uint64 {
+	return [...]*atomic.Uint64{&c.Expansions, &c.VMDispatches, &c.TrailBinds, &c.TrailUndos,
+		&c.TableHits, &c.TableMisses, &c.Nanos}
 }
 
-// NewMeter returns a meter charging into p, or nil if p is nil — so the
-// engine's per-dispatch guard stays a single nil check.
-func NewMeter(p *Profiler) *Meter {
+// idle reports that the cell has counted nothing a snapshot shows.
+func (c *Cell) idle() bool {
+	return c.Expansions.Load() == 0 && c.Nanos.Load() == 0 && c.TableHits.Load() == 0 && c.TableMisses.Load() == 0
+}
+
+// Reset zeroes every counter and keeps the cells, so a pooled profiler
+// starts its next query without allocating them again. Nothing may charge
+// p while it resets.
+func (p *Profiler) Reset() {
+	if cs := p.cells.Load(); cs != nil {
+		for i := range *cs {
+			if c := (*cs)[i].Load(); c != nil {
+				for _, a := range c.counters() {
+					a.Store(0)
+				}
+			}
+		}
+	}
+}
+
+// meterWindow is how many closed intervals a Meter charges per clock
+// read: a clock read costs nearly half a dispatch.
+const meterWindow = 32
+
+// tally is a predicate's counts in a Meter's run, not yet published.
+type tally struct {
+	cell                         *Cell
+	exp, vm, binds, undos, nanos uint64
+}
+
+// Meter charges each interval between dispatches, its wall time and trail
+// binds/undos, to the predicate dispatched at its start. It serves one
+// engine run at a time, on one goroutine, and is reused across runs.
+//
+// It counts in plain run-local counters, resolving a predicate's cell on
+// its first Note in the run, and publishes to the cells at Flush and
+// Release; once warm it allocates nothing. It reads the clock once per
+// meterWindow closed intervals and splits the elapsed time over the
+// window's intervals in equal shares: counts and the nanosecond sum are
+// exact, per-predicate nanos exact to within a window. Pause brackets an
+// interval holding a nested run, so that run is charged whole (\+) or,
+// with Skip, not at all (tables).
+type Meter struct {
+	p       *Profiler
+	slot    []int32 // Sym -> index into tallies; 0 until noted in this run
+	tallies []tally // tallies[0] is unused, so a zero slot means none
+	dirty   []int32 // tallies noted since the last publish
+	cur     int32   // tally of the open interval; 0 when none is open
+	binds   uint64  // trail counters at the last charge
+	undos   uint64
+	start   time.Time // when the open window began
+	n       int       // closed intervals in the open window
+	win     [meterWindow]int32
+}
+
+// Start readies m, new or released, to charge a run into p and returns it,
+// or returns nil if p is nil: the engines' guard is one nil check.
+func (m *Meter) Start(p *Profiler) *Meter {
 	if p == nil {
 		return nil
 	}
-	return &Meter{p: p}
+	m.p, m.tallies = p, append(m.tallies[:0], tally{})
+	return m
 }
 
-// Note starts a new attribution interval for fn/arity: it flushes the
-// pending interval to the previous predicate, counts one expansion for
-// fn, and records the new baseline. binds/undos are cumulative counters
-// (term.Store's); deltas between notes are charged alongside time.
-func (m *Meter) Note(fn term.Sym, arity int, binds, undos uint64) *Cell {
-	now := time.Now()
-	if c := m.cell; c != nil {
-		c.Nanos.Add(uint64(now.Sub(m.last)))
-		c.TrailBinds.Add(binds - m.binds)
-		c.TrailUndos.Add(undos - m.undos)
+// Note closes the open interval and opens one for fn/arity, counting an
+// expansion. binds/undos are cumulative counters (term.Store's); deltas
+// between notes are charged alongside time.
+func (m *Meter) Note(fn term.Sym, arity int, binds, undos uint64) {
+	if m.cur == 0 {
+		m.start = time.Now()
+		m.binds, m.undos = binds, undos
+	} else if m.end(binds, undos); m.n == meterWindow {
+		m.split(time.Now())
 	}
-	c := m.p.Cell(fn, arity)
-	c.Expansions.Add(1)
-	m.cell = c
-	m.last = now
-	m.binds, m.undos = binds, undos
-	return c
-}
-
-// Flush charges the pending interval and clears the current predicate, so
-// time spent outside the engine (between pulls of a suspended run, after
-// a terminal state) is not attributed to anyone.
-func (m *Meter) Flush(binds, undos uint64) {
-	if m == nil || m.cell == nil {
-		return
+	if int(fn) >= len(m.slot) || m.slot[fn] == 0 {
+		m.touch(fn, arity)
 	}
-	now := time.Now()
-	m.cell.Nanos.Add(uint64(now.Sub(m.last)))
-	m.cell.TrailBinds.Add(binds - m.binds)
-	m.cell.TrailUndos.Add(undos - m.undos)
-	m.cell = nil
-	m.binds, m.undos = binds, undos
+	k := m.slot[fn]
+	t := &m.tallies[k]
+	if t.exp == 0 {
+		m.dirty = append(m.dirty, k)
+	}
+	t.exp++
+	m.cur = k
 }
 
-// Skip restarts the interval clock without charging, excluding the time
-// since the last Note/Skip from attribution. The trail engine calls it
-// after a tabled Resolve returns: production time is charged inside the
-// generator run (which shares the profiler), so charging the same wall
-// time to the consumer's predicate would double-count it.
+// touch resolves fn's cell on its first Note in the run.
+func (m *Meter) touch(fn term.Sym, arity int) {
+	if int(fn) >= len(m.slot) {
+		grown := make([]int32, max(2*len(m.slot), int(fn)+16))
+		copy(grown, m.slot)
+		m.slot = grown
+	}
+	m.slot[fn] = int32(len(m.tallies))
+	m.tallies = append(m.tallies, tally{cell: m.p.Cell(fn, arity)})
+}
+
+// end closes the open interval: its predicate gets the trail deltas since
+// the last charge, and the interval joins the window.
+func (m *Meter) end(binds, undos uint64) {
+	t := &m.tallies[m.cur]
+	t.binds += binds - m.binds
+	t.undos += undos - m.undos
+	m.binds, m.undos = binds, undos
+	m.win[m.n] = m.cur
+	m.n++
+}
+
+// split charges the time since the window began over its intervals, an
+// equal share each with the remainder to the first ones, so the sum is
+// exact; the next window begins at now.
+func (m *Meter) split(now time.Time) {
+	d := uint64(max(now.Sub(m.start), 0))
+	q, r := d/uint64(m.n), d%uint64(m.n)
+	for i, k := range m.win[:m.n] {
+		m.tallies[k].nanos += q
+		if uint64(i) < r {
+			m.tallies[k].nanos++
+		}
+	}
+	m.n, m.start = 0, now
+}
+
+// Dispatch counts one VM dispatch for the predicate being charged.
+func (m *Meter) Dispatch() {
+	if m != nil && m.cur != 0 {
+		m.tallies[m.cur].vm++
+	}
+}
+
+// Pause closes the window now, the open interval's time so far included.
+// Pausing before a nested run and again after charges the run whole to the
+// open interval's predicate (\+, whose run does not profile); Skip after
+// instead drops it (a tabled call, whose generators charge themselves).
+func (m *Meter) Pause() {
+	if m != nil && m.cur != 0 {
+		m.end(m.binds, m.undos)
+		m.split(time.Now())
+	}
+}
+
+// Skip restarts the window clock without charging, excluding the time
+// since the last Pause from attribution.
 func (m *Meter) Skip() {
-	if m == nil || m.cell == nil {
-		return
+	if m != nil && m.cur != 0 {
+		m.start = time.Now()
 	}
-	m.last = time.Now()
 }
 
-// Current returns the cell of the predicate currently being charged, or
-// nil. The VM dispatch counter increments through it.
-func (m *Meter) Current() *Cell {
-	if m == nil {
-		return nil
+// Flush closes the open interval and publishes every count, so time spent
+// outside the engine (between pulls, after a terminal state) is charged
+// to no one. It reads the clock after publishing, charging that too.
+func (m *Meter) Flush(binds, undos uint64) {
+	if m == nil || m.cur == 0 {
+		return
 	}
-	return m.cell
+	m.end(binds, undos)
+	m.cur = 0
+	m.publish()
+	n := m.n
+	m.split(time.Now())
+	for _, k := range m.win[:n] {
+		t := &m.tallies[k]
+		t.cell.Nanos.Add(t.nanos)
+		t.nanos = 0
+	}
+}
+
+// publish moves the counts of the tallies noted since the last publish
+// into their cells.
+func (m *Meter) publish() {
+	for _, k := range m.dirty {
+		t := &m.tallies[k]
+		c := t.cell
+		c.Expansions.Add(t.exp)
+		c.VMDispatches.Add(t.vm)
+		c.TrailBinds.Add(t.binds)
+		c.TrailUndos.Add(t.undos)
+		c.Nanos.Add(t.nanos)
+		*t = tally{cell: c}
+	}
+	m.dirty = m.dirty[:0]
+}
+
+// Release flushes what the run left pending and forgets the run's cells,
+// so m can Start another run.
+func (m *Meter) Release() {
+	if m == nil {
+		return
+	}
+	m.Flush(m.binds, m.undos)
+	for _, t := range m.tallies[1:] {
+		m.slot[t.cell.sym] = 0
+	}
+	clear(m.tallies[1:])
+	m.tallies, m.p = m.tallies[:1], nil
 }

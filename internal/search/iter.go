@@ -308,15 +308,13 @@ func (it *Iter) chainOf(n *engine.Node) []kb.Arc {
 }
 
 // finish records the terminal state every later pull repeats, then
-// recycles the trail machine's scratch (no answer view is read past the
-// pull that ends the run) or closes the Env engine's open profiler
-// interval and recycles its code cache.
+// recycles the engine's scratch, its profiler meter flushed (no answer
+// view is read past the pull that ends the run).
 func (it *Iter) finish(err error) (bool, error) {
 	it.done, it.err = true, err
 	if it.trail != nil {
 		it.trail.Release()
 	} else {
-		it.exp.ProfFlush()
 		it.exp.Release()
 	}
 	return false, err

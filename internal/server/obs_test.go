@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -97,6 +99,55 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 	if !seen["gf/2"] && !seen["anc/2"] && !seen["f/2"] {
 		t.Errorf("no familiar predicate in profile: %s", data)
+	}
+}
+
+// TestProfileExactUnderConcurrency runs queries from several clients at
+// once, so the per-query profilers come from the pool and go back to it
+// while other queries run: the merged profile must count exactly the
+// expansions and VM dispatches the responses report, no query's counts
+// lost or merged twice.
+func TestProfileExactUnderConcurrency(t *testing.T) {
+	s, _ := newTestServer(t, workload.NQueens, Config{MaxConcurrent: 4, QueueLen: 64})
+	strategies := []string{"dfs", "bfs", "best", "parallel"}
+	var (
+		wg         sync.WaitGroup
+		mu         sync.Mutex
+		expanded   uint64
+		dispatched uint64
+	)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				body, err := json.Marshal(QueryRequest{Goal: "queens(4,Qs)", Strategy: strategies[(c+i)%4], Workers: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+				var res QueryResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &res); w.Code != http.StatusOK || err != nil {
+					t.Errorf("status %d, err %v: %s", w.Code, err, w.Body.Bytes())
+					return
+				}
+				mu.Lock()
+				expanded += res.Expanded
+				dispatched += res.VMDispatched
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	var exp, vmd uint64
+	for _, pp := range s.prof.Snapshot() {
+		exp += pp.Expansions
+		vmd += pp.VMDispatches
+	}
+	if exp != expanded || vmd != dispatched {
+		t.Errorf("merged profile counts %d expansions, %d dispatches; responses %d, %d", exp, vmd, expanded, dispatched)
 	}
 }
 

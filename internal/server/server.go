@@ -414,7 +414,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	end.requestID = lv.ID
 	// Every query runs with its own profiler, merged into the process-wide
 	// profile at completion; the per-query view feeds the slow-query log.
-	qprof := blog.NewProfiler()
+	qprof := profilers.Get().(*blog.Profiler)
+	defer func() { qprof.Reset(); profilers.Put(qprof) }() // once merged and logged
 	opts = append(opts, blog.Profiled(qprof), blog.Monitor(lv))
 	if q.Trace || s.cfg.SlowQuery > 0 {
 		opts = append(opts, blog.Traced())
@@ -452,6 +453,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	}
 	out.finish(w, end)
 }
+
+// profilers recycles the per-query profilers: a reset one keeps its cells,
+// so a query allocates none for the predicates it profiles.
+var profilers = sync.Pool{New: func() any { return blog.NewProfiler() }}
 
 // oneShot is the batch writer: the run renders every answer into a pooled
 // buffer as the facade hands it over, and the outcome is one JSON body

@@ -76,6 +76,64 @@ func TestProfilerSpanAccounting(t *testing.T) {
 	}
 }
 
+// TestProfileCountsExact holds the profile to the run's own counters: the
+// expansions and VM dispatches summed over the profile's rows equal the
+// result's, on every strategy and on runs a solution cap stops early, so a
+// meter that loses counts it has not yet published fails here. A tabled
+// run's profile counts at least the result's, since its generators add
+// work of their own.
+func TestProfileCountsExact(t *testing.T) {
+	queens, err := LoadString(workload.NQueens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyclic, err := LoadString(workload.Cyclic(12, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name   string
+		prog   *Program
+		goal   string
+		strat  Strategy
+		opts   []Option
+		tabled bool
+	}{
+		{"dfs", queens, "queens(5,Qs)", DFS, nil, false},
+		{"bfs", queens, "queens(5,Qs)", BFS, nil, false},
+		{"best", queens, "queens(5,Qs)", BestFirst, nil, false},
+		{"parallel", queens, "queens(5,Qs)", Parallel, []Option{Workers(2)}, false},
+		{"dfs capped", queens, "queens(5,Qs)", DFS, []Option{MaxSolutions(3)}, false},
+		{"parallel capped", queens, "queens(5,Qs)", Parallel, []Option{Workers(2), MaxSolutions(2)}, false},
+		{"tabled", cyclic, "path(v0, X)", DFS, []Option{Tabled()}, true},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			prof := NewProfiler()
+			res, err := r.prog.Query(r.goal, r.strat, append(r.opts, Profiled(prof))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var exp, vmd uint64
+			for _, pp := range prof.Snapshot() {
+				exp += pp.Expansions
+				vmd += pp.VMDispatches
+			}
+			if r.tabled {
+				if exp < res.Expanded || vmd < res.VMDispatched {
+					t.Errorf("profile counts %d expansions, %d dispatches; result %d, %d: want at least the result's",
+						exp, vmd, res.Expanded, res.VMDispatched)
+				}
+				return
+			}
+			if exp != res.Expanded || vmd != res.VMDispatched {
+				t.Errorf("profile counts %d expansions, %d dispatches; result %d, %d",
+					exp, vmd, res.Expanded, res.VMDispatched)
+			}
+		})
+	}
+}
+
 // TestTracedTabledFixpoint checks that tabled resolution nests its
 // fixpoint spans (with per-round children and answer deltas) under the
 // query's search phase.
