@@ -498,7 +498,9 @@ func (a Answer) value(i int) term.Term {
 }
 
 // Value returns the term bound to the variable Names[i], detached: it
-// stays valid after later answers and after the query ends.
+// stays valid after later answers and after the query ends, and a
+// variable that occurs in several values of one answer is one variable
+// in all of them.
 func (a Answer) Value(i int) term.Term {
 	if a.bindings != nil {
 		return a.bindings[a.Names[i]]

@@ -189,3 +189,16 @@ func TestREPLTablesWithoutDeclarations(t *testing.T) {
 		t.Errorf("missing notice:\n%s", out)
 	}
 }
+
+// TestREPLNestingCap: a query nested deeper than the parser's 10 000
+// levels is a syntax error, and the REPL answers the next query.
+func TestREPLNestingCap(t *testing.T) {
+	deep := "X = " + strings.Repeat("f(", 10_001) + "a" + strings.Repeat(")", 10_001)
+	out := runScript(t, deep+".\ngf(sam, G).\n:quit\n")
+	if !strings.Contains(out, "error:") || !strings.Contains(out, "deeper than 10000") {
+		t.Errorf("missing nesting error:\n%.300s", out)
+	}
+	if !strings.Contains(out, "G = den") {
+		t.Errorf("the next query went unanswered:\n%.300s", out)
+	}
+}

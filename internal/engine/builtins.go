@@ -414,10 +414,12 @@ func biLength(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 }
 
 // biCopyTerm implements copy_term/2: a fresh variant of the first
-// argument unifies with the second.
+// argument, made in one Exporter pass, unifies with the second.
 func biCopyTerm(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	a, b := args2(goal)
-	return unifyDet(env, b, term.Refresh(env.ResolveDeep(a)))
+	var x term.Exporter
+	x.Reset(env)
+	return unifyDet(env, b, x.Copy(a))
 }
 
 // biSucc implements succ/2 over naturals in both directions. The largest

@@ -245,7 +245,7 @@ func runBiDiff(t *testing.T, cfg biDiffConfig, src, query string) ([]string, err
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n.IsSolution() {
-			answers = append(answers, canonAnswer(Extract(n, qvars), qvars))
+			answers = append(answers, canonAnswer(nodeSolution(n, qvars), qvars))
 			continue
 		}
 		cs, err := exp.Expand(n)

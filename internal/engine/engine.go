@@ -8,6 +8,11 @@
 // the whole remaining goal list and one expansion step resolves only its
 // first goal. Every fan-out under a node is therefore an OR-alternative,
 // and each root-to-leaf chain is either a solution or a failure.
+//
+// What outlives a chain leaves it through term.Detacher: an Answer is a
+// view over the run's live bindings, and Answer.Value and Answer.Solution
+// copy its values out under one renaming per answer, on the trail store
+// and the persistent Env alike. copy_term/2 is one term.Exporter pass.
 package engine
 
 import (
@@ -304,9 +309,10 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 		}
 		if fn == term.SymNeg && arity == 1 {
 			// \+ runs on the trail machine (see negationConfig); its
-			// argument is resolved deeply first, so the nested run reads
-			// nothing of n.Env and binds nothing in it.
-			inner := n.Env.ResolveDeep(goal.(*term.Compound).Args[0])
+			// argument is detached from n.Env first, so the nested run
+			// reads nothing of n.Env and binds nothing in it.
+			d := term.Detacher{Env: n.Env}
+			inner := d.Detach(goal.(*term.Compound).Args[0])
 			sub := NewTrailRun(negationConfig(TrailConfig{
 				DB: e.DB, Weights: e.Weights, Tabler: e.Tabler, Ctx: e.Ctx,
 			}, maxDepth), []term.Term{inner})
@@ -525,8 +531,8 @@ func (e *Expander) expandBuiltin(n *Node, goal term.Term, bi *biEntry) ([]*Node,
 	return []*Node{e.stepChild(n, env, goal)}, nil
 }
 
-// Solution extracts the bindings of the given query variables from a
-// solution node, deeply resolved.
+// Solution is a detached answer (Answer.Solution): the query variables'
+// bindings copied out of the run, and the chain that found them.
 type Solution struct {
 	// Bindings maps query variable names to their value terms.
 	Bindings map[string]term.Term
@@ -538,38 +544,61 @@ type Solution struct {
 	Depth int
 }
 
-// Extract builds a Solution for query vars from a solution node.
-func Extract(n *Node, queryVars []*term.Var) Solution {
-	b := make(map[string]term.Term, len(queryVars))
-	for _, v := range queryVars {
-		b[v.String()] = n.Env.ResolveDeep(v)
-	}
-	return Solution{Bindings: b, Bound: n.Bound, Chain: n.Chain.Slice(), Depth: n.Depth}
-}
-
 // Answer is a solution read in place, a view over the live bindings of
 // the run that found it: query variable Vars[i] stands for Terms[i], read
 // through Env. A trail run's view is its store, valid only until the run
 // moves on; an Env run's is the solution node's persistent environment.
 // Renderers read the view with term.AppendAnswer, Terms naming the
-// variables that print by name; Value detaches what must outlive it.
+// variables that print by name; Value and Solution detach what must
+// outlive it.
 type Answer struct {
 	Bound float64
 	Depth int
 	Env   *term.Env
 	Terms []term.Term
 	Vars  []*term.Var
+
+	// det, when set, is the Detacher every value of this answer shares:
+	// the run's, zeroed when it moves on (TrailRun.Advance). Nil on a
+	// persistent Env, where nothing is renamed.
+	det *term.Detacher
+}
+
+// detacher returns the answer's Detacher — d when the run holds none —
+// set up on first use, its query variables owned. A trail run's Env is
+// never nil, so a zero Env marks a Detacher not yet set up.
+func (a Answer) detacher(d *term.Detacher) *term.Detacher {
+	if a.det != nil {
+		d = a.det
+	}
+	if d.Env == nil {
+		d.Env = a.Env
+		for j, t := range a.Terms {
+			d.Own(t, a.Vars[j])
+		}
+	}
+	return d
 }
 
 // Value returns query variable i's value detached from the view: it stays
 // valid after the run moves on and after it ends. A query variable still
-// unbound is that variable itself there.
+// unbound is that variable itself there, and a variable that occurs in
+// several values of one answer is one variable in all of them.
 func (a Answer) Value(i int) term.Term {
-	d := term.Detacher{Env: a.Env}
-	for j, t := range a.Terms {
-		d.Own(t, a.Vars[j])
+	var d term.Detacher
+	return a.detacher(&d).Detach(a.Terms[i])
+}
+
+// Solution detaches the whole answer, its values keyed by the query
+// variables' print names, with chain as its root-first arc chain.
+func (a Answer) Solution(chain []kb.Arc) Solution {
+	var local term.Detacher
+	d := a.detacher(&local)
+	b := make(map[string]term.Term, len(a.Vars))
+	for i, v := range a.Vars {
+		b[v.String()] = d.Detach(a.Terms[i])
 	}
-	return d.Detach(a.Terms[i])
+	return Solution{Bindings: b, Bound: a.Bound, Chain: chain, Depth: a.Depth}
 }
 
 // Format renders a solution as `X = v, Y = w` in variable order.

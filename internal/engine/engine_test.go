@@ -221,13 +221,23 @@ func TestVariableRenamingAcrossActivations(t *testing.T) {
 	}
 }
 
-func TestExtractSolution(t *testing.T) {
+// nodeSolution detaches solution node n's answer to the query variables
+// qvars, as the Env frontier does.
+func nodeSolution(n *Node, qvars []*term.Var) Solution {
+	terms := make([]term.Term, len(qvars))
+	for i, v := range qvars {
+		terms[i] = v
+	}
+	return Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: terms, Vars: qvars}.Solution(n.Chain.Slice())
+}
+
+func TestNodeSolution(t *testing.T) {
 	_, exp := setup(t, fig1)
 	qgoals := goals(t, "f(sam,Y)")
 	qvars := term.VarsUnder(nil, qgoals[0], nil)
 	root := exp.Root(qgoals)
 	children, _ := exp.Expand(root)
-	sol := Extract(children[0], qvars)
+	sol := nodeSolution(children[0], qvars)
 	if got := sol.Bindings["Y"].String(); got != "larry" {
 		t.Errorf("Y = %s, want larry", got)
 	}

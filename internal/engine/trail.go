@@ -148,8 +148,8 @@ func getShared() *trailShared {
 // for reuse by later runs. Call it once the run is over and nothing reads
 // its Answer any more (solutions and table answers are detached copies, so
 // they survive). After Release the run is dead: Next reports the terminal
-// state, Stats and Exhausted stay valid, but Answer, Solution and
-// ResolveAnswer must not be used. Skipping Release is safe — the scratch
+// state, Stats and Exhausted stay valid, but Answer, Solution and Live
+// must not be used. Skipping Release is safe — the scratch
 // is then simply garbage collected with the run.
 func (r *TrailRun) Release() {
 	sh := r.sh
@@ -270,6 +270,7 @@ type TrailRun struct {
 	queryVars []*term.Var
 	fresh     map[*term.Var]*term.Var // original -> refreshed query var
 	images    []term.Term             // instead of fresh on resumed runs: what queryVars stand for
+	det       term.Detacher           // the one the current solution's values share
 
 	stats     TrailStats
 	bestBound float64
@@ -379,6 +380,7 @@ func (r *TrailRun) Next() (Solution, bool, error) {
 // bindings in place for Answer to read until the run moves on. ok and err
 // are as for Next.
 func (r *TrailRun) Advance() (bool, error) {
+	r.det = term.Detacher{}
 	for {
 		switch r.mode {
 		case trailArrive:
@@ -825,29 +827,18 @@ func (r *TrailRun) backtrack() bool {
 	return false
 }
 
-// Solution detaches the solution Advance stopped at. Bindings leave the
-// store (pool-recycled variables replaced by standalone ones, a query
-// variable still unbound as that variable itself), keyed by the original
-// query variables; the chain is copied out of the machine's mutable
-// buffer.
+// Solution detaches the solution Advance stopped at (Answer.Solution):
+// bindings leave the store keyed by the original query variables, and
+// the chain is copied out of the machine's mutable buffer.
 func (r *TrailRun) Solution() Solution {
-	b := make(map[string]term.Term, len(r.queryVars))
-	if len(r.queryVars) > 0 {
-		d := term.Detacher{Env: r.env}
-		for i, v := range r.queryVars {
-			d.Own(r.image(i), v)
-		}
-		for i, v := range r.queryVars {
-			b[v.String()] = d.Detach(r.image(i))
-		}
-	}
 	chain := make([]kb.Arc, len(r.chain))
 	copy(chain, r.chain)
-	return Solution{Bindings: b, Bound: r.bound, Chain: chain, Depth: r.depth}
+	return r.Answer().Solution(chain)
 }
 
 // Answer reads the solution Advance stopped at in place, valid until the
-// run moves on: the next Advance or Next, or Release.
+// run moves on: the next Advance or Next, or Release. Its values share
+// the run's one renaming for this solution.
 func (r *TrailRun) Answer() Answer {
 	if r.images == nil {
 		r.images = make([]term.Term, len(r.queryVars))
@@ -855,7 +846,7 @@ func (r *TrailRun) Answer() Answer {
 			r.images[i] = r.fresh[v]
 		}
 	}
-	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars}
+	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars, det: &r.det}
 }
 
 // Live returns the store the run binds into and its original-to-refreshed
@@ -863,12 +854,3 @@ func (r *TrailRun) Answer() Answer {
 // variables in place at the solution Advance stopped at. Both are the
 // run's own: read them, never write them.
 func (r *TrailRun) Live() (*term.Env, map[*term.Var]*term.Var) { return r.env, r.fresh }
-
-// ResolveAnswer deep-resolves t — a term over the original (pre-run)
-// query variables — against the store at the current solution, detached
-// from pooled frames. Meaningful only immediately after Next yielded a
-// solution; table generators snapshot surviving answers out with it.
-func (r *TrailRun) ResolveAnswer(t term.Term) term.Term {
-	d := term.Detacher{Env: r.env, Subst: r.fresh}
-	return d.Detach(t)
-}

@@ -222,6 +222,8 @@ type run struct {
 	s     sim.Sim
 	exp   *engine.Expander
 	qvars []*term.Var
+	// qterms are qvars as the terms a solution node's answer reads.
+	qterms []term.Term
 
 	// network
 	minTree *network.MinTree
@@ -273,6 +275,9 @@ func newRun(m *Machine, goals []term.Term) *run {
 	}
 	for _, g := range goals {
 		r.qvars = term.VarsUnder(nil, g, r.qvars)
+	}
+	for _, v := range r.qvars {
+		r.qterms = append(r.qterms, v)
 	}
 	r.minTree = network.NewMinTree(m.cfg.Processors, m.cfg.NetNodeDelay)
 	r.banyan = network.NewBanyan(&r.s, m.cfg.Processors+m.cfg.Disks, m.cfg.NetSetup, m.cfg.NetPerWord)
@@ -425,7 +430,8 @@ func (r *run) process(p *proc, n *engine.Node) {
 		return
 	}
 	if n.IsSolution() {
-		sol := engine.Extract(n, r.qvars)
+		a := engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: r.qterms, Vars: r.qvars}
+		sol := a.Solution(n.Chain.Slice())
 		if r.cfg.Learn {
 			r.m.ws.RecordSuccess(sol.Chain)
 		}

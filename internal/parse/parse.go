@@ -32,11 +32,26 @@ type Program struct {
 	Tabled  []TabledDecl
 }
 
+// maxNesting caps how deep parentheses, brackets and argument lists nest
+// in one text, the limit encoding/json applies to the body that carries a
+// query to blogd. Deeper text is a syntax error, not a stack overflow in
+// the recursive descent below.
+const maxNesting = 10_000
+
 // parser is a single-token-lookahead recursive descent parser.
 type parser struct {
-	lx   *lexer
-	tok  token
-	vars map[string]*term.Var // variable scope of the current clause
+	lx    *lexer
+	tok   token
+	vars  map[string]*term.Var // variable scope of the current clause
+	depth int                  // open parentheses, brackets and argument lists
+}
+
+// nest opens one nesting level; the caller closes it with p.depth--.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.lx.errorf(p.tok.line, p.tok.col, "terms nest deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 // Source parses a complete program text.
@@ -342,6 +357,9 @@ func (p *parser) primary() (term.Term, error) {
 		// Functor application only when `(` immediately follows; we do not
 		// track adjacency, which is fine for this grammar.
 		if p.tok.kind == tokPunct && p.tok.text == "(" {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -360,6 +378,7 @@ func (p *parser) primary() (term.Term, error) {
 				}
 				break
 			}
+			p.depth--
 			if err := p.expectPunct(")"); err != nil {
 				return nil, err
 			}
@@ -373,6 +392,9 @@ func (p *parser) primary() (term.Term, error) {
 	case tokPunct:
 		switch p.tok.text {
 		case "(":
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -380,6 +402,7 @@ func (p *parser) primary() (term.Term, error) {
 			if err != nil {
 				return nil, err
 			}
+			p.depth--
 			return t, p.expectPunct(")")
 		case "[":
 			return p.list()
@@ -391,10 +414,14 @@ func (p *parser) primary() (term.Term, error) {
 }
 
 func (p *parser) list() (term.Term, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	if err := p.advance(); err != nil { // consume [
 		return nil, err
 	}
 	if p.tok.kind == tokPunct && p.tok.text == "]" {
+		p.depth--
 		return term.EmptyList, p.advance()
 	}
 	var items []term.Term
@@ -423,6 +450,7 @@ func (p *parser) list() (term.Term, error) {
 		}
 		tail = t
 	}
+	p.depth--
 	if err := p.expectPunct("]"); err != nil {
 		return nil, err
 	}

@@ -407,3 +407,46 @@ func BenchmarkParseFig1(b *testing.B) {
 		}
 	}
 }
+
+// TestNestingCap: parentheses, brackets and argument lists nest at most
+// maxNesting levels deep in Query, Source and OneTerm; one level more is
+// a syntax error that names the cap.
+func TestNestingCap(t *testing.T) {
+	nested := func(open, close string, n int) string {
+		return strings.Repeat(open, n) + "a" + strings.Repeat(close, n)
+	}
+	shapes := []struct{ name, open, close string }{
+		{"arguments", "f(", ")"},
+		{"parentheses", "(", ")"},
+		{"lists", "[", "]"},
+		{"list tails", "[a|", "]"},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{maxNesting, maxNesting + 1} {
+			// The outer p( is the first level.
+			text := "p(" + nested(sh.open, sh.close, n-1) + ")"
+			_, qerr := Query(text)
+			_, serr := Source(text + ".\n")
+			_, terr := OneTerm(text)
+			for _, c := range []struct {
+				entry string
+				err   error
+			}{{"Query", qerr}, {"Source", serr}, {"OneTerm", terr}} {
+				if n <= maxNesting && c.err != nil {
+					t.Errorf("%s %s: %d levels rejected: %v", c.entry, sh.name, n, c.err)
+				}
+				if n > maxNesting && (c.err == nil || !strings.Contains(c.err.Error(), "deeper than 10000")) {
+					t.Errorf("%s %s: %d levels gave %v, want the nesting error", c.entry, sh.name, n, c.err)
+				}
+			}
+		}
+	}
+	// Depth is nesting, not length: a long flat list and a long operator
+	// chain stay accepted.
+	if _, err := OneTerm("[" + strings.Repeat("a,", 3*maxNesting) + "a]"); err != nil {
+		t.Errorf("flat list: %v", err)
+	}
+	if _, err := OneTerm(strings.Repeat("1+", 3*maxNesting) + "1"); err != nil {
+		t.Errorf("operator chain: %v", err)
+	}
+}

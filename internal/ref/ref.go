@@ -106,7 +106,8 @@ func Eval(db *kb.DB) (*Model, error) {
 		for _, r := range rules {
 			head, body := r.Activate()
 			for _, env := range m.joinAll(nil, body) {
-				ground := env.ResolveDeep(head)
+				d := term.Detacher{Env: env}
+				ground := d.Detach(head)
 				if !term.Ground(nil, ground) {
 					return nil, fmt.Errorf("ref: derived non-ground fact %s", ground)
 				}

@@ -170,7 +170,7 @@ func (it *Iter) Next() (engine.Solution, bool, error) {
 	if it.trail != nil {
 		return it.trail.Solution(), true, nil
 	}
-	return engine.Extract(it.cur, it.queryVars), true, nil
+	return it.answer().Solution(it.cur.Chain.Slice()), true, nil
 }
 
 // NextAnswer is Next without the detach: the solution comes as a view over
@@ -186,6 +186,11 @@ func (it *Iter) NextAnswer() (engine.Answer, bool, error) {
 	if it.trail != nil {
 		return it.trail.Answer(), true, nil
 	}
+	return it.answer(), true, nil
+}
+
+// answer reads the Env-frontier solution at it.cur in place.
+func (it *Iter) answer() engine.Answer {
 	if it.terms == nil {
 		it.terms = make([]term.Term, len(it.queryVars))
 		for i, v := range it.queryVars {
@@ -193,7 +198,7 @@ func (it *Iter) NextAnswer() (engine.Answer, bool, error) {
 		}
 	}
 	n := it.cur
-	return engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: it.terms, Vars: it.queryVars}, true, nil
+	return engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: it.terms, Vars: it.queryVars}
 }
 
 // pull runs the strategy's loop to the next solution and leaves it where

@@ -112,6 +112,8 @@ func TestQueryValidation(t *testing.T) {
 		{"not json", `gf(p0,G)`, http.StatusBadRequest},
 		{"compiled field", `{"goal":"gf(p0,G)","compiled":false}`, http.StatusBadRequest},
 		{"occurs_check field", `{"goal":"gf(p0,G)","occurs_check":true}`, http.StatusBadRequest},
+		{"nested too deep", `{"goal":"X = ` + strings.Repeat("f(", 10_001) + "a" + strings.Repeat(")", 10_001) + `"}`, http.StatusBadRequest},
+		{"nested to the cap", `{"goal":"X = ` + strings.Repeat("f(", 10_000) + "a" + strings.Repeat(")", 10_000) + `"}`, http.StatusOK},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", strings.NewReader(c.body))

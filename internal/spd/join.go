@@ -159,8 +159,9 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 				continue
 			}
 			m := make(map[string]term.Term, len(qvars))
+			d := term.Detacher{Env: e2}
 			for _, v := range qvars {
-				m[v.String()] = e2.ResolveDeep(v)
+				m[v.String()] = d.Detach(v)
 			}
 			rep.Solutions = append(rep.Solutions, m)
 		}
@@ -225,8 +226,9 @@ func NestedLoopJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, 
 				continue
 			}
 			m := make(map[string]term.Term, len(qvars))
+			d := term.Detacher{Env: e2}
 			for _, v := range qvars {
-				m[v.String()] = e2.ResolveDeep(v)
+				m[v.String()] = d.Detach(v)
 			}
 			rep.Solutions = append(rep.Solutions, m)
 		}

@@ -388,7 +388,7 @@ func (ev *eval) runGenerator(t *Table) error {
 		if !ok {
 			break
 		}
-		if aerr := ev.addLive(t, tr, env, subst, goal); aerr != nil {
+		if aerr := ev.addLive(t, env, subst, goal); aerr != nil {
 			err = aerr
 			break
 		}
@@ -412,23 +412,17 @@ var ErrCost = errors.New("table: min(N) answer cost is not an integer")
 // addLive adds the answer a generator run stopped at: goal read through
 // the run's live store. The answer is encoded there first, so a
 // duplicate, or a derivation a min(N) table subsumes, is dropped without
-// being detached. A new ground answer is detached once and is already
-// canonical; a non-ground one is renamed apart, under the same key.
-func (ev *eval) addLive(t *Table, tr *engine.TrailRun, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) error {
+// being copied; a new one is copied out once, already canonical, its
+// variables numbered as the key walk found them.
+func (ev *eval) addLive(t *Table, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) error {
 	if t.min > 0 {
-		if cost, ok := ev.projKey(t, env, subst, goal); ok && ev.dominated(t, cost) {
-			return nil
-		}
-		return ev.addMinAnswer(t, tr.ResolveAnswer(goal))
+		return ev.addMinAnswer(t, env, subst, goal)
 	}
 	ev.key, ev.vars = appendVariantKey(ev.key[:0], ev.vars[:0], env, subst, goal)
 	if _, dup := t.answerSet[string(ev.key)]; dup {
 		return nil
 	}
-	ans := tr.ResolveAnswer(goal)
-	if len(ev.vars) > 0 {
-		_, ans = Canonicalize(nil, ans)
-	}
+	ans := canonical(env, subst, ev.vars, goal)
 	t.answerSet[string(ev.key)] = struct{}{}
 	t.answers = append(t.answers, ans)
 	t.nAnswers.Add(1)
@@ -477,13 +471,16 @@ func (ev *eval) dominated(t *Table, cost int64) bool {
 	return true
 }
 
-// addMinAnswer folds one derived answer into a min(N) table: the first
-// answer for a projection of the non-cost arguments is memoized, a
-// derivation dominated by the memoized cost is subsumed (dropped), and a
-// strictly cheaper derivation replaces the memoized answer in place.
-func (ev *eval) addMinAnswer(t *Table, ans term.Term) error {
-	cost, ok := ev.projKey(t, nil, nil, ans)
+// addMinAnswer folds one derived answer, goal read through subst and
+// env, into a min(N) table: the first answer for a projection of the
+// non-cost arguments is memoized, a derivation dominated by the memoized
+// cost is subsumed (dropped), and a strictly cheaper derivation replaces
+// the memoized answer in place.
+func (ev *eval) addMinAnswer(t *Table, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) error {
+	cost, ok := ev.projKey(t, env, subst, goal)
 	if !ok {
+		d := term.Detacher{Env: env, Subst: subst}
+		ans := d.Detach(goal)
 		c, ok := ans.(*term.Compound)
 		if !ok || t.min > len(c.Args) {
 			return fmt.Errorf("%w: %s answer %s has no argument %d", ErrCost, t.pred, ans, t.min)
@@ -493,9 +490,9 @@ func (ev *eval) addMinAnswer(t *Table, ans term.Term) error {
 	if ev.dominated(t, cost) {
 		return nil
 	}
-	// The cost slot holds an Int, so the canonical answer numbers its
-	// variables exactly as the projection key did.
-	_, canon := Canonicalize(nil, ans)
+	// The cost slot holds an Int, so projKey collected the answer's
+	// variables in the order the canonical answer numbers them.
+	canon := canonical(env, subst, ev.vars, goal)
 	idx, seen := t.projIdx[string(ev.key)]
 	if !seen {
 		t.projIdx[string(ev.key)] = len(t.answers)

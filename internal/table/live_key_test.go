@@ -12,7 +12,9 @@ import (
 // liveKeys runs goal over db on a trail run and, at every solution, reads
 // goal's variant key and its min(2) projection key twice: in place on the
 // live store, and from the detached answer the way a table stored it
-// before the live check existed. It fails the test on any difference.
+// before the live check existed. The canonical answer a table stores,
+// copied out in one pass under the live key's variables, must read as the
+// detached answer canonicalized. It fails the test on any difference.
 func liveKeys(tb testing.TB, db *kb.DB, goal term.Term) (keys []string) {
 	tb.Helper()
 	tr := engine.NewTrailRun(engine.TrailConfig{
@@ -32,11 +34,15 @@ func liveKeys(tb testing.TB, db *kb.DB, goal term.Term) (keys []string) {
 		if !ok {
 			return keys
 		}
-		live, _ := appendVariantKey(nil, nil, env, subst, goal)
-		ans := tr.ResolveAnswer(goal)
-		detached, _ := Canonicalize(nil, ans)
+		live, vars := appendVariantKey(nil, nil, env, subst, goal)
+		d := term.Detacher{Env: env, Subst: subst}
+		ans := d.Detach(goal)
+		detached, canon := Canonicalize(nil, ans)
 		if string(live) != detached {
 			tb.Fatalf("%s: live key %q, detached key %q", ans, live, detached)
+		}
+		if got := canonical(env, subst, vars, goal); got.String() != canon.String() {
+			tb.Fatalf("%s: stored in one pass as %s, canonicalized from the detached copy as %s", ans, got, canon)
 		}
 		liveCost, liveOK := ev.projKey(minTable, env, subst, goal)
 		liveProj := string(ev.key)

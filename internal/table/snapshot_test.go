@@ -169,6 +169,40 @@ func TestSnapshotQuotedFunctors(t *testing.T) {
 	}
 }
 
+// TestSnapshotSkipsOverDeepAnswers: an answer nested deeper than the
+// reader's 10 000 levels is written as text the reader rejects, so its
+// table is skipped at load and re-derives on first touch, while the
+// other tables load.
+func TestSnapshotSkipsOverDeepAnswers(t *testing.T) {
+	db, _, err := kb.LoadString(`
+:- table deep/1.
+:- table path/2.
+deep(X) :- mk(10001, X).
+mk(0, a).
+mk(N, f(X)) :- N > 0, M is N - 1, mk(M, X).
+path(X, Y) :- edge(X, Y).
+edge(a, b).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spA := table.NewSpace(db, table.Config{MaxDepth: 20_000})
+	want := tabledAnswers(t, db, spA, "deep(X)", solve.DFS)
+	tabledAnswers(t, db, spA, "path(a, Y)", solve.DFS)
+	var buf bytes.Buffer
+	if n, err := spA.WriteSnapshot(&buf); err != nil || n != 2 {
+		t.Fatalf("write = %d, %v; want both tables", n, err)
+	}
+	spB := table.NewSpace(db, table.Config{MaxDepth: 20_000})
+	if loaded, skipped, err := spB.ReadSnapshot(&buf); err != nil || loaded != 1 || skipped != 1 {
+		t.Fatalf("loaded %d skipped %d (%v), want path/2 loaded and deep/1 skipped", loaded, skipped, err)
+	}
+	created := spB.Totals().Created
+	if got := tabledAnswers(t, db, spB, "deep(X)", solve.DFS); fmt.Sprint(got) != fmt.Sprint(want) || spB.Totals().Created != created+1 {
+		t.Fatalf("deep(X) after the load: %d answers (tables created %d -> %d), want the answer re-derived", len(got), created, spB.Totals().Created)
+	}
+}
+
 // TestSnapshotSkipsStaleAndDirty pins the validation half: a clause
 // assert after save changes the dependency fingerprint, so the affected
 // table is skipped at load (and re-derives with the new fact) while the

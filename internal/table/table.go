@@ -33,7 +33,10 @@
 // A Space is the table store shared by every query against one database.
 // Variant call patterns are canonicalized over interned term.Syms, answer
 // lists are deduplicated by the same canonical form — read on a
-// generator's live bindings, so a duplicate is never detached — and
+// generator's live bindings, so a duplicate is never copied — and every
+// call pattern and new answer leaves its run through one term.Detacher
+// pass: a depth-first run recycles its body compounds at backtrack, so a
+// table that kept one would be renamed by the next call built in it. And
 // concurrent consumption is safe under every strategy: complete tables are
 // read lock-free behind an atomic completion flag, and production is
 // serialized by a context-aware producer slot, so one table is never
@@ -57,7 +60,9 @@
 // limits is a no-op. Complete untruncated tables additionally serialize to
 // a persistent snapshot (snapshot.go) that validates per-table dependency
 // fingerprints at load, so a blogd restart replays its hot tables instead
-// of rebuilding every fixpoint.
+// of rebuilding every fixpoint; a table whose answers the reader cannot
+// read back (nested deeper than its 10 000 levels) is skipped, and
+// re-derives on first touch.
 package table
 
 import (
@@ -892,40 +897,24 @@ func (h *Handle) serveHit(t *Table) []term.Term {
 // canonical form: distinct free variables become numbered placeholders in
 // first-occurrence order (sharing preserved), and the returned key is
 // appendVariantKey's, so two goals are variants of each other exactly
-// when their keys are equal. The returned pattern is a fresh copy
-// detached from env, reusable as the generator's root goal and as the
+// when their keys are equal. The returned pattern is detached from the
+// run (canonical), reusable as the generator's root goal and as the
 // stored form of an answer (Canonicalize with a nil env).
 func Canonicalize(env *term.Env, goal term.Term) (string, term.Term) {
 	var buf keyBuf
 	key, vars := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
-	return string(key), canonTerm(env, goal, vars, make([]*term.Var, len(vars)))
+	return string(key), canonical(env, nil, vars, goal)
 }
 
-// canonTerm copies t resolved under env, replacing each free variable
-// vars[i] by fresh[i] (minted on first use), and shares every subterm
-// that comes out unchanged.
-func canonTerm(env *term.Env, t term.Term, vars, fresh []*term.Var) term.Term {
-	switch t := env.Resolve(t).(type) {
-	case *term.Var:
-		i := slices.Index(vars, t)
-		if fresh[i] == nil {
-			fresh[i] = term.NewVar("_T" + strconv.Itoa(i))
-		}
-		return fresh[i]
-	case *term.Compound:
-		args := make([]term.Term, len(t.Args))
-		changed := false
-		for i, a := range t.Args {
-			args[i] = canonTerm(env, a, vars, fresh)
-			changed = changed || args[i] != a
-		}
-		if !changed {
-			return t
-		}
-		return &term.Compound{Functor: t.Functor, Args: args}
-	default:
-		return t
+// canonical copies t, read through subst and env, out of the run in one
+// Detacher pass, vars — t's free variables in first-occurrence order, as
+// appendVariantKey collected them — becoming the placeholders _T0…_Tn.
+func canonical(env *term.Env, subst map[*term.Var]*term.Var, vars []*term.Var, t term.Term) term.Term {
+	d := term.Detacher{Env: env, Subst: subst}
+	for i, v := range vars {
+		d.Own(v, term.NewVar("_T"+strconv.Itoa(i)))
 	}
+	return d.Detach(t)
 }
 
 // appendVariantKey appends t's variant key to dst: the structure of t,

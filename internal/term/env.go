@@ -222,7 +222,7 @@ func (e *Env) Lookup(v *Var) (Term, bool) {
 
 // Resolve dereferences t through variable bindings until it reaches an
 // unbound variable or a non-variable term. It does not descend into
-// compound arguments; see ResolveDeep.
+// compound arguments; Detacher copies a term out whole.
 func (e *Env) Resolve(t Term) Term {
 	for {
 		v, ok := t.(*Var)
@@ -237,29 +237,6 @@ func (e *Env) Resolve(t Term) Term {
 	}
 }
 
-// ResolveDeep returns a copy of t with every bound variable replaced by its
-// (deeply resolved) value. Unbound variables remain in place, so the result
-// is independent of the environment except for those.
-func (e *Env) ResolveDeep(t Term) Term {
-	t = e.Resolve(t)
-	c, ok := t.(*Compound)
-	if !ok {
-		return t
-	}
-	args := make([]Term, len(c.Args))
-	changed := false
-	for i, a := range c.Args {
-		args[i] = e.ResolveDeep(a)
-		if args[i] != a {
-			changed = true
-		}
-	}
-	if !changed {
-		return c
-	}
-	return &Compound{Functor: c.Functor, Args: args}
-}
-
 // Format renders t with bindings from e applied.
 func (e *Env) Format(t Term) string {
 	var buf [64]byte
@@ -267,11 +244,12 @@ func (e *Env) Format(t Term) string {
 }
 
 // Refresh returns t with every variable consistently replaced by a fresh
-// one: the "renaming apart" operation outside the VM. copy_term/2 copies
-// its argument this way, and the tree-walking oracle activates a stored
-// clause by refreshing its head and body together (RefreshAll, through
-// kb.Clause.Activate). It is a one-shot map-based copy that rebuilds
-// every compound, ground ones included.
+// one: the "renaming apart" operation outside the VM. A table answer is
+// renamed apart this way before a store binds into it, and the
+// tree-walking oracle activates a stored clause by refreshing its head
+// and body together (RefreshAll, through kb.Clause.Activate). It is a
+// one-shot map-based copy that rebuilds every compound, ground ones
+// included.
 func Refresh(t Term) Term {
 	switch t.(type) {
 	case *Var, *Compound:

@@ -122,8 +122,9 @@ func (e *Env) InPlace() *Store {
 // terms across them.
 //
 // Pooled frames impose one contract, enforced by Detacher: no *Var pointer
-// into a pooled frame may outlive the activation (solution bindings and
-// table answers detach them into fresh standalone variables first).
+// into a pooled frame may outlive the activation (solution bindings and a
+// table's call patterns and answers detach them into fresh standalone
+// variables first).
 type FramePool struct {
 	bySize [][]*Frame
 
@@ -203,69 +204,100 @@ func RefreshAll(ts []Term) ([]Term, map[*Var]*Var) {
 	return out, m
 }
 
-// Detacher resolves terms out of a trail run's store into standalone
-// terms. Variables are first translated through Subst (a trail run's
-// original-to-refreshed query variable map; nil is fine), then resolved
-// against Env; any variable still unbound whose frame is pool-recycled is
-// replaced by a fresh detached variable with the same print name, and one
-// named by Own by its query variable, consistently across one Detacher's
-// lifetime. The result survives backtracking and frame recycling.
+// Detacher copies terms out of a run, and is the one walker that does:
+// solutions, a table's call patterns and answers, and the argument of \+
+// all leave their run through it, while Exporter hands a chain to another
+// worker's store. Variables are first translated through Subst (a trail
+// run's original-to-refreshed query variable map; nil is fine), then
+// resolved against Env. A variable still unbound detaches as the
+// variable Own named for it; failing that, one whose frame is
+// pool-recycled detaches as a fresh variable with the same print name,
+// and any other as itself — consistently across one Detacher's lifetime.
+// Pool-minted compounds are copied, others shared when unchanged. The
+// result survives backtracking and frame and compound recycling; on a
+// persistent Env nothing is pooled, so Detach only resolves.
 type Detacher struct {
 	Env   *Env
 	Subst map[*Var]*Var
-	fresh map[*Var]*Var
+	ren   renaming
 }
 
-// Own names q, a query variable, as what image stands for in the run:
-// while image is an unbound variable it detaches as q itself, so a
-// detached answer holds the query's own variables rather than the run's
-// renamed copies.
+// renaming maps the variables a Detacher renames to their images. The
+// first few pairs sit inline, so a small answer or call pattern renames
+// without allocating.
+type renaming struct {
+	few  [4][2]*Var
+	n    int
+	more map[*Var]*Var
+}
+
+func (r *renaming) get(v *Var) (*Var, bool) {
+	for _, p := range r.few[:r.n] {
+		if p[0] == v {
+			return p[1], true
+		}
+	}
+	nv, ok := r.more[v]
+	return nv, ok
+}
+
+// put maps v to nv, replacing any earlier image of v.
+func (r *renaming) put(v, nv *Var) {
+	for i := range r.few[:r.n] {
+		if r.few[i][0] == v {
+			r.few[i][1] = nv
+			return
+		}
+	}
+	if r.n < len(r.few) {
+		r.few[r.n] = [2]*Var{v, nv}
+		r.n++
+		return
+	}
+	if r.more == nil {
+		r.more = make(map[*Var]*Var, len(r.few))
+	}
+	r.more[v] = nv
+}
+
+// Own names q as what image stands for in the run: while image is an
+// unbound variable it detaches as q itself, so a detached answer holds
+// the query's own variables rather than the run's renamed copies, and a
+// canonical table term its numbered placeholders.
 func (d *Detacher) Own(image Term, q *Var) {
 	v, ok := image.(*Var)
 	if !ok || v == q {
 		return
 	}
-	if _, bound := d.Env.Lookup(v); bound {
-		return
+	if _, bound := d.Env.Lookup(v); !bound {
+		d.ren.put(v, q)
 	}
-	if d.fresh == nil {
-		d.fresh = make(map[*Var]*Var, 4)
-	}
-	d.fresh[v] = q
 }
 
-// Detach resolves t as described on the type.
+// Detach copies t out of the run as described on the type.
 func (d *Detacher) Detach(t Term) Term {
 	if v, ok := t.(*Var); ok && d.Subst != nil {
 		if nv, ok := d.Subst[v]; ok {
 			t = nv
 		}
 	}
-	t = d.Env.Resolve(t)
-	switch t := t.(type) {
+	switch t := d.Env.Resolve(t).(type) {
 	case *Var:
-		if nv, ok := d.fresh[t]; ok {
+		if nv, ok := d.ren.get(t); ok {
 			return nv
 		}
 		if t.frame == nil || !t.frame.pooled {
 			return t
 		}
 		nv := NewVar(t.Name)
-		if d.fresh == nil {
-			d.fresh = make(map[*Var]*Var, 4)
-		}
-		d.fresh[t] = nv
+		d.ren.put(t, nv)
 		return nv
 	case *Compound:
 		args := make([]Term, len(t.Args))
-		// Pool-minted compounds are recycled on backtrack, so they are
-		// copied unconditionally; others are shared when unchanged.
 		changed := t.pooled
 		for i, a := range t.Args {
 			args[i] = d.Detach(a)
-			if args[i] != a {
-				changed = true
-			}
+			changed = changed || args[i] != a
 		}
 		if !changed {
 			return t
@@ -352,8 +384,9 @@ func (x *Exporter) Copy(t Term) Term {
 // an activation, and Release returns everything minted since the mark to
 // the per-arity free lists — which is sound exactly because a body goal's
 // structure dies with its activation's choice point, and everything that
-// outlives backtracking (solution bindings, table answers) leaves through
-// Detacher, which copies pool-minted compounds unconditionally.
+// outlives backtracking (solution bindings, a table's call patterns and
+// answers) leaves through Detacher, which copies pool-minted compounds
+// unconditionally.
 type CompoundPool struct {
 	free [][]*Compound // indexed by arity
 	log  []*Compound

@@ -11,8 +11,12 @@
 //   - Clauses compile once, in internal/vm, into head code and body
 //     skeletons over numbered slots; "renaming apart" a clause there is
 //     register capture plus at most one activation frame. Outside the VM
-//     (the tree-walking oracle, copy_term/2, a trail run's root goals) a
-//     term is renamed apart by copying it (Refresh, RefreshAll).
+//     (the tree-walking oracle, a trail run's root goals) a term is
+//     renamed apart by copying it (Refresh, RefreshAll).
+//   - A term leaves a run one way, through Detacher, which copies what
+//     the run's pools recycle at backtrack (FramePool, CompoundPool) and
+//     shares the rest; Exporter copies a chain for another worker's
+//     store, and copy_term/2 is one Exporter pass.
 //   - Variables carry their activation Frame, letting binding environments
 //     snapshot per-frame binding arrays instead of copying one flat map
 //     (env.go).
@@ -370,34 +374,11 @@ func VarsUnder(env *Env, t Term, dst []*Var) []*Var {
 }
 
 // EqualUnder reports structural equality of a and b with bindings from env
-// applied on the fly, without materializing deeply-resolved copies. It
-// backs ==/2 and \==/2: each argument position is resolved exactly once.
-// A nil env compares the terms as written.
-func EqualUnder(env *Env, a, b Term) bool {
-	a, b = env.Resolve(a), env.Resolve(b)
-	switch a := a.(type) {
-	case Atom:
-		b, ok := b.(Atom)
-		return ok && a == b
-	case Int:
-		b, ok := b.(Int)
-		return ok && a == b
-	case *Var:
-		return a == b
-	case *Compound:
-		b, ok := b.(*Compound)
-		if !ok || a.Functor != b.Functor || len(a.Args) != len(b.Args) {
-			return false
-		}
-		for i := range a.Args {
-			if !EqualUnder(env, a.Args[i], b.Args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
+// applied on the fly: CompareUnder's walk, which orders two terms as equal
+// exactly when they are identical (variables by process-unique serial,
+// atoms by interned name). It backs ==/2 and \==/2. A nil env compares the
+// terms as written.
+func EqualUnder(env *Env, a, b Term) bool { return CompareUnder(env, a, b) == 0 }
 
 // Compare imposes the standard order of terms: Var < Int < Atom < Compound,
 // with compounds ordered by arity, then functor, then arguments.
@@ -432,7 +413,10 @@ func CompareUnder(env *Env, a, b Term) int {
 		}
 		return 0
 	case Atom:
-		return strings.Compare(a.Name(), b.(Atom).Name())
+		if ba := b.(Atom); a != ba {
+			return strings.Compare(a.Name(), ba.Name())
+		}
+		return 0
 	case *Compound:
 		bc := b.(*Compound)
 		if d := len(a.Args) - len(bc.Args); d != 0 {

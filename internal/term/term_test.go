@@ -200,21 +200,71 @@ func TestResolveChain(t *testing.T) {
 	}
 }
 
-func TestResolveDeep(t *testing.T) {
+// TestDetachResolves: on a persistent Env, Detach only resolves — bound
+// variables replaced, ground subterms shared.
+func TestDetachResolves(t *testing.T) {
 	x, y := NewVar("X"), NewVar("Y")
 	tm := NewCompound("f", x, NewCompound("g", y))
 	e := (*Env)(nil).Bind(x, NewAtom("a")).Bind(y, Int(7))
-	got := e.ResolveDeep(tm)
+	d := Detacher{Env: e}
+	got := d.Detach(tm)
 	want := NewCompound("f", NewAtom("a"), NewCompound("g", Int(7)))
 	if !EqualUnder(nil, got, want) {
-		t.Errorf("ResolveDeep = %v, want %v", got, want)
+		t.Errorf("Detach = %v, want %v", got, want)
 	}
 	// Untouched subterms should be shared, not copied.
 	g := NewCompound("g", NewAtom("k"))
 	t2 := NewCompound("h", g).(*Compound)
-	r2 := e.ResolveDeep(t2).(*Compound)
-	if r2 != t2 {
+	if r2 := d.Detach(t2).(*Compound); r2 != t2 {
 		t.Error("fully ground term should be returned unchanged")
+	}
+}
+
+// TestDetachPooled: pooled compounds are copied and pooled variables
+// renamed — one fresh variable per pooled one across a Detacher's life,
+// past the renaming's inline pairs — while Own's names win and other
+// variables stay themselves.
+func TestDetachPooled(t *testing.T) {
+	var fp FramePool
+	var cp CompoundPool
+	names := []string{"A", "B", "C", "D", "E", "F"}
+	f := fp.Get(names)
+	own, plain := NewVar("Q"), NewVar("P")
+	c := cp.Get(Intern("k"), len(names)+1)
+	for i := range names {
+		c.Args[i] = f.Var(i)
+	}
+	c.Args[len(names)] = plain
+	d := Detacher{Env: NewStore().Env()}
+	d.Own(f.Var(0), own)
+	first := d.Detach(c).(*Compound)
+	second := d.Detach(c).(*Compound)
+	if first == c || second == c {
+		t.Fatal("a pooled compound must be copied")
+	}
+	if first.Args[0] != own {
+		t.Errorf("owned variable detached as %v, want %v", first.Args[0], own)
+	}
+	if first.Args[len(names)] != plain {
+		t.Errorf("unpooled variable detached as %v, want itself", first.Args[len(names)])
+	}
+	seen := map[Term]bool{}
+	for i := 1; i < len(names); i++ {
+		v := first.Args[i].(*Var)
+		if v == f.Var(i) || seen[v] || v.Name != names[i] {
+			t.Errorf("pooled %s detached as %v: want a fresh variable of that name", names[i], v)
+		}
+		seen[v] = true
+		if second.Args[i] != v {
+			t.Errorf("pooled %s detached as %v, then %v", names[i], v, second.Args[i])
+		}
+	}
+	// Two query variables standing for one unbound variable: the later
+	// Own names it.
+	later := NewVar("R")
+	d.Own(f.Var(0), later)
+	if got := d.Detach(f.Var(0)); got != later {
+		t.Errorf("re-owned variable detached as %v, want %v", got, later)
 	}
 }
 

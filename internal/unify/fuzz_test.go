@@ -172,8 +172,8 @@ func FuzzUnify(f *testing.F) {
 			return
 		}
 		// Each unifier's own bindings must make the terms equal.
-		if ra, rb := env.ResolveDeep(a), env.ResolveDeep(b); !term.EqualUnder(nil, ra, rb) {
-			t.Fatalf("env unifier is not a unifier:\na = %s -> %s\nb = %s -> %s", a, ra, b, rb)
+		if !term.EqualUnder(env, a, b) {
+			t.Fatalf("env unifier is not a unifier:\na = %s -> %s\nb = %s -> %s", a, env.Format(a), b, env.Format(b))
 		}
 		if na, nb := naiveApply(sub, a), naiveApply(sub, b); !term.EqualUnder(nil, na, nb) {
 			t.Fatalf("naive unifier is not a unifier:\na = %s -> %s\nb = %s -> %s", a, na, b, nb)

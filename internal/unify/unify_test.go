@@ -267,7 +267,7 @@ func TestPropertyUnifyYieldsEqualTerms(t *testing.T) {
 		if !ok {
 			return true
 		}
-		return term.EqualUnder(nil, e.ResolveDeep(lhs), e.ResolveDeep(rhs))
+		return term.EqualUnder(e, lhs, rhs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -310,7 +310,7 @@ func TestPropertyVarUnifiesWithAnything(t *testing.T) {
 		}
 		x := v("X")
 		e, ok := Unify(nil, x, tm)
-		return ok && term.EqualUnder(nil, e.ResolveDeep(x), tm)
+		return ok && term.EqualUnder(e, x, tm)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -112,7 +112,7 @@ func TestWriteModeInstantiates(t *testing.T) {
 	if !ok {
 		t.Fatal("head must match")
 	}
-	if got := env.ResolveDeep(v).String(); got != "g(a)" {
+	if got := env.Format(v); got != "g(a)" {
 		t.Errorf("V = %s, want g(a)", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestGroundCompoundPool(t *testing.T) {
 	if !ok {
 		t.Fatal("head must match")
 	}
-	if got := env.ResolveDeep(g.Args[0]).String(); got != "point(1,2)" {
+	if got := env.Format(g.Args[0]); got != "point(1,2)" {
 		t.Errorf("P = %s, want point(1,2)", got)
 	}
 	if _, ok := m.Resolve(emptyEnv, goal(t, "wants(point(1, 3))"), pc.all[0]); ok {
@@ -163,7 +163,7 @@ func TestRepeatVarUnifies(t *testing.T) {
 	if !ok {
 		t.Fatal("head must match")
 	}
-	if got := env.ResolveDeep(g.Args[1]).String(); got != "a" {
+	if got := env.Format(g.Args[1]); got != "a" {
 		t.Errorf("B = %s, want a", got)
 	}
 	if _, ok := m.Resolve(emptyEnv, goal(t, "same(a, b)"), pc.all[0]); ok {
