@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"blog/internal/term"
@@ -79,7 +80,12 @@ func TestAnswerVariableNames(t *testing.T) {
 // TestAnswerLifetime holds what a caller keeps from an answer to the text
 // it had inside yield: Value(i) and a Solution converted there survive the
 // later pulls, which rewrite a depth-first run's store, and the end of the
-// query, which recycles it.
+// query, which recycles it. After a BFS or best-first query, further
+// best-first queries run before the comparison: they borrow the scratch
+// the query returned and take their nodes, goal cells, bindings and terms
+// from its chunk tails, so a slab that handed a cell out twice would show.
+// One case compares while such queries run concurrently, and a learning
+// session's arcs are compared the same way.
 func TestAnswerLifetime(t *testing.T) {
 	queens, err := LoadString(workload.NQueens)
 	if err != nil {
@@ -110,59 +116,142 @@ func TestAnswerLifetime(t *testing.T) {
 		{"clause variables best", mk, "mk(Q), mk(R)", BestFirst, nil},
 	}
 	for _, c := range cases {
-		// The batch run also completes any table, so QueryEach replays it.
-		want, err := c.p.Query(c.goal, c.strat, c.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		g, err := ParseGoal(c.goal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type kept struct {
-			values []term.Term
-			texts  []string
-			sol    Solution
-			text   string
-		}
-		var ks []kept
-		_, err = c.p.QueryEach(context.Background(), g, c.strat, func(a Answer) error {
-			k := kept{sol: a.Solution()}
-			k.text = k.sol.String()
-			for i, name := range a.Names {
-				v := a.Value(i)
-				k.values = append(k.values, v)
-				k.texts = append(k.texts, serialText(v))
-				// A ground value reads as the answer's own text.
-				if text := k.sol.Bindings[name]; !anonVar.MatchString(text) && v.String() != text {
-					t.Errorf("%s: Value(%d) reads %q inside yield, the answer %q", c.name, i, v.String(), text)
-				}
-			}
-			ks = append(ks, k)
-			return nil
-		}, c.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if len(ks) != len(want.Solutions) || len(ks) < 2 {
-			t.Fatalf("%s: %d answers, want %d (and at least 2)", c.name, len(ks), len(want.Solutions))
-		}
+		ks, want := keepAnswers(t, c.name, c.p, c.goal, c.strat, c.opts...)
 		// Another run takes the recycled store, frames and compounds over.
 		if _, err := c.p.Query(c.goal, c.strat, c.opts...); err != nil {
 			t.Fatal(err)
 		}
-		for n, k := range ks {
-			for i, v := range k.values {
-				if got := serialText(v); got != k.texts[i] {
-					t.Errorf("%s answer %d: Value(%d) reads %q after the query, %q inside yield", c.name, n, i, got, k.texts[i])
-				}
+		if c.strat == BFS || c.strat == BestFirst {
+			laterBestFirst(t, c.p, c.opts, c.goal, "queens(5,Qs)", c.goal)
+		}
+		checkKept(t, c.name, ks, want)
+	}
+
+	// Concurrently: the kept answers are read while other goroutines run
+	// best-first queries, and again once they are done.
+	ks, want := keepAnswers(t, "concurrent best", queens, "queens(4,Qs)", BestFirst)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			laterBestFirst(t, queens, nil, "queens(4,Qs)", "queens(5,Qs)")
+		}()
+	}
+	checkKept(t, "concurrent best (during)", ks, want)
+	wg.Wait()
+	checkKept(t, "concurrent best (after)", ks, want)
+
+	// A learning session: the weight rules read each chain's arcs off the
+	// run's slab-held arc lists, and later queries, which reuse the
+	// scratch those lists came from, leave the learned arcs as they were.
+	fam, err := LoadString(workload.FamilyTree(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fam.NewSession(0)
+	if _, err := fam.Query("gf(p4,G)", BestFirst, InSession(s), Learn()); err != nil {
+		t.Fatal(err)
+	}
+	arcs := fam.db.Arcs()
+	states := func() []string {
+		out := make([]string, len(arcs))
+		for i, a := range arcs {
+			k, w := s.inner.State(a)
+			out[i] = fmt.Sprint(k, w)
+		}
+		return out
+	}
+	before := states()
+	if s.LocalLearned() == 0 {
+		t.Fatal("the session learned no arcs")
+	}
+	other := fam.NewSession(0)
+	for _, g := range []string{"gf(p5,G)", "gf(p4,G)", "gf(X,Y)"} {
+		if _, err := fam.Query(g, BestFirst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fam.Query(g, BestFirst, InSession(other), Learn()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, st := range states() {
+		if st != before[i] {
+			t.Errorf("arc %v: learned %s, now %s after later queries", arcs[i], before[i], st)
+		}
+	}
+}
+
+// kept is what a caller keeps of one answer inside yield.
+type kept struct {
+	values []term.Term
+	texts  []string
+	sol    Solution
+	text   string
+}
+
+// keepAnswers runs goal through QueryEach, keeping every answer's values
+// and Solution, and returns them with the batch Query's result.
+func keepAnswers(t *testing.T, name string, p *Program, goal string, strat Strategy, opts ...Option) ([]kept, *Result) {
+	t.Helper()
+	// The batch run also completes any table, so QueryEach replays it.
+	want, err := p.Query(goal, strat, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	g, err := ParseGoal(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ks []kept
+	_, err = p.QueryEach(context.Background(), g, strat, func(a Answer) error {
+		k := kept{sol: a.Solution()}
+		k.text = k.sol.String()
+		for i, vn := range a.Names {
+			v := a.Value(i)
+			k.values = append(k.values, v)
+			k.texts = append(k.texts, serialText(v))
+			// A ground value reads as the answer's own text.
+			if text := k.sol.Bindings[vn]; !anonVar.MatchString(text) && v.String() != text {
+				t.Errorf("%s: Value(%d) reads %q inside yield, the answer %q", name, i, v.String(), text)
 			}
-			if got := k.sol.String(); got != k.text {
-				t.Errorf("%s answer %d: Solution reads %q after the query, %q inside yield", c.name, n, got, k.text)
+		}
+		ks = append(ks, k)
+		return nil
+	}, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(ks) != len(want.Solutions) || len(ks) < 2 {
+		t.Fatalf("%s: %d answers, want %d (and at least 2)", name, len(ks), len(want.Solutions))
+	}
+	return ks, want
+}
+
+// laterBestFirst runs goals on p best-first, one after another.
+func laterBestFirst(t *testing.T, p *Program, opts []Option, goals ...string) {
+	for _, g := range goals {
+		if _, err := p.Query(g, BestFirst, opts...); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// checkKept compares kept answers with the texts they had inside yield
+// and with the batch Query's answers.
+func checkKept(t *testing.T, name string, ks []kept, want *Result) {
+	t.Helper()
+	for n, k := range ks {
+		for i, v := range k.values {
+			if got := serialText(v); got != k.texts[i] {
+				t.Errorf("%s answer %d: Value(%d) reads %q after the query, %q inside yield", name, n, i, got, k.texts[i])
 			}
-			if got, w := serialPattern(k.text), serialPattern(want.Solutions[n].String()); got != w {
-				t.Errorf("%s answer %d: %q, Query answered %q", c.name, n, k.text, want.Solutions[n].String())
-			}
+		}
+		if got := k.sol.String(); got != k.text {
+			t.Errorf("%s answer %d: Solution reads %q after the query, %q inside yield", name, n, got, k.text)
+		}
+		if got, w := serialPattern(k.text), serialPattern(want.Solutions[n].String()); got != w {
+			t.Errorf("%s answer %d: %q, Query answered %q", name, n, k.text, want.Solutions[n].String())
 		}
 	}
 }

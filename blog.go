@@ -557,6 +557,10 @@ type Counters struct {
 	Pruned    uint64
 	// VMDispatched counts goals resolved on the compiled bytecode engine.
 	VMDispatched uint64
+	// OpenMax is the high-water mark of the run's open list (best-first,
+	// BFS, or a DFS recording a tree or trace); zero for a run that keeps
+	// none, on the trail machine.
+	OpenMax int
 	// Tabled-resolution counters (Tabled() runs only): tables this query
 	// materialized, distinct answers it derived, calls served from an
 	// already-complete table, and answers replayed from complete tables
@@ -593,6 +597,7 @@ func countersFrom(st search.Stats, ts table.Stats) Counters {
 		Failures:             st.Failures,
 		Pruned:               st.Pruned,
 		VMDispatched:         st.VMDispatched,
+		OpenMax:              st.OpenMax,
 		TablesCreated:        ts.Created,
 		TableAnswers:         ts.Answers,
 		TableHits:            ts.Hits,

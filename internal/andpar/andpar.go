@@ -181,8 +181,8 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 		res.Stats.DepthCutoffs += r.Stats.DepthCutoffs
 		res.Stats.Pruned += r.Stats.Pruned
 		res.Stats.VMDispatched += r.Stats.VMDispatched
-		if r.Stats.MaxFrontier > res.Stats.MaxFrontier {
-			res.Stats.MaxFrontier = r.Stats.MaxFrontier
+		if r.Stats.OpenMax > res.Stats.OpenMax {
+			res.Stats.OpenMax = r.Stats.OpenMax
 		}
 		if r.Stats.MaxDepth > res.Stats.MaxDepth {
 			res.Stats.MaxDepth = r.Stats.MaxDepth

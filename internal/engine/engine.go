@@ -13,6 +13,23 @@
 // view over the run's live bindings, and Answer.Value and Answer.Solution
 // copy its values out under one renaming per answer, on the trail store
 // and the persistent Env alike. copy_term/2 is one term.Exporter pass.
+//
+// The Env frontier (Expander) has one allocation path, the slab in its
+// pooled scratch: nodes, goal cells, arcs and children lists, and through
+// term.Cells the Env spine cells and the machine's frames and compounds.
+// The slab's rule is that it hands out each cell once and never recycles
+// it; chunks are ordinary Go memory, freed by the collector once nothing
+// points into them. So no reuse can be observed: an Answer's Env stays
+// valid however the scratch is reused. But one kept cell keeps its whole
+// chunk, and the chunks its neighbours point into, so terms leave the run
+// the way pooled ones do: the slab's frames and compounds are marked
+// pooled, and Detacher copies them into Solutions, Answer values and a
+// table's call patterns and answers. Within a run, dead cells keep the
+// older chunks they point into, so a run takes at most a few chunks from
+// each slab and then allocates from the heap (term.Slab). A chunk's
+// untaken tail carries over to the next run that borrows the scratch.
+// Only binding is tied to the run: an environment the run made binds on
+// its goroutine, until Release.
 package engine
 
 import (
@@ -46,18 +63,6 @@ type GoalStack struct {
 	size  int
 }
 
-// PushGoals prepends entries (in order) onto s and returns the new stack.
-func PushGoals(s *GoalStack, entries []GoalEntry) *GoalStack {
-	for i := len(entries) - 1; i >= 0; i-- {
-		sz := 1
-		if s != nil {
-			sz = s.size + 1
-		}
-		s = &GoalStack{entry: entries[i], tail: s, size: sz}
-	}
-	return s
-}
-
 // link chains the goal entries laid out in block onto s, block[0] on
 // top, and returns the new stack: a body or a chain's goals as one
 // allocation, each node still a distinct struct of the persistent list.
@@ -67,6 +72,15 @@ func link(block []GoalStack, s *GoalStack) *GoalStack {
 		s = &block[i]
 	}
 	return s
+}
+
+// queryGoals lays a query's goals out in block and links them onto the
+// empty stack.
+func queryGoals(block []GoalStack, goals []term.Term) *GoalStack {
+	for i, g := range goals {
+		block[i].entry = GoalEntry{Goal: g, Caller: kb.Query, Pos: i}
+	}
+	return link(block, nil)
 }
 
 // Top returns the first pending goal; ok is false for the empty stack.
@@ -100,15 +114,6 @@ type ArcList struct {
 	arc    kb.Arc
 	parent *ArcList
 	size   int
-}
-
-// Extend appends an arc at the leaf end.
-func (l *ArcList) Extend(a kb.Arc) *ArcList {
-	sz := 1
-	if l != nil {
-		sz = l.size + 1
-	}
-	return &ArcList{arc: a, parent: l, size: sz}
 }
 
 // Len returns the chain length in arcs.
@@ -233,11 +238,13 @@ type Expander struct {
 	meter *obs.Meter // &sc.meter while profiling, else nil
 }
 
-// expScratch is what an Expander borrows: its predicate-code cache and
-// its profiling meter. Trail runs keep theirs in their pooled scratch.
+// expScratch is what an Expander borrows: its predicate-code cache, its
+// profiling meter and the slab its nodes come from. Trail runs keep
+// theirs in their pooled scratch.
 type expScratch struct {
 	code  vm.Cache
 	meter obs.Meter
+	slab  slab
 }
 
 var scratches = sync.Pool{New: func() any { return new(expScratch) }}
@@ -246,20 +253,68 @@ var scratches = sync.Pool{New: func() any { return new(expScratch) }}
 func (e *Expander) scratch() *expScratch {
 	if e.sc == nil {
 		e.sc = scratches.Get().(*expScratch)
+		e.mach.Cells = &e.sc.slab.cells
 	}
 	return e.sc
 }
 
 // Release flushes the expander's meter and returns its scratch for reuse.
-// The expander stays usable and borrows another on next use; skipping
-// Release leaves the scratch, and any unflushed counts, to the collector.
+// The expander stays usable and borrows another scratch on next use;
+// skipping Release leaves the scratch, and any unflushed counts, to the
+// collector.
 func (e *Expander) Release() {
 	if e.sc != nil {
 		e.meter.Release()
 		e.meter = nil
+		e.sc.slab.trim()
+		e.mach.Cells = nil
 		scratches.Put(e.sc)
 		e.sc = nil
 	}
+}
+
+// slab is the Env frontier's one allocator, in the expander's scratch:
+// its nodes, goal cells, arcs and children lists, and through cells the
+// Env spine cells and the machine's frames and compounds. Every cell is
+// handed out once and never recycled (term.Slab), so an Answer's Env
+// stays valid however the scratch is reused; what is kept past the run
+// leaves it through Detacher, which copies the slab's frames and
+// compounds.
+type slab struct {
+	nodes term.Slab[Node]
+	goals term.Slab[GoalStack]
+	arcs  term.Slab[ArcList]
+	kids  term.Slab[*Node]
+	cells term.Cells
+}
+
+// extend appends arc a at the leaf end of l.
+func (s *slab) extend(l *ArcList, a kb.Arc) *ArcList {
+	c := s.arcs.New()
+	*c = ArcList{arc: a, parent: l, size: l.Len() + 1}
+	return c
+}
+
+// one is a children list of c alone.
+func (s *slab) one(c *Node) []*Node {
+	k := s.kids.Take(1)
+	k[0] = c
+	return k
+}
+
+// keep clips children, taken with room for n, and gives the room it did
+// not fill back to the slab.
+func (s *slab) keep(children []*Node, n int) []*Node {
+	s.kids.Back(n - len(children))
+	return children[:len(children):len(children)]
+}
+
+func (s *slab) trim() {
+	s.nodes.Trim()
+	s.goals.Trim()
+	s.arcs.Trim()
+	s.kids.Trim()
+	s.cells.Trim()
 }
 
 // NewExpander returns an expander with MaxDepth defaulted from the store.
@@ -267,14 +322,14 @@ func NewExpander(db *kb.DB, ws weights.Store) *Expander {
 	return &Expander{DB: db, Weights: ws, MaxDepth: ws.Config().A}
 }
 
-// Root builds the root node for a query's goals.
+// Root builds the root node for a query's goals, under an empty
+// environment whose extensions come from the expander's slab.
 func (e *Expander) Root(goals []term.Term) *Node {
-	entries := make([]GoalEntry, len(goals))
-	for i, g := range goals {
-		entries[i] = GoalEntry{Goal: g, Caller: kb.Query, Pos: i}
-	}
+	sl := &e.scratch().slab
 	e.seq++
-	return &Node{Goals: PushGoals(nil, entries), Seq: e.seq, Label: "?-"}
+	r := sl.nodes.New()
+	*r = Node{Goals: queryGoals(sl.goals.Take(len(goals)), goals), Env: sl.cells.Root(), Seq: e.seq, Label: "?-"}
+	return r
 }
 
 // ErrDepthLimit marks chains cut off by MaxDepth. They are treated as
@@ -299,6 +354,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 		return nil, ErrDepthLimit
 	}
 	goal := n.Env.Resolve(entry.Goal)
+	sl := &e.scratch().slab
 
 	if fn, arity, ok := term.PredOf(goal); ok {
 		if e.Prof != nil {
@@ -325,7 +381,7 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 				return nil, err
 			}
 			// No proof of the inner goal: \+ succeeds like a zero-weight builtin.
-			return []*Node{e.stepChild(n, n.Env, goal)}, nil
+			return sl.one(e.child(n, n.Goals.Pop(), n.Env, goal, nil)), nil
 		}
 		if isBuiltin(fn, arity) {
 			return e.expandBuiltin(n, goal, &biTable[fn][arity])
@@ -336,41 +392,28 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 		// Compiled path: everything the VM models was filtered out above;
 		// tree recording keeps the walker so figure labels are unchanged.
 		if !e.NoVM && !e.RecordTree {
-			if pc := e.scratch().code.Pred(e.DB, fn, arity); pc != nil {
+			if pc := e.sc.code.Pred(e.DB, fn, arity); pc != nil {
 				return e.expandCompiled(n, entry, goal, pc)
 			}
 		}
 	}
 
 	cands := e.DB.Candidates(n.Env, goal)
-	children := make([]*Node, 0, len(cands))
+	children := sl.kids.Take(len(cands))[:0]
 	for _, c := range cands {
 		head, body := c.Activate()
 		env, ok := unify.Unify(n.Env, goal, head)
 		if !ok {
 			continue
 		}
-		bodyEntries := make([]GoalEntry, len(body))
+		block := sl.goals.Take(len(body))
 		for i, g := range body {
-			bodyEntries[i] = GoalEntry{Goal: g, Caller: c.ID, Pos: i}
+			block[i].entry = GoalEntry{Goal: g, Caller: c.ID, Pos: i}
 		}
 		arc := kb.Arc{Caller: entry.Caller, Pos: entry.Pos, Callee: c.ID}
-		e.seq++
-		child := &Node{
-			Goals: PushGoals(n.Goals.Pop(), bodyEntries),
-			Env:   env,
-			Chain: n.Chain.Extend(arc),
-			Bound: n.Bound + e.arcWeight(n, arc),
-			Depth: n.Depth + 1,
-			Seq:   e.seq,
-		}
-		if e.RecordTree {
-			child.Parent = n
-			child.Label = e.matchLabel(env, goal, c)
-		}
-		children = append(children, child)
+		children = append(children, e.child(n, link(block, n.Goals.Pop()), env, goal, &arc))
 	}
-	return children, nil
+	return sl.keep(children, len(cands)), nil
 }
 
 // ProfFlush charges the profiler's pending attribution interval, publishes
@@ -388,44 +431,44 @@ func (e *Expander) ProfFlush() {
 func (e *Expander) expandCompiled(n *Node, entry GoalEntry, goal term.Term, pc *vm.PredCode) ([]*Node, error) {
 	e.VMDispatched++
 	e.meter.Dispatch()
+	sl := &e.sc.slab
 	cands := pc.Select(n.Env, goal)
-	children := make([]*Node, 0, len(cands))
+	children := sl.kids.Take(len(cands))[:0]
 	for _, cc := range cands {
 		env, ok := e.mach.Resolve(n.Env, goal, cc)
 		if !ok {
 			continue
 		}
 		c := cc.Clause()
+		// The body goals are built by the machine from its compiled body
+		// skeletons over the register file, into one block of goal cells.
+		block := sl.goals.Take(len(c.Body))
+		for i := range block {
+			block[i].entry = GoalEntry{Goal: e.mach.BodyGoal(i), Caller: c.ID, Pos: i}
+		}
 		arc := kb.Arc{Caller: entry.Caller, Pos: entry.Pos, Callee: c.ID}
-		e.seq++
-		children = append(children, &Node{
-			Goals: e.pushBody(n.Goals.Pop(), c),
-			Env:   env,
-			Chain: n.Chain.Extend(arc),
-			Bound: n.Bound + e.arcWeight(n, arc),
-			Depth: n.Depth + 1,
-			Seq:   e.seq,
-		})
+		children = append(children, e.child(n, link(block, n.Goals.Pop()), env, goal, &arc))
 	}
-	return children, nil
+	return sl.keep(children, len(cands)), nil
 }
 
-// pushBody prepends the body of a clause the machine just resolved onto
-// tail, each goal built by the machine from its compiled body skeleton
-// over the register file. It is PushGoals specialized to the machine:
-// the stack nodes for the whole body come from one block, so
-// a clause with k body goals costs one allocation instead of k+1. Each
-// node is a distinct addressable struct, so the persistent-list sharing
-// contract is unchanged.
-func (e *Expander) pushBody(tail *GoalStack, c *kb.Clause) *GoalStack {
-	if len(c.Body) == 0 {
-		return tail
+// child takes a child of n off the slab, with goals and env as given.
+// A clause resolution passes the arc it took, which extends the chain,
+// adds its weight to the bound and one to the depth; a machine decision
+// (a builtin, \+ or a tabled answer) passes nil and adds none of them.
+func (e *Expander) child(n *Node, goals *GoalStack, env *term.Env, goal term.Term, arc *kb.Arc) *Node {
+	sl := &e.sc.slab
+	e.seq++
+	c := sl.nodes.New()
+	*c = Node{Goals: goals, Env: env, Chain: n.Chain, Bound: n.Bound, Depth: n.Depth, Seq: e.seq}
+	if arc != nil {
+		c.Chain, c.Bound, c.Depth = sl.extend(n.Chain, *arc), n.Bound+e.arcWeight(n, *arc), n.Depth+1
 	}
-	block := make([]GoalStack, len(c.Body))
-	for i := range block {
-		block[i].entry = GoalEntry{Goal: e.mach.BodyGoal(i), Caller: c.ID, Pos: i}
+	if e.RecordTree {
+		// Figure 3 labels a node with the goal it resolved, under its env.
+		c.Parent, c.Label = n, env.Format(goal)
 	}
-	return link(block, tail)
+	return c
 }
 
 // arcWeight computes the bound increment for taking arc from node n,
@@ -448,32 +491,6 @@ const negationBudget = 100_000
 // ErrNegationBudget reports a \+ subgoal whose proof attempt exceeded
 // negationBudget expansions.
 var ErrNegationBudget = errors.New("engine: negation subgoal exceeded expansion budget")
-
-// stepChild builds the child of a machine decision — a builtin, \+ or a
-// tabled answer — under env: the goal is consumed, and since no database
-// pointer was followed the child adds no arc, no weight and no depth.
-func (e *Expander) stepChild(n *Node, env *term.Env, goal term.Term) *Node {
-	e.seq++
-	child := &Node{
-		Goals: n.Goals.Pop(),
-		Env:   env,
-		Chain: n.Chain,
-		Bound: n.Bound,
-		Depth: n.Depth,
-		Seq:   e.seq,
-	}
-	if e.RecordTree {
-		child.Parent = n
-		child.Label = env.Format(goal)
-	}
-	return child
-}
-
-// matchLabel renders the head of the matched clause under the child env,
-// which is how figure 3 labels the top half of each node.
-func (e *Expander) matchLabel(env *term.Env, goal term.Term, c *kb.Clause) string {
-	return env.Format(goal)
-}
 
 // expandTabled resolves a tabled goal against its answer table: one child
 // per memoized answer that unifies. Like a builtin, answer consumption is
@@ -499,16 +516,17 @@ func (e *Expander) expandTabled(n *Node, goal term.Term) ([]*Node, error) {
 	return e.stepChildren(n, goal, choices{n: len(answers), x: goal, answers: answers}), nil
 }
 
-// stepChildren is stepChild over a decision's alternatives: one child per
-// alternative that applies.
+// stepChildren is child over a decision's alternatives: one child per
+// alternative that applies, each consuming the goal.
 func (e *Expander) stepChildren(n *Node, goal term.Term, ch choices) []*Node {
-	children := make([]*Node, 0, ch.n)
+	sl := &e.sc.slab
+	children := sl.kids.Take(ch.n)[:0]
 	for i := 0; i < ch.n; i++ {
 		if env, ok := ch.try(n.Env, i); ok {
-			children = append(children, e.stepChild(n, env, goal))
+			children = append(children, e.child(n, n.Goals.Pop(), env, goal, nil))
 		}
 	}
-	return children
+	return sl.keep(children, ch.n)
 }
 
 // expandBuiltin evaluates a builtin goal. Builtins are decisions of the
@@ -528,7 +546,7 @@ func (e *Expander) expandBuiltin(n *Node, goal term.Term, bi *biEntry) ([]*Node,
 	if err != nil || !ok {
 		return nil, err
 	}
-	return []*Node{e.stepChild(n, env, goal)}, nil
+	return e.sc.slab.one(e.child(n, n.Goals.Pop(), env, goal, nil)), nil
 }
 
 // Solution is a detached answer (Answer.Solution): the query variables'
@@ -558,18 +576,18 @@ type Answer struct {
 	Terms []term.Term
 	Vars  []*term.Var
 
-	// det, when set, is the Detacher every value of this answer shares:
-	// the run's, zeroed when it moves on (TrailRun.Advance). Nil on a
-	// persistent Env, where nothing is renamed.
-	det *term.Detacher
+	// Det, when set, is the Detacher every value of this answer shares:
+	// the run's, zeroed when it moves on (TrailRun.Advance, search.Iter's
+	// pull), so the values rename a pooled variable alike.
+	Det *term.Detacher
 }
 
 // detacher returns the answer's Detacher — d when the run holds none —
-// set up on first use, its query variables owned. A trail run's Env is
-// never nil, so a zero Env marks a Detacher not yet set up.
+// set up on first use, its query variables owned. A run's Env is never
+// nil, so a zero Env marks a Detacher not yet set up.
 func (a Answer) detacher(d *term.Detacher) *term.Detacher {
-	if a.det != nil {
-		d = a.det
+	if a.Det != nil {
+		d = a.Det
 	}
 	if d.Env == nil {
 		d.Env = a.Env

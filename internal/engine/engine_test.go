@@ -47,9 +47,17 @@ func TestGoalStack(t *testing.T) {
 	if _, ok := s.Top(); ok {
 		t.Error("empty stack should have no top")
 	}
+	var sl slab
+	push := func(s *GoalStack, entries ...GoalEntry) *GoalStack {
+		block := sl.goals.Take(len(entries))
+		for i, e := range entries {
+			block[i].entry = e
+		}
+		return link(block, s)
+	}
 	g1 := GoalEntry{Goal: term.NewAtom("a")}
 	g2 := GoalEntry{Goal: term.NewAtom("b")}
-	s2 := PushGoals(s, []GoalEntry{g1, g2})
+	s2 := push(s, g1, g2)
 	if s2.Len() != 2 {
 		t.Errorf("len = %d", s2.Len())
 	}
@@ -61,7 +69,7 @@ func TestGoalStack(t *testing.T) {
 		t.Error("pop should drop one")
 	}
 	// Persistence: s2 unchanged after further pushes.
-	s3 := PushGoals(s2.Pop(), []GoalEntry{{Goal: term.NewAtom("c")}})
+	s3 := push(s2.Pop(), GoalEntry{Goal: term.NewAtom("c")})
 	if top2, _ := s2.Top(); top2.Goal != term.NewAtom("a") {
 		t.Error("s2 mutated")
 	}
@@ -77,7 +85,8 @@ func TestArcList(t *testing.T) {
 	}
 	a1 := kb.Arc{Caller: kb.Query, Pos: 0, Callee: 0}
 	a2 := kb.Arc{Caller: 0, Pos: 0, Callee: 1}
-	l2 := l.Extend(a1).Extend(a2)
+	var sl slab
+	l2 := sl.extend(sl.extend(l, a1), a2)
 	s := l2.Slice()
 	if len(s) != 2 || s[0] != a1 || s[1] != a2 {
 		t.Errorf("slice = %v (must be root-first)", s)

@@ -82,17 +82,14 @@ type TrailConfig struct {
 }
 
 // TrailStats mirrors the search-level work counters for a trail run.
-// MaxChoicePoints is the peak choice-point stack depth — the trail
-// analogue of the open-list high-water mark.
 type TrailStats struct {
-	Expanded        uint64
-	Generated       uint64
-	Failures        uint64
-	DepthCutoffs    uint64
-	Pruned          uint64
-	MaxDepth        int
-	MaxChoicePoints int
-	VMDispatched    uint64
+	Expanded     uint64
+	Generated    uint64
+	Failures     uint64
+	DepthCutoffs uint64
+	Pruned       uint64
+	MaxDepth     int
+	VMDispatched uint64
 }
 
 // errTrailBudget is the fallback when MaxExpansions is hit without a
@@ -176,7 +173,7 @@ func (r *TrailRun) Release() {
 }
 
 // goalBlockPool recycles the single-block []GoalStack allocations that
-// back clause-body pushes (see Expander.pushBody), keyed by body length.
+// back a trail run's clause-body pushes (see link), keyed by body length.
 // Blocks die at backtrack, with the frames of the same activation.
 type goalBlockPool struct {
 	bySize [][][]GoalStack
@@ -306,11 +303,7 @@ func rootGoals(goals []term.Term) (*GoalStack, []*term.Var, map[*term.Var]*term.
 		queryVars = term.VarsUnder(nil, g, queryVars)
 	}
 	freshGoals, m := term.RefreshAll(goals)
-	entries := make([]GoalEntry, len(freshGoals))
-	for i, g := range freshGoals {
-		entries[i] = GoalEntry{Goal: g, Caller: kb.Query, Pos: i}
-	}
-	return PushGoals(nil, entries), queryVars, m
+	return queryGoals(make([]GoalStack, len(freshGoals)), freshGoals), queryVars, m
 }
 
 // init sets r up for cfg on a scratch from the pool, with no goals yet.
@@ -653,7 +646,7 @@ func (r *TrailRun) dispatchNegation(goal term.Term) error {
 		env:      r.env,
 		maxDepth: r.maxDepth,
 		maxExp:   math.MaxUint64,
-		goals:    PushGoals(nil, []GoalEntry{{Goal: inner, Caller: kb.Query, Pos: 0}}),
+		goals:    &GoalStack{entry: GoalEntry{Goal: inner, Caller: kb.Query}, size: 1},
 	}
 	mark := r.sh.st.Mark()
 	r.meter.Pause()
@@ -702,9 +695,6 @@ func (r *TrailRun) pushCP(kind cpKind, entry GoalEntry, goal term.Term) *choiceP
 	cp.next = 0
 	cp.frame = nil
 	cp.block = nil
-	if len(r.cps) > r.stats.MaxChoicePoints {
-		r.stats.MaxChoicePoints = len(r.cps)
-	}
 	return cp
 }
 
@@ -846,7 +836,7 @@ func (r *TrailRun) Answer() Answer {
 			r.images[i] = r.fresh[v]
 		}
 	}
-	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars, det: &r.det}
+	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars, Det: &r.det}
 }
 
 // Live returns the store the run binds into and its original-to-refreshed

@@ -25,6 +25,18 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.v.Store(0) }
 
+// Max is an atomic high-water gauge: the largest value observed.
+type Max struct{ v atomic.Int64 }
+
+// Observe raises the gauge to v if v is larger.
+func (m *Max) Observe(v int64) {
+	for cur := m.v.Load(); v > cur && !m.v.CompareAndSwap(cur, v); cur = m.v.Load() {
+	}
+}
+
+// Load returns the largest value observed.
+func (m *Max) Load() int64 { return m.v.Load() }
+
 // Table renders aligned fixed-width text tables, the output format of
 // every experiment in internal/experiments.
 type Table struct {

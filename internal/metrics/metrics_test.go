@@ -37,6 +37,28 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+func TestMaxConcurrent(t *testing.T) {
+	var m Max
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				m.Observe(int64(i*1000 + j))
+			}
+		}()
+	}
+	wg.Wait()
+	if m.Load() != 7999 {
+		t.Errorf("max = %d, want 7999", m.Load())
+	}
+	m.Observe(3)
+	if m.Load() != 7999 {
+		t.Errorf("a smaller value lowered the gauge to %d", m.Load())
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("T1: demo", "name", "count", "ratio")
 	tb.AddRow("alpha", 10, 0.51234)

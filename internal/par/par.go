@@ -118,6 +118,12 @@ type Stats struct {
 	// VMDispatched counts goals resolved on the compiled bytecode path
 	// across all workers.
 	VMDispatched uint64
+	// StartupExpanded counts the expansions made before a second worker
+	// took its first chain: all of them when none did.
+	StartupExpanded uint64
+	// The grain of published chains: how many were drained, and the sum
+	// and the largest of the expansions each was drained with.
+	GrainCount, GrainSum, GrainMax uint64
 }
 
 // Result is the outcome of a parallel run.
@@ -163,6 +169,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	}
 	st.cond = sync.NewCond(&st.mu)
 	root := engine.RootChain(goals)
+	st.root = root
 	st.net.push(root)
 	st.sync()
 	st.outstanding.Store(1)
@@ -197,6 +204,9 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 		res.Stats.Migrations += w.migrations
 		res.Stats.NetworkAcquires += w.acquires
 		res.Stats.Spills += w.published
+		res.Stats.GrainCount += w.grains
+		res.Stats.GrainSum += w.grainSum
+		res.Stats.GrainMax = max(res.Stats.GrainMax, w.grainMax)
 		if w.run == nil {
 			continue
 		}
@@ -212,6 +222,10 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 		}
 	}
 	res.Stats.Solutions = uint64(len(res.Solutions))
+	res.Stats.StartupExpanded = res.Stats.Expanded
+	if st.takers >= 2 {
+		res.Stats.StartupExpanded = st.startup
+	}
 	if opt.MaxSolutions > 0 && len(res.Solutions) > opt.MaxSolutions {
 		res.Solutions = res.Solutions[:opt.MaxSolutions]
 	}
@@ -222,13 +236,18 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 type state struct {
 	opt    Options
 	maxExp uint64
+	root   *engine.Chain // the query's root chain, whose grain is not counted
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// net, err and solutions are guarded by mu.
+	// net, err, solutions, takers and startup are guarded by mu.
 	net       network
 	err       error
 	solutions []engine.Solution
+	// takers counts the workers that have taken a chain; startup is the
+	// expansion count when the second of them took its first.
+	takers  int
+	startup uint64
 
 	// hungry counts workers holding no chain — waiting on the network, or
 	// not started yet — and queued the chains in the network; atomic so
@@ -252,6 +271,9 @@ type worker struct {
 	panicked bool
 
 	migrations, acquires, published uint64
+	// grains counts the published chains the worker drained; grainSum and
+	// grainMax are the sum and largest of the expansions under each.
+	grains, grainSum, grainMax uint64
 }
 
 // work takes chains from the network and drains each on the worker's run,
@@ -268,12 +290,19 @@ func (s *state) work(w *worker) {
 		if c == nil {
 			return
 		}
+		var before uint64
 		if w.run == nil {
 			w.run = engine.Resume(w.cfg, c)
 		} else {
+			before = w.run.Stats().Expanded
 			w.run.Resume(c)
 		}
-		if !s.drain(w) {
+		more := s.drain(w)
+		if c != s.root {
+			g := w.run.Stats().Expanded - before
+			w.grains, w.grainSum, w.grainMax = w.grains+1, w.grainSum+g, max(w.grainMax, g)
+		}
+		if !more {
 			return
 		}
 	}
@@ -365,6 +394,11 @@ func (s *state) take(w *worker) *engine.Chain {
 		if c := s.net.pop(); c != nil {
 			s.sync()
 			s.hungry.Add(-1)
+			if w.acquires == 0 {
+				if s.takers++; s.takers == 2 {
+					s.startup = s.expanded.Load()
+				}
+			}
 			w.acquires++
 			return c
 		}

@@ -282,6 +282,37 @@ func TestPerWorkerStatsSum(t *testing.T) {
 	}
 }
 
+// TestStartupAndGrain: on an exhaustive queens(5,Qs) the start-up count
+// and the grain of published chains agree with the expansions. Start-up
+// is part of them; every published chain is drained, so the grain counts
+// them all; and the root chain's own expansions, which no grain counts,
+// are what the grains leave of the total.
+func TestStartupAndGrain(t *testing.T) {
+	db := load(t, workload.NQueens)
+	for _, mode := range []Mode{SharedHeap, TwoLevel} {
+		for _, workers := range []int{1, 2, 4} {
+			res, err := Run(context.Background(), db, uniform(), q(t, "queens(5,Qs)"), Options{Workers: workers, Mode: mode})
+			if err != nil || len(res.Solutions) != 10 || !res.Exhausted {
+				t.Fatalf("%v, %d workers: %d solutions, err %v", mode, workers, len(res.Solutions), err)
+			}
+			st := res.Stats
+			name := fmt.Sprintf("%v, %d workers", mode, workers)
+			if st.StartupExpanded > st.Expanded {
+				t.Errorf("%s: start-up %d of %d expansions", name, st.StartupExpanded, st.Expanded)
+			}
+			if workers == 1 && st.StartupExpanded != st.Expanded {
+				t.Errorf("%s: start-up %d, want all %d expansions", name, st.StartupExpanded, st.Expanded)
+			}
+			if st.GrainCount != st.Spills {
+				t.Errorf("%s: %d grains for %d published chains", name, st.GrainCount, st.Spills)
+			}
+			if st.GrainSum >= st.Expanded || st.GrainMax > st.GrainSum {
+				t.Errorf("%s: grain sum %d, max %d, of %d expansions", name, st.GrainSum, st.GrainMax, st.Expanded)
+			}
+		}
+	}
+}
+
 func TestParallelLearningIsRaceFree(t *testing.T) {
 	// Learning from many workers concurrently; run under -race.
 	db := load(t, workload.DeepFailure(8, 5))

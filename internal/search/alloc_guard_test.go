@@ -3,12 +3,16 @@ package search
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"blog/internal/kb"
 	"blog/internal/obs"
 	"blog/internal/term"
+	"blog/internal/weights"
 	"blog/internal/workload"
 )
 
@@ -77,6 +81,129 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestBestFirstAllocationBudget pins the Env frontier's allocation path:
+// best-first takes its nodes, goal cells, arcs, children lists, bindings,
+// frames and compounds from the slabs in the expander's pooled scratch,
+// so what a query allocates is a chunk now and then, its open list's
+// growth and its detached solutions. Before the slabs, the same rows
+// allocated 18 672, 1 042 and 132 times: one allocation per cell puts
+// every row far past its budget. Each budget is 1.2x the measured steady
+// state.
+func TestBestFirstAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	rows := []struct {
+		name, src, goal string
+		opt             Options
+		sols            int
+		budget          float64
+	}{
+		// Measured 230 over 3173 expansions.
+		{"queens(5,Qs)", workload.NQueens, "queens(5,Qs)", Options{Strategy: BestFirst}, 10, 276},
+		// Measured 32, first solution after 208 expansions.
+		{"DeepFailure(16,12)", workload.DeepFailure(16, 12), "top(W)", Options{Strategy: BestFirst, MaxSolutions: 1, MaxDepth: 64}, 1, 38},
+		// Measured 55, of which 36 detach its 12 solutions.
+		{"gf(p40,G)", workload.FamilyTree(6, 3), "gf(p40,G)", Options{Strategy: BestFirst}, 12, 66},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			db := load(t, r.src)
+			goals := q(t, r.goal)
+			ws := uniform()
+			run := func() {
+				res, err := Run(context.Background(), db, ws, goals, r.opt)
+				if err != nil || len(res.Solutions) != r.sols {
+					t.Fatalf("run: %d solutions, err %v", len(res.Solutions), err)
+				}
+			}
+			run() // warm the program cache and the scratch pool
+			if got := testing.AllocsPerRun(50, run); got > r.budget {
+				t.Errorf("best-first %s allocated %.1f times, budget %.0f", r.goal, got, r.budget)
+			}
+		})
+	}
+}
+
+// TestBestFirstLiveHeapBudget pins what the slabs keep alive in a large
+// best-first search. One live cell keeps its whole chunk, and dead cells
+// in it point back into older chunks, so without a limit the chunks of a
+// run keep each other and the run holds everything it ever allocated:
+// queens(7,Qs) grew to 44 MB reachable by its 80 000th weight lookup,
+// against 11 MB at its widest on per-cell heap allocation. A run takes at
+// most a few chunks per slab, then allocates from the heap; the reachable
+// heap, forced collections at fixed points of the run, is measured at
+// 14.3 MB at its widest, and the budget is 1.2x that.
+func TestBestFirstLiveHeapBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("collects five times over a 0.3 s search")
+	}
+	const budgetMB = 17.5
+	db := load(t, workload.NQueens)
+	goals := q(t, "queens(7,Qs)")
+	base := reachableMB()
+	st := &collectingStore{Store: uniform(), at: []int{10000, 20000, 40000, 60000, 80000}}
+	if _, err := Run(context.Background(), db, st, goals, Options{Strategy: BestFirst}); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.reach) != len(st.at) {
+		t.Fatalf("the run made %d weight lookups, want past %d", st.n, st.at[len(st.at)-1])
+	}
+	widest := slices.Max(st.reach) - base
+	t.Logf("reachable at %v weight lookups: %.1f MB over %.1f MB before the run", st.at, st.reach, base)
+	if widest > budgetMB {
+		t.Errorf("best-first queens(7,Qs) kept %.1f MB reachable, budget %.1f MB", widest, budgetMB)
+	}
+}
+
+// TestKeptSolutionsPinNoChunk: solutions kept after a large best-first
+// run hold copies, not the run's slab cells. A slab compound or frame
+// variable in a kept solution would keep its chunk and, through the
+// chunk's other cells, much of the run: big(6,Y) answers Y = f(Z) four
+// times, and keeping those four kept 0.65 MB when the Detacher shared
+// slab cells (0.01 MB copied).
+func TestKeptSolutionsPinNoChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes heap accounting")
+	}
+	db := load(t, workload.NQueens+"\nbig(N, Y) :- queens(N, _), Y = f(Z).\n")
+	goals := q(t, "big(6,Y)")
+	base := reachableMB()
+	res, err := Run(context.Background(), db, uniform(), goals, Options{Strategy: BestFirst})
+	if err != nil || len(res.Solutions) != 4 {
+		t.Fatalf("run: %d solutions, err %v", len(res.Solutions), err)
+	}
+	if kept := reachableMB() - base; kept > 0.25 {
+		t.Errorf("4 kept solutions hold %.2f MB", kept)
+	}
+	runtime.KeepAlive(res)
+}
+
+// reachableMB collects twice and returns the heap still allocated.
+func reachableMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc) / (1 << 20)
+}
+
+// collectingStore is a weight store that measures the reachable heap at
+// its at'th weight lookups, with the run's frontier live on the stack.
+type collectingStore struct {
+	weights.Store
+	at    []int
+	n     int
+	reach []float64
+}
+
+func (s *collectingStore) Weight(a kb.Arc) float64 {
+	if s.n++; len(s.reach) < len(s.at) && s.n == s.at[len(s.reach)] {
+		s.reach = append(s.reach, reachableMB())
+	}
+	return s.Store.Weight(a)
+}
+
 // replayTabler serves one complete table the way a table.Handle hit does:
 // the table's own answer slice, unified by the engine one answer per
 // backtrack. (search cannot import table, which imports it.)
@@ -132,7 +259,9 @@ func TestTabledReplayAllocationBudget(t *testing.T) {
 // query allocates no more than the same query unprofiled, measured here
 // beside it. The trail machine's meter lives in its pooled scratch and the
 // Env frontier's is borrowed from a pool, so a failure means Note, Flush or
-// the meter itself started allocating.
+// the meter itself started allocating, or profiling took a pool of its
+// own: the collector runs throughout, and each collection costs every
+// pool in use a re-pin.
 func TestDFSProfilerAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -150,7 +279,7 @@ func TestDFSProfilerAllocationBudget(t *testing.T) {
 			db := load(t, r.src)
 			goals := q(t, r.goal)
 			ws := uniform()
-			allocs := func(opt Options) float64 {
+			allocs := func(opt Options) (float64, float64) {
 				run := func() {
 					res, err := Run(context.Background(), db, ws, goals, opt)
 					if err != nil || len(res.Solutions) != r.sols {
@@ -158,20 +287,45 @@ func TestDFSProfilerAllocationBudget(t *testing.T) {
 					}
 				}
 				run() // warm the scratch pools and publish every predicate's cell
-				return testing.AllocsPerRun(50, run)
+				return allocsNetOfRepins(200, run)
 			}
 			prof := obs.NewProfiler()
 			on := r.opt
 			on.Prof = prof
-			off := allocs(r.opt)
-			if got := allocs(on); got > off {
-				t.Errorf("profiled query allocated %.1f times, unprofiled %.1f", got, off)
+			off, offGC := allocs(r.opt)
+			got, gotGC := allocs(on)
+			t.Logf("unprofiled %.2f, profiled %.2f allocations per query net of %.2f and %.2f collections", off, got, offGC, gotGC)
+			if got > off+0.25 {
+				t.Errorf("profiled query allocated %.2f times, unprofiled %.2f (net of pool re-pins)", got, off)
 			}
 			if prof.TotalNanos() == 0 {
 				t.Error("profiler attributed no time")
 			}
 		})
 	}
+}
+
+// poolRepin is what a collection costs the one sync.Pool a query borrows
+// its engine's scratch from: the collection empties the pool, and the next
+// Put re-pins it with a per-P array and a place in the runtime's pool
+// list.
+const poolRepin = 2
+
+// allocsNetOfRepins runs f n times on one P with the collector running,
+// as testing.AllocsPerRun does, and returns the allocations per run less
+// poolRepin per collection, and the collections per run. Counting the
+// collections rather than pausing them keeps a second pool visible: it
+// re-pins too.
+func allocsNetOfRepins(n int, f func()) (perRun, gcs float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&b)
+	gc := float64(b.NumGC - a.NumGC)
+	return (float64(b.Mallocs-a.Mallocs) - poolRepin*gc) / float64(n), gc / float64(n)
 }
 
 // TestDFSObservabilityOffOverhead is a gross-inversion tripwire for the

@@ -45,10 +45,12 @@ type Iter struct {
 
 	// cur is the solution node the last pull stopped at. terms are the
 	// query variables as the terms an answer reads through cur's
-	// environment, made on the first NextAnswer. chain is the scratch the
+	// environment, made on the first NextAnswer; det is the renaming
+	// their values share, zeroed at each pull. chain is the scratch the
 	// weight rules read a node's arc chain from.
 	cur   *engine.Node
 	terms []term.Term
+	det   term.Detacher
 	chain []kb.Arc
 
 	// Branch-and-bound state when Options.Prune is set: open nodes whose
@@ -126,7 +128,7 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	if opt.RecordTree {
 		it.tb = newTreeBuilder(goals)
 	}
-	it.frontier = newFrontier(opt.Strategy)
+	it.frontier = frontier{s: opt.Strategy}
 	it.frontier.push(exp.Root(goals))
 	return nil
 }
@@ -198,12 +200,13 @@ func (it *Iter) answer() engine.Answer {
 		}
 	}
 	n := it.cur
-	return engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: it.terms, Vars: it.queryVars}
+	return engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: it.terms, Vars: it.queryVars, Det: &it.det}
 }
 
 // pull runs the strategy's loop to the next solution and leaves it where
 // Next and NextAnswer read it: in the trail machine's store, or at it.cur.
 func (it *Iter) pull() (bool, error) {
+	it.det = term.Detacher{}
 	if it.done {
 		return false, it.err
 	}
@@ -225,8 +228,8 @@ func (it *Iter) pull() (bool, error) {
 		if err := it.exp.Ctx.Err(); err != nil {
 			return it.finish(err)
 		}
-		if it.frontier.len() > it.stats.MaxFrontier {
-			it.stats.MaxFrontier = it.frontier.len()
+		if it.frontier.len() > it.stats.OpenMax {
+			it.stats.OpenMax = it.frontier.len()
 		}
 		n := it.frontier.pop()
 		// The prune runs at pop time, before the solution test: a solution

@@ -99,7 +99,7 @@ type Stats struct {
 	Failures     uint64 // chains that died (no children)
 	DepthCutoffs uint64 // chains cut by MaxDepth
 	Pruned       uint64 // chains cut by the bound
-	MaxFrontier  int    // peak open-list size (choice-point stack for trail runs)
+	OpenMax      int    // peak open-list size on the Env frontier; 0 on the trail machine
 	MaxDepth     int    // deepest chain expanded
 	VMDispatched uint64 // goals resolved on the compiled bytecode path
 }
@@ -143,7 +143,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 }
 
 // trailStats maps the trail machine's counters onto the search Stats
-// shape; the choice-point stack peak stands in for the open-list peak.
+// shape. The machine keeps no open list, so OpenMax stays 0.
 func trailStats(ts engine.TrailStats) Stats {
 	return Stats{
 		Expanded:     ts.Expanded,
@@ -151,7 +151,6 @@ func trailStats(ts engine.TrailStats) Stats {
 		Failures:     ts.Failures,
 		DepthCutoffs: ts.DepthCutoffs,
 		Pruned:       ts.Pruned,
-		MaxFrontier:  ts.MaxChoicePoints,
 		MaxDepth:     ts.MaxDepth,
 		VMDispatched: ts.VMDispatched,
 	}
@@ -176,76 +175,61 @@ func traceLine(n *engine.Node, children []*engine.Node) string {
 	return line
 }
 
-// frontier abstracts the open list.
-type frontier interface {
-	push(*engine.Node)
-	pop() *engine.Node
-	len() int
-}
-
-func newFrontier(s Strategy) frontier {
-	switch s {
-	case BFS:
-		return &fifo{}
-	case BestFirst:
-		return &minHeap{}
-	default:
-		return &lifo{}
-	}
-}
-
-type lifo struct{ items []*engine.Node }
-
-func (s *lifo) push(n *engine.Node) { s.items = append(s.items, n) }
-func (s *lifo) pop() *engine.Node {
-	n := s.items[len(s.items)-1]
-	s.items = s.items[:len(s.items)-1]
-	return n
-}
-func (s *lifo) len() int { return len(s.items) }
-
-type fifo struct {
+// frontier is the open list: a stack for depth-first, a queue for
+// breadth-first, and for best-first a binary heap ordered by (Bound, Seq),
+// so equal bounds expand in generation order and a uniform store
+// degenerates gracefully to breadth-first. A popped slot is nilled, so
+// the array holds no node past the list's length.
+type frontier struct {
+	s     Strategy
 	items []*engine.Node
-	head  int
+	head  int // breadth-first: the queue's front
 }
 
-func (q *fifo) push(n *engine.Node) { q.items = append(q.items, n) }
-func (q *fifo) pop() *engine.Node {
-	n := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head > 1024 && q.head*2 > len(q.items) {
-		q.items = append([]*engine.Node(nil), q.items[q.head:]...)
-		q.head = 0
+func (f *frontier) push(n *engine.Node) {
+	if f.s == BestFirst {
+		heap.Push(f, n)
+		return
 	}
-	return n
+	f.items = append(f.items, n)
 }
-func (q *fifo) len() int { return len(q.items) - q.head }
 
-// minHeap orders by (Bound, Seq): equal bounds expand in generation order,
-// so a uniform store degenerates gracefully to breadth-first.
-type minHeap struct{ items []*engine.Node }
+func (f *frontier) pop() *engine.Node {
+	switch f.s {
+	case BestFirst:
+		return heap.Pop(f).(*engine.Node)
+	case BFS:
+		n := f.items[f.head]
+		f.items[f.head] = nil
+		if f.head++; f.head > 1024 && f.head*2 > len(f.items) {
+			k := copy(f.items, f.items[f.head:])
+			clear(f.items[k:])
+			f.items, f.head = f.items[:k], 0
+		}
+		return n
+	}
+	return f.Pop().(*engine.Node)
+}
 
-func (h *minHeap) Len() int { return len(h.items) }
-func (h *minHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func (f *frontier) len() int { return len(f.items) - f.head }
+
+// heap.Interface, for best-first (head stays 0).
+func (f *frontier) Len() int { return len(f.items) }
+func (f *frontier) Less(i, j int) bool {
+	a, b := f.items[i], f.items[j]
 	if a.Bound != b.Bound {
 		return a.Bound < b.Bound
 	}
 	return a.Seq < b.Seq
 }
-func (h *minHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *minHeap) Push(x any)    { h.items = append(h.items, x.(*engine.Node)) }
-func (h *minHeap) Pop() any {
-	old := h.items
-	n := old[len(old)-1]
-	old[len(old)-1] = nil
-	h.items = old[:len(old)-1]
+func (f *frontier) Swap(i, j int) { f.items[i], f.items[j] = f.items[j], f.items[i] }
+func (f *frontier) Push(x any)    { f.items = append(f.items, x.(*engine.Node)) }
+func (f *frontier) Pop() any {
+	n := f.items[len(f.items)-1]
+	f.items[len(f.items)-1] = nil
+	f.items = f.items[:len(f.items)-1]
 	return n
 }
-func (h *minHeap) push(n *engine.Node) { heap.Push(h, n) }
-func (h *minHeap) pop() *engine.Node   { return heap.Pop(h).(*engine.Node) }
-func (h *minHeap) len() int            { return len(h.items) }
 
 // EnumerateOutcomes exhaustively searches (DFS) and returns every complete
 // chain as a weights.Outcome — the input the section-4 theoretical solver

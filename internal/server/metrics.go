@@ -43,6 +43,10 @@ type serverMetrics struct {
 	parPublished  metrics.Counter
 	parMigrations metrics.Counter
 
+	// openMax is the largest open list a best-first or BFS query has
+	// held, the high-water mark of its frontier's memory.
+	openMax metrics.Max
+
 	// latency buckets every completed query's wall time in seconds.
 	latency *metrics.Histogram
 }
@@ -96,6 +100,7 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	line("par_network_acquires_total", m.parAcquires.Load())
 	line("par_chains_published_total", m.parPublished.Load())
 	line("par_migrations_total", m.parMigrations.Load())
+	line("open_list_highwater", m.openMax.Load())
 	line("tables_created_total", tt.created)
 	line("table_answers_total", tt.answers)
 	line("table_hits_total", tt.hits)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -191,6 +192,54 @@ func TestMetricsParallelNetwork(t *testing.T) {
 		if !regexp.MustCompile(re).Match(data) {
 			t.Errorf("metrics do not match %s:\n%s", re, data)
 		}
+	}
+}
+
+// TestMetricsOpenList: a best-first query's open-list high-water mark is
+// the open_max count on its search span and raises /metrics' gauge to it;
+// a DFS query, which keeps no open list, stamps no open_max and leaves the
+// gauge at 0. The /query body gains no field for it.
+func TestMetricsOpenList(t *testing.T) {
+	_, ts := newTestServer(t, workload.FamilyTree(2, 2), Config{})
+	openMax := func(strategy string) (any, []byte) {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/query",
+			QueryRequest{Goal: "gf(p0,G)", Strategy: strategy, Trace: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		var raw map[string]any
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		tr, _ := raw["trace"].(map[string]any)
+		kids, _ := tr["children"].([]any)
+		for _, k := range kids {
+			if sp, _ := k.(map[string]any); sp["name"] == "search" {
+				counts, _ := sp["counts"].(map[string]any)
+				return counts["open_max"], data
+			}
+		}
+		t.Fatalf("no search span in %s", data)
+		return nil, nil
+	}
+	if got, _ := openMax("dfs"); got != nil {
+		t.Errorf("a DFS search span carries open_max %v", got)
+	}
+	_, data := get(t, ts.Client(), ts.URL+"/metrics")
+	if !strings.Contains(string(data), "blogd_open_list_highwater 0\n") {
+		t.Errorf("a DFS query moved the open-list gauge:\n%s", data)
+	}
+	got, body := openMax("best")
+	n, ok := got.(float64)
+	if !ok || n < 1 {
+		t.Fatalf("best-first search span open_max = %v in %s", got, body)
+	}
+	if strings.Contains(string(body[:bytes.Index(body, []byte(`"trace"`))]), "open") {
+		t.Errorf("the /query body carries an open-list field: %s", body)
+	}
+	_, data = get(t, ts.Client(), ts.URL+"/metrics")
+	if want := fmt.Sprintf("blogd_open_list_highwater %d\n", int(n)); !strings.Contains(string(data), want) {
+		t.Errorf("metrics lack %q:\n%s", want, data)
 	}
 }
 

@@ -438,6 +438,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	s.metrics.parAcquires.Add(res.NetworkAcquires)
 	s.metrics.parPublished.Add(res.Spills)
 	s.metrics.parMigrations.Add(res.Migrations)
+	s.metrics.openMax.Observe(int64(res.OpenMax))
 	if err != nil {
 		var counter *metrics.Counter
 		end.status, end.msg, counter = s.classify(ctx, err)

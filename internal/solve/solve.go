@@ -226,7 +226,7 @@ func Do(ctx context.Context, req *Request) (*Response, error) {
 	if th != nil {
 		resp.Stats.Tables = th.Stats()
 	}
-	closeSearch(ssp, resp.Stats.Expanded, len(resp.Solutions))
+	closeSearch(ssp, resp.Stats.Stats, len(resp.Solutions))
 	return resp, nil
 }
 
@@ -275,8 +275,8 @@ func (it *Iter) Tables() table.Stats {
 }
 
 // EndSearch closes the search phase as Do closes it, stamped with the
-// run's expansions and the solutions served.
-func (it *Iter) EndSearch(served int) { closeSearch(it.span, it.Stats().Expanded, served) }
+// run's counts and the solutions served.
+func (it *Iter) EndSearch(served int) { closeSearch(it.span, it.Stats(), served) }
 
 // searchOptions is the one translation of a Request into the sequential
 // engine's options, shared by Do, NewIter and the AND-parallel groups.
@@ -331,7 +331,8 @@ func compilePhase(req *Request) {
 
 // searchPhase opens the span the engine runs under; table fixpoints
 // attach beneath it by name while it is open. closeSearch stamps the
-// unified counters and ends it; both are no-ops for untraced runs.
+// unified counters and ends it — open_max only for a run that kept an
+// open list (best-first, BFS) — and both are no-ops for untraced runs.
 func searchPhase(req *Request) *obs.Span {
 	if req.Trace == nil {
 		return nil
@@ -339,12 +340,15 @@ func searchPhase(req *Request) *obs.Span {
 	return req.Trace.Phase("search")
 }
 
-func closeSearch(sp *obs.Span, expanded uint64, solutions int) {
+func closeSearch(sp *obs.Span, st search.Stats, solutions int) {
 	if sp == nil {
 		return
 	}
-	sp.SetCount("expanded", int64(expanded))
+	sp.SetCount("expanded", int64(st.Expanded))
 	sp.SetCount("solutions", int64(solutions))
+	if st.OpenMax > 0 {
+		sp.SetCount("open_max", int64(st.OpenMax))
+	}
 	sp.End()
 }
 

@@ -17,8 +17,9 @@ type Frame struct {
 	// run's Store (slot i binds vars[i]); nil outside trail runs. It is
 	// written only by the single goroutine driving the owning Store.
 	b []Term
-	// pooled marks frames minted by a FramePool: their variables are
-	// recycled at backtrack, so anything escaping the activation must be
+	// pooled marks frames minted by a FramePool, whose variables are
+	// recycled at backtrack, or carved from a Cells slab, whose chunk a
+	// kept variable would pin: anything escaping the activation must be
 	// detached first (see Detacher).
 	pooled bool
 }
@@ -94,6 +95,9 @@ type Env struct {
 	// st, when non-nil, makes the node a destructive Store's own (store.go):
 	// it binds in place. No other node carries a store.
 	st *Store
+	// cells, inherited from the Root it extends, supplies the spine cells
+	// of its extensions; nil allocates them from the heap.
+	cells *Cells
 }
 
 // Depth returns the number of bindings in the environment.
@@ -122,7 +126,12 @@ func (e *Env) Bind(v *Var, t Term) *Env {
 		e.depth++
 		return e
 	}
-	n := &Env{parent: e, v: v, t: t, depth: e.Depth() + 1, born: varCounter.Load()}
+	var c *Cells
+	if e != nil {
+		c = e.cells
+	}
+	n := c.env()
+	*n = Env{parent: e, v: v, t: t, depth: e.Depth() + 1, born: varCounter.Load(), cells: c}
 	if n.depth%snapshotEvery == 0 {
 		n.snap = n.buildSnapshot()
 	}

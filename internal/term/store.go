@@ -210,12 +210,13 @@ func RefreshAll(ts []Term) ([]Term, map[*Var]*Var) {
 // worker's store. Variables are first translated through Subst (a trail
 // run's original-to-refreshed query variable map; nil is fine), then
 // resolved against Env. A variable still unbound detaches as the
-// variable Own named for it; failing that, one whose frame is
-// pool-recycled detaches as a fresh variable with the same print name,
-// and any other as itself — consistently across one Detacher's lifetime.
-// Pool-minted compounds are copied, others shared when unchanged. The
-// result survives backtracking and frame and compound recycling; on a
-// persistent Env nothing is pooled, so Detach only resolves.
+// variable Own named for it; failing that, one whose frame is pooled
+// (pool-recycled or slab-carved) detaches as a fresh variable with the
+// same print name, and any other as itself — consistently across one
+// Detacher's lifetime. Pooled compounds are copied, others shared when
+// unchanged. The result survives backtracking and frame and compound
+// recycling, and pins no slab chunk; on terms from the heap, Detach only
+// resolves.
 type Detacher struct {
 	Env   *Env
 	Subst map[*Var]*Var

@@ -83,8 +83,10 @@ type Var struct {
 // `f(sam, Y)` or `.(H, T)` (a list cell). The functor is interned.
 type Compound struct {
 	Functor Sym
-	// pooled marks compounds minted by a CompoundPool (store.go): they are
-	// recycled on backtrack, so Detacher always copies them on the way out.
+	// pooled marks compounds minted by a CompoundPool (store.go), which
+	// are recycled on backtrack, or carved from a Cells slab (slab.go),
+	// whose chunk a kept compound would pin: Detacher always copies them
+	// on the way out.
 	// The flag packs into Functor's alignment padding — no size cost.
 	pooled bool
 	Args   []Term

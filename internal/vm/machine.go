@@ -22,12 +22,16 @@ type Machine struct {
 	stack []cursor
 	// Pool, when set, supplies activation frames (reclaimed by the owner
 	// at backtrack via TakeFrame). Trail-store runs set it; persistent-Env
-	// runs leave it nil and let frames be garbage collected.
+	// runs leave it nil and set Cells.
 	Pool *term.FramePool
 	// CPool, when set, supplies the compounds of body-goal and write-mode
 	// instantiation (reclaimed by the owner at backtrack via the pool's
 	// mark/release protocol). Trail-store runs set it.
 	CPool *term.CompoundPool
+	// Cells, where Pool and CPool are not set, supplies frames and
+	// compounds that are never recycled: a persistent-Env run's slabs. Nil
+	// allocates them from the heap.
+	Cells *term.Cells
 }
 
 // Resolve runs the clause's head code against a resolved goal under env.
@@ -140,7 +144,7 @@ func (m *Machine) reg(slot int32) term.Term {
 		if m.Pool != nil {
 			m.frame = m.Pool.Get(m.cc.names)
 		} else {
-			m.frame = term.NewFrame(m.cc.names)
+			m.frame = m.Cells.Frame(m.cc.names)
 		}
 	}
 	v := m.frame.Var(int(slot))
@@ -161,7 +165,7 @@ func (m *Machine) inst(s *snode) term.Term {
 		if m.CPool != nil {
 			c = m.CPool.Get(s.fn, len(s.args))
 		} else {
-			c = term.MakeCompound(s.fn, len(s.args))
+			c = m.Cells.Compound(s.fn, len(s.args))
 		}
 		for i := range s.args {
 			c.Args[i] = m.inst(&s.args[i])
