@@ -109,6 +109,16 @@ type Goal struct {
 	parsed, end time.Time
 }
 
+// String renders the goal's conjunction in canonical form, as a `?-`
+// directive line shows it.
+func (g Goal) String() string {
+	parts := make([]string, len(g.goals))
+	for i, t := range g.goals {
+		parts[i] = t.String()
+	}
+	return strings.Join(parts, ", ")
+}
+
 // ParseGoal parses query text into a Goal.
 func ParseGoal(query string) (Goal, error) {
 	start := time.Now()
@@ -187,15 +197,11 @@ func LoadString(src string, cfg ...Config) (*Program, error) {
 }
 
 // DirectiveQueries returns the `?- goal.` directives found in the source,
-// rendered back to query strings.
-func (p *Program) DirectiveQueries() []string {
-	out := make([]string, 0, len(p.queries))
-	for _, goals := range p.queries {
-		parts := make([]string, len(goals))
-		for i, g := range goals {
-			parts[i] = g.String()
-		}
-		out = append(out, strings.Join(parts, ", "))
+// as parsed, for QueryEach to run without reading them again.
+func (p *Program) DirectiveQueries() []Goal {
+	out := make([]Goal, len(p.queries))
+	for i, goals := range p.queries {
+		out[i] = Goal{goals: goals}
 	}
 	return out
 }
@@ -296,34 +302,40 @@ func (p *Program) globalStore() *weights.Table {
 	return p.global
 }
 
-// Option configures one Query call.
-type Option func(*queryOpts)
+// Option configures one Query call: it sets a field of the query's
+// Settings.
+type Option func(*Settings)
 
-type queryOpts struct {
-	maxSolutions  int
-	maxExpansions uint64
-	maxDepth      int
-	learn         bool
-	prune         bool
-	pruneSlack    float64
-	workers       int
-	d             float64
-	twoLevel      bool
-	session       *Session
-	recordTree    bool
-	recordTrace   bool
-	andParallel   bool
-	tabled        bool
-	traced        bool
-	prof          *obs.Profiler
-	live          *obs.Live
+// Settings are what a query's Options set, one field or two per Option
+// (each named after it); the zero value runs with every default. Run takes
+// them as they are, so a caller that fills them per query, as a server
+// does from a request, builds no Option for it.
+type Settings struct {
+	MaxSolutions  int
+	MaxExpansions uint64
+	MaxDepth      int
+	Learn         bool
+	Prune         bool
+	PruneSlack    float64
+	Workers       int
+	// D and TwoLevel are MigrationThreshold's.
+	D           float64
+	TwoLevel    bool
+	Session     *Session // InSession's
+	RecordTree  bool
+	RecordTrace bool
+	AndParallel bool
+	Tabled      bool
+	Traced      bool
+	Prof        *Profiler // Profiled's
+	Live        *Live     // Monitor's
 }
 
 // newTrace starts the query's span trace when Traced() was given. A goal
 // from ParseGoal opens the trace at its parse, recorded as the parse
 // phase; goals that arrived parsed have none.
-func (o *queryOpts) newTrace(g Goal) *obs.Trace {
-	if !o.traced {
+func (s *Settings) newTrace(g Goal) *obs.Trace {
+	if !s.Traced {
 		return nil
 	}
 	if g.parsed.IsZero() {
@@ -335,41 +347,41 @@ func (o *queryOpts) newTrace(g Goal) *obs.Trace {
 }
 
 // MaxSolutions stops the search after n solutions (0 = all).
-func MaxSolutions(n int) Option { return func(o *queryOpts) { o.maxSolutions = n } }
+func MaxSolutions(n int) Option { return func(s *Settings) { s.MaxSolutions = n } }
 
 // MaxExpansions bounds search work.
-func MaxExpansions(n uint64) Option { return func(o *queryOpts) { o.maxExpansions = n } }
+func MaxExpansions(n uint64) Option { return func(s *Settings) { s.MaxExpansions = n } }
 
 // MaxDepth bounds chain length in arcs (default: the program's A).
-func MaxDepth(n int) Option { return func(o *queryOpts) { o.maxDepth = n } }
+func MaxDepth(n int) Option { return func(s *Settings) { s.MaxDepth = n } }
 
 // Learn applies the section-5 weight update rules during the search, to
 // the session store if one is active, else to the global table.
-func Learn() Option { return func(o *queryOpts) { o.learn = true } }
+func Learn() Option { return func(s *Settings) { s.Learn = true } }
 
 // Prune enables strict branch-and-bound pruning against the best solution
 // bound found. Sound only with section-4-consistent weights.
-func Prune() Option { return func(o *queryOpts) { o.prune = true } }
+func Prune() Option { return func(s *Settings) { s.Prune = true } }
 
 // PruneSlack widens the pruning threshold: a chain survives while its
 // bound is at most best+slack. Implies Prune.
 func PruneSlack(slack float64) Option {
-	return func(o *queryOpts) { o.prune = true; o.pruneSlack = slack }
+	return func(s *Settings) { s.Prune = true; s.PruneSlack = slack }
 }
 
 // Workers sets the processor count for the Parallel strategy (default 4).
-func Workers(n int) Option { return func(o *queryOpts) { o.workers = n } }
+func Workers(n int) Option { return func(s *Settings) { s.Workers = n } }
 
 // MigrationThreshold sets D and switches the Parallel strategy to the
 // paper's two-level scheduling: a worker whose local minimum (the least
 // bound among the work it holds) exceeds the network minimum by more than
 // d suspends its run into the network and takes the minimum instead.
 func MigrationThreshold(d float64) Option {
-	return func(o *queryOpts) { o.d = d; o.twoLevel = true }
+	return func(s *Settings) { s.D = d; s.TwoLevel = true }
 }
 
 // InSession directs learning into the given session's local store.
-func InSession(s *Session) Option { return func(o *queryOpts) { o.session = s } }
+func InSession(s *Session) Option { return func(o *Settings) { o.Session = s } }
 
 // Tabled resolves predicates declared `:- table name/arity` through the
 // program's answer-table space: each tabled subgoal variant is derived
@@ -390,19 +402,19 @@ func InSession(s *Session) Option { return func(o *queryOpts) { o.session = s } 
 // terminate with the true minimal cost per reachable pair; the
 // Result.AnswersSubsumed / AnswersImproved counters report the lattice
 // work done.
-func Tabled() Option { return func(o *queryOpts) { o.tabled = true } }
+func Tabled() Option { return func(s *Settings) { s.Tabled = true } }
 
 // AndParallel evaluates the query's independent (non-variable-sharing)
 // goal groups concurrently and combines them by cross product — the
 // section-7 AND-parallel scheme. Groups use the sequential strategy
 // given to Query; incompatible with Parallel, sessions are fine.
-func AndParallel() Option { return func(o *queryOpts) { o.andParallel = true } }
+func AndParallel() Option { return func(s *Settings) { s.AndParallel = true } }
 
 // RecordTree records the search tree (Result.Tree); sequential only.
-func RecordTree() Option { return func(o *queryOpts) { o.recordTree = true } }
+func RecordTree() Option { return func(s *Settings) { s.RecordTree = true } }
 
 // RecordTrace records figure-1 style resolution lines; sequential only.
-func RecordTrace() Option { return func(o *queryOpts) { o.recordTrace = true } }
+func RecordTrace() Option { return func(s *Settings) { s.RecordTrace = true } }
 
 // Profiler accumulates per-predicate work counters and attributed wall
 // time across the queries that carry it (Profiled option). All counters
@@ -426,17 +438,17 @@ type Live = obs.Live
 // Traced collects a span tree for the query — parse, compile, search,
 // and table-fixpoint rounds — returned as Result.Spans. Works under every
 // strategy.
-func Traced() Option { return func(o *queryOpts) { o.traced = true } }
+func Traced() Option { return func(s *Settings) { s.Traced = true } }
 
 // Profiled attributes the query's per-predicate work (expansions, VM
 // dispatches, trail binds/undos, table hits/misses, wall nanos) into p.
 // The same p may be given to many queries, including concurrent ones.
-func Profiled(p *Profiler) Option { return func(o *queryOpts) { o.prof = p } }
+func Profiled(p *Profiler) Option { return func(s *Settings) { s.Prof = p } }
 
 // Monitor registers the query's live inspector entry: the engines sync
 // their expansion counter into l as the search runs. Servers use this to
 // power their in-flight query listing.
-func Monitor(l *Live) Option { return func(o *queryOpts) { o.live = l } }
+func Monitor(l *Live) Option { return func(s *Settings) { s.Live = l } }
 
 // Solution is one answer to a query.
 type Solution struct {
@@ -586,6 +598,10 @@ type Counters struct {
 	NetworkAcquires uint64
 	Spills          uint64
 	Migrations      uint64
+	// OR-parallel start-up and grain (Parallel runs only): expansions made
+	// before a second worker took its first chain, and the published
+	// chains drained with the sum and the largest of their expansions.
+	StartupExpanded, GrainCount, GrainSum, GrainMax uint64
 }
 
 // countersFrom fills Counters from the engine's stats and the run's
@@ -664,23 +680,59 @@ func (p *Program) QueryContext(ctx context.Context, query string, strat Strategy
 // spans of the work done, with Exhausted false. Otherwise an error comes
 // with a nil Result.
 func (p *Program) QueryEach(ctx context.Context, g Goal, strat Strategy, yield func(Answer) error, opts ...Option) (*Result, error) {
-	o, store, err := p.applyOpts(opts)
-	if err != nil {
-		return nil, err
+	var s Settings
+	for _, f := range opts {
+		f(&s)
 	}
-	return runRequest(ctx, p.request(g, strat, o, store), yield)
+	return p.Run(ctx, g, strat, &s, yield)
 }
 
-// runRequest is the back half of every query: run the request, hand each
-// answer to yield, finish the trace. The sequential strategies are pulled,
-// each answer read from the run's live bindings, and report their Result
-// however the run ends; Parallel and AndParallel answers cross goroutines,
-// so they come from Do detached.
-func runRequest(ctx context.Context, req *solve.Request, yield func(Answer) error) (*Result, error) {
-	if req.Strategy == Parallel || req.AndParallel {
-		return runDetached(ctx, req, yield)
+// Run is the one query path: QueryEach with its Options already folded
+// into s. Query, QueryContext and QueryEach fill Settings from their
+// Options and call it. The sequential strategies are pulled, each answer
+// read from the run's live bindings, and report their Result however the
+// run ends; Parallel and AndParallel answers cross goroutines, so they
+// come from Do detached.
+func (p *Program) Run(ctx context.Context, g Goal, strat Strategy, s *Settings, yield func(Answer) error) (*Result, error) {
+	store := weights.Store(p.globalStore())
+	if s.Session != nil {
+		if s.Session.program != p {
+			return nil, errors.New("blog: session belongs to a different program")
+		}
+		store = s.Session.inner
 	}
-	it, err := solve.NewIter(ctx, req)
+	// Programs with no `:- table` declarations run with the hook absent
+	// entirely — Tabled() costs nothing on the per-goal path then.
+	var tables *table.Space
+	if s.Tabled && p.db.HasTabled() {
+		tables = p.tables
+	}
+	req := solve.Request{
+		Tables:        tables,
+		DB:            p.db,
+		Store:         store,
+		Goals:         g.goals,
+		Strategy:      strat,
+		AndParallel:   s.AndParallel,
+		MaxSolutions:  s.MaxSolutions,
+		MaxExpansions: s.MaxExpansions,
+		MaxDepth:      s.MaxDepth,
+		Learn:         s.Learn,
+		Prune:         s.Prune,
+		PruneSlack:    s.PruneSlack,
+		Workers:       s.Workers,
+		TwoLevel:      s.TwoLevel,
+		D:             s.D,
+		RecordTree:    s.RecordTree,
+		RecordTrace:   s.RecordTrace,
+		Trace:         s.newTrace(g),
+		Prof:          s.Prof,
+		Live:          s.Live,
+	}
+	if strat == Parallel || s.AndParallel {
+		return runDetached(ctx, &req, yield)
+	}
+	it, err := solve.NewIter(ctx, &req)
 	if err != nil {
 		return nil, err
 	}
@@ -730,56 +782,10 @@ func runDetached(ctx context.Context, req *solve.Request, yield func(Answer) err
 		Spans:     req.Trace.Finish(),
 		Groups:    resp.Stats.Groups,
 	}
-	res.NetworkAcquires, res.Spills, res.Migrations = resp.Stats.NetworkAcquires, resp.Stats.Spills, resp.Stats.Migrations
+	st := &resp.Stats
+	res.NetworkAcquires, res.Spills, res.Migrations = st.NetworkAcquires, st.Spills, st.Migrations
+	res.StartupExpanded, res.GrainCount, res.GrainSum, res.GrainMax = st.StartupExpanded, st.GrainCount, st.GrainSum, st.GrainMax
 	return res, nil
-}
-
-// applyOpts folds the options and resolves the weight store (session-local
-// when InSession is active, else the global table).
-func (p *Program) applyOpts(opts []Option) (queryOpts, weights.Store, error) {
-	var o queryOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	if o.session != nil {
-		if o.session.program != p {
-			return o, nil, errors.New("blog: session belongs to a different program")
-		}
-		return o, o.session.inner, nil
-	}
-	return o, p.globalStore(), nil
-}
-
-// request assembles the solver-runtime request for one query run.
-func (p *Program) request(g Goal, strat Strategy, o queryOpts, store weights.Store) *solve.Request {
-	// Programs with no `:- table` declarations run with the hook absent
-	// entirely — Tabled() costs nothing on the per-goal path then.
-	var tables *table.Space
-	if o.tabled && p.db.HasTabled() {
-		tables = p.tables
-	}
-	return &solve.Request{
-		Tables:        tables,
-		DB:            p.db,
-		Store:         store,
-		Goals:         g.goals,
-		Strategy:      strat,
-		AndParallel:   o.andParallel,
-		MaxSolutions:  o.maxSolutions,
-		MaxExpansions: o.maxExpansions,
-		MaxDepth:      o.maxDepth,
-		Learn:         o.learn,
-		Prune:         o.prune,
-		PruneSlack:    o.pruneSlack,
-		Workers:       o.workers,
-		TwoLevel:      o.twoLevel,
-		D:             o.d,
-		RecordTree:    o.recordTree,
-		RecordTrace:   o.recordTrace,
-		Trace:         o.newTrace(g),
-		Prof:          o.prof,
-		Live:          o.live,
-	}
 }
 
 // Session scopes weight learning per section 5: strong updates go to a

@@ -40,7 +40,7 @@ func TestLoadAndStats(t *testing.T) {
 		t.Error("arcs missing")
 	}
 	dq := p.DirectiveQueries()
-	if len(dq) != 1 || dq[0] != "gf(sam,G)" {
+	if len(dq) != 1 || dq[0].String() != "gf(sam,G)" {
 		t.Errorf("directives = %v", dq)
 	}
 }

@@ -73,9 +73,14 @@ func main() {
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 
+	// Directives run as the loader parsed them; -q is parsed here, once.
 	queries := prog.DirectiveQueries()
 	if *query != "" {
-		queries = []string{*query}
+		g, err := blog.ParseGoal(*query)
+		if err != nil {
+			fatal(err)
+		}
+		queries = []blog.Goal{g}
 	}
 	if len(queries) == 0 {
 		fmt.Println("no query given and no ?- directives in the file")
@@ -113,7 +118,11 @@ func main() {
 					opts = append(opts, blog.RecordTrace())
 				}
 			}
-			res, err := prog.QueryContext(ctx, q, strat, opts...)
+			var sols []blog.Solution
+			res, err := prog.QueryEach(ctx, q, strat, func(a blog.Answer) error {
+				sols = append(sols, a.Solution())
+				return nil
+			}, opts...)
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "blog: interrupted")
 				os.Exit(130)
@@ -122,10 +131,10 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("?- %s.\n", q)
-			if len(res.Solutions) == 0 {
+			if len(sols) == 0 {
 				fmt.Println("no.")
 			}
-			for _, s := range res.Solutions {
+			for _, s := range sols {
 				fmt.Printf("  %s  (bound %.3g, depth %d)\n", s, s.Bound, s.Depth)
 			}
 			if *trace && len(res.Trace) > 0 {

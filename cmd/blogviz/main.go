@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -41,13 +42,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	q := *query
-	if q == "" {
-		if dq := prog.DirectiveQueries(); len(dq) > 0 {
-			q = dq[0]
-		} else if *file == "" {
-			q = "gf(sam,G)"
+	// The first directive runs as the loader parsed it; -q and the default
+	// query are parsed here.
+	var q *blog.Goal
+	text := *query
+	if dq := prog.DirectiveQueries(); text == "" && len(dq) > 0 {
+		q = &dq[0]
+	} else if text == "" && *file == "" {
+		text = "gf(sam,G)"
+	}
+	if text != "" {
+		g, err := blog.ParseGoal(text)
+		if err != nil {
+			fatal(err)
 		}
+		q = &g
 	}
 
 	switch *fig {
@@ -58,22 +67,14 @@ func main() {
 	case "list":
 		fmt.Print(prog.LinkedListText())
 	case "tree":
-		requireQuery(q)
-		res, err := prog.Query(q, blog.DFS, blog.RecordTree())
-		if err != nil {
-			fatal(err)
-		}
+		res, _ := run(prog, q, blog.RecordTree())
 		fmt.Print(res.Tree)
 	case "trace":
-		requireQuery(q)
-		res, err := prog.Query(q, blog.DFS, blog.RecordTrace(), blog.MaxSolutions(1))
-		if err != nil {
-			fatal(err)
-		}
+		res, sols := run(prog, q, blog.RecordTrace(), blog.MaxSolutions(1))
 		for _, line := range res.Trace {
 			fmt.Println(line)
 		}
-		for _, s := range res.Solutions {
+		for _, s := range sols {
 			fmt.Println("solution:", s)
 		}
 	default:
@@ -81,10 +82,21 @@ func main() {
 	}
 }
 
-func requireQuery(q string) {
-	if q == "" {
+// run answers q depth-first under opts, its solutions converted; a
+// figure that draws a run needs a query.
+func run(prog *blog.Program, q *blog.Goal, opts ...blog.Option) (*blog.Result, []blog.Solution) {
+	if q == nil {
 		fatal(fmt.Errorf("this figure needs -q or a ?- directive in the file"))
 	}
+	var sols []blog.Solution
+	res, err := prog.QueryEach(context.Background(), *q, blog.DFS, func(a blog.Answer) error {
+		sols = append(sols, a.Solution())
+		return nil
+	}, opts...)
+	if err != nil {
+		fatal(err)
+	}
+	return res, sols
 }
 
 func fatal(err error) {

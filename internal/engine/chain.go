@@ -29,14 +29,16 @@ type Chain struct {
 }
 
 // RootChain is a query's root as a node chain: the goals renamed apart as
-// NewTrailRun renames them, for whichever run resumes it.
+// NewTrailRun renames them, into heap cells, for whichever run resumes it.
 func RootChain(goals []term.Term) *Chain {
-	gs, qvars, m := rootGoals(goals)
-	c := &Chain{goals: gs, qvars: qvars, vars: make([]term.Term, len(qvars))}
+	qvars := term.VarsOf(goals)
+	names := make([]string, len(qvars))
 	for i, v := range qvars {
-		c.vars[i] = m[v]
+		names[i] = v.Name
 	}
-	return c
+	vars := term.NewFrame(names).AppendVars(make([]term.Term, 0, len(qvars)))
+	gs := rootGoals(make([]GoalStack, len(goals)), goals, qvars, vars, nil)
+	return &Chain{goals: gs, qvars: qvars, vars: vars}
 }
 
 // QueryVars returns the query variables the chain's solutions bind.
@@ -151,17 +153,9 @@ func (r *TrailRun) export(c *Chain, first GoalEntry, tail *GoalStack, n int) {
 	c.qvars = r.queryVars
 	c.vars = make([]term.Term, len(r.queryVars))
 	for i := range c.vars {
-		c.vars[i] = x.Copy(r.image(i))
+		c.vars[i] = x.Copy(r.images[i])
 	}
 	c.arcs = append([]kb.Arc(nil), r.chain[:n]...)
-}
-
-// image is the term query variable i stands for in this run.
-func (r *TrailRun) image(i int) term.Term {
-	if r.images != nil {
-		return r.images[i]
-	}
-	return r.fresh[r.queryVars[i]]
 }
 
 // Resume starts a run of c under cfg on a pooled scratch; see TrailRun.Resume.
@@ -191,8 +185,9 @@ func (r *TrailRun) Resume(c *Chain) {
 		cp.frame, cp.block = nil, nil
 	}
 	r.cps = r.cps[:0]
+	r.dropRoot(sh)
 	r.mode, r.err, r.exhausted = trailArrive, nil, false
-	r.queryVars, r.images, r.fresh = c.qvars, c.vars, nil
+	r.queryVars, r.images = c.qvars, c.vars
 	r.chain = append(r.chain[:0], c.arcs...)
 	r.depth, r.bound, r.goals = c.depth, c.Bound, c.goals
 	if len(c.vmCands) > 0 {

@@ -14,6 +14,11 @@
 // copy its values out under one renaming per answer, on the trail store
 // and the persistent Env alike. copy_term/2 is one term.Exporter pass.
 //
+// A trail run's root goals are pooled cells, as a clause activation's
+// are: one pooled frame for the query variables, compounds from the
+// compound pool. They leave the run only through Detacher (or Exporter,
+// for a chain). RootChain, which crosses goroutines, uses heap cells.
+//
 // The Env frontier (Expander) has one allocation path, the slab in its
 // pooled scratch: nodes, goal cells, arcs and children lists, and through
 // term.Cells the Env spine cells and the machine's frames and compounds.
@@ -239,12 +244,13 @@ type Expander struct {
 }
 
 // expScratch is what an Expander borrows: its predicate-code cache, its
-// profiling meter and the slab its nodes come from. Trail runs keep
-// theirs in their pooled scratch.
+// profiling meter, the slab its nodes come from and the backing array of
+// its search's open list. Trail runs keep theirs in their pooled scratch.
 type expScratch struct {
 	code  vm.Cache
 	meter obs.Meter
 	slab  slab
+	open  []*Node
 }
 
 var scratches = sync.Pool{New: func() any { return new(expScratch) }}
@@ -258,14 +264,25 @@ func (e *Expander) scratch() *expScratch {
 	return e.sc
 }
 
-// Release flushes the expander's meter and returns its scratch for reuse.
-// The expander stays usable and borrows another scratch on next use;
-// skipping Release leaves the scratch, and any unflushed counts, to the
-// collector.
-func (e *Expander) Release() {
+// Open lends the search an empty open list on the scratch's array.
+func (e *Expander) Open() []*Node { return e.scratch().open[:0] }
+
+const maxKeptOpen = 1 << 12 // the largest open-list array a scratch keeps
+
+// Release flushes the expander's meter and returns its scratch for reuse,
+// with open, the list Open lent, cleared: its popped slots are nil
+// already. The expander stays usable and borrows another scratch on next
+// use; skipping Release leaves the scratch, and any unflushed counts, to
+// the collector.
+func (e *Expander) Release(open []*Node) {
 	if e.sc != nil {
 		e.meter.Release()
 		e.meter = nil
+		clear(open)
+		e.sc.open = nil
+		if cap(open) <= maxKeptOpen {
+			e.sc.open = open[:0]
+		}
 		e.sc.slab.trim()
 		e.mach.Cells = nil
 		scratches.Put(e.sc)

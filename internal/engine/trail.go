@@ -120,6 +120,11 @@ type trailShared struct {
 	// buffer holding the slots hidden above a choice point's mark.
 	exp  term.Exporter
 	hide []term.Term
+
+	// names and images are the root's scratch (rename): the query
+	// variables' print names, and the terms they stand for in the run.
+	names  []string
+	images []term.Term
 }
 
 // sharedPool recycles trailShared scratch across runs. A recycled scratch
@@ -159,6 +164,9 @@ func (r *TrailRun) Release() {
 	// Every compound still logged belongs to a branch of the dead run;
 	// recycling the lot seeds the free lists for the next run.
 	sh.cpool.Release(0)
+	// Undone, the store leaves the root's frame clean for its pool.
+	sh.st.Undo(0)
+	r.dropRoot(sh)
 	// Fold the run's pool peaks into the process-wide high-water marks —
 	// once per run, off the hot path — and zero the per-run counters so a
 	// recycled scratch starts the next run's accounting clean.
@@ -265,9 +273,13 @@ type TrailRun struct {
 	cps   []choicePoint
 
 	queryVars []*term.Var
-	fresh     map[*term.Var]*term.Var // original -> refreshed query var
-	images    []term.Term             // instead of fresh on resumed runs: what queryVars stand for
-	det       term.Detacher           // the one the current solution's values share
+	images    []term.Term   // what queryVars stand for in the run: the renaming
+	det       term.Detacher // the one the current solution's values share
+
+	// rootFrame and rootBlock hold the renamed root (rename) until
+	// Release or Resume hands them back to the scratch's pools.
+	rootFrame *term.Frame
+	rootBlock []GoalStack
 
 	stats     TrailStats
 	bestBound float64
@@ -290,20 +302,44 @@ type TrailRun struct {
 func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
 	r := new(TrailRun)
 	r.init(cfg)
-	r.goals, r.queryVars, r.fresh = rootGoals(goals)
+	r.rename(goals)
 	return r
 }
 
-// rootGoals renames a query's goals apart (shared variables stay shared)
-// onto an empty goal stack; it returns the original query variables and
-// the original-to-fresh renaming too.
-func rootGoals(goals []term.Term) (*GoalStack, []*term.Var, map[*term.Var]*term.Var) {
-	var queryVars []*term.Var
-	for _, g := range goals {
-		queryVars = term.VarsUnder(nil, g, queryVars)
+// rename lays the query's goals out as the run's root, renamed apart the
+// way a clause activation is made, from the run's pools: the query
+// variables' images are the slots of one pooled frame, and the compounds
+// and the goal block are pooled too, so Detacher copies the root's terms
+// wherever they leave the run. images, in the scratch, is the run's only
+// record of the renaming.
+func (r *TrailRun) rename(goals []term.Term) {
+	sh := r.sh
+	r.queryVars, sh.names = term.VarsOf(goals), sh.names[:0]
+	for _, v := range r.queryVars {
+		sh.names = append(sh.names, v.Name)
 	}
-	freshGoals, m := term.RefreshAll(goals)
-	return queryGoals(make([]GoalStack, len(freshGoals)), freshGoals), queryVars, m
+	r.rootFrame = sh.pool.Get(sh.names)
+	sh.images = r.rootFrame.AppendVars(sh.images[:0])
+	r.images, r.rootBlock = sh.images, sh.blocks.get(len(goals))
+	r.goals = rootGoals(r.rootBlock, goals, r.queryVars, r.images, &sh.cpool)
+}
+
+// dropRoot hands the root's frame and goal block back to sh's pools, once
+// the store's bindings are undone.
+func (r *TrailRun) dropRoot(sh *trailShared) {
+	sh.pool.Put(r.rootFrame)
+	sh.blocks.put(r.rootBlock)
+	r.rootFrame, r.rootBlock = nil, nil
+}
+
+// rootGoals lays goals out in block as a query's root, query variable
+// qv[i] renamed to images[i] (CompoundPool.Rename, cp nil for the heap),
+// and links them onto the empty stack.
+func rootGoals(block []GoalStack, goals []term.Term, qv []*term.Var, images []term.Term, cp *term.CompoundPool) *GoalStack {
+	for i, g := range goals {
+		block[i].entry = GoalEntry{Goal: cp.Rename(g, qv, images), Caller: kb.Query, Pos: i}
+	}
+	return link(block, nil)
 }
 
 // init sets r up for cfg on a scratch from the pool, with no goals yet.
@@ -830,17 +866,11 @@ func (r *TrailRun) Solution() Solution {
 // run moves on: the next Advance or Next, or Release. Its values share
 // the run's one renaming for this solution.
 func (r *TrailRun) Answer() Answer {
-	if r.images == nil {
-		r.images = make([]term.Term, len(r.queryVars))
-		for i, v := range r.queryVars {
-			r.images[i] = r.fresh[v]
-		}
-	}
 	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars, Det: &r.det}
 }
 
-// Live returns the store the run binds into and its original-to-refreshed
-// query-variable renaming, for reading a term over the original query
-// variables in place at the solution Advance stopped at. Both are the
+// Live returns the store the run binds into and its first root goal as
+// renamed, for reading the goal in place at the solution Advance stopped
+// at: a table generator's answer is its one goal, so read. Both are the
 // run's own: read them, never write them.
-func (r *TrailRun) Live() (*term.Env, map[*term.Var]*term.Var) { return r.env, r.fresh }
+func (r *TrailRun) Live() (*term.Env, term.Term) { return r.env, r.rootBlock[0].entry.Goal }

@@ -10,31 +10,52 @@ import (
 	"time"
 )
 
-// ErrKilled is the cancellation cause set when a query is cancelled
-// through the live inspector (DELETE /debug/queries/{id}), so the server
-// can answer the victim's request distinctly from a client disconnect.
+// ErrKilled is the error a query cancelled through the live inspector
+// (DELETE /debug/queries/{id}) reports, distinct from a client disconnect.
 var ErrKilled = errors.New("query cancelled via inspector")
 
-// Live is one in-flight query as the inspector sees it. The engines store
-// into Expanded periodically (every 1024 expansions) behind a nil check,
-// so an unwatched query pays nothing and a watched one pays one atomic
-// store per ~1024 dispatches.
+// Live is one in-flight query as the inspector sees it, and the context
+// its run takes: it wraps the query's context (set by the caller once Add
+// returns), adding the request ID, which RequestID finds through Value,
+// and the kill, which Cancel records. Done, Err and every other Value are
+// the wrapped context's, so a context derived from a Live registers with
+// the wrapped one's cancellation directly and starts no goroutine. The
+// engines store into Expanded periodically (every 1024 expansions)
+// behind a nil check, so an unwatched query pays nothing and a watched one
+// pays one atomic store per ~1024 dispatches.
 type Live struct {
+	context.Context
 	ID       string
 	Goal     string
 	Strategy string
 	Start    time.Time
 	Expanded atomic.Uint64
 
-	cancel context.CancelCauseFunc
+	cancel context.CancelFunc
+	killed atomic.Bool
 }
 
-// Cancel cancels the query's context with the given cause.
-func (l *Live) Cancel(cause error) {
+// liveKey is the Value key under which a Live answers with itself.
+type liveKey struct{}
+
+// Value answers liveKey with the entry and other keys as Context does.
+func (l *Live) Value(key any) any {
+	if key == (liveKey{}) {
+		return l
+	}
+	return l.Context.Value(key)
+}
+
+// Cancel records the kill, then calls the cancel function Add was given.
+func (l *Live) Cancel() {
+	l.killed.Store(true)
 	if l.cancel != nil {
-		l.cancel(cause)
+		l.cancel()
 	}
 }
+
+// Killed reports whether Cancel was called.
+func (l *Live) Killed() bool { return l.killed.Load() }
 
 // Registry tracks in-flight queries for the live inspector and mints the
 // request IDs the structured logs share with it.
@@ -50,8 +71,9 @@ func NewRegistry() *Registry {
 }
 
 // Add registers an in-flight query and returns its entry, with a freshly
-// minted ID. cancel may be nil for queries that cannot be killed.
-func (r *Registry) Add(goal, strategy string, cancel context.CancelCauseFunc) *Live {
+// minted ID. cancel, which Cancel calls, may be nil for queries that
+// cannot be killed.
+func (r *Registry) Add(goal, strategy string, cancel context.CancelFunc) *Live {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.next++
@@ -100,15 +122,10 @@ func (r *Registry) List() []*Live {
 	return out
 }
 
-type ctxKey struct{}
-
-// WithRequestID stamps a request ID into ctx for structured logging.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// RequestID returns the request ID stamped by WithRequestID, or "".
+// RequestID returns the ID of the Live entry ctx is, or derives from, or "".
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKey{}).(string)
-	return id
+	if l, _ := ctx.Value(liveKey{}).(*Live); l != nil {
+		return l.ID
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -215,10 +216,11 @@ func TestMeterAttribution(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	l1 := r.Add("g1", "dfs", cancel)
-	l2 := r.Add("g2", "bfs", cancel)
+	l2 := r.Add("g2", "bfs", nil)
+	l1.Context, l2.Context = ctx, context.Background()
 	if l1.ID == l2.ID || !strings.HasPrefix(l1.ID, "q-") {
 		t.Fatalf("ids %q %q", l1.ID, l2.ID)
 	}
@@ -228,18 +230,28 @@ func TestRegistry(t *testing.T) {
 	if list := r.List(); len(list) != 2 || list[0] != l1 {
 		t.Fatalf("List = %+v, want [l1 l2] oldest first", list)
 	}
-	l1.Cancel(ErrKilled)
-	if cause := context.Cause(ctx); cause != ErrKilled {
-		t.Errorf("cause = %v, want ErrKilled", cause)
+	// The entry is the query's context: it carries the request ID to
+	// contexts derived from it, and a kill cancels the one it wraps.
+	derived, stop := context.WithCancel(l1)
+	defer stop()
+	if RequestID(derived) != l1.ID || RequestID(l2) != l2.ID || RequestID(ctx) != "" {
+		t.Error("request IDs do not travel through the entry")
+	}
+	if l1.Killed() {
+		t.Error("killed before Cancel")
+	}
+	l1.Cancel()
+	<-derived.Done()
+	if !l1.Killed() || !errors.Is(l1.Err(), context.Canceled) || l2.Killed() {
+		t.Errorf("after Cancel: killed %v, err %v; l2 killed %v", l1.Killed(), l1.Err(), l2.Killed())
+	}
+	l2.Cancel() // no cancel function: records the kill only
+	if !l2.Killed() || l2.Err() != nil {
+		t.Errorf("l2 after Cancel: killed %v, err %v", l2.Killed(), l2.Err())
 	}
 	r.Remove(l1)
 	r.Remove(l1) // idempotent
 	if list := r.List(); len(list) != 1 || list[0] != l2 {
 		t.Fatalf("List after remove = %+v", list)
-	}
-	// Request-ID context plumbing.
-	idCtx := WithRequestID(context.Background(), l2.ID)
-	if RequestID(idCtx) != l2.ID || RequestID(context.Background()) != "" {
-		t.Error("request-id context plumbing broken")
 	}
 }

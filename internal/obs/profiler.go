@@ -5,6 +5,12 @@
 // (journal.go). Everything is nil-receiver-safe so the disabled path
 // costs one nil check and zero allocations.
 //
+// A served query has one context: its timeout context, wrapped by its
+// Live entry, which the run takes as its context. The entry answers
+// RequestID for the table space and the logs, and Live.Cancel, the
+// inspector's kill, records the kill before it cancels the timeout
+// context, so the server tells a killed query from a client gone away.
+//
 // The enabled profiler is cheap too: a run charges it through a Meter
 // (exact counts, nanosecond sum and \+ time; other nanos split within
 // windows of 32 intervals) that allocates nothing an unprofiled run does not.

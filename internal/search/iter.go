@@ -122,13 +122,11 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	if opt.MaxDepth > 0 {
 		exp.MaxDepth = opt.MaxDepth
 	}
-	for _, g := range goals {
-		it.queryVars = term.VarsUnder(nil, g, it.queryVars)
-	}
+	it.queryVars = term.VarsOf(goals)
 	if opt.RecordTree {
 		it.tb = newTreeBuilder(goals)
 	}
-	it.frontier = frontier{s: opt.Strategy}
+	it.frontier = frontier{s: opt.Strategy, items: exp.Open()}
 	it.frontier.push(exp.Root(goals))
 	return nil
 }
@@ -316,14 +314,16 @@ func (it *Iter) chainOf(n *engine.Node) []kb.Arc {
 }
 
 // finish records the terminal state every later pull repeats, then
-// recycles the engine's scratch, its profiler meter flushed (no answer
-// view is read past the pull that ends the run).
+// recycles the engine's scratch, its profiler meter flushed and the open
+// list's array handed back (no answer view is read past the pull that
+// ends the run).
 func (it *Iter) finish(err error) (bool, error) {
 	it.done, it.err = true, err
 	if it.trail != nil {
 		it.trail.Release()
 	} else {
-		it.exp.Release()
+		it.exp.Release(it.frontier.items)
+		it.frontier.items = nil // the scratch's again
 	}
 	return false, err
 }

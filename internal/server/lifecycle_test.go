@@ -144,30 +144,44 @@ func findSpan(sp *obs.Span, name string) *obs.Span {
 // both writers: every way a run can fail maps to the same message and the
 // same counter on /query and /query/stream; /query carries the verdict as
 // its HTTP status, the stream (whose 200 is already out) as the terminal
-// line's error.
+// line's error. The deadline and the inspector's kill reach every engine:
+// the trail machine (dfs), the Env frontier (best) and the OR-parallel
+// workers, which park in the network where only the context's AfterFunc
+// wakes them (on /query alone: a stream refuses parallel runs).
 func TestQueryErrorClassification(t *testing.T) {
 	src := loopSrc + "bad(X) :- Y is X + Z, Y > 0.\n" + workload.DAG(18, 8, 4, 1)
-	endless := QueryRequest{Goal: "path(n0_0, missing)", Strategy: "dfs", MaxExpansions: 1 << 40}
+	deadline := func(strategy string) QueryRequest {
+		return QueryRequest{Goal: "loop", Strategy: strategy, Workers: 2, TimeoutMs: 30, MaxDepth: 1 << 30, MaxExpansions: 1 << 50}
+	}
+	endless := func(strategy string) QueryRequest {
+		return QueryRequest{Goal: "path(n0_0, missing)", Strategy: strategy, Workers: 2, MaxExpansions: 1 << 40}
+	}
+	timeouts := func(m *serverMetrics) *metrics.Counter { return &m.timeouts }
+	killed := func(m *serverMetrics) *metrics.Counter { return &m.killed }
+	both, oneShot := []string{"/query", "/query/stream"}, []string{"/query"}
 	cases := []struct {
-		name    string
-		req     QueryRequest
-		kill    bool
-		status  int
-		msg     string // "" = any non-empty engine message
-		counter func(*serverMetrics) *metrics.Counter
+		name      string
+		req       QueryRequest
+		kill      bool
+		status    int
+		msg       string // "" = any non-empty engine message
+		counter   func(*serverMetrics) *metrics.Counter
+		endpoints []string
 	}{
-		{"deadline", QueryRequest{Goal: "loop", Strategy: "dfs", TimeoutMs: 30, MaxDepth: 1 << 30, MaxExpansions: 1 << 50}, false,
-			http.StatusGatewayTimeout, "query timed out", func(m *serverMetrics) *metrics.Counter { return &m.timeouts }},
-		{"inspector kill", endless, true,
-			http.StatusGone, obs.ErrKilled.Error(), func(m *serverMetrics) *metrics.Counter { return &m.killed }},
+		{"deadline", deadline("dfs"), false, http.StatusGatewayTimeout, "query timed out", timeouts, both},
+		{"deadline best", deadline("best"), false, http.StatusGatewayTimeout, "query timed out", timeouts, both},
+		{"deadline parallel", deadline("parallel"), false, http.StatusGatewayTimeout, "query timed out", timeouts, oneShot},
+		{"inspector kill", endless("dfs"), true, http.StatusGone, obs.ErrKilled.Error(), killed, both},
+		{"inspector kill best", endless("best"), true, http.StatusGone, obs.ErrKilled.Error(), killed, both},
+		{"inspector kill parallel", endless("parallel"), true, http.StatusGone, obs.ErrKilled.Error(), killed, oneShot},
 		{"budget", QueryRequest{Goal: "loop", Strategy: "dfs", MaxDepth: 1 << 30, MaxExpansions: 10}, false,
-			http.StatusUnprocessableEntity, "expansion budget exhausted before completion", func(m *serverMetrics) *metrics.Counter { return &m.budgetStops }},
+			http.StatusUnprocessableEntity, "expansion budget exhausted before completion", func(m *serverMetrics) *metrics.Counter { return &m.budgetStops }, both},
 		{"engine error", QueryRequest{Goal: "bad(1)", Strategy: "dfs"}, false,
-			http.StatusInternalServerError, "", func(m *serverMetrics) *metrics.Counter { return &m.errors }},
+			http.StatusInternalServerError, "", func(m *serverMetrics) *metrics.Counter { return &m.errors }, both},
 	}
 	for _, c := range cases {
 		var messages []string
-		for _, endpoint := range []string{"/query", "/query/stream"} {
+		for _, endpoint := range c.endpoints {
 			name := c.name + " on " + endpoint
 			s, ts := newTestServer(t, src, Config{DefaultTimeout: time.Minute})
 			killed := make(chan struct{})
@@ -217,7 +231,7 @@ func TestQueryErrorClassification(t *testing.T) {
 			waitFor(t, func() bool { return s.pool.InFlight() == 0 })
 			messages = append(messages, msg)
 		}
-		if messages[0] != messages[1] {
+		if len(messages) == 2 && messages[0] != messages[1] {
 			t.Errorf("%s: /query says %q, stream says %q", c.name, messages[0], messages[1])
 		}
 	}
@@ -241,7 +255,8 @@ func TestOneShotFailureAfterAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		_, err = s.program.QueryEach(context.Background(), g, strat, func(blog.Answer) error { n++; return nil }, req.options(s.cfg.SolutionCap)...)
+		_, err = s.program.QueryEach(context.Background(), g, strat, func(blog.Answer) error { n++; return nil },
+			blog.MaxSolutions(s.cfg.SolutionCap), blog.MaxExpansions(req.MaxExpansions))
 		if !errors.Is(err, blog.ErrBudget) || n == 0 {
 			t.Fatalf("%s: %d answers, err %v; want answers, then the budget", strategy, n, err)
 		}

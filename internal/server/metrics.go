@@ -42,6 +42,9 @@ type serverMetrics struct {
 	parAcquires   metrics.Counter
 	parPublished  metrics.Counter
 	parMigrations metrics.Counter
+	// Its start-up and grain (par.Stats), summed, and the largest grain.
+	parStartup, parGrains, parGrainExp metrics.Counter
+	parGrainMax                        metrics.Max
 
 	// openMax is the largest open list a best-first or BFS query has
 	// held, the high-water mark of its frontier's memory.
@@ -100,6 +103,10 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	line("par_network_acquires_total", m.parAcquires.Load())
 	line("par_chains_published_total", m.parPublished.Load())
 	line("par_migrations_total", m.parMigrations.Load())
+	line("par_startup_expanded_total", m.parStartup.Load())
+	line("par_grain_chains_total", m.parGrains.Load())
+	line("par_grain_expansions_total", m.parGrainExp.Load())
+	line("par_grain_max", m.parGrainMax.Load())
 	line("open_list_highwater", m.openMax.Load())
 	line("tables_created_total", tt.created)
 	line("table_answers_total", tt.answers)

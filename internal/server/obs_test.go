@@ -171,16 +171,21 @@ func TestMetricsHistogram(t *testing.T) {
 	}
 }
 
-// TestMetricsParallelNetwork: the OR-parallel network's traffic reaches
-// /metrics. In a two-worker gf(p0,G) one worker takes the root off the
-// network and publishes its second gf/2 alternative for the other, which
-// is still without work; a DFS query adds nothing.
+// TestMetricsParallelNetwork: the OR-parallel network's traffic, start-up
+// and grain reach /metrics. In a two-worker gf(p0,G) one worker takes the
+// root off the network and publishes its second gf/2 alternative for the
+// other, which is still without work; every published chain is drained,
+// so the grain counts one chain per publication. A DFS query adds
+// nothing.
 func TestMetricsParallelNetwork(t *testing.T) {
 	_, ts := newTestServer(t, workload.FamilyTree(2, 2), Config{})
 	queryResp(t, ts.Client(), ts.URL+"/query", QueryRequest{Goal: "gf(p0,G)", Strategy: "dfs"})
 	_, data := get(t, ts.Client(), ts.URL+"/metrics")
-	if !strings.Contains(string(data), "blogd_par_network_acquires_total 0\n") {
-		t.Errorf("a DFS query moved network counters:\n%s", data)
+	for _, name := range []string{"par_network_acquires_total", "par_startup_expanded_total",
+		"par_grain_chains_total", "par_grain_expansions_total", "par_grain_max"} {
+		if !strings.Contains(string(data), "blogd_"+name+" 0\n") {
+			t.Errorf("a DFS query moved blogd_%s:\n%s", name, data)
+		}
 	}
 	queryResp(t, ts.Client(), ts.URL+"/query", QueryRequest{Goal: "gf(p0,G)", Strategy: "parallel", Workers: 2})
 	_, data = get(t, ts.Client(), ts.URL+"/metrics")
@@ -188,10 +193,23 @@ func TestMetricsParallelNetwork(t *testing.T) {
 		`(?m)^blogd_par_network_acquires_total [1-9]`,
 		`(?m)^blogd_par_chains_published_total [1-9]`,
 		`(?m)^blogd_par_migrations_total 0$`,
+		`(?m)^blogd_par_startup_expanded_total [1-9]`,
+		`(?m)^blogd_par_grain_expansions_total [1-9]`,
+		`(?m)^blogd_par_grain_max [1-9]`,
 	} {
 		if !regexp.MustCompile(re).Match(data) {
 			t.Errorf("metrics do not match %s:\n%s", re, data)
 		}
+	}
+	value := func(name string) string {
+		m := regexp.MustCompile(`(?m)^blogd_` + name + ` (\d+)$`).FindSubmatch(data)
+		if m == nil {
+			t.Fatalf("no blogd_%s:\n%s", name, data)
+		}
+		return string(m[1])
+	}
+	if chains, published := value("par_grain_chains_total"), value("par_chains_published_total"); chains != published {
+		t.Errorf("%s published chains drained as %s grains", published, chains)
 	}
 }
 

@@ -195,35 +195,36 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // query is a decoded, validated request: the body, its goal parsed once —
-// the parse the run takes — and the strategy, solution cap and timeout
-// the server resolved for it.
+// the parse the run takes — and the strategy, timeout and run settings the
+// server resolved for it. It lives in the writer's state (rendering), so a
+// pooled writer brings its own.
 type query struct {
 	QueryRequest
 	parsed  blog.Goal
 	strat   blog.Strategy
-	maxSol  int
 	timeout time.Duration
+	set     blog.Settings
 }
 
-// decodeQuery decodes and validates the request body. ok=false means an
-// error response was already written.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q *query, ok bool) {
-	q = new(query)
+// decodeQuery decodes and validates the request body into q, and fills
+// q.set from it. ok=false means an error response was already written.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, q *query) (ok bool) {
+	*q = query{}
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&q.QueryRequest); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return nil, false
+		return false
 	}
 	if q.Goal == "" {
 		s.writeError(w, http.StatusBadRequest, "missing goal")
-		return nil, false
+		return false
 	}
 	var err error
 	if q.parsed, err = blog.ParseGoal(q.Goal); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad goal: "+err.Error())
-		return nil, false
+		return false
 	}
 	name := q.Strategy
 	if name == "" {
@@ -231,11 +232,12 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q *query, 
 	}
 	if q.strat, err = blog.ParseStrategy(name); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
-		return nil, false
+		return false
 	}
-	q.maxSol = s.cfg.SolutionCap
-	if q.MaxSolutions > 0 && q.MaxSolutions < q.maxSol {
-		q.maxSol = q.MaxSolutions
+	set := &q.set
+	set.MaxSolutions = s.cfg.SolutionCap
+	if q.MaxSolutions > 0 && q.MaxSolutions < set.MaxSolutions {
+		set.MaxSolutions = q.MaxSolutions
 	}
 	q.timeout = s.cfg.DefaultTimeout
 	if q.TimeoutMs > 0 {
@@ -258,7 +260,15 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q *query, 
 	if q.Workers < 0 {
 		q.Workers = 0
 	}
-	return q, true
+	// A zero field is the option left out; a negative depth or slack is
+	// too.
+	set.MaxExpansions, set.Workers = q.MaxExpansions, q.Workers
+	set.MaxDepth = max(q.MaxDepth, 0)
+	set.Learn, set.AndParallel, set.Tabled = q.Learn, q.AndParallel, q.Tabled
+	set.Prune = q.Prune || q.PruneSlack > 0
+	set.PruneSlack = max(q.PruneSlack, 0)
+	set.Traced = q.Trace || s.cfg.SlowQuery > 0
+	return true
 }
 
 // admit claims a worker slot for the request, mapping saturation to 429
@@ -286,6 +296,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // JSON body, *streamWriter with an NDJSON line per answer; both render with
 // appendSolution. Everything else, the run included, is serveQuery.
 type solutionWriter interface {
+	request() *query // the request state the writer carries
+
 	// begin readies the writer for q, or refuses q with a badRequest.
 	begin(s *Server, w http.ResponseWriter, q *query) error
 	// yield renders one answer; an error stops the run.
@@ -295,11 +307,15 @@ type solutionWriter interface {
 	finish(w http.ResponseWriter, end outcome)
 }
 
-// rendering is what both writers keep across a run's answers.
+// rendering is what both writers keep across a run's answers, and the
+// request they answer.
 type rendering struct {
+	q     query
 	order []int // the query's binding key order (bindingOrder)
 	n     int   // answers rendered
 }
+
+func (r *rendering) request() *query { return &r.q }
 
 // appendNext appends a's wire Solution to dst.
 func (r *rendering) appendNext(dst []byte, a blog.Answer) []byte {
@@ -334,16 +350,16 @@ type badRequest struct{ error }
 var errClientGone = fmt.Errorf("server: client went away mid-stream: %w", context.Canceled)
 
 // classify is the one mapping from a query's error to what its client is
-// told and which counter records it. ctx is the query's (possibly
-// kill-cancelled) context: a context.Canceled whose cause is obs.ErrKilled
-// was cancelled through the live inspector, which the victim learns as 410
-// Gone — distinct from its own client disconnecting, where nobody is left
-// to read a response (status 0: write nothing).
-func (s *Server) classify(ctx context.Context, err error) (status int, msg string, counter *metrics.Counter) {
+// told and which counter records it. lv is the query's inspector entry: a
+// context.Canceled on a query it records as killed was cancelled through
+// the live inspector, which the victim learns as 410 Gone — distinct from
+// its own client disconnecting, where nobody is left to read a response
+// (status 0: write nothing).
+func (s *Server) classify(lv *obs.Live, err error) (status int, msg string, counter *metrics.Counter) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "query timed out", &s.metrics.timeouts
-	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), obs.ErrKilled):
+	case errors.Is(err, context.Canceled) && lv.Killed():
 		return http.StatusGone, obs.ErrKilled.Error(), &s.metrics.killed
 	case errors.Is(err, context.Canceled):
 		return 0, "", &s.metrics.cancelled
@@ -371,13 +387,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveQuery is the one request lifecycle behind POST /query, session
-// queries and POST /query/stream: decode, admit, count, bound the run by
-// its timeout and the inspector's kill switch, register it live, profile
-// it, run it through QueryEach, account for it and classify how it ended.
-// out is the only difference between the endpoints.
+// queries and POST /query/stream: decode into the writer's request state,
+// admit, count, bound the run by its timeout, register it live, profile
+// it, run it through Program.Run, account for it and classify how it
+// ended. out is the only difference between the endpoints.
+//
+// A run has one context. The timeout context is derived from the
+// request's, and the query's inspector entry (obs.Live) wraps it: the
+// entry is what the run takes as its context, so the request ID reaches
+// the table space and the logs through it, and the inspector's kill
+// cancels the timeout context after the entry records it. The run's
+// settings are a value in the request state, filled from the body.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessionEntry, out solutionWriter) {
-	q, ok := s.decodeQuery(w, r)
-	if !ok {
+	q := out.request()
+	if !s.decodeQuery(w, r, q) {
 		return
 	}
 	if !s.admit(w, r) {
@@ -392,40 +415,33 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 		s.metrics.tabledQueries.Inc()
 	}
 
-	opts := q.options(q.maxSol)
 	end := outcome{status: http.StatusOK, strategy: q.strat.String(), trace: q.Trace}
 	if entry != nil {
-		opts = append(opts, blog.InSession(entry.s))
+		q.set.Session = entry.s
 		end.session = entry.id
 	}
-	tctx, cancel := context.WithTimeout(r.Context(), q.timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), q.timeout)
 	defer cancel()
-	// The kill layer sits inside the timeout: DELETE /debug/queries/{id}
-	// cancels with cause obs.ErrKilled, which classify reads back through
-	// context.Cause to answer this request with 410.
-	ctx, kill := context.WithCancelCause(tctx)
-	defer kill(nil)
-	lv := s.live.Add(q.Goal, end.strategy, kill)
+	// DELETE /debug/queries/{id} kills through lv, which classify reads
+	// back to answer this request with 410.
+	lv := s.live.Add(q.Goal, end.strategy, cancel)
 	defer s.live.Remove(lv)
+	lv.Context = ctx
 	// Every outcome carries the query's request ID, so a client can
 	// correlate even a failure with the inspector, the slow-query log and
 	// /events.
-	ctx = obs.WithRequestID(ctx, lv.ID)
 	end.requestID = lv.ID
 	// Every query runs with its own profiler, merged into the process-wide
 	// profile at completion; the per-query view feeds the slow-query log.
 	qprof := profilers.Get().(*blog.Profiler)
 	defer func() { qprof.Reset(); profilers.Put(qprof) }() // once merged and logged
-	opts = append(opts, blog.Profiled(qprof), blog.Monitor(lv))
-	if q.Trace || s.cfg.SlowQuery > 0 {
-		opts = append(opts, blog.Traced())
-	}
+	q.set.Prof, q.set.Live = qprof, lv
 
 	start := time.Now()
 	var res *blog.Result
 	err := out.begin(s, w, q)
 	if err == nil {
-		res, err = s.program.QueryEach(ctx, q.parsed, q.strat, out.yield, opts...)
+		res, err = s.program.Run(lv, q.parsed, q.strat, &q.set, out.yield)
 	}
 	elapsed := time.Since(start)
 	s.metrics.latency.Observe(elapsed.Seconds())
@@ -438,16 +454,20 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessi
 	s.metrics.parAcquires.Add(res.NetworkAcquires)
 	s.metrics.parPublished.Add(res.Spills)
 	s.metrics.parMigrations.Add(res.Migrations)
+	s.metrics.parStartup.Add(res.StartupExpanded)
+	s.metrics.parGrains.Add(res.GrainCount)
+	s.metrics.parGrainExp.Add(res.GrainSum)
+	s.metrics.parGrainMax.Observe(int64(res.GrainMax))
 	s.metrics.openMax.Observe(int64(res.OpenMax))
 	if err != nil {
 		var counter *metrics.Counter
-		end.status, end.msg, counter = s.classify(ctx, err)
+		end.status, end.msg, counter = s.classify(lv, err)
 		counter.Inc()
 		if end.status == 0 {
 			return // client gone; a response is moot
 		}
 	} else {
-		s.logSlowQuery(ctx, q.Goal, end.strategy, elapsed, res.Spans, qprof)
+		s.logSlowQuery(lv, q.Goal, end.strategy, elapsed, res.Spans, qprof)
 		if entry != nil {
 			entry.s.NoteQuery(out.served() > 0)
 		}
@@ -470,6 +490,7 @@ type oneShot struct {
 	solutions *metrics.Counter // counts a successful run's answers
 	env       bytes.Buffer     // the encoded envelope
 	enc       *json.Encoder    // encodes into env
+	resp      QueryResponse    // the envelope, encoded through a pointer
 }
 
 // solutionsOpen is how a QueryResponse encoding begins: solutions is its
@@ -491,8 +512,9 @@ var oneShots = sync.Pool{New: func() any {
 func getOneShot() *oneShot { return oneShots.Get().(*oneShot) }
 
 // release returns o to the pool unless its buffers grew past
-// maxPooledBody.
+// maxPooledBody, holding no request's goal, session or spans.
 func (o *oneShot) release() {
+	o.q, o.resp = query{}, QueryResponse{}
 	if cap(o.body) <= maxPooledBody && o.env.Cap() <= maxPooledBody {
 		oneShots.Put(o)
 	}
@@ -519,7 +541,7 @@ func (o *oneShot) finish(w http.ResponseWriter, end outcome) {
 	}
 	o.solutions.Add(uint64(o.n))
 	res := end.res
-	resp := QueryResponse{
+	o.resp = QueryResponse{
 		Solutions:            []Solution{},
 		Exhausted:            res.Exhausted,
 		Expanded:             res.Expanded,
@@ -539,12 +561,12 @@ func (o *oneShot) finish(w http.ResponseWriter, end outcome) {
 		AnswersImproved:      res.AnswersImproved,
 	}
 	if end.trace {
-		resp.Trace = res.Spans
+		o.resp.Trace = res.Spans
 	}
 	o.env.Reset()
 	// A QueryResponse holds strings, integers, finite floats and the span
 	// tree, all of which encode.
-	_ = o.enc.Encode(resp)
+	_ = o.enc.Encode(&o.resp)
 	env := o.env.Bytes()
 	if !bytes.HasPrefix(env, []byte(solutionsOpen+"]")) {
 		panic("server: QueryResponse no longer encodes solutions first")
@@ -878,7 +900,7 @@ func (s *Server) handleDebugKill(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no in-flight query "+id)
 		return
 	}
-	l.Cancel(obs.ErrKilled)
+	l.Cancel()
 	s.journal.Emit(blog.Event{Kind: obs.KindQueryKilled, RequestID: id, Detail: l.Goal})
 	s.logger.Info("query killed via inspector", "request_id", id, "goal", l.Goal)
 	writeJSON(w, http.StatusOK, KillResponse{ID: id, Killed: true})

@@ -690,19 +690,18 @@ func TestWorkersClamped(t *testing.T) {
 	s, _ := newTestServer(t, workload.FamilyTree(2, 2), Config{MaxWorkers: 4})
 	r := httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"goal":"gf(p0,G)","strategy":"parallel","workers":1000000}`))
-	q, ok := s.decodeQuery(httptest.NewRecorder(), r)
-	if !ok {
+	var q query
+	if !s.decodeQuery(httptest.NewRecorder(), r, &q) {
 		t.Fatal("decode failed")
 	}
-	if q.Workers != 4 {
-		t.Errorf("workers = %d, want clamped to 4", q.Workers)
+	if q.Workers != 4 || q.set.Workers != 4 {
+		t.Errorf("workers = %d (run with %d), want clamped to 4", q.Workers, q.set.Workers)
 	}
 	// Negative worker counts fall back to the engine default.
 	r = httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"goal":"gf(p0,G)","strategy":"parallel","workers":-3}`))
-	q, ok = s.decodeQuery(httptest.NewRecorder(), r)
-	if !ok || q.Workers != 0 {
-		t.Errorf("negative workers decoded to %d, want 0", q.Workers)
+	if !s.decodeQuery(httptest.NewRecorder(), r, &q) || q.Workers != 0 || q.set.Workers != 0 {
+		t.Errorf("negative workers decoded to %d (run with %d), want 0", q.Workers, q.set.Workers)
 	}
 }
 

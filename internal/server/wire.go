@@ -65,36 +65,6 @@ type QueryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// options translates the request into blog query options.
-func (q *QueryRequest) options(maxSolutions int) []blog.Option {
-	opts := []blog.Option{blog.MaxSolutions(maxSolutions)}
-	if q.MaxExpansions > 0 {
-		opts = append(opts, blog.MaxExpansions(q.MaxExpansions))
-	}
-	if q.MaxDepth > 0 {
-		opts = append(opts, blog.MaxDepth(q.MaxDepth))
-	}
-	if q.Learn {
-		opts = append(opts, blog.Learn())
-	}
-	if q.Prune {
-		opts = append(opts, blog.Prune())
-	}
-	if q.PruneSlack > 0 {
-		opts = append(opts, blog.PruneSlack(q.PruneSlack))
-	}
-	if q.AndParallel {
-		opts = append(opts, blog.AndParallel())
-	}
-	if q.Workers > 0 {
-		opts = append(opts, blog.Workers(q.Workers))
-	}
-	if q.Tabled {
-		opts = append(opts, blog.Tabled())
-	}
-	return opts
-}
-
 // Solution is one answer on the wire.
 type Solution struct {
 	// Bindings maps query variable names to rendered terms.

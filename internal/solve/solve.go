@@ -166,6 +166,8 @@ type Stats struct {
 	NetworkAcquires   uint64
 	Spills            uint64
 	PerWorkerExpanded []uint64
+	// OR-parallel start-up and grain counters; see par.Stats.
+	StartupExpanded, GrainCount, GrainSum, GrainMax uint64
 
 	// AND-parallel decomposition counters.
 	Groups         int
@@ -433,6 +435,10 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 			NetworkAcquires:   pres.Stats.NetworkAcquires,
 			Spills:            pres.Stats.Spills,
 			PerWorkerExpanded: pres.Stats.PerWorkerExpanded,
+			StartupExpanded:   pres.Stats.StartupExpanded,
+			GrainCount:        pres.Stats.GrainCount,
+			GrainSum:          pres.Stats.GrainSum,
+			GrainMax:          pres.Stats.GrainMax,
 		},
 		Exhausted: pres.Exhausted,
 	}, nil

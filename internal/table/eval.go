@@ -350,8 +350,8 @@ func (ev *eval) runGenerator(t *Table) error {
 	// through the step hook — one tick per non-solution node, exactly the
 	// counting the persistent-Env generator used — because ev.steps is
 	// shared across the whole fixpoint, not per run. The run renames the
-	// pattern apart on entry, so the table's own pattern is the root.
-	goal := t.pattern
+	// pattern apart on entry, so the table's own pattern is the root, and
+	// an answer is that root read in place.
 	tr := engine.NewTrailRun(engine.TrailConfig{
 		DB:               ev.space.db,
 		Weights:          ev.ws,
@@ -373,11 +373,11 @@ func (ev *eval) runGenerator(t *Table) error {
 				ev.deps[k] = ev.space.db.Stamp(fn, arity)
 			}
 		},
-	}, []term.Term{goal})
+	}, []term.Term{t.pattern})
 	// Answers are detached as they are added, so the run's scratch can be
 	// recycled as soon as the derivation is over.
 	defer tr.Release()
-	env, subst := tr.Live()
+	env, goal := tr.Live()
 	var err error
 	for {
 		ok, nerr := tr.Advance()
@@ -388,7 +388,7 @@ func (ev *eval) runGenerator(t *Table) error {
 		if !ok {
 			break
 		}
-		if aerr := ev.addLive(t, env, subst, goal); aerr != nil {
+		if aerr := ev.addLive(t, env, goal); aerr != nil {
 			err = aerr
 			break
 		}
@@ -409,20 +409,20 @@ func (ev *eval) runGenerator(t *Table) error {
 // integer costs, so a non-integer (or unbound) cost has no place in it.
 var ErrCost = errors.New("table: min(N) answer cost is not an integer")
 
-// addLive adds the answer a generator run stopped at: goal read through
-// the run's live store. The answer is encoded there first, so a
+// addLive adds the answer a generator run stopped at: its renamed root
+// goal read through the run's live store. The answer is encoded there first, so a
 // duplicate, or a derivation a min(N) table subsumes, is dropped without
 // being copied; a new one is copied out once, already canonical, its
 // variables numbered as the key walk found them.
-func (ev *eval) addLive(t *Table, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) error {
+func (ev *eval) addLive(t *Table, env *term.Env, goal term.Term) error {
 	if t.min > 0 {
-		return ev.addMinAnswer(t, env, subst, goal)
+		return ev.addMinAnswer(t, env, goal)
 	}
-	ev.key, ev.vars = appendVariantKey(ev.key[:0], ev.vars[:0], env, subst, goal)
+	ev.key, ev.vars = appendVariantKey(ev.key[:0], ev.vars[:0], env, goal)
 	if _, dup := t.answerSet[string(ev.key)]; dup {
 		return nil
 	}
-	ans := canonical(env, subst, ev.vars, goal)
+	ans := canonical(env, ev.vars, goal)
 	t.answerSet[string(ev.key)] = struct{}{}
 	t.answers = append(t.answers, ans)
 	t.nAnswers.Add(1)
@@ -432,16 +432,16 @@ func (ev *eval) addLive(t *Table, env *term.Env, subst map[*term.Var]*term.Var, 
 }
 
 // projKey encodes into ev.key the projection key of a min(N) derivation —
-// goal read through subst and env, its cost slot written as the integer
+// goal read through env, its cost slot written as the integer
 // 0 — so two derivations compete exactly when they agree on every other
 // argument. It returns the derivation's cost, or false when goal has no
 // integer at its cost position.
-func (ev *eval) projKey(t *Table, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) (int64, bool) {
+func (ev *eval) projKey(t *Table, env *term.Env, goal term.Term) (int64, bool) {
 	c, ok := goal.(*term.Compound)
 	if !ok || t.min > len(c.Args) {
 		return 0, false
 	}
-	cost, ok := resolveVia(env, subst, c.Args[t.min-1]).(term.Int)
+	cost, ok := env.Resolve(c.Args[t.min-1]).(term.Int)
 	if !ok {
 		return 0, false
 	}
@@ -450,7 +450,7 @@ func (ev *eval) projKey(t *Table, env *term.Env, subst map[*term.Var]*term.Var, 
 		if i == t.min-1 {
 			key = append(key, "i0"...)
 		} else {
-			key, vars = appendVariantKey(key, vars, env, subst, a)
+			key, vars = appendVariantKey(key, vars, env, a)
 		}
 		key = append(key, ',')
 	}
@@ -471,15 +471,14 @@ func (ev *eval) dominated(t *Table, cost int64) bool {
 	return true
 }
 
-// addMinAnswer folds one derived answer, goal read through subst and
-// env, into a min(N) table: the first answer for a projection of the
+// addMinAnswer folds one derived answer, goal read through env, into a min(N) table: the first answer for a projection of the
 // non-cost arguments is memoized, a derivation dominated by the memoized
 // cost is subsumed (dropped), and a strictly cheaper derivation replaces
 // the memoized answer in place.
-func (ev *eval) addMinAnswer(t *Table, env *term.Env, subst map[*term.Var]*term.Var, goal term.Term) error {
-	cost, ok := ev.projKey(t, env, subst, goal)
+func (ev *eval) addMinAnswer(t *Table, env *term.Env, goal term.Term) error {
+	cost, ok := ev.projKey(t, env, goal)
 	if !ok {
-		d := term.Detacher{Env: env, Subst: subst}
+		d := term.Detacher{Env: env}
 		ans := d.Detach(goal)
 		c, ok := ans.(*term.Compound)
 		if !ok || t.min > len(c.Args) {
@@ -492,7 +491,7 @@ func (ev *eval) addMinAnswer(t *Table, env *term.Env, subst map[*term.Var]*term.
 	}
 	// The cost slot holds an Int, so projKey collected the answer's
 	// variables in the order the canonical answer numbers them.
-	canon := canonical(env, subst, ev.vars, goal)
+	canon := canonical(env, ev.vars, goal)
 	idx, seen := t.projIdx[string(ev.key)]
 	if !seen {
 		t.projIdx[string(ev.key)] = len(t.answers)
@@ -565,7 +564,7 @@ func (ev *eval) serveComplete(t *Table) ([]term.Term, error) {
 // Answers implements engine.Tabler for calls made inside generators.
 func (ev *eval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	var buf keyBuf
-	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
+	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, goal)
 	// Tables this eval is already producing resolve by identity through
 	// the group, never through the live map: a concurrent Invalidate
 	// swaps the map mid-production, and a fresh (empty) table under the
@@ -628,7 +627,7 @@ func (n negEval) ForNegation() engine.Tabler { return n }
 func (n negEval) Answers(_ context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	ev := n.ev
 	var buf keyBuf
-	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
+	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, goal)
 	t := ev.group[string(key)]
 	if t == nil {
 		if ct, ok := ev.space.lookup(key, ev.maxDepth); ok {

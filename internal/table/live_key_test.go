@@ -10,7 +10,7 @@ import (
 )
 
 // liveKeys runs goal over db on a trail run and, at every solution, reads
-// goal's variant key and its min(2) projection key twice: in place on the
+// the run's renamed root goal's variant key and its min(2) projection key twice: in place on the
 // live store, and from the detached answer the way a table stored it
 // before the live check existed. The canonical answer a table stores,
 // copied out in one pass under the live key's variables, must read as the
@@ -23,7 +23,7 @@ func liveKeys(tb testing.TB, db *kb.DB, goal term.Term) (keys []string) {
 		MaxExpansions: 10_000,
 	}, []term.Term{goal})
 	defer tr.Release()
-	env, subst := tr.Live()
+	env, root := tr.Live()
 	minTable := &Table{min: 2}
 	ev := &eval{}
 	for {
@@ -34,19 +34,19 @@ func liveKeys(tb testing.TB, db *kb.DB, goal term.Term) (keys []string) {
 		if !ok {
 			return keys
 		}
-		live, vars := appendVariantKey(nil, nil, env, subst, goal)
-		d := term.Detacher{Env: env, Subst: subst}
-		ans := d.Detach(goal)
+		live, vars := appendVariantKey(nil, nil, env, root)
+		d := term.Detacher{Env: env}
+		ans := d.Detach(root)
 		detached, canon := Canonicalize(nil, ans)
 		if string(live) != detached {
 			tb.Fatalf("%s: live key %q, detached key %q", ans, live, detached)
 		}
-		if got := canonical(env, subst, vars, goal); got.String() != canon.String() {
+		if got := canonical(env, vars, root); got.String() != canon.String() {
 			tb.Fatalf("%s: stored in one pass as %s, canonicalized from the detached copy as %s", ans, got, canon)
 		}
-		liveCost, liveOK := ev.projKey(minTable, env, subst, goal)
+		liveCost, liveOK := ev.projKey(minTable, env, root)
 		liveProj := string(ev.key)
-		cost, ok := ev.projKey(minTable, nil, nil, ans)
+		cost, ok := ev.projKey(minTable, nil, ans)
 		if liveOK != ok || ok && (liveCost != cost || liveProj != string(ev.key)) {
 			tb.Fatalf("%s: live projection %q cost %d (%v), detached %q cost %d (%v)", ans, liveProj, liveCost, liveOK, ev.key, cost, ok)
 		}

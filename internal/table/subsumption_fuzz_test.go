@@ -31,7 +31,7 @@ func feedStream(tb testing.TB, sp *Space, stream []byte) map[string]int64 {
 		ans := term.NewCompound("p",
 			term.NewAtom(fmt.Sprintf("k%d", stream[i])),
 			term.Int(int64(stream[i+1])))
-		if err := ev.addMinAnswer(t, nil, nil, ans); err != nil {
+		if err := ev.addMinAnswer(t, nil, ans); err != nil {
 			tb.Fatalf("addMinAnswer(%s): %v", ans, err)
 		}
 	}

@@ -852,7 +852,7 @@ func (h *Handle) ForNegation() engine.Tabler { return h }
 // complete, so its own immutable answer slice is returned.
 func (h *Handle) Answers(ctx context.Context, env *term.Env, goal term.Term) ([]term.Term, error) {
 	var buf keyBuf
-	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
+	key, _ := appendVariantKey(buf.b[:0], buf.v[:0], env, goal)
 	if t, ok := h.space.lookup(key, h.maxDepth); ok {
 		return h.serveHit(t), nil
 	}
@@ -902,15 +902,15 @@ func (h *Handle) serveHit(t *Table) []term.Term {
 // stored form of an answer (Canonicalize with a nil env).
 func Canonicalize(env *term.Env, goal term.Term) (string, term.Term) {
 	var buf keyBuf
-	key, vars := appendVariantKey(buf.b[:0], buf.v[:0], env, nil, goal)
-	return string(key), canonical(env, nil, vars, goal)
+	key, vars := appendVariantKey(buf.b[:0], buf.v[:0], env, goal)
+	return string(key), canonical(env, vars, goal)
 }
 
-// canonical copies t, read through subst and env, out of the run in one
-// Detacher pass, vars — t's free variables in first-occurrence order, as
+// canonical copies t, read through env, out of the run in one Detacher
+// pass, vars — t's free variables in first-occurrence order, as
 // appendVariantKey collected them — becoming the placeholders _T0…_Tn.
-func canonical(env *term.Env, subst map[*term.Var]*term.Var, vars []*term.Var, t term.Term) term.Term {
-	d := term.Detacher{Env: env, Subst: subst}
+func canonical(env *term.Env, vars []*term.Var, t term.Term) term.Term {
+	d := term.Detacher{Env: env}
 	for i, v := range vars {
 		d.Own(v, term.NewVar("_T"+strconv.Itoa(i)))
 	}
@@ -918,15 +918,14 @@ func canonical(env *term.Env, subst map[*term.Var]*term.Var, vars []*term.Var, t
 }
 
 // appendVariantKey appends t's variant key to dst: the structure of t,
-// read through subst (a trail run's original-to-refreshed variable
-// renaming, or nil) and env, written over interned Syms, with each free
+// read through env, written over interned Syms, with each free
 // variable numbered by its first occurrence (vars collects them in that
 // order). Two terms are variants exactly when their keys are equal, so
 // the key is compared whole and needs no hash. Both slices are returned,
 // possibly grown: encoding into stack buffers and probing a map with
 // m[string(key)] allocates nothing.
-func appendVariantKey(dst []byte, vars []*term.Var, env *term.Env, subst map[*term.Var]*term.Var, t term.Term) ([]byte, []*term.Var) {
-	switch t := resolveVia(env, subst, t).(type) {
+func appendVariantKey(dst []byte, vars []*term.Var, env *term.Env, t term.Term) ([]byte, []*term.Var) {
+	switch t := env.Resolve(t).(type) {
 	case term.Atom:
 		dst = strconv.AppendInt(append(dst, 'a'), int64(t.Sym()), 10)
 	case term.Int:
@@ -940,7 +939,7 @@ func appendVariantKey(dst []byte, vars []*term.Var, env *term.Env, subst map[*te
 	case *term.Compound:
 		dst = appendFunctor(dst, t)
 		for _, a := range t.Args {
-			dst, vars = appendVariantKey(dst, vars, env, subst, a)
+			dst, vars = appendVariantKey(dst, vars, env, a)
 			dst = append(dst, ',')
 		}
 		dst = append(dst, ')')
@@ -953,14 +952,6 @@ func appendFunctor(dst []byte, c *term.Compound) []byte {
 	dst = strconv.AppendInt(append(dst, 'c'), int64(c.Functor), 10)
 	dst = strconv.AppendInt(append(dst, '/'), int64(len(c.Args)), 10)
 	return append(dst, '(')
-}
-
-// resolveVia dereferences t through subst, then env.
-func resolveVia(env *term.Env, subst map[*term.Var]*term.Var, t term.Term) term.Term {
-	if v, ok := t.(*term.Var); ok && subst[v] != nil {
-		t = subst[v]
-	}
-	return env.Resolve(t)
 }
 
 // keyBuf is stack room for one call's variant key: a lookup encoded into

@@ -1,5 +1,7 @@
 package term
 
+import "slices"
+
 // This file implements the mutable half of the package's two binding
 // representations. The immutable Env (env.go) serves BFS and best-first,
 // where many open nodes extend a shared ancestor. Depth-first resolution —
@@ -189,12 +191,52 @@ func (p *FramePool) RunReset() int {
 	return peak
 }
 
+// VarsOf returns the variables of ts in first-occurrence order, in a
+// slice of their own.
+func VarsOf(ts []Term) []*Var {
+	var walk [8]*Var
+	vs := walk[:0]
+	for _, t := range ts {
+		vs = VarsUnder(nil, t, vs)
+	}
+	return slices.Clone(vs)
+}
+
+// AppendVars appends the variables of f, nil for none, to dst.
+func (f *Frame) AppendVars(dst []Term) []Term {
+	for i := 0; f != nil && i < len(f.vars); i++ {
+		dst = append(dst, &f.vars[i])
+	}
+	return dst
+}
+
+// Rename copies t with each variable vars[i] replaced by images[i] —
+// every variable of t must be among vars — into compounds from p, so the
+// copy is pooled like a clause activation's body. A nil p copies into
+// compounds from the heap. Trail runs lay their root goals out this way.
+func (p *CompoundPool) Rename(t Term, vars []*Var, images []Term) Term {
+	switch t := t.(type) {
+	case *Var:
+		return images[slices.Index(vars, t)]
+	case *Compound:
+		var c *Compound
+		if p != nil {
+			c = p.Get(t.Functor, len(t.Args))
+		} else {
+			c = MakeCompound(t.Functor, len(t.Args))
+		}
+		for i, a := range t.Args {
+			c.Args[i] = p.Rename(a, vars, images)
+		}
+		return c
+	}
+	return t
+}
+
 // RefreshAll renames the variables of ts apart with one shared map, so
 // variables shared across the slice stay shared. It returns the renamed
-// terms and the original-to-fresh mapping. Trail runs refresh their root
-// goals this way: the run binds destructively into the frames its goal
-// terms reference, and the caller's terms (often parse-time structures
-// reused across queries) must never be written.
+// terms and the original-to-fresh mapping. The tree-walking oracle
+// activates a stored clause this way (kb.Clause.Activate).
 func RefreshAll(ts []Term) ([]Term, map[*Var]*Var) {
 	m := make(map[*Var]*Var, 8)
 	out := make([]Term, len(ts))
@@ -207,20 +249,17 @@ func RefreshAll(ts []Term) ([]Term, map[*Var]*Var) {
 // Detacher copies terms out of a run, and is the one walker that does:
 // solutions, a table's call patterns and answers, and the argument of \+
 // all leave their run through it, while Exporter hands a chain to another
-// worker's store. Variables are first translated through Subst (a trail
-// run's original-to-refreshed query variable map; nil is fine), then
-// resolved against Env. A variable still unbound detaches as the
-// variable Own named for it; failing that, one whose frame is pooled
-// (pool-recycled or slab-carved) detaches as a fresh variable with the
-// same print name, and any other as itself — consistently across one
-// Detacher's lifetime. Pooled compounds are copied, others shared when
-// unchanged. The result survives backtracking and frame and compound
+// worker's store. Terms are resolved against Env. A variable still
+// unbound detaches as the variable Own named for it; failing that, one
+// whose frame is pooled (pool-recycled or slab-carved) detaches as a fresh
+// variable with the same print name, and any other as itself —
+// consistently across one Detacher's lifetime. Pooled compounds are
+// copied, others shared when unchanged. The result survives backtracking and frame and compound
 // recycling, and pins no slab chunk; on terms from the heap, Detach only
 // resolves.
 type Detacher struct {
-	Env   *Env
-	Subst map[*Var]*Var
-	ren   renaming
+	Env *Env
+	ren renaming
 }
 
 // renaming maps the variables a Detacher renames to their images. The
@@ -277,11 +316,6 @@ func (d *Detacher) Own(image Term, q *Var) {
 
 // Detach copies t out of the run as described on the type.
 func (d *Detacher) Detach(t Term) Term {
-	if v, ok := t.(*Var); ok && d.Subst != nil {
-		if nv, ok := d.Subst[v]; ok {
-			t = nv
-		}
-	}
 	switch t := d.Env.Resolve(t).(type) {
 	case *Var:
 		if nv, ok := d.ren.get(t); ok {
