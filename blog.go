@@ -131,18 +131,17 @@ func ParseGoal(query string) (Goal, error) {
 
 // Program is a loaded logic program with its global weight database. It is
 // safe for concurrent use: queries may run in parallel with each other and
-// with weight-table maintenance (ResetWeights, LoadWeights).
+// with weight-table maintenance (LoadWeights).
 type Program struct {
 	db      *kb.DB
 	queries [][]term.Term // directive queries from the source text
 	// tables is the program's answer-table space for tabled resolution
 	// (predicates declared `:- table name/arity`, queried with Tabled()).
-	// Shared by every query; weight maintenance invalidates it.
+	// Shared by every query; a weight load under a new A reconfigures it.
 	tables *table.Space
 
-	mu     sync.RWMutex // guards global and cfg
+	mu     sync.RWMutex // guards global
 	global *weights.Table
-	cfg    weights.Config
 
 	// journal, once enabled, receives structured engine events (table
 	// lifecycle, VM recompiles, ...); see EnableJournal.
@@ -191,7 +190,6 @@ func LoadString(src string, cfg ...Config) (*Program, error) {
 		db:      db,
 		tables:  table.NewSpace(db, table.Config{MaxDepth: wcfg.A}),
 		global:  weights.NewTable(wcfg),
-		cfg:     wcfg,
 		queries: qs,
 	}, nil
 }
@@ -281,21 +279,11 @@ func (p *Program) Journal() *Journal { return p.journal.Load() }
 // single sequential run reached since process start.
 func PoolHighWater() (frames, compounds int64) { return term.PoolHighWater() }
 
-// ResetWeights discards all learned global weights. Memoized answer
-// tables survive: table fixpoints derive on a uniform store bounded only
-// by the depth coding A, so learned-weight state never reaches a
-// memoized answer set and discarding it cannot stale one.
-func (p *Program) ResetWeights() {
-	p.mu.Lock()
-	p.global = weights.NewTable(p.cfg)
-	p.mu.Unlock()
-}
-
 // LearnedArcs returns the number of arcs with learned global state.
 func (p *Program) LearnedArcs() int { return p.globalStore().Len() }
 
 // globalStore snapshots the current global table under the read lock, so
-// in-flight queries keep a consistent store across ResetWeights/LoadWeights.
+// in-flight queries keep a consistent store across LoadWeights.
 func (p *Program) globalStore() *weights.Table {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -494,36 +482,22 @@ type Answer struct {
 	Depth int
 
 	// view reads the answer: the run's live bindings on the sequential
-	// strategies. Parallel and AndParallel answers cross goroutines as
-	// detached solutions; bindings holds their terms then, and view only
-	// names the query's own variables, with no Env.
-	view     engine.Answer
-	bindings map[string]term.Term
-}
-
-// value is the term Names[i] stands for, read through view.Env.
-func (a Answer) value(i int) term.Term {
-	if a.bindings != nil {
-		return a.bindings[a.Names[i]]
-	}
-	return a.view.Terms[i]
+	// strategies, and on Parallel and AndParallel, whose answers cross
+	// goroutines detached, the query's own variables bound to the
+	// detached values (solve.Run).
+	view engine.Answer
 }
 
 // Value returns the term bound to the variable Names[i], detached: it
 // stays valid after later answers and after the query ends, and a
 // variable that occurs in several values of one answer is one variable
 // in all of them.
-func (a Answer) Value(i int) term.Term {
-	if a.bindings != nil {
-		return a.bindings[a.Names[i]]
-	}
-	return a.view.Value(i)
-}
+func (a Answer) Value(i int) term.Term { return a.view.Value(i) }
 
 // AppendValue appends the text of the term bound to Names[i], as
 // Solution.Bindings holds it.
 func (a Answer) AppendValue(dst []byte, i int) []byte {
-	return term.AppendAnswer(dst, a.value(i), a.view.Env, a.view.Terms)
+	return term.AppendAnswer(dst, a.view.Terms[i], a.view.Env, a.view.Terms)
 }
 
 // AppendText appends exactly what Solution.String prints for this answer:
@@ -549,7 +523,7 @@ func (a Answer) Solution() Solution {
 	b := make(map[string]string, len(a.Names))
 	var buf [64]byte
 	for i, name := range a.Names {
-		switch v := a.view.Env.Resolve(a.value(i)).(type) {
+		switch v := a.view.Env.Resolve(a.view.Terms[i]).(type) {
 		case term.Atom, term.Int:
 			b[name] = v.String() // an atom's interned name: no copy
 		default:
@@ -560,69 +534,28 @@ func (a Answer) Solution() Solution {
 }
 
 // Counters are the work counters every query reports in its Result, under
-// every strategy.
-type Counters struct {
-	// Expanded, Generated, Failures and Pruned count search work.
-	Expanded  uint64
-	Generated uint64
-	Failures  uint64
-	Pruned    uint64
-	// VMDispatched counts goals resolved on the compiled bytecode engine.
-	VMDispatched uint64
-	// OpenMax is the high-water mark of the run's open list (best-first,
-	// BFS, or a DFS recording a tree or trace); zero for a run that keeps
-	// none, on the trail machine.
-	OpenMax int
-	// Tabled-resolution counters (Tabled() runs only): tables this query
-	// materialized, distinct answers it derived, calls served from an
-	// already-complete table, and answers replayed from complete tables
-	// (each one a subgoal re-derivation the untabled engine would redo).
-	TablesCreated        uint64
-	TableAnswers         uint64
-	TableHits            uint64
-	RederivationsAvoided uint64
-	// TablesTruncated counts consumptions of depth-truncated tables: the
-	// answer sets served were cut by the depth bound, so Exhausted=true
-	// carries the same caveat it does for untabled depth cutoffs.
-	TablesTruncated uint64
-	// AnswersSubsumed and AnswersImproved are the answer-subsumption
-	// counters of min(N) tables: derivations dropped because a cheaper
-	// answer was already memoized, and memoized answers replaced by a
-	// strictly cheaper derivation.
-	AnswersSubsumed uint64
-	AnswersImproved uint64
-	// OR-parallel network counters (Parallel runs only): chains workers
-	// took from the network, chains published to it, and migrations — a
-	// worker suspending its run for a cheaper network chain (two-level
-	// scheduling).
-	NetworkAcquires uint64
-	Spills          uint64
-	Migrations      uint64
-	// OR-parallel start-up and grain (Parallel runs only): expansions made
-	// before a second worker took its first chain, and the published
-	// chains drained with the sum and the largest of their expansions.
-	StartupExpanded, GrainCount, GrainSum, GrainMax uint64
-}
-
-// countersFrom fills Counters from the engine's stats and the run's
-// table counters — the one conversion behind every Result.
-func countersFrom(st search.Stats, ts table.Stats) Counters {
-	return Counters{
-		Expanded:             st.Expanded,
-		Generated:            st.Generated,
-		Failures:             st.Failures,
-		Pruned:               st.Pruned,
-		VMDispatched:         st.VMDispatched,
-		OpenMax:              st.OpenMax,
-		TablesCreated:        ts.Created,
-		TableAnswers:         ts.Answers,
-		TableHits:            ts.Hits,
-		RederivationsAvoided: ts.RederivationsAvoided,
-		TablesTruncated:      ts.TablesTruncated,
-		AnswersSubsumed:      ts.AnswersSubsumed,
-		AnswersImproved:      ts.AnswersImproved,
-	}
-}
+// every strategy: one struct from the engines up (solve.Stats).
+//
+//   - Expanded, Generated, Failures, DepthCutoffs, Pruned, MaxDepth and
+//     VMDispatched count search work; the trail machine fills them at its
+//     arrivals, the Env frontier at its pops (best-first, BFS, a
+//     recording DFS), and Parallel and AndParallel sum their workers' and
+//     groups'.
+//   - OpenMax is the high-water mark of the Env frontier's open list;
+//     zero for a run on the trail machine, which keeps none.
+//   - TablesCreated, TableAnswers, TableHits, RederivationsAvoided,
+//     TablesTruncated, AnswersSubsumed and AnswersImproved are Tabled()
+//     runs' table-handle counters (see table.Stats): tables this query
+//     materialized, answers it derived, calls served from complete
+//     tables, answers replayed from them, consumptions of depth-truncated
+//     tables (Exhausted=true carries the same caveat as a depth cutoff),
+//     and the min(N) answer-subsumption pair.
+//   - NetworkAcquires, Spills, Migrations, PerWorkerExpanded,
+//     StartupExpanded and the Grain counters are the OR-parallel
+//     network's (Parallel runs only; see par.NetworkStats).
+//   - Groups and GroupSolutions are an AndParallel run's independent
+//     groups and each group's solution count.
+type Counters = solve.Stats
 
 // Result is the outcome of one Query.
 type Result struct {
@@ -639,8 +572,6 @@ type Result struct {
 	// Spans is the query's span tree when Traced was set: parse, compile
 	// and search phases with table fixpoints and rounds beneath.
 	Spans *Span
-	// Groups is the independent-group count of an AndParallel run.
-	Groups int
 }
 
 // Query parses and runs a query under the given strategy.
@@ -689,10 +620,11 @@ func (p *Program) QueryEach(ctx context.Context, g Goal, strat Strategy, yield f
 
 // Run is the one query path: QueryEach with its Options already folded
 // into s. Query, QueryContext and QueryEach fill Settings from their
-// Options and call it. The sequential strategies are pulled, each answer
-// read from the run's live bindings, and report their Result however the
-// run ends; Parallel and AndParallel answers cross goroutines, so they
-// come from Do detached.
+// Options and call it, and it calls solve.Run once, which chooses the
+// engine. The sequential strategies are pulled, each answer read from the
+// run's live bindings, and report their Result however the run ends;
+// Parallel and AndParallel answers cross goroutines, so they arrive as
+// views over their detached values.
 func (p *Program) Run(ctx context.Context, g Goal, strat Strategy, s *Settings, yield func(Answer) error) (*Result, error) {
 	store := weights.Store(p.globalStore())
 	if s.Session != nil {
@@ -729,63 +661,21 @@ func (p *Program) Run(ctx context.Context, g Goal, strat Strategy, s *Settings, 
 		Prof:          s.Prof,
 		Live:          s.Live,
 	}
-	if strat == Parallel || s.AndParallel {
-		return runDetached(ctx, &req, yield)
-	}
-	it, err := solve.NewIter(ctx, &req)
-	if err != nil {
+	var names []string
+	resp, err := solve.Run(ctx, &req, func(a engine.Answer) error {
+		if names == nil {
+			names = engine.VarNames(a.Vars)
+		}
+		return yield(Answer{Names: names, Bound: a.Bound, Depth: a.Depth, view: a})
+	})
+	if resp == nil {
 		return nil, err
 	}
-	names := engine.VarNames(it.QueryVars())
-	served := 0
-	a, ok, err := it.NextAnswer()
-	for ; ok; a, ok, err = it.NextAnswer() {
-		if err = yield(Answer{Names: names, Bound: a.Bound, Depth: a.Depth, view: a}); err != nil {
-			break
-		}
-		served++
-	}
-	it.EndSearch(served)
-	res := &Result{
-		Counters:  countersFrom(it.Stats(), it.Tables()),
-		Exhausted: it.Exhausted(),
-		Trace:     it.Trace(),
-		Spans:     req.Trace.Finish(),
-	}
-	if t := it.Tree(); t != nil {
-		res.Tree = t.Render()
+	res := &Result{Counters: resp.Stats, Exhausted: resp.Exhausted, Trace: resp.Trace, Spans: req.Trace.Finish()}
+	if resp.Tree != nil {
+		res.Tree = resp.Tree.Render()
 	}
 	return res, err
-}
-
-// runDetached runs a Parallel or AndParallel request through Do and hands
-// out its detached solutions.
-func runDetached(ctx context.Context, req *solve.Request, yield func(Answer) error) (*Result, error) {
-	resp, err := solve.Do(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	names := engine.VarNames(resp.QueryVars)
-	own := make([]term.Term, len(resp.QueryVars))
-	for i, v := range resp.QueryVars {
-		own[i] = v
-	}
-	view := engine.Answer{Terms: own, Vars: resp.QueryVars}
-	for _, s := range resp.Solutions {
-		if err := yield(Answer{Names: names, Bound: s.Bound, Depth: s.Depth, view: view, bindings: s.Bindings}); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{
-		Counters:  countersFrom(resp.Stats.Stats, resp.Stats.Tables),
-		Exhausted: resp.Exhausted,
-		Spans:     req.Trace.Finish(),
-		Groups:    resp.Stats.Groups,
-	}
-	st := &resp.Stats
-	res.NetworkAcquires, res.Spills, res.Migrations = st.NetworkAcquires, st.Spills, st.Migrations
-	res.StartupExpanded, res.GrainCount, res.GrainSum, res.GrainMax = st.StartupExpanded, st.GrainCount, st.GrainSum, st.GrainMax
-	return res, nil
 }
 
 // Session scopes weight learning per section 5: strong updates go to a
@@ -846,7 +736,6 @@ func (p *Program) LoadWeights(r io.Reader) error {
 	}
 	p.mu.Lock()
 	p.global = t
-	p.cfg = t.Config()
 	p.mu.Unlock()
 	// The loaded table's A becomes the program's depth coding, so the
 	// answer-table space must rebuild under the same bound. Reconfigure

@@ -1,6 +1,7 @@
 package blog
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -28,6 +29,20 @@ func loadFig1(t testing.TB) *Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// emptyWeights is the saved form of an empty global weight table with
+// depth constant a: LoadWeights of it resets a Program's learned weights,
+// and reconfigures its table space when a differs from the program's A.
+func emptyWeights(t testing.TB, a int) *bytes.Reader {
+	t.Helper()
+	cfg := weights.DefaultConfig()
+	cfg.A = a
+	var buf bytes.Buffer
+	if _, err := weights.NewTable(cfg).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewReader(buf.Bytes())
 }
 
 func TestLoadAndStats(t *testing.T) {
@@ -100,9 +115,11 @@ func TestLearningAndReset(t *testing.T) {
 	if p.LearnedArcs() == 0 {
 		t.Error("learning should record arcs")
 	}
-	p.ResetWeights()
+	if err := p.LoadWeights(emptyWeights(t, weights.DefaultConfig().A)); err != nil {
+		t.Fatal(err)
+	}
 	if p.LearnedArcs() != 0 {
-		t.Error("reset should clear")
+		t.Error("loading an empty table should clear")
 	}
 }
 
@@ -399,8 +416,10 @@ func TestTabledInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustTables(1)
-	p.ResetWeights()
-	mustTables(1) // weight reset no longer wipes the hot cache
+	if err := p.LoadWeights(emptyWeights(t, weights.DefaultConfig().A)); err != nil {
+		t.Fatal(err)
+	}
+	mustTables(1) // a weight reload under the same A keeps the hot cache
 
 	// A session that learned nothing merges as a no-op.
 	noop := p.NewSession(0)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"blog/internal/weights"
 	"blog/internal/workload"
 )
 
@@ -80,7 +81,7 @@ func TestConcurrentQueriesAllStrategies(t *testing.T) {
 }
 
 // TestConcurrentQueriesWithWeightMaintenance interleaves queries with
-// ResetWeights, the other writer of the Program's global table.
+// LoadWeights, the other writer of the Program's global table.
 func TestConcurrentQueriesWithWeightMaintenance(t *testing.T) {
 	p, err := LoadString(fig1)
 	if err != nil {
@@ -103,7 +104,9 @@ func TestConcurrentQueriesWithWeightMaintenance(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 10; k++ {
-			p.ResetWeights()
+			if err := p.LoadWeights(emptyWeights(t, weights.DefaultConfig().A)); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()
@@ -275,8 +278,9 @@ func sortedSolutionStrings(res *Result) []string {
 // shared table space (run with -race): many goroutines — OR-parallel
 // workers among them — produce and consume the min(3) shortest-path
 // fixpoint of a cyclic weighted graph concurrently, while another
-// goroutine invalidates the space (ResetWeights) to force re-productions
-// to race live consumptions. Every run, under every strategy, must
+// goroutine loads weight tables whose depth constant A alternates, which
+// reconfigures the space — the production invalidation path — to force
+// re-productions to race live consumptions. Every run, under every strategy, must
 // converge to exactly the minimal-cost answer set of an isolated
 // sequential run.
 func TestConcurrentSubsumptionConverges(t *testing.T) {
@@ -331,7 +335,9 @@ func TestConcurrentSubsumptionConverges(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 6; k++ {
-			p.ResetWeights()
+			if err := p.LoadWeights(emptyWeights(t, 64+32*(k%2))); err != nil {
+				t.Error(err)
+			}
 			time.Sleep(time.Millisecond)
 		}
 	}()

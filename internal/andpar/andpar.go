@@ -87,9 +87,9 @@ type Result struct {
 	GroupCount int
 	// GroupSolutions records each group's own solution count.
 	GroupSolutions []int
-	// Stats aggregates search work across groups (counters sum; the
-	// frontier and depth peaks take the maximum over groups).
-	Stats search.Stats
+	// Stats aggregates search work across groups (engine.Stats.Add:
+	// counters sum, the frontier and depth peaks take the maximum).
+	Stats engine.Stats
 	// Exhausted reports that every group searched its whole tree and the
 	// cross product was not truncated by MaxSolutions: the solution list
 	// is complete.
@@ -175,18 +175,7 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 			return nil, errs[gi]
 		}
 		res.GroupSolutions = append(res.GroupSolutions, len(r.Solutions))
-		res.Stats.Expanded += r.Stats.Expanded
-		res.Stats.Generated += r.Stats.Generated
-		res.Stats.Failures += r.Stats.Failures
-		res.Stats.DepthCutoffs += r.Stats.DepthCutoffs
-		res.Stats.Pruned += r.Stats.Pruned
-		res.Stats.VMDispatched += r.Stats.VMDispatched
-		if r.Stats.OpenMax > res.Stats.OpenMax {
-			res.Stats.OpenMax = r.Stats.OpenMax
-		}
-		if r.Stats.MaxDepth > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = r.Stats.MaxDepth
-		}
+		res.Stats.Add(r.Stats)
 		if !r.Exhausted {
 			exhausted = false
 		}

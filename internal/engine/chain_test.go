@@ -40,7 +40,7 @@ var errSuspended = errors.New("suspended")
 // exports a chain — by Split, or by Suspend when suspend is set, which then
 // abandons the run — and whenever the run ends the driver resumes the
 // oldest queued chain on the same scratch, until none is left.
-func drainChains(t *testing.T, src, query string, every int, suspend bool) ([]string, TrailStats, int) {
+func drainChains(t *testing.T, src, query string, every int, suspend bool) ([]string, Stats, int) {
 	t.Helper()
 	db, _, err := kb.LoadString(src)
 	if err != nil {

@@ -566,6 +566,33 @@ func (e *Expander) expandBuiltin(n *Node, goal term.Term, bi *biEntry) ([]*Node,
 	return e.sc.slab.one(e.child(n, n.Goals.Pop(), env, goal, nil)), nil
 }
 
+// Stats are the work counters of a run, the one counter set every engine
+// fills and every layer up to blog.Result carries. A TrailRun fills them
+// at its arrivals, search.Iter on the Env frontier at its pops, and par
+// workers and andpar groups sum theirs with Add.
+type Stats struct {
+	Expanded     uint64 // nodes whose first goal was resolved
+	Generated    uint64 // children created
+	Failures     uint64 // chains that died (no children)
+	DepthCutoffs uint64 // chains cut by the depth bound
+	Pruned       uint64 // chains cut by the branch-and-bound bound
+	OpenMax      int    // peak open-list size on the Env frontier; 0 on the trail machine
+	MaxDepth     int    // deepest chain expanded
+	VMDispatched uint64 // goals resolved on the compiled bytecode path
+}
+
+// Add sums o into s, keeping the larger OpenMax and MaxDepth.
+func (s *Stats) Add(o Stats) {
+	s.Expanded += o.Expanded
+	s.Generated += o.Generated
+	s.Failures += o.Failures
+	s.DepthCutoffs += o.DepthCutoffs
+	s.Pruned += o.Pruned
+	s.OpenMax = max(s.OpenMax, o.OpenMax)
+	s.MaxDepth = max(s.MaxDepth, o.MaxDepth)
+	s.VMDispatched += o.VMDispatched
+}
+
 // Solution is a detached answer (Answer.Solution): the query variables'
 // bindings copied out of the run, and the chain that found them.
 type Solution struct {

@@ -81,17 +81,6 @@ type TrailConfig struct {
 	Live *obs.Live
 }
 
-// TrailStats mirrors the search-level work counters for a trail run.
-type TrailStats struct {
-	Expanded     uint64
-	Generated    uint64
-	Failures     uint64
-	DepthCutoffs uint64
-	Pruned       uint64
-	MaxDepth     int
-	VMDispatched uint64
-}
-
 // errTrailBudget is the fallback when MaxExpansions is hit without a
 // configured BudgetErr.
 var errTrailBudget = errors.New("engine: trail run expansion budget exhausted")
@@ -281,7 +270,7 @@ type TrailRun struct {
 	rootFrame *term.Frame
 	rootBlock []GoalStack
 
-	stats     TrailStats
+	stats     Stats
 	bestBound float64
 	haveBest  bool
 	mode      uint8
@@ -387,7 +376,7 @@ func (r *TrailRun) init(cfg TrailConfig) {
 func (r *TrailRun) QueryVars() []*term.Var { return r.queryVars }
 
 // Stats returns the work counters accumulated so far.
-func (r *TrailRun) Stats() TrailStats { return r.stats }
+func (r *TrailRun) Stats() Stats { return r.stats }
 
 // Exhausted reports that every chain was followed to a solution or
 // failure (meaningful after Next returned ok=false with a nil error).

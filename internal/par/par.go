@@ -98,13 +98,15 @@ type Options struct {
 	Live *obs.Live
 }
 
-// Stats aggregates counters across workers.
+// Stats are a run's counters: the workers' engine counters, summed with
+// engine.Stats.Add, and the network's.
 type Stats struct {
-	Expanded     uint64
-	Generated    uint64
-	Failures     uint64
-	DepthCutoffs uint64
-	Solutions    uint64
+	engine.Stats
+	NetworkStats
+}
+
+// NetworkStats are the counters only the OR-parallel network keeps.
+type NetworkStats struct {
 	// Migrations counts runs suspended into the network by the D rule.
 	Migrations uint64
 	// NetworkAcquires counts chains taken from the network, the root
@@ -115,9 +117,6 @@ type Stats struct {
 	// PerWorkerExpanded records each worker's expansion count, the
 	// utilization-balance signal for experiment E5.
 	PerWorkerExpanded []uint64
-	// VMDispatched counts goals resolved on the compiled bytecode path
-	// across all workers.
-	VMDispatched uint64
 	// StartupExpanded counts the expansions made before a second worker
 	// took its first chain: all of them when none did.
 	StartupExpanded uint64
@@ -212,16 +211,11 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 		}
 		ts := w.run.Stats()
 		res.Stats.PerWorkerExpanded[i] = ts.Expanded
-		res.Stats.Expanded += ts.Expanded
-		res.Stats.Generated += ts.Generated
-		res.Stats.Failures += ts.Failures
-		res.Stats.DepthCutoffs += ts.DepthCutoffs
-		res.Stats.VMDispatched += ts.VMDispatched
+		res.Stats.Add(ts)
 		if !w.panicked {
 			w.run.Release()
 		}
 	}
-	res.Stats.Solutions = uint64(len(res.Solutions))
 	res.Stats.StartupExpanded = res.Stats.Expanded
 	if st.takers >= 2 {
 		res.Stats.StartupExpanded = st.startup

@@ -40,7 +40,7 @@ type Iter struct {
 	// carries the run's context and weight store.
 	exp      engine.Expander
 	frontier frontier
-	stats    Stats
+	stats    engine.Stats
 	maxExp   uint64
 
 	// cur is the solution node the last pull stopped at. terms are the
@@ -147,10 +147,11 @@ func (it *Iter) Trace() []string { return it.trace }
 // QueryVars returns the query's variables in first-occurrence order.
 func (it *Iter) QueryVars() []*term.Var { return it.queryVars }
 
-// Stats returns the work counters accumulated so far.
-func (it *Iter) Stats() Stats {
+// Stats returns the work counters accumulated so far: the trail
+// machine's own, or the ones pull keeps on the Env frontier.
+func (it *Iter) Stats() engine.Stats {
 	if it.trail != nil {
-		return trailStats(it.trail.Stats())
+		return it.trail.Stats()
 	}
 	s := it.stats
 	s.VMDispatched = it.exp.VMDispatched

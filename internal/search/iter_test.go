@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/term"
 	"blog/internal/weights"
@@ -108,7 +109,7 @@ func TestIterMatchesRun(t *testing.T) {
 	for _, want := range pinned {
 		opt := configs[want.config]
 		endings[want.ending](&opt)
-		check := func(how string, sols []string, st Stats, exhausted bool, err error, tab *weights.Table) {
+		check := func(how string, sols []string, st engine.Stats, exhausted bool, err error, tab *weights.Table) {
 			t.Helper()
 			name := want.config + "/" + want.ending + "/" + how
 			if got := strings.Join(sols, " "); got != want.solutions {

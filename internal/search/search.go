@@ -92,22 +92,10 @@ type Options struct {
 // DefaultMaxExpansions stops runaway searches on cyclic programs.
 const DefaultMaxExpansions = 5_000_000
 
-// Stats counts the work a search performed.
-type Stats struct {
-	Expanded     uint64 // nodes whose first goal was resolved
-	Generated    uint64 // children created
-	Failures     uint64 // chains that died (no children)
-	DepthCutoffs uint64 // chains cut by MaxDepth
-	Pruned       uint64 // chains cut by the bound
-	OpenMax      int    // peak open-list size on the Env frontier; 0 on the trail machine
-	MaxDepth     int    // deepest chain expanded
-	VMDispatched uint64 // goals resolved on the compiled bytecode path
-}
-
 // Result is the outcome of a search run.
 type Result struct {
 	Solutions []engine.Solution
-	Stats     Stats
+	Stats     engine.Stats
 	// Exhausted is true when every chain was followed to a solution or
 	// failure, so the solution list is complete (for non-pruned runs). A
 	// run stopped by MaxSolutions is never exhausted; see Iter.Exhausted.
@@ -140,20 +128,6 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	}
 	res.Stats, res.Exhausted, res.Tree, res.Trace = it.Stats(), it.Exhausted(), it.Tree(), it.Trace()
 	return res, err
-}
-
-// trailStats maps the trail machine's counters onto the search Stats
-// shape. The machine keeps no open list, so OpenMax stays 0.
-func trailStats(ts engine.TrailStats) Stats {
-	return Stats{
-		Expanded:     ts.Expanded,
-		Generated:    ts.Generated,
-		Failures:     ts.Failures,
-		DepthCutoffs: ts.DepthCutoffs,
-		Pruned:       ts.Pruned,
-		MaxDepth:     ts.MaxDepth,
-		VMDispatched: ts.VMDispatched,
-	}
 }
 
 // traceLine renders one resolution step in the style of figure 1:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"blog"
 	"blog/internal/metrics"
 )
 
@@ -42,7 +43,8 @@ type serverMetrics struct {
 	parAcquires   metrics.Counter
 	parPublished  metrics.Counter
 	parMigrations metrics.Counter
-	// Its start-up and grain (par.Stats), summed, and the largest grain.
+	// Its start-up and grain (par.NetworkStats), summed, and the largest
+	// grain.
 	parStartup, parGrains, parGrainExp metrics.Counter
 	parGrainMax                        metrics.Max
 
@@ -59,23 +61,12 @@ func newServerMetrics() *serverMetrics {
 }
 
 // tableTotals carries the program table space's cumulative counters and
-// live resource gauges into the exposition.
+// live resource gauges into the exposition, with the process pool
+// high-water marks and the journal's counters.
 type tableTotals struct {
-	active                        int
-	created, answers, hits, reuse uint64
-	subsumed, improved            uint64
-
-	// dirtied/revalidated/extended are the incremental-maintenance
-	// counters: complete tables found stale after an assert, stale tables
-	// re-derived to completion, and those of them re-derived from their
-	// old answers.
-	dirtied, revalidated, extended uint64
-
-	// Live gauges (point-in-time; drop on invalidation): tables by
-	// lifecycle state and the retained answer bytes.
-	producing, complete, truncated, dirty int
-	retainedBytes                         int64
-	// Process pool high-water marks and journal counters.
+	active int
+	blog.TableTotals
+	blog.TableAccounting
 	poolFrames, poolCompounds    int64
 	journalEvents, journalUnseen uint64
 }
@@ -108,21 +99,21 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	line("par_grain_expansions_total", m.parGrainExp.Load())
 	line("par_grain_max", m.parGrainMax.Load())
 	line("open_list_highwater", m.openMax.Load())
-	line("tables_created_total", tt.created)
-	line("table_answers_total", tt.answers)
-	line("table_hits_total", tt.hits)
-	line("rederivations_avoided_total", tt.reuse)
-	line("table_answers_subsumed_total", tt.subsumed)
-	line("table_answers_improved_total", tt.improved)
-	line("tables_dirtied_total", tt.dirtied)
-	line("tables_revalidated_total", tt.revalidated)
-	line("tables_extended_total", tt.extended)
+	line("tables_created_total", tt.Created)
+	line("table_answers_total", tt.TableTotals.Answers)
+	line("table_hits_total", tt.Hits)
+	line("rederivations_avoided_total", tt.RederivationsAvoided)
+	line("table_answers_subsumed_total", tt.Subsumed)
+	line("table_answers_improved_total", tt.Improved)
+	line("tables_dirtied_total", tt.Dirtied)
+	line("tables_revalidated_total", tt.Revalidated)
+	line("tables_extended_total", tt.Extended)
 	line("tables_active", tt.active)
-	line("table_retained_bytes", tt.retainedBytes)
-	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"producing\"} %d\n", tt.producing)
-	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"complete\"} %d\n", tt.complete)
-	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"truncated\"} %d\n", tt.truncated)
-	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"dirty\"} %d\n", tt.dirty)
+	line("table_retained_bytes", tt.RetainedBytes)
+	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"producing\"} %d\n", tt.Producing)
+	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"complete\"} %d\n", tt.Complete)
+	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"truncated\"} %d\n", tt.Truncated)
+	fmt.Fprintf(&b, "blogd_tables_by_state{state=\"dirty\"} %d\n", tt.Dirty)
 	line("pool_frames_highwater", tt.poolFrames)
 	line("pool_compounds_highwater", tt.poolCompounds)
 	line("journal_events_total", tt.journalEvents)

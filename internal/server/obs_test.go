@@ -171,6 +171,47 @@ func TestMetricsHistogram(t *testing.T) {
 	}
 }
 
+// TestMetricsNames pins the exposition's series, in order: every blogd_*
+// line's name and labels, the histogram's buckets as one entry.
+func TestMetricsNames(t *testing.T) {
+	_, ts := newTestServer(t, workload.FamilyTree(2, 2), Config{})
+	_, data := get(t, ts.Client(), ts.URL+"/metrics")
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if b, _, ok := strings.Cut(name, "_bucket{"); ok {
+			name = b + "_bucket"
+		}
+		if len(got) == 0 || got[len(got)-1] != name {
+			got = append(got, name)
+		}
+	}
+	want := []string{
+		"queries_total", "solutions_total", "stream_solutions_total", "rejected_total",
+		"bad_requests_total", "timeouts_total", "cancelled_total", "budget_stops_total",
+		"errors_total", "killed_total", "slow_queries_total", "sessions_created_total",
+		"sessions_ended_total", "sessions_active", "tabled_queries_total", "vm_dispatch_total",
+		"par_network_acquires_total", "par_chains_published_total", "par_migrations_total",
+		"par_startup_expanded_total", "par_grain_chains_total", "par_grain_expansions_total",
+		"par_grain_max", "open_list_highwater", "tables_created_total", "table_answers_total",
+		"table_hits_total", "rederivations_avoided_total", "table_answers_subsumed_total",
+		"table_answers_improved_total", "tables_dirtied_total", "tables_revalidated_total",
+		"tables_extended_total", "tables_active", "table_retained_bytes",
+		`tables_by_state{state="producing"}`, `tables_by_state{state="complete"}`,
+		`tables_by_state{state="truncated"}`, `tables_by_state{state="dirty"}`,
+		"pool_frames_highwater", "pool_compounds_highwater", "journal_events_total",
+		"journal_events_overwritten_total", "in_flight", "queue_depth", "pool_workers",
+		"pool_queue_capacity", "query_duration_seconds_bucket", "query_duration_seconds_sum",
+		"query_duration_seconds_count",
+	}
+	for i := range want {
+		want[i] = "blogd_" + want[i]
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("series\n got %v\nwant %v", got, want)
+	}
+}
+
 // TestMetricsParallelNetwork: the OR-parallel network's traffic, start-up
 // and grain reach /metrics. In a two-worker gf(p0,G) one worker takes the
 // root off the network and publishes its second gf/2 alternative for the

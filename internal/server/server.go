@@ -815,14 +815,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	workers, queueLen := s.pool.Capacity()
 	var tt tableTotals
-	var tot blog.TableTotals
-	tt.active, tot = s.program.TableStats()
-	tt.created, tt.answers, tt.hits, tt.reuse = tot.Created, tot.Answers, tot.Hits, tot.RederivationsAvoided
-	tt.subsumed, tt.improved = tot.Subsumed, tot.Improved
-	tt.dirtied, tt.revalidated, tt.extended = tot.Dirtied, tot.Revalidated, tot.Extended
-	acct := s.program.TableAccounting()
-	tt.producing, tt.complete, tt.truncated, tt.dirty = acct.Producing, acct.Complete, acct.Truncated, acct.Dirty
-	tt.retainedBytes = acct.RetainedBytes
+	tt.active, tt.TableTotals = s.program.TableStats()
+	tt.TableAccounting = s.program.TableAccounting()
 	tt.poolFrames, tt.poolCompounds = blog.PoolHighWater()
 	tt.journalEvents, tt.journalUnseen = s.journal.LastSeq(), s.journal.Overwritten()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -224,7 +224,7 @@ func doOracle(ctx context.Context, req *Request) (*Response, error) {
 	if req.AndParallel {
 		return andParallel(ctx, req, opt)
 	}
-	return sequential(ctx, req, opt)
+	return sequential(ctx, req, opt, nil)
 }
 
 func canonAll(resp *Response) []string {

@@ -49,10 +49,10 @@ func runParallelCase(t *testing.T, src, query string, tabled bool, req Request) 
 // term-inspection programs among them — plus a between/3 program, at 1, 2,
 // 3 and 8 workers, under SharedHeap and under TwoLevel with D=0 and
 // LocalCap 2 (the setting that publishes and migrates most), an exhaustive
-// parallel run finds the same solution multiset
-// with the same Expanded, Generated, Failures, DepthCutoffs and
-// VMDispatched counts: chains move between workers, but no node is lost,
-// repeated or counted twice.
+// parallel run finds the same solution multiset with the same work
+// counters, the whole engine.Stats: chains move between workers, but no
+// node is lost, repeated or counted twice, and a chain carries its depth
+// to the worker that resumes it.
 func TestParallelMatchesDFS(t *testing.T) {
 	type program struct {
 		src     string
@@ -91,10 +91,8 @@ func TestParallelMatchesDFS(t *testing.T) {
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("%s: solutions\n got %v\nwant %v", name, got, want)
 					}
-					ds, ps := dfs.Stats, resp.Stats
-					if ps.Expanded != ds.Expanded || ps.Generated != ds.Generated || ps.Failures != ds.Failures ||
-						ps.DepthCutoffs != ds.DepthCutoffs || ps.VMDispatched != ds.VMDispatched {
-						t.Fatalf("%s: stats\n got %+v\nwant %+v", name, ps.Stats, ds.Stats)
+					if ps, ds := resp.Stats.Stats, dfs.Stats.Stats; ps != ds {
+						t.Fatalf("%s: stats\n got %+v\nwant %+v", name, ps, ds)
 					}
 				}
 			}

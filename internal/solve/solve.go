@@ -5,13 +5,13 @@
 // weighted best-first branch and bound, the OR-parallel processor network,
 // and the section-7 AND-parallel decomposition. This package makes that
 // interchangeability literal: a single Request describes a query run
-// (goals, weight store, strategy, budgets, learning, recording), a single
-// Response carries solutions and unified Stats back, and Do routes the
-// Request to the engine that implements it. The sequential disciplines
-// share one path: search.Run is a drained search.Iter, so Do and NewIter
-// differ only in who pulls. Every run takes a context.Context and honors
-// cancellation and deadlines, which is what lets callers multiplex heavy
-// concurrent query traffic over one Program.
+// (goals, weight store, strategy, budgets, learning, recording), Run
+// routes it to the engine that implements it and hands each answer to the
+// caller as an engine.Answer view, and a single Response carries the
+// unified Stats back — one counter type, engine.Stats, from the machines
+// up. Do is Run collecting every solution. Every run takes a
+// context.Context and honors cancellation and deadlines, which is what
+// lets callers multiplex heavy concurrent query traffic over one Program.
 package solve
 
 import (
@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"blog/internal/andpar"
 	"blog/internal/engine"
@@ -151,36 +152,36 @@ type Request struct {
 	Live  *obs.Live
 }
 
-// Stats is the unified work accounting across every engine: the
-// sequential engine's counters (embedded; a parallel engine fills the ones
-// it keeps) plus the counters only one engine produces, which are zero
+// Stats is the unified work accounting across every engine, the one
+// struct that reaches blog.Result (blog.Counters aliases it): the
+// engines' work counters, filled by whichever engine ran, plus the
+// counters only one engine or the table space produces, which are zero
 // elsewhere (e.g. Migrations outside Parallel, Groups outside
-// AND-parallel).
+// AND-parallel, the table counters on an untabled run).
 type Stats struct {
 	// VMDispatched is zero on a recording run, whose walker labels the
 	// figures.
-	search.Stats
-
-	// OR-parallel network counters; see par.Stats.
-	Migrations        uint64
-	NetworkAcquires   uint64
-	Spills            uint64
-	PerWorkerExpanded []uint64
-	// OR-parallel start-up and grain counters; see par.Stats.
-	StartupExpanded, GrainCount, GrainSum, GrainMax uint64
+	engine.Stats
+	// The OR-parallel network's traffic, start-up and grain; see
+	// par.NetworkStats.
+	par.NetworkStats
+	// The run's tabled-resolution counters (Request.Tables runs only),
+	// read off its table handle; see table.Stats.
+	TableStats
 
 	// AND-parallel decomposition counters.
 	Groups         int
 	GroupSolutions []int
-
-	// Tables holds the run's tabled-resolution counters (Request.Tables
-	// runs only), read off its table handle; see table.Stats.
-	Tables table.Stats
 }
+
+// TableStats names table.Stats for embedding beside engine.Stats.
+type TableStats = table.Stats
 
 // Response is the unified outcome of a Request.
 type Response struct {
-	// Solutions carry bindings, bound, depth and the decision chain.
+	// Solutions carry bindings, bound, depth and the decision chain: every
+	// solution of a run Do collects, and the detached ones Parallel and
+	// AndParallel return (a sequential run handed to a yield keeps none).
 	Solutions []engine.Solution
 	// QueryVars are the query's variables in first-occurrence order (the
 	// rendering order for bindings).
@@ -194,15 +195,25 @@ type Response struct {
 	Tree *search.Tree
 	// Trace holds figure-1 style lines when Request.RecordTrace was set.
 	Trace []string
+
+	answers int // handed out, for the search span's count
 }
 
-// Do validates req, runs it on the engine that implements it — the
+// Run validates req and runs it on the engine that implements it — the
 // OR-parallel network for Parallel, independent-group decomposition when
-// AndParallel is set, the sequential engine otherwise — and returns the
-// unified Response. It is the single entry point the blog facade uses for
-// every strategy. The table handle, the trace phases and the table
-// counters wrap every engine the same way.
-func Do(ctx context.Context, req *Request) (*Response, error) {
+// AndParallel is set, the sequential engine otherwise — handing each
+// answer to yield. It is the one place that chooses the engine; the table
+// handle, the trace phases and the table counters wrap every engine the
+// same way.
+//
+// A sequential run is pulled from one search.Iter, each answer a view
+// over the run's live bindings, valid during its yield; it returns its
+// Response beside any error, with the counters of the work done. Parallel
+// and AndParallel answers cross goroutines, so they are yielded after the
+// run, each a view over its detached values, and a failed run returns no
+// Response. A non-nil error from yield stops the run and is returned. A
+// nil yield collects every answer detached into Response.Solutions.
+func Run(ctx context.Context, req *Request, yield func(engine.Answer) error) (*Response, error) {
 	if err := validate(req); err != nil {
 		return nil, err
 	}
@@ -220,68 +231,61 @@ func Do(ctx context.Context, req *Request) (*Response, error) {
 	case req.AndParallel:
 		resp, err = andParallel(ctx, req, searchOptions(req, tb))
 	default:
-		resp, err = sequential(ctx, req, searchOptions(req, tb))
+		resp, err = sequential(ctx, req, searchOptions(req, tb), yield)
 	}
-	if err != nil {
+	if resp == nil {
 		return nil, err
 	}
 	if th != nil {
-		resp.Stats.Tables = th.Stats()
+		resp.Stats.TableStats = th.Stats()
 	}
-	closeSearch(ssp, resp.Stats.Stats, len(resp.Solutions))
+	closeSearch(ssp, resp)
+	// Only the engines that cross goroutines hand solutions back here.
+	if yield != nil && len(resp.Solutions) > 0 {
+		if err := yieldDetached(resp, yield); err != nil {
+			return nil, err
+		}
+	}
+	return resp, err
+}
+
+// Do is Run collecting every solution, detached, into the Response; an
+// error comes with a nil Response.
+func Do(ctx context.Context, req *Request) (*Response, error) {
+	resp, err := Run(ctx, req, nil)
+	if err != nil {
+		return nil, err
+	}
 	return resp, nil
 }
 
-// Iter is a sequential run its caller pulls: the search iterator inside
-// what Do wraps every engine in — the run's table handle and the trace's
-// search phase.
-type Iter struct {
-	search.Iter
-	tables *table.Handle // nil for untabled runs
-	span   *obs.Span     // the search phase; nil when untraced
+// yieldDetached hands out the solutions a run returned detached, each as
+// a view whose Terms are the query's own variables, bound in a fresh Env
+// to the solution's values, so it renders and detaches as a live view
+// does. The Envs are carved from one term.Cells, a few chunks per run.
+func yieldDetached(resp *Response, yield func(engine.Answer) error) error {
+	own := make([]term.Term, len(resp.QueryVars))
+	for i, v := range resp.QueryVars {
+		own[i] = v
+	}
+	var cells term.Cells
+	for _, s := range resp.Solutions {
+		env := cells.Root()
+		for _, v := range resp.QueryVars {
+			if t := s.Bindings[v.String()]; t != nil && t != term.Term(v) {
+				env = env.Bind(v, t)
+			}
+		}
+		if err := yield(engine.Answer{Bound: s.Bound, Depth: s.Depth, Env: env, Terms: own, Vars: resp.QueryVars}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
-
-// NewIter prepares a lazy, pull-based run for req: the blog facade's
-// sequential path, which hands each answer to its caller as the run finds
-// it, and the same path Do's sequential runs drain. Sequential runs only;
-// Parallel and AndParallel are rejected. Tree and trace recording work exactly as in
-// Do: recording routes DFS onto the persistent-Env frontier, and the
-// recorded tree/trace grow as solutions are pulled. A traced run's
-// "search" phase stays open across pulls, table fixpoints nesting beneath
-// it, until EndSearch or obs.Trace.Finish closes it.
-func NewIter(ctx context.Context, req *Request) (*Iter, error) {
-	if err := validate(req); err != nil {
-		return nil, err
-	}
-	if req.Strategy == Parallel || req.AndParallel {
-		return nil, errors.New("solve: streaming requires a sequential, non-AND-parallel run")
-	}
-	it := new(Iter)
-	var tb engine.Tabler
-	it.tables, tb = tabler(req)
-	compilePhase(req)
-	it.span = searchPhase(req)
-	if err := it.Init(ctx, req.DB, req.Store, req.Goals, searchOptions(req, tb)); err != nil {
-		return nil, err
-	}
-	return it, nil
-}
-
-// Tables returns the run's tabled-resolution counters so far, zero for an
-// untabled run.
-func (it *Iter) Tables() table.Stats {
-	if it.tables == nil {
-		return table.Stats{}
-	}
-	return it.tables.Stats()
-}
-
-// EndSearch closes the search phase as Do closes it, stamped with the
-// run's counts and the solutions served.
-func (it *Iter) EndSearch(served int) { closeSearch(it.span, it.Stats(), served) }
 
 // searchOptions is the one translation of a Request into the sequential
-// engine's options, shared by Do, NewIter and the AND-parallel groups.
+// engine's options, shared by the sequential runs and the AND-parallel
+// groups.
 func searchOptions(req *Request, tb engine.Tabler) search.Options {
 	return search.Options{
 		Strategy:      req.Strategy.searchStrategy(),
@@ -342,14 +346,14 @@ func searchPhase(req *Request) *obs.Span {
 	return req.Trace.Phase("search")
 }
 
-func closeSearch(sp *obs.Span, st search.Stats, solutions int) {
+func closeSearch(sp *obs.Span, resp *Response) {
 	if sp == nil {
 		return
 	}
-	sp.SetCount("expanded", int64(st.Expanded))
-	sp.SetCount("solutions", int64(solutions))
-	if st.OpenMax > 0 {
-		sp.SetCount("open_max", int64(st.OpenMax))
+	sp.SetCount("expanded", int64(resp.Stats.Expanded))
+	sp.SetCount("solutions", int64(resp.answers))
+	if resp.Stats.OpenMax > 0 {
+		sp.SetCount("open_max", int64(resp.Stats.OpenMax))
 	}
 	sp.End()
 }
@@ -376,22 +380,41 @@ func validate(req *Request) error {
 	return nil
 }
 
-// sequential runs the single-threaded engine under opt: DFS, BFS and
-// BestFirst, driven by package search.
-func sequential(ctx context.Context, req *Request, opt search.Options) (*Response, error) {
-	sres, err := search.Run(ctx, req.DB, req.Store, req.Goals, opt)
-	if err != nil {
+// sequential runs DFS, BFS and BestFirst, pulled from one search.Iter:
+// each answer goes to yield as a view over the run's live bindings, or,
+// when yield is nil, into Solutions detached.
+func sequential(ctx context.Context, req *Request, opt search.Options, yield func(engine.Answer) error) (*Response, error) {
+	it := iters.Get().(*search.Iter)
+	defer iters.Put(it)
+	if err := it.Init(ctx, req.DB, req.Store, req.Goals, opt); err != nil {
 		return nil, err
 	}
-	return &Response{
-		Solutions: sres.Solutions,
-		QueryVars: sres.QueryVars,
-		Stats:     Stats{Stats: sres.Stats},
-		Exhausted: sres.Exhausted,
-		Tree:      sres.Tree,
-		Trace:     sres.Trace,
-	}, nil
+	resp := &Response{QueryVars: it.QueryVars()}
+	var err error
+	if yield == nil {
+		s, ok, e := it.Next()
+		for ; ok; s, ok, e = it.Next() {
+			resp.Solutions = append(resp.Solutions, s)
+		}
+		err, resp.answers = e, len(resp.Solutions)
+	} else {
+		a, ok, e := it.NextAnswer()
+		for ; ok; a, ok, e = it.NextAnswer() {
+			if e = yield(a); e != nil {
+				break
+			}
+			resp.answers++
+		}
+		err = e
+	}
+	resp.Stats.Stats, resp.Exhausted, resp.Tree, resp.Trace = it.Stats(), it.Exhausted(), it.Tree(), it.Trace()
+	return resp, err
 }
+
+// iters recycles the sequential runs' iterators, which the views they
+// lend would otherwise move to the heap one per run. Init resets every
+// field, and no view outlives the yield it was lent to.
+var iters = sync.Pool{New: func() any { return new(search.Iter) }}
 
 // orParallel runs the OR-parallel engine of sections 3 and 6: n goroutine
 // workers running trail-store segments and trading chains through the
@@ -423,24 +446,9 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 	return &Response{
 		Solutions: pres.Solutions,
 		QueryVars: pres.QueryVars,
-		Stats: Stats{
-			Stats: search.Stats{
-				Expanded:     pres.Stats.Expanded,
-				Generated:    pres.Stats.Generated,
-				Failures:     pres.Stats.Failures,
-				DepthCutoffs: pres.Stats.DepthCutoffs,
-				VMDispatched: pres.Stats.VMDispatched,
-			},
-			Migrations:        pres.Stats.Migrations,
-			NetworkAcquires:   pres.Stats.NetworkAcquires,
-			Spills:            pres.Stats.Spills,
-			PerWorkerExpanded: pres.Stats.PerWorkerExpanded,
-			StartupExpanded:   pres.Stats.StartupExpanded,
-			GrainCount:        pres.Stats.GrainCount,
-			GrainSum:          pres.Stats.GrainSum,
-			GrainMax:          pres.Stats.GrainMax,
-		},
+		Stats:     Stats{Stats: pres.Stats.Stats, NetworkStats: pres.Stats.NetworkStats},
 		Exhausted: pres.Exhausted,
+		answers:   len(pres.Solutions),
 	}, nil
 }
 
@@ -464,6 +472,7 @@ func andParallel(ctx context.Context, req *Request, group search.Options) (*Resp
 		QueryVars: ares.QueryVars,
 		Stats:     Stats{Stats: ares.Stats, Groups: ares.GroupCount, GroupSolutions: ares.GroupSolutions},
 		Exhausted: ares.Exhausted,
+		answers:   len(ares.Solutions),
 	}, nil
 }
 

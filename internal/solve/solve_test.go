@@ -3,9 +3,12 @@ package solve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
+	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
 	"blog/internal/term"
@@ -235,44 +238,47 @@ func TestParallelSolutionsStableOrder(t *testing.T) {
 	}
 }
 
-func TestNewIterStreams(t *testing.T) {
+// TestRunStreams: Run hands every strategy's answers to its yield, the
+// sequential ones as live views and the parallel ones as views over their
+// detached values, and both render the same text.
+func TestRunStreams(t *testing.T) {
 	db := load(t, familySrc)
-	it, err := NewIter(context.Background(), req(t, db, "gf(sam,G)", DFS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for {
-		_, ok, err := it.Next()
+	var want []string
+	for _, strat := range []Strategy{DFS, Parallel} {
+		var got []string
+		resp, err := Run(context.Background(), req(t, db, "gf(sam,G)", strat), func(a engine.Answer) error {
+			got = append(got, string(term.AppendAnswer(nil, a.Terms[0], a.Env, a.Terms)))
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		if len(got) == 0 || !resp.Exhausted {
+			t.Fatalf("%v: %d answers, exhausted=%v", strat, len(got), resp.Exhausted)
 		}
-		n++
-	}
-	if n == 0 {
-		t.Error("iterator produced no solutions")
-	}
-	if _, err := NewIter(context.Background(), req(t, db, "gf(sam,G)", Parallel)); err == nil {
-		t.Error("parallel streaming must be rejected")
+		if strat == DFS {
+			want = got
+			sort.Strings(want)
+			continue
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: answers %v, want %v", strat, got, want)
+		}
 	}
 }
 
-func TestNewIterCancelled(t *testing.T) {
+// TestRunCancelled: a sequential run reports its Response beside the
+// context's error.
+func TestRunCancelled(t *testing.T) {
 	db := load(t, "loop :- loop.\n")
 	r := req(t, db, "loop", DFS)
 	r.MaxDepth = 1 << 20
 	r.MaxExpansions = 1 << 62
 	ctx, cancel := context.WithCancel(context.Background())
-	it, err := NewIter(ctx, r)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancel()
-	if _, ok, err := it.Next(); ok || !errors.Is(err, context.Canceled) {
-		t.Errorf("Next after cancel: ok=%v err=%v", ok, err)
+	resp, err := Run(ctx, r, func(engine.Answer) error { return nil })
+	if resp == nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("Run after cancel: resp=%v err=%v", resp, err)
 	}
 }
 
@@ -322,9 +328,9 @@ func TestAndParallelRespectsSearchStrategy(t *testing.T) {
 	}
 }
 
-// TestNewIterHonorsPrune: streaming requests no longer silently drop the
-// branch-and-bound switches (ROADMAP item from PR 2 review).
-func TestNewIterHonorsPrune(t *testing.T) {
+// TestRunHonorsPrune: a yielded run keeps the branch-and-bound switches
+// and reports the chains they cut.
+func TestRunHonorsPrune(t *testing.T) {
 	src := `
 top(X) :- cheap(X).
 top(X) :- d1(X).
@@ -336,57 +342,36 @@ d3(b).
 	db := load(t, src)
 	r := req(t, db, "top(X)", DFS)
 	r.Prune = true
-	it, err := NewIter(context.Background(), r)
+	var n int
+	resp, err := Run(context.Background(), r, func(engine.Answer) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
 	if n != 1 {
-		t.Errorf("pruned stream served %d solutions, want 1", n)
+		t.Errorf("pruned run yielded %d answers, want 1", n)
 	}
-	if it.Stats().Pruned == 0 {
-		t.Error("streaming run should report pruned chains")
+	if resp.Stats.Pruned == 0 {
+		t.Error("pruned run should report pruned chains")
 	}
 }
 
-// TestNewIterRecords: tree/trace recording works on streaming requests
-// exactly as on batch ones — recording routes DFS onto the
-// persistent-Env frontier and the records grow as the stream is pulled.
-// (Replaces the PR 2 rejection, which made Iter the one API recording
-// didn't reach.)
-func TestNewIterRecords(t *testing.T) {
+// TestRunRecords: tree and trace recording work on a yielded run exactly
+// as on a collected one — recording routes DFS onto the persistent-Env
+// frontier and the records grow as the run is pulled.
+func TestRunRecords(t *testing.T) {
 	db := load(t, familySrc)
 	r := req(t, db, "gf(sam,G)", DFS)
 	r.RecordTree = true
 	r.RecordTrace = true
-	it, err := NewIter(context.Background(), r)
+	resp, err := Run(context.Background(), r, func(engine.Answer) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if resp.Tree == nil {
+		t.Error("RecordTree on a yielded run produced no tree")
 	}
-	if it.Tree() == nil {
-		t.Error("RecordTree on a streaming request produced no tree")
-	}
-	if len(it.Trace()) == 0 {
-		t.Error("RecordTrace on a streaming request produced no lines")
+	if len(resp.Trace) == 0 {
+		t.Error("RecordTrace on a yielded run produced no lines")
 	}
 }
 

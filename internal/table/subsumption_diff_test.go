@@ -147,11 +147,11 @@ func TestSubsumptionCountersSurfaceThroughSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats.Tables.AnswersSubsumed == 0 {
+	if resp.Stats.AnswersSubsumed == 0 {
 		t.Fatalf("stats = %+v, want AnswersSubsumed > 0 on a cyclic weighted fixpoint", resp.Stats)
 	}
 	tot := sp.Totals()
-	if tot.Subsumed == 0 || tot.Subsumed != resp.Stats.Tables.AnswersSubsumed || tot.Improved != resp.Stats.Tables.AnswersImproved {
+	if tot.Subsumed == 0 || tot.Subsumed != resp.Stats.AnswersSubsumed || tot.Improved != resp.Stats.AnswersImproved {
 		t.Fatalf("space totals %+v disagree with query stats %+v", tot, resp.Stats)
 	}
 }

@@ -753,12 +753,12 @@ func (s *Space) markComplete(group map[string]*Table, deps []dep) (stale bool) {
 
 // Stats are the per-query tabled-resolution counters of one Handle.
 type Stats struct {
-	// Created counts tables this query materialized.
-	Created uint64
-	// Answers counts distinct answers this query derived into tables.
-	Answers uint64
-	// Hits counts tabled calls served from an already-complete table.
-	Hits uint64
+	// TablesCreated counts tables this query materialized.
+	TablesCreated uint64
+	// TableAnswers counts distinct answers this query derived into tables.
+	TableAnswers uint64
+	// TableHits counts tabled calls served from an already-complete table.
+	TableHits uint64
 	// RederivationsAvoided counts answers replayed from complete tables —
 	// each one a subgoal derivation the untabled engine would have redone.
 	RederivationsAvoided uint64
@@ -821,9 +821,9 @@ func (h *Handle) SetTrace(tr *obs.Trace) { h.trace = tr }
 // Stats returns the counters this handle accumulated.
 func (h *Handle) Stats() Stats {
 	return Stats{
-		Created:              h.created.Load(),
-		Answers:              h.answers.Load(),
-		Hits:                 h.hits.Load(),
+		TablesCreated:        h.created.Load(),
+		TableAnswers:         h.answers.Load(),
+		TableHits:            h.hits.Load(),
 		RederivationsAvoided: h.reuse.Load(),
 		TablesTruncated:      h.truncated.Load(),
 		AnswersSubsumed:      h.subsumed.Load(),

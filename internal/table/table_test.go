@@ -105,7 +105,7 @@ func TestVariantReuseAndCounters(t *testing.T) {
 		t.Fatalf("first run: %d solutions", len(res.Solutions))
 	}
 	s1 := h1.Stats()
-	if s1.Created != 1 || s1.Answers != 4 || s1.Hits != 0 {
+	if s1.TablesCreated != 1 || s1.TableAnswers != 4 || s1.TableHits != 0 {
 		t.Fatalf("first run stats = %+v, want 1 table, 4 answers, 0 hits", s1)
 	}
 
@@ -114,7 +114,7 @@ func TestVariantReuseAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := h2.Stats()
-	if s2.Created != 0 || s2.Hits != 1 || s2.RederivationsAvoided != 4 {
+	if s2.TablesCreated != 0 || s2.TableHits != 1 || s2.RederivationsAvoided != 4 {
 		t.Fatalf("second run stats = %+v, want 0 created, 1 hit, 4 rederivations avoided", s2)
 	}
 
@@ -123,7 +123,7 @@ func TestVariantReuseAndCounters(t *testing.T) {
 	if _, err := search.Run(context.Background(), db, weights.NewUniform(weights.DefaultConfig()), q(t, "path(b, R)"), search.Options{Strategy: search.DFS, Tabler: h3}); err != nil {
 		t.Fatal(err)
 	}
-	if s3 := h3.Stats(); s3.Created != 1 {
+	if s3 := h3.Stats(); s3.TablesCreated != 1 {
 		t.Fatalf("variant run stats = %+v, want 1 created", s3)
 	}
 	if n := sp.Len(); n != 2 {
@@ -182,7 +182,7 @@ func TestInvalidateRebuilds(t *testing.T) {
 	if _, err := search.Run(context.Background(), db, weights.NewUniform(weights.DefaultConfig()), q(t, "path(a, R)"), search.Options{Strategy: search.DFS, Tabler: h}); err != nil {
 		t.Fatal(err)
 	}
-	if s := h.Stats(); s.Created != 1 || s.Answers != 4 {
+	if s := h.Stats(); s.TablesCreated != 1 || s.TableAnswers != 4 {
 		t.Fatalf("post-invalidate stats = %+v, want recomputation", s)
 	}
 	tot := sp.Totals()
@@ -348,7 +348,7 @@ func TestDepthTruncationIsFlagged(t *testing.T) {
 	if len(res2.Solutions) != 1 {
 		t.Fatalf("deep query found %d answers, want 1", len(res2.Solutions))
 	}
-	if s2 := h2.Stats(); s2.Created != 1 || s2.TablesTruncated != 0 {
+	if s2 := h2.Stats(); s2.TablesCreated != 1 || s2.TablesTruncated != 0 {
 		t.Fatalf("deep query stats = %+v, want a fresh untruncated production", s2)
 	}
 

@@ -1,10 +1,16 @@
 package blog
 
 import (
+	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"blog/internal/engine"
+	"blog/internal/par"
+	"blog/internal/solve"
 	"blog/internal/workload"
 )
 
@@ -131,6 +137,98 @@ func TestProfileCountsExact(t *testing.T) {
 					exp, vmd, res.Expanded, res.VMDispatched)
 			}
 		})
+	}
+}
+
+// TestCountersCrossTheFacade holds every counter a Result carries to the
+// one solve.Do reports for the same request on a fresh copy of the
+// program: the engine counters whole, the table counters whole, and the
+// AND-parallel group counts. The network counters depend on scheduling,
+// so they are only checked to be nonzero where a row publishes and zero
+// elsewhere. Each row names an engine counter it must make nonzero, one a
+// dropped copy on its path would lose (Pruned on the trail machine,
+// OpenMax summed over AND-parallel groups, MaxDepth over parallel
+// workers), and every engine counter is nonzero on some row.
+func TestCountersCrossTheFacade(t *testing.T) {
+	queens, cyclic := workload.NQueens, workload.WeightedCyclic(12, 6, 9)
+	rows := []struct {
+		name, src, goal string
+		strat           Strategy
+		set             Settings
+		must            string
+	}{
+		{"dfs prune", queens, "queens(5,Qs)", DFS, Settings{Prune: true}, "Pruned"},
+		{"dfs depth cut", queens, "queens(5,Qs)", DFS, Settings{MaxDepth: 12}, "DepthCutoffs"},
+		{"bfs", queens, "queens(4,Qs)", BFS, Settings{}, "OpenMax"},
+		{"best", queens, "queens(5,Qs)", BestFirst, Settings{}, "OpenMax"},
+		{"parallel", queens, "queens(5,Qs)", Parallel, Settings{Workers: 2}, "MaxDepth"},
+		{"parallel two-level", queens, "queens(5,Qs)", Parallel, Settings{Workers: 3, TwoLevel: true}, "VMDispatched"},
+		{"and-parallel", queens, "queens(4,A), queens(4,B)", BFS, Settings{AndParallel: true}, "OpenMax"},
+		{"tabled", cyclic, "shortest(v0, Z, C), shortest(v0, Y, D)", DFS, Settings{Tabled: true}, "Generated"},
+	}
+	var seen engine.Stats
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			facade, err := LoadString(r.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ParseGoal(r.goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := facade.Run(context.Background(), g, r.strat, &r.set, func(Answer) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := LoadString(r.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := solve.Request{
+				DB: p.db, Store: p.globalStore(), Goals: g.goals, Strategy: r.strat,
+				AndParallel: r.set.AndParallel, MaxDepth: r.set.MaxDepth, Prune: r.set.Prune,
+				Workers: r.set.Workers, TwoLevel: r.set.TwoLevel,
+			}
+			if r.set.Tabled {
+				req.Tables = p.tables
+			}
+			resp, err := solve.Do(context.Background(), &req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := resp.Stats
+			if res.Counters.Stats != want.Stats {
+				t.Errorf("engine counters\n got %+v\nwant %+v", res.Counters.Stats, want.Stats)
+			}
+			if res.TableStats != want.TableStats {
+				t.Errorf("table counters\n got %+v\nwant %+v", res.TableStats, want.TableStats)
+			}
+			if res.Groups != want.Groups || !slices.Equal(res.GroupSolutions, want.GroupSolutions) {
+				t.Errorf("groups %d %v, want %d %v", res.Groups, res.GroupSolutions, want.Groups, want.GroupSolutions)
+			}
+			if r.strat == Parallel {
+				if res.NetworkAcquires == 0 || len(res.PerWorkerExpanded) != r.set.Workers {
+					t.Errorf("network counters %+v on %d workers", res.NetworkStats, r.set.Workers)
+				}
+			} else if !reflect.DeepEqual(res.NetworkStats, par.NetworkStats{}) {
+				t.Errorf("a %v run published network counters %+v", r.strat, res.NetworkStats)
+			}
+			if reflect.ValueOf(res.Counters.Stats).FieldByName(r.must).IsZero() {
+				t.Errorf("%s is zero: %+v", r.must, res.Counters.Stats)
+			}
+			seen.Add(res.Counters.Stats)
+			if ts := res.TableStats; r.set.Tabled && (ts.TablesCreated == 0 || ts.TableAnswers == 0 ||
+				ts.TableHits == 0 || ts.RederivationsAvoided == 0 || ts.AnswersSubsumed == 0) {
+				t.Errorf("table counters %+v: want creation, answers, hits, replays and subsumption", ts)
+			}
+		})
+	}
+	v := reflect.ValueOf(seen)
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Errorf("no row made %s nonzero", v.Type().Field(i).Name)
+		}
 	}
 }
 
