@@ -67,25 +67,25 @@ import (
 )
 
 // Strategy selects the search discipline for Query. It aliases the
-// canonical enum of the solver runtime, so the facade adds no mapping of
-// its own.
-type Strategy = solve.Strategy
+// system's one strategy enum (search.Strategy), so the facade adds no
+// mapping of its own.
+type Strategy = search.Strategy
 
 const (
 	// DFS is Prolog's depth-first, source-order search.
-	DFS = solve.DFS
+	DFS = search.DFS
 	// BFS is breadth-first search.
-	BFS = solve.BFS
+	BFS = search.BFS
 	// BestFirst is B-LOG's weighted best-first branch and bound.
-	BestFirst = solve.BestFirst
+	BestFirst = search.BestFirst
 	// Parallel is the OR-parallel engine: goroutine workers running
 	// trail-store segments that trade detached chains.
-	Parallel = solve.Parallel
+	Parallel = search.Parallel
 )
 
 // ParseStrategy resolves the textual strategy names used by the CLI and
 // REPL: dfs, bfs, best (or best-first), parallel.
-func ParseStrategy(name string) (Strategy, error) { return solve.ParseStrategy(name) }
+func ParseStrategy(name string) (Strategy, error) { return search.ParseStrategy(name) }
 
 // ErrBudget reports that a query hit its expansion budget before the tree
 // was exhausted; callers such as the query server map it to a distinct

@@ -2,9 +2,13 @@ package blog
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"blog/internal/engine"
+	"blog/internal/search"
+	"blog/internal/table"
 	"blog/internal/weights"
 )
 
@@ -272,6 +276,20 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if Strategy(9).String() != "Strategy(9)" {
 		t.Error("unknown strategy")
+	}
+}
+
+// TestOneBudgetSentinel pins the budget stops to one sentinel: the
+// trail machine's, which search, the table space and the facade share.
+func TestOneBudgetSentinel(t *testing.T) {
+	if ErrBudget != engine.ErrBudget || search.ErrBudget != engine.ErrBudget {
+		t.Error("the facade and search must report the engine's budget sentinel")
+	}
+	if !errors.Is(table.ErrBudget, ErrBudget) {
+		t.Error("a table's budget stop must classify as the facade's ErrBudget")
+	}
+	if got := ErrBudget.Error(); got != "search: expansion budget exhausted" {
+		t.Errorf("ErrBudget text = %q", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"blog/internal/engine"
@@ -75,10 +76,10 @@ func Groups(env *term.Env, goals []term.Term) [][]int {
 
 // Result is the outcome of an AND-parallel conjunction evaluation.
 type Result struct {
-	// Solutions are the combined conjunction answers. Bindings merge the
-	// groups' (variable-disjoint) maps; Bound and Depth sum across the
-	// combined groups' chains and Chain concatenates them in group order,
-	// so a combined solution reports the same cost accounting a sequential
+	// Solutions are the combined conjunction answers, each group's values
+	// placed at its variables' positions in QueryVars (the groups share
+	// none); Bound and Depth sum across the combined groups' chains, so a
+	// combined solution reports the same cost accounting a sequential
 	// search of the whole conjunction would.
 	Solutions []engine.Solution
 	// QueryVars are the conjunction's variables in first-occurrence order.
@@ -181,9 +182,13 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 		}
 	}
 
-	// Cross product. Groups are variable-disjoint, so bindings merge
-	// cleanly; bounds/depths add and chains concatenate.
-	combined := []engine.Solution{{Bindings: map[string]term.Term{}}}
+	// Cross product. Groups are variable-disjoint, so each fills its own
+	// positions of the conjunction's values; bounds and depths add.
+	pos := make(map[*term.Var]int, len(res.QueryVars))
+	for i, v := range res.QueryVars {
+		pos[v] = i
+	}
+	combined := []engine.Solution{{Values: make([]term.Term, len(res.QueryVars))}}
 	for gi, r := range outs {
 		if len(r.Solutions) == 0 {
 			res.Exhausted = exhausted // a proven failure is still complete
@@ -193,21 +198,11 @@ func Solve(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, 
 	cross:
 		for _, base := range combined {
 			for _, add := range r.Solutions {
-				m := make(map[string]term.Term, len(base.Bindings)+len(add.Bindings))
-				for k, v := range base.Bindings {
-					m[k] = v
+				vals := slices.Clone(base.Values)
+				for j, v := range r.QueryVars {
+					vals[pos[v]] = add.Values[j]
 				}
-				for k, v := range add.Bindings {
-					m[k] = v
-				}
-				chain := make([]kb.Arc, 0, len(base.Chain)+len(add.Chain))
-				chain = append(append(chain, base.Chain...), add.Chain...)
-				next = append(next, engine.Solution{
-					Bindings: m,
-					Bound:    base.Bound + add.Bound,
-					Depth:    base.Depth + add.Depth,
-					Chain:    chain,
-				})
+				next = append(next, engine.Solution{Values: vals, Bound: base.Bound + add.Bound, Depth: base.Depth + add.Depth})
 				if opt.MaxSolutions > 0 && len(next) >= opt.MaxSolutions && gi == len(groups)-1 {
 					break cross
 				}

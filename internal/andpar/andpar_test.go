@@ -110,7 +110,7 @@ func TestSolveIndependentCrossProduct(t *testing.T) {
 		// Every solution binds both X and Y.
 		seen := map[string]bool{}
 		for _, s := range res.Solutions {
-			seen[s.Bindings["X"].String()+"/"+s.Bindings["Y"].String()] = true
+			seen[s.Values[0].String()+"/"+s.Values[1].String()] = true
 		}
 		if len(seen) != 6 {
 			t.Errorf("distinct combinations = %d", len(seen))

@@ -227,7 +227,7 @@ func runBiDiff(t *testing.T, cfg biDiffConfig, src, query string) ([]string, err
 		r := NewTrailRun(TrailConfig{DB: db, Weights: ws}, goals)
 		defer r.Release()
 		for {
-			sol, ok, err := r.Next()
+			sol, ok, err := nextSolution(r)
 			if !ok {
 				return answers, err
 			}
@@ -259,6 +259,15 @@ func runBiDiff(t *testing.T, cfg biDiffConfig, src, query string) ([]string, err
 	return answers, nil
 }
 
+// nextSolution advances r to its next solution and detaches it.
+func nextSolution(r *TrailRun) (Solution, bool, error) {
+	ok, err := r.Advance()
+	if !ok {
+		return Solution{}, false, err
+	}
+	return r.Answer().Solution(), true, nil
+}
+
 func canonAnswer(s Solution, qvars []*term.Var) string {
 	if len(qvars) == 0 {
 		return "true"
@@ -283,7 +292,7 @@ func canonAnswer(s Solution, qvars []*term.Var) string {
 	}
 	parts := make([]string, len(qvars))
 	for i, v := range qvars {
-		parts[i] = fmt.Sprintf("%s = %s", v, rename(s.Bindings[v.String()]))
+		parts[i] = fmt.Sprintf("%s = %s", v, rename(s.Values[i]))
 	}
 	return strings.Join(parts, ", ")
 }
@@ -374,7 +383,7 @@ func TestBuiltinErrorThenPooledReuse(t *testing.T) {
 	for attempt := 0; attempt < 100; attempt++ {
 		bad := NewTrailRun(TrailConfig{DB: db, Weights: ws}, goals(t, "p(X, Y)"))
 		sh := bad.sh
-		if _, ok, err := bad.Next(); ok || err == nil {
+		if ok, err := bad.Advance(); ok || err == nil {
 			t.Fatalf("p(X, Y): ok=%v err=%v, want an arithmetic error", ok, err)
 		}
 		bad.Release()
@@ -382,7 +391,7 @@ func TestBuiltinErrorThenPooledReuse(t *testing.T) {
 		reused := good.sh == sh
 		var got []string
 		for {
-			sol, ok, err := good.Next()
+			sol, ok, err := nextSolution(good)
 			if err != nil {
 				t.Fatal(err)
 			}

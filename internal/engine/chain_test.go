@@ -78,7 +78,7 @@ func drainChains(t *testing.T, src, query string, every int, suspend bool) ([]st
 	defer run.Release()
 	var answers []string
 	for {
-		sol, ok, err := run.Next()
+		sol, ok, err := nextSolution(run)
 		if ok {
 			answers = append(answers, canonAnswer(sol, run.QueryVars()))
 			continue

@@ -12,7 +12,9 @@
 // What outlives a chain leaves it through term.Detacher: an Answer is a
 // view over the run's live bindings, and Answer.Value and Answer.Solution
 // copy its values out under one renaming per answer, on the trail store
-// and the persistent Env alike. copy_term/2 is one term.Exporter pass.
+// and the persistent Env alike. Every machine hands its answers out as
+// such views only, and a Solution, the values in query-variable order, is
+// the one detached form. copy_term/2 is one term.Exporter pass.
 //
 // A trail run's root goals are pooled cells, as a clause activation's
 // are: one pooled frame for the query variables, compounds from the
@@ -593,15 +595,12 @@ func (s *Stats) Add(o Stats) {
 	s.VMDispatched += o.VMDispatched
 }
 
-// Solution is a detached answer (Answer.Solution): the query variables'
-// bindings copied out of the run, and the chain that found them.
+// Solution is a detached answer (Answer.Solution): Values[i] is the
+// value of query variable i, copied out of the run.
 type Solution struct {
-	// Bindings maps query variable names to their value terms.
-	Bindings map[string]term.Term
+	Values []term.Term
 	// Bound is the chain bound at the solution leaf.
 	Bound float64
-	// Chain is the root-first arc chain (the paper's decision sequence).
-	Chain []kb.Arc
 	// Depth is the chain length in arcs.
 	Depth int
 }
@@ -651,16 +650,15 @@ func (a Answer) Value(i int) term.Term {
 	return a.detacher(&d).Detach(a.Terms[i])
 }
 
-// Solution detaches the whole answer, its values keyed by the query
-// variables' print names, with chain as its root-first arc chain.
-func (a Answer) Solution(chain []kb.Arc) Solution {
+// Solution detaches the whole answer, its values in query order.
+func (a Answer) Solution() Solution {
 	var local term.Detacher
 	d := a.detacher(&local)
-	b := make(map[string]term.Term, len(a.Vars))
-	for i, v := range a.Vars {
-		b[v.String()] = d.Detach(a.Terms[i])
+	vals := make([]term.Term, len(a.Terms))
+	for i, t := range a.Terms {
+		vals[i] = d.Detach(t)
 	}
-	return Solution{Bindings: b, Bound: a.Bound, Chain: chain, Depth: a.Depth}
+	return Solution{Values: vals, Bound: a.Bound, Depth: a.Depth}
 }
 
 // Format renders a solution as `X = v, Y = w` in variable order.
@@ -684,13 +682,13 @@ func (s Solution) AppendText(dst []byte, names []string) []byte {
 		}
 		dst = append(dst, name...)
 		dst = append(dst, " = "...)
-		dst = term.Append(dst, s.Bindings[name], nil)
+		dst = term.Append(dst, s.Values[i], nil)
 	}
 	return dst
 }
 
-// VarNames returns the print names of the query variables, the keys of a
-// Solution's Bindings, in query order.
+// VarNames returns the print names of the query variables, in query
+// order.
 func VarNames(queryVars []*term.Var) []string {
 	names := make([]string, len(queryVars))
 	for i, v := range queryVars {

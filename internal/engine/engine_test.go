@@ -237,7 +237,7 @@ func nodeSolution(n *Node, qvars []*term.Var) Solution {
 	for i, v := range qvars {
 		terms[i] = v
 	}
-	return Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: terms, Vars: qvars}.Solution(n.Chain.Slice())
+	return Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: terms, Vars: qvars}.Solution()
 }
 
 func TestNodeSolution(t *testing.T) {
@@ -247,11 +247,11 @@ func TestNodeSolution(t *testing.T) {
 	root := exp.Root(qgoals)
 	children, _ := exp.Expand(root)
 	sol := nodeSolution(children[0], qvars)
-	if got := sol.Bindings["Y"].String(); got != "larry" {
+	if got := sol.Values[0].String(); got != "larry" {
 		t.Errorf("Y = %s, want larry", got)
 	}
-	if sol.Depth != 1 || len(sol.Chain) != 1 {
-		t.Error("solution chain metadata wrong")
+	if sol.Depth != 1 {
+		t.Error("solution depth wrong")
 	}
 	if got := sol.Format(qvars); got != "Y = larry" {
 		t.Errorf("Format = %q", got)

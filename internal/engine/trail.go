@@ -50,9 +50,8 @@ type TrailConfig struct {
 	Prune      bool
 	PruneSlack float64
 	// MaxExpansions bounds arrivals at non-solution nodes; 0 means no
-	// bound. BudgetErr is returned when it is hit.
+	// bound. ErrBudget is returned when it is hit.
 	MaxExpansions uint64
-	BudgetErr     error
 	// RootBypassTabler makes the first dispatched goal resolve against
 	// program clauses even when its predicate is tabled — how a table
 	// generator derives answers for its own pattern instead of consuming
@@ -81,9 +80,9 @@ type TrailConfig struct {
 	Live *obs.Live
 }
 
-// errTrailBudget is the fallback when MaxExpansions is hit without a
-// configured BudgetErr.
-var errTrailBudget = errors.New("engine: trail run expansion budget exhausted")
+// ErrBudget is reported when MaxExpansions was hit before exhaustion, by
+// a trail run and by every engine built on one.
+var ErrBudget = errors.New("search: expansion budget exhausted")
 
 // trailShared is the state a run shares with its nested negation runs:
 // one store, one frame pool, one goal-block pool, one bytecode machine
@@ -138,8 +137,8 @@ func getShared() *trailShared {
 // compound and goal-block free lists plus the predicate-code cache kept —
 // for reuse by later runs. Call it once the run is over and nothing reads
 // its Answer any more (solutions and table answers are detached copies, so
-// they survive). After Release the run is dead: Next reports the terminal
-// state, Stats and Exhausted stay valid, but Answer, Solution and Live
+// they survive). After Release the run is dead: Advance reports the
+// terminal state, Stats and Exhausted stay valid, but Answer and Live
 // must not be used. Skipping Release is safe — the scratch
 // is then simply garbage collected with the run.
 func (r *TrailRun) Release() {
@@ -244,8 +243,8 @@ const (
 
 // TrailRun is a resumable sequential DFS over a destructive binding
 // store. Advance stops at one solution at a time, which Answer reads in
-// place and Solution detaches (Next is the two together); the caller owns
-// solution caps and stops calling when satisfied.
+// place (Answer.Solution detaches it); the caller owns solution caps and
+// stops calling when satisfied.
 type TrailRun struct {
 	cfg TrailConfig
 	sh  *trailShared
@@ -290,9 +289,15 @@ type TrailRun struct {
 // be written. Solutions report bindings under the original variables.
 func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
 	r := new(TrailRun)
+	r.Init(cfg, goals)
+	return r
+}
+
+// Init is NewTrailRun on caller-provided storage, so a caller can hold
+// its run by value.
+func (r *TrailRun) Init(cfg TrailConfig, goals []term.Term) {
 	r.init(cfg)
 	r.rename(goals)
-	return r
 }
 
 // rename lays the query's goals out as the run's root, renamed apart the
@@ -379,24 +384,13 @@ func (r *TrailRun) QueryVars() []*term.Var { return r.queryVars }
 func (r *TrailRun) Stats() Stats { return r.stats }
 
 // Exhausted reports that every chain was followed to a solution or
-// failure (meaningful after Next returned ok=false with a nil error).
+// failure (meaningful after Advance returned ok=false with a nil error).
 func (r *TrailRun) Exhausted() bool { return r.exhausted }
 
-// Next resumes the search until the next solution and returns it
-// detached (see Solution). ok is false when the search is over: exhausted
-// (err nil) or aborted (err non-nil). After ok=false, further calls return
-// the same result.
-func (r *TrailRun) Next() (Solution, bool, error) {
-	ok, err := r.Advance()
-	if !ok {
-		return Solution{}, false, err
-	}
-	return r.Solution(), true, nil
-}
-
 // Advance resumes the search until the next solution and stops there, its
-// bindings in place for Answer to read until the run moves on. ok and err
-// are as for Next.
+// bindings in place for Answer to read until the run moves on. ok is false
+// when the search is over: exhausted (err nil) or aborted (err non-nil).
+// After ok=false, further calls return the same result.
 func (r *TrailRun) Advance() (bool, error) {
 	r.det = term.Detacher{}
 	for {
@@ -453,11 +447,7 @@ func (r *TrailRun) arrive() (bool, error) {
 		return true, nil
 	}
 	if r.stats.Expanded >= r.maxExp {
-		err := r.cfg.BudgetErr
-		if err == nil {
-			err = errTrailBudget
-		}
-		return false, err
+		return false, ErrBudget
 	}
 	if h := r.cfg.StepHook; h != nil {
 		if err := h(); err != nil {
@@ -842,17 +832,8 @@ func (r *TrailRun) backtrack() bool {
 	return false
 }
 
-// Solution detaches the solution Advance stopped at (Answer.Solution):
-// bindings leave the store keyed by the original query variables, and
-// the chain is copied out of the machine's mutable buffer.
-func (r *TrailRun) Solution() Solution {
-	chain := make([]kb.Arc, len(r.chain))
-	copy(chain, r.chain)
-	return r.Answer().Solution(chain)
-}
-
 // Answer reads the solution Advance stopped at in place, valid until the
-// run moves on: the next Advance or Next, or Release. Its values share
+// run moves on: the next Advance, or Release. Its values share
 // the run's one renaming for this solution.
 func (r *TrailRun) Answer() Answer {
 	return Answer{Bound: r.bound, Depth: r.depth, Env: r.env, Terms: r.images, Vars: r.queryVars, Det: &r.det}

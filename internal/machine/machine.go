@@ -431,11 +431,10 @@ func (r *run) process(p *proc, n *engine.Node) {
 	}
 	if n.IsSolution() {
 		a := engine.Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: r.qterms, Vars: r.qvars}
-		sol := a.Solution(n.Chain.Slice())
 		if r.cfg.Learn {
-			r.m.ws.RecordSuccess(sol.Chain)
+			r.m.ws.RecordSuccess(n.Chain.Slice())
 		}
-		r.rep.Solutions = append(r.rep.Solutions, SolutionEvent{Solution: sol, At: r.s.Now(), Proc: p.id})
+		r.rep.Solutions = append(r.rep.Solutions, SolutionEvent{Solution: a.Solution(), At: r.s.Now(), Proc: p.id})
 		r.outstanding--
 		if r.cfg.MaxSolutions > 0 && len(r.rep.Solutions) >= r.cfg.MaxSolutions {
 			r.stop = true

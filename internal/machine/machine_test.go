@@ -61,7 +61,7 @@ func TestMachineFindsAllFig1Solutions(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for _, s := range rep.Solutions {
-		got[s.Solution.Bindings["G"].String()] = true
+		got[s.Solution.Values[0].String()] = true
 	}
 	if !got["den"] || !got["doug"] {
 		t.Errorf("bindings = %v", got)

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,7 +77,7 @@ func (r *Registry) Add(goal, strategy string, cancel context.CancelFunc) *Live {
 	defer r.mu.Unlock()
 	r.next++
 	l := &Live{
-		ID:       fmt.Sprintf("q-%06d", r.next),
+		ID:       requestID(r.next),
 		Goal:     goal,
 		Strategy: strategy,
 		Start:    time.Now(),
@@ -86,6 +85,21 @@ func (r *Registry) Add(goal, strategy string, cancel context.CancelFunc) *Live {
 	}
 	r.m[l.ID] = l
 	return l
+}
+
+// requestID renders n as q-%06d, its digits laid out in a stack buffer:
+// boxing n for fmt would allocate once n passes the runtime's table of
+// small integers.
+func requestID(n uint64) string {
+	var buf [22]byte
+	i := len(buf)
+	for ; n > 0 || i > len(buf)-6; n /= 10 {
+		i--
+		buf[i] = byte('0' + n%10)
+	}
+	i -= 2
+	buf[i], buf[i+1] = 'q', '-'
+	return string(buf[i:])
 }
 
 // Remove unregisters a finished query.

@@ -214,6 +214,21 @@ func TestMeterAttribution(t *testing.T) {
 	}
 }
 
+func TestRequestIDs(t *testing.T) {
+	for n, want := range map[uint64]string{1: "q-000001", 255: "q-000255", 256: "q-000256", 1_000_000: "q-1000000"} {
+		if got := requestID(n); got != want {
+			t.Errorf("requestID(%d) = %q, want %q", n, got, want)
+		}
+	}
+	r := NewRegistry()
+	if id := r.Add("g", "dfs", nil).ID; id != "q-000001" {
+		t.Errorf("first ID = %q, want q-000001", id)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.Remove(r.Add("g", "dfs", nil)) }); a > 2 {
+		t.Errorf("Add allocates %v times, want at most 2 (the entry and its ID)", a)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())

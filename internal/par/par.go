@@ -306,10 +306,10 @@ func (s *state) work(w *worker) {
 // goes on to another.
 func (s *state) drain(w *worker) bool {
 	for {
-		sol, ok, err := w.run.Next()
+		ok, err := w.run.Advance()
 		switch {
 		case ok:
-			if s.addSolution(sol) {
+			if s.addSolution(w.run.Answer().Solution()) {
 				return false
 			}
 		case err == errStopped:
@@ -358,7 +358,7 @@ func (s *state) step(w *worker) error {
 	}
 	total := s.expanded.Add(1)
 	if total > s.maxExp {
-		return search.ErrBudget
+		return engine.ErrBudget
 	}
 	if l := s.opt.Live; l != nil && total&1023 == 0 {
 		l.Expanded.Store(total)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -53,9 +54,10 @@ func q(t testing.TB, s string) []term.Term {
 func uniform() weights.Store { return weights.NewUniform(weights.DefaultConfig()) }
 
 func sortedBindings(res *Result, v string) []string {
+	i := slices.IndexFunc(res.QueryVars, func(x *term.Var) bool { return x.Name == v })
 	var out []string
 	for _, s := range res.Solutions {
-		out = append(out, s.Bindings[v].String())
+		out = append(out, s.Values[i].String())
 	}
 	sort.Strings(out)
 	return out
@@ -111,11 +113,11 @@ func TestParallelMatchesSequentialOnLargerTree(t *testing.T) {
 		// Same solution multiset.
 		want := map[string]int{}
 		for _, s := range seq.Solutions {
-			want[s.Bindings["G"].String()]++
+			want[s.Values[0].String()]++
 		}
 		got := map[string]int{}
 		for _, s := range res.Solutions {
-			got[s.Bindings["G"].String()]++
+			got[s.Values[0].String()]++
 		}
 		for k, v := range want {
 			if got[k] != v {
@@ -443,11 +445,15 @@ func TestParallelAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the program cache and the scratch pool
-	// Measured steady state is ≈ 250 allocations per query; how many chains
-	// move depends on scheduling, and the budget leaves room for that and
-	// for pool refills after a GC cycle, not for per-node allocation.
-	const budget = 600
-	if got := testing.AllocsPerRun(200, run); got > budget {
+	// Measured steady state is 224 allocations per query (244 while each
+	// solution carried a copy of its arc chain and a map of its bindings);
+	// how many chains move depends on scheduling, and the budget, 1.5x,
+	// leaves room for that and for pool refills after a GC cycle, not for
+	// per-node allocation.
+	const budget = 336
+	got := testing.AllocsPerRun(200, run)
+	t.Logf("%.1f allocations per query", got)
+	if got > budget {
 		t.Errorf("parallel query allocated %.1f times, budget %d", got, budget)
 	}
 }

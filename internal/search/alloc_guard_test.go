@@ -40,7 +40,7 @@ func TestDFSAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the program cache and the scratch pool
-	// Measured steady state is ~30 allocations per query; the budget
+	// Measured steady state is 16 allocations per query; the budget
 	// leaves slack for pool refills after a GC cycle empties the
 	// sync.Pool mid-measurement, not for per-expansion regressions
 	// (each of the ~200 expansions allocating once would blow straight
@@ -54,9 +54,9 @@ func TestDFSAllocationBudget(t *testing.T) {
 // TestDFSBuiltinAllocationBudget pins the builtin ABI's cost on the trail
 // path: an exhaustive queens(5,Qs) DFS makes ~1480 `=\=`/`is`/`<` calls in
 // 3173 expansions, every one evaluated in place on the store, so what the
-// query allocates is its 10 solutions (bindings map, detached list, chain)
-// plus the run header — nothing per builtin call. One allocation per call
-// would put the count past 1600.
+// query allocates is its 10 solutions (values and detached list) plus the
+// result — nothing per builtin call. One allocation per call would put
+// the count past 1600.
 func TestDFSBuiltinAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -72,10 +72,11 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the program cache and the scratch pool
-	// Measured steady state is 148 allocations per query, ~12 per solution
-	// plus the run header; the budget is 1.3x that, slack for pool refills
-	// after a GC cycle empties the sync.Pool mid-measurement.
-	const budget = 195
+	// Measured steady state is 117 allocations per query (139 with a
+	// bindings map per solution and an iterator of its own); the budget is
+	// 1.3x that, slack for pool refills after a GC cycle empties the
+	// sync.Pool mid-measurement.
+	const budget = 152
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("queens(5,Qs) DFS allocated %.1f times, budget %d", got, budget)
 	}
@@ -99,12 +100,13 @@ func TestBestFirstAllocationBudget(t *testing.T) {
 		sols            int
 		budget          float64
 	}{
-		// Measured 230 over 3173 expansions.
-		{"queens(5,Qs)", workload.NQueens, "queens(5,Qs)", Options{Strategy: BestFirst}, 10, 276},
-		// Measured 32, first solution after 208 expansions.
-		{"DeepFailure(16,12)", workload.DeepFailure(16, 12), "top(W)", Options{Strategy: BestFirst, MaxSolutions: 1, MaxDepth: 64}, 1, 38},
-		// Measured 55, of which 36 detach its 12 solutions.
-		{"gf(p40,G)", workload.FamilyTree(6, 3), "gf(p40,G)", Options{Strategy: BestFirst}, 12, 66},
+		// Measured 201 over 3173 expansions.
+		{"queens(5,Qs)", workload.NQueens, "queens(5,Qs)", Options{Strategy: BestFirst}, 10, 241},
+		// Measured 24, first solution after 208 expansions.
+		{"DeepFailure(16,12)", workload.DeepFailure(16, 12), "top(W)", Options{Strategy: BestFirst, MaxSolutions: 1, MaxDepth: 64}, 1, 29},
+		// Measured 25; 50 while each of its 12 solutions detached into a
+		// bindings map.
+		{"gf(p40,G)", workload.FamilyTree(6, 3), "gf(p40,G)", Options{Strategy: BestFirst}, 12, 30},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -222,7 +224,7 @@ func (r replayTabler) Answers(context.Context, *term.Env, term.Term) ([]term.Ter
 // the trail path: an exhaustive DFS of path(v0,Z) over a 64-answer ground
 // table, the shape of the tabled_read benchmark workload. Ground answers
 // are unified as stored, one per backtrack, so what the query allocates is
-// its 64 solutions plus the run header — nothing per answer tried. One
+// its 64 solutions plus the result — nothing per answer tried. One
 // allocation per answer would put the count past the budget.
 func TestTabledReplayAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -244,11 +246,11 @@ func TestTabledReplayAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the scratch pool
-	// Measured steady state is 148 allocations per query, ~2 per solution
-	// plus the run header (staging every answer as an environment cost
-	// 407); the budget is 1.3x that, like the queens guard's, and one more
-	// allocation per answer (212) breaks it.
-	const budget = 192
+	// Measured steady state is 73 allocations per query, ~1 per solution
+	// (139 with a bindings map per solution; staging every answer as an
+	// environment cost 407); the budget is 1.3x that, like the queens
+	// guard's, and one more allocation per answer (137) breaks it.
+	const budget = 95
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("tabled replay of %d answers allocated %.1f times, budget %d", nodes, got, budget)
 	}
@@ -312,12 +314,15 @@ func TestDFSProfilerAllocationBudget(t *testing.T) {
 const poolRepin = 2
 
 // allocsNetOfRepins runs f n times on one P with the collector running,
-// as testing.AllocsPerRun does, and returns the allocations per run less
-// poolRepin per collection, and the collections per run. Counting the
-// collections rather than pausing them keeps a second pool visible: it
-// re-pins too.
+// as testing.AllocsPerRun does, after one warm-up run there as it does
+// too (changing GOMAXPROCS drops every pool's per-P array, so a query's
+// pooled scratch and iterator are refilled before the count starts), and
+// returns the allocations per run less poolRepin per collection, and the
+// collections per run. Counting the collections rather than pausing them
+// keeps a second pool visible: it re-pins too.
 func allocsNetOfRepins(n int, f func()) (perRun, gcs float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
 	var a, b runtime.MemStats
 	runtime.ReadMemStats(&a)
 	for range n {

@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 
 	"blog/internal/engine"
 	"blog/internal/kb"
@@ -16,13 +18,13 @@ import (
 // sequential run path — Run is this iterator drained — so the loop (pop,
 // prune, solution, budget, expand, push) exists here and nowhere else;
 // DFS hands it to the trail machine, which runs the same sequence, unless
-// the oracle or a recording keeps it on the persistent-Env frontier (Init
-// states the rule). A pull hands the solution out one of two ways: Next
-// detaches it, and NextAnswer lends a view over the run's live bindings
-// that holds until the next pull. The weight rules still apply per completed chain when
-// Learn is set, so an Iter that the caller abandons after the first answer
-// has still learned from every chain it finished — the incremental setting
-// the paper's sessions target.
+// the oracle or a recording keeps it on the persistent-Env frontier
+// (NewIter states the rule). A pull (NextAnswer) lends the solution as a
+// view over the run's live bindings that holds until the next pull, and
+// engine.Answer.Solution detaches it. The weight rules still apply per
+// completed chain when Learn is set, so an Iter that the caller abandons
+// after the first answer has still learned from every chain it finished —
+// the incremental setting the paper's sessions target.
 type Iter struct {
 	opt       Options
 	queryVars []*term.Var
@@ -31,10 +33,11 @@ type Iter struct {
 	capped    bool // ended by the MaxSolutions cap, not by the tree
 	err       error
 
-	// trail, when non-nil, is the destructive-store DFS machine the Iter
-	// delegates to (see Init); the Env-frontier fields below are unused
-	// then.
-	trail *engine.TrailRun
+	// trail is the destructive-store DFS machine the Iter delegates to
+	// when onTrail is set (see NewIter); the Env-frontier fields below are
+	// unused then.
+	trail   engine.TrailRun
+	onTrail bool
 
 	// exp is held by value so it lives wherever the Iter does; it also
 	// carries the run's context and weight store.
@@ -65,28 +68,22 @@ type Iter struct {
 	trace []string
 }
 
-// NewIter prepares a lazy search; ctx cancels future pulls. Tree and trace
-// recording route DFS onto the persistent-Env frontier (the trail machine
-// keeps no per-node history); results arrive through Tree and Trace as the
+// NewIter prepares a lazy search, on an iterator from the pool Close
+// hands it back to; ctx cancels future pulls. Tree and trace recording
+// route DFS onto the persistent-Env frontier (the trail machine keeps no
+// per-node history); results arrive through Tree and Trace as the
 // iteration progresses.
 func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Iter, error) {
-	it := new(Iter)
-	if err := it.Init(ctx, db, ws, goals, opt); err != nil {
-		return nil, err
-	}
-	return it, nil
-}
-
-// Init is NewIter on caller-provided storage, so Run can drain an iterator
-// that never leaves its stack frame and a caller can embed one in its own
-// run state.
-func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(goals) == 0 {
-		return errors.New("search: empty query")
+		return nil, errors.New("search: empty query")
 	}
+	if opt.Strategy < DFS || opt.Strategy >= Parallel {
+		return nil, fmt.Errorf("search: %v is not a sequential strategy", opt.Strategy)
+	}
+	it := iters.Get().(*Iter)
 	*it = Iter{opt: opt, maxExp: opt.MaxExpansions}
 	if it.maxExp == 0 {
 		it.maxExp = DefaultMaxExpansions
@@ -95,7 +92,8 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	// recording is asked for: the walker and the recorders run on the
 	// persistent-Env frontier, which BFS and best-first always take.
 	if opt.Strategy == DFS && !opt.NoVM && !opt.RecordTree && !opt.RecordTrace {
-		it.trail = engine.NewTrailRun(engine.TrailConfig{
+		it.onTrail = true
+		it.trail.Init(engine.TrailConfig{
 			DB:            db,
 			Weights:       ws,
 			MaxDepth:      opt.MaxDepth,
@@ -105,12 +103,11 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 			Prune:         opt.Prune,
 			PruneSlack:    opt.PruneSlack,
 			MaxExpansions: it.maxExp,
-			BudgetErr:     ErrBudget,
 			Prof:          opt.Prof,
 			Live:          opt.Live,
 		}, goals)
 		it.queryVars = it.trail.QueryVars()
-		return nil
+		return it, nil
 	}
 	it.exp = *engine.NewExpander(db, ws)
 	exp := &it.exp
@@ -128,7 +125,23 @@ func (it *Iter) Init(ctx context.Context, db *kb.DB, ws weights.Store, goals []t
 	}
 	it.frontier = frontier{s: opt.Strategy, items: exp.Open()}
 	it.frontier.push(exp.Root(goals))
-	return nil
+	return it, nil
+}
+
+// iters recycles iterators: the views they lend point into them, so each
+// would otherwise be a heap allocation per run. Close clears one before
+// it goes back, so the pool keeps nothing of a finished run.
+var iters = sync.Pool{New: func() any { return new(Iter) }}
+
+// Close ends the run if it is still going and hands the iterator back to
+// the pool NewIter draws from. Neither the iterator nor a view it lent
+// may be used afterwards; what a pull returned detached stays valid.
+func (it *Iter) Close() {
+	if !it.done {
+		it.finish(nil)
+	}
+	*it = Iter{}
+	iters.Put(it)
 }
 
 // Tree returns the search tree recorded so far when Options.RecordTree
@@ -150,7 +163,7 @@ func (it *Iter) QueryVars() []*term.Var { return it.queryVars }
 // Stats returns the work counters accumulated so far: the trail
 // machine's own, or the ones pull keeps on the Env frontier.
 func (it *Iter) Stats() engine.Stats {
-	if it.trail != nil {
+	if it.onTrail {
 		return it.trail.Stats()
 	}
 	s := it.stats
@@ -158,33 +171,19 @@ func (it *Iter) Stats() engine.Stats {
 	return s
 }
 
-// Next produces the next solution, detached: its bindings stay valid after
-// later pulls and after the run ends. ok is false when the search is over:
-// exhausted or capped (err nil), or aborted (err non-nil, e.g. ErrBudget
-// or the context's error). After ok=false, further calls return the same
-// result.
-func (it *Iter) Next() (engine.Solution, bool, error) {
-	ok, err := it.pull()
-	if !ok {
-		return engine.Solution{}, false, err
-	}
-	if it.trail != nil {
-		return it.trail.Solution(), true, nil
-	}
-	return it.answer().Solution(it.cur.Chain.Slice()), true, nil
-}
-
-// NextAnswer is Next without the detach: the solution comes as a view over
-// the run's live bindings, valid until the next pull — a trail run's store
-// itself, or the solution node's persistent environment on the Env
-// frontier. Counters, learning and prune bounds advance exactly as under
-// Next; engine.Answer.Value detaches what a caller keeps.
+// NextAnswer produces the next solution as a view over the run's live
+// bindings, valid until the next pull — a trail run's store itself, or
+// the solution node's persistent environment on the Env frontier;
+// engine.Answer.Value and Solution detach what a caller keeps. ok is
+// false when the search is over: exhausted or capped (err nil), or
+// aborted (err non-nil, e.g. ErrBudget or the context's error). After
+// ok=false, further calls return the same result.
 func (it *Iter) NextAnswer() (engine.Answer, bool, error) {
 	ok, err := it.pull()
 	if !ok {
 		return engine.Answer{}, false, err
 	}
-	if it.trail != nil {
+	if it.onTrail {
 		return it.trail.Answer(), true, nil
 	}
 	return it.answer(), true, nil
@@ -203,7 +202,7 @@ func (it *Iter) answer() engine.Answer {
 }
 
 // pull runs the strategy's loop to the next solution and leaves it where
-// Next and NextAnswer read it: in the trail machine's store, or at it.cur.
+// NextAnswer reads it: in the trail machine's store, or at it.cur.
 func (it *Iter) pull() (bool, error) {
 	it.det = term.Detacher{}
 	if it.done {
@@ -213,7 +212,7 @@ func (it *Iter) pull() (bool, error) {
 		it.capped = true
 		return it.finish(nil)
 	}
-	if it.trail != nil {
+	if it.onTrail {
 		// The machine checks context, budget and prune bounds itself, in
 		// the same order as the loop below.
 		ok, err := it.trail.Advance()
@@ -320,7 +319,7 @@ func (it *Iter) chainOf(n *engine.Node) []kb.Arc {
 // ends the run).
 func (it *Iter) finish(err error) (bool, error) {
 	it.done, it.err = true, err
-	if it.trail != nil {
+	if it.onTrail {
 		it.trail.Release()
 	} else {
 		it.exp.Release(it.frontier.items)

@@ -12,6 +12,15 @@ import (
 	"blog/internal/workload"
 )
 
+// nextSolution pulls it's next answer and detaches it.
+func nextSolution(it *Iter) (engine.Solution, bool, error) {
+	a, ok, err := it.NextAnswer()
+	if !ok {
+		return engine.Solution{}, false, err
+	}
+	return a.Solution(), true, nil
+}
+
 func TestIterYieldsAllSolutionsLazily(t *testing.T) {
 	db := load(t, fig1)
 	it, err := NewIter(context.Background(), db, uniform(), q(t, "gf(sam,G)"), Options{Strategy: DFS})
@@ -20,7 +29,7 @@ func TestIterYieldsAllSolutionsLazily(t *testing.T) {
 	}
 	var got []string
 	for {
-		sol, ok, err := it.Next()
+		sol, ok, err := nextSolution(it)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +45,7 @@ func TestIterYieldsAllSolutionsLazily(t *testing.T) {
 		t.Error("iterator should be exhausted")
 	}
 	// Further calls keep returning done.
-	if _, ok, err := it.Next(); ok || err != nil {
+	if _, ok, err := nextSolution(it); ok || err != nil {
 		t.Error("exhausted iterator must stay done")
 	}
 }
@@ -148,9 +157,9 @@ func TestIterMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sols []string
-		sol, ok, err := it.Next()
-		for ; ok; sol, ok, err = it.Next() {
-			sols = append(sols, sol.Bindings["X"].String())
+		sol, ok, err := nextSolution(it)
+		for ; ok; sol, ok, err = nextSolution(it) {
+			sols = append(sols, sol.Values[0].String())
 		}
 		check("iter", sols, it.Stats(), it.Exhausted(), err, tab)
 
@@ -193,7 +202,7 @@ func TestIterEarlyAbandonmentDoesLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); !ok || err != nil {
+	if _, ok, err := nextSolution(it); !ok || err != nil {
 		t.Fatal("first solution missing")
 	}
 	if it.Stats().Expanded >= full.Stats.Expanded {
@@ -207,10 +216,10 @@ func TestIterMaxSolutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := it.Next(); !ok {
+	if _, ok, _ := nextSolution(it); !ok {
 		t.Fatal("first solution missing")
 	}
-	if _, ok, err := it.Next(); ok || err != nil {
+	if _, ok, err := nextSolution(it); ok || err != nil {
 		t.Error("MaxSolutions must cap the stream")
 	}
 }
@@ -221,7 +230,7 @@ func TestIterBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := it.Next()
+	_, ok, err := nextSolution(it)
 	if ok || err != ErrBudget {
 		t.Errorf("got ok=%v err=%v, want budget error", ok, err)
 	}
@@ -239,7 +248,7 @@ func TestIterLearnsFromAbandonedSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); !ok || err != nil {
+	if _, ok, err := nextSolution(it); !ok || err != nil {
 		t.Fatalf("no solution: %v", err)
 	}
 	if tab.Len() == 0 {
@@ -258,7 +267,7 @@ func TestIterRecordingParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, ok, err := it.Next()
+		_, ok, err := nextSolution(it)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +288,7 @@ func TestIterRecordingParity(t *testing.T) {
 	if got, want := strings.Join(it.Trace(), "\n"), strings.Join(res.Trace, "\n"); got != want {
 		t.Errorf("streamed trace differs from batch trace:\n--- iter ---\n%s\n--- run ---\n%s", got, want)
 	}
-	if it.trail != nil {
+	if it.onTrail {
 		t.Error("recording stream ran on the trail machine, want the persistent-Env frontier")
 	}
 }
@@ -291,13 +300,24 @@ func TestIterRejectsEmptyQuery(t *testing.T) {
 	}
 }
 
+// TestIterRejectsParallel: an Iter runs the sequential strategies only;
+// Parallel belongs to internal/par.
+func TestIterRejectsParallel(t *testing.T) {
+	db := load(t, fig1)
+	for _, s := range []Strategy{Parallel, Strategy(9)} {
+		if _, err := NewIter(context.Background(), db, uniform(), q(t, "gf(sam,G)"), Options{Strategy: s}); err == nil {
+			t.Errorf("%v: NewIter must fail", s)
+		}
+	}
+}
+
 func TestIterErrorPropagates(t *testing.T) {
 	db := load(t, "bad(X) :- Y is X + Z, Y > 0.")
 	it, err := NewIter(context.Background(), db, uniform(), q(t, "bad(1)"), Options{Strategy: DFS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); ok || err == nil {
+	if _, ok, err := nextSolution(it); ok || err == nil {
 		t.Error("arithmetic error must surface from Next")
 	}
 }
@@ -331,7 +351,7 @@ d3(b).
 	}
 	var got []string
 	for {
-		sol, ok, err := it.Next()
+		sol, ok, err := nextSolution(it)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +379,7 @@ d3(b).
 	}
 	var n int
 	for {
-		_, ok, err := it2.Next()
+		_, ok, err := nextSolution(it2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,10 +401,10 @@ func TestIterCappedStreamNotExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); !ok || err != nil {
+	if _, ok, err := nextSolution(it); !ok || err != nil {
 		t.Fatalf("first solution: ok=%v err=%v", ok, err)
 	}
-	if _, ok, _ := it.Next(); ok {
+	if _, ok, _ := nextSolution(it); ok {
 		t.Fatal("cap of 1 should end the stream")
 	}
 	if it.Exhausted() {
@@ -396,7 +416,7 @@ func TestIterCappedStreamNotExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, ok, err := it2.Next(); err != nil {
+		if _, ok, err := nextSolution(it2); err != nil {
 			t.Fatal(err)
 		} else if !ok {
 			break
@@ -424,7 +444,7 @@ func TestIterPruneStaleSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, ok, err := it.Next()
+	sol, ok, err := nextSolution(it)
 	if err != nil || !ok {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -433,7 +453,7 @@ func TestIterPruneStaleSolution(t *testing.T) {
 	}
 	// The q(2) derivation reaches its solution at a worse bound than the
 	// one already served; it must be cut, ending the stream.
-	if _, ok, err := it.Next(); ok || err != nil {
+	if _, ok, err := nextSolution(it); ok || err != nil {
 		t.Fatalf("stale-bound solution leaked: ok=%v err=%v", ok, err)
 	}
 	if got := it.Stats().Pruned; got == 0 {

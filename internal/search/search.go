@@ -2,13 +2,15 @@
 // compares over the OR-tree: Prolog's depth-first search (the baseline of
 // section 2), breadth-first search, and B-LOG's weighted best-first
 // branch-and-bound search (sections 3-5), together with the driver that
-// applies the weight update rules as chains complete.
+// applies the weight update rules as chains complete. The pull iterator
+// Iter is the one sequential run path: it lends each answer as an
+// engine.Answer view, and Run drains an iterator from the pool solve
+// draws from too.
 package search
 
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -19,7 +21,10 @@ import (
 	"blog/internal/weights"
 )
 
-// Strategy selects the search discipline.
+// Strategy selects the search discipline. It is the system's one
+// strategy enum: solve and the blog facade alias it. Parallel names the
+// OR-parallel engine (internal/par), which solve routes there; an Iter
+// runs the three sequential ones.
 type Strategy int
 
 const (
@@ -31,6 +36,10 @@ const (
 	// BestFirst expands the open node with the least bound, the B-LOG
 	// discipline.
 	BestFirst
+	// Parallel is the OR-parallel engine: goroutine workers each running
+	// depth-first trail-store segments and trading detached chains
+	// through a bound-ordered network.
+	Parallel
 )
 
 // String implements fmt.Stringer.
@@ -42,9 +51,27 @@ func (s Strategy) String() string {
 		return "bfs"
 	case BestFirst:
 		return "best-first"
+	case Parallel:
+		return "parallel"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+}
+
+// ParseStrategy resolves the command-line/REPL spellings of a strategy.
+// Its error is the text blogd's 400 answer carries.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "dfs":
+		return DFS, nil
+	case "bfs":
+		return BFS, nil
+	case "best", "best-first":
+		return BestFirst, nil
+	case "parallel":
+		return Parallel, nil
+	}
+	return 0, fmt.Errorf("solve: unknown strategy %q", name)
 }
 
 // Options configures a search run.
@@ -109,7 +136,7 @@ type Result struct {
 }
 
 // ErrBudget is reported when MaxExpansions was hit before exhaustion.
-var ErrBudget = errors.New("search: expansion budget exhausted")
+var ErrBudget = engine.ErrBudget
 
 // Run searches for solutions to goals over db guided by ws: the batch
 // form of the one sequential path, an Iter drained into a Result. A
@@ -117,14 +144,15 @@ var ErrBudget = errors.New("search: expansion budget exhausted")
 // and returns the context's error with the work done so far, as do the
 // expansion budget (ErrBudget) and engine errors.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
-	var it Iter // drained in place: never escapes to the heap
-	if err := it.Init(ctx, db, ws, goals, opt); err != nil {
+	it, err := NewIter(ctx, db, ws, goals, opt)
+	if err != nil {
 		return nil, err
 	}
+	defer it.Close()
 	res := &Result{QueryVars: it.queryVars}
-	sol, ok, err := it.Next()
-	for ; ok; sol, ok, err = it.Next() {
-		res.Solutions = append(res.Solutions, sol)
+	a, ok, err := it.NextAnswer()
+	for ; ok; a, ok, err = it.NextAnswer() {
+		res.Solutions = append(res.Solutions, a.Solution())
 	}
 	res.Stats, res.Exhausted, res.Tree, res.Trace = it.Stats(), it.Exhausted(), it.Tree(), it.Trace()
 	return res, err

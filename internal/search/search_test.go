@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,9 +57,10 @@ func q(t testing.TB, s string) []term.Term {
 func uniform() weights.Store { return weights.NewUniform(weights.DefaultConfig()) }
 
 func solutionsOf(res *Result, v string) []string {
+	i := slices.IndexFunc(res.QueryVars, func(x *term.Var) bool { return x.Name == v })
 	var out []string
 	for _, s := range res.Solutions {
-		out = append(out, s.Bindings[v].String())
+		out = append(out, s.Values[i].String())
 	}
 	return out
 }
@@ -465,7 +467,7 @@ func TestBestFirstSolutionsInBoundOrder(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if DFS.String() != "dfs" || BFS.String() != "bfs" || BestFirst.String() != "best-first" {
+	if DFS.String() != "dfs" || BFS.String() != "bfs" || BestFirst.String() != "best-first" || Parallel.String() != "parallel" {
 		t.Error("strategy names")
 	}
 	if Strategy(9).String() != "Strategy(9)" {
@@ -484,7 +486,7 @@ sumto(N, S) :- N > 0, M is N - 1, sumto(M, T), S is T + N.
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if len(res.Solutions) != 1 || res.Solutions[0].Bindings["S"].String() != "55" {
+		if len(res.Solutions) != 1 || res.Solutions[0].Values[0].String() != "55" {
 			t.Errorf("%v: solutions %v", s, res.Solutions)
 		}
 	}

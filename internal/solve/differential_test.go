@@ -141,14 +141,14 @@ func structured(seed int64) string {
 // canonSolution renders one solution with unbound variables normalized to
 // appearance order, so compiled and tree-walk runs compare at term level
 // regardless of fresh-variable naming.
-func canonSolution(s engine.Solution, qvars []*term.Var) string {
+func canonSolution(s engine.Solution) string {
 	names := map[*term.Var]int{}
 	var b strings.Builder
-	for i, v := range qvars {
+	for i, v := range s.Values {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(canonTerm(s.Bindings[v.String()], names))
+		b.WriteString(canonTerm(v, names))
 	}
 	fmt.Fprintf(&b, " |%.9g", s.Bound)
 	return b.String()
@@ -230,7 +230,7 @@ func doOracle(ctx context.Context, req *Request) (*Response, error) {
 func canonAll(resp *Response) []string {
 	out := make([]string, len(resp.Solutions))
 	for i, s := range resp.Solutions {
-		out[i] = canonSolution(s, resp.QueryVars)
+		out[i] = canonSolution(s)
 	}
 	return out
 }

@@ -9,7 +9,8 @@
 // routes it to the engine that implements it and hands each answer to the
 // caller as an engine.Answer view, and a single Response carries the
 // unified Stats back — one counter type, engine.Stats, from the machines
-// up. Do is Run collecting every solution. Every run takes a
+// up. Do is Run with a yield that detaches every answer into Solutions,
+// its values in query-variable order. Every run takes a
 // context.Context and honors cancellation and deadlines, which is what
 // lets callers multiplex heavy concurrent query traffic over one Program.
 package solve
@@ -20,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"blog/internal/andpar"
 	"blog/internal/engine"
@@ -34,67 +34,20 @@ import (
 	"blog/internal/weights"
 )
 
-// Strategy selects the search discipline. This is the canonical strategy
-// enum of the system; the blog facade aliases it and the mapping onto the
-// sequential engine's internal enum lives only here (searchStrategy).
-type Strategy int
+// Strategy selects the search discipline: search's enum, the system's
+// one (the blog facade aliases it too).
+type Strategy = search.Strategy
 
 const (
 	// DFS is Prolog's depth-first, source-order search.
-	DFS Strategy = iota
+	DFS = search.DFS
 	// BFS is breadth-first search.
-	BFS
+	BFS = search.BFS
 	// BestFirst is B-LOG's weighted best-first branch and bound.
-	BestFirst
-	// Parallel is the OR-parallel engine: goroutine workers each running
-	// depth-first trail-store segments and trading detached chains
-	// through a bound-ordered network (internal/par).
-	Parallel
+	BestFirst = search.BestFirst
+	// Parallel is the OR-parallel engine (internal/par).
+	Parallel = search.Parallel
 )
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case DFS:
-		return "dfs"
-	case BFS:
-		return "bfs"
-	case BestFirst:
-		return "best-first"
-	case Parallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// ParseStrategy resolves the command-line/REPL spellings of a strategy.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "dfs":
-		return DFS, nil
-	case "bfs":
-		return BFS, nil
-	case "best", "best-first":
-		return BestFirst, nil
-	case "parallel":
-		return Parallel, nil
-	}
-	return 0, fmt.Errorf("solve: unknown strategy %q", name)
-}
-
-// searchStrategy maps a sequential strategy onto the sequential engine's
-// enum (validate has rejected everything outside the canonical four, and
-// the callers route Parallel elsewhere).
-func (s Strategy) searchStrategy() search.Strategy {
-	switch s {
-	case BFS:
-		return search.BFS
-	case BestFirst:
-		return search.BestFirst
-	}
-	return search.DFS
-}
 
 // Request describes one query run: what to solve, over which database and
 // weight store, under which discipline, and within which budgets.
@@ -179,9 +132,10 @@ type TableStats = table.Stats
 
 // Response is the unified outcome of a Request.
 type Response struct {
-	// Solutions carry bindings, bound, depth and the decision chain: every
-	// solution of a run Do collects, and the detached ones Parallel and
-	// AndParallel return (a sequential run handed to a yield keeps none).
+	// Solutions carry each answer's values in QueryVars order, its bound
+	// and its depth: every solution of a run Do collects, and the detached
+	// ones Parallel and AndParallel return (a sequential run handed to a
+	// yield keeps none).
 	Solutions []engine.Solution
 	// QueryVars are the query's variables in first-occurrence order (the
 	// rendering order for bindings).
@@ -212,7 +166,7 @@ type Response struct {
 // and AndParallel answers cross goroutines, so they are yielded after the
 // run, each a view over its detached values, and a failed run returns no
 // Response. A non-nil error from yield stops the run and is returned. A
-// nil yield collects every answer detached into Response.Solutions.
+// nil yield keeps every answer, detached, in Response.Solutions.
 func Run(ctx context.Context, req *Request, yield func(engine.Answer) error) (*Response, error) {
 	if err := validate(req); err != nil {
 		return nil, err
@@ -271,8 +225,8 @@ func yieldDetached(resp *Response, yield func(engine.Answer) error) error {
 	var cells term.Cells
 	for _, s := range resp.Solutions {
 		env := cells.Root()
-		for _, v := range resp.QueryVars {
-			if t := s.Bindings[v.String()]; t != nil && t != term.Term(v) {
+		for i, v := range resp.QueryVars {
+			if t := s.Values[i]; t != term.Term(v) {
 				env = env.Bind(v, t)
 			}
 		}
@@ -288,7 +242,7 @@ func yieldDetached(resp *Response, yield func(engine.Answer) error) error {
 // groups.
 func searchOptions(req *Request, tb engine.Tabler) search.Options {
 	return search.Options{
-		Strategy:      req.Strategy.searchStrategy(),
+		Strategy:      req.Strategy,
 		MaxSolutions:  req.MaxSolutions,
 		MaxExpansions: req.MaxExpansions,
 		MaxDepth:      req.MaxDepth,
@@ -381,40 +335,31 @@ func validate(req *Request) error {
 }
 
 // sequential runs DFS, BFS and BestFirst, pulled from one search.Iter:
-// each answer goes to yield as a view over the run's live bindings, or,
-// when yield is nil, into Solutions detached.
+// each answer goes to yield as a view over the run's live bindings, and
+// a nil yield is one that keeps them detached in Solutions.
 func sequential(ctx context.Context, req *Request, opt search.Options, yield func(engine.Answer) error) (*Response, error) {
-	it := iters.Get().(*search.Iter)
-	defer iters.Put(it)
-	if err := it.Init(ctx, req.DB, req.Store, req.Goals, opt); err != nil {
+	it, err := search.NewIter(ctx, req.DB, req.Store, req.Goals, opt)
+	if err != nil {
 		return nil, err
 	}
+	defer it.Close()
 	resp := &Response{QueryVars: it.QueryVars()}
-	var err error
 	if yield == nil {
-		s, ok, e := it.Next()
-		for ; ok; s, ok, e = it.Next() {
-			resp.Solutions = append(resp.Solutions, s)
+		yield = func(a engine.Answer) error {
+			resp.Solutions = append(resp.Solutions, a.Solution())
+			return nil
 		}
-		err, resp.answers = e, len(resp.Solutions)
-	} else {
-		a, ok, e := it.NextAnswer()
-		for ; ok; a, ok, e = it.NextAnswer() {
-			if e = yield(a); e != nil {
-				break
-			}
-			resp.answers++
+	}
+	a, ok, err := it.NextAnswer()
+	for ; ok; a, ok, err = it.NextAnswer() {
+		if err = yield(a); err != nil {
+			break
 		}
-		err = e
+		resp.answers++
 	}
 	resp.Stats.Stats, resp.Exhausted, resp.Tree, resp.Trace = it.Stats(), it.Exhausted(), it.Tree(), it.Trace()
 	return resp, err
 }
-
-// iters recycles the sequential runs' iterators, which the views they
-// lend would otherwise move to the heap one per run. Init resets every
-// field, and no view outlives the yield it was lent to.
-var iters = sync.Pool{New: func() any { return new(search.Iter) }}
 
 // orParallel runs the OR-parallel engine of sections 3 and 6: n goroutine
 // workers running trail-store segments and trading chains through the

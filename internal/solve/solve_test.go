@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
 	"sort"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
+	"blog/internal/search"
 	"blog/internal/term"
 	"blog/internal/weights"
 )
@@ -267,6 +269,77 @@ func TestRunStreams(t *testing.T) {
 	}
 }
 
+// anonSerial matches one _G serial.
+var anonSerial = regexp.MustCompile(`_G[0-9]+`)
+
+// answerText renders a view as a client reads it, "X = v, ..." with the
+// values printed by term.AppendAnswer, and every _G serial replaced by
+// its first-occurrence rank, so texts compare by where a variable repeats.
+func answerText(a engine.Answer) string {
+	var b []byte
+	for i, v := range a.Vars {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(append(b, v.String()...), " = "...)
+		b = term.AppendAnswer(b, a.Terms[i], a.Env, a.Terms)
+	}
+	seen := map[string]string{}
+	return anonSerial.ReplaceAllStringFunc(string(b), func(s string) string {
+		if _, ok := seen[s]; !ok {
+			seen[s] = fmt.Sprintf("_G#%d", len(seen))
+		}
+		return seen[s]
+	})
+}
+
+// TestDetachedAnswersRenderAsLive: an answer detached into a Solution and
+// served again as a view (Do, then yieldDetached, as Parallel and
+// AndParallel answers always are) reads exactly as the live view: a
+// clause variable still prints as _G<serial>, even as a whole value, one
+// shared variable as one serial, and an unbound query variable by its own
+// name.
+func TestDetachedAnswersRenderAsLive(t *testing.T) {
+	db := load(t, "mk(f(A,B,A)).\nsplit(X, Y) :- X = f(Z), Y = Z.\n")
+	cases := []struct{ goal, want string }{
+		{"mk(Q), A = 1", "Q = f(_G#0,_G#1,_G#0), A = 1"},
+		{"X = f(Y), mk(Q)", "X = f(Y), Y = Y, Q = f(_G#0,_G#1,_G#0)"},
+		// A value that is a clause variable, shared with another value.
+		{"split(Q, R), A = 1", "Q = f(_G#0), R = _G#0, A = 1"},
+	}
+	for _, c := range cases {
+		reqs := map[string]*Request{
+			"dfs": req(t, db, c.goal, DFS), "bfs": req(t, db, c.goal, BFS), "best": req(t, db, c.goal, BestFirst),
+			"parallel": req(t, db, c.goal, Parallel), "and-parallel": req(t, db, c.goal, DFS),
+		}
+		reqs["parallel"].Workers = 2
+		reqs["and-parallel"].AndParallel = true
+		for name, r := range reqs {
+			var live []string
+			if _, err := Run(context.Background(), r, func(a engine.Answer) error {
+				live = append(live, answerText(a))
+				return nil
+			}); err != nil {
+				t.Fatalf("%s %s: %v", name, c.goal, err)
+			}
+			resp, err := Do(context.Background(), r)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.goal, err)
+			}
+			var detached []string
+			if err := yieldDetached(resp, func(a engine.Answer) error {
+				detached = append(detached, answerText(a))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(live) != 1 || live[0] != c.want || fmt.Sprint(detached) != fmt.Sprint(live) {
+				t.Errorf("%s %s: live %q, detached %q, want %q", name, c.goal, live, detached, c.want)
+			}
+		}
+	}
+}
+
 // TestRunCancelled: a sequential run reports its Response beside the
 // context's error.
 func TestRunCancelled(t *testing.T) {
@@ -284,7 +357,7 @@ func TestRunCancelled(t *testing.T) {
 
 func TestParseStrategyRoundTrip(t *testing.T) {
 	for _, name := range []string{"dfs", "bfs", "best", "best-first", "parallel"} {
-		s, err := ParseStrategy(name)
+		s, err := search.ParseStrategy(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -293,10 +366,10 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 			want = "best-first"
 		}
 		if s.String() != want {
-			t.Errorf("ParseStrategy(%q).String() = %q", name, s)
+			t.Errorf("search.ParseStrategy(%q).String() = %q", name, s)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
+	if _, err := search.ParseStrategy("bogus"); err == nil {
 		t.Error("bogus strategy must error")
 	}
 }

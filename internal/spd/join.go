@@ -72,33 +72,15 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 	}
 
 	// Phase 2: project shared-variable values and mark consumer facts
-	// whose head could join any projected tuple.
-	type proj map[string]term.Term
-	projections := make([]proj, 0, len(prodRes.Solutions))
-	for _, s := range prodRes.Solutions {
-		p := proj{}
-		for _, v := range shared {
-			p[v.String()] = s.Bindings[v.String()]
-		}
-		projections = append(projections, p)
+	// whose head could join any projected tuple. The consumer reads only
+	// the shared variables, so a producer solution's bindings are its
+	// projection.
+	envs := make([]*term.Env, len(prodRes.Solutions))
+	for i, s := range prodRes.Solutions {
+		envs[i] = bindValues(prodRes.QueryVars, s.Values)
 	}
 	markOK := func(c *kb.Clause) bool {
-		for _, p := range projections {
-			// Build the consumer goal with shared vars bound to this
-			// projection and test unifiability against the fact head.
-			env := (*term.Env)(nil)
-			okAll := true
-			for _, v := range shared {
-				val, ok := p[v.String()]
-				if !ok {
-					okAll = false
-					break
-				}
-				env = env.Bind(v, val)
-			}
-			if !okAll {
-				continue
-			}
+		for _, env := range envs {
 			head, _ := c.Activate()
 			if unify.CanUnify(env, consumer, head) {
 				return true
@@ -131,23 +113,7 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 	var qvars []*term.Var
 	qvars = term.VarsUnder(nil, producer, qvars)
 	qvars = term.VarsUnder(nil, consumer, qvars)
-	for _, s := range prodRes.Solutions {
-		env := (*term.Env)(nil)
-		valid := true
-		for _, v := range prodRes.QueryVars {
-			val, ok := s.Bindings[v.String()]
-			if !ok {
-				valid = false
-				break
-			}
-			if _, isVar := val.(*term.Var); isVar {
-				continue // producer left it free
-			}
-			env = env.Bind(v, val)
-		}
-		if !valid {
-			continue
-		}
+	for _, env := range envs {
 		for _, c := range consClauses {
 			if !markedSet[c.ID] {
 				continue
@@ -167,6 +133,18 @@ func SemiJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, consum
 		}
 	}
 	return rep, nil
+}
+
+// bindValues binds vars[i] to vals[i], leaving a variable the producer
+// left free unbound.
+func bindValues(vars []*term.Var, vals []term.Term) *term.Env {
+	var env *term.Env
+	for i, v := range vars {
+		if _, isVar := vals[i].(*term.Var); !isVar {
+			env = env.Bind(v, vals[i])
+		}
+	}
+	return env
 }
 
 // sharedVars returns the variables occurring in both terms.
@@ -204,17 +182,7 @@ func NestedLoopJoin(ctx context.Context, db *kb.DB, ws weights.Store, producer, 
 	qvars = term.VarsUnder(nil, producer, qvars)
 	qvars = term.VarsUnder(nil, consumer, qvars)
 	for _, s := range prodRes.Solutions {
-		env := (*term.Env)(nil)
-		for _, v := range prodRes.QueryVars {
-			val, ok := s.Bindings[v.String()]
-			if !ok {
-				continue
-			}
-			if _, isVar := val.(*term.Var); isVar {
-				continue
-			}
-			env = env.Bind(v, val)
-		}
+		env := bindValues(prodRes.QueryVars, s.Values)
 		for _, c := range consClauses {
 			if !c.IsFact() {
 				return nil, fmt.Errorf("spd: consumer %s resolves against rule %s", consPred, c)

@@ -117,6 +117,26 @@ func TestSemiJoinRejectsRuleConsumer(t *testing.T) {
 	}
 }
 
+// TestSemiJoinFreeSharedVariable: a producer solution that leaves a
+// shared variable free joins every consumer fact, as the nested loop
+// does; the marking pass must not bind the variable to itself.
+func TestSemiJoinFreeSharedVariable(t *testing.T) {
+	db := load(t, "r(x,_).\ns(a,1).\ns(b,2).\n")
+	goals := q(t, "r(X,K), s(K,V)")
+	opt := search.Options{Strategy: search.DFS}
+	sj, err := SemiJoin(context.Background(), db, uniform(), goals[0], goals[1], nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := NestedLoopJoin(context.Background(), db, uniform(), goals[0], goals[1], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sj.Solutions) != 2 || len(nl.Solutions) != 2 || sj.MarkedClauses != 2 {
+		t.Errorf("semi-join %d solutions (%d marked), nested loop %d; want 2, 2 marked, 2", len(sj.Solutions), sj.MarkedClauses, len(nl.Solutions))
+	}
+}
+
 func TestSemiJoinEmptyProducer(t *testing.T) {
 	db := load(t, "s(a,1).")
 	goals := q(t, "r(X,K), s(K,V)")

@@ -79,7 +79,6 @@ import (
 	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/obs"
-	"blog/internal/search"
 	"blog/internal/term"
 	"blog/internal/weights"
 )
@@ -87,8 +86,8 @@ import (
 // ErrBudget reports that computing a table's answer set exceeded the
 // space's derivation budget — the tabled analogue of a runaway search
 // (for example a tabled predicate with infinitely many answers). It wraps
-// search.ErrBudget so callers classify it like any other budget stop.
-var ErrBudget = fmt.Errorf("table: answer derivation exceeded the table space budget: %w", search.ErrBudget)
+// engine.ErrBudget so callers classify it like any other budget stop.
+var ErrBudget = fmt.Errorf("table: answer derivation exceeded the table space budget: %w", engine.ErrBudget)
 
 // Config sizes a Space.
 type Config struct {

@@ -54,7 +54,7 @@ func TestDeepFailureShape(t *testing.T) {
 	if len(res.Solutions) != 1 {
 		t.Fatalf("solutions = %d, want 1", len(res.Solutions))
 	}
-	if got := res.Solutions[0].Bindings["W"].String(); got != "win" {
+	if got := res.Solutions[0].Values[0].String(); got != "win" {
 		t.Errorf("W = %s", got)
 	}
 	// DFS must have walked the failing branches: at least width-1 failures.
@@ -122,7 +122,7 @@ func TestNQueens4(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for _, s := range res.Solutions {
-		got[s.Bindings["Qs"].String()] = true
+		got[s.Values[0].String()] = true
 	}
 	if !got["[2,4,1,3]"] || !got["[3,1,4,2]"] {
 		t.Errorf("solutions = %v", got)
@@ -171,7 +171,7 @@ func TestUnbalancedShape(t *testing.T) {
 	}
 	deep := false
 	for _, s := range res.Solutions {
-		if s.Bindings["X"].String() == "deep" {
+		if s.Values[0].String() == "deep" {
 			deep = true
 			if s.Depth < 10 {
 				t.Errorf("deep solution depth = %d, want >= 10", s.Depth)
