@@ -87,10 +87,14 @@ const (
 // REPL: dfs, bfs, best (or best-first), parallel.
 func ParseStrategy(name string) (Strategy, error) { return search.ParseStrategy(name) }
 
-// ErrBudget reports that a query hit its expansion budget before the tree
-// was exhausted; callers such as the query server map it to a distinct
-// failure class.
-var ErrBudget = search.ErrBudget
+// ErrBudget matches, under errors.Is, every LimitError: a query that
+// passed one of its limits before the tree was exhausted.
+var ErrBudget = engine.ErrBudget
+
+// LimitError ends a query that passed one of its NumLimits limits.
+type LimitError = engine.LimitError
+
+const NumLimits = engine.NumLimits
 
 // ValidateQuery parses a query string without running it, so servers can
 // reject malformed goals before spending a worker slot.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"blog/internal/engine"
-	"blog/internal/search"
 	"blog/internal/table"
 	"blog/internal/weights"
 )
@@ -279,17 +278,56 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-// TestOneBudgetSentinel pins the budget stops to one sentinel: the
-// trail machine's, which search, the table space and the facade share.
+// TestOneBudgetSentinel pins the limit stops to one sentinel: the
+// engine's, which the facade shares and every LimitError matches.
 func TestOneBudgetSentinel(t *testing.T) {
-	if ErrBudget != engine.ErrBudget || search.ErrBudget != engine.ErrBudget {
-		t.Error("the facade and search must report the engine's budget sentinel")
+	if ErrBudget != engine.ErrBudget {
+		t.Error("the facade must report the engine's budget sentinel")
 	}
-	if !errors.Is(table.ErrBudget, ErrBudget) {
-		t.Error("a table's budget stop must classify as the facade's ErrBudget")
+	for l := range NumLimits {
+		if err := error(LimitError{Limit: l, Bound: 1}); !errors.Is(err, ErrBudget) {
+			t.Errorf("a %s stop must classify as the facade's ErrBudget", l)
+		}
 	}
 	if got := ErrBudget.Error(); got != "search: expansion budget exhausted" {
 		t.Errorf("ErrBudget text = %q", got)
+	}
+}
+
+// TestLimitsStopEveryStrategy: every limit a query can pass at run time
+// ends it with that limit's LimitError at its bound, which errors.Is
+// matches with ErrBudget, under every strategy. The table space runs
+// under a small budget, so the tabled runaway stops fast; the
+// negation_expansions row is TestNegationBudgetEveryStrategy's.
+func TestLimitsStopEveryStrategy(t *testing.T) {
+	p, err := LoadString(`
+		spin :- spin, spin.
+		:- table nat/1.
+		nat(0).
+		nat(N) :- nat(M), N is M + 1.
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.tables.Reconfigure(table.Config{MaxDepth: p.global.Config().A, Budget: 5_000})
+	cases := []struct {
+		goal string
+		opts []Option
+		want LimitError
+	}{
+		{"spin", []Option{MaxExpansions(50)}, LimitError{Limit: engine.Expansions, Bound: 50}},
+		{"nat(X)", []Option{Tabled()}, LimitError{Limit: engine.TableAnswers, Bound: 5_000}},
+		{"between(1,100000000000,X)", nil, LimitError{Limit: engine.BuiltinTerm, Bound: 1_000_000}},
+		{"length(L,100000000000)", nil, LimitError{Limit: engine.BuiltinTerm, Bound: 1_000_000}},
+		{"functor(F,f,100000000000)", nil, LimitError{Limit: engine.BuiltinTerm, Bound: 1_000_000}},
+	}
+	for _, c := range cases {
+		for _, s := range everyStrategy {
+			var le LimitError
+			if _, err := p.Query(c.goal, s, c.opts...); !errors.Is(err, ErrBudget) || !errors.As(err, &le) || le != c.want {
+				t.Errorf("%s under %v: err %v, want %v", c.goal, s, err, c.want)
+			}
+		}
 	}
 }
 

@@ -244,8 +244,8 @@ func biBetween(env *term.Env, goal term.Term) (choices, error) {
 		}
 		// hi >= lo, so the unsigned difference is the exact width even
 		// where hi-lo overflows int64.
-		if uint64(hi)-uint64(lo) > maxBuiltinTerm {
-			return choices{}, fmt.Errorf("engine: between(%d,%d,_) range too large", lo, hi)
+		if uint64(hi)-uint64(lo) > BuiltinTerm.Default() {
+			return choices{}, LimitError{BuiltinTerm, BuiltinTerm.Default()}
 		}
 		return choices{n: int(hi-lo) + 1, x: x, lo: lo}, nil
 	}
@@ -269,12 +269,6 @@ func isAtomic(t term.Term) bool {
 func biGround(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	return env, term.Ground(env, goal.(*term.Compound).Args[0]), nil
 }
-
-// maxBuiltinTerm caps what one builtin call may materialize from a
-// number in the query: functor/3's argument vector, length/2's list,
-// between/3's range. Goals arrive from POST /query, so an uncapped
-// make([]term.Term, N) is a remote out-of-memory.
-const maxBuiltinTerm = 1_000_000
 
 // freshVars returns n distinct anonymous variables.
 func freshVars(n term.Int) []term.Term {
@@ -302,8 +296,8 @@ func biFunctor(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 			return env, false, fmt.Errorf("engine: functor/3 name must be atomic, got %s", name)
 		case n < 0:
 			return env, false, errors.New("engine: functor/3 negative arity")
-		case n > maxBuiltinTerm:
-			return env, false, fmt.Errorf("engine: functor/3 arity %d too large", n)
+		case uint64(n) > BuiltinTerm.Default():
+			return env, false, LimitError{BuiltinTerm, BuiltinTerm.Default()}
 		case n == 0:
 			return unifyDet(env, t, name)
 		}
@@ -407,8 +401,8 @@ func biLength(env *term.Env, goal term.Term) (*term.Env, bool, error) {
 	if n < 0 {
 		return env, false, nil
 	}
-	if n > maxBuiltinTerm {
-		return env, false, fmt.Errorf("engine: length/2 request %d too large", n)
+	if uint64(n) > BuiltinTerm.Default() {
+		return env, false, LimitError{BuiltinTerm, BuiltinTerm.Default()}
 	}
 	return unifyDet(env, c.Args[0], term.FromList(freshVars(n)))
 }
@@ -459,7 +453,7 @@ var (
 )
 
 // errOverflow reports an arithmetic result outside the 64-bit range: an
-// error, like between/3's "range too large", never a wrapped value.
+// error, never a wrapped value.
 func errOverflow(t *term.Compound) error {
 	return fmt.Errorf("engine: integer overflow in %s/%d", t.Functor, len(t.Args))
 }

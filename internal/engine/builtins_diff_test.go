@@ -121,8 +121,8 @@ var biDiffCases = []struct {
 	{"", "between(1, 2, X), between(X, 2, Y)", "X = 1, Y = 1; X = 1, Y = 2; X = 2, Y = 2"},
 	{"", "between(1, 3, X), f(X, a) = f(2, a)", "X = 2"},
 	{"", "between(1, X, 2)", "error: unbound variable"},
-	{"", "between(1, 2000000, X)", "error: range too large"},
-	{"", "L is -4000000000000000000 - 4000000000000000000, between(L, 4000000000000000000, X)", "error: range too large"},
+	{"", "between(1, 2000000, X)", "error: builtin_term limit of 1000000 exceeded"},
+	{"", "L is -4000000000000000000 - 4000000000000000000, between(L, 4000000000000000000, X)", "error: builtin_term limit of 1000000 exceeded"},
 
 	{"", "integer(3), atom(a), atomic(a), atomic(3), compound(f(x)), var(X), nonvar(f(Y)), ground(f(a, 1))", "X = _0, Y = _1"},
 	{"", "integer(a)", ""},
@@ -147,7 +147,7 @@ var biDiffCases = []struct {
 	{"", "functor(T, 7, 1)", "error: integer name needs arity 0"},
 	{"", "functor(T, foo, -1)", "error: negative arity"},
 	{"", "functor(T, foo, a)", "error: not an integer"},
-	{"", "functor(T, foo, 2000000000)", "error: too large"},
+	{"", "functor(T, foo, 2000000000)", "error: builtin_term limit of 1000000 exceeded"},
 	{"", "functor(T, N, 1)", "error: name must be atomic"},
 	{"", "functor(T, f(x), 1)", "error: name must be atomic"},
 
@@ -181,7 +181,7 @@ var biDiffCases = []struct {
 	{"", "length(L, -1)", ""},
 	{"", "length(L, N)", "error: proper list or a bound length"},
 	{"", "length([a|T], N)", "error: proper list or a bound length"},
-	{"", "length(L, 2000000)", "error: too large"},
+	{"", "length(L, 2000000)", "error: builtin_term limit of 1000000 exceeded"},
 
 	{"", "copy_term(f(X, Y, X), C)", "X = _0, Y = _1, C = f(_2,_3,_2)"},
 	{"", "X = a, copy_term(f(X, Y), C)", "X = a, Y = _0, C = f(a,_1)"},

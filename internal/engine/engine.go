@@ -37,6 +37,10 @@
 // untaken tail carries over to the next run that borrows the scratch.
 // Only binding is tied to the run: an environment the run made binds on
 // its goroutine, until Release.
+//
+// A run ends at the first limit it passes, with a LimitError. The limits
+// table holds expansions 5 000 000, table_answers 2 000 000,
+// negation_expansions 100 000 and builtin_term 1 000 000 (limit.go).
 package engine
 
 import (
@@ -174,6 +178,64 @@ type Node struct {
 // IsSolution reports whether the node has no pending goals.
 func (n *Node) IsSolution() bool { return n.Goals.Len() == 0 }
 
+// NodeHeap is a min-heap of open nodes ordered by (Bound, Seq): the
+// best-first frontier, and the simulator's local and network pools. It
+// sifts exactly as container/heap does, so the pop order is the same,
+// ties included.
+type NodeHeap []*Node
+
+// Less orders the lower bound first, then the older node.
+func (h NodeHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.Bound < b.Bound || a.Bound == b.Bound && a.Seq < b.Seq
+}
+
+// Push adds n.
+func (h *NodeHeap) Push(n *Node) {
+	*h = append(*h, n)
+	h.up(len(*h) - 1)
+}
+
+// Pop removes and returns the least node.
+func (h *NodeHeap) Pop() *Node { return h.Remove(0) }
+
+// Remove removes and returns the node at index i.
+func (h *NodeHeap) Remove(i int) *Node {
+	s, n := *h, len(*h)-1
+	if n != i {
+		s[i], s[n] = s[n], s[i]
+		if !s.down(i, n) {
+			s.up(i)
+		}
+	}
+	x := s[n]
+	s[n], *h = nil, s[:n]
+	return x
+}
+
+func (h NodeHeap) up(j int) {
+	for i := (j - 1) / 2; i != j && h.Less(j, i); i = (j - 1) / 2 {
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down sifts h[i0] down within h[:n], reporting whether it moved.
+func (h NodeHeap) down(i0, n int) bool {
+	i := i0
+	for j := 2*i + 1; j < n && j > 0; j = 2*i + 1 {
+		if j+1 < n && h.Less(j+1, j) {
+			j++
+		}
+		if !h.Less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
+}
+
 // Tabler resolves calls to tabled predicates by answer-clause resolution:
 // instead of expanding a tabled goal against program clauses, the engine
 // asks the Tabler for the goal's memoized answers and unifies them with
@@ -220,8 +282,8 @@ type Expander struct {
 	// resolves them against memoized answers instead of program clauses.
 	Tabler Tabler
 	// Ctx cancels work inside a single Expand call (today: the nested
-	// negation-as-failure search, which may run up to negationBudget
-	// expansions, and tabled answer production). The per-node loops of the
+	// negation-as-failure search, bounded by its negation_expansions
+	// limit, and tabled answer production). The per-node loops of the
 	// search drivers check the context themselves between Expand calls;
 	// nil means no cancellation.
 	Ctx context.Context
@@ -503,13 +565,6 @@ func (e *Expander) arcWeight(n *Node, arc kb.Arc) float64 {
 	}
 	return e.Weights.Weight(arc)
 }
-
-// negationBudget bounds the nested search a \+ goal may perform.
-const negationBudget = 100_000
-
-// ErrNegationBudget reports a \+ subgoal whose proof attempt exceeded
-// negationBudget expansions.
-var ErrNegationBudget = errors.New("engine: negation subgoal exceeded expansion budget")
 
 // expandTabled resolves a tabled goal against its answer table: one child
 // per memoized answer that unifies. Like a builtin, answer consumption is

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 
@@ -50,7 +49,7 @@ type TrailConfig struct {
 	Prune      bool
 	PruneSlack float64
 	// MaxExpansions bounds arrivals at non-solution nodes; 0 means no
-	// bound. ErrBudget is returned when it is hit.
+	// bound. Passing it ends the run with the expansions LimitError.
 	MaxExpansions uint64
 	// RootBypassTabler makes the first dispatched goal resolve against
 	// program clauses even when its predicate is tabled — how a table
@@ -79,10 +78,6 @@ type TrailConfig struct {
 	// arrivals, for the server's live query inspector.
 	Live *obs.Live
 }
-
-// ErrBudget is reported when MaxExpansions was hit before exhaustion, by
-// a trail run and by every engine built on one.
-var ErrBudget = errors.New("search: expansion budget exhausted")
 
 // trailShared is the state a run shares with its nested negation runs:
 // one store, one frame pool, one goal-block pool, one bytecode machine
@@ -447,7 +442,7 @@ func (r *TrailRun) arrive() (bool, error) {
 		return true, nil
 	}
 	if r.stats.Expanded >= r.maxExp {
-		return false, ErrBudget
+		return false, LimitError{Expansions, r.maxExp}
 	}
 	if h := r.cfg.StepHook; h != nil {
 		if err := h(); err != nil {
@@ -623,7 +618,7 @@ func (r *TrailRun) dispatchVM(entry GoalEntry, goal term.Term, pc *vm.PredCode) 
 // that run finds no proof of G. The run consumes tables through the
 // ForNegation view, learns, prunes, profiles and reports nothing (its wall
 // time lands in the enclosing interval, charged to \+), resolves its goal
-// as an ordinary call, and is bounded by negationBudget arrivals. It
+// as an ordinary call, and is bounded by the negation_expansions limit. It
 // starts at depth 0 with the full maxDepth, not with the depth left to the
 // enclosing chain, and adds no arc: negation is a machine decision, not a
 // database pointer. As in standard Prolog, \+ over a goal with unbound
@@ -639,10 +634,10 @@ func negationConfig(cfg TrailConfig, maxDepth int) TrailConfig {
 	cfg.RootBypassTabler = false
 	cfg.Prof = nil
 	cfg.Live = nil
-	var steps int
+	var steps uint64
 	cfg.StepHook = func() error {
-		if steps++; steps > negationBudget {
-			return ErrNegationBudget
+		if steps++; steps > NegationExpansions.Default() {
+			return LimitError{NegationExpansions, NegationExpansions.Default()}
 		}
 		return nil
 	}

@@ -228,7 +228,7 @@ type run struct {
 	// network
 	minTree *network.MinTree
 	banyan  *network.Banyan
-	netPool *boundHeap // chains offered to the network
+	netPool engine.NodeHeap // chains offered to the network
 	arbiter *network.PriorityArbiter
 
 	// disks: blocks striped by clause ID round-robin; each disk is
@@ -253,7 +253,7 @@ type run struct {
 // proc is one processor's state.
 type proc struct {
 	id    int
-	local *boundHeap
+	local engine.NodeHeap
 	// memory is the set of clause blocks in local memory, LRU-ordered.
 	memory  map[kb.ClauseID]bool
 	lru     []kb.ClauseID
@@ -282,7 +282,6 @@ func newRun(m *Machine, goals []term.Term) *run {
 	r.minTree = network.NewMinTree(m.cfg.Processors, m.cfg.NetNodeDelay)
 	r.banyan = network.NewBanyan(&r.s, m.cfg.Processors+m.cfg.Disks, m.cfg.NetSetup, m.cfg.NetPerWord)
 	r.arbiter = network.NewPriorityArbiter(m.cfg.Processors, m.cfg.NetNodeDelay)
-	r.netPool = newBoundHeap()
 
 	// Build and load the disks: block i goes to disk i%Disks with a dense
 	// per-disk ID; we keep the global blocks for data.
@@ -309,13 +308,12 @@ func newRun(m *Machine, goals []term.Term) *run {
 	for p := range r.procs {
 		r.procs[p] = &proc{
 			id:     p,
-			local:  newBoundHeap(),
 			memory: make(map[kb.ClauseID]bool),
 		}
 	}
 	root := r.exp.Root(goals)
 	r.outstanding = 1
-	r.netPool.push(root)
+	r.netPool.Push(root)
 	r.curD = m.cfg.D
 	return r
 }
@@ -390,20 +388,22 @@ func (r *run) taskLoop(p *proc) {
 	if r.stop {
 		return
 	}
-	var localMin *engine.Node
-	if p.local.len() > 0 {
-		localMin = p.local.peek()
+	var localMin, netMin *engine.Node
+	if len(p.local) > 0 {
+		localMin = p.local[0]
 	}
-	netMin := r.netPool.peekOrNil()
+	if len(r.netPool) > 0 {
+		netMin = r.netPool[0]
+	}
 
 	switch {
 	case localMin != nil && (netMin == nil || netMin.Bound > localMin.Bound-r.curD):
-		n := p.local.pop()
+		n := p.local.Pop()
 		r.process(p, n)
 	case netMin != nil:
 		// Acquire through the network: min-tree query + arbitration +
 		// chain transfer proportional to its environment size.
-		n := r.netPool.pop()
+		n := r.netPool.Pop()
 		if localMin != nil {
 			r.rep.Migrations++
 		}
@@ -497,21 +497,25 @@ func (r *run) process(p *proc, n *engine.Node) {
 		p.busy += cost
 		r.outstanding += len(children) - 1
 		for _, c := range children {
-			p.local.push(c)
+			p.local.Push(c)
 		}
 		spilled := 0
-		for p.local.len() > r.cfg.LocalCap {
-			r.netPool.push(p.local.popMax())
+		for len(p.local) > r.cfg.LocalCap {
+			r.netPool.Push(popMax(&p.local))
 			spilled++
 		}
 		// Keep starving peers fed: if the pool is empty and we hold more
 		// than one chain, offer our worst one.
-		if r.netPool.len() == 0 && p.local.len() > 1 {
-			r.netPool.push(p.local.popMax())
+		if len(r.netPool) == 0 && len(p.local) > 1 {
+			r.netPool.Push(popMax(&p.local))
 			spilled++
 		}
 		r.rep.Spills += uint64(spilled)
-		r.minTree.Set(p.id, bestBoundOf(p.local), p.local.len() > 0)
+		best := 0.0
+		if len(p.local) > 0 {
+			best = p.local[0].Bound
+		}
+		r.minTree.Set(p.id, best, len(p.local) > 0)
 		r.s.After(searchCost+cost, func() { r.taskLoop(p) })
 	}
 
@@ -554,9 +558,14 @@ func (r *run) noteLocal(p *proc, cid kb.ClauseID) {
 	}
 }
 
-func bestBoundOf(h *boundHeap) float64 {
-	if h.len() == 0 {
-		return 0
+// popMax removes the worst chain from h, the one a task sheds to the
+// network first.
+func popMax(h *engine.NodeHeap) *engine.Node {
+	worst := 0
+	for i := 1; i < len(*h); i++ {
+		if h.Less(worst, i) {
+			worst = i
+		}
 	}
-	return h.peek().Bound
+	return h.Remove(worst)
 }

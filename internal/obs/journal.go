@@ -37,6 +37,7 @@ const (
 	KindSessionEvicted   = "session_evicted"
 	KindAdmissionReject  = "admission_reject"
 	KindQueryKilled      = "query_killed"
+	KindQueryOverLimit   = "query_over_limit"
 	KindSlowQuery        = "slow_query"
 )
 

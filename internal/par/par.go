@@ -39,7 +39,6 @@ import (
 	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/obs"
-	"blog/internal/search"
 	"blog/internal/term"
 	"blog/internal/weights"
 )
@@ -78,7 +77,7 @@ type Options struct {
 	LocalCap int
 	// MaxSolutions stops the run after this many solutions; 0 finds all.
 	MaxSolutions int
-	// MaxExpansions bounds total work; 0 means search.DefaultMaxExpansions.
+	// MaxExpansions bounds total work; 0 takes the expansions default.
 	MaxExpansions uint64
 	// Learn applies the section-5 weight rules as chains complete.
 	Learn bool
@@ -162,10 +161,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	if opt.LocalCap <= 0 {
 		opt.LocalCap = 64
 	}
-	st := &state{opt: opt, maxExp: opt.MaxExpansions}
-	if st.maxExp == 0 {
-		st.maxExp = search.DefaultMaxExpansions
-	}
+	st := &state{opt: opt, maxExp: engine.Expansions.Or(opt.MaxExpansions)}
 	st.cond = sync.NewCond(&st.mu)
 	root := engine.RootChain(goals)
 	st.root = root
@@ -358,7 +354,7 @@ func (s *state) step(w *worker) error {
 	}
 	total := s.expanded.Add(1)
 	if total > s.maxExp {
-		return engine.ErrBudget
+		return engine.LimitError{Limit: engine.Expansions, Bound: s.maxExp}
 	}
 	if l := s.opt.Live; l != nil && total&1023 == 0 {
 		l.Expanded.Store(total)

@@ -2,6 +2,7 @@ package par
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -161,8 +162,8 @@ func TestBudgetStops(t *testing.T) {
 	_, err := Run(context.Background(), db, uniform(), q(t, "loop"), Options{
 		Workers: 4, MaxExpansions: 50, MaxDepth: 1 << 20,
 	})
-	if err != search.ErrBudget {
-		t.Errorf("got %v, want ErrBudget", err)
+	if want := (engine.LimitError{Limit: engine.Expansions, Bound: 50}); !errors.Is(err, want) {
+		t.Errorf("got %v, want %v", err, want)
 	}
 }
 

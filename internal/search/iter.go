@@ -48,7 +48,8 @@ type Iter struct {
 
 	// cur is the solution node the last pull stopped at. terms are the
 	// query variables as the terms an answer reads through cur's
-	// environment, made on the first NextAnswer; det is the renaming
+	// environment, filled on the first NextAnswer into the array a
+	// pooled iterator keeps; det is the renaming
 	// their values share, zeroed at each pull. chain is the scratch the
 	// weight rules read a node's arc chain from.
 	cur   *engine.Node
@@ -84,10 +85,7 @@ func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term
 		return nil, fmt.Errorf("search: %v is not a sequential strategy", opt.Strategy)
 	}
 	it := iters.Get().(*Iter)
-	*it = Iter{opt: opt, maxExp: opt.MaxExpansions}
-	if it.maxExp == 0 {
-		it.maxExp = DefaultMaxExpansions
-	}
+	*it = Iter{opt: opt, maxExp: engine.Expansions.Or(opt.MaxExpansions), terms: it.terms}
 	// DFS runs on the trail machine unless the oracle (NoVM) or a
 	// recording is asked for: the walker and the recorders run on the
 	// persistent-Env frontier, which BFS and best-first always take.
@@ -134,13 +132,15 @@ func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term
 var iters = sync.Pool{New: func() any { return new(Iter) }}
 
 // Close ends the run if it is still going and hands the iterator back to
-// the pool NewIter draws from. Neither the iterator nor a view it lent
-// may be used afterwards; what a pull returned detached stays valid.
+// the pool NewIter draws from, keeping only the terms array, cleared.
+// Neither the iterator nor a view it lent may be used afterwards; what a
+// pull returned detached stays valid.
 func (it *Iter) Close() {
 	if !it.done {
 		it.finish(nil)
 	}
-	*it = Iter{}
+	clear(it.terms)
+	*it = Iter{terms: it.terms[:0]}
 	iters.Put(it)
 }
 
@@ -176,7 +176,7 @@ func (it *Iter) Stats() engine.Stats {
 // the solution node's persistent environment on the Env frontier;
 // engine.Answer.Value and Solution detach what a caller keeps. ok is
 // false when the search is over: exhausted or capped (err nil), or
-// aborted (err non-nil, e.g. ErrBudget or the context's error). After
+// aborted (err non-nil, e.g. a LimitError or the context's error). After
 // ok=false, further calls return the same result.
 func (it *Iter) NextAnswer() (engine.Answer, bool, error) {
 	ok, err := it.pull()
@@ -191,10 +191,9 @@ func (it *Iter) NextAnswer() (engine.Answer, bool, error) {
 
 // answer reads the Env-frontier solution at it.cur in place.
 func (it *Iter) answer() engine.Answer {
-	if it.terms == nil {
-		it.terms = make([]term.Term, len(it.queryVars))
-		for i, v := range it.queryVars {
-			it.terms[i] = v
+	if len(it.terms) == 0 {
+		for _, v := range it.queryVars {
+			it.terms = append(it.terms, v)
 		}
 	}
 	n := it.cur
@@ -259,7 +258,7 @@ func (it *Iter) pull() (bool, error) {
 			return true, nil
 		}
 		if it.stats.Expanded >= it.maxExp {
-			return it.finish(ErrBudget)
+			return it.finish(engine.LimitError{Limit: engine.Expansions, Bound: it.maxExp})
 		}
 		it.stats.Expanded++
 		if it.opt.Live != nil && it.stats.Expanded&1023 == 0 {

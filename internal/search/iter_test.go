@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -131,7 +132,8 @@ func TestIterMatchesRun(t *testing.T) {
 			if exhausted != want.exhausted {
 				t.Errorf("%s: Exhausted = %v, want %v", name, exhausted, want.exhausted)
 			}
-			if (err == ErrBudget) != want.budgetErr || (err != nil && err != ErrBudget) {
+			budget := errors.Is(err, engine.LimitError{Limit: engine.Expansions, Bound: 6})
+			if budget != want.budgetErr || (err != nil && !budget) {
 				t.Errorf("%s: err = %v, want budget stop %v", name, err, want.budgetErr)
 			}
 			if got := learnedText(t, tab); got != want.learned {
@@ -231,7 +233,7 @@ func TestIterBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ok, err := nextSolution(it)
-	if ok || err != ErrBudget {
+	if ok || !errors.Is(err, engine.LimitError{Limit: engine.Expansions, Bound: 10}) {
 		t.Errorf("got ok=%v err=%v, want budget error", ok, err)
 	}
 	if it.Exhausted() {

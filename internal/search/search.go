@@ -9,7 +9,6 @@
 package search
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"slices"
@@ -79,7 +78,7 @@ type Options struct {
 	Strategy Strategy
 	// MaxSolutions stops the search after this many solutions; 0 finds all.
 	MaxSolutions int
-	// MaxExpansions bounds work; 0 means DefaultMaxExpansions.
+	// MaxExpansions bounds work; 0 takes the expansions default.
 	MaxExpansions uint64
 	// Learn applies the section-5 weight update rules to the store as
 	// chains complete.
@@ -116,9 +115,6 @@ type Options struct {
 	Live *obs.Live
 }
 
-// DefaultMaxExpansions stops runaway searches on cyclic programs.
-const DefaultMaxExpansions = 5_000_000
-
 // Result is the outcome of a search run.
 type Result struct {
 	Solutions []engine.Solution
@@ -135,14 +131,11 @@ type Result struct {
 	QueryVars []*term.Var
 }
 
-// ErrBudget is reported when MaxExpansions was hit before exhaustion.
-var ErrBudget = engine.ErrBudget
-
 // Run searches for solutions to goals over db guided by ws: the batch
 // form of the one sequential path, an Iter drained into a Result. A
 // cancelled or deadlined ctx aborts the search between node expansions
-// and returns the context's error with the work done so far, as do the
-// expansion budget (ErrBudget) and engine errors.
+// and returns the context's error with the work done so far, as do a
+// passed limit (engine.LimitError) and engine errors.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
 	it, err := NewIter(ctx, db, ws, goals, opt)
 	if err != nil {
@@ -178,19 +171,19 @@ func traceLine(n *engine.Node, children []*engine.Node) string {
 }
 
 // frontier is the open list: a stack for depth-first, a queue for
-// breadth-first, and for best-first a binary heap ordered by (Bound, Seq),
-// so equal bounds expand in generation order and a uniform store
+// breadth-first, and for best-first the engine's (Bound, Seq) heap, so
+// equal bounds expand in generation order and a uniform store
 // degenerates gracefully to breadth-first. A popped slot is nilled, so
 // the array holds no node past the list's length.
 type frontier struct {
 	s     Strategy
-	items []*engine.Node
+	items engine.NodeHeap
 	head  int // breadth-first: the queue's front
 }
 
 func (f *frontier) push(n *engine.Node) {
 	if f.s == BestFirst {
-		heap.Push(f, n)
+		f.items.Push(n)
 		return
 	}
 	f.items = append(f.items, n)
@@ -199,7 +192,7 @@ func (f *frontier) push(n *engine.Node) {
 func (f *frontier) pop() *engine.Node {
 	switch f.s {
 	case BestFirst:
-		return heap.Pop(f).(*engine.Node)
+		return f.items.Pop()
 	case BFS:
 		n := f.items[f.head]
 		f.items[f.head] = nil
@@ -210,28 +203,10 @@ func (f *frontier) pop() *engine.Node {
 		}
 		return n
 	}
-	return f.Pop().(*engine.Node)
+	return f.items.Remove(len(f.items) - 1) // depth-first: the stack's top
 }
 
 func (f *frontier) len() int { return len(f.items) - f.head }
-
-// heap.Interface, for best-first (head stays 0).
-func (f *frontier) Len() int { return len(f.items) }
-func (f *frontier) Less(i, j int) bool {
-	a, b := f.items[i], f.items[j]
-	if a.Bound != b.Bound {
-		return a.Bound < b.Bound
-	}
-	return a.Seq < b.Seq
-}
-func (f *frontier) Swap(i, j int) { f.items[i], f.items[j] = f.items[j], f.items[i] }
-func (f *frontier) Push(x any)    { f.items = append(f.items, x.(*engine.Node)) }
-func (f *frontier) Pop() any {
-	n := f.items[len(f.items)-1]
-	f.items[len(f.items)-1] = nil
-	f.items = f.items[:len(f.items)-1]
-	return n
-}
 
 // EnumerateOutcomes exhaustively searches (DFS) and returns every complete
 // chain as a weights.Outcome — the input the section-4 theoretical solver

@@ -2,10 +2,12 @@ package search
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 
+	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
 	"blog/internal/term"
@@ -163,8 +165,8 @@ func TestEmptyQueryErrors(t *testing.T) {
 func TestMaxExpansionsBudget(t *testing.T) {
 	db := load(t, "loop :- loop.")
 	_, err := Run(context.Background(), db, uniform(), q(t, "loop"), Options{Strategy: DFS, MaxExpansions: 10, MaxDepth: 1 << 20})
-	if err != ErrBudget {
-		t.Errorf("got %v, want ErrBudget", err)
+	if want := (engine.LimitError{Limit: engine.Expansions, Bound: 10}); !errors.Is(err, want) {
+		t.Errorf("got %v, want %v", err, want)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestQueryErrorClassification(t *testing.T) {
 		{"inspector kill best", endless("best"), true, http.StatusGone, obs.ErrKilled.Error(), killed, both},
 		{"inspector kill parallel", endless("parallel"), true, http.StatusGone, obs.ErrKilled.Error(), killed, oneShot},
 		{"budget", QueryRequest{Goal: "loop", Strategy: "dfs", MaxDepth: 1 << 30, MaxExpansions: 10}, false,
-			http.StatusUnprocessableEntity, "expansion budget exhausted before completion", func(m *serverMetrics) *metrics.Counter { return &m.budgetStops }, both},
+			http.StatusUnprocessableEntity, "expansions limit of 10 exceeded", func(m *serverMetrics) *metrics.Counter { return &m.budgetStops }, both},
 		{"engine error", QueryRequest{Goal: "bad(1)", Strategy: "dfs"}, false,
 			http.StatusInternalServerError, "", func(m *serverMetrics) *metrics.Counter { return &m.errors }, both},
 	}
@@ -261,7 +261,7 @@ func TestOneShotFailureAfterAnswers(t *testing.T) {
 			t.Fatalf("%s: %d answers, err %v; want answers, then the budget", strategy, n, err)
 		}
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/query", req)
-		want := `{"error":"expansion budget exhausted before completion","request_id":"q-000001"}` + "\n"
+		want := `{"error":"expansions limit of 40 exceeded","request_id":"q-000001"}` + "\n"
 		if resp.StatusCode != http.StatusUnprocessableEntity || string(body) != want {
 			t.Errorf("%s: status %d body %q, want %d %q", strategy, resp.StatusCode, body, http.StatusUnprocessableEntity, want)
 		}

@@ -20,12 +20,14 @@ type serverMetrics struct {
 	badRequests   metrics.Counter // 4xx validation failures
 	timeouts      metrics.Counter // queries ended by their deadline
 	cancelled     metrics.Counter // queries ended by client disconnect
-	budgetStops   metrics.Counter // queries ended by their expansion budget
+	budgetStops   metrics.Counter // queries ended by any limit (422)
 	errors        metrics.Counter // engine/internal failures (5xx)
 	killed        metrics.Counter // queries cancelled via the live inspector
 	slowQueries   metrics.Counter // queries over the slow-query threshold
 	sessionsOpen  metrics.Counter // sessions created
 	sessionsEnded metrics.Counter // sessions merged and closed
+
+	limitStops [blog.NumLimits]metrics.Counter // budgetStops split by limit
 
 	// tabledQueries counts queries (one-shot and streaming) run with
 	// tabled:true; the cumulative table counters themselves come from the
@@ -83,6 +85,9 @@ func (m *serverMetrics) expose(inFlight, queued, workers, queueLen, sessions int
 	line("timeouts_total", m.timeouts.Load())
 	line("cancelled_total", m.cancelled.Load())
 	line("budget_stops_total", m.budgetStops.Load())
+	for l := range blog.NumLimits {
+		fmt.Fprintf(&b, "blogd_limit_stops_total{limit=%q} %d\n", l, m.limitStops[l].Load())
+	}
 	line("errors_total", m.errors.Load())
 	line("killed_total", m.killed.Load())
 	line("slow_queries_total", m.slowQueries.Load())

@@ -189,6 +189,8 @@ func TestMetricsNames(t *testing.T) {
 	want := []string{
 		"queries_total", "solutions_total", "stream_solutions_total", "rejected_total",
 		"bad_requests_total", "timeouts_total", "cancelled_total", "budget_stops_total",
+		`limit_stops_total{limit="expansions"}`, `limit_stops_total{limit="table_answers"}`,
+		`limit_stops_total{limit="negation_expansions"}`, `limit_stops_total{limit="builtin_term"}`,
 		"errors_total", "killed_total", "slow_queries_total", "sessions_created_total",
 		"sessions_ended_total", "sessions_active", "tabled_queries_total", "vm_dispatch_total",
 		"par_network_acquires_total", "par_chains_published_total", "par_migrations_total",

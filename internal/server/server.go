@@ -187,7 +187,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	// Only genuine validation failures count as bad requests; 404s, 422
-	// budget stops and 429s have their own accounting.
+	// limit stops and 429s have their own accounting.
 	if status == http.StatusBadRequest {
 		s.metrics.badRequests.Inc()
 	}
@@ -354,8 +354,10 @@ var errClientGone = fmt.Errorf("server: client went away mid-stream: %w", contex
 // context.Canceled on a query it records as killed was cancelled through
 // the live inspector, which the victim learns as 410 Gone — distinct from
 // its own client disconnecting, where nobody is left to read a response
-// (status 0: write nothing).
+// (status 0: write nothing). A passed limit answers 422 naming itself,
+// counts in its own series and journals query_over_limit (Detail: name).
 func (s *Server) classify(lv *obs.Live, err error) (status int, msg string, counter *metrics.Counter) {
+	var limit blog.LimitError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "query timed out", &s.metrics.timeouts
@@ -363,8 +365,10 @@ func (s *Server) classify(lv *obs.Live, err error) (status int, msg string, coun
 		return http.StatusGone, obs.ErrKilled.Error(), &s.metrics.killed
 	case errors.Is(err, context.Canceled):
 		return 0, "", &s.metrics.cancelled
-	case errors.Is(err, blog.ErrBudget):
-		return http.StatusUnprocessableEntity, "expansion budget exhausted before completion", &s.metrics.budgetStops
+	case errors.As(err, &limit):
+		s.metrics.limitStops[limit.Limit].Inc()
+		s.journal.Emit(blog.Event{Kind: obs.KindQueryOverLimit, RequestID: lv.ID, Detail: limit.Limit.String()})
+		return http.StatusUnprocessableEntity, limit.Error(), &s.metrics.budgetStops
 	case errors.As(err, new(badRequest)):
 		return http.StatusBadRequest, err.Error(), &s.metrics.badRequests
 	default:

@@ -363,7 +363,7 @@ func (ev *eval) runGenerator(t *Table) error {
 		Prof:             ev.h.prof,
 		StepHook: func() error {
 			if ev.steps++; ev.steps > ev.budget {
-				return ErrBudget
+				return engine.LimitError{Limit: engine.TableAnswers, Bound: ev.budget}
 			}
 			return nil
 		},
@@ -532,7 +532,7 @@ func (ev *eval) noteAdded() {
 func (ev *eval) charge(consumed int) error {
 	ev.steps += uint64(consumed)
 	if ev.steps > ev.budget {
-		return ErrBudget
+		return engine.LimitError{Limit: engine.TableAnswers, Bound: ev.budget}
 	}
 	return nil
 }

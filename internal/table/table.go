@@ -67,7 +67,6 @@ package table
 
 import (
 	"context"
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -83,12 +82,6 @@ import (
 	"blog/internal/weights"
 )
 
-// ErrBudget reports that computing a table's answer set exceeded the
-// space's derivation budget — the tabled analogue of a runaway search
-// (for example a tabled predicate with infinitely many answers). It wraps
-// engine.ErrBudget so callers classify it like any other budget stop.
-var ErrBudget = fmt.Errorf("table: answer derivation exceeded the table space budget: %w", engine.ErrBudget)
-
 // Config sizes a Space.
 type Config struct {
 	// MaxDepth bounds one generator derivation in arcs; 0 uses the
@@ -97,13 +90,10 @@ type Config struct {
 	// inside generators.
 	MaxDepth int
 	// Budget bounds the total generator expansions of one production
-	// (the whole dependency group); 0 means DefaultBudget.
+	// (the whole dependency group); 0 takes the table_answers limit's
+	// default, and passing it ends the production with its LimitError.
 	Budget uint64
 }
-
-// DefaultBudget bounds one production run; generous, because a production
-// covers the full fixpoint of a dependency group.
-const DefaultBudget = 2_000_000
 
 // Space is an answer-table store over one database. It is safe for
 // concurrent use by any number of queries and workers.
@@ -178,9 +168,7 @@ func (s *Space) ReconfigureCause(cfg Config, cause string) {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = weights.DefaultConfig().A
 	}
-	if cfg.Budget == 0 {
-		cfg.Budget = DefaultBudget
-	}
+	cfg.Budget = engine.TableAnswers.Or(cfg.Budget)
 	s.mu.Lock()
 	// Same limits as the tables were produced under: nothing they depend
 	// on changed, so wiping them would be a pure re-derivation stampede.

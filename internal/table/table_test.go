@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"blog/internal/engine"
 	"blog/internal/kb"
 	"blog/internal/parse"
 	"blog/internal/search"
@@ -201,8 +202,8 @@ nat(s(X)) :- nat(X).
 `)
 	sp := NewSpace(db, Config{Budget: 5_000})
 	_, err := search.Run(context.Background(), db, weights.NewUniform(weights.DefaultConfig()), q(t, "nat(N)"), search.Options{Strategy: search.DFS, Tabler: sp.NewHandle()})
-	if !errors.Is(err, search.ErrBudget) {
-		t.Fatalf("err = %v, want table budget (wrapping search.ErrBudget)", err)
+	if want := (engine.LimitError{Limit: engine.TableAnswers, Bound: 5_000}); !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
 	}
 }
 

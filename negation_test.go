@@ -52,7 +52,7 @@ func TestNegationAgreesAcrossStrategies(t *testing.T) {
 
 // TestNegationBudgetEveryStrategy: a \+ whose proof attempt outgrows the
 // negation budget (8^7 branches, every one failing) ends the query with
-// engine.ErrNegationBudget under every strategy.
+// the negation_expansions LimitError under every strategy.
 func TestNegationBudgetEveryStrategy(t *testing.T) {
 	p, err := LoadString(`
 		c(1). c(2). c(3). c(4). c(5). c(6). c(7). c(8).
@@ -62,8 +62,9 @@ func TestNegationBudgetEveryStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range everyStrategy {
-		if _, err := p.Query(`\+(spin)`, s); !errors.Is(err, engine.ErrNegationBudget) {
-			t.Errorf("%v: err %v, want %v", s, err, engine.ErrNegationBudget)
+		want := engine.LimitError{Limit: engine.NegationExpansions, Bound: 100_000}
+		if _, err := p.Query(`\+(spin)`, s); !errors.Is(err, want) {
+			t.Errorf("%v: err %v, want %v", s, err, want)
 		}
 	}
 }
