@@ -265,7 +265,7 @@ func nextSolution(r *TrailRun) (Solution, bool, error) {
 	if !ok {
 		return Solution{}, false, err
 	}
-	return r.Answer().Solution(), true, nil
+	return r.Answer().Solution(nil), true, nil
 }
 
 func canonAnswer(s Solution, qvars []*term.Var) string {

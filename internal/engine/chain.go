@@ -83,13 +83,14 @@ func (r *TrailRun) Split() *Chain {
 }
 
 func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
-	sh := r.sh
+	sh, sl := r.sh, &r.sh.chains
 	sh.hide = sh.st.Hide(cp.mark, sh.hide)
 	defer sh.st.Unhide(cp.mark, sh.hide)
 	left := len(cp.vmCands) - cp.next
-	c := &Chain{Bound: cp.bound, depth: cp.depth, vmCands: make([]*vm.CClause, 0, left)}
+	cands := sl.cands.Take(left)[:0]
+	var ws []float64
 	if cp.weights != nil {
-		c.weights = make([]float64, 0, left)
+		ws = sl.weights.Take(left)[:0]
 	}
 	mark, compMark := sh.st.Mark(), sh.cpool.Mark()
 	for j := cp.next; j < len(cp.vmCands); j++ {
@@ -100,16 +101,22 @@ func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 		if !ok {
 			continue
 		}
-		c.vmCands = append(c.vmCands, cp.vmCands[j])
-		if cp.weights != nil {
-			c.weights = append(c.weights, cp.weights[j])
+		cands = append(cands, cp.vmCands[j])
+		if ws != nil {
+			ws = append(ws, cp.weights[j])
 		}
 	}
 	// The candidate list is shared with the program: reslice.
 	cp.vmCands = cp.vmCands[:cp.next]
-	if len(c.vmCands) == 0 {
+	sl.cands.Back(left - len(cands))
+	if ws != nil {
+		sl.weights.Back(left - len(ws))
+	}
+	if len(cands) == 0 {
 		return nil
 	}
+	c := sl.chains.New()
+	*c = Chain{Bound: cp.bound, depth: cp.depth, vmCands: cands[:len(cands):len(cands)], weights: ws[:len(ws):len(ws)]}
 	r.export(c, cp.entry, cp.tail, cp.chainLen)
 	return c
 }
@@ -126,7 +133,8 @@ func (r *TrailRun) Suspend() []*Chain {
 			return nil
 		}
 	}
-	node := &Chain{Bound: r.bound, depth: r.depth}
+	node := r.sh.chains.chains.New()
+	*node = Chain{Bound: r.bound, depth: r.depth}
 	r.export(node, r.goals.entry, r.goals.tail, len(r.chain))
 	out := []*Chain{node}
 	for c := r.Split(); c != nil; c = r.Split() {
@@ -139,9 +147,9 @@ func (r *TrailRun) Suspend() []*Chain {
 // goal-stack block), the query variables' images and the first n arcs,
 // read off the store as it stands.
 func (r *TrailRun) export(c *Chain, first GoalEntry, tail *GoalStack, n int) {
-	x := &r.sh.exp
+	sl, x := &r.sh.chains, &r.sh.exp
 	x.Reset(r.env)
-	block := make([]GoalStack, 1+tail.Len())
+	block := sl.goals.Take(1 + tail.Len())
 	block[0].entry = first
 	for i, s := 1, tail; s != nil; i, s = i+1, s.tail {
 		block[i].entry = s.entry
@@ -151,11 +159,12 @@ func (r *TrailRun) export(c *Chain, first GoalEntry, tail *GoalStack, n int) {
 	}
 	c.goals = link(block, nil)
 	c.qvars = r.queryVars
-	c.vars = make([]term.Term, len(r.queryVars))
+	c.vars = sl.cells.Terms(len(r.queryVars))
 	for i := range c.vars {
 		c.vars[i] = x.Copy(r.images[i])
 	}
-	c.arcs = append([]kb.Arc(nil), r.chain[:n]...)
+	c.arcs = sl.arcs.Take(n)
+	copy(c.arcs, r.chain)
 }
 
 // Resume starts a run of c under cfg on a pooled scratch; see TrailRun.Resume.

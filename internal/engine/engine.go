@@ -19,7 +19,9 @@
 // A trail run's root goals are pooled cells, as a clause activation's
 // are: one pooled frame for the query variables, compounds from the
 // compound pool. They leave the run only through Detacher (or Exporter,
-// for a chain). RootChain, which crosses goroutines, uses heap cells.
+// for a chain). A chain Split or Suspend exports is carved from the
+// chain slab in the run's scratch (chainSlab); RootChain, made before
+// any run, uses heap cells.
 //
 // The Env frontier (Expander) has one allocation path, the slab in its
 // pooled scratch: nodes, goal cells, arcs and children lists, and through
@@ -681,9 +683,9 @@ type Answer struct {
 }
 
 // detacher returns the answer's Detacher — d when the run holds none —
-// set up on first use, its query variables owned. A run's Env is never
-// nil, so a zero Env marks a Detacher not yet set up.
-func (a Answer) detacher(d *term.Detacher) *term.Detacher {
+// copying into cells, set up on first use, its query variables owned. A
+// run's Env is never nil, so a zero Env marks a Detacher not yet set up.
+func (a Answer) detacher(d *term.Detacher, cells *term.Cells) *term.Detacher {
 	if a.Det != nil {
 		d = a.Det
 	}
@@ -693,6 +695,7 @@ func (a Answer) detacher(d *term.Detacher) *term.Detacher {
 			d.Own(t, a.Vars[j])
 		}
 	}
+	d.Cells = cells
 	return d
 }
 
@@ -702,14 +705,18 @@ func (a Answer) detacher(d *term.Detacher) *term.Detacher {
 // several values of one answer is one variable in all of them.
 func (a Answer) Value(i int) term.Term {
 	var d term.Detacher
-	return a.detacher(&d).Detach(a.Terms[i])
+	return a.detacher(&d, nil).Detach(a.Terms[i])
 }
 
-// Solution detaches the whole answer, its values in query order.
-func (a Answer) Solution() Solution {
+// Solution detaches the whole answer, its values in query order, into
+// cells: the values slice and every copied compound are carved from them,
+// so a collector that keeps many answers keeps them in a few chunks, and
+// the chunks live as long as any answer in them. Nil cells copy into the
+// heap.
+func (a Answer) Solution(cells *term.Cells) Solution {
 	var local term.Detacher
-	d := a.detacher(&local)
-	vals := make([]term.Term, len(a.Terms))
+	d := a.detacher(&local, cells)
+	vals := cells.Terms(len(a.Terms))
 	for i, t := range a.Terms {
 		vals[i] = d.Detach(t)
 	}

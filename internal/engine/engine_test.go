@@ -237,7 +237,7 @@ func nodeSolution(n *Node, qvars []*term.Var) Solution {
 	for i, v := range qvars {
 		terms[i] = v
 	}
-	return Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: terms, Vars: qvars}.Solution()
+	return Answer{Bound: n.Bound, Depth: n.Depth, Env: n.Env, Terms: terms, Vars: qvars}.Solution(nil)
 }
 
 func TestNodeSolution(t *testing.T) {

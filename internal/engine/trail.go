@@ -99,10 +99,12 @@ type trailShared struct {
 	spareCPs   []choicePoint
 	spareChain []kb.Arc
 
-	// exp and hide are Split's scratch: the renaming exporter and the
-	// buffer holding the slots hidden above a choice point's mark.
-	exp  term.Exporter
-	hide []term.Term
+	// exp, hide and chains are Split's scratch: the renaming exporter, the
+	// buffer holding the slots hidden above a choice point's mark, and the
+	// slab the chains are carved from.
+	exp    term.Exporter
+	hide   []term.Term
+	chains chainSlab
 
 	// names and images are the root's scratch (rename): the query
 	// variables' print names, and the terms they stand for in the run.
@@ -125,7 +127,33 @@ func getShared() *trailShared {
 	}
 	sh.mach.Pool = &sh.pool
 	sh.mach.CPool = &sh.cpool
+	sh.exp.Cells = &sh.chains.cells
 	return sh
+}
+
+// chainSlab is where Split and Suspend carve the chains they export: each
+// Chain, its candidate list and weights, goal block, query-variable images
+// and arcs, and through cells its copied compounds. Like the Expander's
+// slab it hands out each cell once (term.Slab), so a chain stays valid on
+// whichever worker resumes it however the scratch is reused, and Release
+// trims it. The compounds are marked pooled, so an answer found under a
+// chain detaches a copy and pins none of its chunks.
+type chainSlab struct {
+	chains  term.Slab[Chain]
+	cands   term.Slab[*vm.CClause]
+	weights term.Slab[float64]
+	goals   term.Slab[GoalStack]
+	arcs    term.Slab[kb.Arc]
+	cells   term.Cells
+}
+
+func (s *chainSlab) trim() {
+	s.chains.Trim()
+	s.cands.Trim()
+	s.weights.Trim()
+	s.goals.Trim()
+	s.arcs.Trim()
+	s.cells.Trim()
 }
 
 // Release returns the run's pooled scratch — store discarded, frame,
@@ -154,6 +182,7 @@ func (r *TrailRun) Release() {
 	// once per run, off the hot path — and zero the per-run counters so a
 	// recycled scratch starts the next run's accounting clean.
 	term.RecordPoolHighWater(sh.pool.RunReset(), sh.cpool.RunReset())
+	sh.chains.trim()
 	r.meter.Release()
 	r.meter = nil
 	sh.spareCPs = r.cps[:0]

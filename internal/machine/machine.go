@@ -434,7 +434,7 @@ func (r *run) process(p *proc, n *engine.Node) {
 		if r.cfg.Learn {
 			r.m.ws.RecordSuccess(n.Chain.Slice())
 		}
-		r.rep.Solutions = append(r.rep.Solutions, SolutionEvent{Solution: a.Solution(), At: r.s.Now(), Proc: p.id})
+		r.rep.Solutions = append(r.rep.Solutions, SolutionEvent{Solution: a.Solution(nil), At: r.s.Now(), Proc: p.id})
 		r.outstanding--
 		if r.cfg.MaxSolutions > 0 && len(r.rep.Solutions) >= r.cfg.MaxSolutions {
 			r.stop = true

@@ -162,7 +162,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 		opt.LocalCap = 64
 	}
 	st := &state{opt: opt, maxExp: engine.Expansions.Or(opt.MaxExpansions)}
-	st.cond = sync.NewCond(&st.mu)
+	st.cond.L = &st.mu
 	root := engine.RootChain(goals)
 	st.root = root
 	st.net.push(root)
@@ -171,7 +171,6 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	st.hungry.Store(int32(opt.Workers))
 
 	workers := make([]worker, opt.Workers)
-	var wg sync.WaitGroup
 	for i := range workers {
 		w := &workers[i]
 		w.cfg = engine.TrailConfig{
@@ -179,16 +178,16 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 			Tabler: opt.Tabler, Ctx: ctx, Learn: opt.Learn, Prof: opt.Prof,
 			StepHook: func() error { return st.step(w) },
 		}
-		wg.Add(1)
+		st.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer st.wg.Done()
 			st.work(w)
 		}()
 	}
 	// A worker blocked in cond.Wait cannot select on ctx.Done(), so
 	// cancellation is converted into the engine's own stop-and-broadcast.
 	defer context.AfterFunc(ctx, func() { st.fail(ctx.Err()) })()
-	wg.Wait()
+	st.wg.Wait()
 
 	st.mu.Lock() // a late cancellation may still be writing err
 	defer st.mu.Unlock()
@@ -228,8 +227,9 @@ type state struct {
 	maxExp uint64
 	root   *engine.Chain // the query's root chain, whose grain is not counted
 
+	wg   sync.WaitGroup
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // on mu
 	// net, err, solutions, takers and startup are guarded by mu.
 	net       network
 	err       error
@@ -254,10 +254,13 @@ type state struct {
 	exhausted atomic.Bool
 }
 
-// worker is one processor: its run, configuration and network accounting.
+// worker is one processor: its run, configuration and network accounting,
+// and the cells its answers are detached into. The cells are the run's
+// own, not pooled, so a kept Result pins only chunks of its own answers.
 type worker struct {
 	cfg      engine.TrailConfig
 	run      *engine.TrailRun
+	cells    term.Cells
 	panicked bool
 
 	migrations, acquires, published uint64
@@ -305,7 +308,7 @@ func (s *state) drain(w *worker) bool {
 		ok, err := w.run.Advance()
 		switch {
 		case ok:
-			if s.addSolution(w.run.Answer().Solution()) {
+			if s.addSolution(w.run.Answer().Solution(&w.cells)) {
 				return false
 			}
 		case err == errStopped:

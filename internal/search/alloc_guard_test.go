@@ -54,9 +54,9 @@ func TestDFSAllocationBudget(t *testing.T) {
 // TestDFSBuiltinAllocationBudget pins the builtin ABI's cost on the trail
 // path: an exhaustive queens(5,Qs) DFS makes ~1480 `=\=`/`is`/`<` calls in
 // 3173 expansions, every one evaluated in place on the store, so what the
-// query allocates is its 10 solutions (values and detached list) plus the
-// result — nothing per builtin call. One allocation per call would put
-// the count past 1600.
+// query allocates is the result and the chunks its 10 solutions are
+// detached into — nothing per builtin call. One allocation per call would
+// put the count past 1600.
 func TestDFSBuiltinAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -72,11 +72,11 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the program cache and the scratch pool
-	// Measured steady state is 117 allocations per query (139 with a
-	// bindings map per solution and an iterator of its own); the budget is
-	// 1.3x that, slack for pool refills after a GC cycle empties the
-	// sync.Pool mid-measurement.
-	const budget = 152
+	// Measured steady state is 12 allocations per query (117 with a heap
+	// object per copied cell, 139 with a bindings map per solution and an
+	// iterator of its own); the budget is 1.3x that, slack for pool
+	// refills after a GC cycle empties the sync.Pool mid-measurement.
+	const budget = 16
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("queens(5,Qs) DFS allocated %.1f times, budget %d", got, budget)
 	}
@@ -86,7 +86,7 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 // best-first takes its nodes, goal cells, arcs, children lists, bindings,
 // frames and compounds from the slabs in the expander's pooled scratch,
 // so what a query allocates is a chunk now and then, its open list's
-// growth and its detached solutions. Before the slabs, the same rows
+// growth and the chunks its solutions are detached into. Before the slabs, the same rows
 // allocated 18 672, 1 042 and 132 times: one allocation per cell puts
 // every row far past its budget. Each budget is 1.2x the measured steady
 // state.
@@ -100,13 +100,14 @@ func TestBestFirstAllocationBudget(t *testing.T) {
 		sols            int
 		budget          float64
 	}{
-		// Measured 200 over 3173 expansions.
-		{"queens(5,Qs)", workload.NQueens, "queens(5,Qs)", Options{Strategy: BestFirst}, 10, 240},
+		// Measured 95 over 3173 expansions; 200 while each solution took
+		// a heap object per copied cell.
+		{"queens(5,Qs)", workload.NQueens, "queens(5,Qs)", Options{Strategy: BestFirst}, 10, 114},
 		// Measured 23, first solution after 208 expansions.
 		{"DeepFailure(16,12)", workload.DeepFailure(16, 12), "top(W)", Options{Strategy: BestFirst, MaxSolutions: 1, MaxDepth: 64}, 1, 28},
-		// Measured 24; 50 while each of its 12 solutions detached into a
-		// bindings map.
-		{"gf(p40,G)", workload.FamilyTree(6, 3), "gf(p40,G)", Options{Strategy: BestFirst}, 12, 29},
+		// Measured 13; 24 while each of its 12 solutions took a values
+		// slice of its own, 50 while each detached into a bindings map.
+		{"gf(p40,G)", workload.FamilyTree(6, 3), "gf(p40,G)", Options{Strategy: BestFirst}, 12, 16},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -224,8 +225,9 @@ func (r replayTabler) Answers(context.Context, *term.Env, term.Term) ([]term.Ter
 // the trail path: an exhaustive DFS of path(v0,Z) over a 64-answer ground
 // table, the shape of the tabled_read benchmark workload. Ground answers
 // are unified as stored, one per backtrack, so what the query allocates is
-// its 64 solutions plus the result — nothing per answer tried. One
-// allocation per answer would put the count past the budget.
+// the result and the chunks its 64 solutions are detached into — nothing
+// per answer tried. One allocation per answer would put the count past
+// the budget.
 func TestTabledReplayAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -246,11 +248,12 @@ func TestTabledReplayAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the scratch pool
-	// Measured steady state is 73 allocations per query, ~1 per solution
-	// (139 with a bindings map per solution; staging every answer as an
-	// environment cost 407); the budget is 1.3x that, like the queens
-	// guard's, and one more allocation per answer (137) breaks it.
-	const budget = 95
+	// Measured steady state is 11 allocations per query (73 with a values
+	// slice per solution, 139 with a bindings map per solution; staging
+	// every answer as an environment cost 407); the budget is 1.3x that,
+	// like the queens guard's, and one more allocation per answer (75)
+	// breaks it.
+	const budget = 15
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("tabled replay of %d answers allocated %.1f times, budget %d", nodes, got, budget)
 	}

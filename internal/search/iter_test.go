@@ -19,7 +19,7 @@ func nextSolution(it *Iter) (engine.Solution, bool, error) {
 	if !ok {
 		return engine.Solution{}, false, err
 	}
-	return a.Solution(), true, nil
+	return a.Solution(nil), true, nil
 }
 
 func TestIterYieldsAllSolutionsLazily(t *testing.T) {

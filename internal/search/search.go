@@ -129,13 +129,16 @@ type Result struct {
 	Trace []string
 	// QueryVars are the variables of the query in first-occurrence order.
 	QueryVars []*term.Var
+
+	cells term.Cells // what Solutions are detached into
 }
 
 // Run searches for solutions to goals over db guided by ws: the batch
 // form of the one sequential path, an Iter drained into a Result. A
 // cancelled or deadlined ctx aborts the search between node expansions
 // and returns the context's error with the work done so far, as do a
-// passed limit (engine.LimitError) and engine errors.
+// passed limit (engine.LimitError) and engine errors. The solutions are
+// detached into cells the Result holds, a few chunks for all of them.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
 	it, err := NewIter(ctx, db, ws, goals, opt)
 	if err != nil {
@@ -145,7 +148,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	res := &Result{QueryVars: it.queryVars}
 	a, ok, err := it.NextAnswer()
 	for ; ok; a, ok, err = it.NextAnswer() {
-		res.Solutions = append(res.Solutions, a.Solution())
+		res.Solutions = append(res.Solutions, a.Solution(&res.cells))
 	}
 	res.Stats, res.Exhausted, res.Tree, res.Trace = it.Stats(), it.Exhausted(), it.Tree(), it.Trace()
 	return res, err

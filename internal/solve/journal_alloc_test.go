@@ -53,8 +53,9 @@ func TestDFSJournalAllocationBudget(t *testing.T) {
 
 	// Steady state: every run is served from the complete table. The
 	// journal must not change this cost at all — attach it and hold the
-	// same absolute budget the unjournaled hit path meets.
-	const hitBudget = 120
+	// same absolute budget the unjournaled hit path meets. Measured 7 both
+	// ways (10 with a values slice per solution); the budget is 1.5x that.
+	const hitBudget = 11
 	if got := testing.AllocsPerRun(50, run); got > hitBudget {
 		t.Errorf("tabled hit query (no journal) allocated %.1f times, budget %d", got, hitBudget)
 	}

@@ -150,7 +150,8 @@ type Response struct {
 	// Trace holds figure-1 style lines when Request.RecordTrace was set.
 	Trace []string
 
-	answers int // handed out, for the search span's count
+	answers int        // handed out, for the search span's count
+	cells   term.Cells // what a nil yield detaches Solutions into
 }
 
 // Run validates req and runs it on the engine that implements it — the
@@ -336,7 +337,8 @@ func validate(req *Request) error {
 
 // sequential runs DFS, BFS and BestFirst, pulled from one search.Iter:
 // each answer goes to yield as a view over the run's live bindings, and
-// a nil yield is one that keeps them detached in Solutions.
+// a nil yield is one that keeps them detached in Solutions, carved from
+// the Response's cells.
 func sequential(ctx context.Context, req *Request, opt search.Options, yield func(engine.Answer) error) (*Response, error) {
 	it, err := search.NewIter(ctx, req.DB, req.Store, req.Goals, opt)
 	if err != nil {
@@ -346,7 +348,7 @@ func sequential(ctx context.Context, req *Request, opt search.Options, yield fun
 	resp := &Response{QueryVars: it.QueryVars()}
 	if yield == nil {
 		yield = func(a engine.Answer) error {
-			resp.Solutions = append(resp.Solutions, a.Solution())
+			resp.Solutions = append(resp.Solutions, a.Solution(&resp.cells))
 			return nil
 		}
 	}

@@ -69,15 +69,22 @@ func (s *Slab[T]) Trim() {
 	}
 }
 
-// Cells is a run's allocator for the persistent environment: Env spine
-// cells, activation frames and compounds, each from a Slab. Every
-// environment that extends Root binds from the same Cells, so only the
-// run's goroutine may bind on them, and only until the run trims its
-// Cells; reading them (Lookup, Resolve, Detacher) stays valid forever.
+// Cells is an allocator of Env spine cells, activation frames, compounds
+// and term slices, each from a Slab, for one goroutine at a time. Its
+// holders: the Env frontier's scratch (engine.Expander), for a run's
+// environments, frames and compounds; an OR-parallel worker (par), for
+// the answers it detaches, fresh per run; a trail run's chain slab
+// (engine), for the compounds and variable images of the chains it
+// exports; and a search.Result and a collecting solve.Response, for
+// their detached solutions. Every environment that extends Root binds
+// from the same Cells, so only the run's goroutine may bind on them, and
+// only until the run trims its Cells; reading them (Lookup, Resolve,
+// Detacher) stays valid forever.
+//
 // Its frames and compounds are marked pooled, like a pool's: a single
-// cell that outlived the run would keep its whole chunk, and through it
-// the chunks its neighbours point into, so Detacher copies them on the
-// way out. The nil Cells allocates from the heap.
+// cell that outlived its holder's use would keep its whole chunk, and
+// through it the chunks its neighbours point into, so Detacher copies
+// them on the way out. The nil Cells allocates from the heap.
 type Cells struct {
 	envs   Slab[Env]
 	frames Slab[Frame]
@@ -116,6 +123,14 @@ func (c *Cells) Frame(names []string) *Frame {
 	f.mint(names)
 	f.pooled = true
 	return f
+}
+
+// Terms returns n nil terms, as make([]Term, n) does, from the slabs.
+func (c *Cells) Terms(n int) []Term {
+	if c == nil {
+		return make([]Term, n)
+	}
+	return c.args.Take(n)
 }
 
 // Compound is MakeCompound from the slabs.

@@ -254,12 +254,15 @@ func RefreshAll(ts []Term) ([]Term, map[*Var]*Var) {
 // whose frame is pooled (pool-recycled or slab-carved) detaches as a fresh
 // variable with the same print name, and any other as itself —
 // consistently across one Detacher's lifetime. Pooled compounds are
-// copied, others shared when unchanged. The result survives backtracking and frame and compound
-// recycling, and pins no slab chunk; on terms from the heap, Detach only
-// resolves.
+// copied, others shared when unchanged. The result survives backtracking
+// and frame and compound recycling, and pins no chunk of the run's slabs;
+// on terms from the heap, Detach only resolves.
 type Detacher struct {
 	Env *Env
-	ren renaming
+	// Cells, when set, is where copies are carved from (Cells.Compound);
+	// nil copies into the heap.
+	Cells *Cells
+	ren   renaming
 }
 
 // renaming maps the variables a Detacher renames to their images. The
@@ -328,19 +331,34 @@ func (d *Detacher) Detach(t Term) Term {
 		d.ren.put(t, nv)
 		return nv
 	case *Compound:
-		args := make([]Term, len(t.Args))
-		changed := t.pooled
-		for i, a := range t.Args {
-			args[i] = d.Detach(a)
-			changed = changed || args[i] != a
-		}
-		if !changed {
-			return t
-		}
-		return &Compound{Functor: t.Functor, Args: args}
+		return copyArgs(t, d.Cells, d.Detach)
 	default:
 		return t
 	}
+}
+
+// copyArgs returns t with each argument a replaced by walk(a), sharing t
+// when no argument changes unless t is pooled. The copy, from cells, is
+// made at the first changed argument, or at once for a pooled t.
+func copyArgs(t *Compound, cells *Cells, walk func(Term) Term) *Compound {
+	var c *Compound
+	if t.pooled {
+		c = cells.Compound(t.Functor, len(t.Args))
+	}
+	for i, a := range t.Args {
+		na := walk(a)
+		if c == nil && na != a {
+			c = cells.Compound(t.Functor, len(t.Args))
+			copy(c.Args, t.Args[:i])
+		}
+		if c != nil {
+			c.Args[i] = na
+		}
+	}
+	if c == nil {
+		return t
+	}
+	return c
 }
 
 // Exporter copies terms out of a store for another goroutine's store.
@@ -349,11 +367,12 @@ func (d *Detacher) Detach(t Term) Term {
 // so no two stores ever write the same binding slot. Until the next Reset
 // each variable and compound is copied once, keeping shared structure
 // shared; fresh variables come from slab frames that carry their binding
-// array, and a copied compound is one allocation.
+// array, and a copied compound is one Cells.Compound.
 type Exporter struct {
-	env  *Env
-	done map[Term]Term
-	slab []Var
+	Cells *Cells
+	env   *Env
+	done  map[Term]Term
+	slab  []Var
 }
 
 const exporterSlab = 8
@@ -393,20 +412,10 @@ func (x *Exporter) Copy(t Term) Term {
 		x.done[t] = nv
 		return nv
 	case *Compound:
-		var buf [4]Term
-		args := buf[:0]
-		changed := t.pooled
-		for _, a := range t.Args {
-			na := x.Copy(a)
-			changed = changed || na != a
-			args = append(args, na)
+		c := copyArgs(t, x.Cells, x.Copy)
+		if c != t {
+			x.done[t] = c
 		}
-		if !changed {
-			return t
-		}
-		c := MakeCompound(t.Functor, len(args))
-		copy(c.Args, args)
-		x.done[t] = c
 		return c
 	default:
 		return t

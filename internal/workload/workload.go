@@ -351,8 +351,11 @@ func SessionQueries(n int, persons int, seed int64) []string {
 }
 
 // Unbalanced builds a program whose OR-tree has one very deep successful
-// subtree and many shallow ones, so naive static work splitting starves:
-// the migration-threshold experiment E5 uses it.
+// subtree and many shallow ones, so naive static work splitting starves.
+// The root package's BenchmarkE5DSweep runs the simulated machine on it
+// at the extreme D settings, the par tests publish and migrate chains
+// over it, and search's best-first bound-order test runs it under a
+// weight table; exhibit E5 itself runs FamilyTree(5,3).
 func Unbalanced(shallow, deepDepth int) string {
 	var b strings.Builder
 	for i := 0; i < shallow; i++ {
