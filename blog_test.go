@@ -185,6 +185,25 @@ func TestParallelOptions(t *testing.T) {
 	}
 }
 
+// TestParallelRefusesPrune: the parallel workers share no incumbent
+// bound, so a pruned parallel query is an error rather than a run that
+// silently returns what a pruned one would have cut.
+func TestParallelRefusesPrune(t *testing.T) {
+	p, err := LoadString("p(a). p(X) :- q(X). q(b). q(X) :- r(X). r(c).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Query("p(X)", DFS, Prune())
+	if err != nil || len(res.Solutions) != 1 || res.Counters.Pruned != 2 {
+		t.Fatalf("dfs prune: %v, err %v", res, err)
+	}
+	for _, opt := range []Option{Prune(), PruneSlack(0.5)} {
+		if _, err := p.Query("p(X)", Parallel, Workers(2), opt); err == nil || !strings.Contains(err.Error(), "parallel does not prune") {
+			t.Errorf("parallel prune: err = %v, want a refusal", err)
+		}
+	}
+}
+
 func TestRenderings(t *testing.T) {
 	p := loadFig1(t)
 	if !strings.Contains(p.GraphText(), "(curt) --f--> (elain)") {

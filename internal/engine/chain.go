@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"blog/internal/kb"
 	"blog/internal/term"
 	"blog/internal/vm"
@@ -8,7 +10,7 @@ import (
 
 // Chain is a detached piece of a trail run's OR-tree, for another run on
 // another goroutine's store to resume: the untried alternatives of one
-// choice point, or (RootChain, Suspend) one node not yet expanded. It holds
+// choice point, or (Suspend) one node not yet expanded. It holds
 // the goal entries with their Caller/Pos — first the goal the candidates
 // resolve, then the goals pending below it — the images of the query
 // variables, the arcs taken to reach it, its bound and depth, the
@@ -28,37 +30,40 @@ type Chain struct {
 	weights []float64 // nil unless captured under Learn
 }
 
-// RootChain is a query's root as a node chain: the goals renamed apart as
-// NewTrailRun renames them, into heap cells, for whichever run resumes it.
-func RootChain(goals []term.Term) *Chain {
-	qvars := term.VarsOf(goals)
-	names := make([]string, len(qvars))
-	for i, v := range qvars {
-		names[i] = v.Name
+// visits, when set, counts the choice points Split and Untried read; tests
+// set it (export_test.go) to show the cursors keep that O(1) a step.
+var visits *atomic.Uint64
+
+func countVisits(n int) {
+	if visits != nil {
+		visits.Add(uint64(n))
 	}
-	vars := term.NewFrame(names).AppendVars(make([]term.Term, 0, len(qvars)))
-	gs := rootGoals(make([]GoalStack, len(goals)), goals, qvars, vars, nil)
-	return &Chain{goals: gs, qvars: qvars, vars: vars}
 }
 
-// QueryVars returns the query variables the chain's solutions bind.
-func (c *Chain) QueryVars() []*term.Var { return c.qvars }
+// left is how many alternatives cp has not tried.
+func (cp *choicePoint) left() int { return len(cp.vmCands) + cp.ch.n - cp.next }
 
 // Untried reports the work the run holds: n counts the untried clause
 // alternatives (what Split can export), and least is the lowest bound
 // among the node it is at and every choice point with alternatives left.
+// While every arc weight the run has taken is non-negative, bounds never
+// fall up the stack, so that is the bound of the oldest choice point with
+// alternatives, at the cursor; a negative weight falls back to the scan.
 func (r *TrailRun) Untried() (n int, least float64) {
-	least = r.bound
-	for i := range r.cps {
-		cp := &r.cps[i]
-		if left := len(cp.vmCands) + cp.ch.n - cp.next; left > 0 {
-			least = min(least, cp.bound)
-			if cp.kind == cpVM {
-				n += left
+	from, least := r.liveFrom, r.bound
+	i := from
+	for ; i < len(r.cps); i++ {
+		if r.cps[i].left() > 0 {
+			least = min(least, r.cps[i].bound)
+			if !r.negArc {
+				break
 			}
+		} else if i == r.liveFrom {
+			r.liveFrom++
 		}
 	}
-	return n, least
+	countVisits(min(i+1, len(r.cps)) - min(from, len(r.cps)))
+	return r.untried, least
 }
 
 // Split exports the untried alternatives of the run's oldest clause choice
@@ -71,14 +76,18 @@ func (r *TrailRun) Untried() (n int, least float64) {
 // StepHook, which negation sub-runs do not call; nil means nothing to
 // export.
 func (r *TrailRun) Split() *Chain {
-	for i := range r.cps {
-		// An alternative choice point has no clause candidates.
-		if cp := &r.cps[i]; cp.next < len(cp.vmCands) {
+	from := r.splitFrom
+	for ; r.splitFrom < len(r.cps); r.splitFrom++ {
+		// An alternative choice point has no clause candidates, and
+		// splitCP leaves none on cp.
+		if cp := &r.cps[r.splitFrom]; cp.next < len(cp.vmCands) {
 			if c := r.splitCP(cp); c != nil {
+				countVisits(r.splitFrom + 1 - from)
 				return c
 			}
 		}
 	}
+	countVisits(r.splitFrom - from)
 	return nil
 }
 
@@ -108,6 +117,7 @@ func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 	}
 	// The candidate list is shared with the program: reslice.
 	cp.vmCands = cp.vmCands[:cp.next]
+	r.untried -= left
 	sl.cands.Back(left - len(cands))
 	if ws != nil {
 		sl.weights.Back(left - len(ws))
@@ -128,7 +138,7 @@ func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 // untried alternatives, which never leave their run, it exports nothing
 // (nil).
 func (r *TrailRun) Suspend() []*Chain {
-	for i := range r.cps {
+	for i := r.liveFrom; i < len(r.cps); i++ {
 		if cp := &r.cps[i]; cp.kind == cpChoices && cp.next < cp.ch.n {
 			return nil
 		}
@@ -167,12 +177,11 @@ func (r *TrailRun) export(c *Chain, first GoalEntry, tail *GoalStack, n int) {
 	copy(c.arcs, r.chain)
 }
 
-// Resume starts a run of c under cfg on a pooled scratch; see TrailRun.Resume.
-func Resume(cfg TrailConfig, c *Chain) *TrailRun {
-	r := new(TrailRun)
+// InitChain is Init for a chain: r starts on c under cfg, on a pooled
+// scratch (see Resume).
+func (r *TrailRun) InitChain(cfg TrailConfig, c *Chain) {
 	r.init(cfg)
 	r.Resume(c)
-	return r
 }
 
 // Resume restarts r — finished, or abandoned by its StepHook — on c with
@@ -193,7 +202,7 @@ func (r *TrailRun) Resume(c *Chain) {
 		}
 		cp.frame, cp.block = nil, nil
 	}
-	r.cps = r.cps[:0]
+	r.cps, r.liveFrom, r.splitFrom, r.untried = r.cps[:0], 0, 0, 0
 	r.dropRoot(sh)
 	r.mode, r.err, r.exhausted = trailArrive, nil, false
 	r.queryVars, r.images = c.qvars, c.vars
@@ -202,6 +211,7 @@ func (r *TrailRun) Resume(c *Chain) {
 	if len(c.vmCands) > 0 {
 		cp := r.pushCP(cpVM, c.goals.entry, c.goals.entry.Goal)
 		cp.vmCands, cp.weights = c.vmCands, c.weights
+		r.untried = len(c.vmCands)
 		r.mode = trailBacktrack
 	}
 }

@@ -20,8 +20,15 @@
 // are: one pooled frame for the query variables, compounds from the
 // compound pool. They leave the run only through Detacher (or Exporter,
 // for a chain). A chain Split or Suspend exports is carved from the
-// chain slab in the run's scratch (chainSlab); RootChain, made before
-// any run, uses heap cells.
+// chain slab in the run's scratch (chainSlab), its renamed variables'
+// frames among it.
+//
+// A trail run reads its context on its first arrival and then on every
+// ctxPoll-th (32), so a cancelled run stops within 32 nodes. Untried
+// assumes arc weights are non-negative, so that no choice point's bound
+// is below an older one's, and reads the least bound at its cursor; a run
+// that takes a negative weight scans instead. Answering exhaustive
+// best-first in its pop order from a trail run needs the same assumption.
 //
 // The Env frontier (Expander) has one allocation path, the slab in its
 // pooled scratch: nodes, goal cells, arcs and children lists, and through

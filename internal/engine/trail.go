@@ -24,11 +24,12 @@ import (
 // a \+ goal with a nested TrailRun (negationConfig).
 //
 // The machine is "arrival"-driven: arriving at a node runs the same
-// sequence search.Run runs on a popped node — context, prune, solution,
-// budget, depth, dispatch — then either descends into the first matching
-// alternative (pushing a choice point) or backtracks: undo the trail to
-// the innermost choice point's mark, recycle its activation frame and
-// goal-stack block, and try its next alternative.
+// sequence search.Run runs on a popped node — context (every ctxPoll-th
+// arrival), prune, solution, budget, depth, dispatch — then either
+// descends into the first matching alternative (pushing a choice point)
+// or backtracks: undo the trail to the innermost choice point's mark,
+// recycle its activation frame and goal-stack block, and try its next
+// alternative.
 
 // TrailConfig configures one TrailRun. DB, Weights and Ctx follow the
 // Expander fields of the same names.
@@ -133,10 +134,13 @@ func getShared() *trailShared {
 
 // chainSlab is where Split and Suspend carve the chains they export: each
 // Chain, its candidate list and weights, goal block, query-variable images
-// and arcs, and through cells its copied compounds. Like the Expander's
-// slab it hands out each cell once (term.Slab), so a chain stays valid on
-// whichever worker resumes it however the scratch is reused, and Release
-// trims it. The compounds are marked pooled, so an answer found under a
+// and arcs, and through cells its copied compounds and the frames of its
+// renamed variables. Like the Expander's slab it hands out each cell once
+// (term.Slab), so a chain stays valid on whichever worker resumes it
+// however the scratch is reused. One writer binds a chain's frames: the
+// run that resumes it (term.Exporter). Release trims the slab, and an
+// OR-parallel run releases its workers only after every one has stopped.
+// The frames and compounds are marked pooled, so an answer found under a
 // chain detaches a copy and pins none of its chunks.
 type chainSlab struct {
 	chains  term.Slab[Chain]
@@ -283,6 +287,15 @@ type TrailRun struct {
 	bound float64
 	chain []kb.Arc
 	cps   []choicePoint
+	// liveFrom and splitFrom are cursors into cps: no choice point below
+	// liveFrom has an alternative left, and none below splitFrom a clause
+	// alternative. Alternatives are only used up and choice points leave
+	// from the top, so Untried and Split advance the cursors and pushCP
+	// lowers them. untried counts the clause alternatives left; negArc
+	// records an arc of negative weight taken (see Untried).
+	liveFrom, splitFrom, untried int
+	negArc                       bool
+	arrivals                     uint32 // for the context poll
 
 	queryVars []*term.Var
 	images    []term.Term   // what queryVars stand for in the run: the renaming
@@ -339,7 +352,10 @@ func (r *TrailRun) rename(goals []term.Term) {
 	r.rootFrame = sh.pool.Get(sh.names)
 	sh.images = r.rootFrame.AppendVars(sh.images[:0])
 	r.images, r.rootBlock = sh.images, sh.blocks.get(len(goals))
-	r.goals = rootGoals(r.rootBlock, goals, r.queryVars, r.images, &sh.cpool)
+	for i, g := range goals {
+		r.rootBlock[i].entry = GoalEntry{Goal: sh.cpool.Rename(g, r.queryVars, r.images), Caller: kb.Query, Pos: i}
+	}
+	r.goals = link(r.rootBlock, nil)
 }
 
 // dropRoot hands the root's frame and goal block back to sh's pools, once
@@ -348,16 +364,6 @@ func (r *TrailRun) dropRoot(sh *trailShared) {
 	sh.pool.Put(r.rootFrame)
 	sh.blocks.put(r.rootBlock)
 	r.rootFrame, r.rootBlock = nil, nil
-}
-
-// rootGoals lays goals out in block as a query's root, query variable
-// qv[i] renamed to images[i] (CompoundPool.Rename, cp nil for the heap),
-// and links them onto the empty stack.
-func rootGoals(block []GoalStack, goals []term.Term, qv []*term.Var, images []term.Term, cp *term.CompoundPool) *GoalStack {
-	for i, g := range goals {
-		block[i].entry = GoalEntry{Goal: cp.Rename(g, qv, images), Caller: kb.Query, Pos: i}
-	}
-	return link(block, nil)
 }
 
 // init sets r up for cfg on a scratch from the pool, with no goals yet.
@@ -448,13 +454,20 @@ func (r *TrailRun) Advance() (bool, error) {
 	}
 }
 
+// ctxPoll is how many arrivals a run makes per read of its context, the
+// first among them, so workers sharing a context do not take its mutex at
+// every node.
+const ctxPoll = 32
+
 // arrive runs the per-node sequence of search.Run on the machine's
 // current (goals, depth, bound) state, in the same order: context, prune,
 // solution, budget, step hook, depth, dispatch. It reports whether the
 // node is a solution.
 func (r *TrailRun) arrive() (bool, error) {
-	if err := r.ctx.Err(); err != nil {
-		return false, err
+	if r.arrivals++; r.arrivals%ctxPoll == 1 {
+		if err := r.ctx.Err(); err != nil {
+			return false, err
+		}
 	}
 	if r.cfg.Prune && r.haveBest && r.bound > r.bestBound+r.cfg.PruneSlack {
 		r.stats.Pruned++
@@ -629,6 +642,7 @@ func (r *TrailRun) dispatchVM(entry GoalEntry, goal term.Term, pc *vm.PredCode) 
 	}
 	cp := r.pushCP(cpVM, entry, goal)
 	cp.vmCands = cands
+	r.untried += len(cands)
 	if r.cfg.Learn {
 		ws := make([]float64, len(cands))
 		for i, cc := range cands {
@@ -713,6 +727,7 @@ func (r *TrailRun) dispatchNegation(goal term.Term) error {
 // the stack-copy path on this per-dispatch call.
 func (r *TrailRun) pushCP(kind cpKind, entry GoalEntry, goal term.Term) *choicePoint {
 	n := len(r.cps)
+	r.liveFrom, r.splitFrom = min(r.liveFrom, n), min(r.splitFrom, n)
 	if n < cap(r.cps) {
 		r.cps = r.cps[:n+1]
 	} else {
@@ -772,6 +787,7 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 	for cp.next < len(cp.vmCands) {
 		i := cp.next
 		cp.next++
+		r.untried--
 		cc := cp.vmCands[i]
 		if _, ok := r.sh.mach.Resolve(r.env, cp.goal, cc); !ok {
 			r.sh.st.Undo(cp.mark)
@@ -808,6 +824,7 @@ func (r *TrailRun) takeAlt(cp *choicePoint, i int, callee kb.ClauseID) {
 	} else {
 		w = r.arcWeight(arc)
 	}
+	r.negArc = r.negArc || w < 0
 	r.chain = append(r.chain, arc)
 	r.bound = cp.bound + w
 	r.depth = cp.depth + 1

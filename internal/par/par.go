@@ -3,10 +3,10 @@
 // their own chains depth-first on a private trail store, and a
 // minimum-seeking network moves surplus work between them.
 //
-// A worker drains chains on one engine.TrailRun per query. The network is
-// a small bound-ordered list of detached chains — first the query's root,
-// then the untried alternatives of choice points, exported by
-// TrailRun.Split — and a free worker pops its minimum. Workers touch it
+// A worker drains chains on one engine.TrailRun per query; the first
+// starts on the query's root. The network is a small bound-ordered list of
+// detached chains — the untried alternatives of choice points, exported
+// by TrailRun.Split — and a free worker pops its minimum. Workers touch it
 // only to take work and to publish surplus, from the step hook each
 // installs on its run:
 //
@@ -25,7 +25,15 @@
 //
 // The network minimum is published in an atomic register (the minimum-
 // seeking circuit's output), so the D rule costs one atomic read per step;
-// the network's mutex is taken only to publish, take or wait.
+// the network's mutex is taken only to publish, take or wait. Between
+// those, a step touches only its worker's own state: the expansion budget
+// is shared, but a worker leases it leaseSize expansions at a time.
+//
+// Cancellation needs no watcher. A worker parks only in take, while the
+// network is empty and a chain is still outstanding, so another worker is
+// running that chain. A running worker reads the context every few nodes
+// (engine's ctxPoll), and on cancellation calls fail, whose broadcast
+// wakes every parked worker to see the stop.
 package par
 
 import (
@@ -93,7 +101,7 @@ type Options struct {
 	// directly.
 	Prof *obs.Profiler
 	// Live, when non-nil, is the run's in-flight inspector entry; the
-	// shared expansion counter is synced into it periodically.
+	// shared expansion counter is synced into it at each lease.
 	Live *obs.Live
 }
 
@@ -117,7 +125,9 @@ type NetworkStats struct {
 	// utilization-balance signal for experiment E5.
 	PerWorkerExpanded []uint64
 	// StartupExpanded counts the expansions made before a second worker
-	// took its first chain: all of them when none did.
+	// took its first chain: all of them when none did. It is read off the
+	// leased budget, so it may count leased expansions not yet made, up to
+	// a lease a worker; it is clamped to the expansions made.
 	StartupExpanded uint64
 	// The grain of published chains: how many were drained, and the sum
 	// and the largest of the expansions each was drained with.
@@ -141,10 +151,11 @@ var (
 )
 
 // Run searches goals over db with opt.Workers parallel workers. When ctx
-// is cancelled, every worker stops promptly — including workers blocked on
-// the network condvar — and Run returns the context's error alongside the
-// partial result. A panicking worker stops the others and becomes the
-// run's error.
+// is cancelled, every worker stops promptly — the running ones at their
+// next context poll, the ones parked on the network condvar woken by
+// them — and Run returns the context's error alongside the partial
+// result. A panicking worker stops the others and becomes the run's
+// error.
 func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -163,14 +174,14 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	}
 	st := &state{opt: opt, maxExp: engine.Expansions.Or(opt.MaxExpansions)}
 	st.cond.L = &st.mu
-	root := engine.RootChain(goals)
-	st.root = root
-	st.net.push(root)
+	st.solutions = make([]engine.Solution, 0, firstSolutions)
 	st.sync()
 	st.outstanding.Store(1)
-	st.hungry.Store(int32(opt.Workers))
+	st.hungry.Store(int32(opt.Workers - 1))
+	st.takers = 1
 
 	workers := make([]worker, opt.Workers)
+	var qvars []*term.Var
 	for i := range workers {
 		w := &workers[i]
 		w.cfg = engine.TrailConfig{
@@ -178,20 +189,19 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 			Tabler: opt.Tabler, Ctx: ctx, Learn: opt.Learn, Prof: opt.Prof,
 			StepHook: func() error { return st.step(w) },
 		}
+		if i == 0 { // the root, renamed apart as a sequential run renames it
+			w.run.Init(w.cfg, goals)
+			w.started, w.acquires, qvars = true, 1, w.run.QueryVars()
+		}
 		st.wg.Add(1)
 		go func() {
 			defer st.wg.Done()
 			st.work(w)
 		}()
 	}
-	// A worker blocked in cond.Wait cannot select on ctx.Done(), so
-	// cancellation is converted into the engine's own stop-and-broadcast.
-	defer context.AfterFunc(ctx, func() { st.fail(ctx.Err()) })()
 	st.wg.Wait()
 
-	st.mu.Lock() // a late cancellation may still be writing err
-	defer st.mu.Unlock()
-	res := &Result{QueryVars: root.QueryVars(), Solutions: st.solutions, Exhausted: st.exhausted.Load()}
+	res := &Result{QueryVars: qvars, Solutions: st.solutions, Exhausted: st.exhausted.Load()}
 	res.Stats.PerWorkerExpanded = make([]uint64, opt.Workers)
 	for i := range workers {
 		w := &workers[i]
@@ -201,7 +211,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 		res.Stats.GrainCount += w.grains
 		res.Stats.GrainSum += w.grainSum
 		res.Stats.GrainMax = max(res.Stats.GrainMax, w.grainMax)
-		if w.run == nil {
+		if !w.started {
 			continue
 		}
 		ts := w.run.Stats()
@@ -213,7 +223,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	}
 	res.Stats.StartupExpanded = res.Stats.Expanded
 	if st.takers >= 2 {
-		res.Stats.StartupExpanded = st.startup
+		res.Stats.StartupExpanded = min(st.startup, res.Stats.Expanded)
 	}
 	if opt.MaxSolutions > 0 && len(res.Solutions) > opt.MaxSolutions {
 		res.Solutions = res.Solutions[:opt.MaxSolutions]
@@ -221,11 +231,18 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	return res, st.err
 }
 
+const (
+	firstSolutions = 16 // the solution capacity a run starts with
+	// leaseSize is how many expansions a worker takes from the shared
+	// budget at a time, so its cache line is written once per leaseSize
+	// steps, not at every step of every worker.
+	leaseSize = 64
+)
+
 // state is the shared coordination state of one run.
 type state struct {
 	opt    Options
 	maxExp uint64
-	root   *engine.Chain // the query's root chain, whose grain is not counted
 
 	wg   sync.WaitGroup
 	mu   sync.Mutex
@@ -248,20 +265,22 @@ type state struct {
 	netMin atomic.Uint64
 	// outstanding counts chains running or queued; 0 means exhaustion.
 	outstanding atomic.Int64
-	// expanded enforces the budget across workers.
+	// expanded is the budget leased to workers so far.
 	expanded  atomic.Uint64
 	stop      atomic.Bool
 	exhausted atomic.Bool
 }
 
-// worker is one processor: its run, configuration and network accounting,
-// and the cells its answers are detached into. The cells are the run's
-// own, not pooled, so a kept Result pins only chunks of its own answers.
+// worker is one processor: its run, configuration, the expansions left
+// in its lease of the budget, network accounting, and the cells its
+// answers are detached into. The cells are the run's own, not pooled, so
+// a kept Result pins only chunks of its own answers.
 type worker struct {
-	cfg      engine.TrailConfig
-	run      *engine.TrailRun
-	cells    term.Cells
-	panicked bool
+	cfg               engine.TrailConfig
+	run               engine.TrailRun
+	cells             term.Cells
+	started, panicked bool
+	lease             uint64
 
 	migrations, acquires, published uint64
 	// grains counts the published chains the worker drained; grainSum and
@@ -278,23 +297,25 @@ func (s *state) work(w *worker) {
 			s.fail(fmt.Errorf("par: worker panic: %v", p))
 		}
 	}()
+	// The root's expansions are not a published chain's grain.
+	if w.started && !s.drain(w) {
+		return
+	}
 	for {
 		c := s.take(w)
 		if c == nil {
 			return
 		}
-		var before uint64
-		if w.run == nil {
-			w.run = engine.Resume(w.cfg, c)
-		} else {
-			before = w.run.Stats().Expanded
+		before := w.run.Stats().Expanded
+		if w.started {
 			w.run.Resume(c)
+		} else {
+			w.run.InitChain(w.cfg, c)
+			w.started = true
 		}
 		more := s.drain(w)
-		if c != s.root {
-			g := w.run.Stats().Expanded - before
-			w.grains, w.grainSum, w.grainMax = w.grains+1, w.grainSum+g, max(w.grainMax, g)
-		}
+		g := w.run.Stats().Expanded - before
+		w.grains, w.grainSum, w.grainMax = w.grains+1, w.grainSum+g, max(w.grainMax, g)
 		if !more {
 			return
 		}
@@ -330,7 +351,7 @@ func (s *state) drain(w *worker) bool {
 
 // step is the hook each worker's run calls at every non-solution arrival,
 // before counting it: stop check, TwoLevel's rules, feeding hungry
-// workers, then the shared budget and the inspector's counter.
+// workers, then the worker's lease of the budget.
 func (s *state) step(w *worker) error {
 	if s.stop.Load() {
 		return errStopped
@@ -355,13 +376,19 @@ func (s *state) step(w *worker) error {
 			s.publish(w, c)
 		}
 	}
-	total := s.expanded.Add(1)
-	if total > s.maxExp {
-		return engine.LimitError{Limit: engine.Expansions, Bound: s.maxExp}
+	if w.lease == 0 {
+		// Leases never grant past the budget, so the workers' expansions
+		// sum to at most maxExp.
+		from := s.expanded.Add(leaseSize) - leaseSize
+		if from >= s.maxExp {
+			return engine.LimitError{Limit: engine.Expansions, Bound: s.maxExp}
+		}
+		w.lease = min(leaseSize, s.maxExp-from)
+		if l := s.opt.Live; l != nil {
+			l.Expanded.Store(from + w.lease)
+		}
 	}
-	if l := s.opt.Live; l != nil && total&1023 == 0 {
-		l.Expanded.Store(total)
-	}
+	w.lease--
 	return nil
 }
 

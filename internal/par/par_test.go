@@ -167,6 +167,33 @@ func TestBudgetStops(t *testing.T) {
 	}
 }
 
+// TestCancelWakesParkedWorkers: on loop, one worker runs and the other
+// three park in take, since the run never has an alternative to publish.
+// Nothing watches the context for them: the running worker reads it at
+// its next poll, and the broadcast of its failure wakes them, so Run
+// returns the context's error promptly.
+func TestCancelWakesParkedWorkers(t *testing.T) {
+	db := load(t, "loop :- loop.")
+	goals := q(t, "loop")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, db, uniform(), goals, Options{Workers: 4, MaxDepth: 1 << 30, MaxExpansions: 1 << 40})
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(200 * time.Millisecond):
+		t.Fatal("no return within 200ms of cancellation")
+	}
+}
+
 func TestDepthLimitTerminates(t *testing.T) {
 	db := load(t, "loop :- loop.")
 	res, err := Run(context.Background(), db, uniform(), q(t, "loop"), Options{Workers: 4, MaxDepth: 10})
@@ -471,13 +498,15 @@ func TestParallelAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the program cache and the scratch pool
-	// Measured steady state is 42 allocations per query (224 while each
-	// answer and exported chain took a heap object per copied cell, 244
-	// while each solution carried a copy of its arc chain and a map of its
-	// bindings); how many chains move depends on scheduling, and the
-	// budget, 1.5x, leaves room for that and for pool refills after a GC
-	// cycle, not for per-node or per-cell allocation.
-	const budget = 63
+	// Measured steady state is 23 allocations per query (42 while the
+	// root was a heap chain, cancellation a context.AfterFunc and the
+	// exported variables' frames heap objects, 224 while each answer and
+	// exported chain took a heap object per copied cell, 244 while each
+	// solution carried a copy of its arc chain and a map of its bindings);
+	// how many chains move depends on scheduling, and the budget, 1.5x,
+	// leaves room for that and for pool refills after a GC cycle, not for
+	// per-node or per-cell allocation.
+	const budget = 34
 	got := testing.AllocsPerRun(200, run)
 	t.Logf("%.1f allocations per query", got)
 	if got > budget {

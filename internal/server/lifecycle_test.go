@@ -146,8 +146,9 @@ func findSpan(sp *obs.Span, name string) *obs.Span {
 // its HTTP status, the stream (whose 200 is already out) as the terminal
 // line's error. The deadline and the inspector's kill reach every engine:
 // the trail machine (dfs), the Env frontier (best) and the OR-parallel
-// workers, which park in the network where only the context's AfterFunc
-// wakes them (on /query alone: a stream refuses parallel runs).
+// workers, whose parked ones only the running worker's failure wakes, at
+// its next context poll (on /query alone: a stream refuses parallel
+// runs).
 func TestQueryErrorClassification(t *testing.T) {
 	src := loopSrc + "bad(X) :- Y is X + Z, Y > 0.\n" + workload.DAG(18, 8, 4, 1)
 	deadline := func(strategy string) QueryRequest {

@@ -374,13 +374,15 @@ func TestQueryBodyAllocationBudget(t *testing.T) {
 		{"point dfs", workload.FamilyTree(6, 3), `{"goal":"gf(p700,G)","strategy":"dfs"}`, `"exhausted":true`, false, 38},
 		// Measured 38 in a warm session; 59 before.
 		{"session best learn", workload.FamilyTree(6, 3), `{"goal":"gf(p700,G)","strategy":"best","learn":true}`, `"exhausted":true`, true, 46},
-		// Measured 88 (270 while each answer and exported chain took a heap
-		// object per copied cell, 290 while each answer carried a copy of
-		// its arc chain and a map of its bindings, 309 before): worker
-		// headers and chunks, whose count follows the scheduling; the
-		// budget, 1.5x, leaves room for that, as the par package's own
-		// guard does, not for an object per node or per cell.
-		{"parallel queens", workload.NQueens, `{"goal":"queens(5,Qs)","strategy":"parallel","workers":2}`, `"exhausted":true`, false, 132},
+		// Measured 60 (88 with a heap root chain, a context.AfterFunc and
+		// heap frames for exported variables, 270 while each answer and
+		// exported chain took a heap object per copied cell, 290 while
+		// each answer carried a copy of its arc chain and a map of its
+		// bindings, 309 before): worker headers and chunks, whose count
+		// follows the scheduling; the budget, 1.5x, leaves room for that,
+		// as the par package's own guard does, not for an object per node
+		// or per cell.
+		{"parallel queens", workload.NQueens, `{"goal":"queens(5,Qs)","strategy":"parallel","workers":2}`, `"exhausted":true`, false, 90},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

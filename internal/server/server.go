@@ -267,6 +267,12 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, q *query) (
 	set.Learn, set.AndParallel, set.Tabled = q.Learn, q.AndParallel, q.Tabled
 	set.Prune = q.Prune || q.PruneSlack > 0
 	set.PruneSlack = max(q.PruneSlack, 0)
+	// The parallel workers share no incumbent bound yet; a pruned request
+	// would get every solution back.
+	if set.Prune && q.strat == blog.Parallel {
+		s.writeError(w, http.StatusBadRequest, "prune and prune_slack need a sequential strategy; parallel does not prune")
+		return false
+	}
 	set.Traced = q.Trace || s.cfg.SlowQuery > 0
 	return true
 }

@@ -134,6 +134,28 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestParallelPruneIsBadRequest: prune and prune_slack under the parallel
+// strategy answer 400 on both endpoints, since its workers share no
+// incumbent bound; the same pruned query runs under dfs.
+func TestParallelPruneIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, "p(a). p(X) :- q(X). q(b). q(X) :- r(X). r(c).", Config{})
+	for _, endpoint := range []string{"/query", "/query/stream"} {
+		for _, req := range []QueryRequest{
+			{Goal: "p(X)", Strategy: "parallel", Prune: true},
+			{Goal: "p(X)", Strategy: "parallel", PruneSlack: 0.5},
+		} {
+			resp, data := postJSON(t, ts.Client(), ts.URL+endpoint, req)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "parallel does not prune") {
+				t.Errorf("%s %+v: status %d (%s)", endpoint, req, resp.StatusCode, data)
+			}
+		}
+	}
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/query", QueryRequest{Goal: "p(X)", Strategy: "dfs", Prune: true})
+	if resp.StatusCode != http.StatusOK || strings.Count(string(data), `"text"`) != 1 {
+		t.Errorf("dfs prune: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
 func TestQueryTimeout(t *testing.T) {
 	s, ts := newTestServer(t, loopSrc, Config{})
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/query", QueryRequest{

@@ -17,10 +17,11 @@ package solve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"blog/internal/andpar"
 	"blog/internal/engine"
@@ -313,6 +314,11 @@ func closeSearch(sp *obs.Span, resp *Response) {
 	sp.End()
 }
 
+// errParallelPrune refuses pruning under the Parallel strategy, whose
+// workers share no incumbent bound yet: a pruned request would get every
+// solution back.
+var errParallelPrune = errors.New("solve: prune needs a sequential strategy; parallel does not prune")
+
 func validate(req *Request) error {
 	if req.DB == nil {
 		return errors.New("solve: nil database")
@@ -328,6 +334,9 @@ func validate(req *Request) error {
 	}
 	if req.AndParallel && req.Strategy == Parallel {
 		return errors.New("solve: AndParallel is incompatible with the Parallel strategy")
+	}
+	if (req.Prune || req.PruneSlack != 0) && req.Strategy == Parallel {
+		return errParallelPrune
 	}
 	if (req.RecordTree || req.RecordTrace) && (req.Strategy == Parallel || req.AndParallel) {
 		return errors.New("solve: tree/trace recording requires a sequential, non-AND-parallel run")
@@ -423,40 +432,32 @@ func andParallel(ctx context.Context, req *Request, group search.Options) (*Resp
 	}, nil
 }
 
-// sortSolutions orders solutions by rendered bindings, then bound, giving
-// nondeterministic engines a stable presentation order. Each solution is
-// rendered once, all into one buffer, and the sort compares sub-slices.
+// sortSolutions orders solutions by rendered bindings, then bound and
+// depth, giving nondeterministic engines a stable presentation order.
+// Each solution is rendered once, all into one buffer sized for short
+// answers, and the solutions are sorted beside their texts' spans.
 func sortSolutions(sols []engine.Solution, qvars []*term.Var) {
 	names := engine.VarNames(qvars)
-	by := byText{sols: sols, spans: make([][2]int, len(sols))}
+	buf := make([]byte, 0, 32*len(sols))
+	keyed := make([]textKey, len(sols))
 	for i, s := range sols {
-		start := len(by.buf)
-		by.buf = s.AppendText(by.buf, names)
-		by.spans[i] = [2]int{start, len(by.buf)}
+		start := len(buf)
+		buf = s.AppendText(buf, names)
+		keyed[i] = textKey{sol: s, start: start, end: len(buf)}
 	}
-	sort.Sort(by)
-}
-
-// byText sorts solutions by their rendered text, then bound; spans[i]
-// locates solution i's text in buf and moves with it.
-type byText struct {
-	sols  []engine.Solution
-	spans [][2]int
-	buf   []byte
-}
-
-func (s byText) text(i int) []byte { return s.buf[s.spans[i][0]:s.spans[i][1]] }
-
-func (s byText) Len() int { return len(s.sols) }
-
-func (s byText) Less(i, j int) bool {
-	if c := bytes.Compare(s.text(i), s.text(j)); c != 0 {
-		return c < 0
+	slices.SortFunc(keyed, func(a, b textKey) int {
+		if c := bytes.Compare(buf[a.start:a.end], buf[b.start:b.end]); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(a.sol.Bound, b.sol.Bound), cmp.Compare(a.sol.Depth, b.sol.Depth))
+	})
+	for i := range keyed {
+		sols[i] = keyed[i].sol
 	}
-	return s.sols[i].Bound < s.sols[j].Bound
 }
 
-func (s byText) Swap(i, j int) {
-	s.sols[i], s.sols[j] = s.sols[j], s.sols[i]
-	s.spans[i], s.spans[j] = s.spans[j], s.spans[i]
+// textKey is a solution and the span of its text in sortSolutions' buffer.
+type textKey struct {
+	sol        engine.Solution
+	start, end int
 }

@@ -74,12 +74,12 @@ func (s *Slab[T]) Trim() {
 // holders: the Env frontier's scratch (engine.Expander), for a run's
 // environments, frames and compounds; an OR-parallel worker (par), for
 // the answers it detaches, fresh per run; a trail run's chain slab
-// (engine), for the compounds and variable images of the chains it
-// exports; and a search.Result and a collecting solve.Response, for
-// their detached solutions. Every environment that extends Root binds
-// from the same Cells, so only the run's goroutine may bind on them, and
-// only until the run trims its Cells; reading them (Lookup, Resolve,
-// Detacher) stays valid forever.
+// (engine), for the compounds, variable frames and images of the chains
+// it exports (Exporter says who binds those frames); and a search.Result
+// and a collecting solve.Response, for their detached solutions. Every
+// environment that extends Root binds from the same Cells, so only the
+// run's goroutine may bind on them, and only until the run trims its
+// Cells; reading them (Lookup, Resolve, Detacher) stays valid forever.
 //
 // Its frames and compounds are marked pooled, like a pool's: a single
 // cell that outlived its holder's use would keep its whole chunk, and
@@ -132,6 +132,30 @@ func (c *Cells) Terms(n int) []Term {
 	}
 	return c.args.Take(n)
 }
+
+// exportFrame returns the variables of a fresh frame of exporterSlab
+// slots, its binding array in place, for Exporter: marked pooled when
+// carved from the slabs, from the heap for the nil Cells.
+func (c *Cells) exportFrame() []Var {
+	var f *Frame
+	if c == nil {
+		s := new(struct {
+			f Frame
+			v [exporterSlab]Var
+			b [exporterSlab]Term
+		})
+		f, s.f.vars, s.f.b = &s.f, s.v[:], s.b[:]
+	} else {
+		f = c.frames.New()
+		f.vars, f.b, f.pooled = c.vars.Take(exporterSlab), c.args.Take(exporterSlab), true
+	}
+	f.mint(noNames[:])
+	return f.vars
+}
+
+// noNames are the print names an export frame is minted with; Exporter
+// names each variable after the one it copies.
+var noNames [exporterSlab]string
 
 // Compound is MakeCompound from the slabs.
 func (c *Cells) Compound(fn Sym, arity int) *Compound {

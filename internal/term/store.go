@@ -212,19 +212,14 @@ func (f *Frame) AppendVars(dst []Term) []Term {
 
 // Rename copies t with each variable vars[i] replaced by images[i] —
 // every variable of t must be among vars — into compounds from p, so the
-// copy is pooled like a clause activation's body. A nil p copies into
-// compounds from the heap. Trail runs lay their root goals out this way.
+// copy is pooled like a clause activation's body. Trail runs lay their
+// root goals out this way.
 func (p *CompoundPool) Rename(t Term, vars []*Var, images []Term) Term {
 	switch t := t.(type) {
 	case *Var:
 		return images[slices.Index(vars, t)]
 	case *Compound:
-		var c *Compound
-		if p != nil {
-			c = p.Get(t.Functor, len(t.Args))
-		} else {
-			c = MakeCompound(t.Functor, len(t.Args))
-		}
+		c := p.Get(t.Functor, len(t.Args))
 		for i, a := range t.Args {
 			c.Args[i] = p.Rename(a, vars, images)
 		}
@@ -366,8 +361,14 @@ func copyArgs(t *Compound, cells *Cells, walk func(Term) Term) *Compound {
 // not, and copies every compound that holds a variable or is pool-minted,
 // so no two stores ever write the same binding slot. Until the next Reset
 // each variable and compound is copied once, keeping shared structure
-// shared; fresh variables come from slab frames that carry their binding
-// array, and a copied compound is one Cells.Compound.
+// shared; fresh variables come in frames of exporterSlab that carry their
+// binding array, and a copied compound is one Cells.Compound.
+//
+// With Cells set, the frames, their variables and their binding arrays
+// are carved from it too, though another goroutine's store binds them:
+// a slab hands each cell out once, so after the export only the store of
+// the run that resumes the copy writes those arrays, and the holder trims
+// its Cells only once every such run is over.
 type Exporter struct {
 	Cells *Cells
 	env   *Env
@@ -397,14 +398,7 @@ func (x *Exporter) Copy(t Term) Term {
 	switch t := t.(type) {
 	case *Var:
 		if len(x.slab) == 0 {
-			s := &struct {
-				f Frame
-				v [exporterSlab]Var
-				b [exporterSlab]Term
-			}{}
-			s.f.vars, s.f.b = s.v[:], s.b[:]
-			s.f.mint(make([]string, exporterSlab))
-			x.slab = s.v[:]
+			x.slab = x.Cells.exportFrame()
 		}
 		nv := &x.slab[0]
 		x.slab = x.slab[1:]
