@@ -93,20 +93,18 @@ func (r *TrailRun) Split() *Chain {
 
 func (r *TrailRun) splitCP(cp *choicePoint) *Chain {
 	sh, sl := r.sh, &r.sh.chains
-	sh.hide = sh.st.Hide(cp.mark, sh.hide)
-	defer sh.st.Unhide(cp.mark, sh.hide)
+	sh.hide = sh.st.Hide(cp.trail, sh.hide)
+	defer sh.st.Unhide(cp.trail, sh.hide)
 	left := len(cp.vmCands) - cp.next
 	cands := sl.cands.Take(left)[:0]
 	var ws []float64
 	if cp.weights != nil {
 		ws = sl.weights.Take(left)[:0]
 	}
-	mark, compMark := sh.st.Mark(), sh.cpool.Mark()
+	m := sh.mark()
 	for j := cp.next; j < len(cp.vmCands); j++ {
 		_, ok := sh.mach.Resolve(r.env, cp.goal, cp.vmCands[j])
-		sh.st.Undo(mark)
-		sh.cpool.Release(compMark)
-		sh.pool.Put(sh.mach.TakeFrame())
+		sh.release(m)
 		if !ok {
 			continue
 		}
@@ -185,26 +183,15 @@ func (r *TrailRun) InitChain(cfg TrailConfig, c *Chain) {
 }
 
 // Resume restarts r — finished, or abandoned by its StepHook — on c with
-// r's configuration and scratch, the store unwound. A choice point's chain
-// gets its choice point back over the exported candidates: the node was
-// counted where it was expanded, and a chain none of whose candidates
-// resolves ends without a failure, as the choice point would have in
-// place. A node chain arrives at its node. Stats accumulate.
+// r's configuration and scratch, everything it took released to mark 0. A
+// choice point's chain gets its choice point back over the exported
+// candidates: the node was counted where it was expanded, and a chain none
+// of whose candidates resolves ends without a failure, as the choice point
+// would have in place. A node chain arrives at its node. Stats accumulate.
 func (r *TrailRun) Resume(c *Chain) {
-	sh := r.sh
-	sh.st.Undo(0)
-	sh.cpool.Release(0)
-	for i := range r.cps {
-		cp := &r.cps[i]
-		sh.pool.Put(cp.frame)
-		if cp.block != nil {
-			sh.blocks.put(cp.block)
-		}
-		cp.frame, cp.block = nil, nil
-	}
+	r.sh.release(marks{})
 	r.cps, r.liveFrom, r.splitFrom, r.untried = r.cps[:0], 0, 0, 0
-	r.dropRoot(sh)
-	r.mode, r.err, r.exhausted = trailArrive, nil, false
+	r.mode, r.err, r.exhausted, r.root = trailArrive, nil, false, nil
 	r.queryVars, r.images = c.qvars, c.vars
 	r.chain = append(r.chain[:0], c.arcs...)
 	r.depth, r.bound, r.goals = c.depth, c.Bound, c.goals

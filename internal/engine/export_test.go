@@ -9,3 +9,10 @@ func CountVisits(n *atomic.Uint64) (restore func()) {
 	visits = n
 	return func() { visits = old }
 }
+
+// ChoicePoints is how many choice points r holds.
+func ChoicePoints(r *TrailRun) int { return len(r.cps) }
+
+// FrameHighWater is the most activation frames r has held at once so far.
+// It reads the scratch's per-run peak, zeroing it as Release would.
+func FrameHighWater(r *TrailRun) int { return r.sh.pool.RunReset() }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"blog/internal/kb"
@@ -170,5 +171,38 @@ func TestNegationCancelled(t *testing.T) {
 	defer r.Release()
 	if ok, err := r.Advance(); ok || !errors.Is(err, context.Canceled) {
 		t.Errorf("trail run: ok %v, err %v, want context.Canceled", ok, err)
+	}
+}
+
+// TestNegationReleasesWhatItTook: a \+ releases everything its nested
+// proof took, proved or not, so the frames a run holds at once do not
+// grow with the number of negations it proves. t(N) proves \+(good(I))
+// N times, each time inside a proof of \+(\+(good(I))); were the proved
+// inner run's frames kept, the peak would be about N.
+func TestNegationReleasesWhatItTook(t *testing.T) {
+	db, _, err := kb.LoadString(`
+t(N) :- between(1,N,I), \+(\+(good(I))), fail.
+good(X) :- pair(X,Y), Y > 0.
+pair(X,Y) :- Y is X+1.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := map[int]int{}
+	for _, n := range []int{100, 1000} {
+		goals, err := parse.Query(fmt.Sprintf("t(%d)", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewTrailRun(TrailConfig{DB: db, Weights: weights.NewUniform(weights.DefaultConfig())}, goals)
+		if ok, err := r.Advance(); ok || err != nil || !r.Exhausted() {
+			t.Fatalf("t(%d): ok %v, err %v", n, ok, err)
+		}
+		peak[n] = FrameHighWater(r)
+		r.Release()
+	}
+	// t's frame (I) and good's (Y) are all a proof holds at once.
+	if peak[100] != 2 || peak[1000] != 2 {
+		t.Errorf("frame high-water mark %d at N = 100 and %d at N = 1000, want 2 at both", peak[100], peak[1000])
 	}
 }

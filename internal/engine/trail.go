@@ -26,10 +26,15 @@ import (
 // The machine is "arrival"-driven: arriving at a node runs the same
 // sequence search.Run runs on a popped node — context (every ctxPoll-th
 // arrival), prune, solution, budget, depth, dispatch — then either
-// descends into the first matching alternative (pushing a choice point)
-// or backtracks: undo the trail to the innermost choice point's mark,
-// recycle its activation frame and goal-stack block, and try its next
-// alternative.
+// descends into the first matching alternative (pushing a choice point,
+// popped again when its last alternative is taken) or backtracks to the
+// innermost choice point and tries its next alternative.
+//
+// Everything a run takes — trail entries, activation frames, compounds
+// and goal-stack blocks — is freed by one rule: a choice point holds the
+// marks of the trail and the three pools (marks), and going back to it
+// undoes the trail and releases each pool to its mark (release). The
+// root is what sits below mark 0.
 
 // TrailConfig configures one TrailRun. DB, Weights and Ctx follow the
 // Expander fields of the same names.
@@ -78,13 +83,16 @@ type TrailConfig struct {
 	// Live, when non-nil, receives the expansion counter every 1024
 	// arrivals, for the server's live query inspector.
 	Live *obs.Live
+	// limit is the one MaxExpansions reports: Expansions, or
+	// NegationExpansions in a \+ sub-run (negationConfig).
+	limit Limit
 }
 
 // trailShared is the state a run shares with its nested negation runs:
-// one store, one frame pool, one goal-block pool, one bytecode machine
-// and one predicate-code cache. Negation sub-searches run on the same
-// store under a mark, exactly as the persistent engine's nested search
-// runs on the same Env.
+// one store, one frame pool, one compound pool, one goal-block pool, one
+// bytecode machine and one predicate-code cache. Negation sub-searches run
+// on the same store and pools under marks, exactly as the persistent
+// engine's nested search runs on the same Env.
 type trailShared struct {
 	st     *term.Store
 	pool   term.FramePool
@@ -99,6 +107,9 @@ type trailShared struct {
 	// field they read) so the next run starts at steady-state capacity.
 	spareCPs   []choicePoint
 	spareChain []kb.Arc
+	// negs are the negation sub-runs, one per nesting depth, kept with
+	// their stack capacities (dispatchNegation).
+	negs []*TrailRun
 
 	// exp, hide and chains are Split's scratch: the renaming exporter, the
 	// buffer holding the slots hidden above a choice point's mark, and the
@@ -160,8 +171,8 @@ func (s *chainSlab) trim() {
 	s.cells.Trim()
 }
 
-// Release returns the run's pooled scratch — store discarded, frame,
-// compound and goal-block free lists plus the predicate-code cache kept —
+// Release returns the run's pooled scratch — store discarded, everything
+// taken released to the pools, free lists and predicate-code cache kept —
 // for reuse by later runs. Call it once the run is over and nothing reads
 // its Answer any more (solutions and table answers are detached copies, so
 // they survive). After Release the run is dead: Advance reports the
@@ -176,12 +187,7 @@ func (r *TrailRun) Release() {
 	r.sh = nil
 	r.env = nil
 	r.mode = trailDone
-	// Every compound still logged belongs to a branch of the dead run;
-	// recycling the lot seeds the free lists for the next run.
-	sh.cpool.Release(0)
-	// Undone, the store leaves the root's frame clean for its pool.
-	sh.st.Undo(0)
-	r.dropRoot(sh)
+	sh.release(marks{})
 	// Fold the run's pool peaks into the process-wide high-water marks —
 	// once per run, off the hot path — and zero the per-run counters so a
 	// recycled scratch starts the next run's accounting clean.
@@ -189,6 +195,9 @@ func (r *TrailRun) Release() {
 	sh.chains.trim()
 	r.meter.Release()
 	r.meter = nil
+	for _, sub := range sh.negs { // keep their stacks, not the query
+		sub.cfg, sub.ctx = TrailConfig{}, nil
+	}
 	sh.spareCPs = r.cps[:0]
 	sh.spareChain = r.chain[:0]
 	r.cps = nil
@@ -196,34 +205,64 @@ func (r *TrailRun) Release() {
 	sharedPool.Put(sh)
 }
 
-// goalBlockPool recycles the single-block []GoalStack allocations that
-// back a trail run's clause-body pushes (see link), keyed by body length.
-// Blocks die at backtrack, with the frames of the same activation.
+// goalBlockPool recycles the []GoalStack blocks that back a trail run's
+// clause-body pushes (see link), keyed by length, by the rule of
+// term.FramePool: every get is logged and release(mark) takes back all
+// taken since mark.
 type goalBlockPool struct {
-	bySize [][][]GoalStack
+	free [][][]GoalStack
+	log  [][]GoalStack
 }
 
 func (p *goalBlockPool) get(n int) []GoalStack {
-	if n < len(p.bySize) {
-		if l := p.bySize[n]; len(l) > 0 {
-			b := l[len(l)-1]
-			l[len(l)-1] = nil
-			p.bySize[n] = l[:len(l)-1]
-			return b
-		}
+	var b []GoalStack
+	if n < len(p.free) && len(p.free[n]) > 0 {
+		l := p.free[n]
+		b = l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[n] = l[:len(l)-1]
+	} else {
+		b = make([]GoalStack, n)
 	}
-	return make([]GoalStack, n)
+	p.log = term.Logged(p.log, b)
+	return b
 }
 
-func (p *goalBlockPool) put(b []GoalStack) {
-	n := len(b)
-	if n == 0 {
-		return
+func (p *goalBlockPool) release(mark int) {
+	lg := p.log
+	for i := len(lg) - 1; i >= mark; i-- {
+		n := len(lg[i])
+		for n >= len(p.free) {
+			p.free = append(p.free, nil)
+		}
+		p.free[n], lg[i] = term.Logged(p.free[n], lg[i]), nil
 	}
-	for n >= len(p.bySize) {
-		p.bySize = append(p.bySize, nil)
+	p.log = lg[:mark]
+}
+
+// marks are the positions of the store's trail and of the scratch's three
+// pools at one moment: what a choice point goes back to.
+type marks struct{ trail, frames, comps, blocks int }
+
+func (sh *trailShared) mark() marks {
+	return marks{sh.st.Mark(), sh.pool.Mark(), sh.cpool.Mark(), len(sh.blocks.log)}
+}
+
+// release goes back to m: it undoes the store's bindings since m, then
+// hands every frame, compound and goal block taken since to its pool. A
+// pool that took nothing since m costs no call: most failed heads and
+// every tabled answer or between/3 value taken in place take nothing.
+func (sh *trailShared) release(m marks) {
+	sh.st.Undo(m.trail)
+	if sh.pool.Mark() > m.frames {
+		sh.pool.Release(m.frames)
 	}
-	p.bySize[n] = append(p.bySize[n], b)
+	if sh.cpool.Mark() > m.comps {
+		sh.cpool.Release(m.comps)
+	}
+	if len(sh.blocks.log) > m.blocks {
+		sh.blocks.release(m.blocks)
+	}
 }
 
 type cpKind uint8
@@ -237,15 +276,14 @@ const (
 )
 
 // choicePoint is one open OR-branch: the goal being resolved, the state
-// to restore before trying the next alternative, the untried candidate
-// list, and the pooled resources of the alternative currently taken.
+// to restore before trying the next alternative, and the untried
+// candidate list.
 type choicePoint struct {
 	kind     cpKind
 	entry    GoalEntry
 	goal     term.Term  // resolved goal; stable across alternatives
 	tail     *GoalStack // pending goals minus the one being resolved
-	mark     int        // trail mark to undo to
-	compMark int        // compound-pool mark to release to
+	marks               // what each alternative starts from
 	chainLen int
 	depth    int
 	bound    float64
@@ -256,11 +294,6 @@ type choicePoint struct {
 	// Learn (see TrailConfig.Learn); nil means compute lazily.
 	weights []float64
 	next    int
-
-	// Pooled resources of the currently taken alternative, released when
-	// backtracking revisits this choice point.
-	frame *term.Frame
-	block []GoalStack
 }
 
 const (
@@ -296,15 +329,12 @@ type TrailRun struct {
 	liveFrom, splitFrom, untried int
 	negArc                       bool
 	arrivals                     uint32 // for the context poll
+	nest                         int    // \+ nesting depth: the index of its sub-run
 
 	queryVars []*term.Var
 	images    []term.Term   // what queryVars stand for in the run: the renaming
 	det       term.Detacher // the one the current solution's values share
-
-	// rootFrame and rootBlock hold the renamed root (rename) until
-	// Release or Resume hands them back to the scratch's pools.
-	rootFrame *term.Frame
-	rootBlock []GoalStack
+	root      term.Term     // the first root goal as renamed, for Live
 
 	stats     Stats
 	bestBound float64
@@ -338,32 +368,26 @@ func (r *TrailRun) Init(cfg TrailConfig, goals []term.Term) {
 }
 
 // rename lays the query's goals out as the run's root, renamed apart the
-// way a clause activation is made, from the run's pools: the query
-// variables' images are the slots of one pooled frame, and the compounds
-// and the goal block are pooled too, so Detacher copies the root's terms
-// wherever they leave the run. images, in the scratch, is the run's only
-// record of the renaming.
+// way a clause activation is made, from the run's pools below mark 0: the
+// query variables' images are the slots of one pooled frame, and the
+// compounds and the goal block are pooled too, so Detacher copies the
+// root's terms wherever they leave the run. images, in the scratch, is the
+// run's only record of the renaming.
 func (r *TrailRun) rename(goals []term.Term) {
 	sh := r.sh
 	r.queryVars, sh.names = term.VarsOf(goals), sh.names[:0]
 	for _, v := range r.queryVars {
 		sh.names = append(sh.names, v.Name)
 	}
-	r.rootFrame = sh.pool.Get(sh.names)
-	sh.images = r.rootFrame.AppendVars(sh.images[:0])
-	r.images, r.rootBlock = sh.images, sh.blocks.get(len(goals))
+	sh.images = sh.pool.Get(sh.names).AppendVars(sh.images[:0])
+	r.images = sh.images
+	block := sh.blocks.get(len(goals))
 	for i, g := range goals {
-		r.rootBlock[i].entry = GoalEntry{Goal: sh.cpool.Rename(g, r.queryVars, r.images), Caller: kb.Query, Pos: i}
+		block[i].entry = GoalEntry{Goal: sh.cpool.Rename(g, r.queryVars, r.images), Caller: kb.Query, Pos: i}
 	}
-	r.goals = link(r.rootBlock, nil)
-}
-
-// dropRoot hands the root's frame and goal block back to sh's pools, once
-// the store's bindings are undone.
-func (r *TrailRun) dropRoot(sh *trailShared) {
-	sh.pool.Put(r.rootFrame)
-	sh.blocks.put(r.rootBlock)
-	r.rootFrame, r.rootBlock = nil, nil
+	if r.goals = link(block, nil); r.goals != nil {
+		r.root = r.goals.entry.Goal
+	}
 }
 
 // init sets r up for cfg on a scratch from the pool, with no goals yet.
@@ -484,7 +508,7 @@ func (r *TrailRun) arrive() (bool, error) {
 		return true, nil
 	}
 	if r.stats.Expanded >= r.maxExp {
-		return false, LimitError{Expansions, r.maxExp}
+		return false, LimitError{r.cfg.limit, r.maxExp}
 	}
 	if h := r.cfg.StepHook; h != nil {
 		if err := h(); err != nil {
@@ -659,53 +683,43 @@ func (r *TrailRun) dispatchVM(entry GoalEntry, goal term.Term, pc *vm.PredCode) 
 // negationConfig is cfg set up for the nested run that proves the
 // argument of a \+ goal, on either engine: \+(G) succeeds exactly when
 // that run finds no proof of G. The run consumes tables through the
-// ForNegation view, learns, prunes, profiles and reports nothing (its wall
-// time lands in the enclosing interval, charged to \+), resolves its goal
-// as an ordinary call, and is bounded by the negation_expansions limit. It
-// starts at depth 0 with the full maxDepth, not with the depth left to the
-// enclosing chain, and adds no arc: negation is a machine decision, not a
-// database pointer. As in standard Prolog, \+ over a goal with unbound
-// variables means "no instance is provable", and it never binds them.
+// ForNegation view, learns, prunes, profiles, steps and reports nothing
+// (its wall time lands in the enclosing interval, charged to \+), resolves
+// its goal as an ordinary call, and is bounded by the negation_expansions
+// limit. It starts at depth 0 with the full maxDepth, not with the depth
+// left to the enclosing chain, and adds no arc: negation is a machine
+// decision, not a database pointer. As in standard Prolog, \+ over a
+// goal with unbound variables means "no instance is provable", and it
+// never binds them.
 func negationConfig(cfg TrailConfig, maxDepth int) TrailConfig {
 	if nt, ok := cfg.Tabler.(NegationTabler); ok {
 		cfg.Tabler = nt.ForNegation()
 	}
 	cfg.MaxDepth = maxDepth
-	cfg.MaxExpansions = 0
-	cfg.Learn = false
-	cfg.Prune = false
-	cfg.RootBypassTabler = false
-	cfg.Prof = nil
-	cfg.Live = nil
-	var steps uint64
-	cfg.StepHook = func() error {
-		if steps++; steps > NegationExpansions.Default() {
-			return LimitError{NegationExpansions, NegationExpansions.Default()}
-		}
-		return nil
-	}
+	cfg.MaxExpansions, cfg.limit = NegationExpansions.Default(), NegationExpansions
+	cfg.Learn, cfg.Prune, cfg.RootBypassTabler = false, false, false
+	cfg.StepHook, cfg.Prof, cfg.Live = nil, nil, nil
 	return cfg
 }
 
 // dispatchNegation proves the argument of a \+ goal by a nested run on
-// the same store, under a mark it undoes afterwards.
+// the same store and pools, the scratch's sub-run for its nesting depth,
+// and then releases everything that run took, whether it found a proof
+// or not.
 func (r *TrailRun) dispatchNegation(goal term.Term) error {
-	inner := goal.(*term.Compound).Args[0]
-	cfg := negationConfig(r.cfg, r.maxDepth)
-	sub := &TrailRun{
-		cfg:      cfg,
-		sh:       r.sh,
-		ctx:      cfg.Ctx,
-		env:      r.env,
-		maxDepth: r.maxDepth,
-		maxExp:   math.MaxUint64,
-		goals:    &GoalStack{entry: GoalEntry{Goal: inner, Caller: kb.Query}, size: 1},
+	sh := r.sh
+	if r.nest == len(sh.negs) {
+		sh.negs = append(sh.negs, new(TrailRun))
 	}
-	mark := r.sh.st.Mark()
+	sub, m, cfg := sh.negs[r.nest], sh.mark(), negationConfig(r.cfg, r.maxDepth)
+	block := sh.blocks.get(1)
+	block[0].entry = GoalEntry{Goal: goal.(*term.Compound).Args[0], Caller: kb.Query}
+	*sub = TrailRun{cfg: cfg, sh: sh, ctx: cfg.Ctx, env: r.env, maxDepth: r.maxDepth, maxExp: cfg.MaxExpansions,
+		nest: r.nest + 1, goals: link(block, nil), cps: sub.cps[:0], chain: sub.chain[:0]}
 	r.meter.Pause()
 	proved, err := sub.Advance()
 	r.meter.Pause() // again: \+ is charged the nested run whole
-	r.sh.st.Undo(mark)
+	sh.release(m)
 	r.stats.VMDispatched += sub.stats.VMDispatched
 	if err != nil {
 		return err
@@ -738,8 +752,7 @@ func (r *TrailRun) pushCP(kind cpKind, entry GoalEntry, goal term.Term) *choiceP
 	cp.entry = entry
 	cp.goal = goal
 	cp.tail = r.goals.Pop()
-	cp.mark = r.sh.st.Mark()
-	cp.compMark = r.sh.cpool.Mark()
+	cp.marks = r.sh.mark()
 	cp.chainLen = len(r.chain)
 	cp.depth = r.depth
 	cp.bound = r.bound
@@ -747,8 +760,6 @@ func (r *TrailRun) pushCP(kind cpKind, entry GoalEntry, goal term.Term) *choiceP
 	cp.ch = choices{}
 	cp.weights = nil
 	cp.next = 0
-	cp.frame = nil
-	cp.block = nil
 	return cp
 }
 
@@ -765,11 +776,14 @@ func (r *TrailRun) popFailedCP() {
 
 // tryNext commits the choice point's next succeeding alternative: state
 // is already restored to the choice point (by pushCP at creation, by
-// backtrack on revisit), each failed attempt undoes its own partial
-// bindings, and a success installs the child as the machine's current
-// node. Children are counted into Generated as they are taken — visit
-// order equals generation order for DFS, so the counters agree with the
-// persistent engine at every arrival.
+// backtrack on revisit), each failed attempt releases what it took, and a
+// success installs the child as the machine's current node. Taking the
+// last alternative pops the choice point (the WAM's trust), so what that
+// alternative took is released with the next older choice point's and
+// a deterministic call leaves no choice point behind. Children are
+// counted into Generated as they are taken — visit order equals
+// generation order for DFS, so the counters agree with the persistent
+// engine at every arrival.
 func (r *TrailRun) tryNext(cp *choicePoint) bool {
 	if cp.kind == cpChoices {
 		for cp.next < cp.ch.n {
@@ -778,9 +792,10 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 			if _, ok := cp.ch.try(r.env, i); ok {
 				r.goals = cp.tail
 				r.stats.Generated++
+				r.trust(cp)
 				return true
 			}
-			r.sh.st.Undo(cp.mark)
+			r.sh.release(cp.marks)
 		}
 		return false
 	}
@@ -790,9 +805,7 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 		r.untried--
 		cc := cp.vmCands[i]
 		if _, ok := r.sh.mach.Resolve(r.env, cp.goal, cc); !ok {
-			r.sh.st.Undo(cp.mark)
-			r.sh.cpool.Release(cp.compMark)
-			r.sh.pool.Put(r.sh.mach.TakeFrame())
+			r.sh.release(cp.marks)
 			continue
 		}
 		c := cc.Clause()
@@ -803,15 +816,20 @@ func (r *TrailRun) tryNext(cp *choicePoint) bool {
 				block[j].entry = GoalEntry{Goal: r.sh.mach.BodyGoal(j), Caller: c.ID, Pos: j}
 			}
 		}
-		// Body goals can mint frame slots the head never touched, so the
-		// frame is taken only after the body is built.
-		cp.frame = r.sh.mach.TakeFrame()
-		cp.block = block
 		r.takeAlt(cp, i, c.ID)
 		r.goals = link(block, cp.tail)
+		r.trust(cp)
 		return true
 	}
 	return false
+}
+
+// trust pops cp, the innermost choice point, once it has no alternative
+// left.
+func (r *TrailRun) trust(cp *choicePoint) {
+	if cp.left() == 0 {
+		r.cps = r.cps[:len(r.cps)-1]
+	}
 }
 
 // takeAlt records taking a clause alternative: extend the chain, price
@@ -845,23 +863,13 @@ func (r *TrailRun) arcWeight(arc kb.Arc) float64 {
 }
 
 // backtrack rewinds to the innermost choice point with an untried
-// alternative: undo its trail segment, recycle the taken alternative's
-// frame and goal block, restore chain/depth/bound, and try the next
-// candidate. Exhausted choice points pop silently — their node produced
-// children, so it was no failure.
+// alternative: release to its marks, restore chain/depth/bound, and try
+// the next candidate. Exhausted choice points (Split can empty one) pop
+// silently — their node produced children, so it was no failure.
 func (r *TrailRun) backtrack() bool {
 	for len(r.cps) > 0 {
 		cp := &r.cps[len(r.cps)-1]
-		r.sh.st.Undo(cp.mark)
-		r.sh.cpool.Release(cp.compMark)
-		if cp.frame != nil {
-			r.sh.pool.Put(cp.frame)
-			cp.frame = nil
-		}
-		if cp.block != nil {
-			r.sh.blocks.put(cp.block)
-			cp.block = nil
-		}
+		r.sh.release(cp.marks)
 		r.chain = r.chain[:cp.chainLen]
 		r.depth = cp.depth
 		r.bound = cp.bound
@@ -884,4 +892,4 @@ func (r *TrailRun) Answer() Answer {
 // renamed, for reading the goal in place at the solution Advance stopped
 // at: a table generator's answer is its one goal, so read. Both are the
 // run's own: read them, never write them.
-func (r *TrailRun) Live() (*term.Env, term.Term) { return r.env, r.rootBlock[0].entry.Goal }
+func (r *TrailRun) Live() (*term.Env, term.Term) { return r.env, r.root }

@@ -82,6 +82,43 @@ func TestDFSBuiltinAllocationBudget(t *testing.T) {
 	}
 }
 
+// negationProgram proves a double negation once per between/3 value; t(N)
+// then fails, so a DFS of it is N nested proofs and nothing else.
+const negationProgram = `
+t(N) :- between(1,N,I), \+(\+(good(I))), fail.
+good(X) :- pair(X,Y), Y > 0.
+pair(X,Y) :- Y is X+1.
+`
+
+// TestNegationAllocationBudget pins what \+ costs on the trail path: each
+// \+ proves its argument on the scratch's sub-run for its nesting depth,
+// kept with its stack capacities and bounded by its own expansion limit,
+// on the store and pools of the run, and releases what it took. So a warm
+// query allocates its result, not a run per proof: t(100) is 200 nested
+// proofs, and allocated 1 502 times when each started a run from nothing.
+func TestNegationAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	db := load(t, negationProgram)
+	goals := q(t, "t(100)")
+	ws := uniform()
+	opt := Options{Strategy: DFS}
+	run := func() {
+		res, err := Run(context.Background(), db, ws, goals, opt)
+		if err != nil || len(res.Solutions) != 0 || !res.Exhausted {
+			t.Fatalf("run: %d solutions, err %v", len(res.Solutions), err)
+		}
+	}
+	run() // warm the program cache and the scratch pool
+	const budget = 10
+	got := testing.AllocsPerRun(50, run)
+	t.Logf("t(100) allocated %.1f times", got)
+	if got > budget {
+		t.Errorf("t(100) allocated %.1f times, budget %d", got, budget)
+	}
+}
+
 // TestBestFirstAllocationBudget pins the Env frontier's allocation path:
 // best-first takes its nodes, goal cells, arcs, children lists, bindings,
 // frames and compounds from the slabs in the expander's pooled scratch,

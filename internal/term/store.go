@@ -116,28 +116,39 @@ func (e *Env) InPlace() *Store {
 	return nil
 }
 
-// FramePool recycles activation frames whose lifetime ends at backtrack.
-// Frames are keyed by slot count; Get re-mints the variable identities
-// (fresh serials, the caller's print names) so a recycled frame is
-// indistinguishable from a newly allocated one. A pool belongs to a single
-// trail run — frames never migrate between queries, so pooling cannot leak
-// terms across them.
-//
-// Pooled frames impose one contract, enforced by Detacher: no *Var pointer
-// into a pooled frame may outlive the activation (solution bindings and a
-// table's call patterns and answers detach them into fresh standalone
-// variables first).
-type FramePool struct {
-	bySize [][]*Frame
+// FramePool and CompoundPool follow the trail's own rule, the one
+// lifetime rule of everything a trail run takes: every Get is logged, a
+// choice point takes a Mark, and Release(mark) returns everything taken
+// since the mark to per-size free lists, after the store is undone to the
+// choice point's trail mark. That is sound because an activation's frame
+// and body structure die with the alternative that made them; what
+// outlives backtracking (solution bindings, a table's call patterns and
+// answers) leaves through Detacher, which copies pooled frames' variables
+// and pooled compounds. A pool belongs to one trail run at a time, so
+// pooling cannot leak terms across queries, and it is single-goroutine:
+// its peak, the deepest its log grew in the run, is a plain int.
 
-	// out and peak track the frames currently handed out and the deepest
-	// that count has reached — the activation high-water mark of the run.
-	// Plain ints: a pool is single-goroutine by the trail-run contract.
-	// Frames that die with the run without a Put are folded away by
-	// RunReset at the run boundary.
-	out  int
+// Logged appends x to a pool's log or free list, doubling it when it is
+// full: both grow with the run's depth, and doubling takes fewer arrays,
+// and fewer bytes in all, than append's growth past 256 entries.
+func Logged[T any](log []T, x T) []T {
+	if len(log) == cap(log) {
+		log = slices.Grow(log, max(len(log), 32))
+	}
+	return append(log, x)
+}
+
+// FramePool recycles activation frames, keyed by slot count. Get re-mints
+// the variable identities (fresh serials, the caller's print names), so a
+// recycled frame is indistinguishable from a newly allocated one.
+type FramePool struct {
+	free [][]*Frame // indexed by slot count
+	log  []*Frame
 	peak int
 }
+
+// Mark returns the current log position, to pass to Release.
+func (p *FramePool) Mark() int { return len(p.log) }
 
 // Get returns a frame with len(names) freshly minted variables, reusing a
 // recycled frame of that size when one is available. Nil for no names,
@@ -147,47 +158,48 @@ func (p *FramePool) Get(names []string) *Frame {
 	if n == 0 {
 		return nil
 	}
-	if p.out++; p.out > p.peak {
-		p.peak = p.out
-	}
-	if n < len(p.bySize) {
-		if l := p.bySize[n]; len(l) > 0 {
-			f := l[len(l)-1]
+	var f *Frame
+	if n < len(p.free) {
+		if l := p.free[n]; len(l) > 0 {
+			f = l[len(l)-1]
 			l[len(l)-1] = nil
-			p.bySize[n] = l[:len(l)-1]
-			// All bindings into a released frame were undone before Put
-			// (they postdate the owning choice point's mark), so f.b is
-			// already all-nil and can be kept.
+			p.free[n] = l[:len(l)-1]
+			// Every binding into a released frame was undone before its
+			// Release, so f.b is already all-nil and can be kept.
 			f.mint(names)
-			return f
 		}
 	}
-	f := NewFrame(names)
-	f.pooled = true
+	if f == nil {
+		f = NewFrame(names)
+		f.pooled = true
+	}
+	p.log = Logged(p.log, f)
+	p.peak = max(p.peak, len(p.log))
 	return f
 }
 
-// Put releases a frame back to the pool. Frames not minted by a pool
-// (including nil ground activations) are ignored.
-func (p *FramePool) Put(f *Frame) {
-	if f == nil || !f.pooled {
-		return
+// Release recycles every frame taken since mark and truncates the log
+// back to it.
+func (p *FramePool) Release(mark int) {
+	lg := p.log
+	for i := len(lg) - 1; i >= mark; i-- {
+		f := lg[i]
+		lg[i] = nil
+		n := len(f.vars)
+		for n >= len(p.free) {
+			p.free = append(p.free, nil)
+		}
+		p.free[n] = Logged(p.free[n], f)
 	}
-	p.out--
-	n := len(f.vars)
-	for n >= len(p.bySize) {
-		p.bySize = append(p.bySize, nil)
-	}
-	p.bySize[n] = append(p.bySize[n], f)
+	p.log = lg[:mark]
 }
 
-// RunReset ends one run's accounting: it returns the run's activation
-// high-water mark and zeroes both counters, so frames that died with the
-// run without a Put do not inflate the next run's baseline. Callers fold
-// the returned peak into the process-wide marks (RecordPoolHighWater).
+// RunReset ends one run's accounting: it returns the run's frame
+// high-water mark and zeroes it. Callers fold the returned peak into the
+// process-wide marks (RecordPoolHighWater).
 func (p *FramePool) RunReset() int {
 	peak := p.peak
-	p.out, p.peak = 0, 0
+	p.peak = 0
 	return peak
 }
 
@@ -417,21 +429,11 @@ func (x *Exporter) Copy(t Term) Term {
 }
 
 // CompoundPool recycles the short-lived compounds of clause-body
-// instantiation, the dominant allocation of the resolution hot path. It
-// works like the trail: every Get is logged, a caller takes a Mark before
-// an activation, and Release returns everything minted since the mark to
-// the per-arity free lists — which is sound exactly because a body goal's
-// structure dies with its activation's choice point, and everything that
-// outlives backtracking (solution bindings, a table's call patterns and
-// answers) leaves through Detacher, which copies pool-minted compounds
-// unconditionally.
+// instantiation, the dominant allocation of the resolution hot path, by
+// the rule FramePool states, keyed by arity.
 type CompoundPool struct {
 	free [][]*Compound // indexed by arity
 	log  []*Compound
-
-	// peak is the deepest the log has grown this run — the high-water mark
-	// of simultaneously live pooled compounds. Single-goroutine, like the
-	// pool itself.
 	peak int
 }
 
@@ -454,10 +456,8 @@ func (p *CompoundPool) Get(fn Sym, arity int) *Compound {
 		c = MakeCompound(fn, arity)
 		c.pooled = true
 	}
-	p.log = append(p.log, c)
-	if len(p.log) > p.peak {
-		p.peak = len(p.log)
-	}
+	p.log = Logged(p.log, c)
+	p.peak = max(p.peak, len(p.log))
 	return c
 }
 
@@ -472,7 +472,7 @@ func (p *CompoundPool) Release(mark int) {
 		for n >= len(p.free) {
 			p.free = append(p.free, nil)
 		}
-		p.free[n] = append(p.free[n], c)
+		p.free[n] = Logged(p.free[n], c)
 	}
 	p.log = lg[:mark]
 }

@@ -20,13 +20,11 @@ type Machine struct {
 	frame *term.Frame
 	cc    *CClause
 	stack []cursor
-	// Pool, when set, supplies activation frames (reclaimed by the owner
-	// at backtrack via TakeFrame). Trail-store runs set it; persistent-Env
-	// runs leave it nil and set Cells.
-	Pool *term.FramePool
-	// CPool, when set, supplies the compounds of body-goal and write-mode
-	// instantiation (reclaimed by the owner at backtrack via the pool's
-	// mark/release protocol). Trail-store runs set it.
+	// Pool and CPool, when set, supply activation frames and the compounds
+	// of body-goal and write-mode instantiation, which the owner reclaims
+	// by releasing each pool to a mark it took (see term.FramePool).
+	// Trail-store runs set them.
+	Pool  *term.FramePool
 	CPool *term.CompoundPool
 	// Cells, where Pool and CPool are not set, supplies frames and
 	// compounds that are never recycled: a persistent-Env run's slabs. Nil
@@ -172,16 +170,6 @@ func (m *Machine) inst(s *snode) term.Term {
 		}
 		return c
 	}
-}
-
-// TakeFrame detaches and returns the frame minted by the last Resolve
-// (nil for a ground activation), transferring ownership to the caller —
-// who returns it to the pool once the activation's bindings are undone
-// and its body goals are dead.
-func (m *Machine) TakeFrame() *term.Frame {
-	f := m.frame
-	m.frame = nil
-	return f
 }
 
 // BodyGoal builds the i-th body goal of the clause most recently resolved
