@@ -109,6 +109,9 @@ func ValidateQuery(query string) error {
 // phase, and its span tree starts where the parse did.
 type Goal struct {
 	goals []term.Term
+	// vars are the goals' variables in first-occurrence order, as the
+	// parse found them; nil for goals that arrived parsed.
+	vars []*term.Var
 	// parsed and end bound the parse; zero for goals that arrived parsed.
 	parsed, end time.Time
 }
@@ -126,11 +129,11 @@ func (g Goal) String() string {
 // ParseGoal parses query text into a Goal.
 func ParseGoal(query string) (Goal, error) {
 	start := time.Now()
-	goals, err := parse.Query(query)
+	goals, vars, err := parse.QueryVars(query)
 	if err != nil {
 		return Goal{}, err
 	}
-	return Goal{goals: goals, parsed: start, end: time.Now()}, nil
+	return Goal{goals: goals, vars: vars, parsed: start, end: time.Now()}, nil
 }
 
 // Program is a loaded logic program with its global weight database. It is
@@ -648,6 +651,7 @@ func (p *Program) Run(ctx context.Context, g Goal, strat Strategy, s *Settings, 
 		DB:            p.db,
 		Store:         store,
 		Goals:         g.goals,
+		Vars:          g.vars,
 		Strategy:      strat,
 		AndParallel:   s.AndParallel,
 		MaxSolutions:  s.MaxSolutions,

@@ -317,13 +317,18 @@ type Expander struct {
 }
 
 // expScratch is what an Expander borrows: its predicate-code cache, its
-// profiling meter, the slab its nodes come from and the backing array of
-// its search's open list. Trail runs keep theirs in their pooled scratch.
+// profiling meter, the slab its nodes come from, the backing array of its
+// search's open list, and the nested run that proves a \+ goal's argument
+// with that run's one-goal root and its variables. Trail runs keep theirs
+// in their pooled scratch.
 type expScratch struct {
-	code  vm.Cache
-	meter obs.Meter
-	slab  slab
-	open  []*Node
+	code    vm.Cache
+	meter   obs.Meter
+	slab    slab
+	open    []*Node
+	neg     TrailRun
+	negRoot [1]term.Term
+	negVars []*term.Var
 }
 
 var scratches = sync.Pool{New: func() any { return new(expScratch) }}
@@ -454,19 +459,25 @@ func (e *Expander) Expand(n *Node) ([]*Node, error) {
 			e.meter.Note(fn, arity, 0, 0)
 		}
 		if fn == term.SymNeg && arity == 1 {
-			// \+ runs on the trail machine (see negationConfig); its
-			// argument is detached from n.Env first, so the nested run
-			// reads nothing of n.Env and binds nothing in it.
-			d := term.Detacher{Env: n.Env}
-			inner := d.Detach(goal.(*term.Compound).Args[0])
-			sub := NewTrailRun(negationConfig(TrailConfig{
+			// \+ runs on the trail machine (see negationConfig), on the
+			// scratch's nested run; its argument is detached from n.Env
+			// into the slab first, so the nested run reads nothing of
+			// n.Env and binds nothing in it.
+			sc := e.scratch()
+			d := term.Detacher{Env: n.Env, Cells: &sl.cells}
+			sc.negRoot[0] = d.Detach(goal.(*term.Compound).Args[0])
+			sc.negVars = term.VarsUnder(nil, sc.negRoot[0], sc.negVars[:0])
+			sub := &sc.neg
+			sub.Init(negationConfig(TrailConfig{
 				DB: e.DB, Weights: e.Weights, Tabler: e.Tabler, Ctx: e.Ctx,
-			}, maxDepth), []term.Term{inner})
+			}, maxDepth), sc.negRoot[:], sc.negVars)
 			e.meter.Pause()
 			proved, err := sub.Advance()
 			e.meter.Pause() // again: \+ is charged the nested run whole
 			e.VMDispatched += sub.stats.VMDispatched
 			sub.Release()
+			*sub, sc.negRoot[0] = TrailRun{}, nil
+			clear(sc.negVars)
 			if proved || err != nil {
 				return nil, err
 			}

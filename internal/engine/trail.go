@@ -356,15 +356,18 @@ type TrailRun struct {
 // be written. Solutions report bindings under the original variables.
 func NewTrailRun(cfg TrailConfig, goals []term.Term) *TrailRun {
 	r := new(TrailRun)
-	r.Init(cfg, goals)
+	r.Init(cfg, goals, nil)
 	return r
 }
 
 // Init is NewTrailRun on caller-provided storage, so a caller can hold
-// its run by value.
-func (r *TrailRun) Init(cfg TrailConfig, goals []term.Term) {
+// its run by value. vars are the goals' variables in first-occurrence
+// order, the list term.VarsOf returns, when the caller has them (a parsed
+// query carries its parser's); the run reads them as its QueryVars. Nil
+// has the run collect them.
+func (r *TrailRun) Init(cfg TrailConfig, goals []term.Term, vars []*term.Var) {
 	r.init(cfg)
-	r.rename(goals)
+	r.rename(goals, vars)
 }
 
 // rename lays the query's goals out as the run's root, renamed apart the
@@ -373,9 +376,12 @@ func (r *TrailRun) Init(cfg TrailConfig, goals []term.Term) {
 // compounds and the goal block are pooled too, so Detacher copies the
 // root's terms wherever they leave the run. images, in the scratch, is the
 // run's only record of the renaming.
-func (r *TrailRun) rename(goals []term.Term) {
+func (r *TrailRun) rename(goals []term.Term, vars []*term.Var) {
 	sh := r.sh
-	r.queryVars, sh.names = term.VarsOf(goals), sh.names[:0]
+	if vars == nil {
+		vars = term.VarsOf(goals)
+	}
+	r.queryVars, sh.names = vars, sh.names[:0]
 	for _, v := range r.queryVars {
 		sh.names = append(sh.names, v.Name)
 	}

@@ -103,6 +103,10 @@ type Options struct {
 	// Live, when non-nil, is the run's in-flight inspector entry; the
 	// shared expansion counter is synced into it at each lease.
 	Live *obs.Live
+	// Vars are the goals' variables in first-occurrence order, the list
+	// term.VarsOf returns, when the caller has them from the parse. Nil
+	// has the root worker collect them.
+	Vars []*term.Var
 }
 
 // Stats are a run's counters: the workers' engine counters, summed with
@@ -174,6 +178,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 	}
 	st := &state{opt: opt, maxExp: engine.Expansions.Or(opt.MaxExpansions)}
 	st.cond.L = &st.mu
+	st.net = st.firstNet[:0]
 	st.solutions = make([]engine.Solution, 0, firstSolutions)
 	st.sync()
 	st.outstanding.Store(1)
@@ -190,7 +195,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 			StepHook: func() error { return st.step(w) },
 		}
 		if i == 0 { // the root, renamed apart as a sequential run renames it
-			w.run.Init(w.cfg, goals)
+			w.run.Init(w.cfg, goals, opt.Vars)
 			w.started, w.acquires, qvars = true, 1, w.run.QueryVars()
 		}
 		st.wg.Add(1)
@@ -233,6 +238,7 @@ func Run(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term, op
 
 const (
 	firstSolutions = 16 // the solution capacity a run starts with
+	firstNetwork   = 8  // the network capacity a run starts with
 	// leaseSize is how many expansions a worker takes from the shared
 	// budget at a time, so its cache line is written once per leaseSize
 	// steps, not at every step of every worker.
@@ -249,6 +255,7 @@ type state struct {
 	cond sync.Cond // on mu
 	// net, err, solutions, takers and startup are guarded by mu.
 	net       network
+	firstNet  [firstNetwork]*engine.Chain // backs net until it outgrows it
 	err       error
 	solutions []engine.Solution
 	// takers counts the workers that have taken a chain; startup is the

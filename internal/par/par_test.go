@@ -498,7 +498,8 @@ func TestParallelAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // warm the program cache and the scratch pool
-	// Measured steady state is 23 allocations per query (42 while the
+	// Measured steady state is 22 allocations per query (23 while the
+	// network grew from a nil slice at its first push, 42 while the
 	// root was a heap chain, cancellation a context.AfterFunc and the
 	// exported variables' frames heap objects, 224 while each answer and
 	// exported chain took a heap object per copied cell, 244 while each
@@ -506,7 +507,7 @@ func TestParallelAllocationBudget(t *testing.T) {
 	// how many chains move depends on scheduling, and the budget, 1.5x,
 	// leaves room for that and for pool refills after a GC cycle, not for
 	// per-node or per-cell allocation.
-	const budget = 34
+	const budget = 33
 	got := testing.AllocsPerRun(200, run)
 	t.Logf("%.1f allocations per query", got)
 	if got > budget {

@@ -2,6 +2,7 @@ package parse
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,16 +73,19 @@ func renderClause(c Clause) string {
 	return text + "."
 }
 
-// FuzzQuery checks query parsing never panics and accepted queries
-// reparse.
+// FuzzQuery checks query parsing never panics, accepted queries reparse,
+// and the variables the parse reports are term.VarsOf's, in its order.
 func FuzzQuery(f *testing.F) {
-	for _, s := range []string{"p(X)", "?- a, b.", "X = f(Y), Y \\= 3", "[H|T] = [1,2]"} {
+	for _, s := range []string{"p(X)", "?- a, b.", "X = f(Y), Y \\= 3", "[H|T] = [1,2]", "f(_, X, [_|Y], _ + X * Z)"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		goals, err := Query(src)
+		goals, vars, err := QueryVars(src)
 		if err != nil {
 			return
+		}
+		if want := term.VarsOf(goals); !slices.Equal(vars, want) {
+			t.Fatalf("%q: parse reports variables %v, VarsOf %v", src, vars, want)
 		}
 		for _, g := range goals {
 			if _, err := OneTerm(g.String()); err != nil {

@@ -50,10 +50,6 @@ type lexer struct {
 	col  int
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
 // Error is a parse error with position information.
 type Error struct {
 	Line, Col int
@@ -193,47 +189,11 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokVar, text: l.src[start:l.pos], line: line, col: col}, nil
 
 	case c == '\'':
-		l.advance()
-		var b strings.Builder
-		for {
-			c, ok := l.peekByte()
-			if !ok {
-				return token{}, l.errorf(line, col, "unterminated quoted atom")
-			}
-			l.advance()
-			if c == '\\' {
-				e, ok := l.peekByte()
-				if !ok {
-					return token{}, l.errorf(line, col, "unterminated escape in quoted atom")
-				}
-				l.advance()
-				switch e {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				case '\\', '\'':
-					b.WriteByte(e)
-				default:
-					return token{}, l.errorf(line, col, "unknown escape \\%c in quoted atom", e)
-				}
-				continue
-			}
-			if c == '\'' {
-				// Doubled quote is an escaped quote.
-				if nc, ok := l.peekByte(); ok && nc == '\'' {
-					l.advance()
-					b.WriteByte('\'')
-					continue
-				}
-				return token{kind: tokAtom, text: b.String(), line: line, col: col}, nil
-			}
-			b.WriteByte(c)
-		}
+		return l.quoted(line, col)
 
 	case c == '(' || c == ')' || c == '[' || c == ']' || c == ',' || c == '|' || c == '!':
 		l.advance()
-		return token{kind: tokPunct, text: string(c), line: line, col: col}, nil
+		return token{kind: tokPunct, text: l.src[l.pos-1 : l.pos], line: line, col: col}, nil
 
 	case isSymbolChar(c):
 		start := l.pos
@@ -268,5 +228,56 @@ func (l *lexer) next() (token, error) {
 			return token{}, l.errorf(line, col, "unexpected character %q", r)
 		}
 		return token{}, l.errorf(line, col, "unexpected byte 0x%02x", c)
+	}
+}
+
+// quoted lexes the quoted atom opening at the current position. Its text
+// is a slice of the source unless it holds an escape or a doubled quote.
+func (l *lexer) quoted(line, col int) (token, error) {
+	l.advance()
+	start := l.pos
+	for l.pos < len(l.src) && l.src[l.pos] != '\'' && l.src[l.pos] != '\\' {
+		l.advance()
+	}
+	if l.pos < len(l.src) && l.src[l.pos] == '\'' && (l.pos+1 == len(l.src) || l.src[l.pos+1] != '\'') {
+		l.advance()
+		return token{kind: tokAtom, text: l.src[start : l.pos-1], line: line, col: col}, nil
+	}
+	var b strings.Builder
+	b.WriteString(l.src[start:l.pos])
+	for {
+		c, ok := l.peekByte()
+		if !ok {
+			return token{}, l.errorf(line, col, "unterminated quoted atom")
+		}
+		l.advance()
+		if c == '\\' {
+			e, ok := l.peekByte()
+			if !ok {
+				return token{}, l.errorf(line, col, "unterminated escape in quoted atom")
+			}
+			l.advance()
+			switch e {
+			case 'n':
+				b.WriteByte('\n')
+			case 't':
+				b.WriteByte('\t')
+			case '\\', '\'':
+				b.WriteByte(e)
+			default:
+				return token{}, l.errorf(line, col, "unknown escape \\%c in quoted atom", e)
+			}
+			continue
+		}
+		if c == '\'' {
+			// Doubled quote is an escaped quote.
+			if nc, ok := l.peekByte(); ok && nc == '\'' {
+				l.advance()
+				b.WriteByte('\'')
+				continue
+			}
+			return token{kind: tokAtom, text: b.String(), line: line, col: col}, nil
+		}
+		b.WriteByte(c)
 	}
 }

@@ -38,13 +38,65 @@ type Program struct {
 // the recursive descent below.
 const maxNesting = 10_000
 
-// parser is a single-token-lookahead recursive descent parser.
+// parser is a single-token-lookahead recursive descent parser. It lives
+// on its caller's stack, the lexer inside it, and it builds argument lists
+// and conjunctions in stack buffers, so a parse allocates the terms it
+// returns and little else.
 type parser struct {
-	lx    *lexer
-	tok   token
-	vars  map[string]*term.Var // variable scope of the current clause
-	depth int                  // open parentheses, brackets and argument lists
+	lx  lexer
+	tok token
+	// vars is the variable scope of the current clause: its variables in
+	// first-occurrence order, each `_` included as a variable of its own.
+	// Lookup scans it; a scope that outgrows maxScan also keeps index.
+	vars  []*term.Var
+	index map[string]*term.Var
+	depth int // open parentheses, brackets and argument lists
 }
+
+// maxScan is the scope size up to which a variable is looked up by a scan
+// of the scope. A clause with more variables looks them up by name in a
+// map, so a text with thousands of them still parses in linear time.
+const maxScan = 16
+
+func newParser(src string) parser {
+	return parser{lx: lexer{src: src, line: 1, col: 1}}
+}
+
+// variable returns the clause's variable called name, minting it on its
+// first occurrence; every `_` is a variable of its own.
+func (p *parser) variable(name string) *term.Var {
+	if name != "_" {
+		if p.index != nil {
+			if v, ok := p.index[name]; ok {
+				return v
+			}
+		} else {
+			for _, v := range p.vars {
+				if v.Name == name {
+					return v
+				}
+			}
+		}
+	}
+	v := term.NewVar(name)
+	if p.vars == nil {
+		p.vars = make([]*term.Var, 0, 8)
+	}
+	p.vars = append(p.vars, v)
+	switch {
+	case p.index != nil:
+		p.index[name] = v
+	case len(p.vars) > maxScan:
+		p.index = make(map[string]*term.Var, 2*len(p.vars))
+		for _, v := range p.vars {
+			p.index[v.Name] = v
+		}
+	}
+	return v
+}
+
+// newScope empties the scope for the next clause.
+func (p *parser) newScope() { p.vars, p.index = p.vars[:0], nil }
 
 // nest opens one nesting level; the caller closes it with p.depth--.
 func (p *parser) nest() error {
@@ -56,13 +108,13 @@ func (p *parser) nest() error {
 
 // Source parses a complete program text.
 func Source(src string) (*Program, error) {
-	p := &parser{lx: newLexer(src)}
+	p := newParser(src)
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	prog := &Program{}
 	for p.tok.kind != tokEOF {
-		p.vars = make(map[string]*term.Var)
+		p.newScope()
 		if p.tok.kind == tokQuery {
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -114,33 +166,41 @@ func Source(src string) (*Program, error) {
 // Query parses a single query: a comma-separated goal list with an optional
 // leading `?-` and optional trailing `.`.
 func Query(src string) ([]term.Term, error) {
-	p := &parser{lx: newLexer(src), vars: make(map[string]*term.Var)}
+	goals, _, err := QueryVars(src)
+	return goals, err
+}
+
+// QueryVars is Query that also returns the query's variables in
+// first-occurrence order, each `_` included: the list term.VarsOf returns
+// for the goals, as the parse found it.
+func QueryVars(src string) ([]term.Term, []*term.Var, error) {
+	p := newParser(src)
 	if err := p.advance(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.tok.kind == tokQuery {
 		if err := p.advance(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	goals, err := p.body()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.tok.kind == tokPunct && p.tok.text == "." {
 		if err := p.advance(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if p.tok.kind != tokEOF {
-		return nil, p.lx.errorf(p.tok.line, p.tok.col, "unexpected %s after query", p.tok)
+		return nil, nil, p.lx.errorf(p.tok.line, p.tok.col, "unexpected %s after query", p.tok)
 	}
-	return goals, nil
+	return goals, p.vars[:len(p.vars):len(p.vars)], nil
 }
 
 // OneTerm parses a single term (no trailing period allowed).
 func OneTerm(src string) (term.Term, error) {
-	p := &parser{lx: newLexer(src), vars: make(map[string]*term.Var)}
+	p := newParser(src)
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -241,33 +301,53 @@ func (p *parser) expectPunct(s string) error {
 	return p.advance()
 }
 
-// body parses a comma-separated conjunction of goals.
+// body parses a comma-separated conjunction of goals into a slice of its
+// own length.
 func (p *parser) body() ([]term.Term, error) {
-	var goals []term.Term
+	var buf [8]term.Term
+	goals := buf[:0]
 	for {
 		g, err := p.goal()
 		if err != nil {
 			return nil, err
 		}
 		goals = append(goals, g)
-		if p.tok.kind == tokPunct && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
+		if more, err := p.comma(); err != nil {
+			return nil, err
+		} else if !more {
+			return append([]term.Term(nil), goals...), nil
 		}
-		return goals, nil
 	}
+}
+
+// comma consumes a comma and reports whether there was one: whether a
+// sequence (goals, arguments, list items) goes on.
+func (p *parser) comma() (bool, error) {
+	if p.tok.kind != tokPunct || p.tok.text != "," {
+		return false, nil
+	}
+	return true, p.advance()
+}
+
+// binary builds the operator term op(left, right) in one allocation.
+func binary(op string, left, right term.Term) term.Term {
+	c := term.MakeCompound(term.Intern(op), 2)
+	c.Args[0], c.Args[1] = left, right
+	return c
 }
 
 // Operator precedence, Prolog-style (lower binds tighter).
 // goal     := expr500 ( CMPOP expr500 )?      comparison / =,is level (700)
 // expr500  := expr400 ( (+|-) expr400 )*      additive
 // expr400  := primary ( (*|//|mod) primary )* multiplicative
-var comparisonOps = map[string]bool{
-	"=": true, "\\=": true, "==": true, "\\==": true, "is": true,
-	"=:=": true, "=\\=": true, "<": true, ">": true, "=<": true, ">=": true,
-	"@<": true, "@>": true, "@=<": true, "@>=": true, "=..": true,
+func comparisonOp(s string) bool {
+	switch s {
+	case "=", "\\=", "==", "\\==", "is",
+		"=:=", "=\\=", "<", ">", "=<", ">=",
+		"@<", "@>", "@=<", "@>=", "=..":
+		return true
+	}
+	return false
 }
 
 func (p *parser) goal() (term.Term, error) {
@@ -275,7 +355,7 @@ func (p *parser) goal() (term.Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind == tokAtom && comparisonOps[p.tok.text] {
+	if p.tok.kind == tokAtom && comparisonOp(p.tok.text) {
 		op := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -284,7 +364,7 @@ func (p *parser) goal() (term.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		return term.NewCompound(op, left, right), nil
+		return binary(op, left, right), nil
 	}
 	return left, nil
 }
@@ -303,7 +383,7 @@ func (p *parser) expr500() (term.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = term.NewCompound(op, left, right)
+		left = binary(op, left, right)
 	}
 	return left, nil
 }
@@ -322,7 +402,7 @@ func (p *parser) expr400() (term.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = term.NewCompound(op, left, right)
+		left = binary(op, left, right)
 	}
 	return left, nil
 }
@@ -338,19 +418,10 @@ func (p *parser) primary() (term.Term, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if name == "_" {
-			return term.NewVar("_"), nil // each _ is a distinct variable
-		}
-		if v, ok := p.vars[name]; ok {
-			return v, nil
-		}
-		v := term.NewVar(name)
-		p.vars[name] = v
-		return v, nil
+		return p.variable(name), nil
 
 	case tokAtom:
 		name := p.tok.text
-		line, col := p.tok.line, p.tok.col
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -363,29 +434,28 @@ func (p *parser) primary() (term.Term, error) {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			var args []term.Term
+			// The arguments are collected on the stack.
+			var buf [8]term.Term
+			args := buf[:0]
 			for {
 				a, err := p.goal()
 				if err != nil {
 					return nil, err
 				}
 				args = append(args, a)
-				if p.tok.kind == tokPunct && p.tok.text == "," {
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
-					continue
+				if more, err := p.comma(); err != nil {
+					return nil, err
+				} else if !more {
+					break
 				}
-				break
 			}
 			p.depth--
 			if err := p.expectPunct(")"); err != nil {
 				return nil, err
 			}
-			if len(args) == 0 {
-				return nil, p.lx.errorf(line, col, "empty argument list for %s", name)
-			}
-			return term.NewCompound(name, args...), nil
+			c := term.MakeCompound(term.Intern(name), len(args))
+			copy(c.Args, args)
+			return c, nil
 		}
 		return term.NewAtom(name), nil
 
@@ -424,20 +494,19 @@ func (p *parser) list() (term.Term, error) {
 		p.depth--
 		return term.EmptyList, p.advance()
 	}
-	var items []term.Term
+	var buf [8]term.Term
+	items := buf[:0]
 	for {
 		it, err := p.goal()
 		if err != nil {
 			return nil, err
 		}
 		items = append(items, it)
-		if p.tok.kind == tokPunct && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
+		if more, err := p.comma(); err != nil {
+			return nil, err
+		} else if !more {
+			break
 		}
-		break
 	}
 	tail := term.Term(term.EmptyList)
 	if p.tok.kind == tokPunct && p.tok.text == "|" {

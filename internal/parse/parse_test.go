@@ -1,7 +1,9 @@
 package parse
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -448,5 +450,65 @@ func TestNestingCap(t *testing.T) {
 	}
 	if _, err := OneTerm(strings.Repeat("1+", 3*maxNesting) + "1"); err != nil {
 		t.Errorf("operator chain: %v", err)
+	}
+}
+
+// TestQueryParseAllocationBudget is the allocation guard for the query
+// parse: the lexer, the parser, the variable scope and the argument lists
+// live on the stack, so a parse allocates its terms, its goal slice and
+// the variable list it returns. gf(p700,G) is its compound, G, the goal
+// slice and the variable list; it allocated 12 times with a heap parser,
+// a map scope, appended argument lists and a two-object variable.
+func TestQueryParseAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	rows := []struct {
+		goal   string
+		budget float64
+	}{
+		{"gf(p700,G)", 4},
+		// Two compounds, two list cells, four variables (_ included), the
+		// goal slice and the variable list.
+		{"p(X, [a,Y|_]), q(X, Z)", 10},
+	}
+	for _, r := range rows {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Query(r.goal); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocations", r.goal, got)
+		if got > r.budget {
+			t.Errorf("%s allocated %.1f times, budget %.0f", r.goal, got, r.budget)
+		}
+	}
+}
+
+// TestQueryVarsOrder: the variables a query parse reports are VarsOf's,
+// first occurrences in order with every _ its own, also past the scope
+// size at which lookup switches from a scan to a map.
+func TestQueryVarsOrder(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 3*maxScan; i++ {
+		fmt.Fprintf(&b, "p(V%d, _, V%d), ", i, i/2)
+	}
+	b.WriteString("q(V0, V7)")
+	for _, src := range []string{"f(_, X, [_|Y], _ + X * Z)", "a", b.String()} {
+		goals, vars, err := QueryVars(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := term.VarsOf(goals); !slices.Equal(vars, want) {
+			t.Errorf("%.40s: parse reports %d variables, VarsOf %d, or another order", src, len(vars), len(want))
+		}
+	}
+	goals, vars, _ := QueryVars(b.String())
+	if n := 3*maxScan + 3*maxScan; len(vars) != n {
+		t.Errorf("%d variables, want %d", len(vars), n)
+	}
+	last := goals[len(goals)-1].(*term.Compound)
+	if last.Args[0] != term.Term(vars[0]) || last.Args[1] != term.Term(vars[2*7]) {
+		t.Errorf("q(V0, V7) does not share the earlier V0 and V7")
 	}
 }

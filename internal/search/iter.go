@@ -103,7 +103,7 @@ func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term
 			MaxExpansions: it.maxExp,
 			Prof:          opt.Prof,
 			Live:          opt.Live,
-		}, goals)
+		}, goals, opt.Vars)
 		it.queryVars = it.trail.QueryVars()
 		return it, nil
 	}
@@ -117,7 +117,9 @@ func NewIter(ctx context.Context, db *kb.DB, ws weights.Store, goals []term.Term
 	if opt.MaxDepth > 0 {
 		exp.MaxDepth = opt.MaxDepth
 	}
-	it.queryVars = term.VarsOf(goals)
+	if it.queryVars = opt.Vars; it.queryVars == nil {
+		it.queryVars = term.VarsOf(goals)
+	}
 	if opt.RecordTree {
 		it.tb = newTreeBuilder(goals)
 	}

@@ -113,6 +113,10 @@ type Options struct {
 	// Live, when non-nil, receives periodic expansion-count updates for
 	// the live query inspector.
 	Live *obs.Live
+	// Vars are the goals' variables in first-occurrence order, the list
+	// term.VarsOf returns, when the caller has them from the parse; the
+	// run reads them as its QueryVars. Nil has the run collect them.
+	Vars []*term.Var
 }
 
 // Result is the outcome of a search run.

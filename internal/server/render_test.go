@@ -349,10 +349,12 @@ func (m *memWriter) Write(p []byte) (int, error) { return m.body.Write(p) }
 // strategy (best-first, on the persistent Env); the dfs rows are the trail
 // machine's search and point shapes; the session row learns best-first in
 // a session; the parallel row runs two OR-parallel workers. Answers render
-// from the run's live bindings, the goal is parsed once, a run has one
-// context and its settings are a value, and the trail machine renames its
-// root from its pools, so no row pays per answer, per option or per root
-// term. Each sequential budget is 1.2x its measurement.
+// from the run's live bindings, the goal is parsed once into its terms,
+// the body is read into the writer's buffer and decoded in place, a run
+// has one context and its settings are a value, and the trail machine
+// renames its root from its pools, so no row pays per answer, per option,
+// per root term or per request byte. Each sequential budget is 1.2x its
+// measurement.
 func TestQueryBodyAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
@@ -362,27 +364,31 @@ func TestQueryBodyAllocationBudget(t *testing.T) {
 		session               bool // post to a session's query endpoint
 		budget                float64
 	}{
-		// Measured 37; 61 with a context per layer, option closures and an
-		// open list grown from nothing, 351 with detached answers.
-		{"tabled default strategy", workload.Cyclic(64, 32, 1), `{"goal":"path(v3,Z)","tabled":true}`, `"text":"Z = v63"`, false, 44},
-		// Measured 32; 33 with a trail run header of its own, 59 before,
-		// 220 with detached answers. A profiler that allocates again fails
-		// here.
-		{"queens dfs", workload.NQueens, `{"goal":"queens(5,Qs)","strategy":"dfs"}`, `"exhausted":true`, false, 38},
-		// Measured 32; 33 with a trail run header of its own, 58 before, 79
-		// with detached answers.
-		{"point dfs", workload.FamilyTree(6, 3), `{"goal":"gf(p700,G)","strategy":"dfs"}`, `"exhausted":true`, false, 38},
-		// Measured 38 in a warm session; 59 before.
-		{"session best learn", workload.FamilyTree(6, 3), `{"goal":"gf(p700,G)","strategy":"best","learn":true}`, `"exhausted":true`, true, 46},
-		// Measured 60 (88 with a heap root chain, a context.AfterFunc and
-		// heap frames for exported variables, 270 while each answer and
-		// exported chain took a heap object per copied cell, 290 while
-		// each answer carried a copy of its arc chain and a map of its
-		// bindings, 309 before): worker headers and chunks, whose count
-		// follows the scheduling; the budget, 1.5x, leaves room for that,
-		// as the par package's own guard does, not for an object per node
-		// or per cell.
-		{"parallel queens", workload.NQueens, `{"goal":"queens(5,Qs)","strategy":"parallel","workers":2}`, `"exhausted":true`, false, 90},
+		// Measured 19; 36 with encoding/json's decoder and a heap parse,
+		// 61 with a context per layer, option closures and an open list
+		// grown from nothing, 351 with detached answers.
+		{"tabled default strategy", workload.Cyclic(64, 32, 1), `{"goal":"path(v3,Z)","tabled":true}`, `"text":"Z = v63"`, false, 22},
+		// Measured 14; 32 with encoding/json's decoder and a heap parse,
+		// 33 with a trail run header of its own, 59 before, 220 with
+		// detached answers. A profiler that allocates again fails here.
+		{"queens dfs", workload.NQueens, `{"goal":"queens(5,Qs)","strategy":"dfs"}`, `"exhausted":true`, false, 16},
+		// Measured 14; 32 with encoding/json's decoder and a heap parse,
+		// 33 with a trail run header of its own, 58 before, 79 with
+		// detached answers.
+		{"point dfs", workload.FamilyTree(6, 3), `{"goal":"gf(p700,G)","strategy":"dfs"}`, `"exhausted":true`, false, 16},
+		// Measured 19 in a warm session; 37 with encoding/json's decoder
+		// and a heap parse, 59 before.
+		{"session best learn", workload.FamilyTree(6, 3), `{"goal":"gf(p700,G)","strategy":"best","learn":true}`, `"exhausted":true`, true, 22},
+		// Measured 41 (60 with encoding/json's decoder, a heap parse and
+		// a network grown from nil, 88 with a heap root chain, a
+		// context.AfterFunc and heap frames for exported variables, 270
+		// while each answer and exported chain took a heap object per
+		// copied cell, 290 while each answer carried a copy of its arc
+		// chain and a map of its bindings, 309 before): worker headers and
+		// chunks, whose count follows the scheduling; the budget, 1.5x,
+		// leaves room for that, as the par package's own guard does, not
+		// for an object per node or per cell.
+		{"parallel queens", workload.NQueens, `{"goal":"queens(5,Qs)","strategy":"parallel","workers":2}`, `"exhausted":true`, false, 61},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -176,9 +176,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Pool exposes the admission controller (tests and the daemon's logs).
 func (s *Server) Pool() *Pool { return s.pool }
 
+// jsonType and ndjsonType are the Content-Type values of the JSON and
+// NDJSON responses, shared by every response rather than made per write.
+var (
+	jsonType   = []string{"application/json"}
+	ndjsonType = []string{"application/x-ndjson"}
+)
+
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -206,14 +213,17 @@ type query struct {
 	set     blog.Settings
 }
 
-// decodeQuery decodes and validates the request body into q, and fills
-// q.set from it. ok=false means an error response was already written.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, q *query) (ok bool) {
+// decodeQuery reads the request body into rs's buffer, decodes and
+// validates it into rs.q, and fills rs.q.set from it. ok=false means an
+// error response was already written.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, rs *rendering) (ok bool) {
+	q := &rs.q
 	*q = query{}
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q.QueryRequest); err != nil {
+	var err error
+	if rs.buf, err = readBody(rs.buf, r.Body, r.ContentLength); err == nil {
+		err = decodeRequest(rs.buf, &q.QueryRequest)
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
@@ -221,7 +231,6 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, q *query) (
 		s.writeError(w, http.StatusBadRequest, "missing goal")
 		return false
 	}
-	var err error
 	if q.parsed, err = blog.ParseGoal(q.Goal); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad goal: "+err.Error())
 		return false
@@ -302,7 +311,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // JSON body, *streamWriter with an NDJSON line per answer; both render with
 // appendSolution. Everything else, the run included, is serveQuery.
 type solutionWriter interface {
-	request() *query // the request state the writer carries
+	state() *rendering // the request state and buffer the writer carries
 
 	// begin readies the writer for q, or refuses q with a badRequest.
 	begin(s *Server, w http.ResponseWriter, q *query) error
@@ -313,15 +322,17 @@ type solutionWriter interface {
 	finish(w http.ResponseWriter, end outcome)
 }
 
-// rendering is what both writers keep across a run's answers, and the
-// request they answer.
+// rendering is what both writers keep across a run's answers, the
+// request they answer, and their buffer: the request body as read, then
+// the response body (one-shot) or the line (stream) being written.
 type rendering struct {
 	q     query
+	buf   []byte
 	order []int // the query's binding key order (bindingOrder)
 	n     int   // answers rendered
 }
 
-func (r *rendering) request() *query { return &r.q }
+func (r *rendering) state() *rendering { return r }
 
 // appendNext appends a's wire Solution to dst.
 func (r *rendering) appendNext(dst []byte, a blog.Answer) []byte {
@@ -409,10 +420,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // cancels the timeout context after the entry records it. The run's
 // settings are a value in the request state, filled from the body.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, entry *sessionEntry, out solutionWriter) {
-	q := out.request()
-	if !s.decodeQuery(w, r, q) {
+	rs := out.state()
+	if !s.decodeQuery(w, r, rs) {
 		return
 	}
+	q := &rs.q
 	if !s.admit(w, r) {
 		return
 	}
@@ -495,8 +507,7 @@ var profilers = sync.Pool{New: func() any { return blog.NewProfiler() }}
 // solutions — still goes through encoding/json over QueryResponse; the
 // rendered array takes the place of the [] its empty Solutions encodes to.
 type oneShot struct {
-	rendering
-	body      []byte           // `{"solutions":[` and the rendered answers so far
+	rendering                  // buf: `{"solutions":[` and the rendered answers so far
 	solutions *metrics.Counter // counts a successful run's answers
 	env       bytes.Buffer     // the encoded envelope
 	enc       *json.Encoder    // encodes into env
@@ -525,22 +536,22 @@ func getOneShot() *oneShot { return oneShots.Get().(*oneShot) }
 // maxPooledBody, holding no request's goal, session or spans.
 func (o *oneShot) release() {
 	o.q, o.resp = query{}, QueryResponse{}
-	if cap(o.body) <= maxPooledBody && o.env.Cap() <= maxPooledBody {
+	if cap(o.buf) <= maxPooledBody && o.env.Cap() <= maxPooledBody {
 		oneShots.Put(o)
 	}
 }
 
 func (o *oneShot) begin(s *Server, _ http.ResponseWriter, _ *query) error {
-	o.body, o.n, o.solutions = append(o.body[:0], solutionsOpen...), 0, &s.metrics.solutions
+	o.buf, o.n, o.solutions = append(o.buf[:0], solutionsOpen...), 0, &s.metrics.solutions
 	return nil
 }
 
 // yield renders one answer into the body.
 func (o *oneShot) yield(a blog.Answer) error {
 	if o.n > 0 {
-		o.body = append(o.body, ',')
+		o.buf = append(o.buf, ',')
 	}
-	o.body = o.appendNext(o.body, a)
+	o.buf = o.appendNext(o.buf, a)
 	return nil
 }
 
@@ -581,10 +592,10 @@ func (o *oneShot) finish(w http.ResponseWriter, end outcome) {
 	if !bytes.HasPrefix(env, []byte(solutionsOpen+"]")) {
 		panic("server: QueryResponse no longer encodes solutions first")
 	}
-	o.body = append(o.body, env[len(solutionsOpen):]...)
-	w.Header().Set("Content-Type", "application/json")
+	o.buf = append(o.buf, env[len(solutionsOpen):]...)
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(o.body)
+	_, _ = w.Write(o.buf)
 }
 
 // writeFailure writes a failed query's status and error body.
@@ -602,7 +613,6 @@ type streamWriter struct {
 	rc       *http.ResponseController // nil until the 200 header is out
 	flusher  http.Flusher
 	streamed *metrics.Counter // counts the lines sent
-	line     []byte           // the line being written
 }
 
 // errUnstreamable refuses a stream whose answers exist only once its run
@@ -613,7 +623,7 @@ func (sw *streamWriter) begin(s *Server, w http.ResponseWriter, q *query) error 
 	if q.strat == blog.Parallel || q.AndParallel {
 		return errUnstreamable
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonType
 	w.WriteHeader(http.StatusOK)
 	sw.w, sw.streamed = w, &s.metrics.streamed
 	sw.flusher, _ = w.(http.Flusher)
@@ -624,9 +634,9 @@ func (sw *streamWriter) begin(s *Server, w http.ResponseWriter, q *query) error 
 // yield sends one answer as its line. A client that stopped reading stops
 // the run, and serveQuery's deferred Release frees the slot.
 func (sw *streamWriter) yield(a blog.Answer) error {
-	sw.line = append(sw.line[:0], `{"solution":`...)
-	sw.line = append(sw.appendNext(sw.line, a), '}', '\n')
-	if !sw.send(sw.line) {
+	sw.buf = append(sw.buf[:0], `{"solution":`...)
+	sw.buf = append(sw.appendNext(sw.buf, a), '}', '\n')
+	if !sw.send(sw.buf) {
 		return errClientGone
 	}
 	sw.streamed.Inc()

@@ -110,6 +110,12 @@ func TestQueryValidation(t *testing.T) {
 		{"bad strategy", `{"goal":"gf(p0,G)","strategy":"dijkstra"}`, http.StatusBadRequest},
 		{"unknown field", `{"goal":"gf(p0,G)","bogus":1}`, http.StatusBadRequest},
 		{"not json", `gf(p0,G)`, http.StatusBadRequest},
+		{"trailing bytes", `{"goal":"gf(p0,G)"} trailing garbage`, http.StatusBadRequest},
+		{"second object", `{"goal":"gf(p0,G)"}{"goal":"nope("}`, http.StatusBadRequest},
+		{"trailing white space", "{\"goal\":\"gf(p0,G)\"} \r\n\t", http.StatusOK},
+		{"over 1 MB", `{"goal":"gf(p0,G)"}` + strings.Repeat(" ", 1<<20), http.StatusBadRequest},
+		{"integer field 1.5", `{"goal":"gf(p0,G)","workers":1.5}`, http.StatusBadRequest},
+		{"integer field 1e3", `{"goal":"gf(p0,G)","max_depth":1e3}`, http.StatusBadRequest},
 		{"compiled field", `{"goal":"gf(p0,G)","compiled":false}`, http.StatusBadRequest},
 		{"occurs_check field", `{"goal":"gf(p0,G)","occurs_check":true}`, http.StatusBadRequest},
 		{"nested too deep", `{"goal":"X = ` + strings.Repeat("f(", 10_001) + "a" + strings.Repeat(")", 10_001) + `"}`, http.StatusBadRequest},
@@ -712,8 +718,9 @@ func TestWorkersClamped(t *testing.T) {
 	s, _ := newTestServer(t, workload.FamilyTree(2, 2), Config{MaxWorkers: 4})
 	r := httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"goal":"gf(p0,G)","strategy":"parallel","workers":1000000}`))
-	var q query
-	if !s.decodeQuery(httptest.NewRecorder(), r, &q) {
+	var rs rendering
+	q := &rs.q
+	if !s.decodeQuery(httptest.NewRecorder(), r, &rs) {
 		t.Fatal("decode failed")
 	}
 	if q.Workers != 4 || q.set.Workers != 4 {
@@ -722,7 +729,7 @@ func TestWorkersClamped(t *testing.T) {
 	// Negative worker counts fall back to the engine default.
 	r = httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`{"goal":"gf(p0,G)","strategy":"parallel","workers":-3}`))
-	if !s.decodeQuery(httptest.NewRecorder(), r, &q) || q.Workers != 0 || q.set.Workers != 0 {
+	if !s.decodeQuery(httptest.NewRecorder(), r, &rs) || q.Workers != 0 || q.set.Workers != 0 {
 		t.Errorf("negative workers decoded to %d (run with %d), want 0", q.Workers, q.set.Workers)
 	}
 }

@@ -60,6 +60,10 @@ type Request struct {
 	Store weights.Store
 	// Goals is the parsed conjunction, shared-variable structure intact.
 	Goals []term.Term
+	// Vars are Goals' variables in first-occurrence order, the list
+	// term.VarsOf returns, when the caller has them from the parse (a
+	// blog.Goal carries its parser's). Nil has the engine collect them.
+	Vars []*term.Var
 	// Strategy picks the discipline; AndParallel composes with the three
 	// sequential strategies, which then drive each independent goal group.
 	Strategy    Strategy
@@ -349,6 +353,7 @@ func validate(req *Request) error {
 // a nil yield is one that keeps them detached in Solutions, carved from
 // the Response's cells.
 func sequential(ctx context.Context, req *Request, opt search.Options, yield func(engine.Answer) error) (*Response, error) {
+	opt.Vars = req.Vars
 	it, err := search.NewIter(ctx, req.DB, req.Store, req.Goals, opt)
 	if err != nil {
 		return nil, err
@@ -392,6 +397,7 @@ func orParallel(ctx context.Context, req *Request, tb engine.Tabler) (*Response,
 		Tabler:        tb,
 		Prof:          req.Prof,
 		Live:          req.Live,
+		Vars:          req.Vars,
 	})
 	if err != nil {
 		return nil, err

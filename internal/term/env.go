@@ -31,11 +31,15 @@ func (f *Frame) Size() int { return len(f.vars) }
 func (f *Frame) Var(i int) *Var { return &f.vars[i] }
 
 // NewVar allocates a fresh variable with the given print name, in a
-// one-slot frame of its own.
+// one-slot frame of its own, both in one allocation.
 func NewVar(name string) *Var {
-	f := &Frame{vars: make([]Var, 1)}
-	f.vars[0] = Var{Name: name, ID: varCounter.Add(1), frame: f}
-	return &f.vars[0]
+	s := &struct {
+		f Frame
+		v [1]Var
+	}{}
+	s.f.vars = s.v[:]
+	s.v[0] = Var{Name: name, ID: varCounter.Add(1), frame: &s.f}
+	return &s.v[0]
 }
 
 // NewFrame mints len(names) fresh variables sharing one activation frame.

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -46,6 +47,9 @@ func Intern(name string) Sym {
 	if s, ok := t.ids[name]; ok {
 		return s
 	}
+	// The table keeps its own copy: name is often a slice of a larger
+	// text, a program or a request body, which it must not pin.
+	name = strings.Clone(name)
 	old := *t.names.Load()
 	s = Sym(len(old))
 	// Appending may grow in place; readers only index below their own

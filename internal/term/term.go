@@ -183,8 +183,12 @@ func NewCompound(functor string, args ...Term) Term {
 // EmptyList is the atom `[]` terminating proper lists.
 var EmptyList = Atom{SymNil}
 
-// Cons builds a list cell `.(head, tail)`.
-func Cons(head, tail Term) Term { return &Compound{Functor: SymDot, Args: []Term{head, tail}} }
+// Cons builds a list cell `.(head, tail)` in one allocation.
+func Cons(head, tail Term) Term {
+	c := MakeCompound(SymDot, 2)
+	c.Args[0], c.Args[1] = head, tail
+	return c
+}
 
 // FromList builds a proper list term from a slice.
 func FromList(items []Term) Term {
